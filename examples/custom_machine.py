@@ -3,25 +3,22 @@
 
 The repository ships three machine models (``reference``, ``inorder``,
 ``ooo``), but the machine-model registry is open: any object satisfying
-the :class:`repro.api.Machine` protocol — ``run_slice`` / ``finalise`` /
-``snapshot`` / ``restore`` plus a ``params`` attribute — can be registered
-under a name and then participates in single-point simulation, sweep
-grids and chunked execution.  The registry's conservative default
-chunking hooks guarantee correctness for models like this one that
-declare none: every chunk simply takes the exact-replay fallback.
+the :class:`repro.api.Machine` protocol — ``run_slice`` / ``finalise``
+plus a ``params`` attribute — can be registered under a name and then
+participates in single-point simulation and sweep grids.
 
 This example builds the simplest interesting model — a single-issue
 scoreboard machine that charges one cycle per scalar operation, one cycle
 per vector *element* and a flat memory penalty per memory instruction —
 registers it through :mod:`repro.api` only, and runs it against the
-built-in machines, monolithically and chunked.
+built-in machines, in one ``run_slice`` call and resumed across two.
 
 Before shipping a machine of your own, run the static contract analyzer
 over it — ``repro check path/to/your_machine.py`` (or
-``python -m repro.checks``) — it flags snapshot/restore/reset state
-drift, asymmetric snapshot keys, impure digests and nondeterministic
-iteration *before* they surface as a chunked-vs-monolithic digest
-mismatch.  This file is checked in CI the same way.
+``python -m repro.checks``) — it flags nondeterministic iteration and
+wall-clock, randomness or environment reads reachable from ``run_slice``
+*before* they surface as irreproducible results.  This file is checked in
+CI the same way.
 
 Run with::
 
@@ -31,7 +28,13 @@ Run with::
 import sys
 from dataclasses import dataclass
 
-from repro.api import MachineConfig, MachineModel, Session, register_machine
+from repro.api import (
+    MachineConfig,
+    MachineModel,
+    Session,
+    create_run,
+    register_machine,
+)
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,8 @@ class ScoreboardMachine:
     """A single-issue accumulator: the minimal ``Machine`` implementation.
 
     No renaming, no overlap — every instruction costs its latency in
-    full.  The three state fields round-trip through ``snapshot`` /
-    ``restore``, which is all the chunked simulator's exact-replay
-    fallback needs.
+    full.  State carries over between ``run_slice`` calls, so a run can be
+    fed in any number of consecutive slices before ``finalise``.
     """
 
     def __init__(self, params, trace):
@@ -80,25 +82,11 @@ class ScoreboardMachine:
         stats.vector_operations = self.vector_operations
         return stats
 
-    def snapshot(self):
-        return {
-            "kind": "scoreboard",
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "vector_operations": self.vector_operations,
-        }
-
-    def restore(self, state):
-        self.cycles = int(state["cycles"])
-        self.instructions = int(state["instructions"])
-        self.vector_operations = int(state["vector_operations"])
-
 
 register_machine(MachineModel(
     name="scoreboard",
     params_type=ScoreboardParams,
     factory=lambda params, trace: ScoreboardMachine(params, trace),
-    snapshot_kind="scoreboard",
 ))
 
 
@@ -107,25 +95,26 @@ def main() -> int:
     config = MachineConfig("scoreboard", ScoreboardParams())
 
     with Session() as session:
-        mono, _ = session.simulate(program, config)
-        # chunked execution works immediately: the conservative default
-        # hooks route every chunk through the exact-replay fallback
-        chunked, report = session.simulate(program, config, chunk_size=200)
-        reference, _ = session.simulate(program, "reference")
-        ooo, _ = session.simulate(program, "ooo")
+        whole = session.simulate(program, config)
+        reference = session.simulate(program, "reference")
+        ooo = session.simulate(program, "ooo")
+        trace = session.trace(program)
 
-    assert mono.stats.to_dict() == chunked.stats.to_dict(), \
-        "chunked run diverged from monolithic"
+    # the Machine contract: state carries over between run_slice calls
+    half = len(trace.instructions) // 2
+    resumed = create_run(config.params, trace)
+    resumed.run_slice(trace.instructions[:half])
+    resumed.run_slice(trace.instructions[half:])
+    assert resumed.finalise().to_dict() == whole.stats.to_dict(), \
+        "resumed run diverged from the single-slice run"
+
     print(f"Program: {program}")
-    print(f"  scoreboard (toy) : {mono.cycles} cycles")
-    print(f"  chunked          : {chunked.cycles} cycles "
-          f"({report.chunks} chunks, {report.replayed} replayed — "
-          "bit-identical by exact replay)")
+    print(f"  scoreboard (toy) : {whole.cycles} cycles "
+          "(bit-identical when resumed across two run_slice calls)")
     print(f"  reference        : {reference.cycles} cycles")
     print(f"  ooo              : {ooo.cycles} cycles")
-    print("A registered machine is a first-class citizen: grids, the CLI's "
-          "--machine flag and chunked execution all dispatch through the "
-          "registry.")
+    print("A registered machine is a first-class citizen: grids and the "
+          "CLI's --machine flag dispatch through the registry.")
     return 0
 
 

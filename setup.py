@@ -17,7 +17,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",
-            "repro-bench = repro.bench:main",
         ],
     },
 )

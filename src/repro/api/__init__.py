@@ -7,9 +7,9 @@ here, with no environment variables and no process-global state:
   precedence **explicit kwargs > environment > defaults**
   (:meth:`Settings.resolve`);
 * :class:`ExecutionPlan` — the frozen *how-to-execute* value object
-  (pool width, chunking, kernel, fleet) resolved once by
+  (pool width, kernel, fleet) resolved once by
   :meth:`Settings.plan` and passed whole to the engine;
-* :class:`Session` — owns the cache directory, result/trace/chunk stores
+* :class:`Session` — owns the cache directory, result and trace stores
   and the experiment engine; a context manager, one per driver;
 * :class:`RunRequest` / :class:`RunResult` — declarative workload ×
   configuration sweep grids and their resolved results, as data;
@@ -22,8 +22,8 @@ here, with no environment variables and no process-global state:
   of the paper's evaluation as data plus its text/JSON/CSV renderings;
 * :class:`Machine` / :class:`MachineModel` / :func:`register_machine` —
   the timing-model protocol and registry: new machine models plug into
-  single-point simulation, sweep grids and chunked execution without
-  touching any driver code;
+  single-point simulation and sweep grids without touching any driver
+  code;
 * :func:`run_checks` / :class:`Finding` — the static analyzer behind
   ``repro check`` (:mod:`repro.checks`), for validating first- and
   third-party machine components without running them;
@@ -45,8 +45,8 @@ Quickstart::
                                       configs=("reference", "ooo")))
         print(grid.speedup("trfd", "ooo"))
 
-``python -m repro.cli``, ``python -m repro.bench`` and the example
-scripts are thin adapters over this module.  Its ``__all__`` is a locked
+``python -m repro.cli`` and the example scripts are thin adapters over
+this module.  Its ``__all__`` is a locked
 public surface (see ``tests/test_api_surface.py``): additions are
 deliberate, removals are breaking.
 """
@@ -74,9 +74,7 @@ from repro.api.handle import RunHandle, RunStatus
 from repro.api.session import Session, engine_summary_dict
 from repro.api.settings import (
     CACHE_DIR_ENV,
-    CHUNK_SIZE_ENV,
     FLEET_ENV,
-    INTRA_JOBS_ENV,
     JOBS_ENV,
     KERNEL_ENV,
     KERNEL_NAMES,
@@ -87,14 +85,12 @@ from repro.checks import CheckPass, Finding, register_pass, run_checks
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CHUNK_SIZE_ENV",
     "CheckPass",
     "ExecutionPlan",
     "ExhibitResult",
     "ExhibitSet",
     "FLEET_ENV",
     "Finding",
-    "INTRA_JOBS_ENV",
     "JOBS_ENV",
     "KERNEL_ENV",
     "KERNEL_NAMES",

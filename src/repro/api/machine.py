@@ -1,15 +1,12 @@
 """Public machine-model surface: the protocol and the registry.
 
 Re-exports the :class:`~repro.core.machines.Machine` protocol — the
-``run_slice`` / ``finalise`` / ``snapshot`` / ``restore`` contract that
-``_OOORun`` and ``_ReferenceRun`` have shared de facto since the chunked
-simulator landed — together with the named registry that the simulator
-(:func:`repro.core.simulator.simulate_trace`), the experiment engine and
-the chunked driver all dispatch through.  Registering a
-:class:`~repro.core.machines.MachineModel` is everything a new timing
-model needs to participate in single-point simulation, sweep grids and
-(optionally, via the chunking hooks) speculative chunked execution — no
-driver code changes required.
+``run_slice`` / ``finalise`` contract every timing model implements —
+together with the named registry that the simulator
+(:func:`repro.core.simulator.simulate_trace`) and the experiment engine
+dispatch through.  Registering a :class:`~repro.core.machines.MachineModel`
+is everything a new timing model needs to participate in single-point
+simulation and sweep grids — no driver code changes required.
 """
 
 from __future__ import annotations

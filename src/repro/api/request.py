@@ -1,7 +1,7 @@
 """Typed request/result values for the programmatic API.
 
 * :class:`RunRequest` — a declarative workload × configuration sweep grid
-  (plus scale and optional per-request parallelism/chunking overrides),
+  (plus scale and an optional per-request parallelism override),
   executed by :meth:`repro.api.Session.run`;
 * :class:`RunResult` — the resolved grid: every
   :class:`~repro.core.results.SimulationResult`, addressable by
@@ -48,17 +48,15 @@ class RunRequest:
 
     ``workloads`` are registry names (default: all ten benchmark
     programs); ``configs`` mixes standard configuration names and fully
-    built :class:`~repro.core.config.MachineConfig` objects.  ``jobs``,
-    ``intra_jobs`` and ``chunk_size`` optionally override the session's
-    settings for this request only (``None``: inherit).
+    built :class:`~repro.core.config.MachineConfig` objects.  ``jobs``
+    optionally overrides the session's setting for this request only
+    (``None``: inherit).
     """
 
     workloads: tuple[str, ...] = WORKLOAD_NAMES
     configs: tuple[str | MachineConfig, ...] = ("reference", "ooo")
     scale: str = "small"
     jobs: int | None = None
-    intra_jobs: int | None = None
-    chunk_size: int | None = None
 
     def resolved_workloads(self) -> tuple[str, ...]:
         """Validated workload names, in request order."""

@@ -2,8 +2,8 @@
 
 A session is the programmatic equivalent of one ``python -m repro.cli``
 invocation, minus the printing: it resolves a :class:`~repro.api.Settings`
-object (or accepts one), builds the result store, trace store, chunk store
-and :class:`~repro.core.runner.ExperimentEngine` exactly as the CLI wires
+object (or accepts one), builds the result store, trace store and
+:class:`~repro.core.runner.ExperimentEngine` exactly as the CLI wires
 them, and exposes every capability of the evaluation as typed calls —
 
     from repro.api import RunRequest, Session
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, ContextManager, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, ContextManager, Iterable, Iterator, Mapping
 
 from dataclasses import replace
 
@@ -79,16 +79,6 @@ def engine_summary_dict(engine: ExperimentEngine) -> dict[str, Any]:
             "workers": engine.fleet,
             "dispatched": engine.fleet_points,
         }
-    if engine.chunk_size:
-        summary["chunked"] = {
-            "chunk_size": engine.chunk_size,
-            "intra_jobs": engine.intra_jobs,
-            "accepted": engine.chunks_accepted,
-            "spliced": engine.chunks_spliced,
-            "cached": engine.chunk_cache_hits,
-            "replayed": engine.chunks_replayed,
-            "rearms": engine.chunk_rearms,
-        }
     return summary
 
 
@@ -130,11 +120,6 @@ class Session:
         """The compiled-trace store (``None`` without a cache directory)."""
         return self.engine.trace_store
 
-    @property
-    def chunk_store(self) -> Any:
-        """The chunk memoisation store (``None`` unless chunking is on)."""
-        return self.engine.chunk_store
-
     def _check_open(self) -> None:
         if self._closed:
             raise ReproError("this Session is closed")
@@ -153,8 +138,8 @@ class Session:
         start immediately; otherwise nothing executes until the first
         ``watch()``/``result()`` call (see :mod:`repro.api.handle`).
 
-        Per-request ``jobs``/``intra_jobs``/``chunk_size`` overrides run on
-        a transient engine that shares this session's stores.
+        A per-request ``jobs`` override runs on a transient engine that
+        shares this session's stores.
         """
         self._check_open()
         workloads = request.resolved_workloads()
@@ -193,19 +178,10 @@ class Session:
         program: str,
         config: str | MachineConfig = "ooo",
         scale: str = "small",
-        chunk_size: int | None = None,
-        intra_jobs: int | None = None,
-    ) -> Tuple[SimulationResult, Optional[Any]]:
-        """Simulate one point directly (no result-store memoisation).
-
-        Returns ``(SimulationResult, ChunkedReport | None)`` — the report
-        is ``None`` for a monolithic run.  Chunked runs are bit-identical
-        to monolithic ones; chunking engages when the effective chunk size
-        is non-zero or the effective ``intra_jobs`` exceeds one.
-        """
+    ) -> SimulationResult:
+        """Simulate one point directly (no result-store memoisation)."""
         self._check_open()
-        from repro.core.simulator import simulate_point, simulate_point_chunked
-        from repro.parallel import DEFAULT_CHUNK_SIZE
+        from repro.core.simulator import simulate_point
 
         if program not in WORKLOAD_NAMES:
             raise ReproError(
@@ -214,26 +190,10 @@ class Session:
             )
         if isinstance(config, str):
             config = get_config(config)
-        resolved_scale = resolve_scale(scale)
-        jobs = intra_jobs if intra_jobs is not None else self.settings.intra_jobs
-        size = chunk_size if chunk_size is not None else self.settings.chunk_size
-        if jobs < 1:
-            raise ReproError("intra_jobs must be at least 1")
-        if size < 0:
-            raise ReproError("chunk_size must be non-negative")
-        size = size or (DEFAULT_CHUNK_SIZE if jobs > 1 else 0)
-        if size:
-            return simulate_point_chunked(
-                program, resolved_scale, config,
-                chunk_size=size, intra_jobs=jobs,
-                trace_store=self.trace_store,
-                kernel=self.settings.kernel,
-            )
-        result = simulate_point(
-            program, resolved_scale, config, trace_store=self.trace_store,
+        return simulate_point(
+            program, resolve_scale(scale), config, trace_store=self.trace_store,
             kernel=self.settings.kernel,
         )
-        return result, None
 
     def simulate_trace(self, trace: Trace, config: str | MachineConfig) -> SimulationResult:
         """Simulate an already-built trace (e.g. a custom compiled kernel).
@@ -336,22 +296,16 @@ class Session:
     def gc(self) -> Mapping[str, tuple[int, int]]:
         """Evict stale/corrupt cache entries from every namespace.
 
-        Returns ``{"results": (kept, evicted), "traces": …, "chunks": …}``.
+        Returns ``{"results": (kept, evicted), "traces": (kept, evicted)}``.
         Requires a cache directory.
         """
         self._check_open()
         if self.settings.cache_dir is None:
             raise ReproError("gc requires a cache directory")
-        from repro.parallel.chunkstore import make_chunk_store
-
         cache_dir = Path(self.settings.cache_dir)
-        backend_kind = (
-            self._store.backend.kind if self._store.backend is not None else None
-        )
         return {
             "results": self._store.gc(),
             "traces": TraceStore(cache_dir / TRACE_SUBDIR).gc(),
-            "chunks": make_chunk_store(cache_dir, backend_kind).gc(),
         }
 
     def engine_summary(self) -> dict[str, Any]:
@@ -385,23 +339,10 @@ class Session:
 
     def _engine_for(self, request: RunRequest) -> ExperimentEngine:
         """This session's engine, or a transient one for request overrides."""
-        if (
-            request.jobs is None
-            and request.intra_jobs is None
-            and request.chunk_size is None
-        ):
+        if request.jobs is None:
             return self.engine
-        overrides = {
-            name: value
-            for name, value in (
-                ("jobs", request.jobs),
-                ("intra_jobs", request.intra_jobs),
-                ("chunk_size", request.chunk_size),
-            )
-            if value is not None
-        }
         return ExperimentEngine(
             store=self._store,
-            plan=replace(self.settings.plan(), **overrides),
+            plan=replace(self.settings.plan(), jobs=request.jobs),
             trace_store=self.trace_store,
         )

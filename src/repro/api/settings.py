@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from repro.core.settings import (
     CACHE_DIR_ENV,
-    CHUNK_SIZE_ENV,
     FLEET_ENV,
-    INTRA_JOBS_ENV,
     JOBS_ENV,
     KERNEL_ENV,
     KERNEL_NAMES,
@@ -28,9 +26,7 @@ from repro.core.store import STORE_ENV
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CHUNK_SIZE_ENV",
     "FLEET_ENV",
-    "INTRA_JOBS_ENV",
     "JOBS_ENV",
     "KERNEL_ENV",
     "KERNEL_NAMES",

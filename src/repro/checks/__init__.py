@@ -1,9 +1,8 @@
 """Static analysis for the simulation stack (``repro check``).
 
-The chunked simulator's bit-exactness guarantee (chunked == monolithic,
-see :mod:`repro.parallel`) — and, since the batched kernel and the
-fleet, the scalar == batched and local == distributed guarantees — rest
-on invariants no test can prove in general.  This package enforces them
+The scalar == batched and local == distributed bit-exactness guarantees
+of the batched kernel and the fleet rest on invariants no test can prove
+in general.  This package enforces them
 statically: it parses the simulation modules with :mod:`ast` (never
 importing or executing them) and applies a registry of pluggable rule
 families.
@@ -22,20 +21,15 @@ register themselves on import, and third-party passes plug in through
     keys written by ``snapshot`` must be read by ``restore`` and vice
     versa (checked when both sides use literal keys);
 ``digest-purity`` (bit 4)
-    ``snapshot``/``digest``/``structural``/``quiescent`` must not mutate
-    ``self`` (directly, through mutating method calls, or by calling
-    ``restore``/``reset``/``absorb``);
+    ``snapshot``/``digest`` must not mutate ``self`` (directly, through
+    mutating method calls, or by calling ``restore``/``reset``);
 ``determinism`` (bit 8)
     no iteration over sets, ``dict.popitem``, ``id()``, builtin
     ``hash()``, ``random``/``time``/``os.environ``, or ``sum()`` over an
     unordered collection in simulation-path code;
-``envelope-contract`` (bit 16)
-    every component implementing ``absorb`` must provide a concrete,
-    read-only ``envelope`` projection (:mod:`repro.checks.envelope`);
-    shared with the runner-owned ``malformed-suppression`` hygiene rule
-    (suppression comments must name a known rule and give a reason) —
-    the 8-bit exit space is fully allocated, and the JSON report still
-    identifies the exact rule per finding;
+``malformed-suppression`` (bit 16)
+    the runner-owned hygiene rule: suppression comments must name a
+    known rule and give a reason;
 ``kernel-parity`` (bit 32)
     each machine's scalar ``DISPATCH`` table must be exactly covered by
     its batched stepper's segment branches (:mod:`repro.checks.parity`);

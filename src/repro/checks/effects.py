@@ -43,8 +43,6 @@ ENTRY_POINTS = frozenset(
         "run_slice_batched",
         "snapshot",
         "digest",
-        "structural",
-        "quiescent",
         "fingerprint",
         "state_digest",
     }

@@ -101,8 +101,7 @@ class CheckPass:
     ``scope`` selects the runner protocol:
 
     * ``"module"`` — ``run`` is called once per analyzed file with a
-      :class:`~repro.checks.astutil.SourceModule`; module passes are
-      embarrassingly parallel and the runner fans them out per file;
+      :class:`~repro.checks.astutil.SourceModule`;
     * ``"project"`` — ``run`` is called once with the whole
       :class:`~repro.checks.contract.Project`, for cross-file analyses
       (class hierarchies, machine/stepper pairings).

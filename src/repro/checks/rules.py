@@ -296,19 +296,16 @@ def _literal_restore_keys(method: ast.FunctionDef) -> set[str] | None:
 # digest-purity
 # ---------------------------------------------------------------------------
 
-_PURE_METHODS = ("snapshot", "digest", "structural", "quiescent")
-_IMPURE_CALLS = frozenset(
-    {"restore", "reset", "absorb", "absorb_chunk", "apply_structural",
-     "seed_structural"}
-)
+_PURE_METHODS = ("snapshot", "digest")
+_IMPURE_CALLS = frozenset({"restore", "reset"})
 _PURITY_HINT = (
-    "observation methods feed digests and chunk-cache keys; compute the "
-    "value without mutating the component"
+    "observation methods feed digests and the differential tests' state "
+    "oracle; compute the value without mutating the component"
 )
 
 
 def check_digest_purity(project: Project) -> list[Finding]:
-    """snapshot/digest/structural/quiescent must leave ``self`` untouched."""
+    """snapshot/digest must leave ``self`` untouched."""
     findings: list[Finding] = []
     seen: set[tuple[str, int, str]] = set()
     for model, _staged in iter_components(project):
@@ -528,7 +525,7 @@ register_pass(
     CheckPass(
         rule="digest-purity",
         bit=4,
-        summary="snapshot/digest/structural/quiescent must not mutate the component",
+        summary="snapshot/digest must not mutate the component",
         scope="project",
         run=check_digest_purity,
     )

@@ -4,10 +4,11 @@
 ``repro.api``); :func:`main` backs both ``repro check`` and
 ``python -m repro.checks``.
 
-The runner is pass-agnostic: it parses the target files (in parallel —
-parsing and module-scope analysis are per-file and embarrassingly so),
-hands each module-scope :class:`~repro.checks.model.CheckPass` the files
-it ``wants``, hands each project-scope pass the whole cross-file
+The runner is pass-agnostic: it parses the target files one at a time
+(CPython's AST constructor is not thread-safe, and a serial parse of the
+default paths takes about a second), hands each module-scope
+:class:`~repro.checks.model.CheckPass` the files it ``wants``, hands each
+project-scope pass the whole cross-file
 :class:`~repro.checks.contract.Project`, filters inline suppressions
 uniformly, and ORs the exit bits of the families that fired.  New rule
 families plug in through :func:`~repro.checks.model.register_pass`
@@ -17,15 +18,12 @@ without touching this module.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
 # importing the pass modules registers the built-in rule families
 import repro.checks.effects  # noqa: F401  (registration side effect)
-import repro.checks.envelope  # noqa: F401  (registration side effect)
 import repro.checks.fleetlint  # noqa: F401  (registration side effect)
 import repro.checks.parity  # noqa: F401  (registration side effect)
 import repro.checks.rules  # noqa: F401  (registration side effect)
@@ -40,8 +38,8 @@ from repro.checks.model import (
 from repro.checks.report import render_json, render_text
 
 #: packages the check passes protect by default: the machine kernel, both
-#: timing models, their shared libraries, the ISA, the memory system, the
-#: chunked simulator and the fleet coordination layer
+#: timing models, their shared libraries, the ISA, the memory system and
+#: the fleet coordination layer
 DEFAULT_PATHS: tuple[str, ...] = (
     "src/repro/machine",
     "src/repro/ooo",
@@ -49,7 +47,6 @@ DEFAULT_PATHS: tuple[str, ...] = (
     "src/repro/common",
     "src/repro/isa",
     "src/repro/memory",
-    "src/repro/parallel",
     "src/repro/fleet",
 )
 
@@ -68,10 +65,6 @@ def _default_paths(root: Path) -> list[Path]:
     return present
 
 
-def _default_jobs() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def _module_pass_findings(
     passes: Sequence[CheckPass], module: SourceModule
 ) -> list[Finding]:
@@ -87,7 +80,6 @@ def run_checks(
     *,
     root: str | Path | None = None,
     passes: Sequence[CheckPass] | None = None,
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Run every registered pass over ``paths``; return unsuppressed findings.
 
@@ -95,11 +87,9 @@ def run_checks(
     simulation-path packages (:data:`DEFAULT_PATHS`) are analyzed
     relative to ``root`` (default: the current working directory).
     ``passes`` overrides the registry (useful for running one family in
-    isolation); ``jobs`` bounds the per-file analysis parallelism
-    (default: up to 8 worker threads).  Findings carry paths relative to
-    ``root`` when possible.  Inline ``# check: ignore[rule] reason``
-    comments on a finding's line suppress it; malformed suppressions are
-    themselves findings.
+    isolation).  Findings carry paths relative to ``root`` when possible.
+    Inline ``# check: ignore[rule] reason`` comments on a finding's line
+    suppress it; malformed suppressions are themselves findings.
     """
     root_path = Path(root) if root is not None else Path.cwd()
     if paths is None:
@@ -108,23 +98,11 @@ def run_checks(
         targets = [Path(p) for p in paths]
     files = collect_files(targets)
     active = tuple(passes) if passes is not None else registered_passes()
-    workers = jobs if jobs is not None else _default_jobs()
 
     findings: list[Finding] = []
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            modules = list(
-                pool.map(lambda file: load_module(file, root=root_path), files)
-            )
-            per_module = pool.map(
-                lambda module: _module_pass_findings(active, module), modules
-            )
-            for batch in per_module:
-                findings.extend(batch)
-    else:
-        modules = [load_module(file, root=root_path) for file in files]
-        for module in modules:
-            findings.extend(_module_pass_findings(active, module))
+    modules = [load_module(file, root=root_path) for file in files]
+    for module in modules:
+        findings.extend(_module_pass_findings(active, module))
 
     project = Project.build(modules)
     for check_pass in active:
@@ -149,8 +127,8 @@ def build_parser(prog: str = "repro check") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "statically analyze simulation code: component contract, "
-            "envelope contract, kernel parity, ambient effects, "
-            "determinism and fleet protocol rules"
+            "kernel parity, ambient effects, determinism and fleet "
+            "protocol rules"
         ),
     )
     parser.add_argument(
@@ -167,22 +145,13 @@ def build_parser(prog: str = "repro check") -> argparse.ArgumentParser:
         default="text",
         help="report format (default: text)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file analysis threads (default: up to 8)",
-    )
     return parser
 
 
-def run_and_report(
-    paths: Sequence[str] | None, fmt: str = "text", jobs: int | None = None
-) -> int:
+def run_and_report(paths: Sequence[str] | None, fmt: str = "text") -> int:
     """Run the checks, print a report, and return the CLI exit code."""
     try:
-        findings = run_checks(paths or None, jobs=jobs)
+        findings = run_checks(paths or None)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -195,4 +164,4 @@ def main(argv: Sequence[str] | None = None, prog: str = "repro check") -> int:
     """CLI entry point; the exit code ORs one bit per rule family that fired."""
     parser = build_parser(prog=prog)
     options = parser.parse_args(argv)
-    return run_and_report(options.paths, options.format, jobs=options.jobs)
+    return run_and_report(options.paths, options.format)

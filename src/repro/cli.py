@@ -86,12 +86,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                          help="experiment scale (full = largest built-in scale)")
     run_all.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes for missing simulation points")
-    run_all.add_argument("--intra-jobs", type=int, default=None, metavar="N",
-                         help="chunk worker processes *within* each point "
-                              "(points then run sequentially)")
-    run_all.add_argument("--chunk-size", type=int, default=None, metavar="I",
-                         help="instructions per simulation chunk (0: default "
-                              "size when --intra-jobs > 1, else monolithic)")
     run_all.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                          help="machine stepper kernel (default: $REPRO_KERNEL "
                               "or scalar; results are bit-identical)")
@@ -122,11 +116,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                                "to --config)")
     simulate.add_argument("--scale", choices=sorted(SCALE_ALIASES),
                           default="small", help="workload scale")
-    simulate.add_argument("--intra-jobs", type=int, default=None, metavar="N",
-                          help="chunk worker processes (default: 1)")
-    simulate.add_argument("--chunk-size", type=int, default=None, metavar="I",
-                          help="instructions per chunk (0: monolithic unless "
-                               "--intra-jobs > 1)")
     simulate.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                           help="machine stepper kernel (default: $REPRO_KERNEL "
                                "or scalar; results are bit-identical)")
@@ -148,8 +137,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                             "simulation-path packages)")
     check.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format (default: text)")
-    check.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="per-file analysis threads (default: up to 8)")
 
     worker = sub.add_parser(
         "worker",
@@ -190,8 +177,7 @@ def _session_settings(args: argparse.Namespace) -> Settings:
     """
     overrides: dict[str, Any] = {}
     for flag, field in (("cache_dir", "cache_dir"), ("store", "store"),
-                        ("jobs", "jobs"), ("intra_jobs", "intra_jobs"),
-                        ("chunk_size", "chunk_size"), ("kernel", "kernel"),
+                        ("jobs", "jobs"), ("kernel", "kernel"),
                         ("fleet", "fleet")):
         value = getattr(args, flag, None)
         if value is not None:
@@ -218,8 +204,6 @@ def _cmd_gc(args: argparse.Namespace) -> int:
                   f"{evicted} evicted")
             tkept, tevicted = collected["traces"]
             print(f"gc (traces): {tkept} kept, {tevicted} evicted")
-            ckept, cevicted = collected["chunks"]
-            print(f"gc (chunks): {ckept} kept, {cevicted} evicted")
     except ReproError as exc:
         return _error(exc)
     return 0
@@ -228,10 +212,6 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json as _json
 
-    if args.intra_jobs is not None and args.intra_jobs < 1:
-        return _error("--intra-jobs must be at least 1")
-    if args.chunk_size is not None and args.chunk_size < 0:
-        return _error("--chunk-size must be non-negative")
     if args.machine is not None and args.config is not None:
         return _error("--machine and --config are mutually exclusive")
     try:
@@ -246,30 +226,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with session:
         started = time.perf_counter()
         try:
-            result, report = session.simulate(
-                args.program, config, scale=args.scale)
+            result = session.simulate(args.program, config, scale=args.scale)
         except ReproError as exc:
             return _error(exc)
         elapsed = time.perf_counter() - started
     if args.format == "json":
-        payload: dict[str, Any] = {
-            "result": result.to_dict(), "wall_s": round(elapsed, 4)}
-        if report is not None:
-            payload["chunked"] = {
-                "chunks": report.chunks,
-                "chunk_size": report.chunk_size,
-                "accepted": report.accepted,
-                "spliced": report.spliced,
-                "replayed": report.replayed,
-                "cache_hits": report.cache_hits,
-                "rearms": report.rearms,
-                "jobs": report.jobs,
-            }
+        payload = {"result": result.to_dict(), "wall_s": round(elapsed, 4)}
         print(_json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(result)
-        if report is not None:
-            print(report.summary())
         print(f"wall time: {elapsed:.2f}s")
     return 0
 
@@ -311,10 +276,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         return _error("--jobs must be at least 1")
-    if args.intra_jobs is not None and args.intra_jobs < 1:
-        return _error("--intra-jobs must be at least 1")
-    if args.chunk_size is not None and args.chunk_size < 0:
-        return _error("--chunk-size must be non-negative")
     if args.fleet is not None and args.fleet < 0:
         return _error("--fleet must be non-negative")
     # Empty subsets get flag-specific messages here; unknown names are
@@ -383,7 +344,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # none of the simulation machinery
     from repro.checks.runner import run_and_report
 
-    return run_and_report(args.paths, args.format, jobs=args.jobs)
+    return run_and_report(args.paths, args.format)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

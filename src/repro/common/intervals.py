@@ -114,28 +114,6 @@ class BusyTracker:
         """Serialise the busy intervals as merged ``[start, end]`` pairs."""
         return [[iv.start, iv.end] for iv in self.merged()]
 
-    def raw_pairs(self) -> list[list[int]]:
-        """Serialise the busy intervals *unmerged*, in recording order.
-
-        Unlike :meth:`to_pairs` this preserves the append structure, so a
-        :meth:`splice_mark` taken earlier still indexes into the list — the
-        chunked simulator uses the pair to separate the intervals recorded
-        before and after a checkpoint (:func:`splice_suffix`).
-        """
-        return [[iv.start, iv.end] for iv in self._intervals]
-
-    def splice_mark(self) -> list[int]:
-        """A tiny bookmark into the recording order: ``[count, last_end]``.
-
-        Together with a later :meth:`raw_pairs` dump this recovers exactly
-        the busy time recorded after the mark, including growth of the
-        interval that was last at mark time (the :meth:`add` fast path only
-        ever extends the most recent interval in place).
-        """
-        if not self._intervals:
-            return [0, 0]
-        return [len(self._intervals), self._intervals[-1].end]
-
     @classmethod
     def from_pairs(cls, name: str, pairs: Iterable[Sequence[int]]) -> "BusyTracker":
         """Rebuild a tracker from :meth:`to_pairs` output."""
@@ -149,26 +127,6 @@ class BusyTracker:
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self._intervals)
-
-
-def splice_suffix(
-    raw: Sequence[Sequence[int]], mark: Sequence[int]
-) -> list[list[int]]:
-    """The busy pairs recorded after ``mark`` in a :meth:`BusyTracker.raw_pairs` dump.
-
-    ``mark`` is a :meth:`BusyTracker.splice_mark` taken on the same tracker at
-    an earlier point.  Intervals appended after the mark are returned as-is;
-    if the interval that was last at mark time has since been extended in
-    place (the ``add`` fast path), the growth is returned as one extra
-    ``[old_end, new_end]`` pair.
-    """
-    count, last_end = int(mark[0]), int(mark[1])
-    pairs = [[int(start), int(end)] for start, end in raw[count:]]
-    if 0 < count <= len(raw):
-        grown_end = int(raw[count - 1][1])
-        if grown_end > last_end:
-            pairs.insert(0, [last_end, grown_end])
-    return pairs
 
 
 def state_breakdown(

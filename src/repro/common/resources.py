@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
-from repro.common.intervals import BusyTracker, splice_suffix
+from repro.common.intervals import BusyTracker
 from repro.machine.component import ComponentBase
 
 
@@ -60,7 +59,7 @@ class GapResource(ComponentBase):
     def busy_cycles(self) -> int:
         return self.tracker.busy_cycles()
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot of the reservation and busy state."""
@@ -80,63 +79,6 @@ class GapResource(ComponentBase):
         self._starts = []
         self._ends = []
         self.tracker = BusyTracker(self.name)
-
-    def quiescent(self, anchor: int) -> bool:
-        """True when no reservation extends past ``anchor``."""
-        return not self._ends or self._ends[-1] <= anchor
-
-    def envelope(self, anchor: int) -> list[list[int]]:
-        """The reservations still visible past ``anchor``, anchor-normalised.
-
-        Every interval ending past the anchor is reported as
-        ``[max(start - anchor, 0), end - anchor]``; sub-anchor reservations
-        are clamped out because :meth:`reserve` requests always arrive at or
-        after the anchor, where only the interval *ends* above it can still
-        displace a request.  Empty exactly when :meth:`quiescent`.
-        """
-        return [
-            [max(start - anchor, 0), end - anchor]
-            for start, end in zip(self._starts, self._ends, strict=True)
-            if end > anchor
-        ]
-
-    def splice_mark(self) -> list[int]:
-        """Bookmark the recording order for a later :meth:`splice_delta`."""
-        return self.tracker.splice_mark()
-
-    def splice_extra(self) -> list[list[int]]:
-        """The raw (unmerged) busy pairs a :meth:`splice_mark` indexes into."""
-        return self.tracker.raw_pairs()
-
-    @staticmethod
-    def splice_delta(
-        state: dict, extra: Optional[Sequence[Sequence[int]]], mark: Sequence[int]
-    ) -> dict:
-        """Reduce a worker exit snapshot to the reservations made after ``mark``.
-
-        The worker's pre-checkpoint reservations duplicate work the parent
-        replayed itself; only the suffix may be absorbed.  Every reservation
-        lands in the tracker, so the suffix is recovered from the raw
-        tracker dump (``extra``) and stands in for both the reservation
-        structure and the busy record.
-        """
-        pairs = splice_suffix(extra or [], mark)
-        return {"busy": pairs, "tracker": pairs}
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Insert a worker's (shifted) reservations among the parent's own.
-
-        After a fully-quiescent cut the parent's old intervals all end
-        ``<= delta`` and the shifted worker intervals simply extend the
-        tail; after an envelope splice the suffix reservations may gap-fill
-        below the parent's tail, so each pair goes through :meth:`_insert`
-        (which also merges exact adjacency, keeping the reservation list in
-        the same canonical shape a monolithic run produces).
-        """
-        for start, end in state["busy"]:
-            self._insert(int(start) + delta, int(end) + delta)
-        for start, end in state["tracker"]:
-            self.tracker.add(int(start) + delta, int(end) + delta)
 
     def _find_start(self, earliest: int, duration: int) -> int:
         starts, ends = self._starts, self._ends
@@ -188,7 +130,7 @@ class PipelinedResource(ComponentBase):
         self.operations += 1
         return cycle
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot of issue-slot occupancy."""
@@ -206,48 +148,6 @@ class PipelinedResource(ComponentBase):
         """Return to the freshly constructed (idle) state."""
         self._slots = {}
         self.operations = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        """True when no issue slot is claimed past ``anchor``."""
-        return not self._slots or max(self._slots) <= anchor
-
-    def envelope(self, anchor: int) -> list[list[int]]:
-        """Issue slots claimed past ``anchor``, anchor-normalised and sorted.
-
-        Reservations arrive at or after the anchor, so slots at or below it
-        can never turn away another request.  Empty exactly when
-        :meth:`quiescent`.
-        """
-        return sorted(
-            [cycle - anchor, count]
-            for cycle, count in self._slots.items()
-            if cycle > anchor
-        )
-
-    def splice_mark(self) -> int:
-        """Bookmark the operation count for a later :meth:`splice_delta`."""
-        return self.operations
-
-    @staticmethod
-    def splice_delta(state: dict, extra: object, mark: int) -> dict:
-        """Reduce a worker exit snapshot to the post-checkpoint operations.
-
-        The slot map is replace-style (absorb overwrites it wholesale) and
-        passes through; only the additive operation counter must shed the
-        prefix the parent replayed itself.
-        """
-        return {"slots": state["slots"], "operations": int(state["operations"]) - int(mark)}
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Replace the slots with the worker's (shifted); counters add.
-
-        The parent's old issue slots all sit at cycles ``<= delta`` and are
-        dominated; only the worker's shifted slots can matter again.
-        """
-        self._slots = {
-            int(cycle) + delta: int(count) for cycle, count in state["slots"]
-        }
-        self.operations += int(state["operations"])
 
 
 @dataclass
@@ -269,7 +169,7 @@ class InOrderPipe(ComponentBase):
         self.last_exit = exit_time
         return exit_time
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         return {"last_exit": self.last_exit}
@@ -279,20 +179,3 @@ class InOrderPipe(ComponentBase):
 
     def reset(self) -> None:
         self.last_exit = -1
-
-    def quiescent(self, anchor: int) -> bool:
-        """The pipe may run ``depth`` cycles past the anchor.
-
-        Traversal enters at ``rename + 1`` and exits ``depth`` stages
-        later, so ``last_exit`` up to ``anchor + depth`` is still dominated
-        by post-anchor traffic.
-        """
-        return self.last_exit <= anchor + self.depth
-
-    def envelope(self, anchor: int) -> int:
-        """How far ``last_exit`` overhangs the dominated band past ``anchor``.
-
-        Zero (falsy) exactly when :meth:`quiescent` — exits up to
-        ``anchor + depth`` are reproduced by any post-anchor traversal.
-        """
-        return max(self.last_exit - anchor - self.depth, 0)

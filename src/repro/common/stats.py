@@ -8,9 +8,9 @@ consume these objects to build the paper's tables and figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Optional
+from typing import Mapping
 
-from repro.common.intervals import BusyTracker, splice_suffix, state_breakdown
+from repro.common.intervals import BusyTracker, state_breakdown
 
 #: The three vector units whose joint state is reported in Figures 3 and 7,
 #: in the order used by the paper's 3-tuples: (FU2, FU1, MEM).
@@ -160,85 +160,6 @@ class SimStats:
         if self.vector_instructions == 0:
             return 0.0
         return self.vector_operations / self.vector_instructions
-
-    def absorb_shifted(self, other: "SimStats", shift: int) -> None:
-        """Accumulate a chunk's statistics, with times shifted by ``shift``.
-
-        Used by the chunked simulator (:mod:`repro.parallel`): ``other`` was
-        collected by a worker simulating a trace chunk in a canonical time
-        frame starting at zero; shifting its busy intervals by the chunk's
-        true start anchor and summing every counter reproduces exactly what a
-        monolithic run would have accumulated over the same instructions.
-        """
-        for f in fields(self):
-            if f.name in ("unit_busy", "traffic"):
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        for name, tracker in other.unit_busy.items():
-            mine = self.unit_busy.setdefault(name, BusyTracker(name))
-            for iv in tracker.merged():
-                mine.add(iv.start + shift, iv.end + shift)
-        for sub in fields(self.traffic):
-            setattr(
-                self.traffic,
-                sub.name,
-                getattr(self.traffic, sub.name) + getattr(other.traffic, sub.name),
-            )
-
-    def splice_mark(self) -> dict:
-        """Bookmark every additive field for a later :meth:`splice_delta`.
-
-        Taken by a chunk worker at an envelope checkpoint: counters record
-        their current value, busy trackers their recording position.  The
-        mark is JSON-compatible and small (no interval payload).
-        """
-        mark: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "unit_busy":
-                mark[f.name] = {
-                    name: tracker.splice_mark() for name, tracker in value.items()
-                }
-            elif f.name == "traffic":
-                mark[f.name] = {
-                    sub.name: getattr(value, sub.name) for sub in fields(value)
-                }
-            else:
-                mark[f.name] = value
-        return mark
-
-    def splice_extra(self) -> dict:
-        """The raw busy-tracker dumps the splice marks index into (at exit)."""
-        return {name: tracker.raw_pairs() for name, tracker in self.unit_busy.items()}
-
-    @staticmethod
-    def splice_delta(state: Mapping, extra: Optional[Mapping], mark: Mapping) -> dict:
-        """Reduce a worker's exit stats dict to the post-checkpoint residue.
-
-        Operates on the :meth:`to_dict` representation: counters and traffic
-        fields shed the value they had at the checkpoint, busy trackers keep
-        only the intervals recorded after it (:func:`splice_suffix`).  The
-        result absorbs through :meth:`absorb_shifted` without double-counting
-        the chunk prefix the parent replayed itself.
-        """
-        raw = extra or {}
-        tracker_marks = mark.get("unit_busy", {})
-        traffic_mark = mark.get("traffic", {})
-        out: dict = {}
-        for key, value in state.items():
-            if key == "unit_busy":
-                out[key] = {
-                    name: splice_suffix(raw.get(name, []), tracker_marks.get(name, [0, 0]))
-                    for name in value
-                }
-            elif key == "traffic":
-                out[key] = {
-                    sub: count - int(traffic_mark.get(sub, 0))
-                    for sub, count in value.items()
-                }
-            else:
-                out[key] = value - int(mark.get(key, 0))
-        return out
 
     def copy(self) -> "SimStats":
         """Return an independent copy (cheaply; no ``deepcopy``).

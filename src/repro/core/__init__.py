@@ -17,7 +17,6 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    configure_engine,
     get_engine,
     run_experiment,
     set_engine,
@@ -29,7 +28,6 @@ __all__ = [
     "ExperimentPoint",
     "ExperimentSpec",
     "ResultStore",
-    "configure_engine",
     "get_engine",
     "run_experiment",
     "set_engine",

@@ -1,15 +1,12 @@
 """The :class:`Machine` protocol and the machine-model registry.
 
-``_OOORun`` and ``_ReferenceRun`` have shared an interface de facto since
-the chunked simulator landed: ``run_slice`` consumes instructions,
-``finalise`` derives the final :class:`~repro.common.stats.SimStats`, and
-``snapshot``/``restore`` round-trip all mutable machine state.  This module
-makes that contract explicit — :class:`Machine` is the structural protocol
-— and replaces the ``isinstance`` dispatch scattered through
-:mod:`repro.core.simulator` and :mod:`repro.parallel` with a registry of
-named :class:`MachineModel` entries, so a new timing model plugs into the
-simulator, the experiment engine *and* the chunked driver without touching
-any of them:
+Every timing model shares one interface: ``run_slice`` consumes
+instructions (state carries over between calls) and ``finalise`` derives
+the final :class:`~repro.common.stats.SimStats`.  This module makes that
+contract explicit — :class:`Machine` is the structural protocol — and
+dispatches on a registry of named :class:`MachineModel` entries instead of
+``isinstance`` checks, so a new timing model plugs into the simulator and
+the experiment engine without touching either:
 
     from repro.core.machines import MachineModel, register_machine
 
@@ -19,24 +16,18 @@ any of them:
         factory=lambda params, trace: _MyRun(params, trace),
     ))
 
-Only ``name``, ``params_type`` and ``factory`` are required.  The chunking
-hooks default to a conservative profile — never quiescent, no structural
-state — under which the chunked driver routes every chunk through the
-exact-replay fallback: a registered-but-unhooked machine is always
-*correct*, it just doesn't speculate.  The built-in models register lazily
-on first lookup, keeping this module import-light (it is imported by the
-simulator and the chunked driver at module load).
+The built-in models register lazily on first lookup, keeping this module
+import-light (it is imported by the simulator at module load).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
-    Iterator,
     Optional,
     Protocol,
     runtime_checkable,
@@ -47,7 +38,6 @@ from repro.trace.records import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.common.stats import SimStats
-    from repro.parallel.scout import ChunkPlan
 
 
 @runtime_checkable
@@ -55,17 +45,11 @@ class Machine(Protocol):
     """One resumable machine simulation (the ``_OOORun``/``_ReferenceRun`` contract).
 
     ``run_slice`` may be called any number of times — state carries over —
-    and ``finalise`` once at the end.  ``snapshot`` returns a
-    JSON-compatible dictionary that ``restore`` accepts on a freshly built
-    instance of the same model; the chunked simulator relies on this
-    round-trip (and on shift equivariance of every time field, see
-    :mod:`repro.parallel.boundary`) to stitch independently simulated
-    chunks back together.  ``params`` must expose the machine parameters
-    the run was built from — the registry dispatches live runs back to
-    their :class:`MachineModel` through it (:func:`model_for_run`).
+    and ``finalise`` once at the end.  ``params`` must expose the machine
+    parameters the run was built from.
     """
 
-    #: the machine parameters this run was built from (registry dispatch key)
+    #: the machine parameters this run was built from
     params: Any
 
     def run_slice(self, instructions: Iterable[Any]) -> None:
@@ -76,68 +60,13 @@ class Machine(Protocol):
         """Derive the final statistics from the accumulated state."""
         ...
 
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot of all mutable machine state."""
-        ...
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        ...
-
-
-# -- conservative default hooks ---------------------------------------------
-
-def _never_quiescent(run: Machine) -> bool:
-    """Default quiescence test: never safe — every chunk replays exactly."""
-    return False
-
-
-def _zero_anchor(run: Machine) -> int:
-    """Default fetch anchor (unused while :func:`_never_quiescent` holds)."""
-    return 0
-
-
-def _no_structural(run: Machine) -> Optional[dict]:
-    """Default structural projection: the model exposes no structural state."""
-    return None
-
-
-def _apply_no_structural(run: Machine, structural: Optional[dict]) -> None:
-    """Default structural seeding: only the empty boundary is accepted."""
-    if structural is not None:
-        raise ReproError(
-            "machine model has no structural boundary; cannot seed a worker"
-        )
-
-
-def _reject_chunk(run: Machine, worker: dict, delta: int) -> None:
-    """Default merge hook: models without one cannot accept chunks."""
-    raise ReproError("machine model does not support chunk merging")
-
-
-def _trivial_plans(
-    trace: Trace, params: Any, cuts: list[int]
-) -> Iterator["ChunkPlan"]:
-    """Default chunk planner: empty boundaries that never match a live digest.
-
-    Paired with :func:`_never_quiescent` this sends every chunk through the
-    exact-replay fallback, which is always correct.
-    """
-    from repro.parallel.scout import ChunkPlan
-
-    bounds = list(zip(cuts, cuts[1:] + [len(trace)], strict=True))
-    for index, (start, stop) in enumerate(bounds):
-        yield ChunkPlan(index, start, stop, None, "unhooked-machine-model")
-
 
 @dataclass(frozen=True)
 class MachineModel:
-    """A named, pluggable timing model: how to build and (optionally) chunk it.
+    """A named, pluggable timing model: how to build a run of it.
 
     ``factory`` receives the machine parameters and the full trace and
-    returns a fresh :class:`Machine`.  The remaining hooks power the
-    chunked driver (:mod:`repro.parallel.driver`); their defaults disable
-    speculation without affecting correctness.
+    returns a fresh :class:`Machine`.
     """
 
     #: registry name (e.g. ``"ooo"``); also reported by ``machine_names()``
@@ -146,22 +75,6 @@ class MachineModel:
     params_type: type
     #: (params, trace) -> a fresh run object
     factory: Callable[[Any, Trace], Machine]
-    #: ``snapshot()["kind"]`` tag of this model's snapshots
-    snapshot_kind: str = ""
-    #: True when the live run's pending timing state is dominated by the anchor
-    quiescent: Callable[[Machine], bool] = field(default=_never_quiescent)
-    #: the cut's fetch anchor — the Δ by which a canonical chunk shifts
-    anchor_of: Callable[[Machine], int] = field(default=_zero_anchor)
-    #: stream-determined projection of the live state (None: no such state)
-    structural_of: Callable[[Machine], Optional[dict]] = field(default=_no_structural)
-    #: seed a freshly built run with a predicted structural boundary
-    apply_structural: Callable[[Machine, Optional[dict]], None] = field(
-        default=_apply_no_structural)
-    #: merge an accepted worker snapshot into the live parent run (shift by Δ)
-    apply_chunk: Callable[[Machine, dict, int], None] = field(default=_reject_chunk)
-    #: lazily yield one ChunkPlan per cut (scout pass)
-    plan_chunks: Callable[[Trace, Any, list], Iterator["ChunkPlan"]] = field(
-        default=_trivial_plans)
 
 
 _REGISTRY: dict[str, MachineModel] = {}
@@ -172,7 +85,7 @@ def register_machine(model: MachineModel) -> MachineModel:
     """Register ``model`` under its name (and parameter type) and return it.
 
     Re-registering an existing name replaces the entry *only* when the
-    parameter type matches (so tests can stub hooks); a name collision
+    parameter type matches (so tests can stub the factory); a name collision
     across different parameter types is an error, as is a second model
     claiming an already-registered parameter type under a new name.
 
@@ -234,11 +147,6 @@ def model_for_params(params: Any) -> MachineModel:
     )
 
 
-def model_for_run(run: Machine) -> MachineModel:
-    """The model behind a live run object (via its ``params`` attribute)."""
-    return model_for_params(run.params)
-
-
 def create_run(params: Any, trace: Optional[Trace] = None, name: str = "") -> Machine:
     """Build a fresh run for ``params`` (empty named trace when none given)."""
     if trace is None:
@@ -246,67 +154,15 @@ def create_run(params: Any, trace: Optional[Trace] = None, name: str = "") -> Ma
     return model_for_params(params).factory(params, trace)
 
 
-def _kernel_quiescent(run: Any) -> bool:
-    """Kernel hook: the run derives quiescence from its components."""
-    return bool(run.quiescent())
-
-
-def _kernel_anchor(run: Any) -> int:
-    """Kernel hook: the run knows its own fetch anchor."""
-    return int(run.chunk_anchor())
-
-
-def _kernel_structural(run: Any) -> Optional[dict]:
-    """Kernel hook: the run composes its components' structural shares."""
-    return run.structural()
-
-
-def _kernel_apply_structural(run: Any, structural: Optional[dict]) -> None:
-    """Kernel hook: the run seeds its components with a predicted boundary."""
-    run.seed_structural(structural)
-
-
-def _kernel_apply_chunk(run: Any, worker: dict, delta: int) -> None:
-    """Kernel hook: each component absorbs its share of the worker state."""
-    run.absorb_chunk(worker, delta)
-
-
-def staged_machine_model(
-    name: str,
-    params_type: type,
-    factory: Callable[[Any, Trace], Machine],
-    plan_chunks: Callable[[Trace, Any, list], Iterator["ChunkPlan"]],
-) -> MachineModel:
-    """A :class:`MachineModel` whose chunking hooks are kernel-derived.
-
-    Machines built on :class:`repro.machine.core.StagedMachine` carry
-    their own quiescence test, fetch anchor, structural projection and
-    chunk merge — all derived from their component registry — so the model
-    entry only has to say how to build the run and how to plan chunks.
-    """
-    return MachineModel(
-        name=name,
-        params_type=params_type,
-        factory=factory,
-        snapshot_kind=name,
-        quiescent=_kernel_quiescent,
-        anchor_of=_kernel_anchor,
-        structural_of=_kernel_structural,
-        apply_structural=_kernel_apply_structural,
-        apply_chunk=_kernel_apply_chunk,
-        plan_chunks=plan_chunks,
-    )
-
-
 def _ensure_builtin() -> None:
     """Register the built-in machines on first registry use.
 
     Deferred so that importing this module stays cheap and cycle-free: the
-    hooks pull in the full machine models and the chunk-boundary
-    machinery, which themselves import large parts of the package.  The
-    paper's two machines seed the registry directly; the ``inorder``
-    intermediate (in-order issue *with* renaming) goes through the public
-    :func:`register_machine` path — the same path third-party models use.
+    factories pull in the full machine models, which themselves import
+    large parts of the package.  The paper's two machines seed the registry
+    directly; the ``inorder`` intermediate (in-order issue *with* renaming)
+    goes through the public :func:`register_machine` path — the same path
+    third-party models use.
     """
     global _BUILTIN_REGISTERED
     if _BUILTIN_REGISTERED:
@@ -314,23 +170,22 @@ def _ensure_builtin() -> None:
     _BUILTIN_REGISTERED = True
 
     from repro.common.params import OOOParams, ReferenceParams
-    from repro.machine.inorder import inorder_model
+    from repro.machine.inorder import InOrderParams, _InOrderRun
     from repro.ooo.machine import _OOORun
-    from repro.parallel import scout
     from repro.refsim.machine import _ReferenceRun
 
-    reference = staged_machine_model(
+    _REGISTRY["reference"] = MachineModel(
         name="reference",
         params_type=ReferenceParams,
         factory=lambda params, trace: _ReferenceRun(params, trace),
-        plan_chunks=scout.iter_reference_plans,
     )
-    # the historical snapshot tag predates the registry; keep caches valid
-    _REGISTRY["reference"] = replace(reference, snapshot_kind="ref")
-    _REGISTRY["ooo"] = staged_machine_model(
+    _REGISTRY["ooo"] = MachineModel(
         name="ooo",
         params_type=OOOParams,
         factory=lambda params, trace: _OOORun(params, trace),
-        plan_chunks=scout.iter_ooo_plans,
     )
-    register_machine(inorder_model())
+    register_machine(MachineModel(
+        name="inorder",
+        params_type=InOrderParams,
+        factory=lambda params, trace: _InOrderRun(params, trace),
+    ))

@@ -17,15 +17,13 @@ This module provides it in two layers:
 * :class:`ObjectStoreBackend` — the :class:`~repro.core.store.StoreBackend`
   over an :class:`ObjectStore`, selected with ``--store object`` /
   ``REPRO_STORE=object`` / ``Settings(store="object")``.  Result entries
-  live under the ``results/`` prefix; the chunk store of
-  :mod:`repro.parallel.chunkstore` shares the same root under ``chunks/``,
-  so one bucket covers both fingerprint-keyed namespaces.
+  live under the ``results/`` prefix; the fleet's lease queue
+  (:mod:`repro.fleet.queue`) shares the same root under ``queue/``.
 
 Layout::
 
     <cache_dir>/objects/
         results/<fp[:2]>/<fp>.json       # simulation results
-        chunks/<key[:2]>/<key>.json      # speculative chunk snapshots
 """
 
 from __future__ import annotations
@@ -47,9 +45,6 @@ OBJECT_SUBDIR = "objects"
 
 #: key prefix of the simulation-result namespace
 RESULT_PREFIX = "results"
-
-#: key prefix of the speculative-chunk namespace
-CHUNK_PREFIX = "chunks"
 
 
 class ObjectStore:
@@ -225,8 +220,7 @@ class ObjectStoreBackend(StoreBackend):
         from the fingerprint, so misplaced or foreign objects (a partial
         bucket sync, another writer's debris) are actually removed instead
         of being re-counted on every run.  Also sweeps crashed-writer temp
-        files in the ``results/`` namespace (the ``chunks/`` namespace is
-        swept by its own store's ``gc``).
+        files in the ``results/`` namespace.
         """
         kept = 0
         evicted = 0

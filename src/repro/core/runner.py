@@ -38,13 +38,12 @@ import hashlib
 import itertools
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager as _contextmanager
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.common.errors import ReproError
 from repro.common.params import params_to_dict
@@ -65,8 +64,6 @@ from repro.trace.store import TraceStore
 #: resolver that interprets them lives
 from repro.core.settings import (  # noqa: E402  (re-export)
     CACHE_DIR_ENV,
-    CHUNK_SIZE_ENV,
-    INTRA_JOBS_ENV,
     JOBS_ENV,
     ExecutionPlan,
     Settings,
@@ -281,18 +278,13 @@ class ResultStore:
         return self.backend.describe() if self.backend is not None else "memory"
 
 
-#: legacy ``ExperimentEngine(...)`` keyword arguments that now live on
-#: :class:`~repro.core.settings.ExecutionPlan` (accepted with a warning)
-_LEGACY_ENGINE_KWARGS = ("jobs", "intra_jobs", "chunk_size", "kernel")
-
-
 class ExperimentEngine:
     """Executes sweep grids against a result store, per an execution plan.
 
-    The *how* of execution — process-pool width, intra-point chunking, the
-    stepper kernel, fleet delegation — arrives as one frozen
+    The *how* of execution — process-pool width, the stepper kernel, fleet
+    delegation — arrives as one frozen
     :class:`~repro.core.settings.ExecutionPlan` (normally built by
-    :meth:`Settings.plan() <repro.core.settings.Settings.plan>`), not as
+    :meth:`Settings.plan() <repro.core.settings.Settings.plan>`), never as
     loose keywords.  The engine never re-interprets environment variables
     or re-validates knob combinations: the plan was resolved exactly once.
 
@@ -301,10 +293,6 @@ class ExperimentEngine:
     FleetDispatcher` — submit the batch to the shared object-store queue,
     watch it drain (spawning ``plan.fleet`` local workers), collect the
     published results.  Exhibits are byte-identical either way.
-
-    The pre-plan keyword form (``jobs=``, ``intra_jobs=``, ``chunk_size=``,
-    ``kernel=``) still works, with a :class:`DeprecationWarning` and
-    unchanged behaviour.
     """
 
     def __init__(
@@ -312,65 +300,22 @@ class ExperimentEngine:
         store: ResultStore | None = None,
         plan: ExecutionPlan | None = None,
         trace_store: TraceStore | None = None,
-        **legacy: Any,
     ) -> None:
-        unknown = set(legacy) - set(_LEGACY_ENGINE_KWARGS)
-        if unknown:
-            raise TypeError(
-                "ExperimentEngine() got unexpected keyword argument(s): "
-                + ", ".join(sorted(unknown))
-            )
-        if isinstance(plan, int):
-            # pre-plan signature: the second positional argument was `jobs`
-            legacy = {"jobs": plan, **legacy}
-            plan = None
-        if legacy:
-            if plan is not None:
-                raise TypeError(
-                    "pass execution knobs on the ExecutionPlan, not alongside "
-                    "it: ExperimentEngine(store, plan=ExecutionPlan(...))"
-                )
-            warnings.warn(
-                "ExperimentEngine(jobs=..., intra_jobs=..., chunk_size=..., "
-                "kernel=...) is deprecated; pass "
-                "plan=repro.api.ExecutionPlan(...) (or Settings.plan()) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        # ExecutionPlan validates in __post_init__ with the same ValueError
-        # messages the old inline checks raised
-        plan = replace(plan, **legacy) if plan is not None else ExecutionPlan(**legacy)
+        if plan is None:
+            plan = ExecutionPlan()
         self.plan = plan
         self.store = store if store is not None else ResultStore()
         #: process-pool width across points (mirrors ``plan.jobs``)
         self.jobs = plan.jobs
-        #: chunk-level worker processes *within* one simulation point; when
-        #: > 1 (or when a chunk size is forced) points run sequentially and
-        #: the parallelism moves inside each point (see repro.parallel)
-        self.intra_jobs = plan.intra_jobs
         #: machine stepper kernel used for every simulation this engine runs
         #: ("scalar" or "batched"; results are bit-identical either way)
         self.kernel = plan.kernel
         #: local fleet workers to spawn (0: fleet delegation disabled)
         self.fleet = plan.fleet
-        from repro.parallel import DEFAULT_CHUNK_SIZE
-
-        self.chunk_size = plan.chunk_size or (
-            DEFAULT_CHUNK_SIZE if plan.intra_jobs > 1 else 0
-        )
         self._dispatcher: "FleetDispatcher | None" = None
         if trace_store is None and self.store.cache_dir is not None:
             trace_store = TraceStore(self.store.cache_dir / TRACE_SUBDIR)
         self.trace_store = trace_store
-        self.chunk_store = None
-        if self.chunk_size and self.store.cache_dir is not None:
-            from repro.parallel.chunkstore import make_chunk_store
-
-            # the chunk namespace follows the result store's backend kind,
-            # so --store object keeps both caches in one bucket root
-            kind = self.store.backend.kind if self.store.backend is not None else None
-            self.chunk_store = make_chunk_store(self.store.cache_dir, kind)
         #: (workload, scale) pairs already ensured on disk — without this
         #: memo every exhibit batch would re-validate (fully unpickle) each
         #: trace in the parent, the very cost the store exists to avoid
@@ -379,12 +324,6 @@ class ExperimentEngine:
         self.simulated = 0
         #: points delegated to the fleet (subset of ``simulated``)
         self.fleet_points = 0
-        #: chunk-level accounting aggregated over all chunked points
-        self.chunks_accepted = 0
-        self.chunks_spliced = 0
-        self.chunks_replayed = 0
-        self.chunk_cache_hits = 0
-        self.chunk_rearms = 0
 
     # -- execution ----------------------------------------------------------
 
@@ -443,8 +382,6 @@ class ExperimentEngine:
         self._prewarm_traces(points)
         if self.fleet:
             return self._execute_fleet(points)
-        if self.chunk_size:
-            return self._execute_chunked(points)
         if self.jobs > 1 and len(points) > 1:
             try:
                 return self._execute_parallel(points)
@@ -460,48 +397,6 @@ class ExperimentEngine:
             SimulationResult.from_dict(_simulate_point(p, trace_dir, self.kernel))
             for p in points
         ]
-
-    def _execute_chunked(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
-        """Intra-workload parallelism: points in order, chunks fanned out.
-
-        One process pool is shared by every point of the batch, so the
-        chunk workers stay warm across the whole grid.  Chunk results are
-        memoised through the chunk store (when a cache dir is configured)
-        under fingerprints derived from each point's own fingerprint.
-        """
-        from repro.core.simulator import simulate_point_chunked
-
-        pool = None
-        if self.intra_jobs > 1 and len(points) > 0:
-            try:
-                pool = ProcessPoolExecutor(max_workers=self.intra_jobs)
-            except OSError:
-                pool = None  # restricted sandbox: chunked-sequential below
-        results: list[SimulationResult] = []
-        # without a pool, speculation runs inline and only at cuts already
-        # proven safe (cost ≈ replaying the chunk), which still feeds the
-        # chunk store; with a pool, "auto" backs off on machines that never
-        # quiesce instead of burning workers
-        speculate = "auto" if pool is not None else "always"
-        try:
-            for point in points:
-                result, report = simulate_point_chunked(
-                    point.workload, point.scale, point.config,
-                    chunk_size=self.chunk_size, intra_jobs=self.intra_jobs,
-                    trace_store=self.trace_store,
-                    chunk_store=self.chunk_store, pool=pool,
-                    speculate=speculate, kernel=self.kernel,
-                )
-                self.chunks_accepted += report.accepted
-                self.chunks_spliced += report.spliced
-                self.chunks_replayed += report.replayed
-                self.chunk_cache_hits += report.cache_hits
-                self.chunk_rearms += report.rearms
-                results.append(result)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-        return results
 
     def fleet_dispatcher(self) -> "FleetDispatcher":
         """The engine's fleet dispatcher, created on first use.
@@ -523,7 +418,6 @@ class ExperimentEngine:
                 self.store.cache_dir,
                 spawn=self.fleet,
                 kernel=self.kernel,
-                chunk_size=self.plan.chunk_size,
             )
         return self._dispatcher
 
@@ -596,14 +490,6 @@ class ExperimentEngine:
             line += f", kernel={self.kernel}"
         if self.fleet:
             line += f", fleet={self.fleet} ({self.fleet_points} dispatched)"
-        if self.chunk_size:
-            line += (
-                f", chunked x{self.chunk_size} intra-jobs={self.intra_jobs} "
-                f"({self.chunks_accepted} accepted, "
-                f"{self.chunks_spliced} spliced, "
-                f"{self.chunk_cache_hits} cached, "
-                f"{self.chunks_replayed} replayed)"
-            )
         if self.trace_store is not None:
             line += f", {self.trace_store.summary()}"
         return line
@@ -621,8 +507,8 @@ def get_engine() -> ExperimentEngine:
 
     The initial engine is configured through the
     :class:`repro.api.Settings` precedence resolver, so it honours the
-    ``REPRO_CACHE_DIR``, ``REPRO_JOBS``, ``REPRO_INTRA_JOBS``,
-    ``REPRO_CHUNK_SIZE`` and ``REPRO_STORE`` environment variables — test
+    ``REPRO_CACHE_DIR``, ``REPRO_JOBS``, ``REPRO_KERNEL``, ``REPRO_FLEET``
+    and ``REPRO_STORE`` environment variables — test
     and benchmark runs can share a persistent cache (and pick a store
     backend) without any code changes.
     """
@@ -646,36 +532,6 @@ def get_engine() -> ExperimentEngine:
             plan=settings.plan(),
         )
     return _default_engine
-
-
-def configure_engine(
-    cache_dir: str | os.PathLike | None = None,
-    jobs: int = 1,
-    store: str | StoreBackend | None = None,
-    intra_jobs: int = 1,
-    chunk_size: int = 0,
-) -> ExperimentEngine:
-    """Replace the default engine.
-
-    .. deprecated::
-        Use :class:`repro.api.Session` instead — it owns the same engine
-        without mutating process-global state for its own lookups, and
-        scopes the default-engine swap to each call.  This shim keeps old
-        drivers working (identical behaviour) and will be removed in a
-        future major version.
-    """
-    warnings.warn(
-        "configure_engine() is deprecated; build a repro.api.Session "
-        "(optionally with repro.api.Settings) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    engine = ExperimentEngine(
-        ResultStore(cache_dir, backend=store),
-        plan=ExecutionPlan(jobs=jobs, intra_jobs=intra_jobs, chunk_size=chunk_size),
-    )
-    set_engine(engine)
-    return engine
 
 
 @_contextmanager

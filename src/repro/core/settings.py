@@ -9,10 +9,10 @@ replaces all of that with a single frozen value object and one resolver:
     **explicit keyword arguments  >  environment variables  >  defaults**
 
 An *explicitly passed* keyword always wins, even when its value is falsy:
-``Settings.resolve(chunk_size=0)`` pins monolithic simulation no matter
-what ``REPRO_CHUNK_SIZE`` says, and ``Settings.resolve(cache_dir=None)``
-disables persistence even with ``REPRO_CACHE_DIR`` set.  The resolved
-object records which fields were explicit (:attr:`Settings.explicit`), so
+``Settings.resolve(fleet=0)`` pins in-process execution no matter what
+``REPRO_FLEET`` says, and ``Settings.resolve(cache_dir=None)`` disables
+persistence even with ``REPRO_CACHE_DIR`` set.  The resolved object
+records which fields were explicit (:attr:`Settings.explicit`), so
 downstream consumers can distinguish "the user asked for the sqlite store"
 from "sqlite happened to be the environment default".
 
@@ -29,8 +29,6 @@ Environment variables (all optional):
                               ``object`` (invalid values are an error)
 ``REPRO_JOBS``                worker processes per sweep (clamped to ≥ 1;
                               unparsable values fall back to the default)
-``REPRO_INTRA_JOBS``          chunk workers within one point (ditto)
-``REPRO_CHUNK_SIZE``          instructions per chunk (clamped to ≥ 0)
 ``REPRO_KERNEL``              machine stepper kernel: ``scalar`` (the
                               per-instruction dispatch loop) or ``batched``
                               (the SoA pre-lowered stepper; invalid values
@@ -56,10 +54,6 @@ from repro.core.store import BACKEND_NAMES, STORE_ENV
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: environment variable for sweep-level worker processes
 JOBS_ENV = "REPRO_JOBS"
-#: environment variable for chunk-level worker processes within one point
-INTRA_JOBS_ENV = "REPRO_INTRA_JOBS"
-#: environment variable for the chunked-simulation partition size
-CHUNK_SIZE_ENV = "REPRO_CHUNK_SIZE"
 #: environment variable selecting the machine stepper kernel
 KERNEL_ENV = "REPRO_KERNEL"
 #: environment variable enabling fleet dispatch (worker count to spawn)
@@ -88,12 +82,12 @@ class ExecutionPlan:
     """How a batch of simulation points executes, as one frozen value.
 
     Before this object existed the same execution knobs — sweep-level
-    worker processes, chunk workers, chunk size, stepper kernel — travelled
-    as loose keyword arguments through three
-    :class:`~repro.core.runner.ExperimentEngine` call sites, each free to
-    default them differently.  A plan is resolved **once** (usually by
-    :meth:`Settings.plan`) and passed whole; the engine no longer interprets
-    the environment or re-validates knob combinations.
+    worker processes, stepper kernel — travelled as loose keyword
+    arguments through three :class:`~repro.core.runner.ExperimentEngine`
+    call sites, each free to default them differently.  A plan is resolved
+    **once** (usually by :meth:`Settings.plan`) and passed whole; the
+    engine no longer interprets the environment or re-validates knob
+    combinations.
 
     Invalid values raise :class:`ValueError` at construction (the same
     exception the engine's keyword arguments historically raised), so a
@@ -102,10 +96,6 @@ class ExecutionPlan:
 
     #: worker processes fanning out the points of a sweep grid
     jobs: int = 1
-    #: chunk worker processes *within* one simulation point
-    intra_jobs: int = 1
-    #: instructions per simulation chunk (0: monolithic unless intra_jobs > 1)
-    chunk_size: int = 0
     #: machine stepper kernel (``scalar`` or ``batched``)
     kernel: str = "scalar"
     #: local ``repro worker`` processes to spawn for fleet dispatch
@@ -115,10 +105,6 @@ class ExecutionPlan:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.intra_jobs < 1:
-            raise ValueError("intra_jobs must be at least 1")
-        if self.chunk_size < 0:
-            raise ValueError("chunk_size must be non-negative")
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(
                 f"unknown machine kernel {self.kernel!r}; "
@@ -129,10 +115,7 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """One-line human-readable summary (engine/CLI trailers)."""
-        line = (
-            f"jobs={self.jobs} intra_jobs={self.intra_jobs} "
-            f"chunk_size={self.chunk_size} kernel={self.kernel}"
-        )
+        line = f"jobs={self.jobs} kernel={self.kernel}"
         if self.fleet:
             line += f" fleet={self.fleet}"
         return line
@@ -152,10 +135,6 @@ class Settings:
     store: str = "json"
     #: worker processes fanning out the points of a sweep grid
     jobs: int = 1
-    #: chunk worker processes *within* one simulation point
-    intra_jobs: int = 1
-    #: instructions per simulation chunk (0: monolithic unless intra_jobs > 1)
-    chunk_size: int = 0
     #: machine stepper kernel (``scalar`` or ``batched``)
     kernel: str = "scalar"
     #: local fleet workers to spawn (0: in-process execution, the default)
@@ -170,8 +149,6 @@ class Settings:
         cache_dir: Any = _UNSET,
         store: Any = _UNSET,
         jobs: Any = _UNSET,
-        intra_jobs: Any = _UNSET,
-        chunk_size: Any = _UNSET,
         kernel: Any = _UNSET,
         fleet: Any = _UNSET,
         env: Mapping[str, str] | None = None,
@@ -180,7 +157,7 @@ class Settings:
 
         ``env`` defaults to ``os.environ`` and exists for tests.  Explicit
         values are validated strictly (:class:`~repro.common.errors.ReproError`
-        on a bad backend name, ``jobs < 1`` or ``chunk_size < 0``);
+        on a bad backend name, ``jobs < 1`` or ``fleet < 0``);
         unparsable integer *environment* values fall back to the default
         and out-of-range ones are clamped, matching the engine's historical
         tolerance for a sloppy environment.
@@ -225,16 +202,6 @@ class Settings:
         else:
             resolved_jobs = _explicit_int("jobs", jobs, minimum=1)
 
-        if intra_jobs is _UNSET:
-            resolved_intra = _env_int(environ, INTRA_JOBS_ENV, default=1, minimum=1)
-        else:
-            resolved_intra = _explicit_int("intra_jobs", intra_jobs, minimum=1)
-
-        if chunk_size is _UNSET:
-            resolved_chunk = _env_int(environ, CHUNK_SIZE_ENV, default=0, minimum=0)
-        else:
-            resolved_chunk = _explicit_int("chunk_size", chunk_size, minimum=0)
-
         if fleet is _UNSET:
             resolved_fleet = _env_int(environ, FLEET_ENV, default=0, minimum=0)
         else:
@@ -257,8 +224,6 @@ class Settings:
             cache_dir=resolved_cache,
             store=resolved_store,
             jobs=resolved_jobs,
-            intra_jobs=resolved_intra,
-            chunk_size=resolved_chunk,
             kernel=resolved_kernel,
             fleet=resolved_fleet,
             explicit=frozenset(explicit),
@@ -274,8 +239,6 @@ class Settings:
         """
         return ExecutionPlan(
             jobs=self.jobs,
-            intra_jobs=self.intra_jobs,
-            chunk_size=self.chunk_size,
             kernel=self.kernel,
             fleet=self.fleet,
         )
@@ -288,10 +251,7 @@ class Settings:
         applies, re-using the resolver with this instance's values as the
         environment-free baseline.
         """
-        fields = {
-            "cache_dir", "store", "jobs", "intra_jobs", "chunk_size",
-            "kernel", "fleet",
-        }
+        fields = {"cache_dir", "store", "jobs", "kernel", "fleet"}
         unknown = set(changes) - fields
         if unknown:
             raise ReproError(
@@ -309,7 +269,6 @@ class Settings:
         cache = self.cache_dir if self.cache_dir is not None else "-"
         line = (
             f"store={self.store} cache_dir={cache} jobs={self.jobs} "
-            f"intra_jobs={self.intra_jobs} chunk_size={self.chunk_size} "
             f"kernel={self.kernel}"
         )
         if self.fleet:

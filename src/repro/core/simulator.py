@@ -93,44 +93,6 @@ def simulate_point(
     return simulate_trace(trace, config, kernel=kernel)
 
 
-def simulate_point_chunked(
-    workload_name: str,
-    scale: str,
-    config: MachineConfig,
-    chunk_size: int,
-    intra_jobs: int = 1,
-    trace_store: TraceStore | None = None,
-    chunk_store=None,
-    pool=None,
-    speculate: str = "auto",
-    kernel: str = "scalar",
-):
-    """Chunked counterpart of :func:`simulate_point`.
-
-    Splits the workload's trace into dependency-aware chunks and simulates
-    them through :mod:`repro.parallel` — results are bit-identical to
-    :func:`simulate_point`.  Returns ``(SimulationResult, ChunkedReport)``.
-    """
-    from repro.core.runner import ExperimentPoint
-    from repro.parallel import simulate_trace_chunked
-
-    trace_source = None
-    if trace_store is not None:
-        trace = trace_store.load_memoised(workload_name, scale)
-        # workers reload the compiled trace from the store by this locator
-        # instead of receiving pickled instruction slices per chunk
-        trace_source = (str(trace_store.cache_dir), workload_name, scale)
-    else:
-        trace = get_workload(workload_name, scale).trace()
-    fingerprint = ExperimentPoint(workload_name, scale, config).fingerprint()
-    return simulate_trace_chunked(
-        trace, config, chunk_size=chunk_size, jobs=intra_jobs,
-        speculate=speculate, chunk_store=chunk_store,
-        point_fingerprint=fingerprint, pool=pool,
-        trace_source=trace_source, kernel=kernel,
-    )
-
-
 def run_cached(workload_name: str, config: MachineConfig, scale: str = "small") -> SimulationResult:
     """Like :func:`run`, but memoised on (workload, scale, configuration).
 

@@ -102,7 +102,6 @@ class FleetDispatcher:
         store_root: str | os.PathLike[str],
         spawn: int = 0,
         kernel: str = "scalar",
-        chunk_size: int = 0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll_s: float = DEFAULT_WATCH_POLL_S,
         max_restarts: int | None = None,
@@ -116,7 +115,6 @@ class FleetDispatcher:
             self.backend.objects, lease_ttl=lease_ttl)
         self.spawn = spawn
         self.kernel = kernel
-        self.chunk_size = chunk_size
         self.poll_s = poll_s
         #: spawned-worker restarts allowed before giving up (default: 3/slot)
         self.max_restarts = max_restarts if max_restarts is not None else 3 * spawn
@@ -143,7 +141,6 @@ class FleetDispatcher:
                 scale=point.scale,
                 config=point.config,
                 kernel=self.kernel,
-                chunk_size=self.chunk_size,
             )
             task_id = task.task_id()
             task_ids.append(task_id)

@@ -1,7 +1,7 @@
 """A lease-based work queue living entirely inside an :class:`ObjectStore`.
 
 Coordination state is nothing but objects under a ``queue/`` prefix of the
-same bucket that holds results and chunks — any storage that implements the
+same bucket that holds results — any storage that implements the
 S3 quartet (``put``/``get``/``list``/``delete``) hosts the whole fleet::
 
     queue/tasks/<task_id>.json                      the work item (immutable)

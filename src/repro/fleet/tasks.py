@@ -2,11 +2,10 @@
 
 A :class:`FleetTask` is the queue-side twin of
 :class:`~repro.core.runner.ExperimentPoint`: the same (workload, scale,
-machine configuration) triple, plus the execution knobs a worker needs to
-reproduce the engine's behaviour exactly — the stepper kernel and an
-optional chunk size (a non-zero chunk size makes the worker run the point
-through the chunked machinery of :mod:`repro.parallel`, which is
-bit-identical to monolithic execution by contract).
+machine configuration) triple, plus the one execution knob a worker needs
+to reproduce the engine's behaviour exactly — the stepper kernel.  Unknown
+payload fields (older dispatchers sent more execution knobs) are ignored,
+since every execution strategy is bit-identical by contract.
 
 Tasks serialise through the registry-driven parameter codec
 (:func:`repro.common.params.params_to_dict` /
@@ -44,7 +43,6 @@ class FleetTask:
     scale: str
     config: MachineConfig
     kernel: str = "scalar"
-    chunk_size: int = 0
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNEL_NAMES:
@@ -52,8 +50,6 @@ class FleetTask:
                 f"unknown machine kernel {self.kernel!r}; "
                 f"available: {', '.join(KERNEL_NAMES)}"
             )
-        if self.chunk_size < 0:
-            raise ReproError("chunk_size must be non-negative")
 
     # -- identity ------------------------------------------------------------
 
@@ -64,9 +60,9 @@ class FleetTask:
     def task_id(self) -> str:
         """The queue id — the point's result fingerprint.
 
-        Kernel and chunk size are deliberately *not* part of the id: both
-        are bit-identical execution strategies, so points dispatched with
-        different knobs are still the same work.
+        The kernel is deliberately *not* part of the id: both kernels are
+        bit-identical execution strategies, so points dispatched with
+        different kernels are still the same work.
         """
         return self.point().fingerprint()
 
@@ -82,7 +78,6 @@ class FleetTask:
             "config_name": self.config.name,
             "params": params_to_dict(self.config.params),
             "kernel": self.kernel,
-            "chunk_size": self.chunk_size,
             "fingerprint": self.task_id(),
         }
 
@@ -116,7 +111,6 @@ class FleetTask:
                 scale=scale,
                 config=config,
                 kernel=payload.get("kernel", "scalar"),
-                chunk_size=int(payload.get("chunk_size", 0)),
             )
         except ReproError:
             raise

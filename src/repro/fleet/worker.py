@@ -10,9 +10,9 @@ connection, no RPC, no shared memory:
 * **claim**: take a lease on the first available task (expired leases from
   crashed workers are reclaimed on the way — see the queue module);
 * **simulate**: rebuild the point from the task payload and run it through
-  the exact same :func:`~repro.core.simulator.simulate_point` /
-  chunked machinery the in-process engine uses, on the kernel the task
-  names — results are bit-identical to local execution by construction;
+  the exact same :func:`~repro.core.simulator.simulate_point` the
+  in-process engine uses, on the kernel the task names — results are
+  bit-identical to local execution by construction;
 * **publish**: write the result object under the point's fingerprint in the
   bucket's ``results/`` namespace (the identical payload the engine's own
   result store would write), then mark the task done;
@@ -211,19 +211,8 @@ class Worker:
         return True
 
     def _simulate(self, task: FleetTask) -> SimulationResult:
-        from repro.core.simulator import simulate_point, simulate_point_chunked
+        from repro.core.simulator import simulate_point
 
-        if task.chunk_size:
-            result, _report = simulate_point_chunked(
-                task.workload,
-                task.scale,
-                task.config,
-                chunk_size=task.chunk_size,
-                intra_jobs=1,
-                trace_store=self.trace_store,
-                kernel=task.kernel,
-            )
-            return result
         return simulate_point(
             task.workload,
             task.scale,

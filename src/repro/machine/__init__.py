@@ -1,8 +1,7 @@
 """``repro.machine`` — the component-based machine kernel.
 
 * :mod:`repro.machine.component` — the :class:`MachineComponent` contract
-  (``snapshot``/``restore``/``digest``/``reset`` plus the optional
-  quiescence / absorb / structural capabilities);
+  (``snapshot``/``restore``/``digest``/``reset``);
 * :mod:`repro.machine.core` — :class:`StagedMachine`, the shared
   staged-execution core both of the paper's machines (and the registered
   ``inorder`` intermediate) are declared on;

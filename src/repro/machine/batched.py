@@ -32,10 +32,9 @@ This module provides the kernel side of the batched stepper:
   to the scalar handlers for any instruction kind they do not lower.
 
 The steppers mutate the very same component objects the scalar kernel
-mutates, in the same order, so snapshots, digests, quiescence checks and
-``SimStats`` are bit-identical between the two kernels — the equivalence
-battery in ``tests/test_batched_kernel.py`` pins this for every
-registered machine.
+mutates, in the same order, so snapshots, digests and ``SimStats`` are
+bit-identical between the two kernels — the equivalence battery in
+``tests/test_batched_kernel.py`` pins this for every registered machine.
 """
 
 from __future__ import annotations
@@ -384,8 +383,7 @@ def run_slice_batched(machine: Any, instructions: Iterable[DynInstr]) -> None:
     ``run_slice`` unchanged (the pure fallback, exercised by
     ``examples/custom_machine.py``); :class:`Trace` inputs reuse the
     memoised lowering, any other iterable is lowered on the fly.  State
-    carries over between calls exactly as with the scalar kernel, so the
-    chunked simulator can replay and stitch through this entry point too.
+    carries over between calls exactly as with the scalar kernel.
     """
     stepper = stepper_for(type(machine))
     if stepper is None:

@@ -9,44 +9,16 @@ uniform contract:
   mutable state (``restore`` accepts a ``snapshot`` taken from another
   instance built with the same construction parameters);
 * ``reset()`` — return to the freshly constructed state;
-* ``digest()`` — stable hex digest of the snapshot (chunk-cache keys,
-  divergence detection; :class:`ComponentBase` derives it canonically).
+* ``digest()`` — stable hex digest of the snapshot (divergence detection;
+  :class:`ComponentBase` derives it canonically).
 
-Components may additionally implement any of the *capability* methods the
-staged-execution core (:mod:`repro.machine.core`) and the chunked
-simulator (:mod:`repro.parallel`) look for:
-
-* ``quiescent(anchor)`` — True when every pending cycle number held by the
-  component is dominated by (``<=``) the cut anchor, so the component's
-  timing state cannot influence post-cut instructions;
-* ``absorb(state, delta)`` — merge a worker's exit snapshot, taken in the
-  canonical zero-anchored frame, into the live component by shifting every
-  time field by ``delta`` and *adding* monotone counters;
-* ``structural()`` / ``apply_structural(state)`` — project / impose the
-  stream-determined part of the state (the part a structural scout can
-  predict without timing);
-* ``envelope(anchor)`` — a conservative, anchor-normalised projection of
-  every pending cycle number still *observable* past the cut anchor
-  (busy tails, pending ready times, in-flight entries).  Values at or
-  below the per-site floor are clamped out, so the projection is falsy
-  exactly when the component is quiescent, and two components whose
-  envelopes are equal behave identically (up to the uniform anchor
-  shift) for all post-anchor traffic.  Must be read-only — the
-  envelope-contract check (:mod:`repro.checks`) enforces both the purity
-  and that every component with ``absorb`` provides it;
-* ``splice_mark()`` / ``splice_extra()`` / ``splice_delta(state, extra,
-  mark)`` — envelope-splice support: ``splice_mark`` bookmarks the
-  additive state (counters, busy-record positions) at a checkpoint,
-  ``splice_extra`` dumps whatever raw recording the marks index into at
-  exit, and the pure ``splice_delta`` reduces a worker exit snapshot to
-  the post-checkpoint residue the parent may absorb without
-  double-counting the prefix it replayed itself.  Components whose
-  ``absorb`` is wholly replace-style need none of these.
+The snapshot is the state oracle of the batched-vs-scalar differential
+tests, and the static checker (:mod:`repro.checks`) proves it complete.
 
 A machine (:class:`repro.machine.core.StagedMachine`) is then declared as
 a named set of components plus a per-instruction-class dispatch table; its
-``snapshot``/``restore``/``reset``/quiescence/merge plumbing is derived
-from the component registry instead of being maintained by hand.
+``snapshot``/``restore``/``reset``/``digest`` plumbing is derived from the
+component registry instead of being maintained by hand.
 """
 
 from __future__ import annotations

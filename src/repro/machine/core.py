@@ -16,10 +16,7 @@ scalar cycle counters, so a machine is *declared* rather than hand-wired:
 * components are attached with :meth:`register_component`.
 
 From those declarations the kernel derives ``snapshot``/``restore``/
-``reset``/``digest``, the component side of chunk-cut quiescence, the
-structural projection and the chunk-merge (``absorb_chunk``) used by the
-chunked simulator — state that the two machines, the structural scout and
-the boundary module previously maintained in triplicate by hand.
+``reset``/``digest`` instead of each machine maintaining them by hand.
 """
 
 from __future__ import annotations
@@ -50,9 +47,8 @@ class StagedMachine:
 
     Subclasses set the class-level declarations below, attach their
     components in ``__init__`` (after calling ``super().__init__``) and
-    implement the dispatch handlers plus :meth:`finalise`.  Everything the
-    chunked simulator needs — snapshotting, quiescence, structural
-    projection, chunk merging — is then derived from the declarations.
+    implement the dispatch handlers plus :meth:`finalise`.  Snapshotting,
+    reset and digests are then derived from the declarations.
     """
 
     #: the ``snapshot()["kind"]`` tag of this machine's snapshots
@@ -61,14 +57,6 @@ class StagedMachine:
     SNAPSHOT_SCALARS: Tuple[str, ...] = ()
     #: reset value per scalar field (missing fields default to 0)
     SCALAR_DEFAULTS: Mapping[str, int] = {}
-    #: scalar fields replaced by the worker's value shifted by Δ on absorb
-    ABSORB_SHIFT: Tuple[str, ...] = ()
-    #: scalar fields merged with ``max(parent, worker + Δ)`` on absorb
-    ABSORB_MAX: Tuple[str, ...] = ("horizon",)
-    #: scalar fields in the timing envelope: name -> floor offset above the
-    #: anchor (values at or below ``anchor + offset`` are dominated and
-    #: clamped out of the projection)
-    ENVELOPE_SCALARS: Mapping[str, int] = {}
     #: instruction-class dispatch table: kind -> handler method name
     DISPATCH: Mapping[InstrKind, str] = {}
     #: handler method name for kinds absent from :attr:`DISPATCH`
@@ -158,9 +146,7 @@ class StagedMachine:
 
         State carries over between calls, so a simulation can be split into
         resumable segments: ``run_slice`` each segment in order, then
-        :meth:`finalise` once.  The chunked simulator
-        (:mod:`repro.parallel`) also snapshots/restores the state between
-        slices to stitch independently simulated chunks back together.
+        :meth:`finalise` once.
         """
         table, default = type(self).dispatch_functions()
         get = table.get
@@ -225,161 +211,6 @@ class StagedMachine:
     def digest(self) -> str:
         """Stable hex digest of the full machine snapshot."""
         return state_digest(self.snapshot())
-
-    # -- chunk-cut capabilities (see repro.parallel) --------------------------
-
-    def chunk_anchor(self) -> int:
-        """The cut's fetch anchor — the Δ by which a canonical chunk shifts."""
-        return 0
-
-    def quiescent(self) -> bool:
-        """True when the whole pending timing state is dominated by the anchor."""
-        anchor = self.chunk_anchor()
-        return self.machine_quiescent(anchor) and self.components_quiescent(anchor)
-
-    def machine_quiescent(self, anchor: int) -> bool:
-        """Machine-level (non-component) quiescence conditions (default: none)."""
-        return True
-
-    def components_quiescent(self, anchor: int) -> bool:
-        """True when every component reports domination by ``anchor``.
-
-        A component without a ``quiescent`` capability is conservatively
-        never quiescent — correctness then rests on the exact-replay path.
-        """
-        for component in self._components.values():
-            if component is None:
-                continue
-            check = getattr(component, "quiescent", None)
-            if check is None or not check(anchor):
-                return False
-        return True
-
-    def envelope(self) -> Optional[dict]:
-        """Anchor-normalised projection of all still-observable pending timing.
-
-        Composes the declared scalar fields (:attr:`ENVELOPE_SCALARS`) with
-        every component's ``envelope`` capability; falsy sub-projections are
-        omitted, so the result is ``{}`` exactly when the machine is
-        :meth:`quiescent` — the *zero envelope* every canonical-frame worker
-        assumes at its entry.  Returns ``None`` when any component lacks the
-        capability (the machine then cannot take part in envelope
-        acceptance and falls back to exact replay).
-        """
-        anchor = self.chunk_anchor()
-        env: dict = {}
-        for name, offset in self.ENVELOPE_SCALARS.items():
-            pending = getattr(self, name) - anchor - offset
-            if pending > 0:
-                env[name] = pending
-        for name, component in self._components.items():
-            if component is None:
-                continue
-            project = getattr(component, "envelope", None)
-            if project is None:
-                return None
-            sub = project(anchor)
-            if sub:
-                env[name] = sub
-        return env
-
-    def chunk_checkpoint(self) -> Optional[dict]:
-        """One envelope checkpoint, recorded by a worker between sub-slices.
-
-        Carries everything the parent needs to test the splice at this
-        offset — the worker's anchor, its envelope digest and normalised
-        horizon — plus the :meth:`splice_mark` bookmarks that let the parent
-        reduce the worker's exit snapshot to the post-checkpoint residue.
-        """
-        env = self.envelope()
-        if env is None:
-            return None
-        anchor = self.chunk_anchor()
-        return {
-            "anchor": anchor,
-            "envelope": state_digest(env),
-            "horizon": max(self.horizon - anchor, 0),
-            "marks": self.splice_mark(),
-        }
-
-    def splice_mark(self) -> dict:
-        """Bookmark all additive state (stats and component counters)."""
-        marks: dict = {"stats": self.stats.splice_mark()}
-        for name, component in self._components.items():
-            if component is None:
-                continue
-            mark = getattr(component, "splice_mark", None)
-            if mark is not None:
-                marks[name] = mark()
-        return marks
-
-    def splice_extra(self) -> dict:
-        """The raw recordings (busy dumps) the splice marks index into."""
-        extras: dict = {"stats": self.stats.splice_extra()}
-        for name, component in self._components.items():
-            if component is None:
-                continue
-            fn = getattr(component, "splice_extra", None)
-            if fn is not None:
-                extras[name] = fn()
-        return extras
-
-    def splice_state(self, state: dict, extra: Mapping, marks: Mapping) -> dict:
-        """Reduce a worker exit snapshot to the post-checkpoint residue.
-
-        ``state`` is the worker's exit :meth:`snapshot`, ``extra`` its
-        :meth:`splice_extra` dump and ``marks`` the :meth:`splice_mark`
-        taken at the matched checkpoint.  Replace-style state passes through
-        unchanged (the absorb policies overwrite it); additive state — every
-        monotone counter and busy record — sheds the prefix the parent has
-        already replayed itself.  The result feeds :meth:`absorb_chunk`.
-        """
-        out = dict(state)
-        for name, component in self._components.items():
-            if component is None or state.get(name) is None:
-                continue
-            fn = getattr(component, "splice_delta", None)
-            if fn is not None:
-                out[name] = fn(state[name], extra.get(name), marks[name])
-        out["stats"] = SimStats.splice_delta(
-            state["stats"], extra.get("stats"), marks["stats"]
-        )
-        return out
-
-    def absorb_chunk(self, worker: dict, delta: int) -> None:
-        """Merge a worker's canonical-frame exit snapshot, shifted by ``delta``.
-
-        Scalar fields follow their declared policy (shift-replace or max);
-        each component absorbs its own worker state — time fields shift,
-        monotone counters add, busy-interval lists extend; see the
-        ``absorb`` capability in :mod:`repro.machine.component`.
-        """
-        for name in self.ABSORB_SHIFT:
-            setattr(self, name, int(worker[name]) + delta)
-        for name in self.ABSORB_MAX:
-            setattr(self, name, max(getattr(self, name), int(worker[name]) + delta))
-        for name, component in self._components.items():
-            if component is None:
-                continue
-            state = worker.get(name)
-            if state is None:
-                continue
-            component.absorb(state, delta)
-        self.stats.absorb_shifted(SimStats.from_dict(worker["stats"]), delta)
-
-    # -- structural boundary ---------------------------------------------------
-
-    def structural(self) -> Optional[dict]:
-        """Stream-determined projection of the state (``None``: no such state)."""
-        return None
-
-    def seed_structural(self, structural: Optional[dict]) -> None:
-        """Impose a predicted structural boundary on a freshly built machine."""
-        if structural is not None:
-            raise ReproError(
-                f"machine {self.KIND!r} has no structural boundary; "
-                "cannot seed a worker"
-            )
 
     # -- shared timing helpers -------------------------------------------------
 

@@ -9,25 +9,18 @@ elimination) but *in-order, one-per-cycle issue*.  Its distance from each
 neighbour separates how much of the OOOVA's win comes from renaming alone
 and how much needs out-of-order issue.
 
-The model is a ~100-line registration, not a fork: it subclasses the
-OOOVA run and overrides exactly one timing hook (the issue gate) plus the
-scalar declarations the kernel derives everything else from.  The chunking
-hooks (quiescence, anchor, structural boundary, chunk merge) come from the
-component kernel; the structural scout is shared with the OOOVA because
-the stream-determined state transitions are identical.
+The model is a short registration, not a fork: it subclasses the OOOVA
+run and overrides exactly one timing hook (the issue gate) plus the scalar
+declarations the kernel derives everything else from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.common.params import OOOParams
 from repro.ooo.machine import _ExecResult, _OOORun, _StepContext
 from repro.trace.records import DynInstr
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.machines import MachineModel
 
 
 @dataclass(frozen=True)
@@ -54,10 +47,6 @@ class _InOrderRun(_OOORun):
     KIND = "inorder"
     SNAPSHOT_SCALARS = ("last_rename", "fetch_resume", "issue_ready", "horizon")
     SCALAR_DEFAULTS = {"last_rename": -1}
-    ABSORB_SHIFT = ("last_rename", "fetch_resume", "issue_ready")
-    # ``issue_ready`` gates via ``max(earliest, issue_ready)`` where every
-    # post-cut ``earliest`` is at least ``anchor + 1`` — floor offset 1.
-    ENVELOPE_SCALARS = {"fetch_resume": 0, "issue_ready": 1}
 
     #: the in-order issue pointer (cycle the next instruction may issue at)
     issue_ready: int
@@ -72,26 +61,3 @@ class _InOrderRun(_OOORun):
         # load-elimination path, whose pipe exit can trail the gate)
         self.issue_ready = max(self.issue_ready, result.start + 1)
 
-    def machine_quiescent(self, anchor: int) -> bool:
-        """The gate is consumed via ``max(earliest, issue_ready)``.
-
-        Every gated ``earliest`` of a post-cut instruction is at least
-        ``anchor + 1`` (one cycle past its fetch), so ``issue_ready`` is
-        dominated whenever it does not exceed ``anchor + 1``.
-        """
-        return super().machine_quiescent(anchor) and self.issue_ready <= anchor + 1
-
-
-def inorder_model() -> "MachineModel":
-    """The registry entry for the ``inorder`` machine (kernel-derived hooks)."""
-    from repro.core.machines import staged_machine_model
-    from repro.parallel import scout
-
-    return staged_machine_model(
-        name="inorder",
-        params_type=InOrderParams,
-        factory=lambda params, trace: _InOrderRun(params, trace),
-        # identical stream-determined transitions: the OOOVA scout predicts
-        # this machine's structural boundaries too
-        plan_chunks=scout.iter_ooo_plans,
-    )

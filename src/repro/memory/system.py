@@ -85,7 +85,7 @@ class MemorySystem(ComponentBase):
         self.scalar_requests += 1
         return MemoryTiming(start, start + 1, start + 1)
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         return {
@@ -106,48 +106,6 @@ class MemorySystem(ComponentBase):
         self.vector_load_requests = 0
         self.vector_store_requests = 0
         self.scalar_requests = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        """True when the address bus carries nothing past ``anchor``."""
-        return self.address_bus.quiescent(anchor)
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Extend the bus with the worker's (shifted) slots; counters add."""
-        self.address_bus.absorb(state["bus"], delta)
-        self.vector_load_requests += int(state["vector_load_requests"])
-        self.vector_store_requests += int(state["vector_store_requests"])
-        self.scalar_requests += int(state["scalar_requests"])
-
-    def envelope(self, anchor: int) -> list[list[int]]:
-        """The address-bus reservations still visible past ``anchor``."""
-        return self.address_bus.envelope(anchor)
-
-    def splice_mark(self) -> dict:
-        """Bookmark the bus recording and the request counters."""
-        return {
-            "bus": self.address_bus.splice_mark(),
-            "requests": [
-                self.vector_load_requests,
-                self.vector_store_requests,
-                self.scalar_requests,
-            ],
-        }
-
-    def splice_extra(self) -> dict:
-        """The raw bus busy dump the splice mark indexes into."""
-        return {"bus": self.address_bus.splice_extra()}
-
-    @staticmethod
-    def splice_delta(state: dict, extra: dict, mark: dict) -> dict:
-        """Reduce a worker exit snapshot to the post-checkpoint residue."""
-        requests = mark["requests"]
-        raw = (extra or {}).get("bus")
-        return {
-            "bus": GapResource.splice_delta(state["bus"], raw, mark["bus"]),
-            "vector_load_requests": int(state["vector_load_requests"]) - int(requests[0]),
-            "vector_store_requests": int(state["vector_store_requests"]) - int(requests[1]),
-            "scalar_requests": int(state["scalar_requests"]) - int(requests[2]),
-        }
 
     # -- statistics -----------------------------------------------------------
 

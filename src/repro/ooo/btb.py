@@ -107,7 +107,7 @@ class BranchPredictor(ComponentBase):
         self._ras.pop()
         return True
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot of the predictor's architectural state.
@@ -143,62 +143,6 @@ class BranchPredictor(ComponentBase):
         self._dropped_calls = set()
         self.predictions = 0
         self.mispredictions = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        """The predictor holds no cycle numbers — always dominated."""
-        return True
-
-    def envelope(self, anchor: int) -> dict:
-        """The predictor holds no cycle numbers — the envelope is empty.
-
-        Its contents are stream-determined and already covered by the
-        structural digest the acceptance test checks first.
-        """
-        return {}
-
-    def splice_mark(self) -> list[int]:
-        """Bookmark the prediction counters for a later :meth:`splice_delta`."""
-        return [self.predictions, self.mispredictions]
-
-    @staticmethod
-    def splice_delta(state: dict, extra: object, mark: list) -> dict:
-        """Shed the pre-checkpoint counters; BTB/RAS contents pass through."""
-        out = dict(state)
-        out["predictions"] = int(state["predictions"]) - int(mark[0])
-        out["mispredictions"] = int(state["mispredictions"]) - int(mark[1])
-        return out
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Adopt the worker's exit contents; prediction counters add."""
-        predictions = self.predictions + int(state["predictions"])
-        mispredictions = self.mispredictions + int(state["mispredictions"])
-        self.restore(state)
-        self.predictions = predictions
-        self.mispredictions = mispredictions
-
-    # -- structural boundary (see repro.parallel) ----------------------------
-
-    def structural(self) -> dict:
-        """The stream-determined predictor contents (no event counters).
-
-        BTB entries are sorted because their iteration order is never
-        observed; the return stack keeps its (observable) order.
-        """
-        return {
-            "btb": sorted(
-                [index, entry.tag, entry.counter]
-                for index, entry in self._btb.items()
-            ),
-            "ras": list(self._ras),
-        }
-
-    def apply_structural(self, state: dict) -> None:
-        """Impose predicted predictor contents on a fresh instance."""
-        self._btb = {
-            int(index): _BTBEntry(tag=int(tag), counter=int(counter))
-            for index, tag, counter in state["btb"]
-        }
-        self._ras = [int(seq) for seq in state["ras"]]
 
     @property
     def misprediction_rate(self) -> float:

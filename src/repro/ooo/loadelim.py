@@ -117,7 +117,7 @@ class TagTable(ComponentBase):
     def __len__(self) -> int:
         return len(self._tags)
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot.
@@ -156,57 +156,6 @@ class TagTable(ComponentBase):
         self.matches = 0
         self.invalidations = 0
 
-    def quiescent(self, anchor: int) -> bool:
-        """Tags hold byte ranges, not cycle numbers — always dominated."""
-        return True
-
-    def envelope(self, anchor: int) -> dict:
-        """Tags hold no cycle numbers — the envelope is empty.
-
-        The tag rows are stream-determined and already covered by the
-        structural digest the acceptance test checks first.
-        """
-        return {}
-
-    def splice_mark(self) -> list[int]:
-        """Bookmark the counters for a later :meth:`splice_delta`."""
-        return [self.matches, self.invalidations]
-
-    @staticmethod
-    def splice_delta(state: dict, extra: object, mark: list) -> dict:
-        """Shed the pre-checkpoint counters; the tag rows pass through."""
-        out = dict(state)
-        out["matches"] = int(state["matches"]) - int(mark[0])
-        out["invalidations"] = int(state["invalidations"]) - int(mark[1])
-        return out
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Adopt the worker's exit tags; match/invalidation counters add."""
-        matches = self.matches + int(state["matches"])
-        invalidations = self.invalidations + int(state["invalidations"])
-        self.restore(state)
-        self.matches = matches
-        self.invalidations = invalidations
-
-    # -- structural boundary (see repro.parallel) ----------------------------
-
-    def structural(self) -> list:
-        """The tag rows in insertion order (first-match semantics), no counters."""
-        return [
-            [phys_id, tag.region_start, tag.region_end, tag.vl, tag.stride, tag.size]
-            for phys_id, tag in self._tags.items()
-        ]
-
-    def apply_structural(self, state: list) -> None:
-        """Impose predicted tag rows on a fresh table (counters untouched)."""
-        self._tags = {
-            int(phys_id): MemoryTag(
-                region_start=int(start), region_end=int(end),
-                vl=int(vl), stride=int(stride), size=int(size),
-            )
-            for phys_id, start, end, vl, stride, size in state
-        }
-
 
 class LoadEliminationUnit(ComponentBase):
     """The three tag tables (A, S, V) plus store-consistency bookkeeping."""
@@ -242,50 +191,6 @@ class LoadEliminationUnit(ComponentBase):
             table.reset()
         self.vector_loads_eliminated = 0
         self.scalar_loads_eliminated = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        return True
-
-    def envelope(self, anchor: int) -> dict:
-        """No cycle numbers anywhere in the unit — the envelope is empty."""
-        return {}
-
-    def splice_mark(self) -> dict:
-        return {
-            "tables": {table.name: table.splice_mark() for table in self.all_tables()},
-            "eliminated": [self.vector_loads_eliminated, self.scalar_loads_eliminated],
-        }
-
-    def splice_delta(self, state: dict, extra: object, mark: dict) -> dict:
-        eliminated = mark["eliminated"]
-        return {
-            "tables": {
-                table.name: table.splice_delta(
-                    state["tables"][table.name], None, mark["tables"][table.name]
-                )
-                for table in self.all_tables()
-            },
-            "vector_loads_eliminated": (
-                int(state["vector_loads_eliminated"]) - int(eliminated[0])
-            ),
-            "scalar_loads_eliminated": (
-                int(state["scalar_loads_eliminated"]) - int(eliminated[1])
-            ),
-        }
-
-    def absorb(self, state: dict, delta: int) -> None:
-        for table in self.all_tables():
-            table.absorb(state["tables"][table.name], delta)
-        self.vector_loads_eliminated += int(state["vector_loads_eliminated"])
-        self.scalar_loads_eliminated += int(state["scalar_loads_eliminated"])
-
-    def structural(self) -> dict:
-        """Per-table structural rows, keyed by table name."""
-        return {table.name: table.structural() for table in self.all_tables()}
-
-    def apply_structural(self, state: dict) -> None:
-        for table in self.all_tables():
-            table.apply_structural(state[table.name])
 
     def store_executed(self, instr: DynInstr, phys_id: int, table: TagTable) -> None:
         """Update tags for a store: tag the stored register, kill overlaps.

@@ -24,7 +24,7 @@ The machine is declared on the component kernel
 registered :class:`~repro.machine.component.MachineComponent`\\ s, the
 front end (:meth:`_OOORun.decode`) and the commit stage
 (:meth:`_OOORun.retire`) bracket a per-instruction-class dispatch table,
-and ``snapshot``/``restore``/quiescence/chunk-merging are derived from the
+and ``snapshot``/``restore``/``reset``/``digest`` are derived from the
 component registry.  The in-order-issue intermediate machine
 (:mod:`repro.machine.inorder`) subclasses this model and overrides only
 the issue gate.
@@ -93,11 +93,6 @@ class _OOORun(StagedMachine):
     KIND = "ooo"
     SNAPSHOT_SCALARS = ("last_rename", "fetch_resume", "horizon")
     SCALAR_DEFAULTS = {"last_rename": -1}
-    ABSORB_SHIFT = ("last_rename", "fetch_resume")
-    # ``fetch_resume`` is consumed via ``max(last_rename + 1, fetch_resume)``
-    # (:meth:`decode`), so its floor is the anchor itself; ``last_rename``
-    # never exceeds ``anchor - 1`` by construction and needs no entry.
-    ENVELOPE_SCALARS = {"fetch_resume": 0}
     DISPATCH = {
         InstrKind.VECTOR_ALU: "_run_vector_compute",
         InstrKind.VECTOR_LOAD: "_run_memory",
@@ -213,42 +208,6 @@ class _OOORun(StagedMachine):
             self.stats.scalar_loads_eliminated = self.loadelim.scalar_loads_eliminated
         return self.stats
 
-    # ------------------------------------------------- chunked-simulation state
-
-    def chunk_anchor(self) -> int:
-        """``last_rename + 1`` — the earliest post-cut fetch cycle."""
-        return self.last_rename + 1
-
-    def machine_quiescent(self, anchor: int) -> bool:
-        """The one scalar consumption site outside the components."""
-        return self.fetch_resume <= anchor
-
-    def structural(self) -> dict:
-        """The stream-determined part of the OOOVA state (see the scout).
-
-        Composed by the same function the scout uses for its predictions
-        (:func:`repro.parallel.boundary.ooo_structural`), so the two
-        projections can never drift apart.
-        """
-        from repro.parallel.boundary import ooo_structural
-
-        return ooo_structural(self.rename, self.predictor, self.loadelim)
-
-    def seed_structural(self, structural: dict | None) -> None:
-        """Impose a predicted structural boundary on a freshly built run.
-
-        The run's timing state is already all-zero (it was just built),
-        which *is* the canonical quiescent frame; only the
-        stream-determined parts need to be imposed.
-        """
-        if structural is None:
-            return
-        self.rename.apply_structural(structural["rename"])
-        self.predictor.apply_structural(
-            {"btb": structural["btb"], "ras": structural["ras"]})
-        if self.loadelim is not None and structural["tags"] is not None:
-            self.loadelim.apply_structural(structural["tags"])
-
     # ------------------------------------------------------------ scalar / branch
 
     def _run_scalar(self, dyn: DynInstr, ctx: _StepContext) -> _ExecResult:
@@ -327,7 +286,7 @@ class _OOORun(StagedMachine):
             if not renamed_late:
                 # A free-list stall at decode holds up the whole front end;
                 # under the single-point rename of Section 6.2 the stall is
-                # absorbed by the memory pipeline instead.
+                # taken up by the memory pipeline instead.
                 rename_done = max(rename_done, rename_result.available_at)
             earliest = max(earliest, rename_result.available_at)
             dest_phys = rename_result.phys

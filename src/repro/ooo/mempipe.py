@@ -48,7 +48,7 @@ class MemoryPipeline(ComponentBase):
         #: increasing ``earliest`` (the in-order pipe exit), so a row whose
         #: ``address_done`` falls at or before one call's ``earliest`` can
         #: never constrain a later call and is dropped from the scan.
-        self._active: list[_PendingAccess] = []  # check: ignore[state-coverage] pure scan cache, rebuilt from _pending on restore/absorb; never snapshot-visible
+        self._active: list[_PendingAccess] = []  # check: ignore[state-coverage] pure scan cache, rebuilt from _pending on restore; never snapshot-visible
         self.dependence_stalls = 0
 
     # -- in-order address pipeline ---------------------------------------------
@@ -107,7 +107,7 @@ class MemoryPipeline(ComponentBase):
         self._active.append(entry)
         self._prune()
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot of the pipeline and the pending window."""
@@ -142,73 +142,6 @@ class MemoryPipeline(ComponentBase):
         self._pending = []
         self._active = []
         self.dependence_stalls = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        """True when the pipe and every pending access are dominated.
-
-        The pipe's ``last_exit`` may run ``depth`` cycles past the anchor
-        because traversal enters at ``rename + 1`` and exits ``depth``
-        stages later.
-        """
-        if not self.pipe.quiescent(anchor):
-            return False
-        return not any(p.address_done > anchor for p in self._pending)
-
-    def envelope(self, anchor: int) -> dict:
-        """Anchor-normalised projection of the still-observable memory state.
-
-        The pipe contributes its overhang past the dominated
-        ``anchor + depth`` band; pending accesses contribute their (stream-
-        determined) regions with normalised completion times, in recording
-        order, clamping out rows whose addresses were fully sent by the
-        anchor — disambiguation scans enter strictly past the anchor and
-        only ever wait on later completions.  Empty exactly when
-        :meth:`quiescent`.
-        """
-        env: dict = {}
-        overhang = self.pipe.envelope(anchor)
-        if overhang:
-            env["pipe"] = overhang
-        pending = [
-            [p.seq, p.region_start, p.region_end, bool(p.is_store), p.address_done - anchor]
-            for p in self._pending
-            if p.address_done > anchor
-        ]
-        if pending:
-            env["pending"] = pending
-        return env
-
-    def splice_mark(self) -> int:
-        """Bookmark the stall counter for a later :meth:`splice_delta`."""
-        return self.dependence_stalls
-
-    @staticmethod
-    def splice_delta(state: dict, extra: object, mark: int) -> dict:
-        """Shed the pre-checkpoint stalls; pipe and window pass through."""
-        out = dict(state)
-        out["dependence_stalls"] = int(state["dependence_stalls"]) - int(mark)
-        return out
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Adopt the worker's (shifted) pipe and pending window; stalls add.
-
-        A worker that saw no memory traffic leaves ``last_exit`` at its
-        initial ``-1``; the parent's own exit time then stands.
-        """
-        if int(state["pipe"]["last_exit"]) >= 0:
-            self.pipe.last_exit = int(state["pipe"]["last_exit"]) + delta
-        self.dependence_stalls += int(state["dependence_stalls"])
-        self._pending = [
-            _PendingAccess(
-                seq=int(seq),
-                region_start=int(start),
-                region_end=int(end),
-                is_store=bool(is_store),
-                address_done=int(done) + delta,
-            )
-            for seq, start, end, is_store, done in state["pending"]
-        ]
-        self._active = list(self._pending)
 
     def _prune(self) -> None:
         """Drop accesses that can no longer constrain anything new.

@@ -99,7 +99,7 @@ class IssueQueue(ComponentBase):
     def occupancy(self) -> int:
         return len(self._departures)
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot (heap stored sorted, see ReorderBuffer)."""
@@ -125,41 +125,6 @@ class IssueQueue(ComponentBase):
         self.full_stalls = 0
         self.full_stall_cycles = 0
 
-    def quiescent(self, anchor: int) -> bool:
-        """True when every pending departure is dominated by ``anchor``."""
-        return not any(t > anchor for t in self._departures)
-
-    def envelope(self, anchor: int) -> list[int]:
-        """Departure times still past ``anchor``, normalised and sorted.
-
-        Sub-anchor departures can never block an admission (grants are
-        always past the anchor, and the occupancy pop only binds when the
-        popped departure exceeds the grant).  Empty exactly when
-        :meth:`quiescent`.
-        """
-        return sorted(t - anchor for t in self._departures if t > anchor)
-
-    def splice_mark(self) -> list[int]:
-        """Bookmark the additive counters for a later :meth:`splice_delta`."""
-        return [self.admissions, self.full_stalls, self.full_stall_cycles]
-
-    @staticmethod
-    def splice_delta(state: dict, extra: object, mark: list) -> dict:
-        """Shed the pre-checkpoint counters; the departure heap passes through."""
-        out = dict(state)
-        out["admissions"] = int(state["admissions"]) - int(mark[0])
-        out["full_stalls"] = int(state["full_stalls"]) - int(mark[1])
-        out["full_stall_cycles"] = int(state["full_stall_cycles"]) - int(mark[2])
-        return out
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Adopt the worker's (shifted) departures; counters add."""
-        self._departures = [int(t) + delta for t in state["departures"]]
-        heapify(self._departures)
-        self.admissions += int(state["admissions"])
-        self.full_stalls += int(state["full_stalls"])
-        self.full_stall_cycles += int(state["full_stall_cycles"])
-
 
 class QueueSet(ComponentBase):
     """The four queues of the machine."""
@@ -180,31 +145,6 @@ class QueueSet(ComponentBase):
     def reset(self) -> None:
         for queue in self.queues.values():
             queue.reset()
-
-    def quiescent(self, anchor: int) -> bool:
-        return all(queue.quiescent(anchor) for queue in self.queues.values())
-
-    def envelope(self, anchor: int) -> dict:
-        """Per-queue envelopes, keyed by queue-kind value (empty omitted)."""
-        env: dict = {}
-        for kind, queue in self.queues.items():
-            sub = queue.envelope(anchor)
-            if sub:
-                env[kind.value] = sub
-        return env
-
-    def splice_mark(self) -> dict:
-        return {kind.value: queue.splice_mark() for kind, queue in self.queues.items()}
-
-    def splice_delta(self, state: dict, extra: object, mark: dict) -> dict:
-        return {
-            kind.value: queue.splice_delta(state[kind.value], None, mark[kind.value])
-            for kind, queue in self.queues.items()
-        }
-
-    def absorb(self, state: dict, delta: int) -> None:
-        for kind, queue in self.queues.items():
-            queue.absorb(state[kind.value], delta)
 
     @property
     def total_full_stalls(self) -> int:

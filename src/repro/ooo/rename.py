@@ -83,8 +83,7 @@ class RegisterFileRenamer(ComponentBase):
         time, which is monotone), so the first entry is also the one that
         becomes available earliest.  Popping by *position* rather than by
         availability value keeps the allocation sequence a pure function of
-        the instruction stream — which is what lets the chunked simulator
-        (:mod:`repro.parallel`) predict rename state without timing.
+        the instruction stream.
         """
         return next(iter(self.free))
 
@@ -151,7 +150,7 @@ class RegisterFileRenamer(ComponentBase):
             return
         self.free[phys.ident] = max(at_cycle, self.free.get(phys.ident, 0))
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot of the full rename state.
@@ -193,107 +192,6 @@ class RegisterFileRenamer(ComponentBase):
         self.free = {reg.ident: 0 for reg in self.registers}
         self.allocation_stalls = 0
         self.allocation_stall_cycles = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        """True when every register and free-list time is dominated by ``anchor``."""
-        for phys in self.registers:
-            if phys.ready > anchor or phys.first_result > anchor:
-                return False
-        for avail in self.free.values():
-            if avail > anchor:
-                return False
-        return True
-
-    def envelope(self, anchor: int) -> dict:
-        """Anchor-normalised projection of the still-observable rename timing.
-
-        Registers whose ready/first-result times are dominated by the anchor
-        are clamped out (reads floor at the anchor through ``max``); free-list
-        entries are keyed by FIFO *position* — the allocation order is
-        structural — with only above-anchor availability times reported.
-        Empty exactly when :meth:`quiescent`.
-        """
-        regs = [
-            [
-                reg.ident,
-                max(reg.ready - anchor, 0),
-                max(reg.first_result - anchor, 0),
-                bool(reg.from_load),
-            ]
-            for reg in self.registers
-            if reg.ready > anchor or reg.first_result > anchor
-        ]
-        free = [
-            [position, avail - anchor]
-            for position, avail in enumerate(self.free.values())
-            if avail > anchor
-        ]
-        env: dict = {}
-        if regs:
-            env["regs"] = regs
-        if free:
-            env["free"] = free
-        return env
-
-    def splice_mark(self) -> list[int]:
-        """Bookmark the stall counters for a later :meth:`splice_delta`."""
-        return [self.allocation_stalls, self.allocation_stall_cycles]
-
-    @staticmethod
-    def splice_delta(state: dict, extra: object, mark: list) -> dict:
-        """Shed the pre-checkpoint stall counts; timing state passes through."""
-        out = dict(state)
-        out["allocation_stalls"] = int(state["allocation_stalls"]) - int(mark[0])
-        out["allocation_stall_cycles"] = (
-            int(state["allocation_stall_cycles"]) - int(mark[1])
-        )
-        return out
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Adopt the worker's (shifted) rename state; stall counters add."""
-        for ident, ready, first_result, from_load in state["regs"]:
-            reg = self.registers[int(ident)]
-            reg.ready = int(ready) + delta
-            reg.first_result = int(first_result) + delta
-            reg.from_load = bool(from_load)
-        self.mapping = {
-            int(logical): self.registers[int(ident)]
-            for logical, ident in state["mapping"]
-        }
-        self.free = {
-            int(ident): int(avail) + delta for ident, avail in state["free"]
-        }
-        self.allocation_stalls += int(state["allocation_stalls"])
-        self.allocation_stall_cycles += int(state["allocation_stall_cycles"])
-
-    # -- structural boundary (see repro.parallel) ----------------------------
-
-    def structural(self) -> dict:
-        """The stream-determined part of this class's rename state.
-
-        The free list is recorded as an ordered ident list (the FIFO
-        allocation order); availability times are timing state and
-        excluded.  Mapping entries are sorted because their iteration
-        order is never observed.
-        """
-        return {
-            "mapping": sorted(
-                [logical, phys.ident] for logical, phys in self.mapping.items()
-            ),
-            "free": list(self.free),
-        }
-
-    def apply_structural(self, state: dict) -> None:
-        """Impose a predicted structural state on a freshly built renamer.
-
-        The timing side (availability times) is already all-zero on a
-        fresh instance, which *is* the canonical quiescent frame.
-        """
-        self.mapping = {
-            int(logical): self.registers[int(ident)]
-            for logical, ident in state["mapping"]
-        }
-        self.free = {int(ident): 0 for ident in state["free"]}
 
     # -- queries -------------------------------------------------------------
 
@@ -351,39 +249,6 @@ class RenameUnit(ComponentBase):
     def reset(self) -> None:
         for file in self.files.values():
             file.reset()
-
-    def quiescent(self, anchor: int) -> bool:
-        return all(file.quiescent(anchor) for file in self.files.values())
-
-    def envelope(self, anchor: int) -> dict:
-        """Per-class envelopes, keyed by register-class value (empty omitted)."""
-        env: dict = {}
-        for cls, file in self.files.items():
-            sub = file.envelope(anchor)
-            if sub:
-                env[cls.value] = sub
-        return env
-
-    def splice_mark(self) -> dict:
-        return {cls.value: file.splice_mark() for cls, file in self.files.items()}
-
-    def splice_delta(self, state: dict, extra: object, mark: dict) -> dict:
-        return {
-            cls.value: file.splice_delta(state[cls.value], None, mark[cls.value])
-            for cls, file in self.files.items()
-        }
-
-    def absorb(self, state: dict, delta: int) -> None:
-        for cls, file in self.files.items():
-            file.absorb(state[cls.value], delta)
-
-    def structural(self) -> dict:
-        """Per-class structural projections, keyed by register-class value."""
-        return {cls.value: file.structural() for cls, file in self.files.items()}
-
-    def apply_structural(self, state: dict) -> None:
-        for cls, file in self.files.items():
-            file.apply_structural(state[cls.value])
 
     @property
     def total_allocation_stalls(self) -> int:

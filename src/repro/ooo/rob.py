@@ -84,7 +84,7 @@ class ReorderBuffer(ComponentBase):
     def occupancy(self) -> int:
         return len(self._occupancy)
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-compatible snapshot.
@@ -122,56 +122,3 @@ class ReorderBuffer(ComponentBase):
         self.allocation_stalls = 0
         self.allocation_stall_cycles = 0
         self.committed = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        """True when every commit time on record is dominated by ``anchor``."""
-        if self.last_commit > anchor:
-            return False
-        if any(t > anchor for t in self._occupancy):
-            return False
-        return not any(t > anchor for t in self._recent_commits)
-
-    def envelope(self, anchor: int) -> dict:
-        """Anchor-normalised projection of the still-observable commit timing.
-
-        Sub-anchor occupancy entries and recent commits are clamped out:
-        allocation grants and the commit-bandwidth constraint only bind when
-        the recorded time exceeds the granted cycle, which is always past
-        the anchor.  Empty exactly when :meth:`quiescent`.
-        """
-        env: dict = {}
-        occupancy = sorted(t - anchor for t in self._occupancy if t > anchor)
-        if occupancy:
-            env["occupancy"] = occupancy
-        recent = [t - anchor for t in self._recent_commits if t > anchor]
-        if recent:
-            env["recent"] = recent
-        if self.last_commit > anchor:
-            env["last_commit"] = self.last_commit - anchor
-        return env
-
-    def splice_mark(self) -> list[int]:
-        """Bookmark the additive counters for a later :meth:`splice_delta`."""
-        return [self.allocation_stalls, self.allocation_stall_cycles, self.committed]
-
-    @staticmethod
-    def splice_delta(state: dict, extra: object, mark: list) -> dict:
-        """Shed the pre-checkpoint counters; occupancy state passes through."""
-        out = dict(state)
-        out["allocation_stalls"] = int(state["allocation_stalls"]) - int(mark[0])
-        out["allocation_stall_cycles"] = (
-            int(state["allocation_stall_cycles"]) - int(mark[1])
-        )
-        out["committed"] = int(state["committed"]) - int(mark[2])
-        return out
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Adopt the worker's (shifted) occupancy; stall counters add."""
-        self._occupancy = [int(t) + delta for t in state["occupancy"]]
-        heapify(self._occupancy)
-        self._recent_commits.clear()
-        self._recent_commits.extend(int(t) + delta for t in state["recent"])
-        self.last_commit = int(state["last_commit"]) + delta
-        self.allocation_stalls += int(state["allocation_stalls"])
-        self.allocation_stall_cycles += int(state["allocation_stall_cycles"])
-        self.committed += int(state["committed"])

@@ -17,9 +17,9 @@ bus are driven through the flattened :func:`~repro.machine.batched.gap_find`/
 scalars plus statistics counters live in true locals written back once at
 the end.  Component **objects** (the lazy register map, the port
 resources, the busy trackers) are mutated in place and in the same order
-as the scalar kernel, so snapshots, digests and quiescence are
-bit-identical — including the insertion order of the lazily created
-register-timing entries, which is digest-visible.
+as the scalar kernel, so snapshots and digests are bit-identical —
+including the insertion order of the lazily created register-timing
+entries, which is digest-visible.
 """
 
 from __future__ import annotations

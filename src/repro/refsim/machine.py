@@ -21,7 +21,7 @@ behaviour — and the memory-port idle time it creates — is what Figures 3 and
 Like the OOOVA, the machine is declared on the component kernel
 (:class:`repro.machine.core.StagedMachine`): the architected-register
 timing map and the three functional units are components of their own, and
-``snapshot``/``restore``/quiescence/chunk-merging are derived from the
+``snapshot``/``restore``/``reset``/``digest`` are derived from the
 component registry rather than hand-written.
 """
 
@@ -97,48 +97,6 @@ class _RegTimings(ComponentBase):
     def reset(self) -> None:
         self.map = {}
 
-    def quiescent(self, anchor: int) -> bool:
-        return not any(
-            st.ready > anchor or st.read_until > anchor for st in self.map.values()
-        )
-
-    def envelope(self, anchor: int) -> list:
-        """Registers with timing still observable past ``anchor``, sorted.
-
-        Every consumption site floors at ``issue_ready`` (the anchor)
-        through ``max``, so rows whose times are all dominated are clamped
-        out — including their ``from_load`` flag, which only selects between
-        two equally dominated values.  Rows are sorted because the map's
-        insertion order is never observed.  Empty exactly when
-        :meth:`quiescent`.
-        """
-        return sorted(
-            [
-                reg.cls.value,
-                reg.index,
-                max(st.ready - anchor, 0),
-                max(st.first_result - anchor, 0),
-                bool(st.from_load),
-                max(st.read_until - anchor, 0),
-            ]
-            for reg, st in self.map.items()
-            if st.ready > anchor or st.first_result > anchor or st.read_until > anchor
-        )
-
-    def absorb(self, state: list, delta: int) -> None:
-        """Adopt the worker's (shifted) register timings.
-
-        Registers the worker never touched keep the parent's entries, which
-        quiescence proved are dominated by the anchor anyway.
-        """
-        for cls, index, ready, first_result, from_load, read_until in state:
-            self.map[Register(RegClass(cls), int(index))] = _RegState(
-                ready=int(ready) + delta,
-                first_result=int(first_result) + delta,
-                from_load=bool(from_load),
-                read_until=int(read_until) + delta,
-            )
-
 
 class _UnitSet(ComponentBase):
     """The three functional units (FU1, FU2, MEM) as one component."""
@@ -162,31 +120,6 @@ class _UnitSet(ComponentBase):
         for unit in self.all_units():
             unit.free_at = 0
 
-    def quiescent(self, anchor: int) -> bool:
-        return all(unit.free_at <= anchor for unit in self.all_units())
-
-    def envelope(self, anchor: int) -> dict:
-        """Unit busy tails past ``anchor``, plus the one relative comparison.
-
-        ``_select_compute_unit`` compares ``fu1.free_at <= fu2.free_at`` —
-        two old values against *each other*, the one site that escapes the
-        ``max(anchor, old)`` clamping.  The comparison's outcome is encoded
-        only as its violation (``fu1_gt_fu2``), so the projection stays
-        empty — matching the canonical fresh frame, which prefers FU1 —
-        exactly when the machine is quiescent at the cut.
-        """
-        env: dict = {}
-        for unit in self.all_units():
-            if unit.free_at > anchor:
-                env[unit.name] = unit.free_at - anchor
-        if self.fu1.free_at > self.fu2.free_at:
-            env["fu1_gt_fu2"] = True
-        return env
-
-    def absorb(self, state: dict, delta: int) -> None:
-        for unit in self.all_units():
-            unit.free_at = int(state[unit.name]) + delta
-
 
 class ReferenceSimulator:
     """Trace-driven timing simulator of the reference (in-order) machine."""
@@ -204,7 +137,6 @@ class _ReferenceRun(StagedMachine):
 
     KIND = "ref"
     SNAPSHOT_SCALARS = ("issue_ready", "horizon")
-    ABSORB_SHIFT = ("issue_ready",)
     DISPATCH = {
         InstrKind.VECTOR_ALU: "_run_vector_compute",
         InstrKind.VECTOR_LOAD: "_run_vector_memory",
@@ -261,22 +193,6 @@ class _ReferenceRun(StagedMachine):
         self.stats.cycles = self.horizon
         self.stats.address_port_busy_cycles = self.memory.busy_cycles
         return self.stats
-
-    # -- chunked-simulation state (see repro.parallel) ------------------------
-
-    def chunk_anchor(self) -> int:
-        """``issue_ready`` — the earliest post-cut issue cycle."""
-        return self.issue_ready
-
-    def machine_quiescent(self, anchor: int) -> bool:
-        """One site escapes the ``max(old, new)`` pattern: unit selection.
-
-        :meth:`_select_compute_unit` compares ``fu1.free_at <=
-        fu2.free_at`` — two old values against *each other*.  The canonical
-        frame zeroes both and therefore prefers FU1, so a cut is only safe
-        when the true state agrees with that preference.
-        """
-        return self.fu1.free_at <= self.fu2.free_at
 
     # -- instruction classes ----------------------------------------------------
 

@@ -40,7 +40,7 @@ class BankedVectorRegisterFile(ComponentBase):
         self.read_conflict_delay = 0
         self.write_conflict_delay = 0
 
-    # -- chunked-simulation state (see repro.parallel) ----------------------
+    # -- component state ----------------------------------------------------
 
     def snapshot(self) -> dict:
         return {
@@ -68,70 +68,6 @@ class BankedVectorRegisterFile(ComponentBase):
                     port.reset()
         self.read_conflict_delay = 0
         self.write_conflict_delay = 0
-
-    def quiescent(self, anchor: int) -> bool:
-        """True when no port reservation extends past ``anchor``."""
-        return all(
-            port.quiescent(anchor)
-            for banks in (self._read_ports, self._write_ports)
-            for bank in banks
-            for port in bank
-        )
-
-    def absorb(self, state: dict, delta: int) -> None:
-        """Extend every port with the worker's (shifted) slots; delays add."""
-        for banks, key in ((self._read_ports, "read"), (self._write_ports, "write")):
-            for bank, bank_state in zip(banks, state[key], strict=True):
-                for port, port_state in zip(bank, bank_state, strict=True):
-                    port.absorb(port_state, delta)
-        self.read_conflict_delay += int(state["read_conflict_delay"])
-        self.write_conflict_delay += int(state["write_conflict_delay"])
-
-    def envelope(self, anchor: int) -> dict:
-        """Per-port busy tails past ``anchor`` (bank-major, falsy omitted)."""
-        env: dict = {}
-        for banks, key in ((self._read_ports, "read"), (self._write_ports, "write")):
-            rows = [[port.envelope(anchor) for port in bank] for bank in banks]
-            if any(sub for row in rows for sub in row):
-                env[key] = rows
-        return env
-
-    def splice_mark(self) -> dict:
-        """Per-port recording bookmarks plus the conflict-delay counters."""
-        return {
-            "read": [[port.splice_mark() for port in bank] for bank in self._read_ports],
-            "write": [[port.splice_mark() for port in bank] for bank in self._write_ports],
-            "delays": [self.read_conflict_delay, self.write_conflict_delay],
-        }
-
-    def splice_extra(self) -> dict:
-        """Per-port raw busy dumps the splice marks index into."""
-        return {
-            "read": [[port.splice_extra() for port in bank] for bank in self._read_ports],
-            "write": [[port.splice_extra() for port in bank] for bank in self._write_ports],
-        }
-
-    @staticmethod
-    def splice_delta(state: dict, extra: dict, mark: dict) -> dict:
-        """Reduce a worker exit snapshot to the post-checkpoint residue."""
-        raw = extra or {}
-        out: dict = {}
-        for key in ("read", "write"):
-            out[key] = [
-                [
-                    GapResource.splice_delta(port_state, port_raw, port_mark)
-                    for port_state, port_raw, port_mark in zip(
-                        bank_state, bank_raw, bank_mark, strict=True
-                    )
-                ]
-                for bank_state, bank_raw, bank_mark in zip(
-                    state[key], raw[key], mark[key], strict=True
-                )
-            ]
-        delays = mark["delays"]
-        out["read_conflict_delay"] = int(state["read_conflict_delay"]) - int(delays[0])
-        out["write_conflict_delay"] = int(state["write_conflict_delay"]) - int(delays[1])
-        return out
 
     def bank_of(self, register: Register) -> int:
         if register.cls is not RegClass.V:

@@ -1,16 +1,16 @@
 """Behavioural tests for the :mod:`repro.api` façade.
 
 Covers the Session lifecycle, RunRequest grids, exhibit parity with the
-CLI, the machine-model registry, the deprecation shims (old entry points
-warn but stay behaviour-identical) and the chunk-worker trace locator.
+CLI, the machine-model registry and the deprecation shim (the old entry
+point warns but stays behaviour-identical).
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro.api import (
+    ExecutionPlan,
     ExhibitSet,
     MachineModel,
     RunRequest,
@@ -25,7 +25,7 @@ from repro.api import (
 from repro.common.errors import ReproError
 from repro.common.params import OOOParams, ReferenceParams
 from repro.core.config import get_config, ooo_config
-from repro.core.runner import get_engine, set_engine
+from repro.core.runner import ExperimentEngine, ResultStore, get_engine, set_engine
 from repro.core.simulator import run as run_simulation
 
 
@@ -82,6 +82,17 @@ class TestSessionLifecycle:
             session.exhibits(names=("table1",))
         assert get_engine() is default
 
+    def test_installed_default_engine_shares_the_session_cache(self, tmp_path):
+        engine = ExperimentEngine(ResultStore(tmp_path, backend="json"),
+                                  plan=ExecutionPlan())
+        set_engine(engine)
+        assert get_engine() is engine
+        result = engine.result("nasa7", get_config("reference"))
+        with Session(cache_dir=tmp_path, store="json") as session:
+            assert session.engine.simulated == 0  # served from the shared cache
+            via_session = session.result("nasa7", "reference")
+        assert via_session.to_dict() == result.to_dict()
+
 
 class TestRunRequestGrids:
     def test_grid_matches_direct_simulation(self):
@@ -117,16 +128,6 @@ class TestRunRequestGrids:
             first.stats.cycles = -1
             second = session.run(request).get("nasa7", "reference")
         assert second.cycles > 0
-
-    def test_per_request_chunking_override_is_bit_identical(self):
-        base = RunRequest(workloads=("nasa7",), configs=("reference",))
-        chunked = RunRequest(workloads=("nasa7",), configs=("reference",),
-                             chunk_size=300)
-        with Session() as session:
-            mono = session.run(base).get("nasa7", "reference")
-        with Session() as session:
-            via_chunks = session.run(chunked).get("nasa7", "reference")
-        assert mono.to_dict() == via_chunks.to_dict()
 
     def test_to_dict_lists_every_grid_point(self):
         small = ooo_config(phys_vregs=9)
@@ -199,13 +200,10 @@ class TestExhibitParityWithCLI:
 
 
 class TestSimulateAndGc:
-    def test_simulate_chunked_equals_monolithic(self):
+    def test_simulate_returns_the_point_result(self):
         with Session() as session:
-            mono, report = session.simulate("nasa7", "ooo")
-            assert report is None
-            chunked, report = session.simulate("nasa7", "ooo", chunk_size=300)
-        assert report is not None and report.chunks > 1
-        assert mono.to_dict() == chunked.to_dict()
+            result = session.simulate("nasa7", "ooo")
+        assert result.to_dict() == run_simulation("nasa7", get_config("ooo")).to_dict()
 
     def test_simulate_unknown_program(self):
         with Session() as session:
@@ -218,10 +216,10 @@ class TestSimulateAndGc:
                 session.gc()
 
     def test_gc_covers_all_namespaces(self, tmp_path):
-        with Session(cache_dir=tmp_path, chunk_size=300) as session:
+        with Session(cache_dir=tmp_path) as session:
             session.result("nasa7", "reference")
             collected = session.gc()
-        assert set(collected) == {"results", "traces", "chunks"}
+        assert set(collected) == {"results", "traces"}
         assert collected["results"][0] >= 1  # the stored result was kept
         assert collected["traces"][0] >= 1   # the memoised trace was kept
 
@@ -234,7 +232,7 @@ class TestMachineRegistry:
 
     def test_create_run_builds_protocol_machines(self):
         machine = create_run(OOOParams())
-        for method in ("run_slice", "finalise", "snapshot", "restore"):
+        for method in ("run_slice", "finalise"):
             assert callable(getattr(machine, method))
 
     def test_unknown_lookups_raise(self):
@@ -258,18 +256,6 @@ class TestMachineRegistry:
 
 
 class TestDeprecationShims:
-    def test_configure_engine_warns_and_behaves_identically(self, tmp_path):
-        from repro.core.runner import configure_engine
-
-        with pytest.warns(DeprecationWarning, match="Session"):
-            engine = configure_engine(cache_dir=tmp_path, store="json")
-        assert get_engine() is engine
-        result = engine.result("nasa7", get_config("reference"))
-        with Session(cache_dir=tmp_path, store="json") as session:
-            assert session.engine.simulated == 0  # served from the shim's cache
-            via_session = session.result("nasa7", "reference")
-        assert via_session.to_dict() == result.to_dict()
-
     def test_run_cached_warns_and_matches_session(self):
         from repro.core.simulator import run_cached
 
@@ -278,59 +264,6 @@ class TestDeprecationShims:
         with Session() as session:
             new = session.result("nasa7", "reference")
         assert old.to_dict() == new.to_dict()
-
-
-class TestChunkWorkerTraceLocator:
-    def test_tasks_carry_locator_when_store_backed(self, tmp_path):
-        from repro.parallel.driver import ChunkedSimulation, _simulate_chunk
-        from repro.parallel.scout import plan_chunks
-        from repro.trace.store import TraceStore
-
-        store = TraceStore(tmp_path / "traces")
-        store.ensure("nasa7", "small")
-        trace = store.load_memoised("nasa7", "small")
-        config = get_config("reference")
-        sim = ChunkedSimulation(
-            trace, config.params, chunk_size=300,
-            trace_source=(str(store.cache_dir), "nasa7", "small"),
-        )
-        plans = plan_chunks(trace, config.params, 300)
-        assert len(plans) > 1
-        task = sim._task(plans[1])
-        source = task[2]
-        assert source[0] == "trace"  # a locator, not pickled instructions
-        assert source[1:4] == (str(store.cache_dir), "nasa7", "small")
-        # the worker resolves the locator to exactly the plan's slice
-        payload = _simulate_chunk(task)
-        assert payload["state"]["kind"] == "ref"
-        assert payload["checkpoints"][0]["offset"] == 0
-
-    def test_inline_fallback_without_store(self):
-        from repro.parallel.driver import ChunkedSimulation
-        from repro.parallel.scout import plan_chunks
-        from repro.workloads.registry import get_workload
-
-        trace = get_workload("nasa7", "small").trace()
-        config = get_config("reference")
-        sim = ChunkedSimulation(trace, config.params, chunk_size=300)
-        plans = plan_chunks(trace, config.params, 300)
-        source = sim._task(plans[0])[2]
-        assert source[0] == "inline"
-        assert source[1] == trace.instructions[plans[0].start:plans[0].stop]
-
-    def test_store_backed_chunked_point_equals_monolithic(self, tmp_path):
-        from repro.core.simulator import simulate_point, simulate_point_chunked
-        from repro.trace.store import TraceStore
-
-        store = TraceStore(tmp_path / "traces")
-        config = get_config("ooo")
-        mono = simulate_point("nasa7", "small", config)
-        chunked, report = simulate_point_chunked(
-            "nasa7", "small", config, chunk_size=300, intra_jobs=2,
-            trace_store=store,
-        )
-        assert report.chunks > 1
-        assert mono.to_dict() == chunked.to_dict()
 
 
 class TestSettingsSessionIntegration:

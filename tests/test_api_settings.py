@@ -13,8 +13,7 @@ import pytest
 
 from repro.api import (
     CACHE_DIR_ENV,
-    CHUNK_SIZE_ENV,
-    INTRA_JOBS_ENV,
+    FLEET_ENV,
     JOBS_ENV,
     Settings,
 )
@@ -28,8 +27,7 @@ class TestDefaults:
         assert settings.cache_dir is None
         assert settings.store == "json"
         assert settings.jobs == 1
-        assert settings.intra_jobs == 1
-        assert settings.chunk_size == 0
+        assert settings.fleet == 0
         assert settings.explicit == frozenset()
 
     def test_resolve_defaults_to_process_environment(self, monkeypatch):
@@ -43,15 +41,13 @@ class TestEnvironmentLayer:
             CACHE_DIR_ENV: "/tmp/cache",
             STORE_ENV: "sqlite",
             JOBS_ENV: "4",
-            INTRA_JOBS_ENV: "2",
-            CHUNK_SIZE_ENV: "512",
+            FLEET_ENV: "3",
         }
         settings = Settings.resolve(env=env)
         assert settings.cache_dir == "/tmp/cache"
         assert settings.store == "sqlite"
         assert settings.jobs == 4
-        assert settings.intra_jobs == 2
-        assert settings.chunk_size == 512
+        assert settings.fleet == 3
         assert settings.explicit == frozenset()
 
     def test_empty_env_cache_dir_means_disabled(self):
@@ -59,14 +55,14 @@ class TestEnvironmentLayer:
 
     @pytest.mark.parametrize("bad", ["abc", "1.5", " "])
     def test_unparsable_env_integers_fall_back_to_defaults(self, bad):
-        env = {JOBS_ENV: bad, INTRA_JOBS_ENV: bad, CHUNK_SIZE_ENV: bad}
+        env = {JOBS_ENV: bad, FLEET_ENV: bad}
         settings = Settings.resolve(env=env)
-        assert (settings.jobs, settings.intra_jobs, settings.chunk_size) == (1, 1, 0)
+        assert (settings.jobs, settings.fleet) == (1, 0)
 
     def test_out_of_range_env_integers_are_clamped(self):
-        env = {JOBS_ENV: "0", INTRA_JOBS_ENV: "-3", CHUNK_SIZE_ENV: "-100"}
+        env = {JOBS_ENV: "0", FLEET_ENV: "-100"}
         settings = Settings.resolve(env=env)
-        assert (settings.jobs, settings.intra_jobs, settings.chunk_size) == (1, 1, 0)
+        assert (settings.jobs, settings.fleet) == (1, 0)
 
     def test_invalid_env_store_is_an_error(self):
         with pytest.raises(ReproError, match="blockchain"):
@@ -86,10 +82,10 @@ class TestExplicitLayer:
         assert settings.cache_dir == "/tmp/mine"
         assert settings.explicit == {"jobs", "store", "cache_dir"}
 
-    def test_falsy_explicit_chunk_size_beats_environment(self):
-        settings = Settings.resolve(chunk_size=0, env={CHUNK_SIZE_ENV: "512"})
-        assert settings.chunk_size == 0
-        assert "chunk_size" in settings.explicit
+    def test_falsy_explicit_fleet_beats_environment(self):
+        settings = Settings.resolve(fleet=0, env={FLEET_ENV: "4"})
+        assert settings.fleet == 0
+        assert "fleet" in settings.explicit
 
     def test_explicit_none_cache_dir_beats_environment(self):
         settings = Settings.resolve(
@@ -105,7 +101,7 @@ class TestExplicitLayer:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"jobs": 0}, {"jobs": -1}, {"intra_jobs": 0}, {"chunk_size": -1},
+        [{"jobs": 0}, {"jobs": -1}, {"fleet": -1},
          {"jobs": "nope"}, {"store": "blockchain"}],
     )
     def test_invalid_explicit_values_raise(self, kwargs):
@@ -121,10 +117,10 @@ class TestExplicitLayer:
 class TestOverride:
     def test_override_records_explicitness(self):
         base = Settings.resolve(env={JOBS_ENV: "4"})
-        derived = base.override(chunk_size=256)
+        derived = base.override(fleet=2)
         assert derived.jobs == 4  # carried over, still env-derived
-        assert derived.chunk_size == 256
-        assert "chunk_size" in derived.explicit
+        assert derived.fleet == 2
+        assert "fleet" in derived.explicit
 
     def test_override_validates(self):
         with pytest.raises(ReproError):

@@ -14,14 +14,12 @@ import repro.api
 #: the locked surface — update deliberately, never incidentally
 PUBLIC_SURFACE = (
     "CACHE_DIR_ENV",
-    "CHUNK_SIZE_ENV",
     "CheckPass",
     "ExecutionPlan",
     "ExhibitResult",
     "ExhibitSet",
     "FLEET_ENV",
     "Finding",
-    "INTRA_JOBS_ENV",
     "JOBS_ENV",
     "KERNEL_ENV",
     "KERNEL_NAMES",

@@ -5,8 +5,8 @@ structure-of-arrays columns and steps each machine through a registered
 per-machine segment loop; the scalar kernel is the per-instruction dispatch
 table.  Their contract is *bit-identical* :class:`~repro.common.stats.SimStats`
 and snapshots for every registered machine, on any instruction sequence —
-including mid-trace slices, which is how the chunked simulator drives the
-kernel.  Machines without a registered stepper must fall back to their own
+including mid-trace slices, since ``run_slice`` is resumable by the
+``Machine`` contract.  Machines without a registered stepper must fall back to their own
 ``run_slice`` untouched (the bring-your-own-machine path).
 """
 
@@ -58,14 +58,14 @@ class TestEveryRegisteredMachine:
     @pytest.mark.parametrize("name", MACHINES)
     def test_builtin_machines_have_a_registered_stepper(self, name):
         # the three shipped machines must take the fast path, not the
-        # fallback — otherwise the bench acceptance silently measures
-        # scalar against scalar
+        # fallback — otherwise a kernel comparison silently measures scalar
+        # against scalar
         assert has_lowering(_fresh_run(name, TRACES["trfd"]))
 
     @pytest.mark.parametrize("name", MACHINES)
     def test_state_carries_over_between_calls(self, name):
-        # the chunked driver replays chunk after chunk through one machine;
-        # interleaving kernels mid-trace must still land on the same state
+        # run_slice is resumable; interleaving kernels mid-trace must still
+        # land on the same state
         trace = TRACES["trfd"]
         cut = len(trace) // 2
         scalar = _fresh_run(name, trace)

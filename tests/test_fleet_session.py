@@ -1,8 +1,8 @@
 """API-level tests for the PR-8 redesign: ExecutionPlan, RunHandle, fleet.
 
 Covers the frozen :class:`~repro.api.ExecutionPlan` (validation, Settings
-resolution, the warn-but-identical legacy-kwarg shim on
-:class:`~repro.core.runner.ExperimentEngine`), the
+resolution, and :class:`~repro.core.runner.ExperimentEngine` taking its
+execution knobs only through a plan), the
 :meth:`Session.submit() <repro.api.Session.submit>` →
 :class:`~repro.api.RunHandle` lifecycle in both execution modes, and the
 headline fleet guarantee: a grid run through spawned fleet workers is
@@ -29,13 +29,12 @@ from repro.core.runner import ExperimentEngine, ResultStore
 class TestExecutionPlan:
     def test_defaults(self):
         plan = ExecutionPlan()
-        assert (plan.jobs, plan.intra_jobs, plan.chunk_size) == (1, 1, 0)
+        assert plan.jobs == 1
         assert plan.kernel == "scalar"
         assert plan.fleet == 0
 
     @pytest.mark.parametrize("bad", [
-        {"jobs": 0}, {"intra_jobs": 0}, {"chunk_size": -1},
-        {"kernel": "quantum"}, {"fleet": -1},
+        {"jobs": 0}, {"kernel": "quantum"}, {"fleet": -1},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -51,10 +50,9 @@ class TestExecutionPlan:
 
     def test_settings_resolve_once_into_the_plan(self):
         settings = Settings.resolve(
-            jobs=2, chunk_size=500, kernel="batched", fleet=4, env={})
+            jobs=2, kernel="batched", fleet=4, env={})
         plan = settings.plan()
-        assert plan == ExecutionPlan(
-            jobs=2, intra_jobs=1, chunk_size=500, kernel="batched", fleet=4)
+        assert plan == ExecutionPlan(jobs=2, kernel="batched", fleet=4)
 
     def test_fleet_env_var(self):
         assert Settings.resolve(env={FLEET_ENV: "3"}).plan().fleet == 3
@@ -63,33 +61,14 @@ class TestExecutionPlan:
         assert Settings.resolve(fleet=1, env={FLEET_ENV: "9"}).plan().fleet == 1
 
 
-class TestLegacyEngineKwargs:
-    """The deprecation shim: old kwargs warn but behave identically."""
+class TestEngineConstruction:
+    """The engine takes its execution knobs from a plan, nowhere else."""
 
-    def test_legacy_kwargs_warn_and_match_the_plan_equivalent(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPlan"):
-            legacy = ExperimentEngine(
-                ResultStore(None), jobs=2, intra_jobs=2, chunk_size=400)
-        modern = ExperimentEngine(
-            ResultStore(None),
-            plan=ExecutionPlan(jobs=2, intra_jobs=2, chunk_size=400))
-        assert legacy.plan == modern.plan
-        assert (legacy.jobs, legacy.intra_jobs, legacy.chunk_size) == (
-            modern.jobs, modern.intra_jobs, modern.chunk_size)
-
-    def test_positional_int_still_means_jobs(self):
-        with pytest.warns(DeprecationWarning):
-            engine = ExperimentEngine(ResultStore(None), 3)
-        assert engine.jobs == 3
-
-    def test_plan_and_legacy_kwargs_together_are_an_error(self):
-        with pytest.raises(TypeError, match="alongside"):
-            ExperimentEngine(
-                ResultStore(None), plan=ExecutionPlan(jobs=2), jobs=2)
-
-    def test_unknown_kwargs_are_an_error(self):
-        with pytest.raises(TypeError, match="workers"):
-            ExperimentEngine(ResultStore(None), workers=4)
+    @pytest.mark.parametrize("kwargs", [{"jobs": 2}, {"kernel": "batched"},
+                                        {"workers": 4}])
+    def test_loose_knob_kwargs_are_an_error(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            ExperimentEngine(ResultStore(None), **kwargs)
 
     def test_plan_construction_does_not_warn(self):
         with warnings.catch_warnings():
@@ -97,11 +76,6 @@ class TestLegacyEngineKwargs:
             engine = ExperimentEngine(
                 ResultStore(None), plan=ExecutionPlan(jobs=2))
         assert engine.plan.jobs == 2
-
-    def test_legacy_validation_still_raises_value_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="jobs must be at least 1"):
-                ExperimentEngine(ResultStore(None), jobs=0)
 
 
 GRID = RunRequest(workloads=("nasa7",), configs=("reference", "ooo"))
@@ -172,9 +146,9 @@ class TestRunHandleInProcess:
         with Session(env={}) as session:
             handle = session.submit(
                 RunRequest(workloads=("nasa7",), configs=("reference",),
-                           chunk_size=300))
+                           jobs=2))
             assert handle._engine is not session.engine
-            assert handle._engine.plan.chunk_size == 300
+            assert handle._engine.plan.jobs == 2
             assert handle.result().get("nasa7", "reference") is not None
 
 

@@ -209,17 +209,10 @@ class TestMinimalRegisteredMachine:
                 stats.cycles = self.cycles
                 return stats
 
-            def snapshot(self):
-                return {"kind": "kernel-test-flat", "cycles": self.cycles}
-
-            def restore(self, state):
-                self.cycles = int(state["cycles"])
-
         model = register_machine(MachineModel(
             name="kernel-test-flat",
             params_type=FlatParams,
             factory=lambda params, trace: FlatRun(params, trace),
-            snapshot_kind="kernel-test-flat",
         ))
         yield model
         # both registries are process-global; drop the stub so registry-
@@ -268,4 +261,4 @@ def test_custom_machine_example_runs():
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert "bit-identical by exact replay" in result.stdout
+    assert "bit-identical when resumed across two run_slice calls" in result.stdout

@@ -1,10 +1,9 @@
 """Unit and property tests for the S3-style object store layers.
 
 The generic :class:`~repro.core.objectstore.ObjectStore` quartet
-(put/get/list/delete), key hygiene, crash-leftover sweeping, and the two
-namespaces built on it: the ``object`` result-store backend (also covered
-by the parametrised backend-contract battery in ``test_store_backends``)
-and the object-backed chunk store.
+(put/get/list/delete), key hygiene, crash-leftover sweeping, and the
+``object`` result-store backend built on it (also covered by the
+parametrised backend-contract battery in ``test_store_backends``).
 """
 
 import pytest
@@ -13,17 +12,10 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ReproError
 from repro.core.objectstore import (
-    CHUNK_PREFIX,
     OBJECT_SUBDIR,
     RESULT_PREFIX,
     ObjectStore,
     ObjectStoreBackend,
-)
-from repro.parallel.chunkstore import (
-    ChunkStore,
-    ObjectChunkStore,
-    chunk_fingerprint,
-    make_chunk_store,
 )
 
 KEYS = st.lists(
@@ -53,11 +45,11 @@ class TestObjectStoreQuartet:
         store = ObjectStore(tmp_path)
         store.put("results/bb/2.json", b"2")
         store.put("results/aa/1.json", b"1")
-        store.put("chunks/aa/3.json", b"3")
+        store.put("queue/aa/3.json", b"3")
         assert list(store.list("results")) == [
             "results/aa/1.json", "results/bb/2.json"]
         assert list(store.list()) == [
-            "chunks/aa/3.json", "results/aa/1.json", "results/bb/2.json"]
+            "queue/aa/3.json", "results/aa/1.json", "results/bb/2.json"]
 
     def test_list_skips_temp_files(self, tmp_path):
         store = ObjectStore(tmp_path)
@@ -140,61 +132,3 @@ class TestObjectBackendLayout:
         assert backend.objects.get("results/xx/stray.json") is None
         assert backend.gc() == (0, 0)
 
-
-class TestObjectChunkNamespace:
-    def _key(self):
-        return chunk_fingerprint("f" * 64, 300, 1, 300, 600, "digest")
-
-    def test_roundtrip_shares_the_bucket_root(self, tmp_path):
-        store = ObjectChunkStore(tmp_path)
-        key = self._key()
-        store.put(key, {"kind": "ref", "horizon": 7}, info={"index": 1})
-        again = ObjectChunkStore(tmp_path)
-        assert again.get(key) == {"kind": "ref", "horizon": 7}
-        assert again.hits == 1
-        listed = list(ObjectStore(tmp_path / OBJECT_SUBDIR).list(CHUNK_PREFIX))
-        assert listed == [f"{CHUNK_PREFIX}/{key[:2]}/{key}.json"]
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        store = ObjectChunkStore(tmp_path)
-        key = self._key()
-        store.put(key, {"kind": "ref"})
-        path = (tmp_path / OBJECT_SUBDIR / CHUNK_PREFIX / key[:2]
-                / f"{key}.json")
-        path.write_text("{truncat", encoding="utf-8")
-        assert store.get(key) is None
-        assert not path.is_file()  # dropped, will re-speculate
-
-    def test_gc_counts(self, tmp_path):
-        store = ObjectChunkStore(tmp_path)
-        store.put(self._key(), {"kind": "ref"})
-        bad = chunk_fingerprint("e" * 64, 300, 0, 0, 300, "other")
-        store.objects.put(f"{CHUNK_PREFIX}/{bad[:2]}/{bad}.json", b"junk")
-        assert store.gc() == (1, 1)
-
-    def test_make_chunk_store_dispatch(self, tmp_path):
-        assert isinstance(make_chunk_store(tmp_path, "object"), ObjectChunkStore)
-        assert isinstance(make_chunk_store(tmp_path, "json"), ChunkStore)
-        assert isinstance(make_chunk_store(tmp_path, None), ChunkStore)
-        assert isinstance(make_chunk_store(tmp_path, "sqlite"), ChunkStore)
-
-    def test_chunked_simulation_accepts_object_chunk_store(self, tmp_path):
-        from repro.core.config import get_config
-        from repro.core.simulator import simulate_point, simulate_point_chunked
-
-        config = get_config("reference")
-        mono = simulate_point("nasa7", "small", config)
-        store = ObjectChunkStore(tmp_path)
-        chunked, report = simulate_point_chunked(
-            "nasa7", "small", config, chunk_size=300, chunk_store=store,
-            speculate="always",
-        )
-        assert mono.to_dict() == chunked.to_dict()
-        assert store.stored >= 1
-        # a second pass resumes from the object-store chunks
-        rerun, report2 = simulate_point_chunked(
-            "nasa7", "small", config, chunk_size=300, chunk_store=store,
-            speculate="always",
-        )
-        assert rerun.to_dict() == mono.to_dict()
-        assert report2.cache_hits >= 1

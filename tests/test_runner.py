@@ -25,7 +25,6 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    configure_engine,
     set_engine,
 )
 from repro.core.simulator import run, run_cached
@@ -220,7 +219,7 @@ class TestEngine:
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentEngine(jobs=0)
+            ExperimentEngine(plan=ExecutionPlan(jobs=0))
 
     def test_warm_disk_cache_skips_all_simulation(self, tmp_path):
         spec = ExperimentSpec.grid(
@@ -241,7 +240,9 @@ class TestEngine:
 
 class TestRunCachedIntegration:
     def test_run_cached_uses_configured_engine(self, tmp_path):
-        engine = configure_engine(cache_dir=tmp_path, jobs=1, store="json")
+        engine = ExperimentEngine(ResultStore(tmp_path, backend="json"),
+                                  plan=ExecutionPlan(jobs=1))
+        set_engine(engine)
         run_cached("trfd", ooo_config(), scale="tiny")
         assert engine.simulated == 1
         assert list(tmp_path.glob("??/*.json"))

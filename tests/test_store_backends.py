@@ -396,13 +396,20 @@ class TestSQLiteSpecifics:
         store.close()
 
     def test_reconfiguring_default_engine_closes_previous_store(self, tmp_path):
-        # Repeated configure_engine calls (one per CLI invocation, many per
-        # test session) must not leak live SQLite connections.
-        from repro.core.runner import configure_engine, set_engine
+        # Repeatedly installing a default engine (one per CLI invocation,
+        # many per test session) must not leak live SQLite connections.
+        from repro.core.runner import ExperimentEngine, set_engine
+        from repro.core.settings import ExecutionPlan
+
+        def install() -> ExperimentEngine:
+            engine = ExperimentEngine(ResultStore(tmp_path, backend="sqlite"),
+                                      plan=ExecutionPlan())
+            set_engine(engine)
+            return engine
 
         try:
-            first = configure_engine(cache_dir=tmp_path, store="sqlite")
-            configure_engine(cache_dir=tmp_path, store="sqlite")
+            first = install()
+            install()
             with pytest.raises(sqlite3.ProgrammingError):
                 first.store.backend._conn.execute("SELECT 1")
         finally:
