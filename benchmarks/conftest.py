@@ -5,15 +5,15 @@ top-level conftest) and ensures the helper module ``_harness`` resolves.
 
 The benchmark modules pull all simulation results through the experiment
 engine (see ``repro.core.runner``), whose process-wide default honours
-three environment variables:
+these environment variables:
 
-* ``REPRO_CACHE_DIR`` — persistent on-disk result store shared with
+* ``REPRO_CACHE_DIR`` — persistent on-disk result store (the object store
+  under ``$REPRO_CACHE_DIR/objects/``) shared with
   ``python -m repro.cli run-all``; a warmed cache makes the whole benchmark
   suite skip simulation entirely (compiled traces are memoised under
   ``$REPRO_CACHE_DIR/traces/`` too);
-* ``REPRO_STORE``     — result-store backend: ``json`` (sharded files, the
-  default) or ``sqlite`` (one WAL-mode ``results.db``);
-* ``REPRO_JOBS``      — worker processes used for missing grid points.
+* ``REPRO_JOBS``      — worker processes used for missing grid points;
+* ``REPRO_KERNEL``    — machine stepper kernel (``scalar`` or ``batched``).
 """
 
 import os
@@ -44,6 +44,5 @@ def pytest_terminal_summary(terminalreporter):
     from repro.core.runner import get_engine
 
     engine = get_engine()
-    engine.store.flush()  # persist any buffered store metadata (index file)
     if engine.simulated or engine.disk_hits or engine.memory_hits:
         terminalreporter.write_line(engine.summary())

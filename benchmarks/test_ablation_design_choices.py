@@ -18,7 +18,7 @@ from _harness import emit, run_once
 from repro.analysis import format_table
 from repro.common.params import OOOParams, ReferenceParams
 from repro.compiler.pipeline import compile_kernel
-from repro.core import ooo_config, reference_config, run_cached, simulate_trace
+from repro.core import get_engine, ooo_config, reference_config, simulate_trace
 from repro.core.config import MachineConfig
 from repro.trace.generator import generate_trace
 from repro.workloads import get_workload
@@ -29,10 +29,11 @@ PROGRAMS = ("swm256", "flo52", "trfd")
 def _chaining_ablation():
     rows = []
     for name in PROGRAMS:
-        ref = run_cached(name, reference_config())
+        ref = get_engine().result(name, reference_config())
         chained_params = dataclasses.replace(ReferenceParams(), chain_load_to_fu=True)
-        chained = run_cached(name, MachineConfig("reference-load-chaining", chained_params))
-        ooo = run_cached(name, ooo_config(phys_vregs=16))
+        chained = get_engine().result(
+            name, MachineConfig("reference-load-chaining", chained_params))
+        ooo = get_engine().result(name, ooo_config(phys_vregs=16))
         rows.append([name, ref.cycles, chained.cycles, ooo.cycles,
                      ref.cycles / chained.cycles, ref.cycles / ooo.cycles])
     return rows
@@ -53,9 +54,9 @@ def test_ablation_load_chaining(benchmark):
 def _commit_width_ablation():
     rows = []
     for name in PROGRAMS:
-        wide = run_cached(name, ooo_config(phys_vregs=16))
+        wide = get_engine().result(name, ooo_config(phys_vregs=16))
         narrow_params = dataclasses.replace(OOOParams(num_phys_vregs=16), commit_width=1)
-        narrow = run_cached(name, MachineConfig("ooo-commit1", narrow_params))
+        narrow = get_engine().result(name, MachineConfig("ooo-commit1", narrow_params))
         rows.append([name, wide.cycles, narrow.cycles, narrow.cycles / wide.cycles])
     return rows
 

@@ -42,7 +42,7 @@ def main() -> int:
 
     try:
         print(f"fleet store root: {store_root}")
-        with Session(cache_dir=store_root, store="object", fleet=2) as session:
+        with Session(cache_dir=store_root, fleet=2) as session:
             handle = session.submit(GRID)
             print(f"submitted: {handle.status().describe()}")
             fleet_grid = handle.result()

@@ -36,7 +36,6 @@ from repro.core import (
     ooo_config,
     reference_config,
     run,
-    run_cached,
     simulate_trace,
     standard_configs,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ooo_config",
     "reference_config",
     "run",
-    "run_cached",
     "simulate_trace",
     "standard_configs",
     "WORKLOAD_NAMES",

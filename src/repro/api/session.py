@@ -20,9 +20,8 @@ default (:func:`repro.core.runner.engine_scope`) so the ``table*`` /
 ``figure*`` experiment functions resolve through this session's caches;
 the previous default is always reinstated.
 
-Sessions are context managers: ``close()`` flushes and closes the store
-backend (releasing the SQLite connection, persisting the JSON index).  A
-closed session raises on further use.
+Sessions are context managers: ``close()`` drains any fleet workers the
+session spawned.  A closed session raises on further use.
 """
 
 from __future__ import annotations
@@ -96,15 +95,7 @@ class Session:
         elif overrides:
             settings = settings.override(**overrides)
         self.settings = settings
-        # An explicitly requested backend without a cache directory is
-        # rejected by ResultStore; an environment-defaulted one merely
-        # names the kind to use *if* persistence is on (CLI-compatible).
-        backend = (
-            settings.store
-            if settings.cache_dir is not None or "store" in settings.explicit
-            else None
-        )
-        self._store = ResultStore(settings.cache_dir, backend=backend)
+        self._store = ResultStore(settings.cache_dir)
         self.engine = ExperimentEngine(self._store, plan=settings.plan())
         self._closed = False
 
@@ -213,9 +204,9 @@ class Session:
     def scope(self) -> ContextManager[ExperimentEngine]:
         """Context manager making this session the process-wide default.
 
-        Inside the scope, legacy helpers that resolve through the default
-        engine (the ``table*``/``figure*`` experiment functions, or
-        deprecated ``run_cached`` callers) use this session's stores::
+        Inside the scope, helpers that resolve through the default engine
+        (the ``table*``/``figure*`` experiment functions, or
+        ``get_engine().result(...)`` callers) use this session's stores::
 
             with session.scope():
                 data = figure8_latency_tolerance(("trfd",), latencies=(1, 50))
@@ -282,7 +273,6 @@ class Session:
         and renderable as exactly the CLI's text/JSON/CSV documents.
         """
         computed = tuple(self.iter_exhibits(names, programs, scale))
-        self.flush()
         return ExhibitSet(
             scale=scale,
             programs=validate_programs(
@@ -317,13 +307,16 @@ class Session:
         return self.engine.summary()
 
     def flush(self) -> None:
-        """Persist buffered store metadata (e.g. the JSON index file)."""
+        """No-op kept for API stability.
+
+        The result store writes every result through to disk at once, so
+        nothing is ever buffered.
+        """
         self._check_open()
         self._store.flush()
 
     def close(self) -> None:
-        """Drain spawned fleet workers, flush and close the store backend;
-        the session becomes unusable."""
+        """Drain spawned fleet workers; the session becomes unusable."""
         if not self._closed:
             self._closed = True
             self.engine.close()

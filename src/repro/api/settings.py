@@ -22,7 +22,6 @@ from repro.core.settings import (
     ExecutionPlan,
     Settings,
 )
-from repro.core.store import STORE_ENV
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -30,7 +29,6 @@ __all__ = [
     "JOBS_ENV",
     "KERNEL_ENV",
     "KERNEL_NAMES",
-    "STORE_ENV",
     "ExecutionPlan",
     "Settings",
 ]

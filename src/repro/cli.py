@@ -9,13 +9,10 @@ paper's evaluation in one command, batched through the experiment engine::
   largest built-in scale, aliased to the workload scale ``medium``);
 * ``--jobs``      — fan the missing simulation points of each exhibit's grid
   out across that many worker processes;
-* ``--cache-dir`` — persistent on-disk result store: a second run of the
+* ``--cache-dir`` — persistent on-disk result store (an S3-style
+  filesystem bucket under ``<cache-dir>/objects/``): a second run of the
   same command performs **zero** simulations and only re-renders reports.
   Compiled workload traces are memoised under ``<cache-dir>/traces/`` too;
-* ``--store``     — result-store backend: ``json`` (sharded per-result
-  files, the default), ``sqlite`` (one WAL-mode ``results.db``, safe for
-  concurrent writers) or ``object`` (an S3-style filesystem bucket under
-  ``<cache-dir>/objects/``).  ``REPRO_STORE`` sets the default;
 * ``--format``    — ``text`` (ASCII reports, the default), ``json`` (one
   machine-readable document) or ``csv`` (flat ``exhibit,path,value`` rows);
 * ``--exhibits``  — comma-separated subset (e.g. ``figure5,figure8``);
@@ -67,7 +64,6 @@ from repro.api import (
 )
 from repro.api.request import split_names
 from repro.common.errors import ReproError
-from repro.core.store import BACKEND_NAMES
 from repro.workloads.registry import WORKLOAD_NAMES
 
 #: run-all output formats
@@ -95,8 +91,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                               "(default: $REPRO_FLEET or 0 = disabled)")
     run_all.add_argument("--cache-dir", default=None, metavar="D",
                          help="persistent on-disk result store directory")
-    run_all.add_argument("--store", choices=BACKEND_NAMES, default=None,
-                         help="result-store backend (default: $REPRO_STORE or json)")
     run_all.add_argument("--format", choices=FORMATS, default="text",
                          help="output format (default: text)")
     run_all.add_argument("--exhibits", default=None, metavar="NAMES",
@@ -125,8 +119,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     gc = sub.add_parser("gc", help="evict stale/corrupt result-store entries")
     gc.add_argument("--cache-dir", required=True, metavar="D",
                     help="result store directory to collect")
-    gc.add_argument("--store", choices=BACKEND_NAMES, default=None,
-                    help="result-store backend (default: $REPRO_STORE or json)")
 
     check = sub.add_parser(
         "check",
@@ -176,10 +168,8 @@ def _session_settings(args: argparse.Namespace) -> Settings:
     precedence applies: explicit flag > ``REPRO_*`` environment > default.
     """
     overrides: dict[str, Any] = {}
-    for flag, field in (("cache_dir", "cache_dir"), ("store", "store"),
-                        ("jobs", "jobs"), ("kernel", "kernel"),
-                        ("fleet", "fleet")):
-        value = getattr(args, flag, None)
+    for field in ("cache_dir", "jobs", "kernel", "fleet"):
+        value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
     return Settings.resolve(**overrides)
@@ -190,7 +180,6 @@ def _cmd_list() -> int:
     print("programs:", ", ".join(WORKLOAD_NAMES))
     print("machines:", ", ".join(machine_names()))
     print("scales:  ", ", ".join(sorted(SCALE_ALIASES)))
-    print("stores:  ", ", ".join(BACKEND_NAMES))
     print("formats: ", ", ".join(FORMATS))
     return 0
 
@@ -315,7 +304,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         except ReproError as exc:
             return _error(exc)
         total = time.perf_counter() - started
-        session.flush()  # persist the (advisory) index in one final merge
 
         if args.format != "text":
             exhibit_set = ExhibitSet(

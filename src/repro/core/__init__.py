@@ -21,7 +21,7 @@ from repro.core.runner import (
     run_experiment,
     set_engine,
 )
-from repro.core.simulator import clear_simulation_cache, run, run_cached, simulate_trace
+from repro.core.simulator import clear_simulation_cache, run, simulate_trace
 
 __all__ = [
     "ExperimentEngine",
@@ -43,6 +43,5 @@ __all__ = [
     "SimulationResult",
     "clear_simulation_cache",
     "run",
-    "run_cached",
     "simulate_trace",
 ]

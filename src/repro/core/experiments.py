@@ -13,7 +13,7 @@ Every function declares its sweep grid as an
 experiment engine in one batch: the engine simulates only the points missing
 from its result store and can fan the batch out across worker processes
 (``--jobs``), so a figure's whole grid is computed with maximum reuse and
-parallelism instead of one serial ``run_cached`` loop.
+parallelism instead of one serial loop of single-point lookups.
 """
 
 from __future__ import annotations

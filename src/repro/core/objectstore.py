@@ -1,8 +1,7 @@
-"""Filesystem-rooted, S3-style object store and the result-store backend on it.
+"""The result-store format and the S3-style object store that holds it.
 
-The ROADMAP's cross-machine result-sharing item calls for an object-storage
-backend behind the same fingerprint keys as the JSON and SQLite stores.
-This module provides it in two layers:
+This module owns everything :class:`~repro.core.runner.ResultStore` keeps
+on disk, in two layers:
 
 * :class:`ObjectStore` — a minimal S3-flavoured key/value store
   (``put``/``get``/``list``/``delete`` over opaque ``prefix/…`` keys)
@@ -14,11 +13,17 @@ This module provides it in two layers:
   gives cross-machine sharing without any new dependency; a networked
   implementation only has to mimic these four methods.
 
-* :class:`ObjectStoreBackend` — the :class:`~repro.core.store.StoreBackend`
-  over an :class:`ObjectStore`, selected with ``--store object`` /
-  ``REPRO_STORE=object`` / ``Settings(store="object")``.  Result entries
-  live under the ``results/`` prefix; the fleet's lease queue
-  (:mod:`repro.fleet.queue`) shares the same root under ``queue/``.
+* :class:`ObjectStoreBackend` — the persistent layer of the result store:
+  one object per result under the ``results/`` prefix, keyed by
+  :meth:`~repro.core.runner.ExperimentPoint.fingerprint`.  The fleet's
+  lease queue (:mod:`repro.fleet.queue`) shares the same root under
+  ``queue/``, and fleet workers publish results here directly.
+
+Every result object is the JSON payload ``{"version", "key", "result"}``
+(:func:`~repro.core.runner.result_payload`).  Corrupt or undecodable
+entries are dropped (and re-simulated by the engine) rather than raised;
+entries whose version or parameters no longer validate are evicted by
+:meth:`ObjectStoreBackend.gc`.
 
 Layout::
 
@@ -32,19 +37,43 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.common.errors import ReproError
-from repro.core.store import StoreBackend, payload_is_valid
+from repro.core.results import SimulationResult
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.runner import ExperimentPoint
+#: on-disk store format version; bump when the result payload shape changes
+STORE_VERSION = 1
 
 #: subdirectory of the experiment cache dir acting as the bucket root
 OBJECT_SUBDIR = "objects"
 
 #: key prefix of the simulation-result namespace
 RESULT_PREFIX = "results"
+
+
+def decode_payload(payload: object) -> SimulationResult | None:
+    """The :class:`SimulationResult` of a valid current-version entry, or None.
+
+    The single source of truth for entry validation: the result store's
+    read path, the fleet's collector and :meth:`ObjectStoreBackend.gc` all
+    go through it, so what ``gc`` keeps and what ``get`` serves can never
+    drift apart.
+    """
+    if not isinstance(payload, dict) or payload.get("version") != STORE_VERSION:
+        return None
+    try:
+        return SimulationResult.from_dict(payload["result"])
+    except (ValueError, KeyError, TypeError, ReproError):
+        return None
+
+
+def _parse(data: bytes) -> object:
+    """The JSON value in ``data``, or ``None`` when it does not decode."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
 
 
 class ObjectStore:
@@ -117,8 +146,8 @@ class ObjectStore:
     def delete(self, key: str) -> bool:
         """Remove the object if present; returns whether it existed.
 
-        Best-effort like the other stores' ``_discard``: a reader without
-        write permission degrades to ``False`` instead of crashing.
+        Best-effort: a reader without write permission (a shared cache
+        dir) degrades to ``False`` instead of crashing.
         """
         path = self._path(key)
         existed = path.is_file()
@@ -151,88 +180,69 @@ class ObjectStore:
         return f"object ({self.root})"
 
 
-class ObjectStoreBackend(StoreBackend):
-    """Result-store backend over an :class:`ObjectStore` (``results/`` keys).
+class ObjectStoreBackend:
+    """The result store's persistent layer: one ``results/`` object per entry.
 
-    Registered as backend kind ``"object"`` in :mod:`repro.core.store`;
-    payloads and fingerprint keys are identical to the JSON and SQLite
-    backends, so switching backends never changes what a cache hit means.
+    Keys are full :meth:`~repro.core.runner.ExperimentPoint.fingerprint`
+    hex digests; payloads are the JSON-compatible ``{"version", "key",
+    "result"}`` dictionaries the store builds.  ``get`` returns the parsed
+    payload or ``None``: an entry that does not decode to a JSON object is
+    dropped, so a corrupt cache degrades to a cache miss, never an
+    exception.
     """
 
-    kind = "object"
-
     def __init__(self, cache_dir: str | os.PathLike) -> None:
-        self.cache_dir = Path(cache_dir)
-        self.objects = ObjectStore(self.cache_dir / OBJECT_SUBDIR)
-
-    # -- keys ----------------------------------------------------------------
+        self.objects = ObjectStore(Path(cache_dir) / OBJECT_SUBDIR)
 
     def _object_key(self, key: str) -> str:
         return f"{RESULT_PREFIX}/{key[:2]}/{key}.json"
 
-    # -- StoreBackend --------------------------------------------------------
-
-    def get(self, key: str, point: "ExperimentPoint") -> dict | None:
-        data = self.objects.get(self._object_key(key))
+    def get(self, key: str) -> dict | None:
+        """Return the stored payload for ``key``, or ``None``."""
+        object_key = self._object_key(key)
+        data = self.objects.get(object_key)
         if data is None:
             return None
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            # Undecodable (truncated/corrupt) object: degrade to a miss.
-            self.objects.delete(self._object_key(key))
+        payload = _parse(data)
+        if not isinstance(payload, dict):
+            # Truncated, corrupt or not an entry at all (``null``, ``[]``):
+            # drop it, so contains() agrees that this is a miss.
+            self.objects.delete(object_key)
             return None
-        return payload if isinstance(payload, dict) else None
+        return payload
 
-    def put(self, key: str, point: "ExperimentPoint", payload: dict) -> None:
+    def put(self, key: str, payload: dict) -> None:
+        """Persist ``payload`` under ``key`` (atomically)."""
         self.objects.put(
             self._object_key(key), json.dumps(payload).encode("utf-8")
         )
 
-    def contains(self, key: str, point: "ExperimentPoint") -> bool:
+    def contains(self, key: str) -> bool:
+        """True when an entry for ``key`` exists on disk."""
         return self.objects.exists(self._object_key(key))
 
-    def delete(self, key: str, point: "ExperimentPoint") -> None:
-        self.objects.delete(self._object_key(key))
-
-    def entries(self) -> Iterator[tuple[str, dict | None]]:
-        for object_key in list(self.objects.list(RESULT_PREFIX)):
-            fingerprint = object_key.rsplit("/", 1)[-1]
-            if fingerprint.endswith(".json"):
-                fingerprint = fingerprint[: -len(".json")]
-            data = self.objects.get(object_key)
-            payload: dict | None = None
-            if data is not None:
-                try:
-                    decoded = json.loads(data.decode("utf-8"))
-                    payload = decoded if isinstance(decoded, dict) else None
-                except (ValueError, UnicodeDecodeError):
-                    payload = None
-            yield fingerprint, payload
-
-    def evict(self, key: str) -> None:
+    def delete(self, key: str) -> None:
+        """Remove the entry for ``key`` if present."""
         self.objects.delete(self._object_key(key))
 
     def gc(self) -> tuple[int, int]:
         """Drop undecodable/stale result objects; returns ``(kept, evicted)``.
 
-        Deletes by the *listed* object key rather than a key reconstructed
-        from the fingerprint, so misplaced or foreign objects (a partial
-        bucket sync, another writer's debris) are actually removed instead
-        of being re-counted on every run.  Also sweeps crashed-writer temp
-        files in the ``results/`` namespace.
+        An entry is evicted when its payload cannot be decoded, its
+        ``version`` is not the current :data:`STORE_VERSION`, or its
+        parameters fail validation (e.g. the schema moved underneath an old
+        cache).  Deletes by the *listed* object key rather than a key
+        reconstructed from the fingerprint, so misplaced or foreign objects
+        (a partial bucket sync, another writer's debris) are actually
+        removed instead of being re-counted on every run.  Also sweeps
+        crashed-writer temp files in the ``results/`` namespace.
         """
         kept = 0
         evicted = 0
         for object_key in list(self.objects.list(RESULT_PREFIX)):
             data = self.objects.get(object_key)
-            payload: object = None
-            if data is not None:
-                try:
-                    payload = json.loads(data.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    payload = None
-            if payload_is_valid(payload):
+            payload = _parse(data) if data is not None else None
+            if decode_payload(payload) is not None:
                 kept += 1
             else:
                 self.objects.delete(object_key)
@@ -241,4 +251,5 @@ class ObjectStoreBackend(StoreBackend):
         return kept, evicted
 
     def describe(self) -> str:
-        return f"object ({self.cache_dir / OBJECT_SUBDIR})"
+        """One-line human-readable location description."""
+        return self.objects.describe()

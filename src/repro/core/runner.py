@@ -7,12 +7,9 @@ hundreds of them.  This module turns that grid into a first-class object:
 * :class:`ExperimentPoint` — one picklable simulation point;
 * :class:`ExperimentSpec` — a named collection of points (the grid behind
   one table or figure);
-* :class:`ResultStore` — a two-level result cache: an in-memory map plus an
-  optional persistent backend (:mod:`repro.core.store`) keyed by a
-  configuration fingerprint.  Three production backends — sharded JSON
-  files, a single WAL-mode SQLite database, and an S3-style object store —
-  are selected with the ``backend`` argument, the CLI's ``--store`` flag or
-  the ``REPRO_STORE`` environment variable;
+* :class:`ResultStore` — a two-level result cache: an in-memory map plus,
+  with a cache directory, the S3-style object store
+  (:mod:`repro.core.objectstore`), keyed by a configuration fingerprint;
 * :class:`ExperimentEngine` — executes the missing points of a spec, batched
   across a :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``
   (workers rebuild the simulators from the picklable points and ship results
@@ -24,7 +21,8 @@ hundreds of them.  This module turns that grid into a first-class object:
 
 Every ``table*``/``figure*`` function in :mod:`repro.core.experiments`
 declares its grid and pulls results through the process-wide default engine
-(:func:`get_engine`), as does :func:`repro.core.simulator.run_cached`.  The
+(:func:`get_engine`); single points resolve through
+``get_engine().result(workload, config, scale)``.  The
 ``python -m repro.cli run-all`` entry point configures the default engine
 from the command line.
 
@@ -48,26 +46,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from repro.common.errors import ReproError
 from repro.common.params import params_to_dict
 from repro.core.config import MachineConfig
+from repro.core.objectstore import STORE_VERSION, ObjectStoreBackend, decode_payload
 from repro.core.results import SimulationResult
-from repro.core.store import (  # noqa: F401  (STORE_VERSION re-exported)
-    BACKEND_NAMES,
-    STORE_ENV,
-    STORE_VERSION,
-    StoreBackend,
-    decode_payload,
-    make_backend,
-)
+from repro.core.settings import ExecutionPlan, Settings
 from repro.trace.store import TraceStore
-
-#: environment knobs picked up by the default engine (see :func:`get_engine`);
-#: re-exported from :mod:`repro.core.settings`, where the precedence
-#: resolver that interprets them lives
-from repro.core.settings import (  # noqa: E402  (re-export)
-    CACHE_DIR_ENV,
-    JOBS_ENV,
-    ExecutionPlan,
-    Settings,
-)
 
 if TYPE_CHECKING:
     from repro.fleet.dispatcher import FleetDispatcher
@@ -142,9 +124,9 @@ def _simulate_point(
 
     Top-level function so :class:`ProcessPoolExecutor` can pickle it; the
     imports are deferred to avoid a circular import with
-    :mod:`repro.core.simulator` (which routes ``run_cached`` through this
-    module's default engine).  With a ``trace_dir`` the workload trace is
-    loaded from the :class:`TraceStore` instead of being recompiled.
+    :mod:`repro.core.simulator` (which imports this module's default
+    engine).  With a ``trace_dir`` the workload trace is loaded from the
+    :class:`TraceStore` instead of being recompiled.
     """
     from repro.core.simulator import simulate_point
 
@@ -178,37 +160,21 @@ def result_payload(point: ExperimentPoint, result: SimulationResult) -> dict:
 
 
 class ResultStore:
-    """Two-level simulation-result cache: in-memory dict plus a disk backend.
+    """Two-level simulation-result cache: in-memory dict plus the object store.
 
     Entries are keyed by :meth:`ExperimentPoint.fingerprint`.  With a
-    ``cache_dir`` every stored result is also persisted through a
-    :class:`~repro.core.store.StoreBackend` — sharded JSON files by default,
-    or SQLite via ``backend="sqlite"`` / ``REPRO_STORE=sqlite`` — and picked
-    up again by later processes; without one the store is purely in-memory
-    (the behaviour of the old ``lru_cache``, minus the aliasing).
+    ``cache_dir`` every stored result is also written through to an
+    :class:`~repro.core.objectstore.ObjectStoreBackend` under
+    ``<cache_dir>/objects/`` and picked up again by later processes —
+    fleet workers publish into the same objects; without one the store is
+    purely in-memory.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | os.PathLike | None = None,
-        backend: str | StoreBackend | None = None,
-    ) -> None:
+    def __init__(self, cache_dir: str | os.PathLike | None = None) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if isinstance(backend, StoreBackend):
-            self.backend: StoreBackend | None = backend
-            if self.cache_dir is None:
-                self.cache_dir = getattr(backend, "cache_dir", None)
-        elif self.cache_dir is not None:
-            self.backend = make_backend(backend, self.cache_dir)
-        elif backend is not None:
-            # Silently keeping a memory-only store would surprise a caller
-            # who explicitly asked for persistence.
-            raise ReproError(
-                f"store backend {backend!r} requires a cache directory "
-                "(--cache-dir / REPRO_CACHE_DIR)"
-            )
-        else:
-            self.backend = None
+        self.backend = (
+            ObjectStoreBackend(self.cache_dir) if self.cache_dir is not None else None
+        )
         self._memory: dict[str, SimulationResult] = {}
         self.memory_hits = 0
         self.disk_hits = 0
@@ -223,14 +189,14 @@ class ResultStore:
             self.memory_hits += 1
             return cached.copy()
         if self.backend is not None:
-            payload = self.backend.get(key, point)
+            payload = self.backend.get(key)
             if payload is not None:
                 result = decode_payload(payload)
                 if result is None:
                     # Stale entry (wrong version, missing fields, or params
                     # that no longer validate — exactly what gc would
                     # evict): drop and re-simulate.
-                    self.backend.delete(key, point)
+                    self.backend.delete(key)
                     return None
                 self._memory[key] = result
                 self.disk_hits += 1
@@ -241,7 +207,7 @@ class ResultStore:
         key = point.fingerprint()
         if key in self._memory:
             return True
-        return self.backend is not None and self.backend.contains(key, point)
+        return self.backend is not None and self.backend.contains(key)
 
     # -- insertion ----------------------------------------------------------
 
@@ -250,7 +216,7 @@ class ResultStore:
         key = point.fingerprint()
         self._memory[key] = result
         if self.backend is not None:
-            self.backend.put(key, point, result_payload(point, result))
+            self.backend.put(key, result_payload(point, result))
 
     def clear_memory(self) -> None:
         """Drop the in-memory layer (disk entries survive)."""
@@ -265,13 +231,10 @@ class ResultStore:
         return self.backend.gc()
 
     def flush(self) -> None:
-        """Persist buffered backend metadata (e.g. the JSON index file)."""
-        if self.backend is not None:
-            self.backend.flush()
+        """No-op: every :meth:`put` is written through to disk at once.
 
-    def close(self) -> None:
-        if self.backend is not None:
-            self.backend.close()
+        Kept so callers that flush at the end of a run keep working.
+        """
 
     def describe(self) -> str:
         """Short description of the persistence layer (for summaries)."""
@@ -464,10 +427,8 @@ class ExperimentEngine:
             self._dispatcher = None
 
     def close(self) -> None:
-        """Release engine resources: drain spawned fleet workers, close the
-        store (flushing buffered metadata / releasing SQLite handles)."""
+        """Release engine resources: drain spawned fleet workers."""
         self.shutdown_fleet()
-        self.store.close()
 
     # -- statistics ---------------------------------------------------------
 
@@ -507,29 +468,15 @@ def get_engine() -> ExperimentEngine:
 
     The initial engine is configured through the
     :class:`repro.api.Settings` precedence resolver, so it honours the
-    ``REPRO_CACHE_DIR``, ``REPRO_JOBS``, ``REPRO_KERNEL``, ``REPRO_FLEET``
-    and ``REPRO_STORE`` environment variables — test
-    and benchmark runs can share a persistent cache (and pick a store
-    backend) without any code changes.
+    ``REPRO_CACHE_DIR``, ``REPRO_JOBS``, ``REPRO_KERNEL`` and
+    ``REPRO_FLEET`` environment variables — test and benchmark runs can
+    share a persistent cache without any code changes.
     """
     global _default_engine
     if _default_engine is None:
-        try:
-            settings = Settings.resolve()
-        except ReproError:
-            # An invalid $REPRO_STORE only matters when persistence is on:
-            # a memory-only default engine never touches the backend, so
-            # (as before this resolver existed) it keeps working.  With a
-            # cache directory configured the error is real — re-raise.
-            if os.environ.get(CACHE_DIR_ENV):
-                raise
-            settings = Settings.resolve(store="json")
+        settings = Settings.resolve()
         _default_engine = ExperimentEngine(
-            ResultStore(
-                settings.cache_dir,
-                backend=settings.store if settings.cache_dir is not None else None,
-            ),
-            plan=settings.plan(),
+            ResultStore(settings.cache_dir), plan=settings.plan()
         )
     return _default_engine
 
@@ -538,11 +485,11 @@ def get_engine() -> ExperimentEngine:
 def engine_scope(engine: ExperimentEngine) -> Iterator[ExperimentEngine]:
     """Temporarily install ``engine`` as the process-wide default.
 
-    Unlike :func:`set_engine`, neither the outgoing nor the incoming
-    engine's store is closed: the previous default (and its open backend)
-    is reinstated untouched on exit.  :class:`repro.api.Session` wraps
-    every exhibit computation in this scope so the ``table*``/``figure*``
-    experiment functions resolve through the session's engine.
+    Unlike :func:`set_engine`, the outgoing engine's fleet workers are
+    not drained: the previous default is reinstated untouched on exit.
+    :class:`repro.api.Session` wraps every exhibit computation in this
+    scope so the ``table*``/``figure*`` experiment functions resolve
+    through the session's engine.
     """
     global _default_engine
     previous = _default_engine
@@ -556,17 +503,13 @@ def engine_scope(engine: ExperimentEngine) -> Iterator[ExperimentEngine]:
 def set_engine(engine: ExperimentEngine | None) -> None:
     """Install ``engine`` as the default (``None`` resets to lazy creation).
 
-    The outgoing engine's fleet dispatcher (if any) is drained, and its
-    store closed (flushing buffered metadata and releasing any SQLite
-    connection) unless the incoming engine shares the store.
+    The outgoing engine's fleet dispatcher (if any) is drained.
     """
     global _default_engine
     previous = _default_engine
     _default_engine = engine
     if previous is not None and previous is not engine:
         previous.shutdown_fleet()
-        if engine is None or previous.store is not engine.store:
-            previous.store.close()
 
 
 def run_experiment(

@@ -1,10 +1,10 @@
 """Typed runtime settings with one documented precedence rule.
 
-Before this module existed, the same five knobs were read in three
-different ways — ``os.environ`` lookups scattered through
-``cli.py``/``runner.py``/``store.py``, CLI flags, and constructor keyword
-arguments — each with its own defaulting quirks.  :class:`Settings`
-replaces all of that with a single frozen value object and one resolver:
+Before this module existed, the same knobs were read in three different
+ways — ``os.environ`` lookups scattered through the CLI and the engine,
+CLI flags, and constructor keyword arguments — each with its own
+defaulting quirks.  :class:`Settings` replaces all of that with a single
+frozen value object and one resolver:
 
     **explicit keyword arguments  >  environment variables  >  defaults**
 
@@ -13,8 +13,8 @@ An *explicitly passed* keyword always wins, even when its value is falsy:
 ``REPRO_FLEET`` says, and ``Settings.resolve(cache_dir=None)`` disables
 persistence even with ``REPRO_CACHE_DIR`` set.  The resolved object
 records which fields were explicit (:attr:`Settings.explicit`), so
-downstream consumers can distinguish "the user asked for the sqlite store"
-from "sqlite happened to be the environment default".
+downstream consumers can distinguish "the user asked for 4 jobs" from
+"4 happened to be the environment default".
 
 This module lives in ``repro.core`` so the engine can depend on it
 without reaching *up* into the façade; the public import path is
@@ -24,9 +24,9 @@ everything here.
 Environment variables (all optional):
 
 ============================  =============================================
-``REPRO_CACHE_DIR``           persistent cache directory (empty: disabled)
-``REPRO_STORE``               result-store backend: ``json``/``sqlite``/
-                              ``object`` (invalid values are an error)
+``REPRO_CACHE_DIR``           persistent cache directory: results in the
+                              object store under ``objects/``, compiled
+                              traces under ``traces/`` (empty: disabled)
 ``REPRO_JOBS``                worker processes per sweep (clamped to ≥ 1;
                               unparsable values fall back to the default)
 ``REPRO_KERNEL``              machine stepper kernel: ``scalar`` (the
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from repro.common.errors import ReproError
-from repro.core.store import BACKEND_NAMES, STORE_ENV
 
 #: environment variable naming the persistent cache directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -131,8 +130,6 @@ class Settings:
 
     #: persistent cache directory (``None``: purely in-memory stores)
     cache_dir: str | None = None
-    #: result-store backend kind (``json``, ``sqlite`` or ``object``)
-    store: str = "json"
     #: worker processes fanning out the points of a sweep grid
     jobs: int = 1
     #: machine stepper kernel (``scalar`` or ``batched``)
@@ -147,7 +144,6 @@ class Settings:
         cls,
         *,
         cache_dir: Any = _UNSET,
-        store: Any = _UNSET,
         jobs: Any = _UNSET,
         kernel: Any = _UNSET,
         fleet: Any = _UNSET,
@@ -157,7 +153,7 @@ class Settings:
 
         ``env`` defaults to ``os.environ`` and exists for tests.  Explicit
         values are validated strictly (:class:`~repro.common.errors.ReproError`
-        on a bad backend name, ``jobs < 1`` or ``fleet < 0``);
+        on a bad kernel name, ``jobs < 1`` or ``fleet < 0``);
         unparsable integer *environment* values fall back to the default
         and out-of-range ones are clamped, matching the engine's historical
         tolerance for a sloppy environment.
@@ -170,22 +166,6 @@ class Settings:
         else:
             explicit.add("cache_dir")
             resolved_cache = os.fspath(cache_dir) if cache_dir else None
-
-        if store is _UNSET:
-            resolved_store = environ.get(STORE_ENV) or "json"
-            if resolved_store not in BACKEND_NAMES:
-                raise ReproError(
-                    f"unknown result-store backend {resolved_store!r} "
-                    f"(from ${STORE_ENV}); available: {', '.join(BACKEND_NAMES)}"
-                )
-        else:
-            explicit.add("store")
-            resolved_store = store
-            if resolved_store not in BACKEND_NAMES:
-                raise ReproError(
-                    f"unknown result-store backend {resolved_store!r}; "
-                    f"available: {', '.join(BACKEND_NAMES)}"
-                )
 
         def _explicit_int(name: str, value: Any, minimum: int) -> int:
             explicit.add(name)
@@ -222,7 +202,6 @@ class Settings:
 
         return cls(
             cache_dir=resolved_cache,
-            store=resolved_store,
             jobs=resolved_jobs,
             kernel=resolved_kernel,
             fleet=resolved_fleet,
@@ -251,7 +230,7 @@ class Settings:
         applies, re-using the resolver with this instance's values as the
         environment-free baseline.
         """
-        fields = {"cache_dir", "store", "jobs", "kernel", "fleet"}
+        fields = {"cache_dir", "jobs", "kernel", "fleet"}
         unknown = set(changes) - fields
         if unknown:
             raise ReproError(
@@ -267,10 +246,7 @@ class Settings:
     def describe(self) -> str:
         """One-line human-readable summary (engine/CLI trailers)."""
         cache = self.cache_dir if self.cache_dir is not None else "-"
-        line = (
-            f"store={self.store} cache_dir={cache} jobs={self.jobs} "
-            f"kernel={self.kernel}"
-        )
+        line = f"cache_dir={cache} jobs={self.jobs} kernel={self.kernel}"
         if self.fleet:
             line += f" fleet={self.fleet}"
         return line

@@ -6,11 +6,11 @@ the right simulator for the configuration, and returns a
 :class:`~repro.core.results.SimulationResult` that bundles the configuration,
 the workload identity and the collected statistics.
 
-``run_cached`` routes through the experiment engine's result store (see
-:mod:`repro.core.runner`), so results are shared with the ``table*`` /
-``figure*`` experiment functions and — when a cache directory is configured
-— persist across processes.  Cached results are returned as defensive
-copies: mutating one can never corrupt later experiments.
+Memoised results come from the experiment engine's result store instead
+(``get_engine().result(workload, config, scale)``, see
+:mod:`repro.core.runner`), shared with the ``table*`` / ``figure*``
+experiment functions and — when a cache directory is configured —
+persisted across processes.
 """
 
 from __future__ import annotations
@@ -91,26 +91,6 @@ def simulate_point(
     else:
         trace = get_workload(workload_name, scale).trace()
     return simulate_trace(trace, config, kernel=kernel)
-
-
-def run_cached(workload_name: str, config: MachineConfig, scale: str = "small") -> SimulationResult:
-    """Like :func:`run`, but memoised on (workload, scale, configuration).
-
-    .. deprecated::
-        Use :meth:`repro.api.Session.result` (or
-        :meth:`repro.api.Session.run` with a :class:`repro.api.RunRequest`
-        grid) instead; this shim resolves through the process-wide default
-        engine exactly as before and will be removed in a future major
-        version.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_cached() is deprecated; use repro.api.Session.result() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_engine().result(workload_name, config, scale)
 
 
 def clear_simulation_cache() -> None:

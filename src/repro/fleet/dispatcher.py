@@ -38,10 +38,9 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.common.errors import ReproError
-from repro.core.objectstore import ObjectStoreBackend
+from repro.core.objectstore import ObjectStoreBackend, decode_payload
 from repro.core.results import SimulationResult
 from repro.core.runner import ExperimentPoint
-from repro.core.store import decode_payload
 from repro.fleet.queue import DEFAULT_LEASE_TTL, LeaseQueue, TaskState
 from repro.fleet.tasks import FleetTask
 
@@ -146,7 +145,7 @@ class FleetDispatcher:
             task_ids.append(task_id)
             if (
                 self.queue.state(task_id) & TaskState.DONE
-                and self._read_result(task_id, point) is not None
+                and self._read_result(task_id) is not None
             ):
                 already.add(task_id)
                 continue
@@ -247,7 +246,7 @@ class FleetDispatcher:
         """
         results: list[SimulationResult] = []
         for point, task_id in zip(batch.points, batch.task_ids, strict=True):
-            result = self._read_result(task_id, point)
+            result = self._read_result(task_id)
             if result is None:
                 raise ReproError(
                     f"fleet task {task_id[:12]} ({point}) has no readable "
@@ -256,13 +255,8 @@ class FleetDispatcher:
             results.append(result)
         return results
 
-    def _read_result(
-        self, task_id: str, point: ExperimentPoint
-    ) -> SimulationResult | None:
-        payload = self.backend.get(task_id, point)
-        if payload is None:
-            return None
-        return decode_payload(payload)
+    def _read_result(self, task_id: str) -> SimulationResult | None:
+        return decode_payload(self.backend.get(task_id))
 
     # -- spawned workers -----------------------------------------------------
 

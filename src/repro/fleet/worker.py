@@ -194,7 +194,7 @@ class Worker:
         wall = time.perf_counter() - started
         heartbeat.stop()
         point = task.point()
-        self.backend.put(task.task_id(), point, result_payload(point, result))
+        self.backend.put(task.task_id(), result_payload(point, result))
         self.queue.complete(
             heartbeat.lease,
             {

@@ -1,8 +1,7 @@
 """Behavioural tests for the :mod:`repro.api` façade.
 
 Covers the Session lifecycle, RunRequest grids, exhibit parity with the
-CLI, the machine-model registry and the deprecation shim (the old entry
-point warns but stays behaviour-identical).
+CLI and the machine-model registry.
 """
 
 import json
@@ -44,37 +43,10 @@ class TestSessionLifecycle:
             session.result("nasa7", "reference")
 
     def test_kwargs_resolve_like_settings(self, tmp_path):
-        with Session(cache_dir=tmp_path, store="sqlite", jobs=2) as session:
-            assert session.settings.store == "sqlite"
+        with Session(cache_dir=tmp_path, jobs=2) as session:
+            assert session.settings.cache_dir == str(tmp_path)
             assert session.engine.jobs == 2
             assert session.trace_store is not None
-
-    def test_explicit_store_without_cache_dir_rejected(self):
-        with pytest.raises(ReproError, match="requires a cache directory"):
-            Session(store="sqlite")
-
-    def test_env_default_store_without_cache_dir_is_memory(self, monkeypatch):
-        from repro.core.store import STORE_ENV
-
-        monkeypatch.setenv(STORE_ENV, "sqlite")
-        with Session() as session:
-            assert session.store.describe() == "memory"
-
-    def test_memory_only_default_engine_tolerates_bogus_env_store(self, monkeypatch):
-        # pre-Settings behaviour: without a cache dir the default engine
-        # never consulted $REPRO_STORE, so a stale/typo'd value must not
-        # break purely in-memory library use
-        from repro.core.runner import CACHE_DIR_ENV
-        from repro.core.store import STORE_ENV
-
-        monkeypatch.setenv(STORE_ENV, "blockchain")
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        assert get_engine().store.describe() == "memory"
-        # with persistence requested the configuration error is real
-        set_engine(None)
-        monkeypatch.setenv(CACHE_DIR_ENV, "/tmp/somewhere")
-        with pytest.raises(ReproError, match="blockchain"):
-            get_engine()
 
     def test_session_does_not_disturb_default_engine(self):
         default = get_engine()
@@ -83,12 +55,11 @@ class TestSessionLifecycle:
         assert get_engine() is default
 
     def test_installed_default_engine_shares_the_session_cache(self, tmp_path):
-        engine = ExperimentEngine(ResultStore(tmp_path, backend="json"),
-                                  plan=ExecutionPlan())
+        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan())
         set_engine(engine)
         assert get_engine() is engine
         result = engine.result("nasa7", get_config("reference"))
-        with Session(cache_dir=tmp_path, store="json") as session:
+        with Session(cache_dir=tmp_path) as session:
             assert session.engine.simulated == 0  # served from the shared cache
             via_session = session.result("nasa7", "reference")
         assert via_session.to_dict() == result.to_dict()
@@ -191,9 +162,9 @@ class TestExhibitParityWithCLI:
                 session.exhibits(names=("figure99",))
 
     def test_object_store_serves_warm_exhibits(self, tmp_path):
-        with Session(cache_dir=tmp_path, store="object") as session:
+        with Session(cache_dir=tmp_path) as session:
             session.exhibits(names=("figure6",), programs=("trfd",))
-        with Session(cache_dir=tmp_path, store="object") as session:
+        with Session(cache_dir=tmp_path) as session:
             exhibits = session.exhibits(names=("figure6",), programs=("trfd",))
             assert session.engine.simulated == 0
         assert isinstance(exhibits, ExhibitSet)
@@ -253,17 +224,6 @@ class TestMachineRegistry:
             register_machine(MachineModel(
                 name="ooo2", params_type=OOOParams,
                 factory=lambda params, trace: None))
-
-
-class TestDeprecationShims:
-    def test_run_cached_warns_and_matches_session(self):
-        from repro.core.simulator import run_cached
-
-        with pytest.warns(DeprecationWarning, match="Session"):
-            old = run_cached("nasa7", get_config("reference"))
-        with Session() as session:
-            new = session.result("nasa7", "reference")
-        assert old.to_dict() == new.to_dict()
 
 
 class TestSettingsSessionIntegration:

@@ -18,14 +18,12 @@ from repro.api import (
     Settings,
 )
 from repro.common.errors import ReproError
-from repro.core.store import STORE_ENV
 
 
 class TestDefaults:
     def test_empty_environment_gives_documented_defaults(self):
         settings = Settings.resolve(env={})
         assert settings.cache_dir is None
-        assert settings.store == "json"
         assert settings.jobs == 1
         assert settings.fleet == 0
         assert settings.explicit == frozenset()
@@ -39,13 +37,11 @@ class TestEnvironmentLayer:
     def test_env_values_apply_when_not_explicit(self):
         env = {
             CACHE_DIR_ENV: "/tmp/cache",
-            STORE_ENV: "sqlite",
             JOBS_ENV: "4",
             FLEET_ENV: "3",
         }
         settings = Settings.resolve(env=env)
         assert settings.cache_dir == "/tmp/cache"
-        assert settings.store == "sqlite"
         assert settings.jobs == 4
         assert settings.fleet == 3
         assert settings.explicit == frozenset()
@@ -64,23 +60,14 @@ class TestEnvironmentLayer:
         settings = Settings.resolve(env=env)
         assert (settings.jobs, settings.fleet) == (1, 0)
 
-    def test_invalid_env_store_is_an_error(self):
-        with pytest.raises(ReproError, match="blockchain"):
-            Settings.resolve(env={STORE_ENV: "blockchain"})
-
-    def test_object_store_is_a_recognised_env_value(self):
-        assert Settings.resolve(env={STORE_ENV: "object"}).store == "object"
-
 
 class TestExplicitLayer:
     def test_explicit_beats_environment(self):
-        env = {JOBS_ENV: "4", STORE_ENV: "sqlite", CACHE_DIR_ENV: "/tmp/env"}
-        settings = Settings.resolve(
-            jobs=2, store="json", cache_dir="/tmp/mine", env=env)
+        env = {JOBS_ENV: "4", CACHE_DIR_ENV: "/tmp/env"}
+        settings = Settings.resolve(jobs=2, cache_dir="/tmp/mine", env=env)
         assert settings.jobs == 2
-        assert settings.store == "json"
         assert settings.cache_dir == "/tmp/mine"
-        assert settings.explicit == {"jobs", "store", "cache_dir"}
+        assert settings.explicit == {"jobs", "cache_dir"}
 
     def test_falsy_explicit_fleet_beats_environment(self):
         settings = Settings.resolve(fleet=0, env={FLEET_ENV: "4"})
@@ -101,17 +88,11 @@ class TestExplicitLayer:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"jobs": 0}, {"jobs": -1}, {"fleet": -1},
-         {"jobs": "nope"}, {"store": "blockchain"}],
+        [{"jobs": 0}, {"jobs": -1}, {"fleet": -1}, {"jobs": "nope"}],
     )
     def test_invalid_explicit_values_raise(self, kwargs):
         with pytest.raises(ReproError):
             Settings.resolve(env={}, **kwargs)
-
-    def test_explicit_store_does_not_consult_environment(self):
-        # a bogus environment value must not break an explicit choice
-        settings = Settings.resolve(store="json", env={STORE_ENV: "blockchain"})
-        assert settings.store == "json"
 
 
 class TestOverride:

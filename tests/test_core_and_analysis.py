@@ -19,10 +19,10 @@ from repro.trace.records import Trace
 from repro.core import (
     MachineConfig,
     get_config,
+    get_engine,
     ooo_config,
     reference_config,
     run,
-    run_cached,
     simulate_trace,
     standard_configs,
 )
@@ -106,23 +106,23 @@ class TestRunAPI:
             with pytest.raises(SimulationError):
                 simulate_trace(Trace("empty"), config)
 
-    def test_run_cached_returns_equal_but_independent_results(self):
-        first = run_cached("trfd", ooo_config(), scale="tiny")
-        second = run_cached("trfd", ooo_config(), scale="tiny")
+    def test_engine_result_returns_equal_but_independent_results(self):
+        first = get_engine().result("trfd", ooo_config(), scale="tiny")
+        second = get_engine().result("trfd", ooo_config(), scale="tiny")
         # Same simulation outcome, but never the same mutable object: the
         # store hands out defensive copies so callers cannot corrupt it.
         assert first is not second
         assert first.cycles == second.cycles
         assert first.stats.to_dict() == second.stats.to_dict()
 
-    def test_run_cached_is_immune_to_caller_mutation(self):
-        first = run_cached("trfd", ooo_config(), scale="tiny")
+    def test_engine_result_is_immune_to_caller_mutation(self):
+        first = get_engine().result("trfd", ooo_config(), scale="tiny")
         pristine_cycles = first.cycles
         pristine_busy = first.stats.unit_busy["FU1"].busy_cycles()
         first.stats.cycles = 1
         first.stats.unit_busy["FU1"].add(0, 10_000_000)
         first.stats.traffic.vector_load_ops = -5
-        refetched = run_cached("trfd", ooo_config(), scale="tiny")
+        refetched = get_engine().result("trfd", ooo_config(), scale="tiny")
         assert refetched.cycles == pristine_cycles
         assert refetched.stats.unit_busy["FU1"].busy_cycles() == pristine_busy
         assert refetched.stats.traffic.vector_load_ops >= 0

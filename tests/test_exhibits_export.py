@@ -163,12 +163,12 @@ class TestCLIFormats:
         paths = {row[1] for row in rows[1:] if row}
         assert {"trfd/REF", "trfd/OOOVA"} <= paths
 
-    def test_run_all_sqlite_warm_covers_whole_grid(self, tmp_path, capsys):
-        # Acceptance criterion: a warm run-all against the SQLite backend
+    def test_run_all_warm_covers_whole_grid(self, tmp_path, capsys):
+        # Acceptance criterion: a warm run-all against the cache dir
         # performs zero simulations — every point is a disk hit.
         from repro.cli import main
 
-        args = ["run-all", "--cache-dir", str(tmp_path), "--store", "sqlite",
+        args = ["run-all", "--cache-dir", str(tmp_path),
                 "--programs", "trfd", "--exhibits", "figure6,figure8"]
         assert main(args) == 0
         cold_out = capsys.readouterr().out
@@ -176,55 +176,28 @@ class TestCLIFormats:
         assert main(args) == 0
         warm_out = capsys.readouterr().out
         assert "engine: 0 simulated" in warm_out
-        assert "store=sqlite" in warm_out
+        assert f"store=object ({tmp_path / 'objects'})" in warm_out
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite", "object"])
-    def test_gc_subcommand_reports_counts(self, tmp_path, capsys, backend):
+    def test_gc_subcommand_reports_counts(self, tmp_path, capsys):
         from test_store_backends import _corrupt_entry
 
         from repro.cli import main
         from repro.core.runner import ExperimentPoint
-        from repro.core.config import ooo_config, reference_config
+        from repro.core.config import ooo_config
 
-        assert main(["run-all", "--cache-dir", str(tmp_path), "--store", backend,
+        assert main(["run-all", "--cache-dir", str(tmp_path),
                      "--programs", "trfd", "--exhibits", "figure6"]) == 0
         capsys.readouterr()
         # damage one of the two figure6 entries, then collect
         victim = ExperimentPoint("trfd", "small", ooo_config())
-        _corrupt_entry(backend, tmp_path, victim)
-        assert main(["gc", "--cache-dir", str(tmp_path),
-                     "--store", backend]) == 0
+        _corrupt_entry(tmp_path, victim)
+        assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "1 kept, 1 evicted" in out
 
-    def test_explicit_store_without_cache_dir_rejected(self, capsys):
-        # An explicit backend choice with nothing to persist to would be
-        # silently ignored; refuse instead.
-        from repro.cli import main
-
-        assert main(["run-all", "--store", "sqlite",
-                     "--programs", "trfd", "--exhibits", "table1"]) == 2
-        assert "requires a cache directory" in capsys.readouterr().err
-
-    def test_invalid_env_backend_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
-        # argparse does not validate defaults against choices, so a bogus
-        # $REPRO_STORE must be rejected explicitly, not via a traceback.
-        from repro.cli import main
-        from repro.core.store import STORE_ENV
-
-        monkeypatch.setenv(STORE_ENV, "blockchain")
-        assert main(["run-all", "--cache-dir", str(tmp_path),
-                     "--programs", "trfd", "--exhibits", "table1"]) == 2
-        assert "blockchain" in capsys.readouterr().err
-        assert main(["gc", "--cache-dir", str(tmp_path)]) == 2
-        assert "blockchain" in capsys.readouterr().err
-        # an explicit --store overrides the bad environment value
-        assert main(["run-all", "--cache-dir", str(tmp_path), "--store", "json",
-                     "--programs", "trfd", "--exhibits", "table1"]) == 0
-
-    def test_list_mentions_stores_and_formats(self, capsys):
+    def test_list_mentions_formats(self, capsys):
         from repro.cli import main
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "sqlite" in out and "csv" in out and "figure10" in out
+        assert "csv" in out and "figure10" in out

@@ -161,7 +161,7 @@ class TestFleetParity:
             reference.close()
 
         with Session(
-            cache_dir=tmp_path / "fleet", store="object", fleet=1, env={},
+            cache_dir=tmp_path / "fleet", fleet=1, env={},
         ) as session:
             assert session.engine.fleet == 1
             handle = session.submit(GRID)
@@ -178,11 +178,9 @@ class TestFleetParity:
 
     def test_fleet_session_serves_cache_hits_without_workers(self, tmp_path):
         root = tmp_path / "shared"
-        with Session(cache_dir=root, store="object", env={}) as warm:
+        with Session(cache_dir=root, env={}) as warm:
             warm.run(GRID)
-        with Session(
-            cache_dir=root, store="object", fleet=1, env={},
-        ) as session:
+        with Session(cache_dir=root, fleet=1, env={}) as session:
             handle = session.submit(GRID)
             # everything was cached: nothing to enqueue, no workers spawned
             assert handle._batch is None

@@ -2,8 +2,8 @@
 
 The generic :class:`~repro.core.objectstore.ObjectStore` quartet
 (put/get/list/delete), key hygiene, crash-leftover sweeping, and the
-``object`` result-store backend built on it (also covered by the
-parametrised backend-contract battery in ``test_store_backends``).
+result store's backend built on it (also covered through
+:class:`~repro.core.runner.ResultStore` in ``test_store_backends``).
 """
 
 import pytest
@@ -111,7 +111,6 @@ class TestObjectStoreQuartet:
 class TestObjectBackendLayout:
     def test_results_live_under_the_results_prefix(self, tmp_path):
         backend = ObjectStoreBackend(tmp_path)
-        assert backend.kind == "object"
         assert backend._object_key("ab" * 32).startswith(f"{RESULT_PREFIX}/ab/")
         assert str(tmp_path / OBJECT_SUBDIR) in backend.describe()
 

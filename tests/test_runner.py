@@ -25,9 +25,10 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
+    get_engine,
     set_engine,
 )
-from repro.core.simulator import run, run_cached
+from repro.core.simulator import run
 
 
 @pytest.fixture(autouse=True)
@@ -98,31 +99,36 @@ class TestFingerprints:
         assert base.fingerprint() != late.fingerprint()
 
 
-class TestResultStore:
-    """Default (sharded JSON) backend behaviour through the ResultStore API.
+def _entries(cache_dir):
+    return list((cache_dir / "objects" / "results").glob("??/*.json"))
 
-    Both backends are exercised uniformly (including with hypothesis) in
-    ``tests/test_store_backends.py``; these tests pin the default layout.
+
+class TestResultStore:
+    """Object-store persistence through the ResultStore API.
+
+    The store contract is exercised more widely (including with hypothesis)
+    in ``tests/test_store_backends.py``; these tests pin the on-disk layout.
     """
 
     def test_disk_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         point = _point()
         result = run("trfd", point.config, scale="tiny")
         store.put(point, result)
-        files = list(tmp_path.glob("??/*.json"))
+        files = _entries(tmp_path)
         assert len(files) == 1
-        # Entries are sharded into <fingerprint[:2]>/ subdirectories.
+        # One object per entry: objects/results/<fp[:2]>/<fp>.json
+        assert files[0].name == f"{point.fingerprint()}.json"
         assert files[0].parent.name == point.fingerprint()[:2]
         # A brand-new store (fresh process, in spirit) finds it on disk.
-        fresh = ResultStore(tmp_path, backend="json")
+        fresh = ResultStore(tmp_path)
         fetched = fresh.get(point)
         assert fetched is not None
         assert fetched.cycles == result.cycles
         assert fresh.disk_hits == 1
 
     def test_get_returns_independent_copies(self, tmp_path):
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         point = _point()
         store.put(point, run("trfd", point.config, scale="tiny"))
         first = store.get(point)
@@ -131,31 +137,31 @@ class TestResultStore:
         assert second.cycles > 0
 
     def test_corrupt_disk_entry_is_dropped(self, tmp_path):
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         point = _point()
         store.put(point, run("trfd", point.config, scale="tiny"))
-        path = list(tmp_path.glob("??/*.json"))[0]
+        path = _entries(tmp_path)[0]
         path.write_text("{not json", encoding="utf-8")
-        fresh = ResultStore(tmp_path, backend="json")
+        fresh = ResultStore(tmp_path)
         assert fresh.get(point) is None
         assert not path.exists()
 
     def test_stale_entry_with_invalid_params_is_dropped(self, tmp_path):
         # Valid JSON whose params no longer validate (e.g. written by an
         # older schema) must self-heal too, not crash with a ReproError.
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         point = _point()
         store.put(point, run("trfd", point.config, scale="tiny"))
-        path = list(tmp_path.glob("??/*.json"))[0]
+        path = _entries(tmp_path)[0]
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["result"]["params"]["num_phys_vregs"] = 4  # out of range
         path.write_text(json.dumps(payload), encoding="utf-8")
-        fresh = ResultStore(tmp_path, backend="json")
+        fresh = ResultStore(tmp_path)
         assert fresh.get(point) is None
         assert not path.exists()
 
     def test_clear_memory_keeps_disk(self, tmp_path):
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         point = _point()
         store.put(point, run("trfd", point.config, scale="tiny"))
         store.clear_memory()
@@ -165,7 +171,7 @@ class TestResultStore:
     def test_put_uses_unique_temp_names(self, tmp_path, monkeypatch):
         # Two workers storing the same point concurrently must never share
         # a temp file (the old path.with_suffix(".tmp") did).
-        import repro.core.store as store_mod
+        import repro.core.objectstore as store_mod
 
         seen = []
         real_replace = os.replace
@@ -175,7 +181,7 @@ class TestResultStore:
             real_replace(src, dst)
 
         monkeypatch.setattr(store_mod.os, "replace", recording_replace)
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         point = _point()
         result = run("trfd", point.config, scale="tiny")
         store.put(point, result)
@@ -238,16 +244,16 @@ class TestEngine:
         assert "1 simulated" in engine.summary()
 
 
-class TestRunCachedIntegration:
-    def test_run_cached_uses_configured_engine(self, tmp_path):
-        engine = ExperimentEngine(ResultStore(tmp_path, backend="json"),
+class TestDefaultEngineIntegration:
+    def test_result_uses_configured_engine(self, tmp_path):
+        engine = ExperimentEngine(ResultStore(tmp_path),
                                   plan=ExecutionPlan(jobs=1))
         set_engine(engine)
-        run_cached("trfd", ooo_config(), scale="tiny")
+        get_engine().result("trfd", ooo_config(), scale="tiny")
         assert engine.simulated == 1
-        assert list(tmp_path.glob("??/*.json"))
+        assert _entries(tmp_path)
         # Same point again: served from the store, no new simulation.
-        run_cached("trfd", ooo_config(), scale="tiny")
+        get_engine().result("trfd", ooo_config(), scale="tiny")
         assert engine.simulated == 1
 
 

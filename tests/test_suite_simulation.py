@@ -8,18 +8,18 @@ relationships of the paper at suite level.
 import pytest
 
 from repro.common.params import CommitModel, LoadElimination
-from repro.core import ooo_config, reference_config, run_cached
+from repro.core import get_engine, ooo_config, reference_config
 from repro.workloads import WORKLOAD_NAMES
 
 SCALE = "tiny"
 
 
 def _ref(name):
-    return run_cached(name, reference_config(), scale=SCALE)
+    return get_engine().result(name, reference_config(), scale=SCALE)
 
 
 def _ooo(name, **kwargs):
-    return run_cached(name, ooo_config(**kwargs), scale=SCALE)
+    return get_engine().result(name, ooo_config(**kwargs), scale=SCALE)
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
