@@ -64,7 +64,8 @@ def decode_payload(payload: object) -> SimulationResult | None:
         return None
     try:
         return SimulationResult.from_dict(payload["result"])
-    except (ValueError, KeyError, TypeError, ReproError):
+    except (ValueError, KeyError, TypeError, AttributeError, ReproError):
+        # AttributeError: a field of the wrong JSON type (``"unit_busy": 5``)
         return None
 
 

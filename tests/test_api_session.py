@@ -48,6 +48,21 @@ class TestSessionLifecycle:
             assert session.engine.jobs == 2
             assert session.trace_store is not None
 
+    def test_store_is_not_a_session_argument(self, tmp_path):
+        # a cache dir always means the object store
+        with pytest.raises(TypeError):
+            Session(cache_dir=tmp_path, store="json")
+
+    def test_flush_is_a_no_op(self, tmp_path):
+        with Session(cache_dir=tmp_path) as session:
+            session.result("nasa7", "reference")
+            files = sorted(tmp_path.rglob("*"))
+            session.flush()
+            assert sorted(tmp_path.rglob("*")) == files
+        with Session(cache_dir=tmp_path) as session:
+            session.result("nasa7", "reference")
+            assert session.engine.simulated == 0
+
     def test_session_does_not_disturb_default_engine(self):
         default = get_engine()
         with Session() as session:

@@ -112,3 +112,19 @@ class TestOverride:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             Settings.resolve(env={}).jobs = 9  # type: ignore[misc]
+
+
+class TestNoStoreSetting:
+    """A cache dir always means the object store: there is no store knob."""
+
+    def test_resolve_rejects_store(self):
+        with pytest.raises(TypeError):
+            Settings.resolve(store="json", env={})  # type: ignore[call-arg]
+
+    def test_override_rejects_store(self):
+        with pytest.raises(ReproError, match="unknown settings field"):
+            Settings.resolve(env={}).override(store="json")
+
+    def test_describe_names_no_store(self):
+        settings = Settings.resolve(cache_dir="/tmp/cache", env={})
+        assert settings.describe() == "cache_dir=/tmp/cache jobs=1 kernel=scalar"

@@ -201,3 +201,4 @@ class TestCLIFormats:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "csv" in out and "figure10" in out
+        assert "stores:" not in out  # one store: nothing to choose

@@ -175,6 +175,12 @@ class TestFleetParity:
 
         assert json.dumps(actual, sort_keys=True) == json.dumps(
             expected, sort_keys=True)
+        # each result is kept once: the object the worker published
+        root = tmp_path / "fleet"
+        stored = [path.relative_to(root).parts[:2]
+                  for path in root.rglob("*.json")]
+        assert [where for where in stored if where != ("objects", "queue")] == [
+            ("objects", "results")] * 2
 
     def test_fleet_session_serves_cache_hits_without_workers(self, tmp_path):
         root = tmp_path / "shared"

@@ -2,12 +2,16 @@
 
 Every scenario runs through :class:`~repro.core.runner.ResultStore` on a
 cache directory — round-trips, process-restart simulation, corruption
-tolerance, garbage collection — plus hypothesis-generated results to probe
-the serialisation path with adversarial statistics.
+tolerance, garbage collection, sharing one directory with other stores and
+fleet workers, caches left by retired store layouts — plus
+hypothesis-generated results to probe the serialisation path with
+adversarial statistics.
 """
 
 import json
+import sqlite3
 import uuid
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -21,9 +25,16 @@ from repro.core.objectstore import (
     RESULT_PREFIX,
     STORE_VERSION,
     ObjectStoreBackend,
+    decode_payload,
 )
 from repro.core.results import SimulationResult
-from repro.core.runner import ExperimentEngine, ExperimentPoint, ExperimentSpec, ResultStore
+from repro.core.runner import (
+    ExperimentEngine,
+    ExperimentPoint,
+    ExperimentSpec,
+    ResultStore,
+    result_payload,
+)
 
 
 def _point(regs=16, latency=50, workload="trfd", scale="tiny"):
@@ -52,6 +63,76 @@ def _corrupt_entry(cache_dir, point, text="{truncat"):
     _entry_file(cache_dir, point).write_text(text, encoding="utf-8")
 
 
+def _rewrite_entry(cache_dir, point, edit):
+    """Replace the stored object for ``point`` with ``edit(payload)``."""
+    path = _entry_file(cache_dir, point)
+    data = edit(json.loads(path.read_bytes()))
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+
+
+def _replaced(data):
+    """An edit that discards the payload and writes ``data`` verbatim."""
+    return lambda payload: data
+
+
+_REMOVE = object()
+
+
+def _edited(*path, value=_REMOVE):
+    """An edit that sets (or, without ``value``, removes) one payload field."""
+    def edit(payload):
+        target = payload
+        for name in path[:-1]:
+            target = target[name]
+        if value is _REMOVE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return json.dumps(payload)
+    return edit
+
+
+#: entries that do not decode to a JSON object at all
+UNDECODABLE_ENTRIES = {
+    "{truncat": _replaced("{truncat"),
+    "null": _replaced("null"),
+    "list": _replaced("[]"),
+    "number": _replaced("3"),
+    "string": _replaced('"entry"'),
+    "bool": _replaced("true"),
+    "empty": _replaced(""),
+    "not-utf8": _replaced(b"\xff\xfe{}"),
+}
+
+#: JSON objects that are not a valid current-version entry
+INVALID_PAYLOADS = {
+    "no-version": _edited("version"),
+    "future-version": _edited("version", value=STORE_VERSION + 1),
+    "string-version": _edited("version", value=str(STORE_VERSION)),
+    "no-result": _edited("result"),
+    "result-not-an-object": _edited("result", value=[]),
+    "no-params": _edited("result", "params"),
+    "unknown-machine-kind": _edited("result", "params", "kind", value="warp"),
+    "invalid-params": _edited("result", "params", "num_phys_vregs", value=4),
+    "traffic-not-an-object": _edited("result", "stats", "traffic", value=5),
+    "unit-busy-not-an-object": _edited("result", "stats", "unit_busy", value=5),
+}
+
+#: rewritten entries that still hold the same valid result
+VALID_VARIANTS = {
+    "as-written": json.dumps,
+    "pretty-printed": lambda payload: json.dumps(payload, indent=2, sort_keys=True),
+    "incomplete-key-block": _edited("key", value={}),
+    "extra-field": _edited("writer", value="fleet"),
+}
+
+
+def _cases(*tables):
+    """``pytest.param``s for every ``id -> edit`` entry of ``tables``."""
+    return [pytest.param(edit, id=name)
+            for table in tables for name, edit in table.items()]
+
+
 # ---------------------------------------------------------------------------
 # Store construction
 # ---------------------------------------------------------------------------
@@ -71,6 +152,11 @@ class TestBackendSelection:
         assert store.backend is None
         assert store.describe() == "memory"
         assert store.gc() == (0, 0)
+
+    def test_backend_is_not_a_choice(self, tmp_path):
+        # a cache dir always means the object store
+        with pytest.raises(TypeError):
+            ResultStore(tmp_path, backend="json")
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +186,12 @@ class TestBackendContract:
         assert fresh.contains(point)
         assert fresh.get(point) is not None
 
-    @pytest.mark.parametrize("text", ["{truncat", "null"])
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path, text):
+    @pytest.mark.parametrize("edit", _cases(UNDECODABLE_ENTRIES))
+    def test_corrupt_entry_degrades_to_miss(self, tmp_path, edit):
         store = ResultStore(tmp_path)
         point = _point()
         store.put(point, _result(point))
-        _corrupt_entry(tmp_path, point, text)
+        _rewrite_entry(tmp_path, point, edit)
         fresh = ResultStore(tmp_path)
         assert fresh.get(point) is None
         # the broken entry is gone: contains() agrees and a re-put heals it
@@ -190,6 +276,15 @@ class TestBackendContract:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert store.gc() == (1, 0)
 
+    def test_put_writes_through_and_flush_changes_nothing(self, tmp_path):
+        store = ResultStore(tmp_path)
+        point = _point()
+        store.put(point, _result(point))
+        assert ResultStore(tmp_path).contains(point)  # on disk before any flush
+        files = sorted(tmp_path.rglob("*"))
+        store.flush()
+        assert sorted(tmp_path.rglob("*")) == files
+
     def test_delete_then_get_misses(self, tmp_path):
         store = ResultStore(tmp_path)
         point = _point()
@@ -208,6 +303,170 @@ class TestBackendContract:
         warm.run_spec(spec)
         assert warm.simulated == 0
         assert warm.disk_hits == len(spec)
+
+
+# ---------------------------------------------------------------------------
+# Entry validation: get serves exactly what gc keeps
+# ---------------------------------------------------------------------------
+
+
+class TestEntryValidation:
+    """``get`` and ``gc`` judge every entry with :func:`decode_payload`.
+
+    A rejected entry is a miss that leaves the disk, so ``contains()``
+    agrees and the engine re-simulates it; a served entry survives ``gc``.
+    """
+
+    @pytest.mark.parametrize("edit", _cases(INVALID_PAYLOADS))
+    def test_invalid_payload_is_a_miss_and_is_dropped(self, tmp_path, edit):
+        store = ResultStore(tmp_path)
+        point = _point()
+        store.put(point, _result(point))
+        _rewrite_entry(tmp_path, point, edit)
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(point) is None
+        assert fresh.disk_hits == 0
+        assert not fresh.contains(point)
+
+    @pytest.mark.parametrize("edit", _cases(UNDECODABLE_ENTRIES, INVALID_PAYLOADS))
+    def test_gc_evicts_what_get_rejects(self, tmp_path, edit):
+        store = ResultStore(tmp_path)
+        good, bad = _point(regs=16), _point(regs=32)
+        store.put(good, _result(good))
+        store.put(bad, _result(bad))
+        _rewrite_entry(tmp_path, bad, edit)
+        assert ResultStore(tmp_path).gc() == (1, 1)
+        fresh = ResultStore(tmp_path)
+        assert not fresh.contains(bad)
+        assert fresh.get(good) is not None
+
+    @pytest.mark.parametrize("edit", _cases(VALID_VARIANTS))
+    def test_gc_keeps_what_get_serves(self, tmp_path, edit):
+        store = ResultStore(tmp_path)
+        point = _point()
+        result = _result(point, cycles=4321)
+        store.put(point, result)
+        _rewrite_entry(tmp_path, point, edit)
+        fetched = ResultStore(tmp_path).get(point)
+        assert fetched is not None
+        assert fetched.to_dict() == result.to_dict()
+        assert ResultStore(tmp_path).gc() == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# One cache dir shared by stores and fleet workers
+# ---------------------------------------------------------------------------
+
+
+class TestSharedCacheDir:
+    def test_stores_see_each_others_writes_without_restart(self, tmp_path):
+        reader = ResultStore(tmp_path)
+        writer = ResultStore(tmp_path)
+        point = _point()
+        assert not reader.contains(point)
+        writer.put(point, _result(point, cycles=77))
+        assert reader.contains(point)
+        fetched = reader.get(point)
+        assert fetched is not None and fetched.cycles == 77
+        assert reader.disk_hits == 1
+
+    def test_last_writer_wins(self, tmp_path):
+        point = _point()
+        ResultStore(tmp_path).put(point, _result(point, cycles=1))
+        ResultStore(tmp_path).put(point, _result(point, cycles=2))
+        fetched = ResultStore(tmp_path).get(point)
+        assert fetched is not None and fetched.cycles == 2
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_stored_object_is_the_result_payload(self, tmp_path):
+        # the engine writes the bytes a fleet worker publishes for the point
+        point = _point()
+        result = _result(point, cycles=99)
+        ResultStore(tmp_path).put(point, result)
+        expected = json.dumps(result_payload(point, result)).encode("utf-8")
+        assert _entry_file(tmp_path, point).read_bytes() == expected
+
+    def test_published_object_is_a_disk_hit(self, tmp_path):
+        point = _point()
+        result = _result(point, cycles=4321)
+        ObjectStoreBackend(tmp_path).put(
+            point.fingerprint(), result_payload(point, result))
+        store = ResultStore(tmp_path)
+        fetched = store.get(point)
+        assert fetched is not None
+        assert fetched.to_dict() == result.to_dict()
+        assert store.disk_hits == 1
+
+    def test_stored_object_is_what_the_fleet_collects(self, tmp_path):
+        point = _point()
+        result = _result(point)
+        ResultStore(tmp_path).put(point, result)
+        payload = ObjectStoreBackend(tmp_path).get(point.fingerprint())
+        collected = decode_payload(payload)
+        assert collected is not None
+        assert collected.to_dict() == result.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Caches left by the retired sharded-JSON and SQLite layouts
+# ---------------------------------------------------------------------------
+
+
+def _write_retired_entries(cache_dir, point):
+    """Store ``point``'s entry the way the retired layouts did; returns the files.
+
+    Sharded JSON kept ``<fp[:2]>/<workload>-<scale>-<config>-<fp[:16]>.json``
+    plus an ``_index.json`` manifest; SQLite kept one ``results.db``.
+    """
+    key = point.fingerprint()
+    text = json.dumps(result_payload(point, _result(point)))
+    shard = (cache_dir / key[:2]
+             / f"{point.workload}-{point.scale}-{point.config.name}-{key[:16]}.json")
+    shard.parent.mkdir(parents=True)
+    shard.write_text(text, encoding="utf-8")
+    index = cache_dir / "_index.json"
+    index.write_text(json.dumps({"entries": {key: {"workload": point.workload}}}),
+                     encoding="utf-8")
+    database = cache_dir / "results.db"
+    with closing(sqlite3.connect(database)) as conn:
+        conn.execute(
+            "CREATE TABLE results (fingerprint TEXT PRIMARY KEY,"
+            " version INTEGER NOT NULL, workload TEXT NOT NULL,"
+            " scale TEXT NOT NULL, config_name TEXT NOT NULL,"
+            " payload TEXT NOT NULL)")
+        conn.execute(
+            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?)",
+            (key, STORE_VERSION, point.workload, point.scale,
+             point.config.name, text))
+        conn.commit()
+    return [shard, index, database]
+
+
+class TestRetiredLayouts:
+    """Nothing reads a retired layout and nothing migrates or deletes it."""
+
+    def test_retired_entries_are_not_read(self, tmp_path):
+        point = _point()
+        _write_retired_entries(tmp_path, point)
+        store = ResultStore(tmp_path)
+        assert not store.contains(point)
+        assert store.get(point) is None
+
+    def test_first_run_resimulates_into_the_object_store(self, tmp_path):
+        point = _point()
+        retired = _write_retired_entries(tmp_path, point)
+        engine = ExperimentEngine(ResultStore(tmp_path))
+        engine.run_point(point)
+        assert engine.simulated == 1
+        assert _entry_file(tmp_path, point).is_file()
+        assert all(path.is_file() for path in retired)
+
+    def test_gc_leaves_retired_files_alone(self, tmp_path):
+        point = _point()
+        retired = _write_retired_entries(tmp_path, point)
+        before = {path: path.read_bytes() for path in retired}
+        assert ResultStore(tmp_path).gc() == (0, 0)
+        assert {path: path.read_bytes() for path in retired} == before
 
 
 # ---------------------------------------------------------------------------
