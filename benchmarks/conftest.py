@@ -12,8 +12,10 @@ these environment variables:
   ``python -m repro.cli run-all``; a warmed cache makes the whole benchmark
   suite skip simulation entirely (compiled traces are memoised under
   ``$REPRO_CACHE_DIR/traces/`` too);
-* ``REPRO_JOBS``      — worker processes used for missing grid points;
-* ``REPRO_KERNEL``    — machine stepper kernel (``scalar`` or ``batched``).
+* ``REPRO_JOBS``      — worker processes used for missing grid points
+  (one pool, started at the first miss and reused for every grid);
+* ``REPRO_KERNEL``    — machine stepper kernel (``batched``, the default, or
+  ``scalar``, the executable spec).
 """
 
 import os

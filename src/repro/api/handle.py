@@ -35,7 +35,7 @@ every exhibit derived from it — is identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.api.request import RunRequest, RunResult
 from repro.common.errors import ReproError
@@ -178,9 +178,9 @@ class RunHandle:
             raise
         finally:
             # a transient per-request engine (Session._engine_for) must not
-            # leak spawned fleet workers past its one run
+            # leak its worker pool or spawned fleet workers past its one run
             if self._engine is not self._session.engine:
-                self._engine.shutdown_fleet()
+                self._engine.close()
         self._result = RunResult(
             request=self.request,
             results={

@@ -20,8 +20,9 @@ default (:func:`repro.core.runner.engine_scope`) so the ``table*`` /
 ``figure*`` experiment functions resolve through this session's caches;
 the previous default is always reinstated.
 
-Sessions are context managers: ``close()`` drains any fleet workers the
-session spawned.  A closed session raises on further use.
+Sessions are context managers: ``close()`` shuts down the engine's worker
+pool and drains any fleet workers the session spawned.  A closed session
+raises on further use.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class Session:
         ``watch()``/``result()`` call (see :mod:`repro.api.handle`).
 
         A per-request ``jobs`` override runs on a transient engine that
-        shares this session's stores.
+        shares this session's stores; the handle closes that engine, and
+        with it the engine's worker pool, once the result is computed.
         """
         self._check_open()
         workloads = request.resolved_workloads()
@@ -316,7 +318,7 @@ class Session:
         self._store.flush()
 
     def close(self) -> None:
-        """Drain spawned fleet workers; the session becomes unusable."""
+        """Release the worker pool and fleet workers; the session becomes unusable."""
         if not self._closed:
             self._closed = True
             self.engine.close()

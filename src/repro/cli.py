@@ -8,7 +8,9 @@ paper's evaluation in one command, batched through the experiment engine::
 * ``--scale``     — ``small`` (the paper-harness default) or ``full`` (the
   largest built-in scale, aliased to the workload scale ``medium``);
 * ``--jobs``      — fan the missing simulation points of each exhibit's grid
-  out across that many worker processes;
+  out across that many worker processes (one pool for the whole run);
+* ``--kernel``    — machine stepper kernel: ``batched`` (the default) or
+  ``scalar`` (the executable spec); results are bit-identical;
 * ``--cache-dir`` — persistent on-disk result store (an S3-style
   filesystem bucket under ``<cache-dir>/objects/``): a second run of the
   same command performs **zero** simulations and only re-renders reports.
@@ -64,6 +66,7 @@ from repro.api import (
 )
 from repro.api.request import split_names
 from repro.common.errors import ReproError
+from repro.core.settings import DEFAULT_KERNEL
 from repro.workloads.registry import WORKLOAD_NAMES
 
 #: run-all output formats
@@ -84,7 +87,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                          help="worker processes for missing simulation points")
     run_all.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                          help="machine stepper kernel (default: $REPRO_KERNEL "
-                              "or scalar; results are bit-identical)")
+                              f"or {DEFAULT_KERNEL}; results are bit-identical)")
     run_all.add_argument("--fleet", type=int, default=None, metavar="N",
                          help="delegate missing points to N fleet workers "
                               "sharing the cache dir's object-store bucket "
@@ -112,7 +115,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                           default="small", help="workload scale")
     simulate.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                           help="machine stepper kernel (default: $REPRO_KERNEL "
-                               "or scalar; results are bit-identical)")
+                               f"or {DEFAULT_KERNEL}; results are bit-identical)")
     simulate.add_argument("--format", choices=("text", "json"), default="text",
                           help="output format (default: text)")
 

@@ -11,13 +11,15 @@ hundreds of them.  This module turns that grid into a first-class object:
   with a cache directory, the S3-style object store
   (:mod:`repro.core.objectstore`), keyed by a configuration fingerprint;
 * :class:`ExperimentEngine` — executes the missing points of a spec, batched
-  across a :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``
-  (workers rebuild the simulators from the picklable points and ship results
-  back as JSON-compatible dictionaries).  With a cache directory configured
-  the engine also memoises compiled traces on disk
-  (:class:`repro.trace.store.TraceStore`) and pre-warms them before fanning
-  out, so each workload trace is compiled at most once per grid instead of
-  once per worker process.
+  across the engine's one :class:`concurrent.futures.ProcessPoolExecutor`
+  when ``jobs > 1``.  The pool's ``spawn`` workers are started at the first
+  batch with cache misses, serve every later spec and are released by
+  :meth:`ExperimentEngine.close`; they rebuild the simulators from the
+  picklable points and ship results back as JSON-compatible dictionaries.
+  With a cache directory configured the engine also memoises compiled
+  traces on disk (:class:`repro.trace.store.TraceStore`) and pre-warms them
+  before fanning out, so each workload trace is compiled at most once per
+  grid and each worker loads it at most once.
 
 Every ``table*``/``figure*`` function in :mod:`repro.core.experiments`
 declares its grid and pulls results through the process-wide default engine
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager as _contextmanager
@@ -48,7 +51,7 @@ from repro.common.params import params_to_dict
 from repro.core.config import MachineConfig
 from repro.core.objectstore import STORE_VERSION, ObjectStoreBackend, decode_payload
 from repro.core.results import SimulationResult
-from repro.core.settings import ExecutionPlan, Settings
+from repro.core.settings import DEFAULT_KERNEL, ExecutionPlan, Settings
 from repro.trace.store import TraceStore
 
 if TYPE_CHECKING:
@@ -118,7 +121,7 @@ class ExperimentSpec:
 def _simulate_point(
     point: ExperimentPoint,
     trace_dir: str | None = None,
-    kernel: str = "scalar",
+    kernel: str = DEFAULT_KERNEL,
 ) -> dict:
     """Execute one point and return the serialised result.
 
@@ -251,6 +254,13 @@ class ExperimentEngine:
     loose keywords.  The engine never re-interprets environment variables
     or re-validates knob combinations: the plan was resolved exactly once.
 
+    With ``plan.jobs > 1`` the engine owns one process pool of that width.
+    It is created on the first batch that has cache misses, reused for
+    every later spec, and shut down by :meth:`close` — an engine that ran
+    a parallel batch must be closed.  Pool workers start from a fresh
+    import, so a third-party machine model reaches them only if importing
+    its parameter type's module registers it.
+
     With ``plan.fleet > 0`` the engine stops executing points itself and
     delegates every cache miss to a :class:`~repro.fleet.dispatcher.
     FleetDispatcher` — submit the batch to the shared object-store queue,
@@ -271,11 +281,13 @@ class ExperimentEngine:
         #: process-pool width across points (mirrors ``plan.jobs``)
         self.jobs = plan.jobs
         #: machine stepper kernel used for every simulation this engine runs
-        #: ("scalar" or "batched"; results are bit-identical either way)
+        #: ("batched" or "scalar"; results are bit-identical either way)
         self.kernel = plan.kernel
         #: local fleet workers to spawn (0: fleet delegation disabled)
         self.fleet = plan.fleet
         self._dispatcher: "FleetDispatcher | None" = None
+        #: the ``jobs``-wide worker pool, created by the first parallel batch
+        self._pool: ProcessPoolExecutor | None = None
         if trace_store is None and self.store.cache_dir is not None:
             trace_store = TraceStore(self.store.cache_dir / TRACE_SUBDIR)
         self.trace_store = trace_store
@@ -293,9 +305,9 @@ class ExperimentEngine:
     def run_spec(self, spec: ExperimentSpec) -> dict[ExperimentPoint, SimulationResult]:
         """Resolve every point of ``spec``, simulating only the missing ones.
 
-        Missing points are executed in one batch — across a process pool
-        when the engine was configured with ``jobs > 1`` — and the full
-        mapping of point to (defensively copied) result is returned.
+        Missing points are executed in one batch — across the engine's
+        process pool when it was configured with ``jobs > 1`` — and the
+        full mapping of point to (defensively copied) result is returned.
         """
         results: dict[ExperimentPoint, SimulationResult] = {}
         missing: list[ExperimentPoint] = []
@@ -350,9 +362,10 @@ class ExperimentEngine:
                 return self._execute_parallel(points)
             except (OSError, BrokenProcessPool):
                 # Process pools can be unavailable (restricted sandboxes) or
-                # lose their workers mid-run; fall back to in-process
-                # execution rather than failing the whole sweep.
-                pass
+                # lose their workers mid-run; drop the pool (the next batch
+                # builds a fresh one) and run this batch in-process rather
+                # than failing the whole sweep.
+                self._shutdown_pool()
         trace_dir = (
             str(self.trace_store.cache_dir) if self.trace_store is not None else None
         )
@@ -401,24 +414,30 @@ class ExperimentEngine:
         return dispatcher.collect(batch)
 
     def _execute_parallel(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
-        workers = min(self.jobs, len(points))
-        chunksize = max(1, len(points) // (workers * 4))
+        """Run ``points`` on the engine's pool; results come back in order."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context("spawn"),
+            )
         trace_dir = (
             str(self.trace_store.cache_dir) if self.trace_store is not None else None
         )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(
-                pool.map(
-                    _simulate_point,
-                    points,
-                    itertools.repeat(trace_dir),
-                    itertools.repeat(self.kernel),
-                    chunksize=chunksize,
-                )
-            )
+        payloads = self._pool.map(
+            _simulate_point,
+            points,
+            itertools.repeat(trace_dir),
+            itertools.repeat(self.kernel),
+        )
         return [SimulationResult.from_dict(payload) for payload in payloads]
 
     # -- lifecycle ----------------------------------------------------------
+
+    def _shutdown_pool(self) -> None:
+        """Shut the worker pool down, waiting for its workers to exit."""
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def shutdown_fleet(self) -> None:
         """Drain spawned fleet workers (no-op when none were started)."""
@@ -427,7 +446,11 @@ class ExperimentEngine:
             self._dispatcher = None
 
     def close(self) -> None:
-        """Release engine resources: drain spawned fleet workers."""
+        """Release engine resources: the worker pool and fleet workers.
+
+        The engine stays usable; a later parallel batch starts a new pool.
+        """
+        self._shutdown_pool()
         self.shutdown_fleet()
 
     # -- statistics ---------------------------------------------------------
@@ -447,7 +470,7 @@ class ExperimentEngine:
             f"{self.memory_hits} memory hits, jobs={self.jobs}, "
             f"store={self.store.describe()}"
         )
-        if self.kernel != "scalar":
+        if self.kernel != DEFAULT_KERNEL:
             line += f", kernel={self.kernel}"
         if self.fleet:
             line += f", fleet={self.fleet} ({self.fleet_points} dispatched)"
@@ -485,8 +508,8 @@ def get_engine() -> ExperimentEngine:
 def engine_scope(engine: ExperimentEngine) -> Iterator[ExperimentEngine]:
     """Temporarily install ``engine`` as the process-wide default.
 
-    Unlike :func:`set_engine`, the outgoing engine's fleet workers are
-    not drained: the previous default is reinstated untouched on exit.
+    Unlike :func:`set_engine`, the outgoing engine is not closed: the
+    previous default is reinstated untouched on exit.
     :class:`repro.api.Session` wraps every exhibit computation in this
     scope so the ``table*``/``figure*`` experiment functions resolve
     through the session's engine.
@@ -503,13 +526,14 @@ def engine_scope(engine: ExperimentEngine) -> Iterator[ExperimentEngine]:
 def set_engine(engine: ExperimentEngine | None) -> None:
     """Install ``engine`` as the default (``None`` resets to lazy creation).
 
-    The outgoing engine's fleet dispatcher (if any) is drained.
+    The outgoing engine is closed: its worker pool and fleet workers (if
+    any) are released.
     """
     global _default_engine
     previous = _default_engine
     _default_engine = engine
     if previous is not None and previous is not engine:
-        previous.shutdown_fleet()
+        previous.close()
 
 
 def run_experiment(

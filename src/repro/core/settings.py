@@ -29,10 +29,11 @@ Environment variables (all optional):
                               traces under ``traces/`` (empty: disabled)
 ``REPRO_JOBS``                worker processes per sweep (clamped to ≥ 1;
                               unparsable values fall back to the default)
-``REPRO_KERNEL``              machine stepper kernel: ``scalar`` (the
-                              per-instruction dispatch loop) or ``batched``
-                              (the SoA pre-lowered stepper; invalid values
-                              are an error)
+``REPRO_KERNEL``              machine stepper kernel: ``batched`` (the
+                              default, the pre-lowered stepper) or
+                              ``scalar`` (the per-instruction dispatch
+                              loop, kept as the executable spec; invalid
+                              values are an error)
 ``REPRO_FLEET``               distributed execution: number of local
                               ``repro worker`` processes the engine spawns
                               and dispatches to through the object-store
@@ -60,6 +61,8 @@ FLEET_ENV = "REPRO_FLEET"
 
 #: the available machine stepper kernels (see :mod:`repro.machine.batched`)
 KERNEL_NAMES = ("scalar", "batched")
+#: the kernel used unless a setting names another; both are bit-identical
+DEFAULT_KERNEL = "batched"
 
 #: sentinel distinguishing "not passed" from every real value (incl. falsy)
 _UNSET: Any = object()
@@ -95,8 +98,8 @@ class ExecutionPlan:
 
     #: worker processes fanning out the points of a sweep grid
     jobs: int = 1
-    #: machine stepper kernel (``scalar`` or ``batched``)
-    kernel: str = "scalar"
+    #: machine stepper kernel (``batched`` or ``scalar``)
+    kernel: str = DEFAULT_KERNEL
     #: local ``repro worker`` processes to spawn for fleet dispatch
     #: (0: execute in-process; see :mod:`repro.fleet`)
     fleet: int = 0
@@ -132,8 +135,8 @@ class Settings:
     cache_dir: str | None = None
     #: worker processes fanning out the points of a sweep grid
     jobs: int = 1
-    #: machine stepper kernel (``scalar`` or ``batched``)
-    kernel: str = "scalar"
+    #: machine stepper kernel (``batched`` or ``scalar``)
+    kernel: str = DEFAULT_KERNEL
     #: local fleet workers to spawn (0: in-process execution, the default)
     fleet: int = 0
     #: names of the fields that were passed explicitly to :meth:`resolve`
@@ -188,7 +191,7 @@ class Settings:
             resolved_fleet = _explicit_int("fleet", fleet, minimum=0)
 
         if kernel is _UNSET:
-            resolved_kernel = environ.get(KERNEL_ENV) or "scalar"
+            resolved_kernel = environ.get(KERNEL_ENV) or DEFAULT_KERNEL
             source = f" (from ${KERNEL_ENV})"
         else:
             explicit.add("kernel")

@@ -20,6 +20,7 @@ from repro.core.config import MachineConfig
 from repro.core.machines import create_run
 from repro.core.results import SimulationResult
 from repro.core.runner import get_engine
+from repro.core.settings import DEFAULT_KERNEL, KERNEL_NAMES
 from repro.trace.records import Trace
 from repro.trace.store import TraceStore
 from repro.workloads.base import Workload
@@ -27,7 +28,7 @@ from repro.workloads.registry import get_workload
 
 
 def simulate_trace(
-    trace: Trace, config: MachineConfig, kernel: str = "scalar"
+    trace: Trace, config: MachineConfig, kernel: str = DEFAULT_KERNEL
 ) -> SimulationResult:
     """Run an existing trace through the machine described by ``config``.
 
@@ -35,17 +36,18 @@ def simulate_trace(
     that no caller can obtain a ``cycles == 0`` result that later explodes
     in speedup ratios.
 
-    ``kernel`` selects the stepper: ``"scalar"`` is the per-instruction
-    dispatch loop, ``"batched"`` the pre-lowered structure-of-arrays
-    stepper (:mod:`repro.machine.batched`).  Both produce bit-identical
-    statistics; machines without a registered batched stepper silently run
-    the scalar kernel.
+    ``kernel`` selects the stepper: ``"batched"`` (the default) is the
+    pre-lowered structure-of-arrays stepper (:mod:`repro.machine.batched`),
+    ``"scalar"`` the per-instruction dispatch loop it is tested against.
+    Both produce bit-identical statistics; machines without a registered
+    batched stepper silently run the scalar kernel.
     """
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
-    if kernel not in ("scalar", "batched"):
+    if kernel not in KERNEL_NAMES:
         raise SimulationError(
-            f"unknown machine kernel {kernel!r}; available: scalar, batched"
+            f"unknown machine kernel {kernel!r}; "
+            f"available: {', '.join(KERNEL_NAMES)}"
         )
     # machine-model registry dispatch (repro.core.machines): any registered
     # model — including ones added by downstream code — simulates here
@@ -77,7 +79,7 @@ def simulate_point(
     scale: str,
     config: MachineConfig,
     trace_store: TraceStore | None = None,
-    kernel: str = "scalar",
+    kernel: str = DEFAULT_KERNEL,
 ) -> SimulationResult:
     """Simulate one (workload, scale, configuration) point.
 

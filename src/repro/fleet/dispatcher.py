@@ -41,6 +41,7 @@ from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStoreBackend, decode_payload
 from repro.core.results import SimulationResult
 from repro.core.runner import ExperimentPoint
+from repro.core.settings import DEFAULT_KERNEL
 from repro.fleet.queue import DEFAULT_LEASE_TTL, LeaseQueue, TaskState
 from repro.fleet.tasks import FleetTask
 
@@ -100,7 +101,7 @@ class FleetDispatcher:
         self,
         store_root: str | os.PathLike[str],
         spawn: int = 0,
-        kernel: str = "scalar",
+        kernel: str = DEFAULT_KERNEL,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll_s: float = DEFAULT_WATCH_POLL_S,
         max_restarts: int | None = None,

@@ -28,7 +28,7 @@ from repro.common.errors import ReproError
 from repro.common.params import params_from_dict, params_to_dict
 from repro.core.config import MachineConfig
 from repro.core.runner import ExperimentPoint
-from repro.core.settings import KERNEL_NAMES
+from repro.core.settings import DEFAULT_KERNEL, KERNEL_NAMES
 
 #: version stamp embedded in every task payload; a worker refuses (fails)
 #: tasks from a different fleet protocol version instead of guessing
@@ -42,7 +42,7 @@ class FleetTask:
     workload: str
     scale: str
     config: MachineConfig
-    kernel: str = "scalar"
+    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNEL_NAMES:
@@ -110,7 +110,7 @@ class FleetTask:
                 workload=workload,
                 scale=scale,
                 config=config,
-                kernel=payload.get("kernel", "scalar"),
+                kernel=payload.get("kernel", DEFAULT_KERNEL),
             )
         except ReproError:
             raise

@@ -14,10 +14,9 @@ This module provides the kernel side of the batched stepper:
   a :class:`LoweredTrace` — a structure of arrays holding, per
   instruction, the kind code, interned latency-class code, operand
   register classes/indices, vector lengths, queue routing, branch
-  outcome, spill flag and memory region.  The canonical columns are
-  numpy arrays (when numpy is available); the interpreter loops use
-  plain-list copies because scalar indexing into numpy arrays is slower
-  than list indexing inside a Python loop.
+  outcome, spill flag and memory region.  The columns are plain lists:
+  the interpreter loops index them one element at a time, which is
+  faster on a list than on an array.
 * The lowering is segmented into **runs of same-kind instructions**
   (:attr:`LoweredTrace.segments`), so a machine stepper dispatches once
   per run instead of once per instruction.
@@ -47,11 +46,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.isa.opcodes import InstrKind, Opcode
 from repro.isa.registers import RegClass, Register
 from repro.trace.records import DynInstr, Trace
-
-try:  # numpy is the canonical SoA backend; the lowering degrades gracefully
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the baked toolchain
-    _np = None  # type: ignore[assignment]
 
 #: stable instruction-kind codes (definition order of :class:`InstrKind`)
 KINDS: Tuple[InstrKind, ...] = tuple(InstrKind)
@@ -132,11 +126,11 @@ def latency_tables(lat: Any) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 class LoweredTrace:
     """Structure-of-arrays projection of an instruction sequence.
 
-    The ``soa_*`` attributes are the canonical numpy columns (``None``
-    when numpy is unavailable); every other column is a plain list (or
-    tuple-of-tuples) copy used by the interpreter loops.  All columns are
-    pure functions of the instruction stream — no timing, no parameters —
-    so a lowering is shared by every configuration and every kernel call.
+    Every column is a plain list (operand columns hold tuples) indexed by
+    instruction position; :attr:`segments` splits the sequence into runs
+    of same-kind instructions.  All columns are pure functions of the
+    instruction stream — no timing, no parameters — so a lowering is
+    shared by every configuration and every kernel call.
     """
 
     def __init__(self, instructions: Sequence[DynInstr]) -> None:
@@ -224,31 +218,9 @@ class LoweredTrace:
         self.seq = [dyn.seq for dyn in dyns]
         self.max_srcs = max((len(s) for s in srcs), default=0)
 
-        # canonical numpy SoA columns + same-kind run segmentation
-        if _np is not None and n:
-            soa_kind = _np.array(kind_code, dtype=_np.int16)
-            self.soa_kind = soa_kind
-            self.soa_lat = _np.array(lat_code, dtype=_np.int16)
-            self.soa_vl = _np.array(vl, dtype=_np.int64)
-            self.soa_region_start = _np.array(region_start, dtype=_np.int64)
-            self.soa_region_end = _np.array(region_end, dtype=_np.int64)
-            self.soa_flags = (
-                _np.array(taken, dtype=_np.uint8)
-                | (_np.array(is_spill, dtype=_np.uint8) << 1)
-                | (_np.array(fu2_only, dtype=_np.uint8) << 2)
-            )
-            self.vl1 = _np.maximum(self.soa_vl, 1).tolist()
-            cuts = (_np.flatnonzero(soa_kind[1:] != soa_kind[:-1]) + 1).tolist()
-        else:  # pragma: no cover - exercised only without numpy
-            self.soa_kind = None
-            self.soa_lat = None
-            self.soa_vl = None
-            self.soa_region_start = None
-            self.soa_region_end = None
-            self.soa_flags = None
-            self.vl1 = [v if v > 1 else 1 for v in vl]
-            cuts = [i for i in range(1, n) if kind_code[i] != kind_code[i - 1]]
-
+        # vector lengths clamped to one element + same-kind run segmentation
+        self.vl1 = [v if v > 1 else 1 for v in vl]
+        cuts = [i for i in range(1, n) if kind_code[i] != kind_code[i - 1]]
         bounds = [0, *cuts, n] if n else [0, 0]
         self.segments: List[Tuple[int, int, int]] = [
             (bounds[j], bounds[j + 1], kind_code[bounds[j]])

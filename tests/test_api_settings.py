@@ -127,4 +127,4 @@ class TestNoStoreSetting:
 
     def test_describe_names_no_store(self):
         settings = Settings.resolve(cache_dir="/tmp/cache", env={})
-        assert settings.describe() == "cache_dir=/tmp/cache jobs=1 kernel=scalar"
+        assert settings.describe() == "cache_dir=/tmp/cache jobs=1 kernel=batched"

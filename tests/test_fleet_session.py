@@ -30,7 +30,7 @@ class TestExecutionPlan:
     def test_defaults(self):
         plan = ExecutionPlan()
         assert plan.jobs == 1
-        assert plan.kernel == "scalar"
+        assert plan.kernel == "batched"
         assert plan.fleet == 0
 
     @pytest.mark.parametrize("bad", [
@@ -75,6 +75,7 @@ class TestEngineConstruction:
             warnings.simplefilter("error", DeprecationWarning)
             engine = ExperimentEngine(
                 ResultStore(None), plan=ExecutionPlan(jobs=2))
+        engine.close()
         assert engine.plan.jobs == 2
 
 

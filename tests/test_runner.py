@@ -1,9 +1,14 @@
 """Tests for the experiment engine: specs, fingerprints, store, parallelism,
 serialisation round-trips and the command-line driver."""
 
+import importlib
 import json
+import multiprocessing
 import os
+import signal
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -17,9 +22,9 @@ from repro.common.params import (
     params_to_dict,
 )
 from repro.common.stats import SimStats
-from repro.core.config import ooo_config, reference_config
+from repro.core.config import MachineConfig, ooo_config, reference_config
 from repro.core.results import SimulationResult
-from repro.core.settings import ExecutionPlan
+from repro.core.settings import DEFAULT_KERNEL, ExecutionPlan
 from repro.core.runner import (
     ExperimentEngine,
     ExperimentPoint,
@@ -216,8 +221,11 @@ class TestEngine:
             "par", ["trfd", "bdna"],
             [reference_config(), ooo_config(), ooo_config(phys_vregs=32)], "tiny")
         serial = ExperimentEngine(plan=ExecutionPlan(jobs=1)).run_spec(spec)
-        parallel = ExperimentEngine(
-            ResultStore(tmp_path), plan=ExecutionPlan(jobs=2)).run_spec(spec)
+        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        try:
+            parallel = engine.run_spec(spec)
+        finally:
+            engine.close()
         assert set(serial) == set(parallel)
         for point in serial:
             assert serial[point].cycles == parallel[point].cycles
@@ -242,6 +250,13 @@ class TestEngine:
         engine = ExperimentEngine()
         engine.result("trfd", ooo_config(), scale="tiny")
         assert "1 simulated" in engine.summary()
+
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    def test_summary_names_the_kernel_only_off_the_default(self, kernel):
+        summary = ExperimentEngine(plan=ExecutionPlan(kernel=kernel)).summary()
+        assert ("kernel=" in summary) == (kernel != DEFAULT_KERNEL)
+        if kernel != DEFAULT_KERNEL:
+            assert f"kernel={kernel}" in summary
 
 
 class TestDefaultEngineIntegration:
@@ -309,6 +324,163 @@ class TestCLI:
         engine = ExperimentEngine(plan=ExecutionPlan(jobs=4))
         spec = ExperimentSpec.grid(
             "fallback", ["trfd"], [ooo_config(), reference_config()], "tiny")
-        results = engine.run_spec(spec)
+        try:
+            results = engine.run_spec(spec)
+        finally:
+            engine.close()
         assert len(results) == 2
         assert all(r.cycles > 0 for r in results.values())
+
+
+#: seconds any pool worker may take to start, finish or exit in these tests
+_WAIT_S = 30
+
+
+def _live_children():
+    """Live child processes of this process, by pid."""
+    return {proc.pid: proc for proc in multiprocessing.active_children()}
+
+
+def _assert_exited(workers):
+    for proc in workers.values():
+        proc.join(timeout=_WAIT_S)
+        assert not proc.is_alive(), f"pool worker {proc.pid} outlived its engine"
+
+
+def _grid(name, workload):
+    return ExperimentSpec.grid(
+        name, [workload], [reference_config(), ooo_config(), ooo_config(phys_vregs=32)],
+        "tiny")
+
+
+def _same_results(got, expected):
+    assert set(got) == set(expected)
+    for point in expected:
+        assert got[point].stats.to_dict() == expected[point].stats.to_dict()
+
+
+@pytest.fixture
+def pool_model():
+    """The toy model of ``tests/pool_machine.py``, registered by its import.
+
+    Both registries are process-global: the model is dropped again on
+    teardown so registry-driven tests elsewhere see only the real machines.
+    """
+    from repro.common import params as params_module
+    from repro.core import machines as machines_module
+
+    sys.modules.pop("pool_machine", None)
+    module = importlib.import_module("pool_machine")
+    yield module
+    machines_module._REGISTRY.pop(module.NAME, None)
+    params_module._PARAMS_KINDS.pop(module.NAME, None)
+    sys.modules.pop("pool_machine", None)
+
+
+class TestEnginePool:
+    """A ``jobs > 1`` engine owns one process pool from first miss to close()."""
+
+    def test_specs_share_one_pool_until_close(self, tmp_path):
+        before = set(_live_children())
+        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        try:
+            engine.run_spec(_grid("first", "trfd"))
+            workers = {pid: proc for pid, proc in _live_children().items()
+                       if pid not in before}
+            assert len(workers) == 2
+            engine.run_spec(_grid("second", "bdna"))
+            after = {pid for pid in _live_children() if pid not in before}
+            assert after == set(workers)
+        finally:
+            engine.close()
+        _assert_exited(workers)
+        assert engine._pool is None
+
+    def test_no_pool_until_a_batch_misses(self, tmp_path):
+        spec = _grid("warm", "trfd")
+        ExperimentEngine(ResultStore(tmp_path)).run_spec(spec)
+        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        try:
+            engine.run_spec(spec)
+            assert engine.simulated == 0
+            assert engine._pool is None
+        finally:
+            engine.close()
+
+    def test_transient_request_engine_releases_its_pool(self, monkeypatch):
+        from repro.api import RunRequest, Session
+
+        before = set(_live_children())
+        used = {}
+        execute_parallel = ExperimentEngine._execute_parallel
+
+        def spy(self, points):
+            results = execute_parallel(self, points)
+            used.update((pid, proc) for pid, proc in _live_children().items()
+                        if pid not in before)
+            return results
+
+        monkeypatch.setattr(ExperimentEngine, "_execute_parallel", spy)
+        with Session(env={}) as session:
+            assert session.engine.jobs == 1
+            # the live handle keeps its transient engine (and any pool the
+            # engine failed to release) from being garbage-collected
+            handle = session.submit(RunRequest(
+                workloads=("nasa7",), configs=("reference", "ooo"), jobs=2))
+            assert len(handle.result().results) == 2
+            assert used, "the request never reached its engine's pool"
+            _assert_exited(used)
+            assert handle._engine._pool is None
+
+    def test_killed_worker_falls_back_then_builds_a_fresh_pool(self, tmp_path):
+        second = _grid("second", "bdna")
+        serial = ExperimentEngine().run_spec(second)
+        before = set(_live_children())
+        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        try:
+            engine.run_spec(_grid("first", "trfd"))
+            first_pool = engine._pool
+            workers = {pid: proc for pid, proc in _live_children().items()
+                       if pid not in before}
+            victim = next(iter(workers.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=_WAIT_S), "SIGKILL did not land"
+
+            _same_results(engine.run_spec(second), serial)
+            assert engine._pool is None  # the broken pool was dropped
+
+            engine.run_spec(_grid("third", "nasa7"))
+            assert engine._pool is not None and engine._pool is not first_pool
+            fresh = {pid: proc for pid, proc in _live_children().items()
+                     if pid not in before}
+            assert fresh and not set(fresh) & set(workers)
+        finally:
+            engine.close()
+        _assert_exited(workers)
+        _assert_exited(fresh)
+
+    def test_set_engine_releases_the_outgoing_pool(self):
+        before = set(_live_children())
+        engine = ExperimentEngine(plan=ExecutionPlan(jobs=2))
+        set_engine(engine)
+        get_engine().run_spec(_grid("default", "trfd"))
+        workers = {pid: proc for pid, proc in _live_children().items()
+                   if pid not in before}
+        assert workers
+        set_engine(None)
+        _assert_exited(workers)
+        assert engine._pool is None
+
+    def test_model_registered_at_import_runs_in_the_pool(self, pool_model):
+        config = MachineConfig(pool_model.NAME, pool_model.FlatParams())
+        spec = ExperimentSpec.grid("custom", ["trfd", "bdna"], [config], "tiny")
+        serial = ExperimentEngine().run_spec(spec)
+        engine = ExperimentEngine(plan=ExecutionPlan(jobs=2))
+        try:
+            pooled = engine.run_spec(spec)
+            # the fallback path drops the pool: a live one ran the points
+            assert engine._pool is not None
+        finally:
+            engine.close()
+        _same_results(pooled, serial)
+        assert all(result.cycles > 0 for result in pooled.values())

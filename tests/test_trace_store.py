@@ -198,8 +198,11 @@ class TestEngineTraceMemoisation:
             "par", ["trfd"], [reference_config(), ooo_config()], "tiny")
         serial = ExperimentEngine(
             ResultStore(tmp_path / "a"), plan=ExecutionPlan(jobs=1)).run_spec(spec)
-        parallel = ExperimentEngine(
-            ResultStore(tmp_path / "b"), plan=ExecutionPlan(jobs=2)).run_spec(spec)
+        engine = ExperimentEngine(ResultStore(tmp_path / "b"), plan=ExecutionPlan(jobs=2))
+        try:
+            parallel = engine.run_spec(spec)
+        finally:
+            engine.close()
         assert set(serial) == set(parallel)
         for point in serial:
             assert serial[point].stats.to_dict() == parallel[point].stats.to_dict()
