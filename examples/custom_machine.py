@@ -13,12 +13,11 @@ per vector *element* and a flat memory penalty per memory instruction —
 registers it through :mod:`repro.api` only, and runs it against the
 built-in machines, in one ``run_slice`` call and resumed across two.
 
-Before shipping a machine of your own, run the static contract analyzer
-over it — ``repro check path/to/your_machine.py`` (or
-``python -m repro.checks``) — it flags nondeterministic iteration and
-wall-clock, randomness or environment reads reachable from ``run_slice``
-*before* they surface as irreproducible results.  This file is checked in
-CI the same way.
+Before shipping a machine of your own, run the static analyzer over it —
+``repro check path/to/your_machine.py`` (or ``python -m repro.checks``) —
+it flags nondeterministic iteration and wall-clock, randomness or
+environment reads reachable from ``run_slice`` *before* they surface as
+irreproducible results.  This file is checked in CI the same way.
 
 Run with::
 

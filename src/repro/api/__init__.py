@@ -26,7 +26,7 @@ here, with no environment variables and no process-global state:
   code;
 * :func:`run_checks` / :class:`Finding` — the static analyzer behind
   ``repro check`` (:mod:`repro.checks`), for validating first- and
-  third-party machine components without running them;
+  third-party simulation code without running it;
 * :class:`CheckPass` / :func:`register_pass` — the analyzer's pass
   registry, mirroring :func:`register_machine`: third-party rule
   families plug into ``repro check``, :func:`run_checks` and CI without

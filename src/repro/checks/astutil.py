@@ -271,27 +271,6 @@ def _call_mutations(
                 break
 
 
-def iter_self_mentions(
-    body: Iterable[ast.stmt], self_name: str = "self"
-) -> Iterator[str]:
-    """Every attribute name appearing as ``self.<attr>`` (any context)."""
-    for node in _walk_body(body):
-        attr = is_self_attr(node, self_name)
-        if attr is not None:
-            yield attr
-
-
-def iter_self_calls(
-    body: Iterable[ast.stmt], self_name: str = "self"
-) -> Iterator[str]:
-    """Names of methods invoked as ``self.<method>(…)`` in ``body``."""
-    for node in _walk_body(body):
-        if isinstance(node, ast.Call):
-            attr = is_self_attr(node.func, self_name)
-            if attr is not None:
-                yield attr
-
-
 def _iter_store_targets(target: ast.expr) -> Iterator[ast.expr]:
     if isinstance(target, (ast.Tuple, ast.List)):
         for element in target.elts:
@@ -305,30 +284,6 @@ def _iter_store_targets(target: ast.expr) -> Iterator[ast.expr]:
 def _walk_body(body: Iterable[ast.stmt]) -> Iterator[ast.AST]:
     for stmt in body:
         yield from ast.walk(stmt)
-
-
-def method_is_abstract(node: ast.FunctionDef) -> bool:
-    """True for contract placeholders: ``...``/docstring-only/raise-only bodies."""
-    real = [
-        stmt
-        for stmt in node.body
-        if not (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, (str, type(Ellipsis)))
-        )
-    ]
-    if not real:
-        return True
-    if len(real) == 1 and isinstance(real[0], ast.Raise):
-        exc = real[0].exc
-        name = None
-        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
-            name = exc.func.id
-        elif isinstance(exc, ast.Name):
-            name = exc.id
-        return name == "NotImplementedError"
-    return False
 
 
 def self_arg_name(node: ast.FunctionDef) -> str | None:

@@ -2,11 +2,11 @@
 
 The determinism rule family flags ambient *sources* (``import time``,
 ``os.environ``, …) wherever they appear.  This pass generalizes it along
-the call graph: simulation-critical entry points — ``run_slice``,
-``snapshot``, ``digest``, the fingerprint/digest computations, and any
-function registered as a batched stepper — must not *reach* an ambient
-effect through any chain of same-module calls, even when the effect
-lives in an innocuously named helper three hops away.
+the call graph: simulation-critical entry points — ``run_slice``, the
+result fingerprint, and any function registered as a batched stepper —
+must not *reach* an ambient effect through any chain of same-module
+calls, even when the effect lives in an innocuously named helper three
+hops away.
 
 Detected effect classes:
 
@@ -37,16 +37,7 @@ from repro.checks.astutil import SourceModule, is_self_attr, self_arg_name
 from repro.checks.model import CheckPass, Finding, register_pass
 
 #: def names treated as simulation-critical roots wherever they appear
-ENTRY_POINTS = frozenset(
-    {
-        "run_slice",
-        "run_slice_batched",
-        "snapshot",
-        "digest",
-        "fingerprint",
-        "state_digest",
-    }
-)
+ENTRY_POINTS = frozenset({"run_slice", "run_slice_batched", "fingerprint"})
 
 _TIME_READS = frozenset(
     {
@@ -250,7 +241,6 @@ register_pass(
             "no wall-clock, randomness, identity, environment or filesystem "
             "access reachable from simulation entry points"
         ),
-        scope="module",
         run=check_ambient_effects,
     )
 )

@@ -277,7 +277,6 @@ register_pass(
             "fleet queue keys go through LeaseQueue helpers, clock reads "
             "through the injected clock, and thread state is declared"
         ),
-        scope="module",
         run=check_fleet_protocol,
         wants=is_fleet_module,
     )

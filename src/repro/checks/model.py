@@ -2,7 +2,7 @@
 
 Each rule family owns one bit of the process exit code, so CI (and
 scripts) can tell *which* families fired from the status alone:
-``exit 3`` means state-coverage plus snapshot-symmetry findings, and
+``exit 72`` means determinism plus ambient-effects findings, and
 ``exit 0`` means the analyzed tree is clean.  (Usage errors — unreadable
 paths, syntax errors — exit 255, outside the rule-bit space.)
 
@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.checks.astutil import SourceModule
-    from repro.checks.contract import Project
 
 #: rule id -> (exit-code bit, one-line description).  Live registry view:
 #: seeded with the runner-owned suppression-hygiene rule, extended by
@@ -98,35 +97,20 @@ def _every_module(module: "SourceModule") -> bool:
 class CheckPass:
     """One pluggable rule family: an analysis plus its exit-code identity.
 
-    ``scope`` selects the runner protocol:
+    ``run`` is called once per analyzed file with a
+    :class:`~repro.checks.astutil.SourceModule`; ``wants`` narrows the
+    pass to the files it understands (e.g. the fleet-protocol lints only
+    look at fleet modules).
 
-    * ``"module"`` — ``run`` is called once per analyzed file with a
-      :class:`~repro.checks.astutil.SourceModule`;
-    * ``"project"`` — ``run`` is called once with the whole
-      :class:`~repro.checks.contract.Project`, for cross-file analyses
-      (class hierarchies, machine/stepper pairings).
-
-    ``wants`` narrows a module pass to the files it understands (e.g.
-    the fleet-protocol lints only look at fleet modules); project passes
-    always see every module and scope themselves.
-
-    The eight single-bit exit codes are fully allocated to the built-in
-    families; a third-party pass sets ``shares_bit=True`` to piggyback
-    on the allocated bit closest in spirit (the JSON report still
-    carries the exact rule id per finding).
+    Bits 1, 2, 4 and 32 are free for third-party passes; the built-in
+    families own 8, 16, 64 and 128.
     """
 
     rule: str
     bit: int
     summary: str
-    scope: str
-    run: Callable[..., list[Finding]]
+    run: Callable[["SourceModule"], list[Finding]]
     wants: Callable[["SourceModule"], bool] = field(default=_every_module)
-    shares_bit: bool = False
-
-    def __post_init__(self) -> None:
-        if self.scope not in ("module", "project"):
-            raise ValueError(f"unknown pass scope {self.scope!r}")
 
 
 _PASSES: dict[str, CheckPass] = {}
@@ -138,9 +122,7 @@ def register_pass(check_pass: CheckPass) -> CheckPass:
     The pass's exit bit must be unique across every registered family
     (and must not collide with the runner-owned ``malformed-suppression``
     bit): the bit *is* the family's identity in the process exit code.
-    Passes declaring ``shares_bit=True`` opt out of uniqueness and
-    piggyback on an already-allocated bit.  Returns the pass, so it can
-    be used as a definition-site one-liner.
+    Returns the pass, so it can be used as a definition-site one-liner.
     """
     existing = _PASSES.get(check_pass.rule)
     if existing is not None:
@@ -156,14 +138,12 @@ def register_pass(check_pass: CheckPass) -> CheckPass:
             f"pass {check_pass.rule!r} bit {check_pass.bit} exceeds the "
             "8-bit process exit code (255 is reserved for usage errors)"
         )
-    if not check_pass.shares_bit:
-        for rule, (bit, _) in RULES.items():
-            if bit == check_pass.bit:
-                raise ValueError(
-                    f"pass {check_pass.rule!r} bit {check_pass.bit} collides "
-                    f"with {rule!r} (set shares_bit=True to piggyback on an "
-                    "allocated bit)"
-                )
+    for rule, (bit, _) in RULES.items():
+        if bit == check_pass.bit:
+            raise ValueError(
+                f"pass {check_pass.rule!r} bit {check_pass.bit} collides "
+                f"with {rule!r}"
+            )
     _PASSES[check_pass.rule] = check_pass
     RULES[check_pass.rule] = (check_pass.bit, check_pass.summary)
     return check_pass

@@ -1,369 +1,23 @@
-"""The component-contract rule families enforced by ``repro check``.
+"""The determinism rule family enforced by ``repro check``.
 
-Every rule is a pure function from the parsed :class:`Project` (or a
-single :class:`SourceModule`) to a list of :class:`Finding`\\ s.  Rules
-report findings on the line a suppression comment must sit on; the
-runner filters suppressed findings afterwards so suppression behaviour
-is uniform across rules.
+A rule is a pure function from one parsed :class:`SourceModule` to a list
+of :class:`Finding`\\ s.  Rules report findings on the line a
+suppression comment must sit on; the runner filters suppressed findings
+afterwards so suppression behaviour is uniform across rules.
 
-Each family is wrapped in a :class:`~repro.checks.model.CheckPass` and
-registered at the bottom of this module; the kernel-parity,
-ambient-effects and fleet-protocol families live in their own modules
-(:mod:`repro.checks.parity`, :mod:`repro.checks.effects`,
-:mod:`repro.checks.fleetlint`) on the same registry.
+The family is wrapped in a :class:`~repro.checks.model.CheckPass` and
+registered at the bottom of this module; the ambient-effects and
+fleet-protocol families live in their own modules
+(:mod:`repro.checks.effects`, :mod:`repro.checks.fleetlint`) on the same
+registry.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
-from repro.checks.astutil import (
-    SourceModule,
-    is_fleet_module,
-    is_self_attr,
-    iter_self_calls,
-    iter_self_mutations,
-    method_is_abstract,
-    self_arg_name,
-)
-from repro.checks.contract import (
-    ClassModel,
-    Project,
-    attribute_report,
-    covered_attrs_staged,
-    coverage_mentions,
-    iter_components,
-)
+from repro.checks.astutil import SourceModule, is_fleet_module, is_self_attr
 from repro.checks.model import CheckPass, Finding, register_pass
-
-# ---------------------------------------------------------------------------
-# state-coverage
-# ---------------------------------------------------------------------------
-
-_COVERAGE_HINT = (
-    "add the attribute to snapshot/restore/reset (or register it as a "
-    "component / snapshot scalar), or suppress with "
-    "'# check: ignore[state-coverage] <why it is exempt>' on this line"
-)
-
-
-def check_state_coverage(project: Project) -> list[Finding]:
-    """Mutable state must round-trip through snapshot/restore/reset."""
-    findings: list[Finding] = []
-    for model, staged in iter_components(project):
-        report = attribute_report(project, model)
-        if staged:
-            covered = covered_attrs_staged(project, model)
-            mentions = None
-        else:
-            covered = set()
-            mentions = coverage_mentions(project, model)
-        for attr, (mut_line, kind) in sorted(report.mutations.items()):
-            if staged:
-                missing = [] if attr in covered else ["snapshot", "restore", "reset"]
-                detail = (
-                    "is neither a snapshot scalar nor a registered component"
-                )
-            else:
-                assert mentions is not None
-                missing = [
-                    name
-                    for name in ("snapshot", "restore", "reset")
-                    if attr not in mentions[name]
-                ]
-                detail = f"is missing from {', '.join(missing)}"
-            if not missing:
-                continue
-            line = report.init_lines.get(attr, mut_line)
-            findings.append(
-                Finding(
-                    file=model.file,
-                    line=line,
-                    rule="state-coverage",
-                    message=(
-                        f"{model.name}: mutable attribute 'self.{attr}' "
-                        f"({kind} at line {mut_line}) {detail}"
-                    ),
-                    hint=_COVERAGE_HINT,
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# snapshot-symmetry
-# ---------------------------------------------------------------------------
-
-_SYMMETRY_HINT = (
-    "snapshot and restore must agree on the literal key set; rename or "
-    "remove the odd key out"
-)
-
-
-def check_snapshot_symmetry(project: Project) -> list[Finding]:
-    """Literal snapshot keys must be read back by restore, and vice versa.
-
-    Classes whose snapshot or restore is *dynamic* (dict comprehensions,
-    computed keys, iteration over the state mapping — e.g. the derived
-    ``StagedMachine`` plumbing) are skipped: symmetry is only decidable
-    when both sides use literal keys.
-    """
-    findings: list[Finding] = []
-    for model, staged in iter_components(project):
-        if staged:
-            continue
-        snapshot = model.methods.get("snapshot")
-        restore = model.methods.get("restore")
-        if snapshot is None or restore is None:
-            continue
-        if method_is_abstract(snapshot) or method_is_abstract(restore):
-            continue
-        written = _literal_snapshot_keys(snapshot)
-        read = _literal_restore_keys(restore)
-        if written is None or read is None:
-            continue
-        for key in sorted(written - read):
-            findings.append(
-                Finding(
-                    file=model.file,
-                    line=snapshot.lineno,
-                    rule="snapshot-symmetry",
-                    message=(
-                        f"{model.name}: snapshot writes key {key!r} "
-                        "that restore never reads"
-                    ),
-                    hint=_SYMMETRY_HINT,
-                )
-            )
-        for key in sorted(read - written):
-            findings.append(
-                Finding(
-                    file=model.file,
-                    line=restore.lineno,
-                    rule="snapshot-symmetry",
-                    message=(
-                        f"{model.name}: restore reads key {key!r} "
-                        "that snapshot never writes"
-                    ),
-                    hint=_SYMMETRY_HINT,
-                )
-            )
-    return findings
-
-
-def _literal_snapshot_keys(method: ast.FunctionDef) -> set[str] | None:
-    """Keys of the returned dict, or ``None`` when the shape is dynamic."""
-    returns = [
-        node for node in ast.walk(method) if isinstance(node, ast.Return)
-    ]
-    if not returns:
-        return None
-    keys: set[str] = set()
-    returned_names = set()
-    for node in returns:
-        value = node.value
-        if isinstance(value, ast.Dict):
-            literal = _dict_literal_keys(value)
-            if literal is None:
-                return None
-            keys.update(literal)
-        elif isinstance(value, ast.Name):
-            returned_names.add(value.id)
-        else:
-            return None
-    for name in returned_names:
-        contributed = _keys_of_local_dict(method, name)
-        if contributed is None:
-            return None
-        keys.update(contributed)
-    return keys
-
-
-def _dict_literal_keys(node: ast.Dict) -> set[str] | None:
-    keys: set[str] = set()
-    for key in node.keys:
-        if key is None:  # ** unpacking
-            return None
-        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-            return None
-        keys.add(key.value)
-    return keys
-
-
-def _keys_of_local_dict(method: ast.FunctionDef, name: str) -> set[str] | None:
-    """Literal keys accumulated into the local ``name`` before return."""
-    keys: set[str] = set()
-    initialised = False
-    for node in ast.walk(method):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    if not isinstance(node.value, ast.Dict):
-                        return None
-                    literal = _dict_literal_keys(node.value)
-                    if literal is None:
-                        return None
-                    keys.update(literal)
-                    initialised = True
-                elif (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == name
-                ):
-                    key = target.slice
-                    if not (
-                        isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    ):
-                        return None
-                    keys.add(key.value)
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-            if isinstance(target, ast.Name) and target.id == name:
-                if not isinstance(node.value, ast.Dict):
-                    return None
-                literal = _dict_literal_keys(node.value)
-                if literal is None:
-                    return None
-                keys.update(literal)
-                initialised = True
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == name
-                and func.attr in ("update", "setdefault", "pop")
-            ):
-                return None
-    return keys if initialised else None
-
-
-def _literal_restore_keys(method: ast.FunctionDef) -> set[str] | None:
-    """Keys restore reads from its state argument, or ``None`` if dynamic."""
-    receiver = self_arg_name(method)
-    positional = method.args.posonlyargs + method.args.args
-    params = [a.arg for a in positional if a.arg != receiver]
-    if not params:
-        return None
-    state = params[0]
-    keys: set[str] = set()
-    for node in ast.walk(method):
-        if isinstance(node, ast.Subscript):
-            if isinstance(node.value, ast.Name) and node.value.id == state:
-                key = node.slice
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.add(key.value)
-                else:
-                    return None
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == state
-            ):
-                if func.attr == "get" and node.args:
-                    key = node.args[0]
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        keys.add(key.value)
-                        continue
-                return None
-        elif isinstance(node, (ast.For, ast.comprehension)):
-            iterable = node.iter
-            if isinstance(iterable, ast.Name) and iterable.id == state:
-                return None
-    # the bare state name used outside a subscript/get (e.g. handed to a
-    # helper wholesale) makes the read set undecidable
-    for node in ast.walk(method):
-        if isinstance(node, ast.Name) and node.id == state:
-            parent_ok = False
-            for candidate in ast.walk(method):
-                if isinstance(candidate, ast.Subscript) and candidate.value is node:
-                    parent_ok = True
-                elif (
-                    isinstance(candidate, ast.Attribute)
-                    and candidate.value is node
-                    and candidate.attr == "get"
-                ):
-                    parent_ok = True
-            if not parent_ok:
-                return None
-    return keys
-
-
-# ---------------------------------------------------------------------------
-# digest-purity
-# ---------------------------------------------------------------------------
-
-_PURE_METHODS = ("snapshot", "digest")
-_IMPURE_CALLS = frozenset({"restore", "reset"})
-_PURITY_HINT = (
-    "observation methods feed digests and the differential tests' state "
-    "oracle; compute the value without mutating the component"
-)
-
-
-def check_digest_purity(project: Project) -> list[Finding]:
-    """snapshot/digest must leave ``self`` untouched."""
-    findings: list[Finding] = []
-    seen: set[tuple[str, int, str]] = set()
-    for model, _staged in iter_components(project):
-        for method_name in _PURE_METHODS:
-            node = model.methods.get(method_name)
-            if node is None or method_is_abstract(node):
-                continue
-            for finding in _purity_violations(project, model, method_name):
-                key = (finding.file, finding.line, finding.message)
-                if key not in seen:
-                    seen.add(key)
-                    findings.append(finding)
-    return findings
-
-
-def _purity_violations(
-    project: Project, model: ClassModel, entry: str
-) -> Iterator[Finding]:
-    visited: set[str] = set()
-    queue = [entry]
-    while queue:
-        name = queue.pop()
-        if name in visited:
-            continue
-        visited.add(name)
-        found = project.find_method(model, name)
-        if found is None:
-            continue
-        owner, node = found
-        receiver = self_arg_name(node)
-        if receiver is None:
-            continue
-        for attr, line, kind in iter_self_mutations(node.body, receiver):
-            yield Finding(
-                file=owner.file,
-                line=line,
-                rule="digest-purity",
-                message=(
-                    f"{model.name}.{entry} mutates 'self.{attr}' "
-                    f"({kind}, reached via {owner.name}.{name})"
-                ),
-                hint=_PURITY_HINT,
-            )
-        for called in iter_self_calls(node.body, receiver):
-            if called in _IMPURE_CALLS:
-                yield Finding(
-                    file=owner.file,
-                    line=node.lineno,
-                    rule="digest-purity",
-                    message=(
-                        f"{model.name}.{entry} calls mutating method "
-                        f"'self.{called}()' (via {owner.name}.{name})"
-                    ),
-                    hint=_PURITY_HINT,
-                )
-            else:
-                queue.append(called)
-
 
 # ---------------------------------------------------------------------------
 # determinism
@@ -438,7 +92,7 @@ def check_determinism(module: SourceModule) -> list[Finding]:
                 flag(
                     node.lineno,
                     "builtin hash() is salted per-process (PYTHONHASHSEED)",
-                    "use repro.machine.component.state_digest for stable digests",
+                    "hash a canonical encoding with hashlib for stable digests",
                 )
             elif (
                 isinstance(func, ast.Name)
@@ -505,40 +159,12 @@ def _set_annotated_attrs(tree: ast.Module) -> set[str]:
 
 register_pass(
     CheckPass(
-        rule="state-coverage",
-        bit=1,
-        summary="mutable component state must be covered by snapshot/restore/reset",
-        scope="project",
-        run=check_state_coverage,
-    )
-)
-register_pass(
-    CheckPass(
-        rule="snapshot-symmetry",
-        bit=2,
-        summary="snapshot keys and restore reads must mirror each other",
-        scope="project",
-        run=check_snapshot_symmetry,
-    )
-)
-register_pass(
-    CheckPass(
-        rule="digest-purity",
-        bit=4,
-        summary="snapshot/digest must not mutate the component",
-        scope="project",
-        run=check_digest_purity,
-    )
-)
-register_pass(
-    CheckPass(
         rule="determinism",
         bit=8,
         summary=(
             "simulation code must not depend on unordered iteration or "
             "ambient state"
         ),
-        scope="module",
         run=check_determinism,
         # the fleet coordinates over wall clocks and process ids by design;
         # its own protocol rules live in the fleet-protocol pass instead
@@ -547,9 +173,4 @@ register_pass(
 )
 
 
-__all__ = [
-    "check_determinism",
-    "check_digest_purity",
-    "check_snapshot_symmetry",
-    "check_state_coverage",
-]
+__all__ = ["check_determinism"]

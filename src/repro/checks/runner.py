@@ -5,14 +5,11 @@
 ``python -m repro.checks``.
 
 The runner is pass-agnostic: it parses the target files one at a time
-(CPython's AST constructor is not thread-safe, and a serial parse of the
-default paths takes about a second), hands each module-scope
-:class:`~repro.checks.model.CheckPass` the files it ``wants``, hands each
-project-scope pass the whole cross-file
-:class:`~repro.checks.contract.Project`, filters inline suppressions
-uniformly, and ORs the exit bits of the families that fired.  New rule
-families plug in through :func:`~repro.checks.model.register_pass`
-without touching this module.
+(CPython's AST constructor is not thread-safe), hands each
+:class:`~repro.checks.model.CheckPass` the files it ``wants``, filters
+inline suppressions uniformly, and ORs the exit bits of the families
+that fired.  New rule families plug in through
+:func:`~repro.checks.model.register_pass` without touching this module.
 """
 
 from __future__ import annotations
@@ -25,10 +22,8 @@ from typing import Sequence
 # importing the pass modules registers the built-in rule families
 import repro.checks.effects  # noqa: F401  (registration side effect)
 import repro.checks.fleetlint  # noqa: F401  (registration side effect)
-import repro.checks.parity  # noqa: F401  (registration side effect)
 import repro.checks.rules  # noqa: F401  (registration side effect)
-from repro.checks.astutil import SourceModule, collect_files, load_module
-from repro.checks.contract import Project
+from repro.checks.astutil import collect_files, load_module
 from repro.checks.model import (
     CheckPass,
     Finding,
@@ -65,16 +60,6 @@ def _default_paths(root: Path) -> list[Path]:
     return present
 
 
-def _module_pass_findings(
-    passes: Sequence[CheckPass], module: SourceModule
-) -> list[Finding]:
-    findings: list[Finding] = []
-    for check_pass in passes:
-        if check_pass.scope == "module" and check_pass.wants(module):
-            findings.extend(check_pass.run(module))
-    return findings
-
-
 def run_checks(
     paths: Sequence[str | Path] | None = None,
     *,
@@ -102,12 +87,9 @@ def run_checks(
     findings: list[Finding] = []
     modules = [load_module(file, root=root_path) for file in files]
     for module in modules:
-        findings.extend(_module_pass_findings(active, module))
-
-    project = Project.build(modules)
-    for check_pass in active:
-        if check_pass.scope == "project":
-            findings.extend(check_pass.run(project))
+        for check_pass in active:
+            if check_pass.wants(module):
+                findings.extend(check_pass.run(module))
 
     by_display = {module.display: module for module in modules}
     kept: list[Finding] = []
@@ -126,9 +108,8 @@ def build_parser(prog: str = "repro check") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "statically analyze simulation code: component contract, "
-            "kernel parity, ambient effects, determinism and fleet "
-            "protocol rules"
+            "statically analyze simulation code: determinism, ambient "
+            "effects and fleet protocol rules"
         ),
     )
     parser.add_argument(

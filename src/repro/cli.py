@@ -34,9 +34,10 @@ against the bucket under ``D`` — the claim → simulate → publish loop of
 corrupt, version-stale or no longer validate; ``python -m repro.cli list``
 prints the available exhibits and programs.
 
-``python -m repro.cli check [PATH ...]`` runs the static component-contract
-and determinism analyzer (:mod:`repro.checks`) over the simulation-path
-packages (or explicit paths) — see the README's STATIC ANALYSIS section.
+``python -m repro.cli check [PATH ...]`` runs the static determinism,
+ambient-effects and fleet-protocol analyzer (:mod:`repro.checks`) over the
+simulation-path packages (or explicit paths) — see the README's STATIC
+ANALYSIS section.
 The exit code ORs one bit per rule family that fired.
 
 Every flag is an *explicit* setting in the sense of
@@ -125,8 +126,8 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
 
     check = sub.add_parser(
         "check",
-        help="statically analyze simulation code (contract, kernel parity, "
-             "ambient effects, determinism, fleet protocol)")
+        help="statically analyze simulation code (determinism, ambient "
+             "effects, fleet protocol)")
     check.add_argument("paths", nargs="*", metavar="PATH",
                        help="files or directories to analyze (default: the "
                             "simulation-path packages)")

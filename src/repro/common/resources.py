@@ -18,10 +18,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.common.intervals import BusyTracker
-from repro.machine.component import ComponentBase
 
 
-class GapResource(ComponentBase):
+class GapResource:
     """A resource that can serve one operation at a time, with gap filling.
 
     Reservations are kept as a sorted list of disjoint ``[start, end)``
@@ -59,27 +58,6 @@ class GapResource(ComponentBase):
     def busy_cycles(self) -> int:
         return self.tracker.busy_cycles()
 
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot of the reservation and busy state."""
-        return {
-            "busy": [[s, e] for s, e in zip(self._starts, self._ends, strict=True)],
-            "tracker": self.tracker.to_pairs(),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        self._starts = [int(pair[0]) for pair in state["busy"]]
-        self._ends = [int(pair[1]) for pair in state["busy"]]
-        self.tracker = BusyTracker.from_pairs(self.name, state["tracker"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (idle) state."""
-        self._starts = []
-        self._ends = []
-        self.tracker = BusyTracker(self.name)
-
     def _find_start(self, earliest: int, duration: int) -> int:
         starts, ends = self._starts, self._ends
         idx = bisect_left(ends, earliest)
@@ -110,7 +88,7 @@ class GapResource(ComponentBase):
         ends.insert(idx, end)
 
 
-class PipelinedResource(ComponentBase):
+class PipelinedResource:
     """A fully pipelined unit accepting at most ``width`` new operations/cycle."""
 
     def __init__(self, name: str = "", width: int = 1) -> None:
@@ -130,28 +108,9 @@ class PipelinedResource(ComponentBase):
         self.operations += 1
         return cycle
 
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot of issue-slot occupancy."""
-        return {
-            "slots": sorted([cycle, count] for cycle, count in self._slots.items()),
-            "operations": self.operations,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        self._slots = {int(cycle): int(count) for cycle, count in state["slots"]}
-        self.operations = int(state["operations"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (idle) state."""
-        self._slots = {}
-        self.operations = 0
-
 
 @dataclass
-class InOrderPipe(ComponentBase):
+class InOrderPipe:
     """An in-order pipeline stage sequence processing one instruction per cycle.
 
     Used for the OOOVA memory pipeline (Issue/RF, Range, Dependence): entries
@@ -168,14 +127,3 @@ class InOrderPipe(ComponentBase):
         exit_time = max(enter_time + self.depth, self.last_exit + 1)
         self.last_exit = exit_time
         return exit_time
-
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {"last_exit": self.last_exit}
-
-    def restore(self, state: dict) -> None:
-        self.last_exit = int(state["last_exit"])
-
-    def reset(self) -> None:
-        self.last_exit = -1

@@ -31,9 +31,10 @@ This module provides the kernel side of the batched stepper:
   to the scalar handlers for any instruction kind they do not lower.
 
 The steppers mutate the very same component objects the scalar kernel
-mutates, in the same order, so snapshots, digests and ``SimStats`` are
-bit-identical between the two kernels — the equivalence battery in
-``tests/test_batched_kernel.py`` pins this for every registered machine.
+mutates, in the same order, so every attribute reachable from the machine
+and its ``SimStats`` are bit-identical between the two kernels — the
+equivalence battery in ``tests/test_batched_kernel.py`` pins this for
+every registered machine.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def lowered_for(trace: Trace) -> LoweredTrace:
 # ``_starts``/``_ends`` lists in place through these two helpers — the exact
 # ``_find_start``/``_insert`` algorithms, minus the per-call attribute and
 # method dispatch.  Identity of the list objects (and of the tracker) is
-# preserved, so snapshots and digests see the same component state.
+# preserved, so both kernels leave the same component state.
 
 
 def gap_find(starts: List[int], ends: List[int], earliest: int, duration: int) -> int:

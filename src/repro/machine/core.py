@@ -4,19 +4,18 @@ Both of the paper's timing models — and any model registered through
 :mod:`repro.core.machines` that wants the same plumbing — share one
 execution shape: instructions stream through a front end (*decode*), are
 executed by a per-instruction-class handler (*dispatch*), and retire
-through a back end (*retire*).  All mutable state lives in named
-:class:`~repro.machine.component.MachineComponent`\\ s plus a handful of
-scalar cycle counters, so a machine is *declared* rather than hand-wired:
+through a back end (*retire*).  A machine is a plain object: its
+components (rename tables, queues, functional units, …) and scalar cycle
+counters are ordinary attributes assigned in ``__init__``, and the
+dispatch shape is *declared*:
 
 * ``DISPATCH`` maps :class:`~repro.isa.opcodes.InstrKind` to the handler
   method run for that instruction class (``DEFAULT_HANDLER`` catches the
-  rest);
-* ``SNAPSHOT_SCALARS`` names the scalar state fields (with their reset
-  values in ``SCALAR_DEFAULTS``);
-* components are attached with :meth:`register_component`.
+  rest).
 
-From those declarations the kernel derives ``snapshot``/``restore``/
-``reset``/``digest`` instead of each machine maintaining them by hand.
+The batched-vs-scalar tests (``tests/test_batched_kernel.py``) compare
+every attribute reachable from the machine object, so no state needs a
+hand-written serialisation to be checked.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 from repro.common.errors import ReproError
 from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind, Opcode
-from repro.machine.component import state_digest
 from repro.trace.records import DynInstr, Trace
 
 #: a per-instruction-class handler: ``(instruction, decode context) -> result``
@@ -43,20 +41,16 @@ _DISPATCH_CACHE: Dict[type, Tuple[Dict[InstrKind, Callable[..., Any]],
 
 
 class StagedMachine:
-    """Base class of component-declared, dispatch-table-driven machines.
+    """Base class of dispatch-table-driven machines.
 
-    Subclasses set the class-level declarations below, attach their
-    components in ``__init__`` (after calling ``super().__init__``) and
-    implement the dispatch handlers plus :meth:`finalise`.  Snapshotting,
-    reset and digests are then derived from the declarations.
+    Subclasses set the class-level declarations below, assign their
+    components and scalar state in ``__init__`` (after calling
+    ``super().__init__``) and implement the dispatch handlers plus
+    :meth:`finalise`.
     """
 
-    #: the ``snapshot()["kind"]`` tag of this machine's snapshots
+    #: short machine tag used in error messages
     KIND: str = ""
-    #: scalar state fields included in snapshots, in snapshot order
-    SNAPSHOT_SCALARS: Tuple[str, ...] = ()
-    #: reset value per scalar field (missing fields default to 0)
-    SCALAR_DEFAULTS: Mapping[str, int] = {}
     #: instruction-class dispatch table: kind -> handler method name
     DISPATCH: Mapping[InstrKind, str] = {}
     #: handler method name for kinds absent from :attr:`DISPATCH`
@@ -71,33 +65,6 @@ class StagedMachine:
         self.lat = getattr(params, "latencies", None)
         self.horizon = 0
         self.stats = SimStats()
-        self._components: Dict[str, Any] = {}
-        for name in self.SNAPSHOT_SCALARS:
-            setattr(self, name, self.SCALAR_DEFAULTS.get(name, 0))
-
-    # -- component registry ---------------------------------------------------
-
-    def register_component(self, name: str, component: Any) -> Any:
-        """Attach ``component`` under ``name`` (its snapshot key) and return it.
-
-        ``None`` is allowed — it declares an optional component that this
-        configuration does not instantiate (e.g. the load-elimination unit
-        when elimination is off); it snapshots as ``None``.
-        """
-        reserved = {"kind", "stats"} | set(self.SNAPSHOT_SCALARS)
-        if name in reserved:
-            raise ReproError(
-                f"component name {name!r} collides with a reserved snapshot key"
-            )
-        if name in self._components:
-            raise ReproError(f"machine component {name!r} is already registered")
-        self._components[name] = component
-        return component
-
-    @property
-    def components(self) -> Mapping[str, Any]:
-        """The registered components, keyed by snapshot name."""
-        return dict(self._components)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -172,45 +139,6 @@ class StagedMachine:
     def finalise(self) -> SimStats:
         """Derive the final :class:`SimStats` from the accumulated state."""
         raise NotImplementedError
-
-    # -- derived state plumbing ----------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot of all mutable machine state.
-
-        ``stats`` holds only what accumulates *during* :meth:`run_slice`;
-        fields derived in :meth:`finalise` are recomputed from the restored
-        components, never carried through a snapshot.
-        """
-        state: dict = {"kind": self.KIND}
-        for name in self.SNAPSHOT_SCALARS:
-            state[name] = getattr(self, name)
-        for name, component in self._components.items():
-            state[name] = None if component is None else component.snapshot()
-        state["stats"] = self.stats.to_dict()
-        return state
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        for name in self.SNAPSHOT_SCALARS:
-            setattr(self, name, int(state[name]))
-        for name, component in self._components.items():
-            if component is not None:
-                component.restore(state[name])
-        self.stats = SimStats.from_dict(state["stats"])
-
-    def reset(self) -> None:
-        """Return every scalar, component and statistic to its fresh state."""
-        for name in self.SNAPSHOT_SCALARS:
-            setattr(self, name, self.SCALAR_DEFAULTS.get(name, 0))
-        for component in self._components.values():
-            if component is not None:
-                component.reset()
-        self.stats = SimStats()
-
-    def digest(self) -> str:
-        """Stable hex digest of the full machine snapshot."""
-        return state_digest(self.snapshot())
 
     # -- shared timing helpers -------------------------------------------------
 

@@ -10,8 +10,8 @@ neighbour separates how much of the OOOVA's win comes from renaming alone
 and how much needs out-of-order issue.
 
 The model is a short registration, not a fork: it subclasses the OOOVA
-run and overrides exactly one timing hook (the issue gate) plus the scalar
-declarations the kernel derives everything else from.
+run, adds one scalar (the issue pointer) and overrides exactly one timing
+hook (the issue gate).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.common.params import OOOParams
 from repro.ooo.machine import _ExecResult, _OOORun, _StepContext
-from repro.trace.records import DynInstr
+from repro.trace.records import DynInstr, Trace
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ class _InOrderRun(_OOORun):
     """
 
     KIND = "inorder"
-    SNAPSHOT_SCALARS = ("last_rename", "fetch_resume", "issue_ready", "horizon")
-    SCALAR_DEFAULTS = {"last_rename": -1}
 
-    #: the in-order issue pointer (cycle the next instruction may issue at)
-    issue_ready: int
+    def __init__(self, params: InOrderParams, trace: Trace) -> None:
+        super().__init__(params, trace)
+        #: the in-order issue pointer (cycle the next instruction may issue at)
+        self.issue_ready = 0
 
     def _issue_gate(self, earliest: int) -> int:
         """Issue in program order: never before the previous instruction."""

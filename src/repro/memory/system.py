@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.common.params import FunctionalUnitLatencies, MemoryParams
 from repro.common.resources import GapResource
-from repro.machine.component import ComponentBase
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class MemoryTiming:
     data_ready: int
 
 
-class MemorySystem(ComponentBase):
+class MemorySystem:
     """Allocates address-bus slots and computes access completion times."""
 
     def __init__(
@@ -84,28 +83,6 @@ class MemorySystem(ComponentBase):
         start = self.address_bus.reserve(earliest, 1)
         self.scalar_requests += 1
         return MemoryTiming(start, start + 1, start + 1)
-
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "bus": self.address_bus.snapshot(),
-            "vector_load_requests": self.vector_load_requests,
-            "vector_store_requests": self.vector_store_requests,
-            "scalar_requests": self.scalar_requests,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.address_bus.restore(state["bus"])
-        self.vector_load_requests = int(state["vector_load_requests"])
-        self.vector_store_requests = int(state["vector_store_requests"])
-        self.scalar_requests = int(state["scalar_requests"])
-
-    def reset(self) -> None:
-        self.address_bus.reset()
-        self.vector_load_requests = 0
-        self.vector_store_requests = 0
-        self.scalar_requests = 0
 
     # -- statistics -----------------------------------------------------------
 

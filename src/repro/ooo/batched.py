@@ -12,9 +12,9 @@ elimination tag tables) stay behind their normal method calls.
 
 Every inlined sequence is a verbatim transliteration of the scalar
 handlers in :mod:`repro.ooo.machine` and the component methods they call,
-in the same program order, so component snapshots, digests and the final
-:class:`~repro.common.stats.SimStats` are bit-identical with the scalar
-kernel.  The in-order machine shares the stepper: its single divergence —
+in the same program order, so every attribute reachable from the machine
+and the final :class:`~repro.common.stats.SimStats` are bit-identical with
+the scalar kernel.  The in-order machine shares the stepper: its single divergence —
 the program-order issue gate — is threaded through as a flag, mirroring
 how :class:`repro.machine.inorder._InOrderRun` overrides ``_issue_gate``.
 """

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.machine.component import ComponentBase
 from repro.trace.records import DynInstr
 
 
@@ -23,7 +22,7 @@ class _BTBEntry:
     counter: int = 2  # weakly taken
 
 
-class BranchPredictor(ComponentBase):
+class BranchPredictor:
     """64-entry BTB with 2-bit counters plus an 8-deep return-address stack."""
 
     def __init__(self, btb_entries: int = 64, ras_depth: int = 8) -> None:
@@ -35,8 +34,6 @@ class BranchPredictor(ComponentBase):
         #: shadow return stack: sequence numbers of the calls whose return
         #: addresses would be on the hardware stack
         self._ras: list[int] = []
-        # check: ignore[state-coverage] write-only bookkeeping; nothing ever reads it, snapshot excludes it by design (see snapshot docstring)
-        self._dropped_calls: set[int] = set()
         self.predictions = 0
         self.mispredictions = 0
 
@@ -98,51 +95,13 @@ class BranchPredictor(ComponentBase):
     def _push_call(self, seq: int) -> None:
         self._ras.append(seq)
         if len(self._ras) > self.ras_depth:
-            dropped = self._ras.pop(0)
-            self._dropped_calls.add(dropped)
+            self._ras.pop(0)
 
     def _pop_return(self) -> bool:
         if not self._ras:
             return False
         self._ras.pop()
         return True
-
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot of the predictor's architectural state.
-
-        ``_dropped_calls`` is write-only bookkeeping (nothing reads it), so
-        it is deliberately not part of the snapshot; ``restore`` resets it.
-        """
-        return {
-            "btb": sorted(
-                [index, entry.tag, entry.counter]
-                for index, entry in self._btb.items()
-            ),
-            "ras": list(self._ras),
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        self._btb = {
-            int(index): _BTBEntry(tag=int(tag), counter=int(counter))
-            for index, tag, counter in state["btb"]
-        }
-        self._ras = [int(seq) for seq in state["ras"]]
-        self._dropped_calls = set()
-        self.predictions = int(state["predictions"])
-        self.mispredictions = int(state["mispredictions"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (empty) state."""
-        self._btb = {}
-        self._ras = []
-        self._dropped_calls = set()
-        self.predictions = 0
-        self.mispredictions = 0
 
     @property
     def misprediction_rate(self) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.isa.instructions import ELEMENT_BYTES
-from repro.machine.component import ComponentBase
 from repro.trace.records import DynInstr
 
 
@@ -64,7 +63,7 @@ def tag_for(instr: DynInstr) -> MemoryTag | None:
     )
 
 
-class TagTable(ComponentBase):
+class TagTable:
     """Tags for one register class, keyed by physical register id."""
 
     def __init__(self, name: str) -> None:
@@ -117,47 +116,8 @@ class TagTable(ComponentBase):
     def __len__(self) -> int:
         return len(self._tags)
 
-    # -- component state ----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot.
-
-        Insertion order is preserved deliberately: :meth:`find_exact` returns
-        the *first* matching tag in iteration order, so two tables with the
-        same tags in different orders are not behaviourally equivalent.
-        """
-        return {
-            "tags": [
-                [phys_id, tag.region_start, tag.region_end, tag.vl, tag.stride, tag.size]
-                for phys_id, tag in self._tags.items()
-            ],
-            "matches": self.matches,
-            "invalidations": self.invalidations,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        self._tags = {
-            int(phys_id): MemoryTag(
-                region_start=int(start),
-                region_end=int(end),
-                vl=int(vl),
-                stride=int(stride),
-                size=int(size),
-            )
-            for phys_id, start, end, vl, stride, size in state["tags"]
-        }
-        self.matches = int(state["matches"])
-        self.invalidations = int(state["invalidations"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (empty) state."""
-        self._tags = {}
-        self.matches = 0
-        self.invalidations = 0
-
-
-class LoadEliminationUnit(ComponentBase):
+class LoadEliminationUnit:
     """The three tag tables (A, S, V) plus store-consistency bookkeeping."""
 
     def __init__(self) -> None:
@@ -167,30 +127,8 @@ class LoadEliminationUnit(ComponentBase):
         self.vector_loads_eliminated = 0
         self.scalar_loads_eliminated = 0
 
-    def scalar_table(self, cls_value: str) -> TagTable:
-        return self.a_tags if cls_value == "a" else self.s_tags
-
     def all_tables(self) -> tuple[TagTable, TagTable, TagTable]:
         return (self.vector_tags, self.a_tags, self.s_tags)
-
-    def snapshot(self) -> dict:
-        return {
-            "tables": {table.name: table.snapshot() for table in self.all_tables()},
-            "vector_loads_eliminated": self.vector_loads_eliminated,
-            "scalar_loads_eliminated": self.scalar_loads_eliminated,
-        }
-
-    def restore(self, state: dict) -> None:
-        for table in self.all_tables():
-            table.restore(state["tables"][table.name])
-        self.vector_loads_eliminated = int(state["vector_loads_eliminated"])
-        self.scalar_loads_eliminated = int(state["scalar_loads_eliminated"])
-
-    def reset(self) -> None:
-        for table in self.all_tables():
-            table.reset()
-        self.vector_loads_eliminated = 0
-        self.scalar_loads_eliminated = 0
 
     def store_executed(self, instr: DynInstr, phys_id: int, table: TagTable) -> None:
         """Update tags for a store: tag the stored register, kill overlaps.

@@ -19,15 +19,14 @@ model of Section 5 and dynamic load elimination of Section 6:
 * with load elimination enabled, loads whose address tag exactly matches a
   physical register's tag never reach memory.
 
-The machine is declared on the component kernel
-(:class:`repro.machine.core.StagedMachine`): all mutable state lives in
-registered :class:`~repro.machine.component.MachineComponent`\\ s, the
-front end (:meth:`_OOORun.decode`) and the commit stage
-(:meth:`_OOORun.retire`) bracket a per-instruction-class dispatch table,
-and ``snapshot``/``restore``/``reset``/``digest`` are derived from the
-component registry.  The in-order-issue intermediate machine
-(:mod:`repro.machine.inorder`) subclasses this model and overrides only
-the issue gate.
+The machine is declared on the staged kernel
+(:class:`repro.machine.core.StagedMachine`): its components (rename
+unit, reorder buffer, queues, predictor, memory pipeline, functional
+units, load-elimination tables) are plain attributes, and the front end
+(:meth:`_OOORun.decode`) and the commit stage (:meth:`_OOORun.retire`)
+bracket a per-instruction-class dispatch table.  The in-order-issue
+intermediate machine (:mod:`repro.machine.inorder`) subclasses this model
+and overrides only the issue gate.
 """
 
 from __future__ import annotations
@@ -91,8 +90,6 @@ class _OOORun(StagedMachine):
     """All mutable state of a single OOOVA simulation."""
 
     KIND = "ooo"
-    SNAPSHOT_SCALARS = ("last_rename", "fetch_resume", "horizon")
-    SCALAR_DEFAULTS = {"last_rename": -1}
     DISPATCH = {
         InstrKind.VECTOR_ALU: "_run_vector_compute",
         InstrKind.VECTOR_LOAD: "_run_memory",
@@ -105,34 +102,30 @@ class _OOORun(StagedMachine):
 
     def __init__(self, params: OOOParams, trace: Trace) -> None:
         super().__init__(params, trace)
+        #: cycle of the latest in-order rename (the front end's position)
+        self.last_rename = -1
+        #: earliest fetch cycle after the latest branch misprediction
+        self.fetch_resume = 0
 
-        self.memory = self.register_component(
-            "memory", MemorySystem(params.memory, params.latencies))
-        self.rename = self.register_component(
-            "rename",
-            RenameUnit(
-                params.num_phys_aregs,
-                params.num_phys_sregs,
-                params.num_phys_vregs,
-                params.num_phys_maskregs,
-            ),
+        self.memory = MemorySystem(params.memory, params.latencies)
+        self.rename = RenameUnit(
+            params.num_phys_aregs,
+            params.num_phys_sregs,
+            params.num_phys_vregs,
+            params.num_phys_maskregs,
         )
-        self.rob = self.register_component(
-            "rob", ReorderBuffer(params.rob_entries, params.commit_width))
-        self.queues = self.register_component(
-            "queues", QueueSet(params.queue_slots))
-        self.predictor = self.register_component(
-            "predictor", BranchPredictor(params.btb_entries, params.ras_depth))
-        self.mempipe = self.register_component("mempipe", MemoryPipeline())
-        self.fu1 = self.register_component("fu1", GapResource("FU1"))
-        self.fu2 = self.register_component("fu2", GapResource("FU2"))
-        self.a_unit = self.register_component("a_unit", PipelinedResource("A-unit"))
-        self.s_unit = self.register_component("s_unit", PipelinedResource("S-unit"))
+        self.rob = ReorderBuffer(params.rob_entries, params.commit_width)
+        self.queues = QueueSet(params.queue_slots)
+        self.predictor = BranchPredictor(params.btb_entries, params.ras_depth)
+        self.mempipe = MemoryPipeline()
+        self.fu1 = GapResource("FU1")
+        self.fu2 = GapResource("FU2")
+        self.a_unit = PipelinedResource("A-unit")
+        self.s_unit = PipelinedResource("S-unit")
 
         self.sle = params.load_elimination in (LoadElimination.SLE, LoadElimination.SLE_VLE)
         self.vle = params.load_elimination is LoadElimination.SLE_VLE
-        self.loadelim = self.register_component(
-            "loadelim", LoadEliminationUnit() if self.sle else None)
+        self.loadelim = LoadEliminationUnit() if self.sle else None
 
     # ------------------------------------------------------------------ utils
 

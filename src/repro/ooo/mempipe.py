@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.common.resources import InOrderPipe
-from repro.machine.component import ComponentBase
 from repro.trace.records import DynInstr
 
 
@@ -37,7 +36,7 @@ class _PendingAccess(NamedTuple):
     address_done: int
 
 
-class MemoryPipeline(ComponentBase):
+class MemoryPipeline:
     """In-order front end of the memory queue plus run-time disambiguation."""
 
     def __init__(self, depth: int = 3) -> None:
@@ -48,7 +47,7 @@ class MemoryPipeline(ComponentBase):
         #: increasing ``earliest`` (the in-order pipe exit), so a row whose
         #: ``address_done`` falls at or before one call's ``earliest`` can
         #: never constrain a later call and is dropped from the scan.
-        self._active: list[_PendingAccess] = []  # check: ignore[state-coverage] pure scan cache, rebuilt from _pending on restore; never snapshot-visible
+        self._active: list[_PendingAccess] = []
         self.dependence_stalls = 0
 
     # -- in-order address pipeline ---------------------------------------------
@@ -106,42 +105,6 @@ class MemoryPipeline(ComponentBase):
         self._pending.append(entry)
         self._active.append(entry)
         self._prune()
-
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot of the pipeline and the pending window."""
-        return {
-            "pipe": self.pipe.snapshot(),
-            "pending": [
-                [p.seq, p.region_start, p.region_end, bool(p.is_store), p.address_done]
-                for p in self._pending
-            ],
-            "dependence_stalls": self.dependence_stalls,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        self.pipe.restore(state["pipe"])
-        self._pending = [
-            _PendingAccess(
-                seq=int(seq),
-                region_start=int(start),
-                region_end=int(end),
-                is_store=bool(is_store),
-                address_done=int(done),
-            )
-            for seq, start, end, is_store, done in state["pending"]
-        ]
-        self._active = list(self._pending)
-        self.dependence_stalls = int(state["dependence_stalls"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (empty) state."""
-        self.pipe.reset()
-        self._pending = []
-        self._active = []
-        self.dependence_stalls = 0
 
     def _prune(self) -> None:
         """Drop accesses that can no longer constrain anything new.

@@ -16,11 +16,10 @@ instruction can back the whole machine up.
 from __future__ import annotations
 
 import enum
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from repro.common.errors import ConfigurationError
 from repro.isa.opcodes import InstrKind
-from repro.machine.component import ComponentBase
 from repro.trace.records import DynInstr
 
 
@@ -55,7 +54,7 @@ def route_queue(instr: DynInstr) -> QueueKind:
     return QueueKind.S
 
 
-class IssueQueue(ComponentBase):
+class IssueQueue:
     """Occupancy model of one instruction queue."""
 
     def __init__(self, kind: QueueKind, slots: int) -> None:
@@ -99,34 +98,8 @@ class IssueQueue(ComponentBase):
     def occupancy(self) -> int:
         return len(self._departures)
 
-    # -- component state ----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot (heap stored sorted, see ReorderBuffer)."""
-        return {
-            "departures": sorted(self._departures),
-            "admissions": self.admissions,
-            "full_stalls": self.full_stalls,
-            "full_stall_cycles": self.full_stall_cycles,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        self._departures = [int(t) for t in state["departures"]]
-        heapify(self._departures)
-        self.admissions = int(state["admissions"])
-        self.full_stalls = int(state["full_stalls"])
-        self.full_stall_cycles = int(state["full_stall_cycles"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (empty) state."""
-        self._departures = []
-        self.admissions = 0
-        self.full_stalls = 0
-        self.full_stall_cycles = 0
-
-
-class QueueSet(ComponentBase):
+class QueueSet:
     """The four queues of the machine."""
 
     def __init__(self, slots: int) -> None:
@@ -134,17 +107,6 @@ class QueueSet(ComponentBase):
 
     def queue_for(self, instr: DynInstr) -> IssueQueue:
         return self.queues[route_queue(instr)]
-
-    def snapshot(self) -> dict:
-        return {kind.value: queue.snapshot() for kind, queue in self.queues.items()}
-
-    def restore(self, state: dict) -> None:
-        for kind, queue in self.queues.items():
-            queue.restore(state[kind.value])
-
-    def reset(self) -> None:
-        for queue in self.queues.values():
-            queue.reset()
 
     @property
     def total_full_stalls(self) -> int:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import SimulationError
 from repro.isa.registers import RegClass, Register
-from repro.machine.component import ComponentBase
 
 
 @dataclass
@@ -48,7 +47,7 @@ class RenameResult:
     available_at: int
 
 
-class RegisterFileRenamer(ComponentBase):
+class RegisterFileRenamer:
     """Rename table + free list for a single register class."""
 
     def __init__(self, cls: RegClass, num_physical: int) -> None:
@@ -150,54 +149,7 @@ class RegisterFileRenamer(ComponentBase):
             return
         self.free[phys.ident] = max(at_cycle, self.free.get(phys.ident, 0))
 
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot of the full rename state.
-
-        The free list is serialised as an *ordered* pair list: its insertion
-        order is the FIFO allocation order (see :meth:`_pop_free`), so the
-        order is as much a part of the state as the availability times.
-        """
-        return {
-            "mapping": [[logical, phys.ident] for logical, phys in self.mapping.items()],
-            "free": [[ident, avail] for ident, avail in self.free.items()],
-            "regs": [
-                [reg.ident, reg.ready, reg.first_result, bool(reg.from_load)]
-                for reg in self.registers
-            ],
-            "allocation_stalls": self.allocation_stalls,
-            "allocation_stall_cycles": self.allocation_stall_cycles,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        for ident, ready, first_result, from_load in state["regs"]:
-            reg = self.registers[int(ident)]
-            reg.ready = int(ready)
-            reg.first_result = int(first_result)
-            reg.from_load = bool(from_load)
-        self.mapping = {
-            int(logical): self.registers[int(ident)]
-            for logical, ident in state["mapping"]
-        }
-        self.free = {int(ident): int(avail) for ident, avail in state["free"]}
-        self.allocation_stalls = int(state["allocation_stalls"])
-        self.allocation_stall_cycles = int(state["allocation_stall_cycles"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed state (all registers free)."""
-        self.registers = [PhysReg(i) for i in range(self.num_physical)]
-        self.mapping = {}
-        self.free = {reg.ident: 0 for reg in self.registers}
-        self.allocation_stalls = 0
-        self.allocation_stall_cycles = 0
-
     # -- queries -------------------------------------------------------------
-
-    @property
-    def free_count(self) -> int:
-        return len(self.free)
 
     def is_free(self, phys: PhysReg) -> bool:
         return phys.ident in self.free
@@ -209,7 +161,7 @@ class RegisterFileRenamer(ComponentBase):
             )
 
 
-class RenameUnit(ComponentBase):
+class RenameUnit:
     """The four per-class renamers of the OOOVA, behind one interface."""
 
     def __init__(
@@ -237,22 +189,6 @@ class RenameUnit(ComponentBase):
 
     def release(self, register_cls: RegClass, phys: PhysReg | None, at_cycle: int) -> None:
         self.files[register_cls].release(phys, at_cycle)
-
-    def snapshot(self) -> dict:
-        """Per-class snapshots, keyed by register-class value."""
-        return {cls.value: file.snapshot() for cls, file in self.files.items()}
-
-    def restore(self, state: dict) -> None:
-        for cls, file in self.files.items():
-            file.restore(state[cls.value])
-
-    def reset(self) -> None:
-        for file in self.files.values():
-            file.reset()
-
-    @property
-    def total_allocation_stalls(self) -> int:
-        return sum(f.allocation_stalls for f in self.files.values())
 
     @property
     def total_allocation_stall_cycles(self) -> int:

@@ -19,13 +19,12 @@ late commit — when younger stores may finally execute.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from repro.common.errors import ConfigurationError
-from repro.machine.component import ComponentBase
 
 
-class ReorderBuffer(ComponentBase):
+class ReorderBuffer:
     """Tracks entry allocation, in-order commit and commit bandwidth."""
 
     def __init__(self, entries: int, commit_width: int) -> None:
@@ -83,42 +82,3 @@ class ReorderBuffer(ComponentBase):
     @property
     def occupancy(self) -> int:
         return len(self._occupancy)
-
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-compatible snapshot.
-
-        The occupancy heap is stored sorted: :func:`heapq.heappop` only ever
-        observes the minimum, so sorting canonicalises the internal layout
-        without changing behaviour.
-        """
-        return {
-            "occupancy": sorted(self._occupancy),
-            "recent": list(self._recent_commits),
-            "last_commit": self.last_commit,
-            "allocation_stalls": self.allocation_stalls,
-            "allocation_stall_cycles": self.allocation_stall_cycles,
-            "committed": self.committed,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` (replaces all current state)."""
-        self._occupancy = [int(t) for t in state["occupancy"]]
-        heapify(self._occupancy)
-        self._recent_commits = deque(
-            (int(t) for t in state["recent"]), maxlen=self.commit_width
-        )
-        self.last_commit = int(state["last_commit"])
-        self.allocation_stalls = int(state["allocation_stalls"])
-        self.allocation_stall_cycles = int(state["allocation_stall_cycles"])
-        self.committed = int(state["committed"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (empty) state."""
-        self._occupancy = []
-        self._recent_commits = deque(maxlen=self.commit_width)
-        self.last_commit = 0
-        self.allocation_stalls = 0
-        self.allocation_stall_cycles = 0
-        self.committed = 0

@@ -17,9 +17,9 @@ bus are driven through the flattened :func:`~repro.machine.batched.gap_find`/
 scalars plus statistics counters live in true locals written back once at
 the end.  Component **objects** (the lazy register map, the port
 resources, the busy trackers) are mutated in place and in the same order
-as the scalar kernel, so snapshots and digests are bit-identical —
-including the insertion order of the lazily created register-timing
-entries, which is digest-visible.
+as the scalar kernel, so the machine state is bit-identical — including
+the insertion order of the lazily created register-timing entries, which
+the kernel tests compare.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     taken_penalty = params.taken_branch_penalty
 
     # architected register timings: flat id-indexed view over the lazily
-    # grown component dict (insertion order into the dict is digest-visible
-    # and preserved: entries are created exactly where the scalar kernel
-    # would create them)
+    # grown component dict (insertion order into the dict is part of the
+    # state and preserved: entries are created exactly where the scalar
+    # kernel would create them)
     regs_map = machine.regs.map
     reg_state: List[Optional[_RegState]] = [None] * _REG_TABLE
     for reg, st in regs_map.items():

@@ -18,11 +18,10 @@ hazard exists), issue stalls and everything behind it waits.  That stall
 behaviour — and the memory-port idle time it creates — is what Figures 3 and
 4 of the paper quantify and what the OOOVA is designed to remove.
 
-Like the OOOVA, the machine is declared on the component kernel
+Like the OOOVA, the machine is declared on the staged kernel
 (:class:`repro.machine.core.StagedMachine`): the architected-register
-timing map and the three functional units are components of their own, and
-``snapshot``/``restore``/``reset``/``digest`` are derived from the
-component registry rather than hand-written.
+timing map, the three functional units, the memory system and the banked
+register file are plain attributes of the run.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.common.params import ReferenceParams
 from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind
 from repro.isa.registers import RegClass, Register
-from repro.machine.component import ComponentBase
 from repro.machine.core import StagedMachine
 from repro.memory.system import MemorySystem
 from repro.refsim.regfile import BankedVectorRegisterFile
@@ -63,7 +61,7 @@ class _UnitState:
     free_at: int = 0
 
 
-class _RegTimings(ComponentBase):
+class _RegTimings:
     """Timing states of the architected registers (grown lazily on first use)."""
 
     def __init__(self) -> None:
@@ -75,50 +73,6 @@ class _RegTimings(ComponentBase):
             state = _RegState()
             self.map[register] = state
         return state
-
-    def snapshot(self) -> list:
-        return [
-            [reg.cls.value, reg.index, st.ready, st.first_result,
-             bool(st.from_load), st.read_until]
-            for reg, st in self.map.items()
-        ]
-
-    def restore(self, state: list) -> None:
-        self.map = {
-            Register(RegClass(cls), int(index)): _RegState(
-                ready=int(ready),
-                first_result=int(first_result),
-                from_load=bool(from_load),
-                read_until=int(read_until),
-            )
-            for cls, index, ready, first_result, from_load, read_until in state
-        }
-
-    def reset(self) -> None:
-        self.map = {}
-
-
-class _UnitSet(ComponentBase):
-    """The three functional units (FU1, FU2, MEM) as one component."""
-
-    def __init__(self) -> None:
-        self.fu1 = _UnitState("FU1")
-        self.fu2 = _UnitState("FU2")
-        self.mem_unit = _UnitState("MEM")
-
-    def all_units(self) -> tuple[_UnitState, _UnitState, _UnitState]:
-        return (self.fu1, self.fu2, self.mem_unit)
-
-    def snapshot(self) -> dict:
-        return {unit.name: unit.free_at for unit in self.all_units()}
-
-    def restore(self, state: dict) -> None:
-        for unit in self.all_units():
-            unit.free_at = int(state[unit.name])
-
-    def reset(self) -> None:
-        for unit in self.all_units():
-            unit.free_at = 0
 
 
 class ReferenceSimulator:
@@ -136,7 +90,6 @@ class _ReferenceRun(StagedMachine):
     """State of one simulation; separated so the simulator object is reusable."""
 
     KIND = "ref"
-    SNAPSHOT_SCALARS = ("issue_ready", "horizon")
     DISPATCH = {
         InstrKind.VECTOR_ALU: "_run_vector_compute",
         InstrKind.VECTOR_LOAD: "_run_vector_memory",
@@ -149,22 +102,18 @@ class _ReferenceRun(StagedMachine):
 
     def __init__(self, params: ReferenceParams, trace: Trace) -> None:
         super().__init__(params, trace)
-        self.regs = self.register_component("regs", _RegTimings())
-        self.units = self.register_component("units", _UnitSet())
-        self.fu1 = self.units.fu1
-        self.fu2 = self.units.fu2
-        # check: ignore[state-coverage] alias into the registered 'units' component; all mutations land on the shared object it snapshots
-        self.mem_unit = self.units.mem_unit
-        self.memory = self.register_component(
-            "memory", MemorySystem(params.memory, params.latencies))
-        self.regfile = self.register_component(
-            "regfile",
-            BankedVectorRegisterFile(
-                params.num_vregs,
-                params.vregs_per_bank,
-                params.bank_read_ports,
-                params.bank_write_ports,
-            ),
+        #: cycle at which the next instruction may issue (in program order)
+        self.issue_ready = 0
+        self.regs = _RegTimings()
+        self.fu1 = _UnitState("FU1")
+        self.fu2 = _UnitState("FU2")
+        self.mem_unit = _UnitState("MEM")
+        self.memory = MemorySystem(params.memory, params.latencies)
+        self.regfile = BankedVectorRegisterFile(
+            params.num_vregs,
+            params.vregs_per_bank,
+            params.bank_read_ports,
+            params.bank_write_ports,
         )
 
     # -- helpers ------------------------------------------------------------

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from repro.common.resources import GapResource
 from repro.isa.registers import RegClass, Register
-from repro.machine.component import ComponentBase
 
 
-class BankedVectorRegisterFile(ComponentBase):
+class BankedVectorRegisterFile:
     """Tracks read/write port occupancy of the banked register file."""
 
     def __init__(self, num_vregs: int, regs_per_bank: int, read_ports: int, write_ports: int) -> None:
@@ -37,35 +36,6 @@ class BankedVectorRegisterFile(ComponentBase):
             [GapResource(f"bank{b}-w{p}") for p in range(write_ports)]
             for b in range(self.num_banks)
         ]
-        self.read_conflict_delay = 0
-        self.write_conflict_delay = 0
-
-    # -- component state ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "read": [[port.snapshot() for port in bank] for bank in self._read_ports],
-            "write": [[port.snapshot() for port in bank] for bank in self._write_ports],
-            "read_conflict_delay": self.read_conflict_delay,
-            "write_conflict_delay": self.write_conflict_delay,
-        }
-
-    def restore(self, state: dict) -> None:
-        for bank, bank_state in zip(self._read_ports, state["read"], strict=True):
-            for port, port_state in zip(bank, bank_state, strict=True):
-                port.restore(port_state)
-        for bank, bank_state in zip(self._write_ports, state["write"], strict=True):
-            for port, port_state in zip(bank, bank_state, strict=True):
-                port.restore(port_state)
-        self.read_conflict_delay = int(state["read_conflict_delay"])
-        self.write_conflict_delay = int(state["write_conflict_delay"])
-
-    def reset(self) -> None:
-        """Return to the freshly constructed (idle) state."""
-        for banks in (self._read_ports, self._write_ports):
-            for bank in banks:
-                for port in bank:
-                    port.reset()
         self.read_conflict_delay = 0
         self.write_conflict_delay = 0
 

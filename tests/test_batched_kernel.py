@@ -4,17 +4,25 @@ The batched kernel (:mod:`repro.machine.batched`) pre-lowers a trace into
 structure-of-arrays columns and steps each machine through a registered
 per-machine segment loop; the scalar kernel is the per-instruction dispatch
 table.  Their contract is *bit-identical* :class:`~repro.common.stats.SimStats`
-and snapshots for every registered machine, on any instruction sequence —
-including mid-trace slices, since ``run_slice`` is resumable by the
-``Machine`` contract.  Machines without a registered stepper must fall back to their own
-``run_slice`` untouched (the bring-your-own-machine path).
+and machine state for every registered machine, on any instruction
+sequence — including mid-trace slices, since ``run_slice`` is resumable by
+the ``Machine`` contract.  "Machine state" is every attribute reachable
+from the machine object (:func:`_state`), so a field the batched stepper
+forgets to write back cannot hide.  Machines without a registered stepper
+must fall back to their own ``run_slice`` untouched (the
+bring-your-own-machine path).
 """
+
+import array
+import collections
+import enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.machines import get_machine_model, machine_names
+from repro.isa.opcodes import InstrKind
 from repro.machine.batched import (
     has_lowering,
     lowered_for,
@@ -41,19 +49,91 @@ def _finalised(machine):
     return machine.finalise().to_dict()
 
 
+#: the run's inputs rather than its state: parameters, trace, latencies
+_INPUTS = frozenset({"params", "trace", "lat"})
+
+
+def _state(obj):
+    """Every value reachable from ``obj``, as plain comparable data.
+
+    Objects become ``(class name, {attribute: state})`` over their
+    ``__dict__`` and ``__slots__``; lists, tuples and deques become lists,
+    dicts (key, value) pairs in insertion order, sets sorted lists and
+    enums their values.  Anything else raises ``TypeError``: a container
+    the walker cannot see into must fail loudly, never read as empty.
+    """
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple, collections.deque)):
+        return [_state(item) for item in obj]
+    if isinstance(obj, dict):
+        return [(_state(key), _state(value)) for key, value in obj.items()]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(_state(item) for item in obj)
+    slotted = [cls for cls in type(obj).__mro__ if "__slots__" in cls.__dict__]
+    if not hasattr(obj, "__dict__") and not slotted:
+        raise TypeError(f"cannot walk into {type(obj).__name__!r} objects")
+    names = list(getattr(obj, "__dict__", ()))
+    for cls in slotted:
+        slots = cls.__dict__["__slots__"]
+        names.extend([slots] if isinstance(slots, str) else slots)
+    return (type(obj).__name__, {
+        name: _state(getattr(obj, name))
+        for name in names
+        if name not in _INPUTS and name not in ("__dict__", "__weakref__")
+        and hasattr(obj, name)
+    })
+
+
+def test_traces_cover_every_instr_kind():
+    # the equivalence tests below prove a kind's batched branch against
+    # its scalar handler only if some trace contains that kind
+    present = {dyn.kind for trace in TRACES.values() for dyn in trace.instructions}
+    assert set(InstrKind) - present == set()
+
+
+class TestStateOracle:
+    """The oracle itself: it sees every field and refuses what it cannot."""
+
+    def test_scan_cache_difference_is_visible(self):
+        # mempipe._active is a scan cache no statistic reads directly; a
+        # stepper that fails to write it back must still be caught
+        trace = TRACES["swm256"]
+        first = _fresh_run("ooo", trace)
+        second = _fresh_run("ooo", trace)
+        for machine in (first, second):
+            machine.run_slice(trace.instructions[:200])
+        assert _state(first) == _state(second)
+        assert first.mempipe._active
+        second.mempipe._active = []
+        assert _state(first) != _state(second)
+
+    def test_deque_contents_are_compared(self):
+        assert _state(collections.deque([1, 2])) != _state(collections.deque([1, 3]))
+        assert _state(collections.deque([1, 2])) == _state([1, 2])
+
+    def test_opaque_objects_are_refused(self):
+        with pytest.raises(TypeError):
+            _state(array.array("q", [1, 2]))
+        with pytest.raises(TypeError):
+            _state(object())
+
+
 class TestEveryRegisteredMachine:
     """Full-trace equivalence, auto-parameterised over the registry."""
 
     @pytest.mark.parametrize("name", MACHINES)
     @pytest.mark.parametrize("workload", sorted(TRACES))
-    def test_full_trace_stats_and_snapshot_identical(self, name, workload):
+    def test_full_trace_stats_and_state_identical(self, name, workload):
         trace = TRACES[workload]
         scalar = _fresh_run(name, trace)
         scalar.run_slice(trace)
         batched = _fresh_run(name, trace)
         run_slice_batched(batched, trace)
         assert _finalised(batched) == _finalised(scalar), (name, workload)
-        assert batched.snapshot() == scalar.snapshot(), (name, workload)
+        assert _state(batched) == _state(scalar), (name, workload)
 
     @pytest.mark.parametrize("name", MACHINES)
     def test_builtin_machines_have_a_registered_stepper(self, name):
@@ -95,7 +175,7 @@ class TestArbitrarySlices:
         batched = _fresh_run(name, trace)
         run_slice_batched(batched, window)
         assert _finalised(batched) == _finalised(scalar), (name, start, stop)
-        assert batched.snapshot() == scalar.snapshot(), (name, start, stop)
+        assert _state(batched) == _state(scalar), (name, start, stop)
 
 
 class TestLoweringCache:

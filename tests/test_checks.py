@@ -1,7 +1,7 @@
 """The static analyzer (`repro check`, :mod:`repro.checks`).
 
 Each rule family is exercised against a deliberately broken toy
-component, pinned to rule id and line; the whole-repository-clean
+module, pinned to rule id and line; the whole-repository-clean
 assertion at the end is the tier-1 gate the CI ``check`` job mirrors.
 """
 
@@ -38,260 +38,8 @@ def findings_for(tmp_path, source: str) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# rule families, each demonstrated on a seeded-broken component
+# rule families, each demonstrated on a seeded-broken module
 # ---------------------------------------------------------------------------
-
-
-MISSING_STATE = """\
-    class Counter:
-        def __init__(self):
-            self.ticks = 0
-            self.drops = 0
-
-        def bump(self):
-            self.ticks += 1
-            self.drops += 1
-
-        def snapshot(self):
-            return {"ticks": self.ticks}
-
-        def restore(self, state):
-            self.ticks = state["ticks"]
-
-        def reset(self):
-            self.ticks = 0
-    """
-
-
-class TestStateCoverage:
-    def test_missing_snapshot_key_is_flagged(self, tmp_path):
-        findings = findings_for(tmp_path, MISSING_STATE)
-        assert [f.rule for f in findings] == ["state-coverage"]
-        finding = findings[0]
-        # reported on the __init__ assignment of the drifting attribute
-        assert finding.line == 4
-        assert "self.drops" in finding.message
-        assert "snapshot" in finding.message
-        assert finding.hint
-
-    def test_covered_attribute_is_clean(self, tmp_path):
-        covered = """\
-            class Counter:
-                def __init__(self):
-                    self.ticks = 0
-                    self.drops = 0
-
-                def bump(self):
-                    self.ticks += 1
-                    self.drops += 1
-
-                def snapshot(self):
-                    return {"ticks": self.ticks, "drops": self.drops}
-
-                def restore(self, state):
-                    self.ticks = state["ticks"]
-                    self.drops = state["drops"]
-
-                def reset(self):
-                    self.ticks = 0
-                    self.drops = 0
-            """
-        assert findings_for(tmp_path, covered) == []
-
-    def test_helper_closure_counts_as_coverage(self, tmp_path):
-        # snapshot/restore/reset delegating through a self-method still
-        # covers the attributes the helper touches (all_tables() pattern)
-        delegating = """\
-            class Tables:
-                def __init__(self):
-                    self.left = []
-                    self.right = []
-
-                def grow(self):
-                    self.left.append(1)
-                    self.right.append(2)
-
-                def all_tables(self):
-                    return (self.left, self.right)
-
-                def snapshot(self):
-                    return {"tables": [list(t) for t in self.all_tables()]}
-
-                def restore(self, state):
-                    for table, stored in zip(self.all_tables(), state["tables"]):
-                        table[:] = stored
-
-                def reset(self):
-                    for table in self.all_tables():
-                        table[:] = []
-            """
-        assert findings_for(tmp_path, delegating) == []
-
-    def test_exit_code_bit(self, tmp_path):
-        fixture = write_fixture(tmp_path, MISSING_STATE)
-        assert checks_main([str(fixture)]) == 1
-
-    def test_suppression_with_reason_silences(self, tmp_path):
-        suppressed = MISSING_STATE.replace(
-            "self.drops = 0",
-            "self.drops = 0  # check: ignore[state-coverage] scratch tally, never read",
-            1,
-        )
-        assert findings_for(tmp_path, suppressed) == []
-
-    def test_standalone_suppression_covers_next_line(self, tmp_path):
-        suppressed = MISSING_STATE.replace(
-            "        self.drops = 0",
-            "        # check: ignore[state-coverage] scratch tally, never read\n"
-            "            self.drops = 0",
-            1,
-        )
-        assert findings_for(tmp_path, suppressed) == []
-
-    def test_suppression_without_reason_is_malformed(self, tmp_path):
-        bad = MISSING_STATE.replace(
-            "self.drops = 0",
-            "self.drops = 0  # check: ignore[state-coverage]",
-            1,
-        )
-        findings = findings_for(tmp_path, bad)
-        rules = sorted(f.rule for f in findings)
-        # the bare suppression does not suppress, and is itself a finding
-        assert rules == ["malformed-suppression", "state-coverage"]
-
-    def test_suppression_with_unknown_rule_is_malformed(self, tmp_path):
-        bad = MISSING_STATE.replace(
-            "self.drops = 0",
-            "self.drops = 0  # check: ignore[no-such-rule] because",
-            1,
-        )
-        findings = findings_for(tmp_path, bad)
-        assert "malformed-suppression" in {f.rule for f in findings}
-
-
-ASYMMETRIC = """\
-    class Pipe:
-        def __init__(self):
-            self.depth = 0
-            self.width = 0
-
-        def stretch(self):
-            self.depth += 1
-            self.width += 1
-
-        def snapshot(self):
-            return {"depth": self.depth, "width": self.width}
-
-        def restore(self, state):
-            self.depth = state["depth"]
-            self.width = state["breadth"]
-
-        def reset(self):
-            self.depth = 0
-            self.width = 0
-    """
-
-
-class TestSnapshotSymmetry:
-    def test_key_mismatch_is_flagged_both_ways(self, tmp_path):
-        findings = findings_for(tmp_path, ASYMMETRIC)
-        symmetry = [f for f in findings if f.rule == "snapshot-symmetry"]
-        messages = sorted(f.message for f in symmetry)
-        assert len(symmetry) == 2
-        assert "snapshot writes key 'width'" in messages[1]
-        assert "restore reads key 'breadth'" in messages[0]
-        # anchored on the snapshot / restore definitions
-        assert {f.line for f in symmetry} == {10, 13}
-
-    def test_exit_code_bit(self, tmp_path):
-        fixture = write_fixture(tmp_path, ASYMMETRIC)
-        assert checks_main([str(fixture)]) == 2
-
-    def test_dynamic_snapshot_is_skipped(self, tmp_path):
-        dynamic = """\
-            class Bag:
-                def __init__(self):
-                    self.items = {}
-
-                def put(self, key, value):
-                    self.items[key] = value
-
-                def snapshot(self):
-                    return {key: value for key, value in sorted(self.items.items())}
-
-                def restore(self, state):
-                    self.items = dict(state)
-
-                def reset(self):
-                    self.items = {}
-            """
-        assert findings_for(tmp_path, dynamic) == []
-
-
-MUTATING_DIGEST = """\
-    class Table:
-        def __init__(self):
-            self.entries = []
-            self.digests = 0
-
-        def push(self, item):
-            self.entries.append(item)
-
-        def snapshot(self):
-            return {"entries": list(self.entries), "digests": self.digests}
-
-        def restore(self, state):
-            self.entries = list(state["entries"])
-            self.digests = int(state["digests"])
-
-        def reset(self):
-            self.entries = []
-            self.digests = 0
-
-        def digest(self):
-            self.digests += 1
-            return str(self.snapshot())
-    """
-
-
-class TestDigestPurity:
-    def test_mutating_digest_is_flagged(self, tmp_path):
-        findings = findings_for(tmp_path, MUTATING_DIGEST)
-        assert [f.rule for f in findings] == ["digest-purity"]
-        finding = findings[0]
-        assert finding.line == 21
-        assert "Table.digest" in finding.message
-        assert "self.digests" in finding.message
-
-    def test_digest_calling_restore_is_flagged(self, tmp_path):
-        source = """\
-            class Clock:
-                def __init__(self):
-                    self.now = 0
-
-                def tick(self):
-                    self.now += 1
-
-                def snapshot(self):
-                    return {"now": self.now}
-
-                def restore(self, state):
-                    self.now = state["now"]
-
-                def reset(self):
-                    self.now = 0
-
-                def digest(self):
-                    self.restore(self.snapshot())
-                    return str(self.now)
-            """
-        findings = findings_for(tmp_path, source)
-        assert [f.rule for f in findings] == ["digest-purity"]
-        assert "self.restore()" in findings[0].message
-
-    def test_exit_code_bit(self, tmp_path):
-        fixture = write_fixture(tmp_path, MUTATING_DIGEST)
-        assert checks_main([str(fixture)]) == 4
 
 
 SET_ITERATION = """\
@@ -307,15 +55,6 @@ SET_ITERATION = """\
             for item in self.waiting:
                 total += item
             return total
-
-        def snapshot(self):
-            return {"waiting": sorted(self.waiting)}
-
-        def restore(self, state):
-            self.waiting = set(state["waiting"])
-
-        def reset(self):
-            self.waiting = set()
     """
 
 
@@ -359,6 +98,47 @@ class TestDeterminism:
             assert marker in text, f"expected a finding mentioning {marker}"
 
 
+class TestSuppressions:
+    """Inline suppressions, shown on the determinism fixture."""
+
+    def test_suppression_with_reason_silences(self, tmp_path):
+        suppressed = SET_ITERATION.replace(
+            "for item in self.waiting:",
+            "for item in self.waiting:  # check: ignore[determinism] sum is order-free",
+            1,
+        )
+        assert findings_for(tmp_path, suppressed) == []
+
+    def test_standalone_suppression_covers_next_line(self, tmp_path):
+        suppressed = SET_ITERATION.replace(
+            "            for item in self.waiting:",
+            "            # check: ignore[determinism] sum is order-free\n"
+            "            for item in self.waiting:",
+            1,
+        )
+        assert findings_for(tmp_path, suppressed) == []
+
+    def test_suppression_without_reason_is_malformed(self, tmp_path):
+        bad = SET_ITERATION.replace(
+            "for item in self.waiting:",
+            "for item in self.waiting:  # check: ignore[determinism]",
+            1,
+        )
+        findings = findings_for(tmp_path, bad)
+        rules = sorted(f.rule for f in findings)
+        # the bare suppression does not suppress, and is itself a finding
+        assert rules == ["determinism", "malformed-suppression"]
+
+    def test_suppression_with_unknown_rule_is_malformed(self, tmp_path):
+        bad = SET_ITERATION.replace(
+            "for item in self.waiting:",
+            "for item in self.waiting:  # check: ignore[no-such-rule] because",
+            1,
+        )
+        findings = findings_for(tmp_path, bad)
+        assert "malformed-suppression" in {f.rule for f in findings}
+
+
 # ---------------------------------------------------------------------------
 # CLI, report formats, exit-code model
 # ---------------------------------------------------------------------------
@@ -368,13 +148,13 @@ class TestCli:
     def test_repro_check_verb(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
-        fixture = write_fixture(tmp_path, MISSING_STATE)
+        fixture = write_fixture(tmp_path, SET_ITERATION)
         code = cli_main(["check", str(fixture), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert payload["exit_code"] == 1
-        assert [f["rule"] for f in payload["findings"]] == ["state-coverage"]
-        assert payload["findings"][0]["line"] == 4
+        assert code == 8
+        assert payload["exit_code"] == 8
+        assert [f["rule"] for f in payload["findings"]] == ["determinism"]
+        assert payload["findings"][0]["line"] == 10
 
     def test_module_entry_point_clean_run(self, tmp_path, capsys):
         clean = write_fixture(tmp_path, "x = 1\n")
@@ -388,12 +168,12 @@ class TestCli:
 
     def test_seeded_corpus_exit_code(self, capsys):
         # the same number CI's seeded-corpus step asserts: one fixture per
-        # kernel-parity, ambient-effects and fleet-protocol family
+        # ambient-effects and fleet-protocol family
         code = checks_main([str(CHECKDATA), "--format", "json"])
-        assert code == 32 | 64 | 128 == 224
+        assert code == 64 | 128 == 192
         payload = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in payload["findings"]} == {
-            "kernel-parity", "ambient-effects", "fleet-protocol"}
+            "ambient-effects", "fleet-protocol"}
 
     def test_json_report_carries_the_rules_table(self, tmp_path, capsys):
         clean = write_fixture(tmp_path, "x = 1\n")
@@ -403,22 +183,18 @@ class TestCli:
         assert payload["exit_code"] == 0
         bits = {rule: entry["bit"] for rule, entry in payload["rules"].items()}
         assert bits == {
-            "state-coverage": 1,
-            "snapshot-symmetry": 2,
-            "digest-purity": 4,
             "determinism": 8,
             "malformed-suppression": 16,
-            "kernel-parity": 32,
             "ambient-effects": 64,
             "fleet-protocol": 128,
         }
 
     def test_exit_code_accumulates_bits(self):
         findings = [
-            Finding(file="f", line=1, rule="state-coverage", message="m"),
-            Finding(file="f", line=2, rule="digest-purity", message="m"),
+            Finding(file="f", line=1, rule="determinism", message="m"),
+            Finding(file="f", line=2, rule="ambient-effects", message="m"),
         ]
-        assert exit_code_for(findings) == 5
+        assert exit_code_for(findings) == 72
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +203,7 @@ class TestCli:
 
 
 def _noop_pass(**overrides) -> CheckPass:
-    spec = dict(
-        rule="x", bit=32, summary="s", scope="module", run=lambda module: []
-    )
+    spec = dict(rule="x", bit=32, summary="s", run=lambda module: [])
     spec.update(overrides)
     return CheckPass(**spec)
 
@@ -439,11 +213,7 @@ class TestPassRegistry:
         passes = registered_passes()
         assert [p.bit for p in passes] == sorted(p.bit for p in passes)
         assert {p.rule: p.bit for p in passes} == {
-            "state-coverage": 1,
-            "snapshot-symmetry": 2,
-            "digest-purity": 4,
             "determinism": 8,
-            "kernel-parity": 32,
             "ambient-effects": 64,
             "fleet-protocol": 128,
         }
@@ -458,7 +228,7 @@ class TestPassRegistry:
 
     def test_register_rejects_allocated_bits(self):
         with pytest.raises(ValueError, match="collides"):
-            register_pass(_noop_pass(bit=32))
+            register_pass(_noop_pass(bit=64))
 
     def test_register_rejects_duplicate_rule_ids(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -470,17 +240,12 @@ class TestPassRegistry:
         )
         assert register_pass(existing) is existing
 
-    def test_unknown_scope_is_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="scope"):
-            _noop_pass(scope="file")
-
-    def test_third_party_pass_plugs_in_with_a_shared_bit(self, tmp_path):
+    def test_third_party_pass_plugs_in_on_a_free_bit(self, tmp_path):
         from repro.checks import model as check_model
 
         custom = register_pass(
             _noop_pass(
                 rule="no-todo",
-                bit=64,
                 summary="third-party demo pass",
                 run=lambda module: [
                     Finding(
@@ -490,15 +255,14 @@ class TestPassRegistry:
                         message="flagged",
                     )
                 ],
-                shares_bit=True,
             )
         )
         try:
             fixture = write_fixture(tmp_path, "x = 1\n")
             findings = run_checks([fixture])
             assert [f.rule for f in findings] == [custom.rule]
-            # piggybacks on the ambient-effects bit
-            assert exit_code_for(findings) == 64
+            # bit 32 is free for third-party families
+            assert exit_code_for(findings) == 32
             # inline suppressions work for third-party rules too
             fixture.write_text(
                 "x = 1  # check: ignore[no-todo] demo exemption\n"
@@ -507,94 +271,6 @@ class TestPassRegistry:
         finally:
             check_model._PASSES.pop("no-todo", None)
             check_model.RULES.pop("no-todo", None)
-
-
-# ---------------------------------------------------------------------------
-# kernel-parity: scalar DISPATCH vs batched segment branches
-# ---------------------------------------------------------------------------
-
-#: the modules that define the three real machine/stepper pairings (plus
-#: the InstrKind enum and K_* kind codes they share)
-KERNEL_SOURCES = (
-    "src/repro/isa/opcodes.py",
-    "src/repro/machine/batched.py",
-    "src/repro/refsim/machine.py",
-    "src/repro/refsim/batched.py",
-)
-
-
-def parity_pass() -> CheckPass:
-    return next(p for p in registered_passes() if p.rule == "kernel-parity")
-
-
-def copy_kernel_sources(tmp_path, mutate=None) -> list[Path]:
-    copies = []
-    for rel in KERNEL_SOURCES:
-        source = (REPO_ROOT / rel).read_text()
-        if mutate is not None:
-            source = mutate(rel, source)
-        dest = tmp_path / rel.replace("/", "_")
-        dest.write_text(source)
-        copies.append(dest)
-    return copies
-
-
-class TestKernelParity:
-    def test_fires_on_seeded_fixture(self):
-        findings = run_checks([CHECKDATA / "parity_drift.py"], root=REPO_ROOT)
-        assert [f.rule for f in findings] == ["kernel-parity"]
-        assert "InstrKind.VECTOR_LOAD" in findings[0].message
-        assert "kc == K_VECTOR_LOAD" in findings[0].message
-        assert exit_code_for(findings) == 32
-
-    def test_exit_code_bit(self):
-        assert checks_main([str(CHECKDATA / "parity_drift.py")]) == 32
-
-    def test_real_kernels_prove_dispatch_coverage(self):
-        from repro.checks.astutil import collect_files, load_module
-        from repro.checks.contract import Project
-        from repro.checks.parity import stepper_bindings
-
-        roots = ("src/repro/isa", "src/repro/machine", "src/repro/ooo",
-                 "src/repro/refsim")
-        files = collect_files([REPO_ROOT / path for path in roots])
-        modules = [load_module(file, root=REPO_ROOT) for file in files]
-        bindings = {
-            b.machine: b for b in stepper_bindings(Project.build(modules))
-        }
-        assert set(bindings) == {"_OOORun", "_InOrderRun", "_ReferenceRun"}
-        for binding in bindings.values():
-            assert binding.dispatch is not None, binding.machine
-            assert binding.dispatch.handlers, binding.machine
-            missing = set(binding.dispatch.handlers) - set(
-                binding.coverage.kinds
-            )
-            assert not missing, (binding.machine, missing)
-            assert binding.coverage.has_default, binding.machine
-            assert not binding.coverage.unresolved, binding.machine
-
-    def test_removing_a_stepper_branch_is_caught(self, tmp_path):
-        # the acceptance scenario: delete the batched kernel's K_BRANCH
-        # arm and the pass must pin the uncovered DISPATCH entry
-        def drop_branch_arm(rel: str, source: str) -> str:
-            if rel.endswith("refsim/batched.py"):
-                assert "kc == K_BRANCH" in source
-                return source.replace("kc == K_BRANCH", "False")
-            return source
-
-        mutated = copy_kernel_sources(tmp_path, mutate=drop_branch_arm)
-        findings = run_checks(mutated, passes=[parity_pass()])
-        assert findings, "removed branch went undetected"
-        assert all(f.rule == "kernel-parity" for f in findings)
-        assert any(
-            "InstrKind.BRANCH" in f.message and "_step_reference" in f.message
-            for f in findings
-        ), [f.message for f in findings]
-        assert exit_code_for(findings) == 32
-
-    def test_unmutated_kernels_are_clean(self, tmp_path):
-        copies = copy_kernel_sources(tmp_path)
-        assert run_checks(copies, passes=[parity_pass()]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +304,7 @@ class TestAmbientEffects:
             def run_slice(machine, budget):
                 for _ in range(budget):
                     machine.step()
-                return machine.digest()
+                return machine.finalise()
             """
         assert findings_for(tmp_path, source) == []
 
@@ -637,7 +313,7 @@ class TestAmbientEffects:
             import uuid
 
             class Port:
-                def digest(self):
+                def run_slice(self, instructions):
                     return self._tag()
 
                 def _tag(self):
@@ -645,7 +321,7 @@ class TestAmbientEffects:
             """
         findings = findings_for(tmp_path, source)
         assert [f.rule for f in findings] == ["ambient-effects"]
-        assert "Port.digest -> Port._tag" in findings[0].message
+        assert "Port.run_slice -> Port._tag" in findings[0].message
 
     def test_suppression_with_reason_silences(self, tmp_path):
         source = """\

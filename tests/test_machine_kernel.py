@@ -1,9 +1,9 @@
-"""The component-based machine kernel and the machine-model registry.
+"""The staged machine kernel and the machine-model registry.
 
 Everything here is auto-parameterised over *all* registered machines via
-:func:`repro.core.machines.machine_names` — a newly registered model is
-covered by the snapshot/restore round-trip, digest-stability, reset and
-component-contract batteries without touching this file.
+:func:`repro.core.machines.machine_names`, so a newly registered model is
+covered without touching this file.  Batched-vs-scalar state equality
+lives in ``tests/test_batched_kernel.py``.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import machine_config
 from repro.core.machines import create_run, get_machine_model, machine_names
-from repro.machine.component import state_digest
 from repro.workloads.registry import get_workload
 
 MACHINES = machine_names()
@@ -29,97 +28,7 @@ def _fresh_run(name):
     return model.factory(model.params_type(), TRACE)
 
 
-class TestRegistryParameterisedRoundTrips:
-    @pytest.mark.parametrize("name", MACHINES)
-    def test_snapshot_restore_round_trips_mid_run(self, name):
-        """snapshot → restore on a fresh run resumes bit-identically."""
-        cut = len(TRACE) // 2
-        full = _fresh_run(name)
-        full.run_slice(TRACE.instructions)
-        expected = full.finalise().to_dict()
-
-        first = _fresh_run(name)
-        first.run_slice(TRACE.instructions[:cut])
-        state = json.loads(json.dumps(first.snapshot()))  # force JSON types
-
-        second = _fresh_run(name)
-        second.restore(state)
-        second.run_slice(TRACE.instructions[cut:])
-        assert second.finalise().to_dict() == expected
-
-    @pytest.mark.parametrize("name", MACHINES)
-    def test_snapshot_is_stable_under_restore(self, name):
-        """restore(snapshot()) is the identity on the snapshot itself."""
-        run = _fresh_run(name)
-        run.run_slice(TRACE.instructions[: len(TRACE) // 3])
-        state = run.snapshot()
-        twin = _fresh_run(name)
-        twin.restore(json.loads(json.dumps(state)))
-        assert twin.snapshot() == state
-
-    @pytest.mark.parametrize("name", MACHINES)
-    def test_digest_stability(self, name):
-        """Digests are deterministic and survive a JSON round-trip."""
-        run = _fresh_run(name)
-        run.run_slice(TRACE.instructions[:100])
-        twin = _fresh_run(name)
-        twin.restore(json.loads(json.dumps(run.snapshot())))
-        assert run.digest() == twin.digest()
-        assert run.digest() == run.digest()
-        # advancing the machine must change the digest
-        run.run_slice(TRACE.instructions[100:110])
-        assert run.digest() != twin.digest()
-
-    @pytest.mark.parametrize("name", MACHINES)
-    def test_reset_returns_to_fresh_state(self, name):
-        run = _fresh_run(name)
-        run.run_slice(TRACE.instructions[:120])
-        run.reset()
-        fresh = _fresh_run(name)
-        assert run.snapshot() == fresh.snapshot()
-        assert run.digest() == fresh.digest()
-
-
-class TestComponentContract:
-    @pytest.mark.parametrize("name", MACHINES)
-    def test_every_component_satisfies_the_contract(self, name):
-        """snapshot/restore/reset/digest on every registered component."""
-        run = _fresh_run(name)
-        components = run.components
-        assert components, f"{name} declares no components"
-        for comp_name, component in components.items():
-            if component is None:  # optional component not instantiated
-                continue
-            for method in ("snapshot", "restore", "reset", "digest"):
-                assert callable(getattr(component, method, None)), (
-                    f"{name}.{comp_name} lacks {method}()"
-                )
-
-    @pytest.mark.parametrize("name", MACHINES)
-    def test_component_snapshots_compose_the_machine_snapshot(self, name):
-        """The machine snapshot is derived from the component registry."""
-        run = _fresh_run(name)
-        run.run_slice(TRACE.instructions[:80])
-        state = run.snapshot()
-        assert state["kind"] == run.KIND
-        for comp_name, component in run.components.items():
-            if component is None:
-                assert state[comp_name] is None
-            else:
-                assert state[comp_name] == component.snapshot()
-
-    @pytest.mark.parametrize("name", MACHINES)
-    def test_component_digests_are_canonical(self, name):
-        """Equal snapshots digest equally across distinct instances."""
-        run = _fresh_run(name)
-        twin = _fresh_run(name)
-        for comp_name, component in run.components.items():
-            if component is None:
-                continue
-            other = twin.components[comp_name]
-            assert component.digest() == other.digest(), comp_name
-            assert component.digest() == state_digest(component.snapshot())
-
+class TestDispatchTable:
     @pytest.mark.parametrize("name", MACHINES)
     def test_dispatch_covers_the_trace(self, name):
         """Every instruction kind in a real trace has a handler."""
