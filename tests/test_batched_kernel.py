@@ -7,19 +7,19 @@ table.  Their contract is *bit-identical* :class:`~repro.common.stats.SimStats`
 and machine state for every registered machine, on any instruction
 sequence — including mid-trace slices, since ``run_slice`` is resumable by
 the ``Machine`` contract.  "Machine state" is every attribute reachable
-from the machine object (:func:`_state`), so a field the batched stepper
-forgets to write back cannot hide.  Machines without a registered stepper
-must fall back to their own ``run_slice`` untouched (the
-bring-your-own-machine path).
+from the machine object (:func:`machine_state.state`), so a field the
+batched stepper forgets to write back cannot hide.  Machines without a
+registered stepper must fall back to their own ``run_slice`` untouched
+(the bring-your-own-machine path).
 """
 
 import array
 import collections
-import enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from machine_state import mutable_parts, state
 
 from repro.core.machines import get_machine_model, machine_names
 from repro.isa.opcodes import InstrKind
@@ -29,15 +29,15 @@ from repro.machine.batched import (
     run_slice_batched,
     stepper_for,
 )
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 MACHINES = machine_names()
 
+#: every program of the suite, at the smallest scale
+ALL_TRACES = {name: get_workload(name, "tiny").trace() for name in WORKLOAD_NAMES}
+
 #: traces of different shapes: vector-heavy, memory-heavy, scalar-mixed
-TRACES = {
-    name: get_workload(name, "tiny").trace()
-    for name in ("trfd", "swm256", "tomcatv")
-}
+TRACES = {name: ALL_TRACES[name] for name in ("trfd", "swm256", "tomcatv")}
 
 
 def _fresh_run(name, trace):
@@ -47,44 +47,6 @@ def _fresh_run(name, trace):
 
 def _finalised(machine):
     return machine.finalise().to_dict()
-
-
-#: the run's inputs rather than its state: parameters, trace, latencies
-_INPUTS = frozenset({"params", "trace", "lat"})
-
-
-def _state(obj):
-    """Every value reachable from ``obj``, as plain comparable data.
-
-    Objects become ``(class name, {attribute: state})`` over their
-    ``__dict__`` and ``__slots__``; lists, tuples and deques become lists,
-    dicts (key, value) pairs in insertion order, sets sorted lists and
-    enums their values.  Anything else raises ``TypeError``: a container
-    the walker cannot see into must fail loudly, never read as empty.
-    """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, (list, tuple, collections.deque)):
-        return [_state(item) for item in obj]
-    if isinstance(obj, dict):
-        return [(_state(key), _state(value)) for key, value in obj.items()]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_state(item) for item in obj)
-    slotted = [cls for cls in type(obj).__mro__ if "__slots__" in cls.__dict__]
-    if not hasattr(obj, "__dict__") and not slotted:
-        raise TypeError(f"cannot walk into {type(obj).__name__!r} objects")
-    names = list(getattr(obj, "__dict__", ()))
-    for cls in slotted:
-        slots = cls.__dict__["__slots__"]
-        names.extend([slots] if isinstance(slots, str) else slots)
-    return (type(obj).__name__, {
-        name: _state(getattr(obj, name))
-        for name in names
-        if name not in _INPUTS and name not in ("__dict__", "__weakref__")
-        and hasattr(obj, name)
-    })
 
 
 def test_traces_cover_every_instr_kind():
@@ -105,35 +67,85 @@ class TestStateOracle:
         second = _fresh_run("ooo", trace)
         for machine in (first, second):
             machine.run_slice(trace.instructions[:200])
-        assert _state(first) == _state(second)
+        assert state(first) == state(second)
         assert first.mempipe._active
         second.mempipe._active = []
-        assert _state(first) != _state(second)
+        assert state(first) != state(second)
 
     def test_deque_contents_are_compared(self):
-        assert _state(collections.deque([1, 2])) != _state(collections.deque([1, 3]))
-        assert _state(collections.deque([1, 2])) == _state([1, 2])
+        assert state(collections.deque([1, 2])) != state(collections.deque([1, 3]))
+        assert state(collections.deque([1, 2])) == state([1, 2])
 
     def test_opaque_objects_are_refused(self):
         with pytest.raises(TypeError):
-            _state(array.array("q", [1, 2]))
+            state(array.array("q", [1, 2]))
         with pytest.raises(TypeError):
-            _state(object())
+            state(object())
+
+    def test_slots_are_walked(self):
+        class Slotted:
+            __slots__ = ("head", "tail")
+
+            def __init__(self, tail):
+                self.head = 1
+                self.tail = tail
+
+        assert state(Slotted(2)) == ("Slotted", {"head": 1, "tail": 2})
+        assert state(Slotted(2)) != state(Slotted(3))
+
+    def test_inputs_are_skipped(self):
+        # params, trace and lat are what a run starts from, not state it
+        # reaches: machines that differ only in them compare equal
+        first = _fresh_run("ooo", TRACES["trfd"])
+        second = _fresh_run("ooo", TRACES["trfd"])
+        second.params = second.params.with_memory_latency(7)
+        second.trace = TRACES["swm256"]
+        second.lat = None
+        assert state(first) == state(second)
+        assert not {"params", "trace", "lat"} & set(state(first)[1])
+
+    def test_sets_compare_by_content(self):
+        assert state({3, 1, 2}) == state({1, 2, 3}) == [1, 2, 3]
+        assert state({1, 2}) != state({1, 3})
+
+    def test_the_class_is_part_of_the_state(self):
+        class First:
+            def __init__(self):
+                self.value = 1
+
+        class Second(First):
+            pass
+
+        assert state(First()) != state(Second())
+
+    def test_mutable_parts_are_what_can_change(self):
+        class Holder:
+            def __init__(self, table):
+                self.table = table
+                self.pair = (1, [2])
+                self.params = []
+
+        shared = {}
+        holder = Holder(shared)
+        parts = [id(part) for part in mutable_parts(holder)]
+        # the object, its dict and the list inside the tuple; never the
+        # tuple itself, and nothing behind an input such as params
+        assert parts == [id(holder), id(shared), id(holder.pair[1])]
 
 
 class TestEveryRegisteredMachine:
     """Full-trace equivalence, auto-parameterised over the registry."""
 
     @pytest.mark.parametrize("name", MACHINES)
-    @pytest.mark.parametrize("workload", sorted(TRACES))
+    @pytest.mark.parametrize("workload", sorted(ALL_TRACES))
     def test_full_trace_stats_and_state_identical(self, name, workload):
-        trace = TRACES[workload]
+        trace = ALL_TRACES[workload]
         scalar = _fresh_run(name, trace)
         scalar.run_slice(trace)
         batched = _fresh_run(name, trace)
         run_slice_batched(batched, trace)
         assert _finalised(batched) == _finalised(scalar), (name, workload)
-        assert _state(batched) == _state(scalar), (name, workload)
+        assert state(batched) == state(scalar), (name, workload)
 
     @pytest.mark.parametrize("name", MACHINES)
     def test_builtin_machines_have_a_registered_stepper(self, name):
@@ -175,7 +187,7 @@ class TestArbitrarySlices:
         batched = _fresh_run(name, trace)
         run_slice_batched(batched, window)
         assert _finalised(batched) == _finalised(scalar), (name, start, stop)
-        assert _state(batched) == _state(scalar), (name, start, stop)
+        assert state(batched) == state(scalar), (name, start, stop)
 
 
 class TestLoweringCache:

@@ -138,6 +138,22 @@ class TestSuppressions:
         findings = findings_for(tmp_path, bad)
         assert "malformed-suppression" in {f.rule for f in findings}
 
+    def test_suppression_naming_a_deleted_family_is_malformed(self, tmp_path):
+        # the snapshot-contract families are gone: a suppression left
+        # behind for one of them is reported, never silently honoured
+        for rule in ("state-coverage", "snapshot-symmetry", "digest-purity",
+                     "kernel-parity"):
+            stale = SET_ITERATION.replace(
+                "for item in self.waiting:",
+                f"for item in self.waiting:  # check: ignore[{rule}] stale",
+                1,
+            )
+            findings = findings_for(tmp_path, stale)
+            assert sorted(f.rule for f in findings) == [
+                "determinism", "malformed-suppression",
+            ], rule
+            assert any(rule in f.message for f in findings), rule
+
 
 # ---------------------------------------------------------------------------
 # CLI, report formats, exit-code model

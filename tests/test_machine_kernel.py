@@ -2,8 +2,10 @@
 
 Everything here is auto-parameterised over *all* registered machines via
 :func:`repro.core.machines.machine_names`, so a newly registered model is
-covered without touching this file.  Batched-vs-scalar state equality
-lives in ``tests/test_batched_kernel.py``.
+covered by the resumability and determinism battery without touching this
+file.  Machine state is every attribute reachable from the machine
+(:func:`machine_state.state`); batched-vs-scalar state equality lives in
+``tests/test_batched_kernel.py``.
 """
 
 import json
@@ -12,9 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from machine_state import mutable_parts, state
 
 from repro.core.config import machine_config
-from repro.core.machines import create_run, get_machine_model, machine_names
+from repro.core.machines import get_machine_model, machine_names
 from repro.workloads.registry import get_workload
 
 MACHINES = machine_names()
@@ -26,6 +29,56 @@ TRACE = get_workload("trfd", "tiny").trace()
 def _fresh_run(name):
     model = get_machine_model(name)
     return model.factory(model.params_type(), TRACE)
+
+
+class TestMachineState:
+    """Resumability and determinism, compared over the whole machine state."""
+
+    @pytest.mark.parametrize("name", MACHINES)
+    def test_split_run_matches_whole_run(self, name):
+        """run_slice is resumable: two calls land where one call does."""
+        cut = len(TRACE) // 2
+        whole = _fresh_run(name)
+        whole.run_slice(TRACE.instructions)
+        split = _fresh_run(name)
+        split.run_slice(TRACE.instructions[:cut])
+        split.run_slice(TRACE.instructions[cut:])
+        assert state(split) == state(whole)
+        assert split.finalise().to_dict() == whole.finalise().to_dict()
+
+    @pytest.mark.parametrize("name", MACHINES)
+    def test_equal_inputs_reach_equal_state(self, name):
+        first = _fresh_run(name)
+        second = _fresh_run(name)
+        assert state(first) == state(second)
+        for run in (first, second):
+            run.run_slice(TRACE.instructions[:100])
+        assert state(first) == state(second)
+
+    @pytest.mark.parametrize("name", MACHINES)
+    def test_state_changes_as_the_run_advances(self, name):
+        """The oracle is not vacuous: stepping the machine moves its state."""
+        run = _fresh_run(name)
+        fresh = state(run)
+        run.run_slice(TRACE.instructions[:100])
+        advanced = state(run)
+        assert advanced != fresh
+        run.run_slice(TRACE.instructions[100:110])
+        assert state(run) != advanced
+
+    @pytest.mark.parametrize("name", MACHINES)
+    def test_runs_share_no_mutable_state(self, name):
+        """A run neither sees nor disturbs another run of the same trace."""
+        first = _fresh_run(name)
+        second = _fresh_run(name)
+        shared = (
+            {id(part) for part in mutable_parts(first)}
+            & {id(part) for part in mutable_parts(second)}
+        )
+        assert not shared
+        fresh = state(first)
+        second.run_slice(TRACE.instructions)
+        assert state(first) == fresh
 
 
 class TestDispatchTable:
