@@ -1,15 +1,18 @@
 """Busy-interval bookkeeping.
 
-Both simulators avoid doing per-cycle accounting work for resources that are
+The simulators avoid doing per-cycle accounting work for resources that are
 busy for long stretches (a vector unit processing 128 elements, a memory
 port streaming a vector load).  Instead each resource records half-open
-``[start, end)`` busy intervals, and the analysis code derives per-cycle
-statistics (state breakdowns, idle percentages) from the merged intervals.
+``[start, end)`` busy intervals in a :class:`BusyTracker` that lives on the
+running machine.  When the run ends, :func:`unit_activity` reduces the
+vector units' trackers, in one sweep, to the two aggregates the paper's
+exhibits read: each unit's busy cycles and the cycle count of every joint
+busy state.  The intervals themselves never leave the machine.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Interval(NamedTuple):
@@ -27,13 +30,6 @@ class Interval(NamedTuple):
     @property
     def length(self) -> int:
         return self.end - self.start
-
-    def overlaps(self, other: "Interval") -> bool:
-        """Return True when the two half-open intervals share any cycle."""
-        return self.start < other.end and other.start < self.end
-
-    def contains(self, cycle: int) -> bool:
-        return self.start <= cycle < self.end
 
 
 def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
@@ -92,78 +88,53 @@ class BusyTracker:
         """Total number of distinct cycles during which the resource was busy."""
         return total_busy(self._intervals)
 
-    def busy_at(self, cycle: int) -> bool:
-        """Return True when the resource is busy during ``cycle``."""
-        return any(iv.contains(cycle) for iv in self._intervals)
 
-    def last_end(self) -> int:
-        """Return the end of the latest busy interval (0 when never busy)."""
-        return max((iv.end for iv in self._intervals), default=0)
-
-    def copy(self) -> "BusyTracker":
-        """Return an independent tracker sharing the (immutable) intervals.
-
-        ``Interval`` is frozen, so a shallow copy of the list fully isolates
-        the two trackers — orders of magnitude cheaper than ``deepcopy``.
-        """
-        tracker = BusyTracker(self.name)
-        tracker._intervals = list(self._intervals)
-        return tracker
-
-    def to_pairs(self) -> list[list[int]]:
-        """Serialise the busy intervals as merged ``[start, end]`` pairs."""
-        return [[iv.start, iv.end] for iv in self.merged()]
-
-    @classmethod
-    def from_pairs(cls, name: str, pairs: Iterable[Sequence[int]]) -> "BusyTracker":
-        """Rebuild a tracker from :meth:`to_pairs` output."""
-        tracker = cls(name)
-        for start, end in pairs:
-            tracker.add(int(start), int(end))
-        return tracker
-
-    def __len__(self) -> int:
-        return len(self._intervals)
-
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
-
-
-def state_breakdown(
+def unit_activity(
     trackers: Sequence[BusyTracker], total_cycles: int
-) -> dict[tuple[bool, ...], int]:
-    """Compute, for every combination of busy/idle resources, the cycle count.
+) -> tuple[list[int], dict[tuple[bool, ...], int]]:
+    """Busy cycles per tracker and cycles per joint busy state, in one sweep.
 
-    This is the computation behind Figures 3 and 7 of the paper: the machine
-    state is a tuple describing which of the vector units (FU2, FU1, MEM) are
-    busy, and the breakdown reports how many cycles were spent in each of the
-    ``2**len(trackers)`` states over ``[0, total_cycles)``.
+    This is the computation behind Figures 3, 5, 7 and 8 of the paper.
+    Returns ``(busy, states)``:
+
+    * ``busy[i]`` counts the distinct cycles ``trackers[i]`` was busy, over
+      all of its intervals (not clipped to ``total_cycles``); the busiest
+      vector unit is the IDEAL bound of Figures 5 and 8;
+    * ``states`` maps each tuple of busy flags (one per tracker, in
+      ``trackers`` order) to the cycles spent in it during
+      ``[0, total_cycles)``.  Only states with a positive count appear, in
+      order of first occurrence, so the counts sum to ``total_cycles``.
     """
     if total_cycles < 0:
         raise ValueError("total_cycles must be non-negative")
-    merged_lists = [tracker.merged() for tracker in trackers]
+    width = len(trackers)
+    busy: list[int] = []
+    # (cycle, +bit / -bit) where a tracker turns busy / idle inside the window
+    events: list[tuple[int, int]] = []
+    for position, tracker in enumerate(trackers):
+        bit = 1 << (width - 1 - position)
+        cycles = 0
+        for start, end in tracker.merged():
+            cycles += end - start
+            if start < total_cycles and end > 0:
+                events.append((max(start, 0), bit))
+                if end < total_cycles:
+                    events.append((end, -bit))
+        busy.append(cycles)
+    events.sort()
 
-    # Sweep over every boundary where any resource changes state.
-    boundaries: set[int] = {0, total_cycles}
-    for merged in merged_lists:
-        for iv in merged:
-            if iv.start < total_cycles:
-                boundaries.add(iv.start)
-            if iv.end < total_cycles:
-                boundaries.add(iv.end)
-    ordered = sorted(boundaries)
-
-    counts: dict[tuple[bool, ...], int] = {}
-    indices = [0] * len(merged_lists)
-    for left, right in zip(ordered, ordered[1:], strict=False):
-        state: list[bool] = []
-        for res, merged in enumerate(merged_lists):
-            idx = indices[res]
-            while idx < len(merged) and merged[idx].end <= left:
-                idx += 1
-            indices[res] = idx
-            busy = idx < len(merged) and merged[idx].start <= left < merged[idx].end
-            state.append(busy)
-        key = tuple(state)
-        counts[key] = counts.get(key, 0) + (right - left)
-    return counts
+    by_mask: dict[int, int] = {}
+    mask = 0
+    at = 0
+    for cycle, delta in events:
+        if cycle > at:
+            by_mask[mask] = by_mask.get(mask, 0) + (cycle - at)
+            at = cycle
+        mask += delta
+    if total_cycles > at:
+        by_mask[mask] = by_mask.get(mask, 0) + (total_cycles - at)
+    states = {
+        tuple(bool(mask >> (width - 1 - position) & 1) for position in range(width)): count
+        for mask, count in by_mask.items()
+    }
+    return busy, states

@@ -1,20 +1,29 @@
 """Simulation statistics containers.
 
-Both simulators populate a :class:`SimStats` object.  The analysis layer
-(`repro.analysis`) and the experiment harness (`repro.core.experiments`)
-consume these objects to build the paper's tables and figures.
+Every machine's ``finalise`` returns a :class:`SimStats`: plain integer
+counters, each vector unit's busy cycles and the cycle count of every joint
+(FU2, FU1, MEM) busy state.  The machines keep their busy intervals to
+themselves and reduce them to those two aggregates once, in ``finalise``
+(:meth:`SimStats.record_unit_activity`), so a result is a few dozen
+integers however long the run: copying, serialising and validating one is a
+flat walk over its fields.  The analysis layer (`repro.analysis`) and the
+experiment harness (`repro.core.experiments`) consume these objects to
+build the paper's tables and figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping
 
-from repro.common.intervals import BusyTracker, state_breakdown
+from repro.common.intervals import BusyTracker, unit_activity
 
 #: The three vector units whose joint state is reported in Figures 3 and 7,
 #: in the order used by the paper's 3-tuples: (FU2, FU1, MEM).
 VECTOR_UNIT_ORDER = ("FU2", "FU1", "MEM")
+
+#: a (FU2, FU1, MEM) busy-flag tuple
+UnitState = tuple[bool, bool, bool]
 
 
 @dataclass
@@ -75,10 +84,13 @@ class SimStats:
     #: total element operations performed by vector instructions
     vector_operations: int = 0
 
-    #: busy intervals of the three vector units and of the memory address port
-    unit_busy: dict[str, BusyTracker] = field(
-        default_factory=lambda: {name: BusyTracker(name) for name in VECTOR_UNIT_ORDER}
+    #: distinct busy cycles of each vector unit, keyed in VECTOR_UNIT_ORDER
+    unit_busy: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(VECTOR_UNIT_ORDER, 0)
     )
+    #: cycles spent in each (FU2, FU1, MEM) busy state over ``[0, cycles)``:
+    #: only states that occur, in order of first occurrence (Figures 3 and 7)
+    unit_states: dict[UnitState, int] = field(default_factory=dict)
     address_port_busy_cycles: int = 0
 
     traffic: MemoryTraffic = field(default_factory=MemoryTraffic)
@@ -93,12 +105,19 @@ class SimStats:
     scalar_loads_eliminated: int = 0
     stores_executed_at_head: int = 0
 
-    def record_unit_busy(self, unit: str, start: int, end: int) -> None:
-        """Record that vector unit ``unit`` was busy during ``[start, end)``."""
-        self.unit_busy[unit].add(start, end)
+    def record_unit_activity(
+        self, fu2: BusyTracker, fu1: BusyTracker, mem: BusyTracker
+    ) -> None:
+        """Set :attr:`unit_busy` and :attr:`unit_states` from the units' trackers.
+
+        Machines call this from ``finalise``, after setting :attr:`cycles`.
+        """
+        busy, states = unit_activity((fu2, fu1, mem), self.cycles)
+        self.unit_busy = dict(zip(VECTOR_UNIT_ORDER, busy, strict=True))
+        self.unit_states = states
 
     def unit_busy_cycles(self, unit: str) -> int:
-        return self.unit_busy[unit].busy_cycles()
+        return self.unit_busy[unit]
 
     def memory_port_idle_cycles(self) -> int:
         """Cycles during which the memory address port issued no request."""
@@ -110,11 +129,9 @@ class SimStats:
             return 0.0
         return self.memory_port_idle_cycles() / self.cycles
 
-    def state_breakdown(self) -> dict[tuple[bool, bool, bool], int]:
+    def state_breakdown(self) -> dict[UnitState, int]:
         """Cycle counts per (FU2, FU1, MEM) busy-state tuple (Figures 3 and 7)."""
-        trackers = [self.unit_busy[name] for name in VECTOR_UNIT_ORDER]
-        raw = state_breakdown(trackers, self.cycles)
-        return {(k[0], k[1], k[2]): v for k, v in raw.items()}
+        return dict(self.unit_states)
 
     def ideal_cycles(self) -> int:
         """The IDEAL lower bound used in Figure 5.
@@ -124,10 +141,7 @@ class SimStats:
         limited only by the most saturated resource with all dependences
         removed.
         """
-        return max(
-            (self.unit_busy[name].busy_cycles() for name in VECTOR_UNIT_ORDER),
-            default=0,
-        )
+        return max(self.unit_busy.values(), default=0)
 
     def lost_decode_cycles(self) -> dict[str, int]:
         """Decode cycles lost to each front-end stall source (Figure 10).
@@ -162,48 +176,90 @@ class SimStats:
         return self.vector_operations / self.vector_instructions
 
     def copy(self) -> "SimStats":
-        """Return an independent copy (cheaply; no ``deepcopy``).
-
-        Counters are plain values, busy trackers share their immutable
-        intervals behind fresh lists, and the traffic record is rebuilt, so
-        mutating the copy can never affect the original.
-        """
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["unit_busy"] = {
-            name: tracker.copy() for name, tracker in self.unit_busy.items()
-        }
-        data["traffic"] = replace(self.traffic)
-        return SimStats(**data)
+        """Return an independent copy: every field is a value or a flat map."""
+        return replace(
+            self,
+            unit_busy=dict(self.unit_busy),
+            unit_states=dict(self.unit_states),
+            traffic=replace(self.traffic),
+        )
 
     # -- serialisation (persistent result store) ----------------------------
 
     def to_dict(self) -> dict:
         """Serialise to a JSON-compatible dictionary.
 
-        Busy trackers are stored as merged ``[start, end]`` interval pairs,
-        which preserves every derived statistic (busy cycles, state
-        breakdowns, idle fractions).
+        The state counts become ``[[fu2, fu1, mem], cycles]`` pairs, which
+        keep their order through JSON (a JSON object could not have tuple
+        keys, and a re-sorting writer would reorder it).
         """
-        payload: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "unit_busy":
-                value = {name: tracker.to_pairs() for name, tracker in value.items()}
-            elif f.name == "traffic":
-                value = {sub.name: getattr(value, sub.name) for sub in fields(value)}
-            payload[f.name] = value
+        payload = asdict(self)
+        payload["unit_states"] = [
+            [list(state), count] for state, count in self.unit_states.items()
+        ]
         return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SimStats":
-        """Rebuild a :class:`SimStats` from :meth:`to_dict` output."""
-        data = dict(payload)
-        data["unit_busy"] = {
-            name: BusyTracker.from_pairs(name, pairs)
-            for name, pairs in data.get("unit_busy", {}).items()
+        """Rebuild a :class:`SimStats` from :meth:`to_dict` output.
+
+        Raises ``ValueError`` unless ``payload`` has exactly :meth:`to_dict`'s
+        fields and every counter in it — the traffic counters, busy totals
+        and state counts included — is a non-negative ``int`` (not a
+        ``bool``).  The state counts need not sum to :attr:`cycles`: a
+        machine that records no unit activity reports none.
+        """
+        _require_keys(payload, _STATS_FIELDS, "stats")
+        data: dict = {
+            name: _counter(payload[name], name)
+            for name in _STATS_FIELDS
+            if name not in ("unit_busy", "unit_states", "traffic")
         }
-        data["traffic"] = MemoryTraffic(**data.get("traffic", {}))
+        busy = payload["unit_busy"]
+        _require_keys(busy, VECTOR_UNIT_ORDER, "unit_busy")
+        data["unit_busy"] = {
+            name: _counter(busy[name], f"unit_busy.{name}") for name in VECTOR_UNIT_ORDER
+        }
+        data["unit_states"] = _state_counts(payload["unit_states"])
+        traffic = payload["traffic"]
+        _require_keys(traffic, _TRAFFIC_FIELDS, "traffic")
+        data["traffic"] = MemoryTraffic(
+            **{name: _counter(traffic[name], f"traffic.{name}") for name in _TRAFFIC_FIELDS}
+        )
         return cls(**data)
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(SimStats))
+_TRAFFIC_FIELDS = tuple(f.name for f in fields(MemoryTraffic))
+
+
+def _require_keys(mapping: object, expected: tuple[str, ...], what: str) -> None:
+    if not isinstance(mapping, Mapping) or set(mapping) != set(expected):
+        raise ValueError(f"{what} must be an object with exactly the fields {expected}")
+
+
+def _counter(value: object, name: str) -> int:
+    """``value`` if it is a non-negative ``int`` (``bool`` is not one)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    return value
+
+
+def _state_counts(pairs: object) -> dict[UnitState, int]:
+    """Decode :meth:`SimStats.to_dict`'s ``[[fu2, fu1, mem], cycles]`` pairs."""
+    if not isinstance(pairs, list):
+        raise ValueError("unit_states must be a list of [state, cycles] pairs")
+    counts: dict[UnitState, int] = {}
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list)
+                and len(pair[0]) == len(VECTOR_UNIT_ORDER)
+                and all(type(flag) is bool for flag in pair[0])):
+            raise ValueError(f"invalid unit state entry {pair!r}")
+        state: UnitState = (pair[0][0], pair[0][1], pair[0][2])
+        if state in counts:
+            raise ValueError(f"unit state {pair[0]!r} listed twice")
+        counts[state] = _counter(pair[1], "unit_states")
+    return counts
 
 
 def speedup(reference: SimStats, improved: SimStats) -> float:

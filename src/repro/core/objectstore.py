@@ -20,10 +20,16 @@ on disk, in two layers:
   ``queue/``, and fleet workers publish results here directly.
 
 Every result object is the JSON payload ``{"version", "key", "result"}``
-(:func:`~repro.core.runner.result_payload`).  Corrupt or undecodable
-entries are dropped (and re-simulated by the engine) rather than raised;
-entries whose version or parameters no longer validate are evicted by
-:meth:`ObjectStoreBackend.gc`.
+(:func:`~repro.core.runner.result_payload`).  A result holds plain
+counters: each vector unit's busy cycles and the cycle count of each joint
+unit state, never the busy intervals behind them (store version 2; a
+full-scale ``run-all`` stores about 0.65 MB).  Corrupt or undecodable
+entries — a counter that is not a non-negative integer included — are
+dropped (and re-simulated by the engine) rather than raised; entries whose
+version or parameters no longer validate are evicted by
+:meth:`ObjectStoreBackend.gc`.  An entry written at an older version is
+never read: its point has a new fingerprint, so the first run re-simulates
+it and ``gc`` evicts the old object.
 
 Layout::
 
@@ -43,7 +49,8 @@ from repro.common.errors import ReproError
 from repro.core.results import SimulationResult
 
 #: on-disk store format version; bump when the result payload shape changes
-STORE_VERSION = 1
+#: (2: busy totals and state counts replaced the busy-interval pairs)
+STORE_VERSION = 2
 
 #: subdirectory of the experiment cache dir acting as the bucket root
 OBJECT_SUBDIR = "objects"
@@ -65,7 +72,8 @@ def decode_payload(payload: object) -> SimulationResult | None:
     try:
         return SimulationResult.from_dict(payload["result"])
     except (ValueError, KeyError, TypeError, AttributeError, ReproError):
-        # AttributeError: a field of the wrong JSON type (``"unit_busy": 5``)
+        # TypeError/AttributeError: a block of the wrong JSON type
+        # (``"result": []``, ``"params": 5``)
         return None
 
 

@@ -40,11 +40,11 @@ class SimulationResult:
         return baseline.stats.traffic.total_ops / own
 
     def copy(self) -> "SimulationResult":
-        """Return an independent deep copy of this result.
+        """Return an independent copy of this result.
 
         The result store hands every caller a copy so that mutating a
-        returned :class:`SimStats` (or its busy trackers) can never corrupt
-        the cached canonical instance.
+        returned :class:`SimStats` can never corrupt the cached canonical
+        instance.  The stats are flat counters, so the copy is cheap.
         """
         return SimulationResult(
             workload=self.workload,

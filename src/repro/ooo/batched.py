@@ -170,6 +170,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     f2s, f2e = fu2._starts, fu2._ends
     tr1 = fu1.tracker._intervals
     tr2 = fu2.tracker._intervals
+    tr_mem = machine.mem_busy._intervals
     a_unit = machine.a_unit
     s_unit = machine.s_unit
     a_slots = a_unit._slots
@@ -208,7 +209,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     tf_sstore_sp = tf.scalar_store_spill_ops
     tf_evl = tf.eliminated_vector_load_ops
     tf_esl = tf.eliminated_scalar_load_ops
-    tr_mem = st.unit_busy["MEM"]._intervals
 
     # deferred busy-tracker tails: the scalar fast path only ever merges into
     # the *last* interval, so keep that row in locals and materialise it when

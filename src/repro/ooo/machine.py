@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import SimulationError
+from repro.common.intervals import BusyTracker
 from repro.common.params import CommitModel, LoadElimination, OOOParams
 from repro.common.resources import GapResource, PipelinedResource
 from repro.common.stats import SimStats
@@ -120,6 +121,8 @@ class _OOORun(StagedMachine):
         self.mempipe = MemoryPipeline()
         self.fu1 = GapResource("FU1")
         self.fu2 = GapResource("FU2")
+        #: when the vector memory unit (MEM) was busy issuing addresses
+        self.mem_busy = BusyTracker("MEM")
         self.a_unit = PipelinedResource("A-unit")
         self.s_unit = PipelinedResource("S-unit")
 
@@ -191,8 +194,7 @@ class _OOORun(StagedMachine):
         """Derive the final :class:`SimStats` from the accumulated state."""
         self.stats.cycles = max(self.horizon, self.rob.last_commit)
         self.stats.address_port_busy_cycles = self.memory.busy_cycles
-        self.stats.unit_busy["FU1"] = self.fu1.tracker
-        self.stats.unit_busy["FU2"] = self.fu2.tracker
+        self.stats.record_unit_activity(self.fu2.tracker, self.fu1.tracker, self.mem_busy)
         self.stats.rename_stall_cycles = self.rename.total_allocation_stall_cycles
         self.stats.rob_stall_cycles = self.rob.allocation_stall_cycles
         self.stats.queue_stall_cycles = self.queues.total_full_stall_cycles
@@ -424,7 +426,7 @@ class _OOORun(StagedMachine):
             dest_phys.first_result = timing.start + self.params.memory.latency
             dest_phys.ready = timing.data_ready
             dest_phys.from_load = True
-            self.stats.record_unit_busy("MEM", timing.start, timing.address_done)
+            self.mem_busy.add(timing.start, timing.address_done)
             self.stats.traffic.vector_load_ops += vl
             if dyn.is_spill:
                 self.stats.traffic.vector_load_spill_ops += vl
@@ -470,7 +472,7 @@ class _OOORun(StagedMachine):
 
         if dyn.is_vector:
             timing = self.memory.vector_store(earliest, vl)
-            self.stats.record_unit_busy("MEM", timing.start, timing.address_done)
+            self.mem_busy.add(timing.start, timing.address_done)
             self.stats.traffic.vector_store_ops += vl
             if dyn.is_spill:
                 self.stats.traffic.vector_store_spill_ops += vl

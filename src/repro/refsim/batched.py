@@ -110,9 +110,9 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
 
     stats = machine.stats
     traffic = stats.traffic
-    tr_fu1 = stats.unit_busy["FU1"]._intervals
-    tr_fu2 = stats.unit_busy["FU2"]._intervals
-    tr_mem = stats.unit_busy["MEM"]._intervals
+    tr_fu1 = fu1.tracker._intervals
+    tr_fu2 = fu2.tracker._intervals
+    tr_mem = mem_unit.tracker._intervals
     if tr_fu1:
         f1_s, f1_e = tr_fu1.pop()
     else:

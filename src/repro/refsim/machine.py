@@ -26,9 +26,10 @@ register file are plain attributes of the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import SimulationError
+from repro.common.intervals import BusyTracker
 from repro.common.params import ReferenceParams
 from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind
@@ -55,10 +56,12 @@ class _RegState:
 
 @dataclass
 class _UnitState:
-    """A vector functional unit of the in-order machine."""
+    """A vector unit of the in-order machine (FU1, FU2 or MEM)."""
 
     name: str
     free_at: int = 0
+    #: when the unit was busy; reduced to the result's aggregates by finalise
+    tracker: BusyTracker = field(default_factory=BusyTracker)
 
 
 class _RegTimings:
@@ -141,6 +144,8 @@ class _ReferenceRun(StagedMachine):
         """Derive the final :class:`SimStats` from the accumulated state."""
         self.stats.cycles = self.horizon
         self.stats.address_port_busy_cycles = self.memory.busy_cycles
+        self.stats.record_unit_activity(
+            self.fu2.tracker, self.fu1.tracker, self.mem_unit.tracker)
         return self.stats
 
     # -- instruction classes ----------------------------------------------------
@@ -219,7 +224,7 @@ class _ReferenceRun(StagedMachine):
 
         busy_until = start + vl + self.lat.vector_startup
         unit.free_at = busy_until
-        self.stats.record_unit_busy(unit.name, start, busy_until)
+        unit.tracker.add(start, busy_until)
 
         first_result = start + effective_latency
         completion = first_result + vl
@@ -308,7 +313,7 @@ class _ReferenceRun(StagedMachine):
                 self.stats.traffic.vector_store_spill_ops += vl
 
         self.mem_unit.free_at = timing.address_done
-        self.stats.record_unit_busy("MEM", timing.start, timing.address_done)
+        self.mem_unit.tracker.add(timing.start, timing.address_done)
         self.issue_ready = timing.start + 1
         self._advance_horizon(timing.data_ready, timing.address_done, timing.start + 1)
 

@@ -1,7 +1,12 @@
-"""Trace-level statistics: the raw material of Tables 2 and 3.
+"""Trace-level statistics: the quantities Tables 2 and 3 report.
 
-These statistics depend only on the trace, not on either micro-architecture,
-so they are computed here once and shared by all experiments.
+These statistics depend only on the trace, not on any micro-architecture.
+The exhibits do not scan traces for them: the reference machine counts the
+same instructions, operations and memory traffic while it simulates, so
+:mod:`repro.core.experiments` reads Tables 2 and 3 off its stored result
+and a warm run builds no trace.  :func:`compute_trace_statistics` stays the
+trace-level API (``Workload.statistics()``, the examples) and the oracle
+the test suite checks those counters against.
 """
 
 from __future__ import annotations

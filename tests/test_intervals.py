@@ -8,8 +8,8 @@ from repro.common.intervals import (
     BusyTracker,
     Interval,
     merge_intervals,
-    state_breakdown,
     total_busy,
+    unit_activity,
 )
 
 
@@ -22,15 +22,6 @@ class TestInterval:
         # the boundary that accepts untrusted endpoints is BusyTracker.add.
         with pytest.raises(ValueError):
             BusyTracker("fu").add(5, 2)
-
-    def test_overlap(self):
-        assert Interval(0, 10).overlaps(Interval(9, 12))
-        assert not Interval(0, 10).overlaps(Interval(10, 12))
-
-    def test_contains_is_half_open(self):
-        iv = Interval(5, 8)
-        assert iv.contains(5) and iv.contains(7)
-        assert not iv.contains(8)
 
 
 class TestMerge:
@@ -88,23 +79,11 @@ class TestBusyTracker:
         tracker = BusyTracker()
         tracker.add(5, 5)
         assert tracker.busy_cycles() == 0
-        assert len(tracker) == 0
+        assert tracker.merged() == []
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             BusyTracker().add(10, 4)
-
-    def test_busy_at(self):
-        tracker = BusyTracker()
-        tracker.add(3, 6)
-        assert tracker.busy_at(3) and tracker.busy_at(5)
-        assert not tracker.busy_at(6)
-
-    def test_last_end(self):
-        tracker = BusyTracker()
-        assert tracker.last_end() == 0
-        tracker.add(2, 9)
-        assert tracker.last_end() == 9
 
     @given(st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -117,44 +96,80 @@ class TestBusyTracker:
         assert tracker.busy_cycles() == len(covered)
 
 
-class TestStateBreakdown:
+def _trackers(resources):
+    trackers = []
+    for spec in resources:
+        tracker = BusyTracker()
+        for start, length in spec:
+            tracker.add(start, start + length)
+        trackers.append(tracker)
+    return trackers
+
+
+def _per_cycle(resources, total):
+    """Brute force: the busy flags of every cycle in ``[0, total)``, counted."""
+    covered = [set() for _ in resources]
+    for cells, spec in zip(covered, resources):
+        for start, length in spec:
+            cells.update(range(start, start + length))
+    counts = {}
+    for cycle in range(total):
+        state = tuple(cycle in cells for cells in covered)
+        counts[state] = counts.get(state, 0) + 1
+    return [len(cells) for cells in covered], counts
+
+
+#: up to three resources, each a list of ``(start, length)`` reservations
+RESOURCES = st.lists(
+    st.lists(st.tuples(st.integers(0, 100), st.integers(1, 20)), max_size=15),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestUnitActivity:
     def test_two_resources(self):
         a = BusyTracker("a")
         b = BusyTracker("b")
         a.add(0, 10)
         b.add(5, 15)
-        counts = state_breakdown([a, b], 20)
-        assert counts[(True, False)] == 5    # a only: cycles 0-5
-        assert counts[(True, True)] == 5     # both: 5-10
-        assert counts[(False, True)] == 5    # b only: 10-15
-        assert counts[(False, False)] == 5   # idle: 15-20
-        assert sum(counts.values()) == 20
+        busy, counts = unit_activity([a, b], 20)
+        assert busy == [10, 10]
+        assert list(counts.items()) == [
+            ((True, False), 5),   # a only: cycles 0-5
+            ((True, True), 5),    # both: 5-10
+            ((False, True), 5),   # b only: 10-15
+            ((False, False), 5),  # idle: 15-20
+        ]
 
     def test_total_always_matches_cycles(self):
         a = BusyTracker()
         a.add(3, 7)
-        counts = state_breakdown([a], 50)
+        _, counts = unit_activity([a], 50)
         assert sum(counts.values()) == 50
+
+    def test_busy_cycles_are_not_clipped_to_the_window(self):
+        a = BusyTracker()
+        a.add(5, 30)
+        busy, counts = unit_activity([a], 10)
+        assert busy == [25]
+        assert counts == {(False,): 5, (True,): 5}
+
+    def test_zero_cycles_have_no_states(self):
+        a = BusyTracker()
+        a.add(0, 4)
+        assert unit_activity([a], 0) == ([4], {})
 
     def test_negative_cycles_rejected(self):
         with pytest.raises(ValueError):
-            state_breakdown([BusyTracker()], -1)
+            unit_activity([BusyTracker()], -1)
 
-    @given(
-        st.lists(
-            st.lists(st.tuples(st.integers(0, 100), st.integers(1, 20)), max_size=15),
-            min_size=1,
-            max_size=3,
-        ),
-        st.integers(1, 150),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_breakdown_partitions_time(self, resources, total):
-        trackers = []
-        for spec in resources:
-            tracker = BusyTracker()
-            for start, length in spec:
-                tracker.add(start, start + length)
-            trackers.append(tracker)
-        counts = state_breakdown(trackers, total)
+    @given(RESOURCES, st.integers(0, 150))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_per_cycle_count(self, resources, total):
+        # keys, values and first-occurrence order all match the brute force
+        busy, counts = unit_activity(_trackers(resources), total)
+        expected_busy, expected_counts = _per_cycle(resources, total)
+        assert busy == expected_busy
+        assert list(counts.items()) == list(expected_counts.items())
         assert sum(counts.values()) == total

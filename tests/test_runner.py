@@ -13,6 +13,7 @@ from multiprocessing.connection import wait
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.intervals import BusyTracker
 from repro.common.params import (
     CommitModel,
     LoadElimination,
@@ -83,11 +84,16 @@ class TestSerialization:
 
     def test_stats_round_trip_counters(self):
         stats = SimStats(cycles=100, rename_stall_cycles=7, rob_stall_cycles=3)
-        stats.record_unit_busy("FU1", 0, 40)
-        rebuilt = SimStats.from_dict(stats.to_dict())
+        fu1 = BusyTracker()
+        fu1.add(0, 40)
+        stats.record_unit_activity(BusyTracker(), fu1, BusyTracker())
+        rebuilt = SimStats.from_dict(json.loads(json.dumps(stats.to_dict())))
+        assert rebuilt == stats
         assert rebuilt.rename_stall_cycles == 7
         assert rebuilt.rob_stall_cycles == 3
-        assert rebuilt.unit_busy["FU1"].busy_cycles() == 40
+        assert rebuilt.unit_busy_cycles("FU1") == 40
+        assert list(rebuilt.state_breakdown().items()) == [
+            ((False, True, False), 40), ((False, False, False), 60)]
 
 
 class TestFingerprints:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.intervals import BusyTracker
 from repro.common.stats import (
     MemoryTraffic,
     SimStats,
@@ -11,6 +12,13 @@ from repro.common.stats import (
     state_histogram_table,
     traffic_reduction,
 )
+
+
+def _tracker(*intervals):
+    tracker = BusyTracker()
+    for start, end in intervals:
+        tracker.add(start, end)
+    return tracker
 
 
 class TestMemoryTraffic:
@@ -32,11 +40,19 @@ class TestSimStats:
     def test_unit_order_matches_paper(self):
         assert VECTOR_UNIT_ORDER == ("FU2", "FU1", "MEM")
 
+    def test_bare_stats_report_zero_activity(self):
+        # a third-party machine's bare SimStats(): zero busy totals, no states
+        stats = SimStats(cycles=40)
+        assert stats.unit_busy == {"FU2": 0, "FU1": 0, "MEM": 0}
+        assert stats.state_breakdown() == {}
+        assert stats.ideal_cycles() == 0
+
     def test_record_and_query_unit_busy(self):
         stats = SimStats()
-        stats.record_unit_busy("FU1", 0, 100)
-        stats.record_unit_busy("FU1", 50, 150)
+        fu1 = _tracker((0, 100), (50, 150))
+        stats.record_unit_activity(BusyTracker(), fu1, BusyTracker())
         assert stats.unit_busy_cycles("FU1") == 150
+        assert stats.unit_busy == {"FU2": 0, "FU1": 150, "MEM": 0}
 
     def test_memory_port_idle_fraction(self):
         stats = SimStats(cycles=200)
@@ -49,17 +65,26 @@ class TestSimStats:
 
     def test_state_breakdown_partitions_cycles(self):
         stats = SimStats(cycles=100)
-        stats.record_unit_busy("FU2", 0, 30)
-        stats.record_unit_busy("MEM", 20, 80)
+        stats.record_unit_activity(_tracker((0, 30)), BusyTracker(), _tracker((20, 80)))
         breakdown = stats.state_breakdown()
         assert sum(breakdown.values()) == 100
-        assert breakdown[(True, False, True)] == 10
+        # keyed (FU2, FU1, MEM), in order of first occurrence
+        assert list(breakdown.items()) == [
+            ((True, False, False), 20),
+            ((True, False, True), 10),
+            ((False, False, True), 50),
+            ((False, False, False), 20),
+        ]
+
+    def test_state_breakdown_is_a_copy(self):
+        stats = SimStats(cycles=10)
+        stats.record_unit_activity(BusyTracker(), BusyTracker(), BusyTracker())
+        stats.state_breakdown()[(True, True, True)] = 5
+        assert stats.state_breakdown() == {(False, False, False): 10}
 
     def test_ideal_cycles_is_busiest_unit(self):
         stats = SimStats(cycles=500)
-        stats.record_unit_busy("FU1", 0, 100)
-        stats.record_unit_busy("FU2", 0, 150)
-        stats.record_unit_busy("MEM", 0, 400)
+        stats.record_unit_activity(_tracker((0, 150)), _tracker((0, 100)), _tracker((0, 400)))
         assert stats.ideal_cycles() == 400
 
     def test_vectorization_percent(self):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import MemoryTraffic, SimStats
+from repro.common.stats import VECTOR_UNIT_ORDER, MemoryTraffic, SimStats
 from repro.core.config import ooo_config, reference_config
 from repro.core.objectstore import (
     OBJECT_SUBDIR,
@@ -42,6 +42,9 @@ def _point(regs=16, latency=50, workload="trfd", scale="tiny"):
 
 
 def _result(point, cycles=1000, **stat_kwargs):
+    stat_kwargs.setdefault("unit_busy", {"FU2": 600, "FU1": 300, "MEM": 700})
+    stat_kwargs.setdefault(
+        "unit_states", {(True, False, True): 400, (False, False, False): 600})
     stats = SimStats(cycles=cycles, **stat_kwargs)
     return SimulationResult(
         workload=point.workload,
@@ -115,7 +118,41 @@ INVALID_PAYLOADS = {
     "unknown-machine-kind": _edited("result", "params", "kind", value="warp"),
     "invalid-params": _edited("result", "params", "num_phys_vregs", value=4),
     "traffic-not-an-object": _edited("result", "stats", "traffic", value=5),
+    # every counter must be a non-negative int, and a bool is not one
+    "cycles-null": _edited("result", "stats", "cycles", value=None),
+    "cycles-string": _edited("result", "stats", "cycles", value="123"),
+    "cycles-bool": _edited("result", "stats", "cycles", value=True),
+    "cycles-negative": _edited("result", "stats", "cycles", value=-5),
+    "no-cycles": _edited("result", "stats", "cycles"),
+    "unknown-stats-field": _edited("result", "stats", "unit_busy_pairs", value=[]),
+    "vector-operations-float": _edited("result", "stats", "vector_operations", value=1.5),
+    "traffic-counter-string": _edited(
+        "result", "stats", "traffic", "vector_load_ops", value="x"),
+    "no-traffic-counter": _edited("result", "stats", "traffic", "vector_load_ops"),
+    # per-unit busy totals: exactly FU2, FU1 and MEM, each a counter
     "unit-busy-not-an-object": _edited("result", "stats", "unit_busy", value=5),
+    "unit-busy-intervals": _edited(
+        "result", "stats", "unit_busy", "FU1", value=[[0, 300]]),
+    "unit-busy-negative": _edited("result", "stats", "unit_busy", "MEM", value=-1),
+    "unit-busy-bool": _edited("result", "stats", "unit_busy", "FU2", value=False),
+    "unit-busy-missing-unit": _edited("result", "stats", "unit_busy", "MEM"),
+    "unit-busy-extra-unit": _edited("result", "stats", "unit_busy", "FU3", value=0),
+    # state counts: [[fu2, fu1, mem], cycles] pairs, each state listed once
+    "no-unit-states": _edited("result", "stats", "unit_states"),
+    "unit-states-an-object": _edited(
+        "result", "stats", "unit_states", value={"<FU2,,MEM>": 400}),
+    "unit-state-count-negative": _edited(
+        "result", "stats", "unit_states", 0, 1, value=-400),
+    "unit-state-count-bool": _edited("result", "stats", "unit_states", 0, 1, value=True),
+    "unit-state-count-float": _edited("result", "stats", "unit_states", 0, 1, value=4.0),
+    "unit-state-too-short": _edited(
+        "result", "stats", "unit_states", 0, 0, value=[True, False]),
+    "unit-state-int-flags": _edited(
+        "result", "stats", "unit_states", 0, 0, value=[1, 0, 1]),
+    "unit-state-not-a-pair": _edited(
+        "result", "stats", "unit_states", 0, value=[[True, False, True], 400, 1]),
+    "unit-state-listed-twice": _edited(
+        "result", "stats", "unit_states", 1, 0, value=[True, False, True]),
 }
 
 #: rewritten entries that still hold the same valid result
@@ -474,14 +511,6 @@ class TestRetiredLayouts:
 # ---------------------------------------------------------------------------
 
 
-def _intervals(draw):
-    bounds = draw(st.lists(st.integers(0, 500), min_size=0, max_size=8,
-                           unique=True).map(sorted))
-    if len(bounds) % 2:
-        bounds = bounds[:-1]
-    return [[bounds[i], bounds[i + 1]] for i in range(0, len(bounds), 2)]
-
-
 @st.composite
 def simulation_results(draw):
     """A (point, result) pair with adversarial-but-valid statistics."""
@@ -511,10 +540,11 @@ def simulation_results(draw):
             scalar_load_ops=draw(counters),
             scalar_store_ops=draw(counters),
         ),
+        unit_busy={unit: draw(counters) for unit in VECTOR_UNIT_ORDER},
+        # any subset of the eight states, in any order
+        unit_states=draw(st.dictionaries(
+            st.tuples(st.booleans(), st.booleans(), st.booleans()), counters)),
     )
-    for unit in ("FU1", "FU2", "MEM"):
-        for start, end in _intervals(draw):
-            stats.record_unit_busy(unit, start, end)
     return point, SimulationResult(
         workload=point.workload,
         config_name=point.config.name,
