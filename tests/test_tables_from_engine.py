@@ -16,8 +16,8 @@ import pytest
 from repro.analysis.exhibits import get_exhibits
 from repro.analysis.export import exhibits_payload, render_json
 from repro.api import Session
-from repro.core.runner import ExperimentEngine, engine_scope
 from repro.core.experiments import table2_program_statistics, table3_spill_statistics
+from repro.core.runner import ExperimentEngine, engine_scope
 from repro.trace.generator import TraceGenerator
 from repro.trace.stats import compute_trace_statistics
 from repro.trace.store import TraceStore
