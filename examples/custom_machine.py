@@ -13,11 +13,13 @@ per vector *element* and a flat memory penalty per memory instruction —
 registers it through :mod:`repro.api` only, and runs it against the
 built-in machines, in one ``run_slice`` call and resumed across two.
 
-Before shipping a machine of your own, run the static analyzer over it —
-``repro check path/to/your_machine.py`` (or ``python -m repro.checks``) —
-it flags nondeterministic iteration and wall-clock, randomness or
-environment reads reachable from ``run_slice`` *before* they surface as
-irreproducible results.  This file is checked in CI the same way.
+A machine's results must be a pure, deterministic function of its trace
+and parameters.  The test suite holds this file to that: it loads it by
+path and fails if ``run_slice`` or ``finalise`` reads the clock,
+randomness, the process id, the environment or a file, or if any result
+or machine state changes with ``PYTHONHASHSEED`` (``tests/test_purity.py``).
+Before shipping a machine of your own, run it through the same checks
+(``tests/purity.py``).
 
 Run with::
 

@@ -23,14 +23,7 @@ here, with no environment variables and no process-global state:
 * :class:`Machine` / :class:`MachineModel` / :func:`register_machine` —
   the timing-model protocol and registry: new machine models plug into
   single-point simulation and sweep grids without touching any driver
-  code;
-* :func:`run_checks` / :class:`Finding` — the static analyzer behind
-  ``repro check`` (:mod:`repro.checks`), for validating first- and
-  third-party simulation code without running it;
-* :class:`CheckPass` / :func:`register_pass` — the analyzer's pass
-  registry, mirroring :func:`register_machine`: third-party rule
-  families plug into ``repro check``, :func:`run_checks` and CI without
-  touching the runner.
+  code.
 
 Quickstart::
 
@@ -81,16 +74,13 @@ from repro.api.settings import (
     ExecutionPlan,
     Settings,
 )
-from repro.checks import CheckPass, Finding, register_pass, run_checks
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CheckPass",
     "ExecutionPlan",
     "ExhibitResult",
     "ExhibitSet",
     "FLEET_ENV",
-    "Finding",
     "JOBS_ENV",
     "KERNEL_ENV",
     "KERNEL_NAMES",
@@ -111,7 +101,5 @@ __all__ = [
     "machine_names",
     "model_for_params",
     "register_machine",
-    "register_pass",
     "resolve_scale",
-    "run_checks",
 ]

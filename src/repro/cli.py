@@ -34,12 +34,6 @@ against the bucket under ``D`` — the claim → simulate → publish loop of
 corrupt, version-stale or no longer validate; ``python -m repro.cli list``
 prints the available exhibits and programs.
 
-``python -m repro.cli check [PATH ...]`` runs the static determinism,
-ambient-effects and fleet-protocol analyzer (:mod:`repro.checks`) over the
-simulation-path packages (or explicit paths) — see the README's STATIC
-ANALYSIS section.
-The exit code ORs one bit per rule family that fired.
-
 Every flag is an *explicit* setting in the sense of
 :meth:`repro.api.Settings.resolve`: a flag the user passes always wins, an
 omitted flag falls back to the matching ``REPRO_*`` environment variable,
@@ -123,16 +117,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     gc = sub.add_parser("gc", help="evict stale/corrupt result-store entries")
     gc.add_argument("--cache-dir", required=True, metavar="D",
                     help="result store directory to collect")
-
-    check = sub.add_parser(
-        "check",
-        help="statically analyze simulation code (determinism, ambient "
-             "effects, fleet protocol)")
-    check.add_argument("paths", nargs="*", metavar="PATH",
-                       help="files or directories to analyze (default: the "
-                            "simulation-path packages)")
-    check.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format (default: text)")
 
     worker = sub.add_parser(
         "worker",
@@ -331,14 +315,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    # imported lazily: the checker is pure stdlib-ast analysis and pulls in
-    # none of the simulation machinery
-    from repro.checks.runner import run_and_report
-
-    return run_and_report(args.paths, args.format)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(argv)
     if args.command == "list":
@@ -347,8 +323,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_gc(args)
     if args.command == "simulate":
         return _cmd_simulate(args)
-    if args.command == "check":
-        return _cmd_check(args)
     if args.command == "worker":
         return _cmd_worker(args)
     return _cmd_run_all(args)

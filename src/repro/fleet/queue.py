@@ -504,7 +504,6 @@ class LeaseQueue:
     def describe(self) -> str:
         """One-line summary of the queue's location and parameters."""
         return (
-            # check: ignore[fleet-protocol] human-readable description, never used as an object key
             f"lease queue at {self.objects.describe()}/{self.prefix} "
             f"(ttl={self.lease_ttl:g}s, retries={self.retry_budget})"
         )

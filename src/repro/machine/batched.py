@@ -247,7 +247,9 @@ def lowered_for(trace: Trace) -> LoweredTrace:
     A stale entry (the trace grew after lowering, or a new object reuses
     a dead trace's id) is detected and re-lowered.
     """
-    key = id(trace)  # check: ignore[determinism] cache key only; a stale or reused id is caught by the weakref+length guard below, and the lowering itself is a pure function of the trace
+    # cache key only: a stale or reused id is caught by the weakref and
+    # length guard below, and the lowering is a pure function of the trace
+    key = id(trace)
     hit = _LOWERED_CACHE.get(key)
     if hit is not None:
         ref, lowered = hit

@@ -27,9 +27,6 @@ from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind, Opcode
 from repro.trace.records import DynInstr, Trace
 
-#: a per-instruction-class handler: ``(instruction, decode context) -> result``
-Handler = Callable[[DynInstr, Any], Any]
-
 #: per-class dispatch cache: ``{cls: ({kind: function}, default function)}``.
 #: The functions are the *unbound* class attributes, resolved once per class
 #: (first instantiation) instead of rebuilding a bound-method table per
@@ -88,18 +85,6 @@ class StagedMachine:
             )
             cached = _DISPATCH_CACHE[cls] = (table, default)
         return cached
-
-    @property
-    def _handlers(self) -> Dict[InstrKind, Handler]:
-        """Bound handler table (kept for introspection; built on demand)."""
-        table, _ = type(self).dispatch_functions()
-        return {kind: func.__get__(self) for kind, func in table.items()}
-
-    @property
-    def _default_handler(self) -> Optional[Handler]:
-        """Bound default handler (kept for introspection; built on demand)."""
-        _, default = type(self).dispatch_functions()
-        return default.__get__(self) if default is not None else None
 
     # -- execution ------------------------------------------------------------
 

@@ -14,12 +14,10 @@ import repro.api
 #: the locked surface — update deliberately, never incidentally
 PUBLIC_SURFACE = (
     "CACHE_DIR_ENV",
-    "CheckPass",
     "ExecutionPlan",
     "ExhibitResult",
     "ExhibitSet",
     "FLEET_ENV",
-    "Finding",
     "JOBS_ENV",
     "KERNEL_ENV",
     "KERNEL_NAMES",
@@ -40,9 +38,7 @@ PUBLIC_SURFACE = (
     "machine_names",
     "model_for_params",
     "register_machine",
-    "register_pass",
     "resolve_scale",
-    "run_checks",
 )
 
 

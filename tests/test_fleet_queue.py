@@ -5,18 +5,47 @@ Everything here runs against a real filesystem-rooted
 so lease expiry, reclamation and dead-lettering are exercised without any
 sleeping.  ``claim_grace=0`` skips the race read-back delay — these tests
 are single-process, so there is no straggler to detect.
+
+Three disciplines of the queue are checked as it runs:
+
+* it reads time only through the injected clock: in every test here,
+  the module's ``time`` reads raise (:func:`no_real_clock`);
+* every key it touches follows the bucket layout in the module docstring,
+  under whatever prefix it was given (:class:`TestBucketLayout`);
+* the heartbeat thread's ``run`` loop assigns only attributes its
+  ``__init__`` set (:class:`TestHeartbeatThreadState`).
 """
+
+import re
+import time
 
 import pytest
 
 from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStore
+from repro.fleet import queue as queue_module
 from repro.fleet.queue import (
     Lease,
     LeaseLostError,
     LeaseQueue,
     TaskState,
 )
+from repro.fleet.worker import _Heartbeat
+
+
+class _NoRealClock:
+    """Stand-in for the queue module's ``time``: it sleeps, but never reads a clock."""
+
+    sleep = staticmethod(time.sleep)
+
+    def __getattr__(self, name):
+        raise AssertionError(
+            f"repro.fleet.queue read time.{name}; read the injected clock")
+
+
+@pytest.fixture(autouse=True)
+def no_real_clock(monkeypatch):
+    monkeypatch.setattr(queue_module, "time", _NoRealClock())
 
 
 class FakeClock:
@@ -280,9 +309,8 @@ class TestClaimRace:
 class TestClaimStamps:
     """Claim names must derive from the injected clock, not the wall clock.
 
-    The fleet-protocol static check forbids raw ``time.*`` reads inside
-    the clock-injected queue; these tests pin the behavioural half: the
-    timestamp ordering claim entrants race on is simulated time.
+    :func:`no_real_clock` makes any real clock read fail; these tests pin
+    that the timestamp ordering claim entrants race on is simulated time.
     """
 
     @staticmethod
@@ -308,3 +336,100 @@ class TestClaimStamps:
             queue, first.task_id
         )
         assert delta == int(7.0 * 1_000_000_000)
+
+
+class RecordingStore(ObjectStore):
+    """An :class:`ObjectStore` that records every key and prefix it is given."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.keys = set()
+        self.prefixes = set()
+
+    def put(self, key, data):
+        self.keys.add(key)
+        super().put(key, data)
+
+    def get(self, key):
+        self.keys.add(key)
+        return super().get(key)
+
+    def exists(self, key):
+        self.keys.add(key)
+        return super().exists(key)
+
+    def delete(self, key):
+        self.keys.add(key)
+        return super().delete(key)
+
+    def list(self, prefix=""):
+        self.prefixes.add(prefix)
+        return super().list(prefix)
+
+
+def documented_layout(prefix):
+    """The module docstring's key patterns, moved under ``prefix``."""
+    paths = re.findall(r"^ +queue/(\S+)", queue_module.__doc__, re.MULTILINE)
+    assert len(paths) == 6, paths
+    return [
+        re.compile(re.escape(prefix + "/")
+                   + "[^/]+".join(re.escape(part) for part in re.split(r"<\w+>", path))
+                   + "$")
+        for path in paths
+    ]
+
+
+class TestBucketLayout:
+    PREFIX = "bucket-ns/work"
+
+    def test_every_key_follows_the_documented_layout(self, tmp_path, clock):
+        objects = RecordingStore(tmp_path)
+        queue = LeaseQueue(objects, prefix=self.PREFIX, lease_ttl=30.0,
+                           retry_budget=2, clock=clock, claim_grace=0.0)
+        for task_id in ("done", "failed", "expired", "dead"):
+            queue.submit(task_id, payload_for(task_id))
+        queue.complete(queue.renew(queue._try_claim("done", "w1")), {"wall_s": 0.1})
+        queue.fail(queue._try_claim("failed", "w1"), "boom")
+        queue._try_claim("expired", "w1")  # and its worker dies
+        clock.advance(31.0)
+        queue.reap()
+        for _ in range(2):
+            queue.fail(queue._try_claim("dead", "w1"), "poisoned")
+        assert queue.counts() == {
+            "pending": 2, "claimed": 0, "done": 1, "dead": 1, "failed": 3}
+        assert queue.dead_letters().keys() == {"dead"}
+        assert queue.submit("dead", payload_for("dead"))  # revive: clear its history
+
+        layout = documented_layout(self.PREFIX)
+        stray = sorted(key for key in objects.keys
+                       if not any(pattern.match(key) for pattern in layout))
+        assert stray == []
+        unused = [pattern.pattern for pattern in layout
+                  if not any(pattern.match(key) for key in objects.keys)]
+        assert unused == []
+        assert all(prefix.startswith(self.PREFIX + "/") for prefix in objects.prefixes)
+
+
+class TestHeartbeatThreadState:
+    def test_run_assigns_only_attributes_init_set(self, tmp_path, clock):
+        # a short TTL makes the heartbeat beat every 0.05 s
+        queue = LeaseQueue(ObjectStore(tmp_path), lease_ttl=0.15, clock=clock,
+                           claim_grace=0.0)
+        queue.submit("t1", payload_for("t1"))
+        heartbeat = _Heartbeat(queue, queue.claim("w1"))
+        declared = set(vars(heartbeat))
+        renew = queue.renew
+        renewals = []
+
+        def renew_twice_then_lose(lease):
+            renewals.append(lease)
+            if len(renewals) == 3:
+                queue.objects.delete(queue._lease_key("t1"))
+            return renew(lease)
+
+        queue.renew = renew_twice_then_lose
+        # run() in this thread, not start(): only run's own assignments
+        # land on the object, none of threading's bookkeeping
+        heartbeat.run()
+        assert len(renewals) == 3 and heartbeat.lost
+        assert set(vars(heartbeat)) - declared == set()

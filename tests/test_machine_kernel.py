@@ -18,6 +18,7 @@ from machine_state import mutable_parts, state
 
 from repro.core.config import machine_config
 from repro.core.machines import get_machine_model, machine_names
+from repro.machine import StagedMachine
 from repro.workloads.registry import get_workload
 
 MACHINES = machine_names()
@@ -86,10 +87,9 @@ class TestDispatchTable:
     def test_dispatch_covers_the_trace(self, name):
         """Every instruction kind in a real trace has a handler."""
         run = _fresh_run(name)
-        handlers = getattr(run, "_handlers", None)
-        if handlers is None:
+        if not isinstance(run, StagedMachine):
             pytest.skip("model is not built on the staged kernel")
-        default = run._default_handler
+        handlers, default = type(run).dispatch_functions()
         for dyn in TRACE.instructions:
             assert handlers.get(dyn.kind, default) is not None
 
