@@ -29,31 +29,4 @@ Quick start::
     print(improved.speedup_over(baseline))
 """
 
-from repro.core import (
-    MachineConfig,
-    SimulationResult,
-    get_config,
-    ooo_config,
-    reference_config,
-    run,
-    simulate_trace,
-    standard_configs,
-)
-from repro.workloads import WORKLOAD_NAMES, all_workloads, get_workload
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "MachineConfig",
-    "SimulationResult",
-    "get_config",
-    "ooo_config",
-    "reference_config",
-    "run",
-    "simulate_trace",
-    "standard_configs",
-    "WORKLOAD_NAMES",
-    "all_workloads",
-    "get_workload",
-    "__version__",
-]

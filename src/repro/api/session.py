@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, ContextManager, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Mapping
 
 from dataclasses import replace
 
@@ -54,9 +54,11 @@ from repro.core.runner import (
     ResultStore,
     engine_scope,
 )
-from repro.trace.records import Trace
 from repro.trace.store import TraceStore
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
+
+if TYPE_CHECKING:
+    from repro.trace.records import Trace
 
 
 def engine_summary_dict(engine: ExperimentEngine) -> dict[str, Any]:

@@ -226,6 +226,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return _error("--lease-ttl must be positive")
     if args.poll is not None and args.poll <= 0:
         return _error("--poll must be positive")
+    if args.idle_timeout is not None and args.idle_timeout < 0:
+        return _error("--idle-timeout must be non-negative")
     try:
         worker = Worker(
             args.store_root,

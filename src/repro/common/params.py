@@ -13,6 +13,10 @@ Two architectures are parameterised here:
 * :class:`OOOParams` — the out-of-order, register-renaming OOOVA machine
   (Section 2.2), including the commit model of Section 5 and the dynamic
   load elimination configuration of Section 6.
+
+:class:`InOrderParams` — the same knobs for the registered ``inorder``
+intermediate machine — lives here too, so building or decoding a
+configuration never imports a machine implementation.
 """
 
 from __future__ import annotations
@@ -228,6 +232,16 @@ class OOOParams:
         return replace(self, num_phys_vregs=count)
 
 
+@dataclass(frozen=True)
+class InOrderParams(OOOParams):
+    """Parameters of the in-order-issue, renaming intermediate machine.
+
+    Identical knobs to :class:`OOOParams` — the machines differ in issue
+    policy, not in resources — but a distinct type, which is what the
+    machine-model registry dispatches on (see :mod:`repro.machine.inorder`).
+    """
+
+
 # ---------------------------------------------------------------------------
 # Serialisation (used by the persistent result store in repro.core.runner)
 # ---------------------------------------------------------------------------
@@ -254,13 +268,6 @@ def register_params_kind(kind: str, params_type: type) -> None:
     _PARAMS_KINDS[kind] = params_type
 
 
-def _ensure_machine_kinds() -> None:
-    """Force the machine-model registry to register its parameter kinds."""
-    from repro.core.machines import machine_names
-
-    machine_names()  # initialising the registry registers the kinds
-
-
 def _kind_of(params: object) -> str:
     """The serialisation kind of ``params`` (exact type match only).
 
@@ -268,11 +275,9 @@ def _kind_of(params: object) -> str:
     machine's) is a different design point and must not serialise under
     its parent's kind.
     """
-    for _ in range(2):
-        for kind, cls in _PARAMS_KINDS.items():
-            if type(params) is cls:
-                return kind
-        _ensure_machine_kinds()
+    for kind, cls in _PARAMS_KINDS.items():
+        if type(params) is cls:
+            return kind
     raise ConfigurationError(
         f"cannot serialise parameters of type {type(params)!r}; "
         "register the machine model first"
@@ -283,7 +288,7 @@ def params_to_dict(params: typing.Any) -> dict:
     """Serialise machine parameters to a JSON-compatible dictionary.
 
     Accepts any *registered* parameter dataclass (see
-    :func:`register_params_kind`), not just the built-in two.
+    :func:`register_params_kind`), not just the built-in three.
 
     The dictionary carries a ``kind`` discriminator so the matching dataclass
     can be rebuilt by :func:`params_from_dict`; enum members are stored by
@@ -321,9 +326,6 @@ def params_from_dict(payload: dict) -> typing.Any:
     data = dict(payload)
     kind = data.pop("kind", None)
     cls = _PARAMS_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None and isinstance(kind, str):
-        _ensure_machine_kinds()
-        cls = _PARAMS_KINDS.get(kind)
     if cls is None:
         raise ConfigurationError(f"unknown machine-parameter kind {kind!r}")
     if "latencies" in data:
@@ -345,3 +347,4 @@ def params_from_dict(payload: dict) -> typing.Any:
 
 register_params_kind("reference", ReferenceParams)
 register_params_kind("ooo", OOOParams)
+register_params_kind("inorder", InOrderParams)

@@ -22,7 +22,13 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from repro.common.errors import ConfigurationError
-from repro.common.params import CommitModel, LoadElimination, OOOParams, ReferenceParams
+from repro.common.params import (
+    CommitModel,
+    InOrderParams,
+    LoadElimination,
+    OOOParams,
+    ReferenceParams,
+)
 
 MachineParams = Union[ReferenceParams, OOOParams]
 
@@ -104,10 +110,8 @@ def inorder_config(
 
     Same resources as the early-commit OOOVA (so the ``reference`` →
     ``inorder`` → ``ooo`` comparison isolates the issue policy), built on
-    the registered :class:`repro.machine.inorder.InOrderParams`.
+    the registered :class:`repro.common.params.InOrderParams`.
     """
-    from repro.machine.inorder import InOrderParams
-
     params = InOrderParams(
         num_phys_vregs=phys_vregs,
         queue_slots=queue_slots,

@@ -16,8 +16,9 @@ the experiment engine without touching either:
         factory=lambda params, trace: _MyRun(params, trace),
     ))
 
-The built-in models register lazily on first lookup, keeping this module
-import-light (it is imported by the simulator at module load).
+The built-in models register on first lookup, and each factory imports its
+machine implementation on its first call, so listing the machines or
+decoding a stored result loads none of them.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from typing import (
 )
 
 from repro.common.errors import ReproError
-from repro.trace.records import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.common.stats import SimStats
+    from repro.trace.records import Trace
 
 
 @runtime_checkable
@@ -150,42 +151,50 @@ def model_for_params(params: Any) -> MachineModel:
 def create_run(params: Any, trace: Optional[Trace] = None, name: str = "") -> Machine:
     """Build a fresh run for ``params`` (empty named trace when none given)."""
     if trace is None:
+        from repro.trace.records import Trace
+
         trace = Trace(name=name, instructions=[])
     return model_for_params(params).factory(params, trace)
+
+
+def _reference_run(params: Any, trace: Trace) -> Machine:
+    from repro.refsim.machine import _ReferenceRun
+
+    return _ReferenceRun(params, trace)
+
+
+def _ooo_run(params: Any, trace: Trace) -> Machine:
+    from repro.ooo.machine import _OOORun
+
+    return _OOORun(params, trace)
+
+
+def _inorder_run(params: Any, trace: Trace) -> Machine:
+    from repro.machine.inorder import _InOrderRun
+
+    return _InOrderRun(params, trace)
 
 
 def _ensure_builtin() -> None:
     """Register the built-in machines on first registry use.
 
-    Deferred so that importing this module stays cheap and cycle-free: the
-    factories pull in the full machine models, which themselves import
-    large parts of the package.  The paper's two machines seed the registry
-    directly; the ``inorder`` intermediate (in-order issue *with* renaming)
-    goes through the public :func:`register_machine` path — the same path
-    third-party models use.
+    Registering imports only their parameter types: each factory imports
+    its machine model, and with it large parts of the package, on its first
+    call.  The paper's two machines seed the registry directly; the
+    ``inorder`` intermediate (in-order issue *with* renaming) goes through
+    the public :func:`register_machine` path — the same path third-party
+    models use.
     """
     global _BUILTIN_REGISTERED
     if _BUILTIN_REGISTERED:
         return
     _BUILTIN_REGISTERED = True
 
-    from repro.common.params import OOOParams, ReferenceParams
-    from repro.machine.inorder import InOrderParams, _InOrderRun
-    from repro.ooo.machine import _OOORun
-    from repro.refsim.machine import _ReferenceRun
+    from repro.common.params import InOrderParams, OOOParams, ReferenceParams
 
     _REGISTRY["reference"] = MachineModel(
-        name="reference",
-        params_type=ReferenceParams,
-        factory=lambda params, trace: _ReferenceRun(params, trace),
-    )
+        name="reference", params_type=ReferenceParams, factory=_reference_run)
     _REGISTRY["ooo"] = MachineModel(
-        name="ooo",
-        params_type=OOOParams,
-        factory=lambda params, trace: _OOORun(params, trace),
-    )
+        name="ooo", params_type=OOOParams, factory=_ooo_run)
     register_machine(MachineModel(
-        name="inorder",
-        params_type=InOrderParams,
-        factory=lambda params, trace: _InOrderRun(params, trace),
-    ))
+        name="inorder", params_type=InOrderParams, factory=_inorder_run))

@@ -37,11 +37,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager as _contextmanager
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -55,6 +52,8 @@ from repro.core.settings import DEFAULT_KERNEL, ExecutionPlan, Settings
 from repro.trace.store import TraceStore
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.fleet.dispatcher import FleetDispatcher
 
 #: subdirectory of the cache dir holding memoised compiled traces
@@ -287,7 +286,7 @@ class ExperimentEngine:
         self.fleet = plan.fleet
         self._dispatcher: "FleetDispatcher | None" = None
         #: the ``jobs``-wide worker pool, created by the first parallel batch
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: "ProcessPoolExecutor | None" = None
         if trace_store is None and self.store.cache_dir is not None:
             trace_store = TraceStore(self.store.cache_dir / TRACE_SUBDIR)
         self.trace_store = trace_store
@@ -358,6 +357,8 @@ class ExperimentEngine:
         if self.fleet:
             return self._execute_fleet(points)
         if self.jobs > 1 and len(points) > 1:
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 return self._execute_parallel(points)
             except (OSError, BrokenProcessPool):
@@ -416,6 +417,9 @@ class ExperimentEngine:
     def _execute_parallel(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
         """Run ``points`` on the engine's pool; results come back in order."""
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context("spawn"),

@@ -15,16 +15,20 @@ persisted across processes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.common.errors import SimulationError
 from repro.core.config import MachineConfig
 from repro.core.machines import create_run
 from repro.core.results import SimulationResult
 from repro.core.runner import get_engine
 from repro.core.settings import DEFAULT_KERNEL, KERNEL_NAMES
-from repro.trace.records import Trace
 from repro.trace.store import TraceStore
-from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
+
+if TYPE_CHECKING:
+    from repro.trace.records import Trace
+    from repro.workloads.base import Workload
 
 
 def simulate_trace(

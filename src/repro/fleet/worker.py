@@ -102,6 +102,8 @@ class Worker:
             raise ReproError("max_tasks must be at least 1")
         if poll_s <= 0:
             raise ReproError("poll_s must be positive")
+        if idle_timeout is not None and idle_timeout < 0:
+            raise ReproError("idle_timeout must be non-negative")
         self.store_root = Path(store_root)
         self.backend = ObjectStoreBackend(self.store_root)
         self.queue = queue if queue is not None else LeaseQueue(

@@ -16,21 +16,11 @@ hook (the issue gate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.common.params import OOOParams
+# InOrderParams lives in repro.common.params, so decoding a stored result
+# imports no machine; it stays importable from here
+from repro.common.params import InOrderParams
 from repro.ooo.machine import _ExecResult, _OOORun, _StepContext
 from repro.trace.records import DynInstr, Trace
-
-
-@dataclass(frozen=True)
-class InOrderParams(OOOParams):
-    """Parameters of the in-order-issue, renaming intermediate machine.
-
-    Identical knobs to :class:`~repro.common.params.OOOParams` — the
-    machines differ in issue policy, not in resources — but a distinct
-    type, which is what the machine-model registry dispatches on.
-    """
 
 
 class _InOrderRun(_OOORun):

@@ -12,9 +12,10 @@ the test suite checks those counters against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.isa.opcodes import InstrKind
-from repro.trace.records import Trace
+if TYPE_CHECKING:
+    from repro.trace.records import Trace
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ class TraceStatistics:
 
 def compute_trace_statistics(trace: Trace) -> TraceStatistics:
     """Scan a trace once and compute its :class:`TraceStatistics`."""
+    from repro.isa.opcodes import InstrKind
+
     scalar = vector = branches = vector_ops = 0
     vload = vload_spill = vstore = vstore_spill = 0
     sload = sload_spill = sstore = sstore_spill = 0

@@ -26,8 +26,10 @@ import os
 import pickle
 import uuid
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.trace.records import Trace
+if TYPE_CHECKING:
+    from repro.trace.records import Trace
 
 #: serialised-trace format version; bump when Trace/DynInstr fields change
 TRACE_STORE_VERSION = 1
@@ -57,6 +59,8 @@ class TraceStore:
 
     def get(self, workload: str, scale: str) -> Trace | None:
         """Return the memoised trace, or ``None`` (dropping bad entries)."""
+        from repro.trace.records import Trace
+
         path = self._path(workload, scale)
         try:
             with path.open("rb") as handle:

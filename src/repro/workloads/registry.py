@@ -1,49 +1,54 @@
-"""Workload registry: the ten benchmark programs of the paper, by name."""
+"""Workload registry: the ten benchmark programs of the paper, by name.
+
+Listing the programs imports none of them: program ``name`` lives in the
+module ``repro.workloads.<name>``, which (with the compiler) is imported
+only when :func:`get_workload` builds it.
+"""
 
 from __future__ import annotations
 
-from repro.common.errors import WorkloadError
-from repro.workloads.arc2d import Arc2D
-from repro.workloads.base import Workload
-from repro.workloads.bdna import Bdna
-from repro.workloads.dyfesm import Dyfesm
-from repro.workloads.flo52 import Flo52
-from repro.workloads.hydro2d import Hydro2D
-from repro.workloads.nasa7 import Nasa7
-from repro.workloads.su2cor import Su2Cor
-from repro.workloads.swm256 import SWM256
-from repro.workloads.tomcatv import Tomcatv
-from repro.workloads.trfd import Trfd
+import importlib
+from typing import TYPE_CHECKING
 
-#: the paper's benchmark set, in Table 2 order
-WORKLOAD_CLASSES: dict[str, type[Workload]] = {
-    "swm256": SWM256,
-    "hydro2d": Hydro2D,
-    "arc2d": Arc2D,
-    "flo52": Flo52,
-    "nasa7": Nasa7,
-    "su2cor": Su2Cor,
-    "tomcatv": Tomcatv,
-    "bdna": Bdna,
-    "trfd": Trfd,
-    "dyfesm": Dyfesm,
+from repro.common.errors import WorkloadError
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
+
+#: the paper's benchmark set, in Table 2 order: program name -> class name
+_CLASS_NAMES: dict[str, str] = {
+    "swm256": "SWM256",
+    "hydro2d": "Hydro2D",
+    "arc2d": "Arc2D",
+    "flo52": "Flo52",
+    "nasa7": "Nasa7",
+    "su2cor": "Su2Cor",
+    "tomcatv": "Tomcatv",
+    "bdna": "Bdna",
+    "trfd": "Trfd",
+    "dyfesm": "Dyfesm",
 }
 
 #: program names in the order the paper lists them
-WORKLOAD_NAMES: tuple[str, ...] = tuple(WORKLOAD_CLASSES)
+WORKLOAD_NAMES: tuple[str, ...] = tuple(_CLASS_NAMES)
 
 
-def get_workload(name: str, scale: str = "small") -> Workload:
-    """Instantiate a workload by its paper name (e.g. ``"trfd"``)."""
+def workload_class(name: str) -> type[Workload]:
+    """The class of program ``name``, importing its module on first use."""
     try:
-        cls = WORKLOAD_CLASSES[name]
+        class_name = _CLASS_NAMES[name]
     except KeyError as exc:
         raise WorkloadError(
             f"unknown workload {name!r}; available: {', '.join(WORKLOAD_NAMES)}"
         ) from exc
-    return cls(scale)
+    return getattr(importlib.import_module(f"repro.workloads.{name}"), class_name)
+
+
+def get_workload(name: str, scale: str = "small") -> Workload:
+    """Instantiate a workload by its paper name (e.g. ``"trfd"``)."""
+    return workload_class(name)(scale)
 
 
 def all_workloads(scale: str = "small") -> list[Workload]:
     """Instantiate the full benchmark suite."""
-    return [cls(scale) for cls in WORKLOAD_CLASSES.values()]
+    return [get_workload(name, scale) for name in WORKLOAD_NAMES]

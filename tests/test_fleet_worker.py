@@ -212,6 +212,20 @@ class TestWorkerConstruction:
         with pytest.raises(ReproError, match="poll_s"):
             Worker(tmp_path, poll_s=0.0)
 
+    def test_negative_idle_timeout_is_rejected(self, tmp_path):
+        from repro.common.errors import ReproError
+
+        with pytest.raises(ReproError, match="idle_timeout"):
+            Worker(tmp_path, idle_timeout=-5)
+        assert Worker(tmp_path, idle_timeout=0).idle_timeout == 0
+
+    def test_cli_rejects_negative_idle_timeout(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["worker", "--store-root", str(tmp_path), "--idle-timeout", "-5"]
+        assert main(argv) == 2
+        assert "--idle-timeout must be non-negative" in capsys.readouterr().err
+
     def test_summary_counts(self, tmp_path):
         worker = Worker(tmp_path, worker_id="w-test")
         assert "w-test" in worker.summary()
