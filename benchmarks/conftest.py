@@ -14,8 +14,8 @@ these environment variables:
   ``$REPRO_CACHE_DIR/traces/`` too);
 * ``REPRO_JOBS``      — worker processes used for missing grid points
   (one pool, started at the first miss and reused for every grid);
-* ``REPRO_KERNEL``    — machine stepper kernel (``batched``, the default, or
-  ``scalar``, the executable spec).
+* ``REPRO_FLEET``     — local fleet workers to delegate missing points to
+  (0, the default, runs them in-process).
 """
 
 import os

@@ -7,7 +7,7 @@ here, with no environment variables and no process-global state:
   precedence **explicit kwargs > environment > defaults**
   (:meth:`Settings.resolve`);
 * :class:`ExecutionPlan` — the frozen *how-to-execute* value object
-  (pool width, kernel, fleet) resolved once by
+  (pool width, fleet) resolved once by
   :meth:`Settings.plan` and passed whole to the engine;
 * :class:`Session` — owns the cache directory, result and trace stores
   and the experiment engine; a context manager, one per driver;
@@ -69,8 +69,6 @@ from repro.api.settings import (
     CACHE_DIR_ENV,
     FLEET_ENV,
     JOBS_ENV,
-    KERNEL_ENV,
-    KERNEL_NAMES,
     ExecutionPlan,
     Settings,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "ExhibitSet",
     "FLEET_ENV",
     "JOBS_ENV",
-    "KERNEL_ENV",
-    "KERNEL_NAMES",
     "Machine",
     "MachineConfig",
     "MachineModel",

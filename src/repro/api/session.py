@@ -73,7 +73,6 @@ def engine_summary_dict(engine: ExperimentEngine) -> dict[str, Any]:
         "disk_hits": engine.disk_hits,
         "memory_hits": engine.memory_hits,
         "jobs": engine.jobs,
-        "kernel": engine.kernel,
         "store": engine.store.describe(),
     }
     if engine.fleet:
@@ -187,7 +186,6 @@ class Session:
             config = get_config(config)
         return simulate_point(
             program, resolve_scale(scale), config, trace_store=self.trace_store,
-            kernel=self.settings.kernel,
         )
 
     def simulate_trace(self, trace: Trace, config: str | MachineConfig) -> SimulationResult:
@@ -203,7 +201,7 @@ class Session:
 
         if isinstance(config, str):
             config = get_config(config)
-        return simulate_trace(trace, config, kernel=self.settings.kernel)
+        return simulate_trace(trace, config)
 
     def scope(self) -> ContextManager[ExperimentEngine]:
         """Context manager making this session the process-wide default.

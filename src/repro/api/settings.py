@@ -17,8 +17,6 @@ from repro.core.settings import (
     CACHE_DIR_ENV,
     FLEET_ENV,
     JOBS_ENV,
-    KERNEL_ENV,
-    KERNEL_NAMES,
     ExecutionPlan,
     Settings,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "FLEET_ENV",
     "JOBS_ENV",
-    "KERNEL_ENV",
-    "KERNEL_NAMES",
     "ExecutionPlan",
     "Settings",
 ]

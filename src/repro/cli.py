@@ -9,8 +9,6 @@ paper's evaluation in one command, batched through the experiment engine::
   largest built-in scale, aliased to the workload scale ``medium``);
 * ``--jobs``      — fan the missing simulation points of each exhibit's grid
   out across that many worker processes (one pool for the whole run);
-* ``--kernel``    — machine stepper kernel: ``batched`` (the default) or
-  ``scalar`` (the executable spec); results are bit-identical;
 * ``--cache-dir`` — persistent on-disk result store (an S3-style
   filesystem bucket under ``<cache-dir>/objects/``): a second run of the
   same command performs **zero** simulations and only re-renders reports.
@@ -51,7 +49,6 @@ from typing import Any, Sequence
 
 from repro.analysis.exhibits import EXHIBIT_NAMES
 from repro.api import (
-    KERNEL_NAMES,
     SCALE_ALIASES,
     ExhibitSet,
     Session,
@@ -61,7 +58,6 @@ from repro.api import (
 )
 from repro.api.request import split_names
 from repro.common.errors import ReproError
-from repro.core.settings import DEFAULT_KERNEL
 from repro.workloads.registry import WORKLOAD_NAMES
 
 #: run-all output formats
@@ -80,9 +76,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                          help="experiment scale (full = largest built-in scale)")
     run_all.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes for missing simulation points")
-    run_all.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
-                         help="machine stepper kernel (default: $REPRO_KERNEL "
-                              f"or {DEFAULT_KERNEL}; results are bit-identical)")
     run_all.add_argument("--fleet", type=int, default=None, metavar="N",
                          help="delegate missing points to N fleet workers "
                               "sharing the cache dir's object-store bucket "
@@ -108,9 +101,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                                "to --config)")
     simulate.add_argument("--scale", choices=sorted(SCALE_ALIASES),
                           default="small", help="workload scale")
-    simulate.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
-                          help="machine stepper kernel (default: $REPRO_KERNEL "
-                               f"or {DEFAULT_KERNEL}; results are bit-identical)")
     simulate.add_argument("--format", choices=("text", "json"), default="text",
                           help="output format (default: text)")
 
@@ -156,7 +146,7 @@ def _session_settings(args: argparse.Namespace) -> Settings:
     precedence applies: explicit flag > ``REPRO_*`` environment > default.
     """
     overrides: dict[str, Any] = {}
-    for field in ("cache_dir", "jobs", "kernel", "fleet"):
+    for field in ("cache_dir", "jobs", "fleet"):
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value

@@ -48,7 +48,7 @@ from repro.common.params import params_to_dict
 from repro.core.config import MachineConfig
 from repro.core.objectstore import STORE_VERSION, ObjectStoreBackend, decode_payload
 from repro.core.results import SimulationResult
-from repro.core.settings import DEFAULT_KERNEL, ExecutionPlan, Settings
+from repro.core.settings import ExecutionPlan, Settings
 from repro.trace.store import TraceStore
 
 if TYPE_CHECKING:
@@ -117,11 +117,7 @@ class ExperimentSpec:
         return len(self.points)
 
 
-def _simulate_point(
-    point: ExperimentPoint,
-    trace_dir: str | None = None,
-    kernel: str = DEFAULT_KERNEL,
-) -> dict:
+def _simulate_point(point: ExperimentPoint, trace_dir: str | None = None) -> dict:
     """Execute one point and return the serialised result.
 
     Top-level function so :class:`ProcessPoolExecutor` can pickle it; the
@@ -135,7 +131,6 @@ def _simulate_point(
     trace_store = TraceStore(trace_dir) if trace_dir is not None else None
     return simulate_point(
         point.workload, point.scale, point.config, trace_store=trace_store,
-        kernel=kernel,
     ).to_dict()
 
 
@@ -246,8 +241,8 @@ class ResultStore:
 class ExperimentEngine:
     """Executes sweep grids against a result store, per an execution plan.
 
-    The *how* of execution — process-pool width, the stepper kernel, fleet
-    delegation — arrives as one frozen
+    The *how* of execution — process-pool width, fleet delegation —
+    arrives as one frozen
     :class:`~repro.core.settings.ExecutionPlan` (normally built by
     :meth:`Settings.plan() <repro.core.settings.Settings.plan>`), never as
     loose keywords.  The engine never re-interprets environment variables
@@ -279,9 +274,6 @@ class ExperimentEngine:
         self.store = store if store is not None else ResultStore()
         #: process-pool width across points (mirrors ``plan.jobs``)
         self.jobs = plan.jobs
-        #: machine stepper kernel used for every simulation this engine runs
-        #: ("batched" or "scalar"; results are bit-identical either way)
-        self.kernel = plan.kernel
         #: local fleet workers to spawn (0: fleet delegation disabled)
         self.fleet = plan.fleet
         self._dispatcher: "FleetDispatcher | None" = None
@@ -371,7 +363,7 @@ class ExperimentEngine:
             str(self.trace_store.cache_dir) if self.trace_store is not None else None
         )
         return [
-            SimulationResult.from_dict(_simulate_point(p, trace_dir, self.kernel))
+            SimulationResult.from_dict(_simulate_point(p, trace_dir))
             for p in points
         ]
 
@@ -391,11 +383,7 @@ class ExperimentEngine:
                 )
             from repro.fleet.dispatcher import FleetDispatcher
 
-            self._dispatcher = FleetDispatcher(
-                self.store.cache_dir,
-                spawn=self.fleet,
-                kernel=self.kernel,
-            )
+            self._dispatcher = FleetDispatcher(self.store.cache_dir, spawn=self.fleet)
         return self._dispatcher
 
     def _execute_fleet(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
@@ -427,12 +415,7 @@ class ExperimentEngine:
         trace_dir = (
             str(self.trace_store.cache_dir) if self.trace_store is not None else None
         )
-        payloads = self._pool.map(
-            _simulate_point,
-            points,
-            itertools.repeat(trace_dir),
-            itertools.repeat(self.kernel),
-        )
+        payloads = self._pool.map(_simulate_point, points, itertools.repeat(trace_dir))
         return [SimulationResult.from_dict(payload) for payload in payloads]
 
     # -- lifecycle ----------------------------------------------------------
@@ -474,8 +457,6 @@ class ExperimentEngine:
             f"{self.memory_hits} memory hits, jobs={self.jobs}, "
             f"store={self.store.describe()}"
         )
-        if self.kernel != DEFAULT_KERNEL:
-            line += f", kernel={self.kernel}"
         if self.fleet:
             line += f", fleet={self.fleet} ({self.fleet_points} dispatched)"
         if self.trace_store is not None:
@@ -495,9 +476,9 @@ def get_engine() -> ExperimentEngine:
 
     The initial engine is configured through the
     :class:`repro.api.Settings` precedence resolver, so it honours the
-    ``REPRO_CACHE_DIR``, ``REPRO_JOBS``, ``REPRO_KERNEL`` and
-    ``REPRO_FLEET`` environment variables — test and benchmark runs can
-    share a persistent cache without any code changes.
+    ``REPRO_CACHE_DIR``, ``REPRO_JOBS`` and ``REPRO_FLEET`` environment
+    variables — test and benchmark runs can share a persistent cache
+    without any code changes.
     """
     global _default_engine
     if _default_engine is None:

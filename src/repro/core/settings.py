@@ -11,10 +11,7 @@ frozen value object and one resolver:
 An *explicitly passed* keyword always wins, even when its value is falsy:
 ``Settings.resolve(fleet=0)`` pins in-process execution no matter what
 ``REPRO_FLEET`` says, and ``Settings.resolve(cache_dir=None)`` disables
-persistence even with ``REPRO_CACHE_DIR`` set.  The resolved object
-records which fields were explicit (:attr:`Settings.explicit`), so
-downstream consumers can distinguish "the user asked for 4 jobs" from
-"4 happened to be the environment default".
+persistence even with ``REPRO_CACHE_DIR`` set.
 
 This module lives in ``repro.core`` so the engine can depend on it
 without reaching *up* into the façade; the public import path is
@@ -29,11 +26,6 @@ Environment variables (all optional):
                               traces under ``traces/`` (empty: disabled)
 ``REPRO_JOBS``                worker processes per sweep (clamped to ≥ 1;
                               unparsable values fall back to the default)
-``REPRO_KERNEL``              machine stepper kernel: ``batched`` (the
-                              default, the pre-lowered stepper) or
-                              ``scalar`` (the per-instruction dispatch
-                              loop, kept as the executable spec; invalid
-                              values are an error)
 ``REPRO_FLEET``               distributed execution: number of local
                               ``repro worker`` processes the engine spawns
                               and dispatches to through the object-store
@@ -45,7 +37,7 @@ Environment variables (all optional):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.common.errors import ReproError
@@ -54,15 +46,8 @@ from repro.common.errors import ReproError
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: environment variable for sweep-level worker processes
 JOBS_ENV = "REPRO_JOBS"
-#: environment variable selecting the machine stepper kernel
-KERNEL_ENV = "REPRO_KERNEL"
 #: environment variable enabling fleet dispatch (worker count to spawn)
 FLEET_ENV = "REPRO_FLEET"
-
-#: the available machine stepper kernels (see :mod:`repro.machine.batched`)
-KERNEL_NAMES = ("scalar", "batched")
-#: the kernel used unless a setting names another; both are bit-identical
-DEFAULT_KERNEL = "batched"
 
 #: sentinel distinguishing "not passed" from every real value (incl. falsy)
 _UNSET: Any = object()
@@ -84,7 +69,7 @@ class ExecutionPlan:
     """How a batch of simulation points executes, as one frozen value.
 
     Before this object existed the same execution knobs — sweep-level
-    worker processes, stepper kernel — travelled as loose keyword
+    worker processes, fleet workers — travelled as loose keyword
     arguments through three :class:`~repro.core.runner.ExperimentEngine`
     call sites, each free to default them differently.  A plan is resolved
     **once** (usually by :meth:`Settings.plan`) and passed whole; the
@@ -98,8 +83,6 @@ class ExecutionPlan:
 
     #: worker processes fanning out the points of a sweep grid
     jobs: int = 1
-    #: machine stepper kernel (``batched`` or ``scalar``)
-    kernel: str = DEFAULT_KERNEL
     #: local ``repro worker`` processes to spawn for fleet dispatch
     #: (0: execute in-process; see :mod:`repro.fleet`)
     fleet: int = 0
@@ -107,20 +90,8 @@ class ExecutionPlan:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown machine kernel {self.kernel!r}; "
-                f"available: {', '.join(KERNEL_NAMES)}"
-            )
         if self.fleet < 0:
             raise ValueError("fleet must be non-negative")
-
-    def describe(self) -> str:
-        """One-line human-readable summary (engine/CLI trailers)."""
-        line = f"jobs={self.jobs} kernel={self.kernel}"
-        if self.fleet:
-            line += f" fleet={self.fleet}"
-        return line
 
 
 @dataclass(frozen=True)
@@ -135,12 +106,8 @@ class Settings:
     cache_dir: str | None = None
     #: worker processes fanning out the points of a sweep grid
     jobs: int = 1
-    #: machine stepper kernel (``batched`` or ``scalar``)
-    kernel: str = DEFAULT_KERNEL
     #: local fleet workers to spawn (0: in-process execution, the default)
     fleet: int = 0
-    #: names of the fields that were passed explicitly to :meth:`resolve`
-    explicit: frozenset[str] = field(default=frozenset(), compare=False)
 
     @classmethod
     def resolve(
@@ -148,7 +115,6 @@ class Settings:
         *,
         cache_dir: Any = _UNSET,
         jobs: Any = _UNSET,
-        kernel: Any = _UNSET,
         fleet: Any = _UNSET,
         env: Mapping[str, str] | None = None,
     ) -> "Settings":
@@ -156,22 +122,19 @@ class Settings:
 
         ``env`` defaults to ``os.environ`` and exists for tests.  Explicit
         values are validated strictly (:class:`~repro.common.errors.ReproError`
-        on a bad kernel name, ``jobs < 1`` or ``fleet < 0``);
+        on a non-integer, ``jobs < 1`` or ``fleet < 0``);
         unparsable integer *environment* values fall back to the default
         and out-of-range ones are clamped, matching the engine's historical
         tolerance for a sloppy environment.
         """
         environ: Mapping[str, str] = os.environ if env is None else env
-        explicit = set()
 
         if cache_dir is _UNSET:
             resolved_cache = environ.get(CACHE_DIR_ENV) or None
         else:
-            explicit.add("cache_dir")
             resolved_cache = os.fspath(cache_dir) if cache_dir else None
 
         def _explicit_int(name: str, value: Any, minimum: int) -> int:
-            explicit.add(name)
             try:
                 number = int(value)
             except (TypeError, ValueError) as exc:
@@ -190,26 +153,7 @@ class Settings:
         else:
             resolved_fleet = _explicit_int("fleet", fleet, minimum=0)
 
-        if kernel is _UNSET:
-            resolved_kernel = environ.get(KERNEL_ENV) or DEFAULT_KERNEL
-            source = f" (from ${KERNEL_ENV})"
-        else:
-            explicit.add("kernel")
-            resolved_kernel = kernel
-            source = ""
-        if resolved_kernel not in KERNEL_NAMES:
-            raise ReproError(
-                f"unknown machine kernel {resolved_kernel!r}{source}; "
-                f"available: {', '.join(KERNEL_NAMES)}"
-            )
-
-        return cls(
-            cache_dir=resolved_cache,
-            jobs=resolved_jobs,
-            kernel=resolved_kernel,
-            fleet=resolved_fleet,
-            explicit=frozenset(explicit),
-        )
+        return cls(cache_dir=resolved_cache, jobs=resolved_jobs, fleet=resolved_fleet)
 
     def plan(self) -> ExecutionPlan:
         """The :class:`ExecutionPlan` these settings describe.
@@ -219,21 +163,17 @@ class Settings:
         resolves the plan once here and passes it whole to
         :class:`~repro.core.runner.ExperimentEngine`.
         """
-        return ExecutionPlan(
-            jobs=self.jobs,
-            kernel=self.kernel,
-            fleet=self.fleet,
-        )
+        return ExecutionPlan(jobs=self.jobs, fleet=self.fleet)
 
     def override(self, **changes: Any) -> "Settings":
-        """A copy with ``changes`` applied (and recorded as explicit).
+        """A copy with ``changes`` applied.
 
         Unknown field names raise :class:`~repro.common.errors.ReproError`;
         the same strict validation as explicit :meth:`resolve` arguments
         applies, re-using the resolver with this instance's values as the
         environment-free baseline.
         """
-        fields = {"cache_dir", "jobs", "kernel", "fleet"}
+        fields = {"cache_dir", "jobs", "fleet"}
         unknown = set(changes) - fields
         if unknown:
             raise ReproError(
@@ -241,15 +181,4 @@ class Settings:
             )
         merged: dict[str, Any] = {name: getattr(self, name) for name in fields}
         merged.update(changes)
-        resolved = Settings.resolve(env={}, **merged)
-        return replace(
-            resolved, explicit=self.explicit | frozenset(changes),
-        )
-
-    def describe(self) -> str:
-        """One-line human-readable summary (engine/CLI trailers)."""
-        cache = self.cache_dir if self.cache_dir is not None else "-"
-        line = f"cache_dir={cache} jobs={self.jobs} kernel={self.kernel}"
-        if self.fleet:
-            line += f" fleet={self.fleet}"
-        return line
+        return Settings.resolve(env={}, **merged)

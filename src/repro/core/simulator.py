@@ -22,7 +22,6 @@ from repro.core.config import MachineConfig
 from repro.core.machines import create_run
 from repro.core.results import SimulationResult
 from repro.core.runner import get_engine
-from repro.core.settings import DEFAULT_KERNEL, KERNEL_NAMES
 from repro.trace.store import TraceStore
 from repro.workloads.registry import get_workload
 
@@ -31,37 +30,27 @@ if TYPE_CHECKING:
     from repro.workloads.base import Workload
 
 
-def simulate_trace(
-    trace: Trace, config: MachineConfig, kernel: str = DEFAULT_KERNEL
-) -> SimulationResult:
+def simulate_trace(trace: Trace, config: MachineConfig) -> SimulationResult:
     """Run an existing trace through the machine described by ``config``.
 
     Empty traces are rejected here — once, for every simulator path — so
     that no caller can obtain a ``cycles == 0`` result that later explodes
     in speedup ratios.
 
-    ``kernel`` selects the stepper: ``"batched"`` (the default) is the
-    pre-lowered structure-of-arrays stepper (:mod:`repro.machine.batched`),
-    ``"scalar"`` the per-instruction dispatch loop it is tested against.
-    Both produce bit-identical statistics; machines without a registered
-    batched stepper silently run the scalar kernel.
+    The machine steps through the pre-lowered structure-of-arrays stepper
+    (:func:`repro.machine.batched.run_slice_batched`); a machine without a
+    registered stepper runs its own ``run_slice``.  The per-instruction
+    ``run_slice`` of the built-in machines is the executable spec the
+    stepper is tested against (``tests/test_batched_kernel.py``).
     """
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
-    if kernel not in KERNEL_NAMES:
-        raise SimulationError(
-            f"unknown machine kernel {kernel!r}; "
-            f"available: {', '.join(KERNEL_NAMES)}"
-        )
     # machine-model registry dispatch (repro.core.machines): any registered
     # model — including ones added by downstream code — simulates here
     machine = create_run(config.params, trace)
-    if kernel == "batched":
-        from repro.machine.batched import run_slice_batched
+    from repro.machine.batched import run_slice_batched
 
-        run_slice_batched(machine, trace)
-    else:
-        machine.run_slice(trace)
+    run_slice_batched(machine, trace)
     stats = machine.finalise()
     return SimulationResult(
         workload=trace.name,
@@ -83,7 +72,6 @@ def simulate_point(
     scale: str,
     config: MachineConfig,
     trace_store: TraceStore | None = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> SimulationResult:
     """Simulate one (workload, scale, configuration) point.
 
@@ -96,7 +84,7 @@ def simulate_point(
         trace = trace_store.load_memoised(workload_name, scale)
     else:
         trace = get_workload(workload_name, scale).trace()
-    return simulate_trace(trace, config, kernel=kernel)
+    return simulate_trace(trace, config)
 
 
 def clear_simulation_cache() -> None:

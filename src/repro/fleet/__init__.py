@@ -23,7 +23,7 @@ Layering:
 
 The design invariant that makes all of this safe: **results are published
 idempotently under content fingerprints, and execution is bit-identical
-across kernels and hosts** — so leases only need to be an
+across workers and hosts** — so leases only need to be an
 efficiency mechanism (avoiding duplicate work), never a correctness one.
 """
 

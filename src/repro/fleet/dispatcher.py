@@ -41,7 +41,6 @@ from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStoreBackend, decode_payload
 from repro.core.results import SimulationResult
 from repro.core.runner import ExperimentPoint
-from repro.core.settings import DEFAULT_KERNEL
 from repro.fleet.queue import DEFAULT_LEASE_TTL, LeaseQueue, TaskState
 from repro.fleet.tasks import FleetTask
 
@@ -101,7 +100,6 @@ class FleetDispatcher:
         self,
         store_root: str | os.PathLike[str],
         spawn: int = 0,
-        kernel: str = DEFAULT_KERNEL,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll_s: float = DEFAULT_WATCH_POLL_S,
         max_restarts: int | None = None,
@@ -114,7 +112,6 @@ class FleetDispatcher:
         self.queue = queue if queue is not None else LeaseQueue(
             self.backend.objects, lease_ttl=lease_ttl)
         self.spawn = spawn
-        self.kernel = kernel
         self.poll_s = poll_s
         #: spawned-worker restarts allowed before giving up (default: 3/slot)
         self.max_restarts = max_restarts if max_restarts is not None else 3 * spawn
@@ -136,12 +133,7 @@ class FleetDispatcher:
         task_ids: list[str] = []
         already: set[str] = set()
         for point in points:
-            task = FleetTask(
-                workload=point.workload,
-                scale=point.scale,
-                config=point.config,
-                kernel=self.kernel,
-            )
+            task = FleetTask(point.workload, point.scale, point.config)
             task_id = task.task_id()
             task_ids.append(task_id)
             if (

@@ -2,9 +2,9 @@
 
 A :class:`FleetTask` is the queue-side twin of
 :class:`~repro.core.runner.ExperimentPoint`: the same (workload, scale,
-machine configuration) triple, plus the one execution knob a worker needs
-to reproduce the engine's behaviour exactly — the stepper kernel.  Unknown
-payload fields (older dispatchers sent more execution knobs) are ignored,
+machine configuration) triple, and nothing else — a worker steps every
+point exactly as the in-process engine does.  Unknown payload fields
+(older dispatchers sent execution knobs such as ``kernel``) are ignored,
 since every execution strategy is bit-identical by contract.
 
 Tasks serialise through the registry-driven parameter codec
@@ -28,7 +28,6 @@ from repro.common.errors import ReproError
 from repro.common.params import params_from_dict, params_to_dict
 from repro.core.config import MachineConfig
 from repro.core.runner import ExperimentPoint
-from repro.core.settings import DEFAULT_KERNEL, KERNEL_NAMES
 
 #: version stamp embedded in every task payload; a worker refuses (fails)
 #: tasks from a different fleet protocol version instead of guessing
@@ -37,19 +36,11 @@ TASK_VERSION = 1
 
 @dataclass(frozen=True)
 class FleetTask:
-    """One (point, execution-knobs) unit of work for a fleet worker."""
+    """One simulation point as a unit of work for a fleet worker."""
 
     workload: str
     scale: str
     config: MachineConfig
-    kernel: str = DEFAULT_KERNEL
-
-    def __post_init__(self) -> None:
-        if self.kernel not in KERNEL_NAMES:
-            raise ReproError(
-                f"unknown machine kernel {self.kernel!r}; "
-                f"available: {', '.join(KERNEL_NAMES)}"
-            )
 
     # -- identity ------------------------------------------------------------
 
@@ -58,12 +49,7 @@ class FleetTask:
         return ExperimentPoint(self.workload, self.scale, self.config)
 
     def task_id(self) -> str:
-        """The queue id — the point's result fingerprint.
-
-        The kernel is deliberately *not* part of the id: both kernels are
-        bit-identical execution strategies, so points dispatched with
-        different kernels are still the same work.
-        """
+        """The queue id — the point's result fingerprint."""
         return self.point().fingerprint()
 
     # -- serialisation -------------------------------------------------------
@@ -77,7 +63,6 @@ class FleetTask:
             "scale": self.scale,
             "config_name": self.config.name,
             "params": params_to_dict(self.config.params),
-            "kernel": self.kernel,
             "fingerprint": self.task_id(),
         }
 
@@ -106,12 +91,7 @@ class FleetTask:
                 name=payload["config_name"],
                 params=params_from_dict(dict(payload["params"])),
             )
-            task = cls(
-                workload=workload,
-                scale=scale,
-                config=config,
-                kernel=payload.get("kernel", DEFAULT_KERNEL),
-            )
+            task = cls(workload=workload, scale=scale, config=config)
         except ReproError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

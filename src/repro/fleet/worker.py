@@ -11,8 +11,8 @@ connection, no RPC, no shared memory:
   crashed workers are reclaimed on the way — see the queue module);
 * **simulate**: rebuild the point from the task payload and run it through
   the exact same :func:`~repro.core.simulator.simulate_point` the
-  in-process engine uses, on the kernel the task names — results are
-  bit-identical to local execution by construction;
+  in-process engine uses — results are bit-identical to local execution
+  by construction;
 * **publish**: write the result object under the point's fingerprint in the
   bucket's ``results/`` namespace (the identical payload the engine's own
   result store would write), then mark the task done;
@@ -220,7 +220,6 @@ class Worker:
             task.scale,
             task.config,
             trace_store=self.trace_store,
-            kernel=task.kernel,
         )
 
     def summary(self) -> str:

@@ -10,8 +10,8 @@ the stepping loop entirely.
 
 This module provides the kernel side of the batched stepper:
 
-* :func:`lower_instructions` runs once over a compiled trace and produces
-  a :class:`LoweredTrace` — a structure of arrays holding, per
+* :func:`lowered_for` lowers a compiled trace once (memoised per trace)
+  into a :class:`LoweredTrace` — a structure of arrays holding, per
   instruction, the kind code, interned latency-class code, operand
   register classes/indices, vector lengths, queue routing, branch
   outcome, spill flag and memory region.  The columns are plain lists:
@@ -228,11 +228,6 @@ class LoweredTrace:
             for j in range(len(bounds) - 1)
             if bounds[j + 1] > bounds[j]
         ]
-
-
-def lower_instructions(instructions: Sequence[DynInstr]) -> LoweredTrace:
-    """Lower an instruction sequence into its structure-of-arrays form."""
-    return LoweredTrace(instructions)
 
 
 #: id(trace) -> (weak ref keeping the entry honest, lowering); traces are

@@ -17,8 +17,8 @@ parameters.  Two checks test that while the code runs:
   set iterated in hash order or a ``hash()`` of a string that reaches a
   result shows up as a mismatch.
 
-Both cover the built-in machines on both kernels and the third-party
-machine of ``examples/custom_machine.py``, loaded by path.
+Both cover the built-in machines on both kernels (:data:`KERNELS`) and
+the third-party machine of ``examples/custom_machine.py``, loaded by path.
 
 The guard replaces module attributes, so it sees ``time.time()`` but not a
 ``from time import time`` bound before it was entered.  It raises only in
@@ -41,7 +41,6 @@ from unittest import mock
 
 from machine_state import state
 
-from repro.api import KERNEL_NAMES
 from repro.common import params as params_module
 from repro.core import machines as machines_module
 from repro.core.config import machine_config
@@ -49,6 +48,10 @@ from repro.core.machines import create_run, machine_names
 from repro.core.runner import ExperimentPoint
 from repro.machine.batched import run_slice_batched
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
+
+#: the two ways to step a machine: ``run_slice``, the executable spec, and
+#: ``run_slice_batched``, the stepper every simulated point runs on
+KERNELS = ("scalar", "batched")
 
 #: the worked third-party machine, and the name it registers
 EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "custom_machine.py"
@@ -156,7 +159,7 @@ def tiny_traces():
 
 
 def run_point(name, trace, kernel):
-    """One point, as the engine runs it: ``(machine, stats, fingerprint)``."""
+    """One point on ``kernel``: ``(machine, stats, fingerprint)``."""
     config = machine_config(name)
     machine = create_run(config.params, trace)
     if kernel == "batched":
@@ -174,7 +177,7 @@ def digest():
         for trace in tiny_traces().values():
             sha.update(repr(state(trace.instructions)).encode())
             for name in machine_names():
-                for kernel in KERNEL_NAMES:
+                for kernel in KERNELS:
                     machine, stats, fingerprint = run_point(name, trace, kernel)
                     sha.update(repr(state(machine)).encode())
                     sha.update(json.dumps(stats.to_dict()).encode())

@@ -26,7 +26,6 @@ class TestDefaults:
         assert settings.cache_dir is None
         assert settings.jobs == 1
         assert settings.fleet == 0
-        assert settings.explicit == frozenset()
 
     def test_resolve_defaults_to_process_environment(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "7")
@@ -44,7 +43,6 @@ class TestEnvironmentLayer:
         assert settings.cache_dir == "/tmp/cache"
         assert settings.jobs == 4
         assert settings.fleet == 3
-        assert settings.explicit == frozenset()
 
     def test_empty_env_cache_dir_means_disabled(self):
         assert Settings.resolve(env={CACHE_DIR_ENV: ""}).cache_dir is None
@@ -67,18 +65,15 @@ class TestExplicitLayer:
         settings = Settings.resolve(jobs=2, cache_dir="/tmp/mine", env=env)
         assert settings.jobs == 2
         assert settings.cache_dir == "/tmp/mine"
-        assert settings.explicit == {"jobs", "cache_dir"}
 
     def test_falsy_explicit_fleet_beats_environment(self):
         settings = Settings.resolve(fleet=0, env={FLEET_ENV: "4"})
         assert settings.fleet == 0
-        assert "fleet" in settings.explicit
 
     def test_explicit_none_cache_dir_beats_environment(self):
         settings = Settings.resolve(
             cache_dir=None, env={CACHE_DIR_ENV: "/tmp/persist"})
         assert settings.cache_dir is None
-        assert "cache_dir" in settings.explicit
 
     def test_explicit_empty_cache_dir_normalises_to_none(self):
         assert Settings.resolve(cache_dir="", env={}).cache_dir is None
@@ -96,12 +91,11 @@ class TestExplicitLayer:
 
 
 class TestOverride:
-    def test_override_records_explicitness(self):
+    def test_override_carries_unchanged_fields(self):
         base = Settings.resolve(env={JOBS_ENV: "4"})
         derived = base.override(fleet=2)
-        assert derived.jobs == 4  # carried over, still env-derived
+        assert derived.jobs == 4  # carried over from the environment
         assert derived.fleet == 2
-        assert "fleet" in derived.explicit
 
     def test_override_validates(self):
         with pytest.raises(ReproError):
@@ -124,7 +118,3 @@ class TestNoStoreSetting:
     def test_override_rejects_store(self):
         with pytest.raises(ReproError, match="unknown settings field"):
             Settings.resolve(env={}).override(store="json")
-
-    def test_describe_names_no_store(self):
-        settings = Settings.resolve(cache_dir="/tmp/cache", env={})
-        assert settings.describe() == "cache_dir=/tmp/cache jobs=1 kernel=batched"

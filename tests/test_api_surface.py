@@ -19,8 +19,6 @@ PUBLIC_SURFACE = (
     "ExhibitSet",
     "FLEET_ENV",
     "JOBS_ENV",
-    "KERNEL_ENV",
-    "KERNEL_NAMES",
     "Machine",
     "MachineConfig",
     "MachineModel",

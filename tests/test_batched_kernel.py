@@ -11,6 +11,11 @@ from the machine object (:func:`machine_state.state`), so a field the
 batched stepper forgets to write back cannot hide.  Machines without a
 registered stepper must fall back to their own ``run_slice`` untouched
 (the bring-your-own-machine path).
+
+Every simulated point runs on the batched stepper, so these tests are
+what holds it to the scalar spec: on all ten programs under the six
+configurations of the evaluation, on the sweep extremes of the exhibits,
+and on generated instruction streams that reach every opcode.
 """
 
 import array
@@ -21,14 +26,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from machine_state import mutable_parts, state
 
-from repro.core.machines import get_machine_model, machine_names
-from repro.isa.opcodes import InstrKind
+from repro.common.params import CommitModel, LoadElimination
+from repro.core.config import (
+    DEFAULT_LATENCY,
+    LATENCY_SWEEP,
+    REFERENCE_LATENCY_SWEEP,
+    REGISTER_SWEEP,
+    inorder_config,
+    machine_config,
+    ooo_config,
+    reference_config,
+    standard_configs,
+)
+from repro.core.machines import create_run, get_machine_model, machine_names
+from repro.isa.instructions import ELEMENT_BYTES
+from repro.isa.opcodes import InstrKind, MemAccess, Opcode
+from repro.isa.registers import RegClass, Register
 from repro.machine.batched import (
     has_lowering,
     lowered_for,
     run_slice_batched,
     stepper_for,
 )
+from repro.trace.records import DynInstr
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 MACHINES = machine_names()
@@ -49,11 +69,177 @@ def _finalised(machine):
     return machine.finalise().to_dict()
 
 
+def _assert_kernels_agree(config, trace, instructions):
+    """Scalar ``run_slice`` and the batched stepper reach equal stats and state."""
+    scalar = create_run(config.params, trace)
+    scalar.run_slice(instructions)
+    batched = create_run(config.params, trace)
+    run_slice_batched(batched, instructions)
+    assert _finalised(batched) == _finalised(scalar)
+    assert state(batched) == state(scalar)
+
+
+# -- the configurations of the exhibits ----------------------------------
+
+#: each registered machine at its defaults, and the six named configurations
+#: every exhibit compares (three of them are those defaults)
+FULL_TRACE_CONFIGS = {
+    **{name: machine_config(name) for name in MACHINES},
+    **standard_configs(),
+}
+
+#: the extremes of the exhibits' sweeps: memory latency (Figures 3, 4, 8),
+#: physical vector registers (Figures 5, 9), queue slots and late commit
+#: (Section 5), and the in-order design point
+SWEEP_EXTREMES = {
+    "reference-lat1": reference_config(1),
+    "reference-lat100": reference_config(100),
+    "ooo-regs9-lat1": ooo_config(9, 1),
+    "ooo-regs9-lat100": ooo_config(9, 100),
+    "ooo-regs64-lat1": ooo_config(64, 1),
+    "ooo-regs64-lat100": ooo_config(64, 100),
+    "ooo-queue4": ooo_config(queue_slots=4),
+    "ooo-late-regs9": ooo_config(9, commit_model=CommitModel.LATE),
+    "inorder-regs9": inorder_config(9),
+}
+
+#: every memory latency an exhibit sweeps
+LATENCIES = tuple(sorted({*REFERENCE_LATENCY_SWEEP, *LATENCY_SWEEP, DEFAULT_LATENCY}))
+
+
+def sweep_configs():
+    """Any configuration of the sweep space the exhibits draw from."""
+    latency = st.sampled_from(LATENCIES)
+    regs = st.sampled_from(REGISTER_SWEEP)
+    slots = st.sampled_from((4, 16))
+    return st.one_of(
+        st.builds(reference_config, latency),
+        st.builds(inorder_config, regs, latency, slots),
+        st.builds(ooo_config, regs, latency, st.sampled_from(CommitModel),
+                  st.sampled_from(LoadElimination), slots),
+    )
+
+
+# -- generated instruction streams ---------------------------------------
+
+A_REGS = tuple(Register(RegClass.A, i) for i in range(3))
+S_REGS = tuple(Register(RegClass.S, i) for i in range(3))
+SCALAR_REGS = A_REGS + S_REGS
+V_REGS = tuple(Register(RegClass.V, i) for i in range(4))
+VM_REGS = tuple(Register(RegClass.VM, i) for i in range(2))
+
+#: operand shape per opcode, as the code generator emits it:
+#: (destination pool or ``None``, one pool per source)
+_BINARY = (SCALAR_REGS, (SCALAR_REGS, SCALAR_REGS))
+_UNARY = (SCALAR_REGS, (SCALAR_REGS,))
+_VECTOR_BINARY = (V_REGS, (V_REGS, V_REGS))
+_VECTOR_UNARY = (V_REGS, (V_REGS,))
+OPERAND_SHAPES = {
+    **{op: _BINARY for op in (
+        Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.AND, Opcode.OR,
+        Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.CMP, Opcode.FADD,
+        Opcode.FSUB, Opcode.FMUL, Opcode.FDIV)},
+    Opcode.MOV: _UNARY,
+    Opcode.FSQRT: _UNARY,
+    Opcode.LI: (SCALAR_REGS, ()),
+    Opcode.LOAD: (SCALAR_REGS, (A_REGS,)),
+    Opcode.STORE: (None, (SCALAR_REGS, A_REGS)),
+    Opcode.BR: (None, (SCALAR_REGS,)),
+    Opcode.JMP: (None, ()),
+    Opcode.CALL: (None, ()),
+    Opcode.RET: (None, ()),
+    Opcode.SETVL: (None, (A_REGS,)),
+    Opcode.SETVS: (None, ()),
+    **{op: _VECTOR_BINARY for op in (
+        Opcode.VADD, Opcode.VSUB, Opcode.VAND, Opcode.VOR, Opcode.VXOR,
+        Opcode.VSHL, Opcode.VSHR, Opcode.VMAX, Opcode.VMIN, Opcode.VMUL,
+        Opcode.VDIV)},
+    **{op: _VECTOR_UNARY for op in (Opcode.VNEG, Opcode.VABS, Opcode.VSQRT)},
+    Opcode.VCMP: (VM_REGS, (V_REGS, V_REGS)),
+    Opcode.VMERGE: (V_REGS, (V_REGS, V_REGS, VM_REGS)),
+    Opcode.VSADD: (V_REGS, (V_REGS, S_REGS)),
+    Opcode.VSMUL: (V_REGS, (V_REGS, S_REGS)),
+    Opcode.VSUM: (S_REGS, (V_REGS,)),
+    Opcode.VBCAST: (V_REGS, (S_REGS,)),
+    Opcode.VLOAD: (V_REGS, (A_REGS,)),
+    Opcode.VLOADS: (V_REGS, (A_REGS,)),
+    Opcode.VGATHER: (V_REGS, (A_REGS, V_REGS)),
+    Opcode.VSTORE: (None, (V_REGS, A_REGS)),
+    Opcode.VSTORES: (None, (V_REGS, A_REGS)),
+    Opcode.VSCATTER: (None, (V_REGS, A_REGS, V_REGS)),
+}
+
+#: a small address pool: load elimination needs exact tag matches, and
+#: overlapping ranges exercise memory disambiguation.  Compiled programs
+#: place their data at 64 KiB and up; the pool stays there, so that no
+#: range reaches below address 0 even at VL 128 and the largest negative
+#: stride
+ADDRESSES = (65536, 65544, 65600, 66560, 66632)
+VECTOR_LENGTHS = (1, 7, 64, 128)
+STRIDES = (ELEMENT_BYTES, 2 * ELEMENT_BYTES, -ELEMENT_BYTES, -3 * ELEMENT_BYTES)
+#: a few static branch sites, so the predictor sees each more than once
+BRANCH_PCS = (3, 17, 67)
+
+
+@st.composite
+def instructions(draw, opcode, seq):
+    """One :class:`DynInstr` of ``opcode``, with the trace generator's fields."""
+    dest_pool, src_pools = OPERAND_SHAPES[opcode]
+    is_branch = opcode.kind is InstrKind.BRANCH
+    dyn = DynInstr(
+        seq=seq,
+        opcode=opcode,
+        pc=draw(st.sampled_from(BRANCH_PCS)) if is_branch else 1000 + seq,
+        dest=draw(st.sampled_from(dest_pool)) if dest_pool else None,
+        srcs=tuple(draw(st.sampled_from(pool)) for pool in src_pools),
+    )
+    if opcode.is_vector:
+        dyn.vl = draw(st.sampled_from(VECTOR_LENGTHS))
+    if is_branch:
+        dyn.taken = draw(st.booleans()) if opcode is Opcode.BR else True
+        dyn.is_call = opcode is Opcode.CALL
+        dyn.is_return = opcode is Opcode.RET
+    if opcode.is_memory:
+        base = draw(st.sampled_from(ADDRESSES))
+        access = opcode.info.access
+        stride = ELEMENT_BYTES
+        if access is not MemAccess.UNIT:
+            stride = draw(st.sampled_from(STRIDES))
+        count = dyn.vl if opcode.is_vector else 1
+        dyn.address = base
+        dyn.stride = stride
+        dyn.is_spill = draw(st.booleans())
+        if access is MemAccess.INDEXED:
+            dyn.region_start = base
+            dyn.region_end = base + max(abs(stride) * count, ELEMENT_BYTES)
+        else:
+            span = (count - 1) * stride
+            dyn.region_start = base + min(0, span)
+            dyn.region_end = base + max(0, span) + ELEMENT_BYTES
+    return dyn
+
+
+@st.composite
+def streams(draw, opcodes=None):
+    """A stream of generated instructions; random opcodes unless given."""
+    if opcodes is None:
+        opcodes = draw(st.lists(st.sampled_from(tuple(OPERAND_SHAPES)),
+                                min_size=1, max_size=40))
+    return [draw(instructions(op, seq)) for seq, op in enumerate(opcodes)]
+
+
 def test_traces_cover_every_instr_kind():
     # the equivalence tests below prove a kind's batched branch against
     # its scalar handler only if some trace contains that kind
     present = {dyn.kind for trace in TRACES.values() for dyn in trace.instructions}
     assert set(InstrKind) - present == set()
+
+
+def test_generated_streams_cover_every_opcode():
+    # the tiny programs reach only 28 of the 51 opcodes (none reaches
+    # VSCATTER or the scalar_div class); the generated streams draw from
+    # every opcode, and each stream of test_every_opcode_stream holds all
+    assert set(OPERAND_SHAPES) == set(Opcode)
 
 
 class TestStateOracle:
@@ -134,18 +320,19 @@ class TestStateOracle:
 
 
 class TestEveryRegisteredMachine:
-    """Full-trace equivalence, auto-parameterised over the registry."""
+    """Full-trace equivalence over the registry and the exhibits' configurations."""
 
-    @pytest.mark.parametrize("name", MACHINES)
+    @pytest.mark.parametrize("name", FULL_TRACE_CONFIGS)
     @pytest.mark.parametrize("workload", sorted(ALL_TRACES))
     def test_full_trace_stats_and_state_identical(self, name, workload):
         trace = ALL_TRACES[workload]
-        scalar = _fresh_run(name, trace)
-        scalar.run_slice(trace)
-        batched = _fresh_run(name, trace)
-        run_slice_batched(batched, trace)
-        assert _finalised(batched) == _finalised(scalar), (name, workload)
-        assert state(batched) == state(scalar), (name, workload)
+        _assert_kernels_agree(FULL_TRACE_CONFIGS[name], trace, trace)
+
+    @pytest.mark.parametrize("config", SWEEP_EXTREMES)
+    @pytest.mark.parametrize("workload", sorted(TRACES))
+    def test_sweep_extremes(self, config, workload):
+        trace = TRACES[workload]
+        _assert_kernels_agree(SWEEP_EXTREMES[config], trace, trace)
 
     @pytest.mark.parametrize("name", MACHINES)
     def test_builtin_machines_have_a_registered_stepper(self, name):
@@ -169,7 +356,7 @@ class TestEveryRegisteredMachine:
 
 
 class TestArbitrarySlices:
-    """Hypothesis: any contiguous slice of any trace, identical results."""
+    """Hypothesis: any slice of a trace or generated stream, identical results."""
 
     @given(
         name=st.sampled_from(MACHINES),
@@ -182,12 +369,20 @@ class TestArbitrarySlices:
         start = data.draw(st.integers(min_value=0, max_value=len(trace) - 1))
         stop = data.draw(st.integers(min_value=start + 1, max_value=len(trace)))
         window = trace.instructions[start:stop]
-        scalar = _fresh_run(name, trace)
-        scalar.run_slice(window)
-        batched = _fresh_run(name, trace)
-        run_slice_batched(batched, window)
-        assert _finalised(batched) == _finalised(scalar), (name, start, stop)
-        assert state(batched) == state(scalar), (name, start, stop)
+        _assert_kernels_agree(machine_config(name), trace, window)
+
+    @given(config=sweep_configs(), stream=streams())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_stream(self, config, stream):
+        # the trace only builds the machine; the stream is what it steps
+        _assert_kernels_agree(config, TRACES["trfd"], stream)
+
+    @given(config=sweep_configs(), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_every_opcode_stream(self, config, data):
+        opcodes = data.draw(st.permutations(tuple(OPERAND_SHAPES)))
+        stream = data.draw(streams(opcodes))
+        _assert_kernels_agree(config, TRACES["trfd"], stream)
 
 
 class TestLoweringCache:
@@ -231,7 +426,7 @@ class TestUnregisteredMachineFallback:
         assert via_batched.calls == 1  # one pass-through call, no lowering
 
     def test_custom_machine_example_runs_both_kernels(self):
-        # the shipped example must keep working under kernel=batched —
+        # the shipped example must keep working on the batched stepper —
         # its machine takes the fallback, the built-ins the fast path
         import subprocess
         import sys
@@ -242,7 +437,6 @@ class TestUnregisteredMachineFallback:
         proc = subprocess.run(
             [sys.executable, str(repo / "examples" / "custom_machine.py")],
             capture_output=True, text=True, timeout=600,
-            env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin",
-                 "REPRO_KERNEL": "batched"},
+            env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr

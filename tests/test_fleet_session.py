@@ -30,12 +30,9 @@ class TestExecutionPlan:
     def test_defaults(self):
         plan = ExecutionPlan()
         assert plan.jobs == 1
-        assert plan.kernel == "batched"
         assert plan.fleet == 0
 
-    @pytest.mark.parametrize("bad", [
-        {"jobs": 0}, {"kernel": "quantum"}, {"fleet": -1},
-    ])
+    @pytest.mark.parametrize("bad", [{"jobs": 0}, {"fleet": -1}])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ExecutionPlan(**bad)
@@ -44,15 +41,10 @@ class TestExecutionPlan:
         with pytest.raises(AttributeError):
             ExecutionPlan().jobs = 2
 
-    def test_describe_mentions_fleet_only_when_on(self):
-        assert "fleet" not in ExecutionPlan().describe()
-        assert "fleet=3" in ExecutionPlan(fleet=3).describe()
-
     def test_settings_resolve_once_into_the_plan(self):
-        settings = Settings.resolve(
-            jobs=2, kernel="batched", fleet=4, env={})
+        settings = Settings.resolve(jobs=2, fleet=4, env={})
         plan = settings.plan()
-        assert plan == ExecutionPlan(jobs=2, kernel="batched", fleet=4)
+        assert plan == ExecutionPlan(jobs=2, fleet=4)
 
     def test_fleet_env_var(self):
         assert Settings.resolve(env={FLEET_ENV: "3"}).plan().fleet == 3

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ReproError
 from repro.core.config import get_config
 from repro.core.objectstore import ObjectStoreBackend
 from repro.core.runner import result_payload
@@ -72,6 +73,42 @@ def submit_point(store_root: Path, workload: str, scale: str) -> tuple[LeaseQueu
     task = FleetTask(workload=workload, scale=scale, config=get_config("reference"))
     assert queue.submit(task.task_id(), task.to_payload()) is True
     return queue, task
+
+
+class TestTaskPayloads:
+    """Queue payloads decode across versions of the dispatcher."""
+
+    def test_payload_round_trips(self):
+        task = FleetTask(workload="trfd", scale="tiny", config=get_config("ooo-late-sle"))
+        payload = json.loads(json.dumps(task.to_payload()))
+        decoded = FleetTask.from_payload(payload)
+        assert decoded == task
+        assert decoded.task_id() == payload["fingerprint"] == task.task_id()
+
+    def test_payload_naming_a_kernel_is_the_same_task(self, tmp_path):
+        # dispatchers that had a kernel setting stamped it into every
+        # payload; a worker now ignores it and publishes the same result
+        task = FleetTask(workload="trfd", scale="tiny", config=get_config("ooo"))
+        payload = {**task.to_payload(), "kernel": "scalar"}
+        assert FleetTask.from_payload(payload).task_id() == task.task_id()
+
+        backend = ObjectStoreBackend(tmp_path)
+        queue = LeaseQueue(backend.objects)
+        assert queue.submit(task.task_id(), payload) is True
+        worker = Worker(tmp_path, worker_id="parent-payload", max_tasks=1,
+                        poll_s=0.05)
+        assert worker.run() == 1
+        assert worker.completed == 1
+        assert queue.state(task.task_id()) & TaskState.DONE
+        reference = simulate_point(task.workload, task.scale, task.config)
+        expected = json.dumps(result_payload(task.point(), reference)).encode("utf-8")
+        assert backend.objects.get(backend._object_key(task.task_id())) == expected
+
+    def test_wrong_fingerprint_is_refused(self):
+        task = FleetTask(workload="trfd", scale="tiny", config=get_config("reference"))
+        payload = {**task.to_payload(), "fingerprint": "0" * 64}
+        with pytest.raises(ReproError, match="fingerprint mismatch"):
+            FleetTask.from_payload(payload)
 
 
 class TestSigkillRecovery:
@@ -205,16 +242,12 @@ class TestWorkerConstruction:
         assert first.worker_id != second.worker_id
 
     def test_validation(self, tmp_path):
-        from repro.common.errors import ReproError
-
         with pytest.raises(ReproError, match="max_tasks"):
             Worker(tmp_path, max_tasks=0)
         with pytest.raises(ReproError, match="poll_s"):
             Worker(tmp_path, poll_s=0.0)
 
     def test_negative_idle_timeout_is_rejected(self, tmp_path):
-        from repro.common.errors import ReproError
-
         with pytest.raises(ReproError, match="idle_timeout"):
             Worker(tmp_path, idle_timeout=-5)
         assert Worker(tmp_path, idle_timeout=0).idle_timeout == 0

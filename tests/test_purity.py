@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 from purity import (
     EXAMPLE_MACHINE,
+    KERNELS,
     SEED_PROBE,
     AmbientEffect,
     example_machine,
@@ -35,7 +36,6 @@ from purity import (
     tiny_traces,
 )
 
-from repro.api import KERNEL_NAMES
 from repro.core.machines import machine_names
 from repro.machine.batched import run_slice_batched
 
@@ -56,7 +56,7 @@ def registered_example():
         yield
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("program", TRACES)
 @pytest.mark.parametrize("name", MACHINES)
 def test_point_has_no_ambient_effects(name, program, kernel):
@@ -135,7 +135,7 @@ class ClockReadingMachine:
 class TestGuard:
     """The guard itself: each effect raises, and nothing outlives the guard."""
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_clock_reading_machine_raises(self, kernel):
         machine = ClockReadingMachine()
         trace = TRACES["trfd"]

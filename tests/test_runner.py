@@ -25,7 +25,7 @@ from repro.common.params import (
 from repro.common.stats import SimStats
 from repro.core.config import MachineConfig, ooo_config, reference_config
 from repro.core.results import SimulationResult
-from repro.core.settings import DEFAULT_KERNEL, ExecutionPlan
+from repro.core.settings import ExecutionPlan
 from repro.core.runner import (
     ExperimentEngine,
     ExperimentPoint,
@@ -256,13 +256,6 @@ class TestEngine:
         engine = ExperimentEngine()
         engine.result("trfd", ooo_config(), scale="tiny")
         assert "1 simulated" in engine.summary()
-
-    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
-    def test_summary_names_the_kernel_only_off_the_default(self, kernel):
-        summary = ExperimentEngine(plan=ExecutionPlan(kernel=kernel)).summary()
-        assert ("kernel=" in summary) == (kernel != DEFAULT_KERNEL)
-        if kernel != DEFAULT_KERNEL:
-            assert f"kernel={kernel}" in summary
 
 
 class TestDefaultEngineIntegration:
