@@ -6,12 +6,29 @@
 REPORTS: list[tuple[str, str]] = []
 
 
-def run_once(benchmark, func, *args, **kwargs):
-    """Run ``func`` exactly once under pytest-benchmark and return its result.
+#: the one :class:`repro.api.Session` of the pytest session, opened by the
+#: first :func:`session` call and closed by ``benchmarks/conftest.py``
+SESSION = None
 
-    The simulations are deterministic; a single round both times the
-    experiment and produces the data for the printed report.
+
+def session():
+    """The benchmark run's session, resolved from the ``REPRO_*`` environment."""
+    global SESSION
+    if SESSION is None:
+        from repro.api import Session
+
+        SESSION = Session()
+    return SESSION
+
+
+def run_once(benchmark, func, *args, **kwargs):
+    """Run ``func(*args, engine=..., **kwargs)`` once under pytest-benchmark.
+
+    ``engine`` is the session's engine, so every benchmark shares one
+    result store.  The simulations are deterministic; a single round both
+    times the experiment and produces the data for the printed report.
     """
+    kwargs["engine"] = session().engine
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 

@@ -3,9 +3,10 @@
 Makes ``repro`` importable straight from a source checkout (mirrors the
 top-level conftest) and ensures the helper module ``_harness`` resolves.
 
-The benchmark modules pull all simulation results through the experiment
-engine (see ``repro.core.runner``), whose process-wide default honours
-these environment variables:
+The benchmark modules pull all simulation results through the engine of
+one :class:`repro.api.Session` (``_harness.session()``), opened at the
+first benchmark and closed at the end of the pytest session.  The session
+resolves its settings from these environment variables:
 
 * ``REPRO_CACHE_DIR`` — persistent on-disk result store (the object store
   under ``$REPRO_CACHE_DIR/objects/``) shared with
@@ -43,8 +44,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(_harness.render_report(title, body))
     _harness.REPORTS.clear()
 
-    from repro.core.runner import get_engine
+    if _harness.SESSION is not None:
+        engine = _harness.SESSION.engine
+        if engine.simulated or engine.disk_hits or engine.memory_hits:
+            terminalreporter.write_line(engine.summary())
 
-    engine = get_engine()
-    if engine.simulated or engine.disk_hits or engine.memory_hits:
-        terminalreporter.write_line(engine.summary())
+
+def pytest_unconfigure(config):
+    """Close the benchmark session: its worker pool and fleet workers exit."""
+    import _harness
+
+    if _harness.SESSION is not None:
+        _harness.SESSION.close()
+        _harness.SESSION = None

@@ -18,7 +18,7 @@ from _harness import emit, run_once
 from repro.analysis import format_table
 from repro.common.params import OOOParams, ReferenceParams
 from repro.compiler.pipeline import compile_kernel
-from repro.core import get_engine, ooo_config, reference_config, simulate_trace
+from repro.core import ooo_config, reference_config, simulate_trace
 from repro.core.config import MachineConfig
 from repro.trace.generator import generate_trace
 from repro.workloads import get_workload
@@ -26,14 +26,14 @@ from repro.workloads import get_workload
 PROGRAMS = ("swm256", "flo52", "trfd")
 
 
-def _chaining_ablation():
+def _chaining_ablation(engine):
     rows = []
     for name in PROGRAMS:
-        ref = get_engine().result(name, reference_config())
+        ref = engine.result(name, reference_config())
         chained_params = dataclasses.replace(ReferenceParams(), chain_load_to_fu=True)
-        chained = get_engine().result(
+        chained = engine.result(
             name, MachineConfig("reference-load-chaining", chained_params))
-        ooo = get_engine().result(name, ooo_config(phys_vregs=16))
+        ooo = engine.result(name, ooo_config(phys_vregs=16))
         rows.append([name, ref.cycles, chained.cycles, ooo.cycles,
                      ref.cycles / chained.cycles, ref.cycles / ooo.cycles])
     return rows
@@ -51,12 +51,12 @@ def test_ablation_load_chaining(benchmark):
         assert row[5] > row[4], row
 
 
-def _commit_width_ablation():
+def _commit_width_ablation(engine):
     rows = []
     for name in PROGRAMS:
-        wide = get_engine().result(name, ooo_config(phys_vregs=16))
+        wide = engine.result(name, ooo_config(phys_vregs=16))
         narrow_params = dataclasses.replace(OOOParams(num_phys_vregs=16), commit_width=1)
-        narrow = get_engine().result(name, MachineConfig("ooo-commit1", narrow_params))
+        narrow = engine.result(name, MachineConfig("ooo-commit1", narrow_params))
         rows.append([name, wide.cycles, narrow.cycles, narrow.cycles / wide.cycles])
     return rows
 
@@ -69,15 +69,15 @@ def test_ablation_commit_width(benchmark):
         assert row[3] >= 0.999, row
 
 
-def _scheduling_ablation():
+def _scheduling_ablation(engine):
     rows = []
     for name in PROGRAMS:
-        workload = get_workload(name)
-        default = simulate_trace(workload.trace(), reference_config())
-        hoisted_program = compile_kernel(workload.build_kernel(), scheduling="loads_first")
+        default = engine.result(name, reference_config())
+        hoisted_program = compile_kernel(
+            get_workload(name).build_kernel(), scheduling="loads_first")
         hoisted_trace = generate_trace(hoisted_program.program)
         hoisted = simulate_trace(hoisted_trace, reference_config())
-        ooo = simulate_trace(workload.trace(), ooo_config(phys_vregs=16))
+        ooo = engine.result(name, ooo_config(phys_vregs=16))
         rows.append([name, default.cycles, hoisted.cycles, ooo.cycles])
     return rows
 

@@ -1,6 +1,6 @@
 """Figure 12 — scalar + vector load elimination (SLE+VLE) over the baseline."""
 
-from _harness import emit, run_once
+from _harness import emit, run_once, session
 
 from repro.analysis import report_simple_curves
 from repro.core.experiments import (
@@ -16,7 +16,7 @@ def test_fig12_sle_vle_speedup(benchmark):
          report_simple_curves(results, LOAD_ELIMINATION_REGISTER_SWEEP,
                               "SLE+VLE speedup per physical vector register count"))
 
-    sle_only = figure11_sle_speedup()
+    sle_only = figure11_sle_speedup(engine=session().engine)
     gains_over_sle = 0
     for program, curve in results.items():
         for regs, value in curve.items():

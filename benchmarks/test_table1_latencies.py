@@ -1,13 +1,14 @@
 """Table 1 — functional-unit latencies of the reference and OOOVA machines."""
 
-from _harness import emit, run_once
+from _harness import emit
 
 from repro.analysis import format_table
 from repro.core.experiments import table1_functional_unit_latencies
 
 
 def test_table1_functional_unit_latencies(benchmark):
-    latencies = run_once(benchmark, table1_functional_unit_latencies)
+    # no simulation, so no engine: time the function directly
+    latencies = benchmark.pedantic(table1_functional_unit_latencies, rounds=1, iterations=1)
     rows = sorted(latencies.items())
     emit("Table 1: functional unit latencies (cycles)",
          format_table(["unit / operation", "latency"], rows))

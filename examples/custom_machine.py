@@ -115,7 +115,7 @@ def main() -> int:
     print(f"  reference        : {reference.cycles} cycles")
     print(f"  ooo              : {ooo.cycles} cycles")
     print("A registered machine is a first-class citizen: grids and the "
-          "CLI's --machine flag dispatch through the registry.")
+          "CLI's simulate --config dispatch through the registry.")
     return 0
 
 

@@ -14,9 +14,8 @@ With ``--cache-dir`` the simulation results persist on disk (shared with
 ``python -m repro.cli run-all``), so re-running the example is instant; with
 ``--jobs`` the missing grid points are simulated across worker processes.
 Both knobs configure a :class:`repro.api.Session`; the non-preset latency
-sweep runs inside :meth:`~repro.api.Session.scope`, which routes the
-``figure8_latency_tolerance`` experiment function through the session's
-caches without touching process-global state.
+sweep passes the session's engine to the ``figure8_latency_tolerance``
+experiment function, so it runs through the session's caches.
 """
 
 import argparse
@@ -43,8 +42,8 @@ def main() -> int:
 
     programs = tuple(args.programs)
     with Session(**overrides) as session:
-        with session.scope():
-            results = figure8_latency_tolerance(programs=programs, latencies=LATENCIES)
+        results = figure8_latency_tolerance(
+            programs=programs, latencies=LATENCIES, engine=session.engine)
         print(report_latency_tolerance(results, LATENCIES))
         print()
         for program, machines in results.items():

@@ -27,6 +27,7 @@ from repro.analysis.report import (
 from repro.core import experiments
 from repro.core.config import LATENCY_SWEEP, REFERENCE_LATENCY_SWEEP, REGISTER_SWEEP
 from repro.core.experiments import LOAD_ELIMINATION_REGISTER_SWEEP
+from repro.core.runner import ExperimentEngine
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class Exhibit:
 
     name: str
     title: str
-    #: (programs, scale) -> exhibit data
-    run: Callable[[Iterable[str] | None, str], object]
+    #: (programs, scale, engine) -> exhibit data
+    run: Callable[[Iterable[str] | None, str, ExperimentEngine], object]
     #: exhibit data -> ASCII report
     render: Callable[[object], str]
 
@@ -59,85 +60,96 @@ def _render_figure9(results: dict) -> str:
 EXHIBITS: tuple[Exhibit, ...] = (
     Exhibit(
         "table1", "Table 1: functional-unit latencies",
-        lambda programs, scale: experiments.table1_functional_unit_latencies(),
+        lambda programs, scale, engine: experiments.table1_functional_unit_latencies(),
         _render_table1,
     ),
     Exhibit(
         "table2", "Table 2: basic operation counts",
-        lambda programs, scale: experiments.table2_program_statistics(programs, scale),
+        lambda programs, scale, engine: experiments.table2_program_statistics(
+            programs, scale, engine=engine),
         report_table2,
     ),
     Exhibit(
         "table3", "Table 3: vector memory spill operations",
-        lambda programs, scale: experiments.table3_spill_statistics(programs, scale),
+        lambda programs, scale, engine: experiments.table3_spill_statistics(
+            programs, scale, engine=engine),
         report_table3,
     ),
     Exhibit(
         "figure3", "Figure 3: reference-machine state breakdown",
-        lambda programs, scale: experiments.figure3_reference_state_breakdown(
-            programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure3_reference_state_breakdown(
+            programs, scale=scale, engine=engine),
         report_state_breakdown,
     ),
     Exhibit(
         "figure4", "Figure 4: reference-machine memory-port idle time",
-        lambda programs, scale: experiments.figure4_reference_port_idle(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure4_reference_port_idle(
+            programs, scale=scale, engine=engine),
         lambda data: report_port_idle(
             data, f"Figure 4 (latencies {REFERENCE_LATENCY_SWEEP})"),
     ),
     Exhibit(
         "figure5", "Figure 5: OOOVA speedup vs physical registers",
-        lambda programs, scale: experiments.figure5_speedup_vs_registers(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure5_speedup_vs_registers(
+            programs, scale=scale, engine=engine),
         lambda data: report_speedup_curves(data, REGISTER_SWEEP),
     ),
     Exhibit(
         "figure6", "Figure 6: memory-port idle time, REF vs OOOVA",
-        lambda programs, scale: experiments.figure6_port_idle_comparison(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure6_port_idle_comparison(
+            programs, scale=scale, engine=engine),
         lambda data: report_port_idle(data, "Figure 6"),
     ),
     Exhibit(
         "figure7", "Figure 7: state breakdown, REF vs OOOVA",
-        lambda programs, scale: experiments.figure7_state_breakdown_comparison(
-            programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure7_state_breakdown_comparison(
+            programs, scale=scale, engine=engine),
         report_state_breakdown,
     ),
     Exhibit(
         "figure8", "Figure 8: execution time vs memory latency",
-        lambda programs, scale: experiments.figure8_latency_tolerance(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure8_latency_tolerance(
+            programs, scale=scale, engine=engine),
         lambda data: report_latency_tolerance(data, LATENCY_SWEEP),
     ),
     Exhibit(
         "figure9", "Figure 9: early vs late (precise-trap) commit",
-        lambda programs, scale: experiments.figure9_commit_models(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure9_commit_models(
+            programs, scale=scale, engine=engine),
         _render_figure9,
     ),
     Exhibit(
         "figure10", "Figure 10: lost decode cycles",
-        lambda programs, scale: experiments.figure10_lost_decode_cycles(
-            programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure10_lost_decode_cycles(
+            programs, scale=scale, engine=engine),
         report_lost_decode,
     ),
     Exhibit(
         "figure11", "Figure 11: scalar load elimination speedup",
-        lambda programs, scale: experiments.figure11_sle_speedup(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure11_sle_speedup(
+            programs, scale=scale, engine=engine),
         lambda data: report_simple_curves(
             data, LOAD_ELIMINATION_REGISTER_SWEEP,
             "Figure 11: SLE speedup over late-commit OOOVA"),
     ),
     Exhibit(
         "figure12", "Figure 12: scalar+vector load elimination speedup",
-        lambda programs, scale: experiments.figure12_sle_vle_speedup(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure12_sle_vle_speedup(
+            programs, scale=scale, engine=engine),
         lambda data: report_simple_curves(
             data, LOAD_ELIMINATION_REGISTER_SWEEP,
             "Figure 12: SLE+VLE speedup over late-commit OOOVA"),
     ),
     Exhibit(
         "figure13", "Figure 13: memory-traffic reduction",
-        lambda programs, scale: experiments.figure13_traffic_reduction(programs, scale=scale),
+        lambda programs, scale, engine: experiments.figure13_traffic_reduction(
+            programs, scale=scale, engine=engine),
         report_traffic_reduction,
     ),
     Exhibit(
         "table4", "Table 4: machine comparison across the registry",
-        lambda programs, scale: experiments.table4_machine_comparison(programs, scale=scale),
+        lambda programs, scale, engine: experiments.table4_machine_comparison(
+            programs, scale=scale, engine=engine),
         report_machine_comparison,
     ),
 )

@@ -6,11 +6,10 @@ here, with no environment variables and no process-global state:
 * :class:`Settings` — frozen runtime configuration with the documented
   precedence **explicit kwargs > environment > defaults**
   (:meth:`Settings.resolve`);
-* :class:`ExecutionPlan` — the frozen *how-to-execute* value object
-  (pool width, fleet) resolved once by
-  :meth:`Settings.plan` and passed whole to the engine;
 * :class:`Session` — owns the cache directory, result and trace stores
-  and the experiment engine; a context manager, one per driver;
+  and the experiment engine (``session.engine``, the ``engine=`` argument
+  of every ``table*``/``figure*`` experiment function); a context
+  manager, one per driver;
 * :class:`RunRequest` / :class:`RunResult` — declarative workload ×
   configuration sweep grids and their resolved results, as data;
 * :meth:`Session.submit` / :class:`RunHandle` / :class:`RunStatus` — the
@@ -65,17 +64,10 @@ from repro.api.request import (
 )
 from repro.api.handle import RunHandle, RunStatus
 from repro.api.session import Session, engine_summary_dict
-from repro.api.settings import (
-    CACHE_DIR_ENV,
-    FLEET_ENV,
-    JOBS_ENV,
-    ExecutionPlan,
-    Settings,
-)
+from repro.api.settings import CACHE_DIR_ENV, FLEET_ENV, JOBS_ENV, Settings
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "ExecutionPlan",
     "ExhibitResult",
     "ExhibitSet",
     "FLEET_ENV",

@@ -11,7 +11,9 @@ everywhere:
 * :meth:`RunHandle.result` — the finished
   :class:`~repro.api.request.RunResult` (waits if needed).
 
-``Session.run(request)`` is now literally ``submit(request).result()``.
+``Session.run(request)`` is ``submit(request).result()``, and every
+handle runs on its session's engine, with the session's ``jobs`` and
+``fleet``.
 
 The modes differ only in *when* work happens, never in what comes back:
 
@@ -42,7 +44,6 @@ from repro.common.errors import ReproError
 from repro.core.runner import ExperimentEngine, ExperimentPoint, ExperimentSpec
 
 if TYPE_CHECKING:
-    from repro.api.session import Session
     from repro.fleet.dispatcher import FleetBatch
 
 
@@ -80,12 +81,10 @@ class RunHandle:
 
     def __init__(
         self,
-        session: "Session",
         request: RunRequest,
         engine: ExperimentEngine,
         spec: ExperimentSpec,
     ) -> None:
-        self._session = session
         self.request = request
         self._engine = engine
         self._spec = spec
@@ -176,11 +175,6 @@ class RunHandle:
         except BaseException as exc:
             self._error = exc
             raise
-        finally:
-            # a transient per-request engine (Session._engine_for) must not
-            # leak its worker pool or spawned fleet workers past its one run
-            if self._engine is not self._session.engine:
-                self._engine.close()
         self._result = RunResult(
             request=self.request,
             results={

@@ -1,8 +1,7 @@
 """Typed request/result values for the programmatic API.
 
 * :class:`RunRequest` — a declarative workload × configuration sweep grid
-  (plus scale and an optional per-request parallelism override),
-  executed by :meth:`repro.api.Session.run`;
+  at one scale, executed by :meth:`repro.api.Session.run`;
 * :class:`RunResult` — the resolved grid: every
   :class:`~repro.core.results.SimulationResult`, addressable by
   ``(workload, configuration)`` instead of scraped from printed reports;
@@ -48,15 +47,14 @@ class RunRequest:
 
     ``workloads`` are registry names (default: all ten benchmark
     programs); ``configs`` mixes standard configuration names and fully
-    built :class:`~repro.core.config.MachineConfig` objects.  ``jobs``
-    optionally overrides the session's setting for this request only
-    (``None``: inherit).
+    built :class:`~repro.core.config.MachineConfig` objects.  The grid
+    runs on the session's engine, with the session's ``jobs`` and
+    ``fleet``.
     """
 
     workloads: tuple[str, ...] = WORKLOAD_NAMES
     configs: tuple[str | MachineConfig, ...] = ("reference", "ooo")
     scale: str = "small"
-    jobs: int | None = None
 
     def resolved_workloads(self) -> tuple[str, ...]:
         """Validated workload names, in request order."""

@@ -14,11 +14,11 @@ them, and exposes every capability of the evaluation as typed calls —
                                       configs=("reference", "ooo")))
         print(grid.speedup("trfd", "ooo"))
 
-— without touching ``os.environ`` or any process-global state.  Exhibit
-computations temporarily install the session's engine as the process-wide
-default (:func:`repro.core.runner.engine_scope`) so the ``table*`` /
-``figure*`` experiment functions resolve through this session's caches;
-the previous default is always reinstated.
+— without touching ``os.environ`` or any process-global state once its
+settings are resolved.  Exhibit computations pass the session's engine to
+the ``table*`` / ``figure*`` experiment functions, so two sessions, even
+in two threads, never share an engine or a cache; a caller that runs an
+experiment function directly passes ``engine=session.engine``.
 
 Sessions are context managers: ``close()`` shuts down the engine's worker
 pool and drains any fleet workers the session spawned.  A closed session
@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Mapping
-
-from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.api.handle import RunHandle
 from repro.api.request import (
@@ -52,7 +50,6 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    engine_scope,
 )
 from repro.trace.store import TraceStore
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
@@ -98,7 +95,8 @@ class Session:
             settings = settings.override(**overrides)
         self.settings = settings
         self._store = ResultStore(settings.cache_dir)
-        self.engine = ExperimentEngine(self._store, plan=settings.plan())
+        self.engine = ExperimentEngine(
+            self._store, jobs=settings.jobs, fleet=settings.fleet)
         self._closed = False
 
     # -- owned components ----------------------------------------------------
@@ -130,19 +128,14 @@ class Session:
         are enqueued on the shared object-store queue *now* and workers
         start immediately; otherwise nothing executes until the first
         ``watch()``/``result()`` call (see :mod:`repro.api.handle`).
-
-        A per-request ``jobs`` override runs on a transient engine that
-        shares this session's stores; the handle closes that engine, and
-        with it the engine's worker pool, once the result is computed.
         """
         self._check_open()
         workloads = request.resolved_workloads()
         configs = request.resolved_configs()
         scale = request.resolved_scale()
-        engine = self._engine_for(request)
         spec = ExperimentSpec.grid("api-run", workloads, configs, scale=scale)
-        handle = RunHandle(self, request, engine, spec)
-        if engine.fleet:
+        handle = RunHandle(request, self.engine, spec)
+        if self.engine.fleet:
             handle._enqueue()
         return handle
 
@@ -203,19 +196,6 @@ class Session:
             config = get_config(config)
         return simulate_trace(trace, config)
 
-    def scope(self) -> ContextManager[ExperimentEngine]:
-        """Context manager making this session the process-wide default.
-
-        Inside the scope, helpers that resolve through the default engine
-        (the ``table*``/``figure*`` experiment functions, or
-        ``get_engine().result(...)`` callers) use this session's stores::
-
-            with session.scope():
-                data = figure8_latency_tolerance(("trfd",), latencies=(1, 50))
-        """
-        self._check_open()
-        return engine_scope(self.engine)
-
     def trace(self, workload: str, scale: str = "small") -> Trace:
         """The compiled trace of one workload (memoised when possible)."""
         self._check_open()
@@ -252,8 +232,7 @@ class Session:
         resolved_scale = resolve_scale(scale)
         for exhibit in exhibits:
             started = time.perf_counter()
-            with engine_scope(self.engine):
-                data = exhibit.run(selected, resolved_scale)
+            data = exhibit.run(selected, resolved_scale, self.engine)
             elapsed = time.perf_counter() - started
             yield ExhibitResult(
                 name=exhibit.name,
@@ -329,15 +308,3 @@ class Session:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    # -- internals -----------------------------------------------------------
-
-    def _engine_for(self, request: RunRequest) -> ExperimentEngine:
-        """This session's engine, or a transient one for request overrides."""
-        if request.jobs is None:
-            return self.engine
-        return ExperimentEngine(
-            store=self._store,
-            plan=replace(self.settings.plan(), jobs=request.jobs),
-            trace_store=self.trace_store,
-        )

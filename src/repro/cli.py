@@ -93,12 +93,10 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         "simulate", help="simulate one (program, configuration) point")
     simulate.add_argument("--program", required=True, metavar="NAME",
                           help="benchmark program (see `list`)")
-    simulate.add_argument("--config", default=None, metavar="NAME",
-                          help="machine configuration name (default: ooo)")
-    simulate.add_argument("--machine", default=None, metavar="NAME",
-                          help="registered machine model to simulate with its "
-                               "default parameters (see `list`; alternative "
-                               "to --config)")
+    simulate.add_argument("--config", default="ooo", metavar="NAME",
+                          help="standard configuration or registered machine "
+                               "model at its default parameters (see `list`; "
+                               "default: ooo)")
     simulate.add_argument("--scale", choices=sorted(SCALE_ALIASES),
                           default="small", help="workload scale")
     simulate.add_argument("--format", choices=("text", "json"), default="text",
@@ -179,14 +177,8 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json as _json
 
-    if args.machine is not None and args.config is not None:
-        return _error("--machine and --config are mutually exclusive")
     try:
-        if args.machine is not None:
-            # any registered machine model, at its default parameters
-            config: Any = machine_config(args.machine)
-        else:
-            config = args.config if args.config is not None else "ooo"
+        config = machine_config(args.config)
         session = Session(_session_settings(args))
     except ReproError as exc:
         return _error(exc)

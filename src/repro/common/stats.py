@@ -149,6 +149,9 @@ class SimStats:
         The paper attributes every cycle the decode stage spends blocked to
         the structural resource that caused it: no free physical register
         (rename), a full reorder buffer (rob) or a full issue queue (queue).
+        Under vector load elimination a vector destination is renamed late,
+        in the memory pipeline; that wait does not block decode and is not
+        counted.
         """
         return {
             "rename": self.rename_stall_cycles,

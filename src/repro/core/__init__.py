@@ -17,20 +17,14 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    get_engine,
-    run_experiment,
-    set_engine,
 )
-from repro.core.simulator import clear_simulation_cache, run, simulate_trace
+from repro.core.simulator import run, simulate_trace
 
 __all__ = [
     "ExperimentEngine",
     "ExperimentPoint",
     "ExperimentSpec",
     "ResultStore",
-    "get_engine",
-    "run_experiment",
-    "set_engine",
     "DEFAULT_LATENCY",
     "LATENCY_SWEEP",
     "MachineConfig",
@@ -41,7 +35,6 @@ __all__ = [
     "reference_config",
     "standard_configs",
     "SimulationResult",
-    "clear_simulation_cache",
     "run",
     "simulate_trace",
 ]

@@ -125,15 +125,17 @@ def machine_config(name: str, latency: int = DEFAULT_LATENCY) -> MachineConfig:
     Standard configuration names resolve through :func:`get_config`; any
     other name is looked up in the machine-model registry and built from
     its parameter type's defaults (honouring ``with_memory_latency`` when
-    the type provides it) — so ``--machine mymodel`` works for third-party
-    registrations too.
+    the type provides it) — so ``simulate --config mymodel`` works for
+    third-party registrations too.  An unknown name lists both.
     """
     try:
         return get_config(name, latency)
-    except ConfigurationError:
-        pass
-    from repro.core.machines import get_machine_model
+    except ConfigurationError as exc:
+        unknown = str(exc)
+    from repro.core.machines import get_machine_model, machine_names
 
+    if name not in machine_names():
+        raise ConfigurationError(f"{unknown}; machines: {', '.join(machine_names())}")
     model = get_machine_model(name)
     try:
         params = model.params_type()

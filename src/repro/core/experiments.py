@@ -8,12 +8,13 @@ EXPERIMENTS.md records the measured values next to the paper's.  All
 functions accept a ``programs`` subset and a ``scale`` so the test suite can
 exercise them cheaply.
 
-Every function declares its sweep grid as an
-:class:`~repro.core.runner.ExperimentSpec` and resolves it through the
-experiment engine in one batch: the engine simulates only the points missing
-from its result store and can fan the batch out across worker processes
-(``--jobs``), so a figure's whole grid is computed with maximum reuse and
-parallelism instead of one serial loop of single-point lookups.
+Every function that simulates takes the keyword-only ``engine`` it runs
+on, declares its sweep grid as an :class:`~repro.core.runner.ExperimentSpec`
+and resolves it through that engine in one batch: the engine simulates only
+the points missing from its result store and can fan the batch out across
+worker processes (``--jobs``), so a figure's whole grid is computed with
+maximum reuse and parallelism instead of one serial loop of single-point
+lookups.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.core.config import (
     reference_config,
 )
 from repro.core.results import SimulationResult
-from repro.core.runner import ExperimentEngine, ExperimentPoint, ExperimentSpec, run_experiment
+from repro.core.runner import ExperimentEngine, ExperimentPoint, ExperimentSpec
 from repro.trace.stats import TraceStatistics
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -57,11 +58,11 @@ class _Grid:
         workloads: Sequence[str],
         configs: Sequence[MachineConfig],
         scale: str,
-        engine: ExperimentEngine | None,
+        engine: ExperimentEngine,
     ) -> None:
         self.scale = scale
         spec = ExperimentSpec.grid(name, workloads, configs, scale)
-        self._results = run_experiment(spec, engine)
+        self._results = engine.run_spec(spec)
 
     def __call__(self, workload: str, config: MachineConfig) -> SimulationResult:
         return self._results[ExperimentPoint(workload, self.scale, config)]
@@ -78,7 +79,7 @@ def table1_functional_unit_latencies() -> dict[str, int]:
 
 
 def _program_statistics(
-    programs: Iterable[str] | None, scale: str, engine: ExperimentEngine | None
+    programs: Iterable[str] | None, scale: str, engine: ExperimentEngine
 ) -> dict[str, TraceStatistics]:
     """Tables 2 and 3's counts, read off the reference machine at latency 50.
 
@@ -116,7 +117,8 @@ def _program_statistics(
 def table2_program_statistics(
     programs: Iterable[str] | None = None,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, TraceStatistics]:
     """Table 2: instruction counts, %vectorisation and average vector length."""
     return _program_statistics(programs, scale, engine)
@@ -125,7 +127,8 @@ def table2_program_statistics(
 def table3_spill_statistics(
     programs: Iterable[str] | None = None,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, int]]:
     """Table 3: vector memory operations split into ordinary and spill traffic."""
     return {
@@ -150,7 +153,8 @@ def figure3_reference_state_breakdown(
     programs: Iterable[str] | None = None,
     latencies: Sequence[int] = REFERENCE_LATENCY_SWEEP,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[int, dict[tuple[bool, bool, bool], int]]]:
     """Figure 3: (FU2, FU1, MEM) state breakdown of the reference machine.
 
@@ -173,7 +177,8 @@ def figure4_reference_port_idle(
     programs: Iterable[str] | None = None,
     latencies: Sequence[int] = REFERENCE_LATENCY_SWEEP,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[int, float]]:
     """Figure 4: % cycles the memory port is idle on the reference machine."""
     names = _programs(programs)
@@ -198,7 +203,8 @@ def figure5_speedup_vs_registers(
     register_counts: Sequence[int] = REGISTER_SWEEP,
     latency: int = DEFAULT_LATENCY,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, Mapping]]:
     """Figure 5: OOOVA speedup over the reference machine vs physical registers.
 
@@ -234,7 +240,8 @@ def figure6_port_idle_comparison(
     latency: int = DEFAULT_LATENCY,
     phys_vregs: int = 16,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, float]]:
     """Figure 6: memory-port idle fraction, reference versus OOOVA."""
     names = _programs(programs)
@@ -255,7 +262,8 @@ def figure7_state_breakdown_comparison(
     latency: int = DEFAULT_LATENCY,
     phys_vregs: int = 16,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, dict[tuple[bool, bool, bool], int]]]:
     """Figure 7: execution-state breakdown, reference versus OOOVA."""
     names = _programs(programs)
@@ -276,7 +284,8 @@ def figure8_latency_tolerance(
     latencies: Sequence[int] = LATENCY_SWEEP,
     phys_vregs: int = 16,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, dict[int, int]]]:
     """Figure 8: execution time versus main-memory latency (REF, OOOVA, IDEAL)."""
     names = _programs(programs)
@@ -311,7 +320,8 @@ def table4_machine_comparison(
     latency: int = DEFAULT_LATENCY,
     phys_vregs: int = 16,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, Mapping]]:
     """Table 4: the three registered machine organisations, side by side.
 
@@ -375,7 +385,8 @@ def figure10_lost_decode_cycles(
     register_counts: Sequence[int] = REGISTER_SWEEP,
     latency: int = DEFAULT_LATENCY,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[int, dict[str, object]]]:
     """Figure 10: decode cycles lost to rename/ROB/queue stalls.
 
@@ -408,7 +419,8 @@ def figure9_commit_models(
     register_counts: Sequence[int] = REGISTER_SWEEP,
     latency: int = DEFAULT_LATENCY,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Figure 9: speedup over the reference machine, early versus late commit."""
     names = _programs(programs)
@@ -451,7 +463,7 @@ def _load_elimination_speedups(
     register_counts: Sequence[int],
     latency: int,
     scale: str,
-    engine: ExperimentEngine | None,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[int, float]]:
     names = _programs(programs)
     baselines = {
@@ -482,7 +494,8 @@ def figure11_sle_speedup(
     register_counts: Sequence[int] = LOAD_ELIMINATION_REGISTER_SWEEP,
     latency: int = DEFAULT_LATENCY,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[int, float]]:
     """Figure 11: speedup of scalar load elimination over the late-commit OOOVA."""
     return _load_elimination_speedups(
@@ -495,7 +508,8 @@ def figure12_sle_vle_speedup(
     register_counts: Sequence[int] = LOAD_ELIMINATION_REGISTER_SWEEP,
     latency: int = DEFAULT_LATENCY,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[int, float]]:
     """Figure 12: speedup of scalar+vector load elimination over the baseline."""
     return _load_elimination_speedups(
@@ -508,7 +522,8 @@ def figure13_traffic_reduction(
     phys_vregs: int = 32,
     latency: int = DEFAULT_LATENCY,
     scale: str = "small",
-    engine: ExperimentEngine | None = None,
+    *,
+    engine: ExperimentEngine,
 ) -> dict[str, dict[str, float]]:
     """Figure 13: memory-traffic reduction of SLE and SLE+VLE at 32 registers.
 

@@ -49,8 +49,9 @@ from repro.common.errors import ReproError
 from repro.core.results import SimulationResult
 
 #: on-disk store format version; bump when the result payload shape changes
-#: (2: busy totals and state counts replaced the busy-interval pairs)
-STORE_VERSION = 2
+#: (2: busy totals and state counts replaced the busy-interval pairs;
+#: 3: a late rename under vector load elimination is no rename stall)
+STORE_VERSION = 3
 
 #: subdirectory of the experiment cache dir acting as the bucket root
 OBJECT_SUBDIR = "objects"

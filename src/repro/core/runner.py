@@ -22,11 +22,11 @@ hundreds of them.  This module turns that grid into a first-class object:
   grid and each worker loads it at most once.
 
 Every ``table*``/``figure*`` function in :mod:`repro.core.experiments`
-declares its grid and pulls results through the process-wide default engine
-(:func:`get_engine`); single points resolve through
-``get_engine().result(workload, config, scale)``.  The
-``python -m repro.cli run-all`` entry point configures the default engine
-from the command line.
+declares its grid and resolves it through the engine it is passed; single
+points resolve through ``engine.result(workload, config, scale)``.  There
+is no process-wide default engine: a :class:`repro.api.Session` owns one,
+and the ``python -m repro.cli run-all`` entry point runs through a
+session.
 
 The store only ever hands out *copies* of cached results: callers are free
 to mutate what they receive without corrupting later experiments.
@@ -38,17 +38,16 @@ import hashlib
 import itertools
 import json
 import os
-from contextlib import contextmanager as _contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.common.errors import ReproError
 from repro.common.params import params_to_dict
 from repro.core.config import MachineConfig
 from repro.core.objectstore import STORE_VERSION, ObjectStoreBackend, decode_payload
 from repro.core.results import SimulationResult
-from repro.core.settings import ExecutionPlan, Settings
+from repro.core.simulator import simulate_point
 from repro.trace.store import TraceStore
 
 if TYPE_CHECKING:
@@ -120,14 +119,10 @@ class ExperimentSpec:
 def _simulate_point(point: ExperimentPoint, trace_dir: str | None = None) -> dict:
     """Execute one point and return the serialised result.
 
-    Top-level function so :class:`ProcessPoolExecutor` can pickle it; the
-    imports are deferred to avoid a circular import with
-    :mod:`repro.core.simulator` (which imports this module's default
-    engine).  With a ``trace_dir`` the workload trace is loaded from the
+    Top-level function so :class:`ProcessPoolExecutor` can pickle it.
+    With a ``trace_dir`` the workload trace is loaded from the
     :class:`TraceStore` instead of being recompiled.
     """
-    from repro.core.simulator import simulate_point
-
     trace_store = TraceStore(trace_dir) if trace_dir is not None else None
     return simulate_point(
         point.workload, point.scale, point.config, trace_store=trace_store,
@@ -239,43 +234,42 @@ class ResultStore:
 
 
 class ExperimentEngine:
-    """Executes sweep grids against a result store, per an execution plan.
+    """Executes sweep grids against a result store.
 
-    The *how* of execution — process-pool width, fleet delegation —
-    arrives as one frozen
-    :class:`~repro.core.settings.ExecutionPlan` (normally built by
-    :meth:`Settings.plan() <repro.core.settings.Settings.plan>`), never as
-    loose keywords.  The engine never re-interprets environment variables
-    or re-validates knob combinations: the plan was resolved exactly once.
-
-    With ``plan.jobs > 1`` the engine owns one process pool of that width.
+    With ``jobs > 1`` the engine owns one process pool of that width.
     It is created on the first batch that has cache misses, reused for
     every later spec, and shut down by :meth:`close` — an engine that ran
     a parallel batch must be closed.  Pool workers start from a fresh
     import, so a third-party machine model reaches them only if importing
     its parameter type's module registers it.
 
-    With ``plan.fleet > 0`` the engine stops executing points itself and
+    With ``fleet > 0`` the engine stops executing points itself and
     delegates every cache miss to a :class:`~repro.fleet.dispatcher.
     FleetDispatcher` — submit the batch to the shared object-store queue,
-    watch it drain (spawning ``plan.fleet`` local workers), collect the
+    watch it drain (spawning ``fleet`` local workers), collect the
     published results.  Exhibits are byte-identical either way.
+
+    The engine reads no environment variable:
+    :class:`repro.api.Settings` resolves ``jobs`` and ``fleet`` and a
+    :class:`repro.api.Session` passes them here.
     """
 
     def __init__(
         self,
         store: ResultStore | None = None,
-        plan: ExecutionPlan | None = None,
+        jobs: int = 1,
+        fleet: int = 0,
         trace_store: TraceStore | None = None,
     ) -> None:
-        if plan is None:
-            plan = ExecutionPlan()
-        self.plan = plan
+        if jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        if fleet < 0:
+            raise ValueError("fleet must be non-negative")
         self.store = store if store is not None else ResultStore()
-        #: process-pool width across points (mirrors ``plan.jobs``)
-        self.jobs = plan.jobs
+        #: process-pool width across points
+        self.jobs = jobs
         #: local fleet workers to spawn (0: fleet delegation disabled)
-        self.fleet = plan.fleet
+        self.fleet = fleet
         self._dispatcher: "FleetDispatcher | None" = None
         #: the ``jobs``-wide worker pool, created by the first parallel batch
         self._pool: "ProcessPoolExecutor | None" = None
@@ -391,7 +385,7 @@ class ExperimentEngine:
 
         The engine reduces to a producer here — every point is enqueued on
         the shared :class:`~repro.fleet.queue.LeaseQueue`, workers (the
-        ``plan.fleet`` spawned locally, plus any others sharing the bucket)
+        ``fleet`` spawned locally, plus any others sharing the bucket)
         simulate and publish, and the dispatcher hands back the published
         results in batch order.  Results re-enter :meth:`run_spec` exactly
         as locally computed ones would.
@@ -462,67 +456,3 @@ class ExperimentEngine:
         if self.trace_store is not None:
             line += f", {self.trace_store.summary()}"
         return line
-
-
-# ---------------------------------------------------------------------------
-# Process-wide default engine
-# ---------------------------------------------------------------------------
-
-_default_engine: ExperimentEngine | None = None
-
-
-def get_engine() -> ExperimentEngine:
-    """Return the process-wide default engine, creating it on first use.
-
-    The initial engine is configured through the
-    :class:`repro.api.Settings` precedence resolver, so it honours the
-    ``REPRO_CACHE_DIR``, ``REPRO_JOBS`` and ``REPRO_FLEET`` environment
-    variables — test and benchmark runs can share a persistent cache
-    without any code changes.
-    """
-    global _default_engine
-    if _default_engine is None:
-        settings = Settings.resolve()
-        _default_engine = ExperimentEngine(
-            ResultStore(settings.cache_dir), plan=settings.plan()
-        )
-    return _default_engine
-
-
-@_contextmanager
-def engine_scope(engine: ExperimentEngine) -> Iterator[ExperimentEngine]:
-    """Temporarily install ``engine`` as the process-wide default.
-
-    Unlike :func:`set_engine`, the outgoing engine is not closed: the
-    previous default is reinstated untouched on exit.
-    :class:`repro.api.Session` wraps every exhibit computation in this
-    scope so the ``table*``/``figure*`` experiment functions resolve
-    through the session's engine.
-    """
-    global _default_engine
-    previous = _default_engine
-    _default_engine = engine
-    try:
-        yield engine
-    finally:
-        _default_engine = previous
-
-
-def set_engine(engine: ExperimentEngine | None) -> None:
-    """Install ``engine`` as the default (``None`` resets to lazy creation).
-
-    The outgoing engine is closed: its worker pool and fleet workers (if
-    any) are released.
-    """
-    global _default_engine
-    previous = _default_engine
-    _default_engine = engine
-    if previous is not None and previous is not engine:
-        previous.close()
-
-
-def run_experiment(
-    spec: ExperimentSpec, engine: ExperimentEngine | None = None
-) -> dict[ExperimentPoint, SimulationResult]:
-    """Resolve ``spec`` through ``engine`` (default: the process-wide one)."""
-    return (engine or get_engine()).run_spec(spec)

@@ -6,11 +6,11 @@ the right simulator for the configuration, and returns a
 :class:`~repro.core.results.SimulationResult` that bundles the configuration,
 the workload identity and the collected statistics.
 
-Memoised results come from the experiment engine's result store instead
-(``get_engine().result(workload, config, scale)``, see
-:mod:`repro.core.runner`), shared with the ``table*`` / ``figure*``
-experiment functions and — when a cache directory is configured —
-persisted across processes.
+Memoised results come from an experiment engine's result store instead
+(``engine.result(workload, config, scale)``, see
+:mod:`repro.core.runner`; a :class:`repro.api.Session` owns one), shared
+with the ``table*`` / ``figure*`` experiment functions and — when a cache
+directory is configured — persisted across processes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.common.errors import SimulationError
 from repro.core.config import MachineConfig
 from repro.core.machines import create_run
 from repro.core.results import SimulationResult
-from repro.core.runner import get_engine
 from repro.trace.store import TraceStore
 from repro.workloads.registry import get_workload
 
@@ -86,11 +85,3 @@ def simulate_point(
         trace = get_workload(workload_name, scale).trace()
     return simulate_trace(trace, config)
 
-
-def clear_simulation_cache() -> None:
-    """Drop memoised simulation results (mainly for tests).
-
-    Only the in-memory layer of the default engine's store is cleared;
-    on-disk cache entries survive.
-    """
-    get_engine().store.clear_memory()

@@ -27,8 +27,8 @@ This module provides the kernel side of the batched stepper:
   automatically rather than silently running its parent's lowering.
 * :func:`run_slice_batched` is the entry point: machines without a
   registered lowering (e.g. ``examples/custom_machine.py``) run through
-  their own ``run_slice`` unchanged, and steppers themselves fall back
-  to the scalar handlers for any instruction kind they do not lower.
+  their own ``run_slice`` unchanged.  Both registered steppers lower
+  every instruction kind; neither calls a scalar handler.
 
 The steppers mutate the very same component objects the scalar kernel
 mutates, in the same order, so every attribute reachable from the machine
@@ -161,8 +161,6 @@ class LoweredTrace:
         taken = [False] * n
         is_spill = [False] * n
         queue_code = [0] * n
-        region_start = [-1] * n
-        region_end = [-1] * n
 
         for i, dyn in enumerate(dyns):
             kc, lc, f2 = rows[dyn.opcode]
@@ -172,9 +170,6 @@ class LoweredTrace:
             vl[i] = dyn.vl
             taken[i] = dyn.taken
             is_spill[i] = dyn.is_spill
-            if dyn.region_start is not None:
-                region_start[i] = dyn.region_start
-                region_end[i] = dyn.region_end if dyn.region_end is not None else -1
             d = dyn.dest
             dcls = -1
             if d is not None:
@@ -214,8 +209,10 @@ class LoweredTrace:
         self.taken = taken
         self.is_spill = is_spill
         self.queue_code = queue_code
-        self.region_start = region_start
-        self.region_end = region_end
+        #: memory range ``[start, end)`` per instruction (``None``: no access;
+        #: a range may start below address 0)
+        self.region_start = [dyn.region_start for dyn in dyns]
+        self.region_end = [dyn.region_end for dyn in dyns]
         self.seq = [dyn.seq for dyn in dyns]
         self.max_srcs = max((len(s) for s in srcs), default=0)
 

@@ -30,9 +30,7 @@ from repro.trace.records import DynInstr, Trace
 #: per-class dispatch cache: ``{cls: ({kind: function}, default function)}``.
 #: The functions are the *unbound* class attributes, resolved once per class
 #: (first instantiation) instead of rebuilding a bound-method table per
-#: instance; ``run_slice`` calls them as ``func(self, dyn, ctx)``.  The
-#: batched stepper compiler (:mod:`repro.machine.batched`) keys its
-#: per-machine lowerings off the same table.
+#: instance; ``run_slice`` calls them as ``func(self, dyn, ctx)``.
 _DISPATCH_CACHE: Dict[type, Tuple[Dict[InstrKind, Callable[..., Any]],
                                   Optional[Callable[..., Any]]]] = {}
 

@@ -2,7 +2,7 @@
 
 from repro.ooo.btb import BranchPredictor
 from repro.ooo.loadelim import LoadEliminationUnit, MemoryTag, TagTable, tag_for
-from repro.ooo.machine import OOOVectorSimulator, simulate_ooo
+from repro.ooo.machine import simulate_ooo
 from repro.ooo.mempipe import MemoryPipeline
 from repro.ooo.queues import IssueQueue, QueueKind, QueueSet, route_queue
 from repro.ooo.rename import PhysReg, RegisterFileRenamer, RenameResult, RenameUnit
@@ -14,7 +14,6 @@ __all__ = [
     "MemoryTag",
     "TagTable",
     "tag_for",
-    "OOOVectorSimulator",
     "simulate_ooo",
     "MemoryPipeline",
     "IssueQueue",

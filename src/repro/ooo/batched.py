@@ -346,7 +346,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         )
                     ident = next(iter(fr))
                     avail = fr[ident]
-                    if avail > rename_at:
+                    if avail > rename_at and not renamed_late:
                         r_stalls[dc] += 1
                         r_stall_cycles[dc] += avail - rename_at
                     del fr[ident]
@@ -577,7 +577,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 # run-time disambiguation against the pending-access window
                 dep_ready = pe
                 rs = col_rstart[i]
-                if rs >= 0:
+                if rs is not None:
                     re_ = col_rend[i]
                     if mp_active:
                         # scan only rows that could still matter; ``pe`` is
@@ -680,7 +680,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         tf_sstore += 1
                         if col_spill[i]:
                             tf_sstore_sp += 1
-                    if rs >= 0:
+                    if rs is not None:
                         entry_ = _PendingAccess(col_seq[i], rs, re_, is_store, e_addr)
                         mp_pending.append(entry_)
                         mp_active.append(entry_)
@@ -777,7 +777,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                             )
                         ident = next(iter(fr))
                         avail = fr[ident]
-                        if avail > rename_at:
+                        if avail > rename_at and not renamed_late:
                             r_stalls[dc] += 1
                             r_stall_cycles[dc] += avail - rename_at
                         del fr[ident]
@@ -880,7 +880,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                 tf_sload += 1
                                 if col_spill[i]:
                                     tf_sload_sp += 1
-                            if rs >= 0:
+                            if rs is not None:
                                 entry_ = _PendingAccess(
                                     col_seq[i], rs, re_, is_store, e_addr
                                 )

@@ -76,17 +76,6 @@ class _StepContext:
     rename_time: int
 
 
-class OOOVectorSimulator:
-    """Trace-driven timing simulator of the OOOVA machine."""
-
-    def __init__(self, params: OOOParams | None = None) -> None:
-        self.params = params or OOOParams()
-
-    def run(self, trace: Trace) -> SimStats:
-        """Simulate ``trace`` and return the collected statistics."""
-        return _OOORun(self.params, trace).execute()
-
-
 class _OOORun(StagedMachine):
     """All mutable state of a single OOOVA simulation."""
 
@@ -277,7 +266,8 @@ class _OOORun(StagedMachine):
         if dyn.dest is not None:
             renamed_late = self.vle and dyn.dest.cls in (RegClass.V, RegClass.VM)
             rename_at = earliest if renamed_late else rename_time
-            rename_result = self.rename.rename_destination(dyn.dest, rename_at)
+            rename_result = self.rename.rename_destination(
+                dyn.dest, rename_at, at_decode=not renamed_late)
             if not renamed_late:
                 # A free-list stall at decode holds up the whole front end;
                 # under the single-point rename of Section 6.2 the stall is
@@ -395,7 +385,8 @@ class _OOORun(StagedMachine):
         # destination physical register through the normal rename path.
         renamed_late = self.vle and dyn.is_vector
         rename_at = dependence_ready if renamed_late else rename_time
-        rename_result = self.rename.rename_destination(dyn.dest, rename_at)
+        rename_result = self.rename.rename_destination(
+            dyn.dest, rename_at, at_decode=not renamed_late)
         if not renamed_late:
             rename_done = max(rename_done, rename_result.available_at)
         dest_phys = rename_result.phys
@@ -491,7 +482,7 @@ class _OOORun(StagedMachine):
 
 
 def simulate_ooo(trace: Trace, params: OOOParams | None = None) -> SimStats:
-    """Convenience wrapper: run ``trace`` through the OOOVA simulator."""
+    """Run ``trace`` through the OOOVA machine's scalar spec."""
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
-    return OOOVectorSimulator(params).run(trace)
+    return _OOORun(params or OOOParams(), trace).execute()

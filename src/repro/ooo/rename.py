@@ -100,12 +100,17 @@ class RegisterFileRenamer:
 
     # -- destinations ----------------------------------------------------------
 
-    def rename_destination(self, register: Register, earliest: int) -> RenameResult:
+    def rename_destination(
+        self, register: Register, earliest: int, at_decode: bool = True
+    ) -> RenameResult:
         """Allocate a new physical register for a write to ``register``.
 
         Returns the new mapping, the old mapping (released at commit) and
         the cycle at which a free register was available, which may be later
-        than ``earliest`` if the free list was empty (a rename stall).
+        than ``earliest`` if the free list was empty.  Only a wait at decode
+        is a rename stall and is counted: a late rename (``at_decode``
+        false, vector load elimination's single rename point of Section
+        6.2) delays its own instruction and leaves decode running.
         """
         self._check_class(register)
         previous = self.mapping.get(register.index)
@@ -116,7 +121,7 @@ class RegisterFileRenamer:
             )
         ident = self._pop_free()
         available_at = self.free[ident]
-        if available_at > earliest:
+        if at_decode and available_at > earliest:
             # Charge the cycles actually spent waiting for the register,
             # not one unit per stall event (the stats report stall cycles).
             self.allocation_stalls += 1
@@ -184,8 +189,10 @@ class RenameUnit:
     def source(self, register: Register) -> PhysReg:
         return self.files[register.cls].source(register)
 
-    def rename_destination(self, register: Register, earliest: int) -> RenameResult:
-        return self.files[register.cls].rename_destination(register, earliest)
+    def rename_destination(
+        self, register: Register, earliest: int, at_decode: bool = True
+    ) -> RenameResult:
+        return self.files[register.cls].rename_destination(register, earliest, at_decode)
 
     def release(self, register_cls: RegClass, phys: PhysReg | None, at_cycle: int) -> None:
         self.files[register_cls].release(phys, at_cycle)

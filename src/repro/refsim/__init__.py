@@ -1,6 +1,6 @@
 """The in-order reference architecture simulator (Convex C3400 model)."""
 
-from repro.refsim.machine import ReferenceSimulator, simulate_reference
+from repro.refsim.machine import simulate_reference
 from repro.refsim.regfile import BankedVectorRegisterFile
 
-__all__ = ["ReferenceSimulator", "simulate_reference", "BankedVectorRegisterFile"]
+__all__ = ["simulate_reference", "BankedVectorRegisterFile"]

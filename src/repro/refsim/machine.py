@@ -78,19 +78,8 @@ class _RegTimings:
         return state
 
 
-class ReferenceSimulator:
-    """Trace-driven timing simulator of the reference (in-order) machine."""
-
-    def __init__(self, params: ReferenceParams | None = None) -> None:
-        self.params = params or ReferenceParams()
-
-    def run(self, trace: Trace) -> SimStats:
-        """Simulate ``trace`` and return the collected statistics."""
-        return _ReferenceRun(self.params, trace).execute()
-
-
 class _ReferenceRun(StagedMachine):
-    """State of one simulation; separated so the simulator object is reusable."""
+    """All mutable state of a single reference-machine simulation."""
 
     KIND = "ref"
     DISPATCH = {
@@ -319,7 +308,7 @@ class _ReferenceRun(StagedMachine):
 
 
 def simulate_reference(trace: Trace, params: ReferenceParams | None = None) -> SimStats:
-    """Convenience wrapper: run ``trace`` through the reference simulator."""
+    """Run ``trace`` through the reference machine's scalar spec."""
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
-    return ReferenceSimulator(params).run(trace)
+    return _ReferenceRun(params or ReferenceParams(), trace).execute()

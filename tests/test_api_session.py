@@ -5,11 +5,11 @@ CLI and the machine-model registry.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.api import (
-    ExecutionPlan,
     ExhibitSet,
     MachineModel,
     RunRequest,
@@ -23,16 +23,10 @@ from repro.api import (
 )
 from repro.common.errors import ReproError
 from repro.common.params import OOOParams, ReferenceParams
+from repro.core import experiments
 from repro.core.config import get_config, ooo_config
-from repro.core.runner import ExperimentEngine, ResultStore, get_engine, set_engine
+from repro.core.runner import ExperimentEngine, ResultStore
 from repro.core.simulator import run as run_simulation
-
-
-@pytest.fixture(autouse=True)
-def _isolated_default_engine():
-    set_engine(None)
-    yield
-    set_engine(None)
 
 
 class TestSessionLifecycle:
@@ -63,16 +57,37 @@ class TestSessionLifecycle:
             session.result("nasa7", "reference")
             assert session.engine.simulated == 0
 
-    def test_session_does_not_disturb_default_engine(self):
-        default = get_engine()
-        with Session() as session:
-            session.exhibits(names=("table1",))
-        assert get_engine() is default
+    def test_sessions_in_two_threads_keep_their_own_engines(self, tmp_path, monkeypatch):
+        # both sessions are inside an exhibit before either resolves its
+        # grid, so a grid that found its engine anywhere but in its own
+        # arguments would run both exhibits on one engine
+        barrier = threading.Barrier(2, timeout=60)
+        grid_init = experiments._Grid.__init__
 
-    def test_installed_default_engine_shares_the_session_cache(self, tmp_path):
-        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan())
-        set_engine(engine)
-        assert get_engine() is engine
+        def init_together(grid, *args, **kwargs):
+            barrier.wait()
+            grid_init(grid, *args, **kwargs)
+
+        monkeypatch.setattr(experiments._Grid, "__init__", init_together)
+        sessions = [Session(cache_dir=tmp_path / name, jobs=1, env={})
+                    for name in ("one", "two")]
+        threads = [
+            threading.Thread(target=session.exhibits, kwargs={
+                "names": ("table2",), "programs": ("trfd",)})
+            for session in sessions
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        for name, session in zip(("one", "two"), sessions):
+            session.close()
+            assert session.engine.simulated == 1, name
+            results = list((tmp_path / name / "objects" / "results").rglob("*.json"))
+            assert len(results) == 1, name
+
+    def test_engine_on_the_same_cache_dir_shares_results(self, tmp_path):
+        engine = ExperimentEngine(ResultStore(tmp_path))
         result = engine.result("nasa7", get_config("reference"))
         with Session(cache_dir=tmp_path) as session:
             assert session.engine.simulated == 0  # served from the shared cache
@@ -132,7 +147,6 @@ class TestExhibitParityWithCLI:
                      "--programs", "trfd", "--format", "json"]) == 0
         cli_doc = json.loads(capsys.readouterr().out)
 
-        set_engine(None)
         with Session() as session:
             exhibits = session.exhibits(names=("table2", "figure6"),
                                         programs=("trfd",), scale="small")

@@ -14,7 +14,6 @@ import repro.api
 #: the locked surface — update deliberately, never incidentally
 PUBLIC_SURFACE = (
     "CACHE_DIR_ENV",
-    "ExecutionPlan",
     "ExhibitResult",
     "ExhibitSet",
     "FLEET_ENV",

@@ -171,10 +171,9 @@ OPERAND_SHAPES = {
 
 #: a small address pool: load elimination needs exact tag matches, and
 #: overlapping ranges exercise memory disambiguation.  Compiled programs
-#: place their data at 64 KiB and up; the pool stays there, so that no
-#: range reaches below address 0 even at VL 128 and the largest negative
-#: stride
-ADDRESSES = (65536, 65544, 65600, 66560, 66632)
+#: place their data at 64 KiB and up; base 0 lets a negative stride reach
+#: below address 0, a range the stepper must disambiguate like any other
+ADDRESSES = (0, 65536, 65544, 65600, 66560, 66632)
 VECTOR_LENGTHS = (1, 7, 64, 128)
 STRIDES = (ELEMENT_BYTES, 2 * ELEMENT_BYTES, -ELEMENT_BYTES, -3 * ELEMENT_BYTES)
 #: a few static branch sites, so the predictor sees each more than once
@@ -200,22 +199,26 @@ def instructions(draw, opcode, seq):
         dyn.is_call = opcode is Opcode.CALL
         dyn.is_return = opcode is Opcode.RET
     if opcode.is_memory:
-        base = draw(st.sampled_from(ADDRESSES))
-        access = opcode.info.access
         stride = ELEMENT_BYTES
-        if access is not MemAccess.UNIT:
+        if opcode.info.access is not MemAccess.UNIT:
             stride = draw(st.sampled_from(STRIDES))
-        count = dyn.vl if opcode.is_vector else 1
-        dyn.address = base
-        dyn.stride = stride
+        _access(dyn, draw(st.sampled_from(ADDRESSES)), stride)
         dyn.is_spill = draw(st.booleans())
-        if access is MemAccess.INDEXED:
-            dyn.region_start = base
-            dyn.region_end = base + max(abs(stride) * count, ELEMENT_BYTES)
-        else:
-            span = (count - 1) * stride
-            dyn.region_start = base + min(0, span)
-            dyn.region_end = base + max(0, span) + ELEMENT_BYTES
+    return dyn
+
+
+def _access(dyn, base, stride):
+    """Give memory instruction ``dyn`` its address, stride and byte range."""
+    count = dyn.vl if dyn.is_vector else 1
+    dyn.address = base
+    dyn.stride = stride
+    if dyn.opcode.info.access is MemAccess.INDEXED:
+        dyn.region_start = base
+        dyn.region_end = base + max(abs(stride) * count, ELEMENT_BYTES)
+    else:
+        span = (count - 1) * stride
+        dyn.region_start = base + min(0, span)
+        dyn.region_end = base + max(0, span) + ELEMENT_BYTES
     return dyn
 
 
@@ -383,6 +386,24 @@ class TestArbitrarySlices:
         opcodes = data.draw(st.permutations(tuple(OPERAND_SHAPES)))
         stream = data.draw(streams(opcodes))
         _assert_kernels_agree(config, TRACES["trfd"], stream)
+
+
+@pytest.mark.parametrize("commit", CommitModel)
+def test_access_below_address_zero_is_disambiguated(commit):
+    # a strided load whose range starts below address 0 must wait for the
+    # older overlapping store on the stepper as on the spec; a stepper that
+    # takes a negative start for "no memory access" lets it pass, and ends
+    # 57 cycles early under either commit model
+    v0, v1, _, v3 = V_REGS
+    stream = [
+        DynInstr(0, Opcode.VDIV, 1000, dest=v3, srcs=(v0, v1), vl=128),
+        _access(DynInstr(1, Opcode.VSTORE, 1001, srcs=(v3, A_REGS[0]), vl=128),
+                0, ELEMENT_BYTES),
+        _access(DynInstr(2, Opcode.VLOADS, 1002, dest=v1, srcs=(A_REGS[0],), vl=7),
+                0, -ELEMENT_BYTES),
+    ]
+    assert stream[2].region_start < 0
+    _assert_kernels_agree(ooo_config(commit_model=commit), TRACES["trfd"], stream)
 
 
 class TestLoweringCache:

@@ -2,17 +2,9 @@
 
 import json
 
-import pytest
+from test_runner import pool_model  # noqa: F401  (fixture)
 
 from repro.cli import main as cli_main
-from repro.core.runner import set_engine
-
-
-@pytest.fixture(autouse=True)
-def _isolated_default_engine():
-    set_engine(None)
-    yield
-    set_engine(None)
 
 
 class TestSimulateCommand:
@@ -30,6 +22,14 @@ class TestSimulateCommand:
         assert set(document) == {"result", "wall_s"}
         assert document["result"]["stats"]["cycles"] > 0
 
+    def test_simulate_accepts_a_registered_machine(self, capsys, pool_model):  # noqa: F811
+        # --config resolves any registered model at its default parameters
+        assert cli_main(["simulate", "--program", "nasa7",
+                         "--config", pool_model.NAME, "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["config_name"] == pool_model.NAME
+        assert result["stats"]["cycles"] > 0
+
     def test_simulate_rejects_unknown_program(self, capsys):
         assert cli_main(["simulate", "--program", "nope"]) == 2
         assert "unknown program" in capsys.readouterr().err
@@ -37,4 +37,7 @@ class TestSimulateCommand:
     def test_simulate_rejects_unknown_config(self, capsys):
         assert cli_main(["simulate", "--program", "nasa7",
                          "--config", "warp-drive"]) == 2
-        assert "unknown configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the error lists both kinds of name --config accepts
+        assert "unknown configuration" in err
+        assert "ooo-late" in err and "machines: reference" in err

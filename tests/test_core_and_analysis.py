@@ -17,9 +17,9 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.params import CommitModel, LoadElimination, OOOParams, ReferenceParams
 from repro.trace.records import Trace
 from repro.core import (
+    ExperimentEngine,
     MachineConfig,
     get_config,
-    get_engine,
     ooo_config,
     reference_config,
     run,
@@ -44,6 +44,9 @@ from repro.core.experiments import (
 from repro.workloads import get_workload
 
 SMALL = ("trfd",)  # one cheap program keeps the experiment tests fast
+
+#: one memory-only engine for the module, so the experiment tests share points
+ENGINE = ExperimentEngine()
 
 
 class TestConfigs:
@@ -107,8 +110,8 @@ class TestRunAPI:
                 simulate_trace(Trace("empty"), config)
 
     def test_engine_result_returns_equal_but_independent_results(self):
-        first = get_engine().result("trfd", ooo_config(), scale="tiny")
-        second = get_engine().result("trfd", ooo_config(), scale="tiny")
+        first = ENGINE.result("trfd", ooo_config(), scale="tiny")
+        second = ENGINE.result("trfd", ooo_config(), scale="tiny")
         # Same simulation outcome, but never the same mutable object: the
         # store hands out defensive copies so callers cannot corrupt it.
         assert first is not second
@@ -116,13 +119,13 @@ class TestRunAPI:
         assert first.stats.to_dict() == second.stats.to_dict()
 
     def test_engine_result_is_immune_to_caller_mutation(self):
-        first = get_engine().result("trfd", ooo_config(), scale="tiny")
+        first = ENGINE.result("trfd", ooo_config(), scale="tiny")
         pristine = first.stats.to_dict()
         first.stats.cycles = 1
         first.stats.unit_busy["FU1"] = 10_000_000
         first.stats.unit_states[(True, True, True)] = 10_000_000
         first.stats.traffic.vector_load_ops = -5
-        refetched = get_engine().result("trfd", ooo_config(), scale="tiny")
+        refetched = ENGINE.result("trfd", ooo_config(), scale="tiny")
         assert refetched.stats.to_dict() == pristine
 
     def test_result_helpers(self):
@@ -141,50 +144,55 @@ class TestExperiments:
         assert latencies["div"] == 9 and latencies["add"] == 4
 
     def test_table2_and_3(self):
-        stats = table2_program_statistics(programs=SMALL, scale="tiny")
+        stats = table2_program_statistics(programs=SMALL, scale="tiny", engine=ENGINE)
         assert set(stats) == set(SMALL)
-        spills = table3_spill_statistics(programs=SMALL, scale="tiny")
+        spills = table3_spill_statistics(programs=SMALL, scale="tiny", engine=ENGINE)
         assert spills["trfd"]["vector_load_ops"] > 0
 
     def test_figure3(self):
         data = figure3_reference_state_breakdown(programs=SMALL, latencies=(1, 50),
-                                                 scale="tiny")
+                                                 scale="tiny", engine=ENGINE)
         assert set(data["trfd"]) == {1, 50}
         for breakdown in data["trfd"].values():
             assert sum(breakdown.values()) > 0
 
     def test_figure4(self):
-        data = figure4_reference_port_idle(programs=SMALL, latencies=(1, 70), scale="tiny")
+        data = figure4_reference_port_idle(programs=SMALL, latencies=(1, 70),
+                                           scale="tiny", engine=ENGINE)
         assert 0.0 <= data["trfd"][70] <= 1.0
 
     def test_figure5(self):
         data = figure5_speedup_vs_registers(programs=SMALL, register_counts=(9, 16),
-                                            scale="tiny")
+                                            scale="tiny", engine=ENGINE)
         curves = data["trfd"]["curves"]
         assert curves["OOOVA-16"][16] >= curves["OOOVA-16"][9] - 0.01
         assert data["trfd"]["ideal"] > 1.0
 
     def test_figure6_and_7(self):
-        idle = figure6_port_idle_comparison(programs=SMALL, scale="tiny")
+        idle = figure6_port_idle_comparison(programs=SMALL, scale="tiny", engine=ENGINE)
         assert idle["trfd"]["OOOVA"] <= idle["trfd"]["REF"]
-        states = figure7_state_breakdown_comparison(programs=SMALL, scale="tiny")
+        states = figure7_state_breakdown_comparison(programs=SMALL, scale="tiny", engine=ENGINE)
         assert set(states["trfd"]) == {"REF", "OOOVA"}
 
     def test_figure8(self):
-        data = figure8_latency_tolerance(programs=SMALL, latencies=(1, 100), scale="tiny")
+        data = figure8_latency_tolerance(programs=SMALL, latencies=(1, 100),
+                                         scale="tiny", engine=ENGINE)
         assert data["trfd"]["REF"][100] > data["trfd"]["REF"][1]
         assert data["trfd"]["IDEAL"][1] == data["trfd"]["IDEAL"][100]
 
     def test_figure9(self):
-        data = figure9_commit_models(programs=SMALL, register_counts=(16,), scale="tiny")
+        data = figure9_commit_models(programs=SMALL, register_counts=(16,),
+                                     scale="tiny", engine=ENGINE)
         assert data["trfd"]["late"][16] <= data["trfd"]["early"][16] + 0.01
 
     def test_figures_11_12_13(self):
-        sle = figure11_sle_speedup(programs=SMALL, register_counts=(32,), scale="tiny")
-        vle = figure12_sle_vle_speedup(programs=SMALL, register_counts=(32,), scale="tiny")
+        sle = figure11_sle_speedup(programs=SMALL, register_counts=(32,),
+                                   scale="tiny", engine=ENGINE)
+        vle = figure12_sle_vle_speedup(programs=SMALL, register_counts=(32,),
+                                       scale="tiny", engine=ENGINE)
         assert sle["trfd"][32] > 0.9
         assert vle["trfd"][32] >= sle["trfd"][32] - 0.05
-        traffic = figure13_traffic_reduction(programs=SMALL, scale="tiny")
+        traffic = figure13_traffic_reduction(programs=SMALL, scale="tiny", engine=ENGINE)
         assert traffic["trfd"]["SLE+VLE"] >= traffic["trfd"]["SLE"] - 0.01 >= 0.98
 
 
@@ -194,21 +202,24 @@ class TestReports:
         assert "1.23" in table and "yy" in table
 
     def test_report_helpers_produce_text(self):
-        stats = table2_program_statistics(programs=SMALL, scale="tiny")
+        stats = table2_program_statistics(programs=SMALL, scale="tiny", engine=ENGINE)
         assert "trfd" in report_table2(stats)
-        assert "trfd" in report_table3(table3_spill_statistics(programs=SMALL, scale="tiny"))
-        idle = figure4_reference_port_idle(programs=SMALL, latencies=(1,), scale="tiny")
+        assert "trfd" in report_table3(table3_spill_statistics(programs=SMALL,
+                                                               scale="tiny", engine=ENGINE))
+        idle = figure4_reference_port_idle(programs=SMALL, latencies=(1,),
+                                           scale="tiny", engine=ENGINE)
         assert "%" in report_port_idle(idle, "Figure 4")
         speedups = figure5_speedup_vs_registers(programs=SMALL, register_counts=(9, 16),
-                                                scale="tiny")
+                                                scale="tiny", engine=ENGINE)
         assert "OOOVA-16" in report_speedup_curves(speedups, (9, 16))
         states = figure3_reference_state_breakdown(programs=SMALL, latencies=(1,),
-                                                   scale="tiny")
+                                                   scale="tiny", engine=ENGINE)
         assert "trfd" in report_state_breakdown(states)
         latencies = figure8_latency_tolerance(programs=SMALL, latencies=(1, 100),
-                                              scale="tiny")
+                                              scale="tiny", engine=ENGINE)
         assert "lat=100" in report_latency_tolerance(latencies, (1, 100))
-        sle = figure11_sle_speedup(programs=SMALL, register_counts=(32,), scale="tiny")
+        sle = figure11_sle_speedup(programs=SMALL, register_counts=(32,),
+                                   scale="tiny", engine=ENGINE)
         assert "trfd" in report_simple_curves(sle, (32,), "SLE")
-        traffic = figure13_traffic_reduction(programs=SMALL, scale="tiny")
+        traffic = figure13_traffic_reduction(programs=SMALL, scale="tiny", engine=ENGINE)
         assert "SLE+VLE" in report_traffic_reduction(traffic)

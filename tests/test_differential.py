@@ -15,19 +15,25 @@ import functools
 
 import pytest
 
-from repro.core.config import inorder_config, ooo_config, reference_config
+from repro.core.config import get_config, standard_configs
 from repro.core.simulator import run
 from repro.workloads.registry import WORKLOAD_NAMES
 
 SCALE = "small"
 
+#: the standard configurations of the OOOVA family: all but ``reference``
+OOO_FAMILY = tuple(config for config in standard_configs() if config != "reference")
+
 
 @functools.lru_cache(maxsize=None)
+def _standard(name, config):
+    """Simulate ``name`` on one standard configuration once per session."""
+    return run(name, get_config(config), scale=SCALE)
+
+
 def _pair(name):
-    """Simulate ``name`` on both machines once per test session."""
-    reference = run(name, reference_config(), scale=SCALE)
-    ooo = run(name, ooo_config(), scale=SCALE)
-    return reference, ooo
+    """``name`` on the reference machine and on the default OOOVA."""
+    return _standard(name, "reference"), _standard(name, "ooo")
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
@@ -44,14 +50,15 @@ class TestReferenceVsOOODifferential:
         reference, ooo = _pair(name)
         assert 0 < ooo.cycles <= reference.cycles
 
-    def test_stall_statistics_are_non_negative_and_bounded(self, name):
-        _, ooo = _pair(name)
-        stats = ooo.stats
+    @pytest.mark.parametrize("config", OOO_FAMILY)
+    def test_stall_statistics_are_non_negative_and_bounded(self, name, config):
+        stats = _standard(name, config).stats
         lost = stats.lost_decode_cycles()
         assert all(cycles >= 0 for cycles in lost.values())
-        # each individual stall source can never exceed total execution time
+        # each individual stall source can never exceed total execution time,
+        # and decode cannot lose more cycles than the run has
         assert all(cycles <= stats.cycles for cycles in lost.values())
-        assert 0.0 <= stats.lost_decode_fraction()
+        assert 0.0 <= stats.lost_decode_fraction() <= 1.0
 
     def test_reference_machine_reports_no_ooo_counters(self, name):
         reference, _ = _pair(name)
@@ -69,10 +76,9 @@ class TestReferenceVsOOODifferential:
             assert stats.address_port_busy_cycles <= stats.cycles
 
 
-@functools.lru_cache(maxsize=None)
 def _inorder(name):
-    """Simulate ``name`` on the registered in-order+renaming intermediate."""
-    return run(name, inorder_config(), scale=SCALE)
+    """``name`` on the registered in-order+renaming intermediate."""
+    return _standard(name, "inorder")
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)

@@ -12,18 +12,11 @@ from repro.analysis.export import exhibits_payload, render_csv, render_json, to_
 from repro.analysis.report import report_lost_decode
 from repro.common.params import OOOParams
 from repro.core.experiments import figure10_lost_decode_cycles, lost_decode_row
-from repro.core.runner import set_engine
+from repro.core.runner import ExperimentEngine
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import vreg
-from repro.ooo.machine import OOOVectorSimulator
+from repro.ooo.machine import simulate_ooo
 from repro.trace.records import DynInstr, Trace
-
-
-@pytest.fixture(autouse=True)
-def _isolated_default_engine():
-    set_engine(None)
-    yield
-    set_engine(None)
 
 
 def _vadd_chain() -> Trace:
@@ -39,7 +32,7 @@ class TestLostDecodeExhibit:
     def test_row_pinned_on_hand_built_trace(self):
         # Hand-derived (see TestStallCycleAccounting): with one V-queue slot
         # the third VADD waits 6 cycles for admission; total runtime is 26.
-        stats = OOOVectorSimulator(OOOParams(queue_slots=1)).run(_vadd_chain())
+        stats = simulate_ooo(_vadd_chain(), OOOParams(queue_slots=1))
         row = lost_decode_row(stats)
         assert row == {
             "cycles": 26,
@@ -52,9 +45,8 @@ class TestLostDecodeExhibit:
     def test_row_pinned_rob_stalls(self):
         from repro.common.params import CommitModel
 
-        stats = OOOVectorSimulator(
-            OOOParams(rob_entries=1, commit_model=CommitModel.LATE)
-        ).run(_vadd_chain())
+        stats = simulate_ooo(
+            _vadd_chain(), OOOParams(rob_entries=1, commit_model=CommitModel.LATE))
         row = lost_decode_row(stats)
         assert row["cycles"] == 36
         assert row["rob"] == 22
@@ -69,7 +61,7 @@ class TestLostDecodeExhibit:
 
     def test_figure10_runs_and_renders(self):
         data = figure10_lost_decode_cycles(["trfd"], register_counts=(9, 16),
-                                           scale="tiny")
+                                           scale="tiny", engine=ExperimentEngine())
         assert set(data) == {"trfd"}
         assert set(data["trfd"]) == {9, 16}
         for row in data["trfd"].values():
@@ -84,7 +76,6 @@ class TestLostDecodeExhibit:
         # The exhibit must not enlarge the simulation grid: its configs are
         # the same early-commit OOOVA points Figure 5's 16-slot curve uses.
         from repro.core.experiments import figure5_speedup_vs_registers
-        from repro.core.runner import ExperimentEngine
 
         engine = ExperimentEngine()
         figure5_speedup_vs_registers(["trfd"], scale="tiny", engine=engine)

@@ -1,8 +1,9 @@
-"""API-level tests for the PR-8 redesign: ExecutionPlan, RunHandle, fleet.
+"""API-level tests for engine construction, RunHandle and the fleet.
 
-Covers the frozen :class:`~repro.api.ExecutionPlan` (validation, Settings
-resolution, and :class:`~repro.core.runner.ExperimentEngine` taking its
-execution knobs only through a plan), the
+Covers how :class:`~repro.core.runner.ExperimentEngine` takes its
+execution settings (validated ``jobs`` and ``fleet`` arguments, passed by
+a :class:`~repro.api.Session` from its resolved
+:class:`~repro.api.Settings`), the
 :meth:`Session.submit() <repro.api.Session.submit>` →
 :class:`~repro.api.RunHandle` lifecycle in both execution modes, and the
 headline fleet guarantee: a grid run through spawned fleet workers is
@@ -10,12 +11,10 @@ headline fleet guarantee: a grid run through spawned fleet workers is
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro.api import (
-    ExecutionPlan,
     FLEET_ENV,
     RunHandle,
     RunRequest,
@@ -26,49 +25,33 @@ from repro.api import (
 from repro.core.runner import ExperimentEngine, ResultStore
 
 
-class TestExecutionPlan:
+class TestEngineConstruction:
+    """The engine takes ``jobs`` and ``fleet`` as arguments, validated."""
+
     def test_defaults(self):
-        plan = ExecutionPlan()
-        assert plan.jobs == 1
-        assert plan.fleet == 0
+        engine = ExperimentEngine()
+        assert (engine.jobs, engine.fleet) == (1, 0)
 
     @pytest.mark.parametrize("bad", [{"jobs": 0}, {"fleet": -1}])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
-            ExecutionPlan(**bad)
+            ExperimentEngine(**bad)
 
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            ExecutionPlan().jobs = 2
-
-    def test_settings_resolve_once_into_the_plan(self):
-        settings = Settings.resolve(jobs=2, fleet=4, env={})
-        plan = settings.plan()
-        assert plan == ExecutionPlan(jobs=2, fleet=4)
-
-    def test_fleet_env_var(self):
-        assert Settings.resolve(env={FLEET_ENV: "3"}).plan().fleet == 3
-        assert Settings.resolve(env={}).plan().fleet == 0
-        # explicit beats environment, as everywhere in Settings
-        assert Settings.resolve(fleet=1, env={FLEET_ENV: "9"}).plan().fleet == 1
-
-
-class TestEngineConstruction:
-    """The engine takes its execution knobs from a plan, nowhere else."""
-
-    @pytest.mark.parametrize("kwargs", [{"jobs": 2}, {"kernel": "batched"},
+    @pytest.mark.parametrize("kwargs", [{"plan": None}, {"kernel": "batched"},
                                         {"workers": 4}])
-    def test_loose_knob_kwargs_are_an_error(self, kwargs):
+    def test_unknown_knob_kwargs_are_an_error(self, kwargs):
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             ExperimentEngine(ResultStore(None), **kwargs)
 
-    def test_plan_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            engine = ExperimentEngine(
-                ResultStore(None), plan=ExecutionPlan(jobs=2))
-        engine.close()
-        assert engine.plan.jobs == 2
+    def test_session_engine_takes_the_resolved_settings(self):
+        with Session(jobs=2, fleet=0, env={}) as session:
+            assert (session.engine.jobs, session.engine.fleet) == (2, 0)
+
+    def test_fleet_env_var(self):
+        assert Settings.resolve(env={FLEET_ENV: "3"}).fleet == 3
+        assert Settings.resolve(env={}).fleet == 0
+        # explicit beats environment, as everywhere in Settings
+        assert Settings.resolve(fleet=1, env={FLEET_ENV: "9"}).fleet == 1
 
 
 GRID = RunRequest(workloads=("nasa7",), configs=("reference", "ooo"))
@@ -134,15 +117,6 @@ class TestRunHandleInProcess:
             assert handle.status().state == "failed"
             with pytest.raises(RuntimeError, match="injected"):
                 handle.result()  # the cached error re-raises, never recomputes
-
-    def test_per_request_overrides_run_on_a_transient_engine(self):
-        with Session(env={}) as session:
-            handle = session.submit(
-                RunRequest(workloads=("nasa7",), configs=("reference",),
-                           jobs=2))
-            assert handle._engine is not session.engine
-            assert handle._engine.plan.jobs == 2
-            assert handle.result().get("nasa7", "reference") is not None
 
 
 class TestFleetParity:

@@ -9,7 +9,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import areg, sreg, vreg
 from repro.memory.system import MemorySystem
-from repro.refsim.machine import ReferenceSimulator, simulate_reference
+from repro.refsim.machine import simulate_reference
 from repro.refsim.regfile import BankedVectorRegisterFile
 from repro.trace.generator import generate_trace
 from repro.trace.records import Trace
@@ -170,8 +170,3 @@ class TestReferenceSimulator:
         unchained = simulate_reference(
             trace, dataclasses.replace(ReferenceParams(), chain_fu_to_fu=False))
         assert chained.cycles < unchained.cycles
-
-    def test_simulator_object_reusable(self):
-        simulator = ReferenceSimulator()
-        trace = _vector_loop_trace(vl=8)
-        assert simulator.run(trace).cycles == simulator.run(trace).cycles

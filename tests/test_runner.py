@@ -25,24 +25,13 @@ from repro.common.params import (
 from repro.common.stats import SimStats
 from repro.core.config import MachineConfig, ooo_config, reference_config
 from repro.core.results import SimulationResult
-from repro.core.settings import ExecutionPlan
 from repro.core.runner import (
     ExperimentEngine,
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    get_engine,
-    set_engine,
 )
 from repro.core.simulator import run
-
-
-@pytest.fixture(autouse=True)
-def _isolated_default_engine():
-    """Keep the process-wide default engine pristine across these tests."""
-    set_engine(None)
-    yield
-    set_engine(None)
 
 
 def _point(regs=16, scale="tiny", workload="trfd"):
@@ -226,8 +215,8 @@ class TestEngine:
         spec = ExperimentSpec.grid(
             "par", ["trfd", "bdna"],
             [reference_config(), ooo_config(), ooo_config(phys_vregs=32)], "tiny")
-        serial = ExperimentEngine(plan=ExecutionPlan(jobs=1)).run_spec(spec)
-        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        serial = ExperimentEngine(jobs=1).run_spec(spec)
+        engine = ExperimentEngine(ResultStore(tmp_path), jobs=2)
         try:
             parallel = engine.run_spec(spec)
         finally:
@@ -239,7 +228,7 @@ class TestEngine:
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentEngine(plan=ExecutionPlan(jobs=0))
+            ExperimentEngine(jobs=0)
 
     def test_warm_disk_cache_skips_all_simulation(self, tmp_path):
         spec = ExperimentSpec.grid(
@@ -256,19 +245,6 @@ class TestEngine:
         engine = ExperimentEngine()
         engine.result("trfd", ooo_config(), scale="tiny")
         assert "1 simulated" in engine.summary()
-
-
-class TestDefaultEngineIntegration:
-    def test_result_uses_configured_engine(self, tmp_path):
-        engine = ExperimentEngine(ResultStore(tmp_path),
-                                  plan=ExecutionPlan(jobs=1))
-        set_engine(engine)
-        get_engine().result("trfd", ooo_config(), scale="tiny")
-        assert engine.simulated == 1
-        assert _entries(tmp_path)
-        # Same point again: served from the store, no new simulation.
-        get_engine().result("trfd", ooo_config(), scale="tiny")
-        assert engine.simulated == 1
 
 
 class TestCLI:
@@ -320,7 +296,7 @@ class TestCLI:
             raise BrokenProcessPool("workers died")
 
         monkeypatch.setattr(ExperimentEngine, "_execute_parallel", explode)
-        engine = ExperimentEngine(plan=ExecutionPlan(jobs=4))
+        engine = ExperimentEngine(jobs=4)
         spec = ExperimentSpec.grid(
             "fallback", ["trfd"], [ooo_config(), reference_config()], "tiny")
         try:
@@ -381,7 +357,7 @@ class TestEnginePool:
 
     def test_specs_share_one_pool_until_close(self, tmp_path):
         before = set(_live_children())
-        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        engine = ExperimentEngine(ResultStore(tmp_path), jobs=2)
         try:
             engine.run_spec(_grid("first", "trfd"))
             workers = {pid: proc for pid, proc in _live_children().items()
@@ -398,7 +374,7 @@ class TestEnginePool:
     def test_no_pool_until_a_batch_misses(self, tmp_path):
         spec = _grid("warm", "trfd")
         ExperimentEngine(ResultStore(tmp_path)).run_spec(spec)
-        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        engine = ExperimentEngine(ResultStore(tmp_path), jobs=2)
         try:
             engine.run_spec(spec)
             assert engine.simulated == 0
@@ -406,36 +382,25 @@ class TestEnginePool:
         finally:
             engine.close()
 
-    def test_transient_request_engine_releases_its_pool(self, monkeypatch):
+    def test_session_close_releases_its_pool(self):
         from repro.api import RunRequest, Session
 
         before = set(_live_children())
-        used = {}
-        execute_parallel = ExperimentEngine._execute_parallel
-
-        def spy(self, points):
-            results = execute_parallel(self, points)
-            used.update((pid, proc) for pid, proc in _live_children().items()
-                        if pid not in before)
-            return results
-
-        monkeypatch.setattr(ExperimentEngine, "_execute_parallel", spy)
-        with Session(env={}) as session:
-            assert session.engine.jobs == 1
-            # the live handle keeps its transient engine (and any pool the
-            # engine failed to release) from being garbage-collected
-            handle = session.submit(RunRequest(
-                workloads=("nasa7",), configs=("reference", "ooo"), jobs=2))
-            assert len(handle.result().results) == 2
-            assert used, "the request never reached its engine's pool"
-            _assert_exited(used)
-            assert handle._engine._pool is None
+        with Session(jobs=2, env={}) as session:
+            grid = session.run(RunRequest(
+                workloads=("nasa7",), configs=("reference", "ooo")))
+            assert len(grid.results) == 2
+            workers = {pid: proc for pid, proc in _live_children().items()
+                       if pid not in before}
+            assert workers, "the request never reached the session's pool"
+        _assert_exited(workers)
+        assert session.engine._pool is None
 
     def test_killed_worker_falls_back_then_builds_a_fresh_pool(self, tmp_path):
         second = _grid("second", "bdna")
         serial = ExperimentEngine().run_spec(second)
         before = set(_live_children())
-        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=2))
+        engine = ExperimentEngine(ResultStore(tmp_path), jobs=2)
         try:
             engine.run_spec(_grid("first", "trfd"))
             first_pool = engine._pool
@@ -458,23 +423,11 @@ class TestEnginePool:
         _assert_exited(workers)
         _assert_exited(fresh)
 
-    def test_set_engine_releases_the_outgoing_pool(self):
-        before = set(_live_children())
-        engine = ExperimentEngine(plan=ExecutionPlan(jobs=2))
-        set_engine(engine)
-        get_engine().run_spec(_grid("default", "trfd"))
-        workers = {pid: proc for pid, proc in _live_children().items()
-                   if pid not in before}
-        assert workers
-        set_engine(None)
-        _assert_exited(workers)
-        assert engine._pool is None
-
     def test_model_registered_at_import_runs_in_the_pool(self, pool_model):
         config = MachineConfig(pool_model.NAME, pool_model.FlatParams())
         spec = ExperimentSpec.grid("custom", ["trfd", "bdna"], [config], "tiny")
         serial = ExperimentEngine().run_spec(spec)
-        engine = ExperimentEngine(plan=ExecutionPlan(jobs=2))
+        engine = ExperimentEngine(jobs=2)
         try:
             pooled = engine.run_spec(spec)
             # the fallback path drops the pool: a live one ran the points

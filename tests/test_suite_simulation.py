@@ -8,18 +8,21 @@ relationships of the paper at suite level.
 import pytest
 
 from repro.common.params import CommitModel, LoadElimination
-from repro.core import get_engine, ooo_config, reference_config
+from repro.core import ExperimentEngine, ooo_config, reference_config
 from repro.workloads import WORKLOAD_NAMES
 
 SCALE = "tiny"
 
+#: one memory-only engine for the module, so each point simulates once
+ENGINE = ExperimentEngine()
+
 
 def _ref(name):
-    return get_engine().result(name, reference_config(), scale=SCALE)
+    return ENGINE.result(name, reference_config(), scale=SCALE)
 
 
 def _ooo(name, **kwargs):
-    return get_engine().result(name, ooo_config(**kwargs), scale=SCALE)
+    return ENGINE.result(name, ooo_config(**kwargs), scale=SCALE)
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)

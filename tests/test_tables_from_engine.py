@@ -17,7 +17,7 @@ from repro.analysis.exhibits import get_exhibits
 from repro.analysis.export import exhibits_payload, render_json
 from repro.api import Session
 from repro.core.experiments import table2_program_statistics, table3_spill_statistics
-from repro.core.runner import ExperimentEngine, engine_scope
+from repro.core.runner import ExperimentEngine
 from repro.trace.generator import TraceGenerator
 from repro.trace.stats import compute_trace_statistics
 from repro.trace.store import TraceStore
@@ -57,8 +57,9 @@ def test_reference_counts_equal_the_trace_statistics(scale, workload):
 
 def _run_all(cache_dir):
     """Every exhibit at ``tiny`` through a session: (JSON, texts, simulated)."""
-    with Session(cache_dir=cache_dir) as session, engine_scope(session.engine):
-        data = {exhibit.name: exhibit.run(None, "tiny") for exhibit in get_exhibits()}
+    with Session(cache_dir=cache_dir) as session:
+        data = {exhibit.name: exhibit.run(None, "tiny", session.engine)
+                for exhibit in get_exhibits()}
         texts = [exhibit.render(data[exhibit.name]) for exhibit in get_exhibits()]
         simulated = session.engine.simulated
     return render_json(exhibits_payload(data, "tiny", None)), texts, simulated

@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.core.config import ooo_config, reference_config
-from repro.core.settings import ExecutionPlan
 from repro.core.runner import (
     TRACE_SUBDIR,
     ExperimentEngine,
@@ -155,18 +154,21 @@ class TestEngineTraceMemoisation:
         # The acceptance criterion: a cold parallel sweep pre-warms the
         # trace store in the parent, so each (workload, scale) is compiled
         # at most once no matter how many workers or grid points need it.
-        engine = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=jobs))
+        engine = ExperimentEngine(ResultStore(tmp_path), jobs=jobs)
         spec = ExperimentSpec.grid(
             "cold", ["trfd", "bdna"],
             [reference_config(), ooo_config(), ooo_config(phys_vregs=32)], "tiny")
-        results = engine.run_spec(spec)
+        try:
+            results = engine.run_spec(spec)
+        finally:
+            engine.close()  # the jobs=2 pool must not outlive the test
         assert len(results) == 6
         assert engine.simulated == 6
         assert engine.trace_store.generated <= 2  # at most once per workload
         assert engine.trace_store.contains("trfd", "tiny")
         assert engine.trace_store.contains("bdna", "tiny")
         # a second engine (fresh process, in spirit) loads, never compiles
-        warm = ExperimentEngine(ResultStore(tmp_path), plan=ExecutionPlan(jobs=jobs))
+        warm = ExperimentEngine(ResultStore(tmp_path), jobs=jobs)
         warm.run_spec(spec)
         assert warm.trace_store.generated == 0
 
@@ -197,8 +199,8 @@ class TestEngineTraceMemoisation:
         spec = ExperimentSpec.grid(
             "par", ["trfd"], [reference_config(), ooo_config()], "tiny")
         serial = ExperimentEngine(
-            ResultStore(tmp_path / "a"), plan=ExecutionPlan(jobs=1)).run_spec(spec)
-        engine = ExperimentEngine(ResultStore(tmp_path / "b"), plan=ExecutionPlan(jobs=2))
+            ResultStore(tmp_path / "a"), jobs=1).run_spec(spec)
+        engine = ExperimentEngine(ResultStore(tmp_path / "b"), jobs=2)
         try:
             parallel = engine.run_spec(spec)
         finally:
