@@ -97,7 +97,6 @@ class PipelinedResource:
         self.name = name
         self.width = width
         self._slots: dict[int, int] = {}
-        self.operations = 0
 
     def reserve(self, earliest: int) -> int:
         """Claim an issue slot at or after ``earliest`` and return its cycle."""
@@ -105,7 +104,6 @@ class PipelinedResource:
         while self._slots.get(cycle, 0) >= self.width:
             cycle += 1
         self._slots[cycle] = self._slots.get(cycle, 0) + 1
-        self.operations += 1
         return cycle
 
 

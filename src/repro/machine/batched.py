@@ -213,7 +213,6 @@ class LoweredTrace:
         #: a range may start below address 0)
         self.region_start = [dyn.region_start for dyn in dyns]
         self.region_end = [dyn.region_end for dyn in dyns]
-        self.seq = [dyn.seq for dyn in dyns]
         self.max_srcs = max((len(s) for s in srcs), default=0)
 
         # vector lengths clamped to one element + same-kind run segmentation

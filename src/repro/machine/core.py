@@ -6,7 +6,7 @@ execution shape: instructions stream through a front end (*decode*), are
 executed by a per-instruction-class handler (*dispatch*), and retire
 through a back end (*retire*).  A machine is a plain object: its
 components (rename tables, queues, functional units, …) and scalar cycle
-counters are ordinary attributes assigned in ``__init__``, and the
+state are ordinary attributes assigned in ``__init__``, and the
 dispatch shape is *declared*:
 
 * ``DISPATCH`` maps :class:`~repro.isa.opcodes.InstrKind` to the handler
@@ -15,24 +15,19 @@ dispatch shape is *declared*:
 
 The batched-vs-scalar tests (``tests/test_batched_kernel.py``) compare
 every attribute reachable from the machine object, so no state needs a
-hand-written serialisation to be checked.
+hand-written serialisation to be checked.  It follows that a component
+keeps only state that decides timing or that ``finalise`` reads: any
+other counter is one more field every stepper must maintain for nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Iterable, Mapping
 
 from repro.common.errors import ReproError
 from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind, Opcode
 from repro.trace.records import DynInstr, Trace
-
-#: per-class dispatch cache: ``{cls: ({kind: function}, default function)}``.
-#: The functions are the *unbound* class attributes, resolved once per class
-#: (first instantiation) instead of rebuilding a bound-method table per
-#: instance; ``run_slice`` calls them as ``func(self, dyn, ctx)``.
-_DISPATCH_CACHE: Dict[type, Tuple[Dict[InstrKind, Callable[..., Any]],
-                                  Optional[Callable[..., Any]]]] = {}
 
 
 class StagedMachine:
@@ -61,29 +56,6 @@ class StagedMachine:
         self.horizon = 0
         self.stats = SimStats()
 
-    # -- dispatch -------------------------------------------------------------
-
-    @classmethod
-    def dispatch_functions(
-        cls,
-    ) -> Tuple[Dict[InstrKind, Callable[..., Any]], Optional[Callable[..., Any]]]:
-        """The class's resolved dispatch table: ``({kind: func}, default)``.
-
-        Resolved once per class and cached — the functions are the plain
-        class attributes (subclass overrides resolve through the MRO), so
-        callers invoke them as ``func(machine, dyn, ctx)``.
-        """
-        cached = _DISPATCH_CACHE.get(cls)
-        if cached is None:
-            table: Dict[InstrKind, Callable[..., Any]] = {
-                kind: getattr(cls, name) for kind, name in cls.DISPATCH.items()
-            }
-            default: Optional[Callable[..., Any]] = (
-                getattr(cls, cls.DEFAULT_HANDLER) if cls.DEFAULT_HANDLER else None
-            )
-            cached = _DISPATCH_CACHE[cls] = (table, default)
-        return cached
-
     # -- execution ------------------------------------------------------------
 
     def execute(self) -> SimStats:
@@ -96,21 +68,19 @@ class StagedMachine:
 
         State carries over between calls, so a simulation can be split into
         resumable segments: ``run_slice`` each segment in order, then
-        :meth:`finalise` once.
+        :meth:`finalise` once.  The :attr:`DISPATCH` table is resolved to
+        bound handlers once per call.
         """
-        table, default = type(self).dispatch_functions()
-        get = table.get
-        decode = self.decode
-        retire = self.retire
+        handlers = {kind: getattr(self, name) for kind, name in self.DISPATCH.items()}
+        default = getattr(self, self.DEFAULT_HANDLER) if self.DEFAULT_HANDLER else None
         for dyn in instructions:
-            ctx = decode(dyn)
-            func = get(dyn.kind, default)
-            if func is None:
+            ctx = self.decode(dyn)
+            handler = handlers.get(dyn.kind, default)
+            if handler is None:
                 raise ReproError(
                     f"machine {self.KIND!r} has no handler for {dyn.kind}"
                 )
-            result = func(self, dyn, ctx)
-            retire(dyn, ctx, result)
+            self.retire(dyn, ctx, handler(dyn, ctx))
 
     def decode(self, dyn: DynInstr) -> Any:
         """Front-end stage run before dispatch (default: nothing)."""

@@ -13,7 +13,8 @@ Section 2.2 of the paper describes the memory system of both machines:
 
 The class below owns the address bus as a :class:`GapResource` so that the
 out-of-order machine can slip memory requests into idle bus slots, and
-reports the bus-occupancy statistics behind Figures 4 and 6.
+reports the bus's busy cycles behind Figures 4 and 6; the machines count
+the memory traffic themselves, in :class:`~repro.common.stats.MemoryTraffic`.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class MemorySystem:
         self.params = params
         self.latencies = latencies or FunctionalUnitLatencies()
         self.address_bus = GapResource("address-bus")
-        self.vector_load_requests = 0
-        self.vector_store_requests = 0
-        self.scalar_requests = 0
 
     # -- vector accesses ----------------------------------------------------
 
@@ -59,7 +57,6 @@ class MemorySystem:
         start = self.address_bus.reserve(earliest, elements)
         address_done = start + elements
         data_ready = start + self.params.latency + elements
-        self.vector_load_requests += elements
         return MemoryTiming(start, address_done, data_ready)
 
     def vector_store(self, earliest: int, elements: int) -> MemoryTiming:
@@ -67,7 +64,6 @@ class MemorySystem:
         elements = max(elements, 1)
         start = self.address_bus.reserve(earliest, elements)
         address_done = start + elements
-        self.vector_store_requests += elements
         return MemoryTiming(start, address_done, address_done)
 
     # -- scalar accesses ----------------------------------------------------
@@ -75,13 +71,11 @@ class MemorySystem:
     def scalar_load(self, earliest: int) -> MemoryTiming:
         """Issue a scalar load (served by the scalar data cache)."""
         start = self.address_bus.reserve(earliest, 1)
-        self.scalar_requests += 1
         return MemoryTiming(start, start + 1, start + self.latencies.scalar_mem)
 
     def scalar_store(self, earliest: int) -> MemoryTiming:
         """Issue a scalar store."""
         start = self.address_bus.reserve(earliest, 1)
-        self.scalar_requests += 1
         return MemoryTiming(start, start + 1, start + 1)
 
     # -- statistics -----------------------------------------------------------
@@ -90,7 +84,3 @@ class MemorySystem:
     def busy_cycles(self) -> int:
         """Total cycles during which the address bus carried a request."""
         return self.address_bus.busy_cycles()
-
-    @property
-    def total_requests(self) -> int:
-        return self.vector_load_requests + self.vector_store_requests + self.scalar_requests

@@ -6,9 +6,11 @@ component operation inlined against the component's own backing storage —
 the reorder-buffer occupancy heap, the issue-queue departure heaps, the
 per-class rename mapping/free-list dicts, the ``GapResource`` interval
 lists of the vector units and the address bus, the scalar units' issue
-slots and the memory pipeline's exit cursor.  Cold or semantically
-involved paths (branch prediction, memory disambiguation, the load
-elimination tag tables) stay behind their normal method calls.
+slots, the memory pipeline's exit cursor and disambiguation window, and
+the load-elimination tag dicts.  Branch prediction and the scalar
+load-elimination copy stay behind their method calls.  The components
+keep only state that decides timing or that ``finalise`` reads, so the
+stepper maintains nothing else.
 
 Every inlined sequence is a verbatim transliteration of the scalar
 handlers in :mod:`repro.ooo.machine` and the component methods they call,
@@ -116,7 +118,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     r_map = tuple(f.mapping for f in r_files)
     r_free = tuple(f.free for f in r_files)
     r_regs = tuple(f.registers for f in r_files)
-    r_stalls = [f.allocation_stalls for f in r_files]
     r_stall_cycles = [f.allocation_stall_cycles for f in r_files]
     # refcount of live mappings per physical register: ``count > 0`` is
     # exactly ``phys in mapping.values()`` (idents are unique per file), so
@@ -136,9 +137,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     rob_recent = rob._recent_commits
     rob_width = rob.commit_width
     rob_last_commit = rob.last_commit
-    rob_stalls = rob.allocation_stalls
     rob_stall_cycles = rob.allocation_stall_cycles
-    rob_committed = rob.committed
 
     # -- issue queues, indexed by the lowered queue code (A, S, V, M) --------
     qs = machine.queues.queues
@@ -150,8 +149,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     )
     q_deps = tuple(q._departures for q in q_objs)
     q_slots_n = tuple(q.slots for q in q_objs)
-    q_adm = [q.admissions for q in q_objs]
-    q_fstalls = [q.full_stalls for q in q_objs]
     q_fcycles = [q.full_stall_cycles for q in q_objs]
 
     # -- memory pipeline (disambiguation window inlined, flushed at the end) --
@@ -159,9 +156,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     pipe_obj = mempipe.pipe
     pipe_depth = pipe_obj.depth
     pipe_last_exit = pipe_obj.last_exit
-    mp_pending = mempipe._pending
     mp_active = mempipe._active
-    mp_stalls = mempipe.dependence_stalls
 
     # -- functional units, scalar units and the address bus ------------------
     fu1 = machine.fu1
@@ -171,21 +166,13 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     tr1 = fu1.tracker._intervals
     tr2 = fu2.tracker._intervals
     tr_mem = machine.mem_busy._intervals
-    a_unit = machine.a_unit
-    s_unit = machine.s_unit
-    a_slots = a_unit._slots
-    s_slots = s_unit._slots
-    a_width = a_unit.width
-    s_width = s_unit.width
-    a_ops = a_unit.operations
-    s_ops = s_unit.operations
-    memory = machine.memory
-    bus = memory.address_bus
+    a_slots = machine.a_unit._slots
+    s_slots = machine.s_unit._slots
+    a_width = machine.a_unit.width
+    s_width = machine.s_unit.width
+    bus = machine.memory.address_bus
     bs, be = bus._starts, bus._ends
     trb = bus.tracker._intervals
-    mem_vl_req = memory.vector_load_requests
-    mem_vs_req = memory.vector_store_requests
-    mem_sc_req = memory.scalar_requests
 
     predict = machine.predictor.predict_and_update
 
@@ -251,7 +238,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     col_fu2 = lowered.fu2_only
     col_rstart = lowered.region_start
     col_rend = lowered.region_end
-    col_seq = lowered.seq
     dyns = lowered.dyns
     scratch: List[Any] = [None] * (lowered.max_srcs or 1)
 
@@ -259,8 +245,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
         if kc == K_VECTOR_ALU:
             deps = q_deps[2]
             slots_q = q_slots_n[2]
-            adm = q_adm[2]
-            fst = q_fstalls[2]
             fcy = q_fcycles[2]
             for i in range(seg_start, seg_stop):
                 # decode: ROB allocation + queue admission, in program order
@@ -268,25 +252,16 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 if fetch_resume > fetch:
                     fetch = fetch_resume
                 granted = fetch
-                stalled = False
                 while len(rob_occ) >= rob_entries:
                     oldest = heappop(rob_occ)
                     if oldest > granted:
-                        stalled = True
                         rob_stall_cycles += oldest - granted
                         granted = oldest
-                if stalled:
-                    rob_stalls += 1
-                stalled = False
                 while len(deps) >= slots_q:
                     nd = heappop(deps)
                     if nd > granted:
-                        stalled = True
                         fcy += nd - granted
                         granted = nd
-                if stalled:
-                    fst += 1
-                adm += 1
                 rt = granted
 
                 n_vector += 1
@@ -347,7 +322,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     ident = next(iter(fr))
                     avail = fr[ident]
                     if avail > rename_at and not renamed_late:
-                        r_stalls[dc] += 1
                         r_stall_cycles[dc] += avail - rename_at
                     del fr[ident]
                     ph_d = r_regs[dc][ident]
@@ -366,11 +340,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     rel_prev = prev
                     tt = tag_tables[dc]
                     if tt is not None:
-                        tags = tt._tags
-                        pid = ph_d.ident
-                        if pid in tags:
-                            del tags[pid]
-                            tt.invalidations += 1
+                        tt._tags.pop(ph_d.ident, None)
 
                 for k in range(ns):
                     ph = scratch[k]
@@ -470,7 +440,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         commit = bw
                 rob_recent.append(commit)
                 rob_last_commit = commit
-                rob_committed += 1
                 heappush(rob_occ, commit)
                 if rel_prev is not None:
                     ident = rel_prev.ident
@@ -489,8 +458,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     nxt = r_start + 1
                     if nxt > gate_ready:
                         gate_ready = nxt
-            q_adm[2] = adm
-            q_fstalls[2] = fst
             q_fcycles[2] = fcy
 
         elif (
@@ -503,33 +470,22 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             is_store = kc == K_VECTOR_STORE or kc == K_SCALAR_STORE
             deps = q_deps[3]
             slots_q = q_slots_n[3]
-            adm = q_adm[3]
-            fst = q_fstalls[3]
             fcy = q_fcycles[3]
             for i in range(seg_start, seg_stop):
                 fetch = last_rename + 1
                 if fetch_resume > fetch:
                     fetch = fetch_resume
                 granted = fetch
-                stalled = False
                 while len(rob_occ) >= rob_entries:
                     oldest = heappop(rob_occ)
                     if oldest > granted:
-                        stalled = True
                         rob_stall_cycles += oldest - granted
                         granted = oldest
-                if stalled:
-                    rob_stalls += 1
-                stalled = False
                 while len(deps) >= slots_q:
                     nd = heappop(deps)
                     if nd > granted:
-                        stalled = True
                         fcy += nd - granted
                         granted = nd
-                if stalled:
-                    fst += 1
-                adm += 1
                 rt = granted
 
                 if is_vec:
@@ -595,7 +551,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                             if p_.region_start < re_ and rs < p_.region_end:
                                 if is_store or p_.is_store:
                                     dep_ready = ad
-                                    mp_stalls += 1
                         mp_active = new_active
 
                 if is_store:
@@ -643,7 +598,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                 trb.append(iv_new(Interval, (trb_s, trb_e)))
                             trb_s = s
                             trb_e = e_addr
-                        mem_vs_req += vl_
                         if tr_mem_e >= s >= tr_mem_s:
                             if e_addr > tr_mem_e:
                                 tr_mem_e = e_addr
@@ -676,21 +630,11 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                 trb.append(iv_new(Interval, (trb_s, trb_e)))
                             trb_s = s
                             trb_e = e_addr
-                        mem_sc_req += 1
                         tf_sstore += 1
                         if col_spill[i]:
                             tf_sstore_sp += 1
                     if rs is not None:
-                        entry_ = _PendingAccess(col_seq[i], rs, re_, is_store, e_addr)
-                        mp_pending.append(entry_)
-                        mp_active.append(entry_)
-                        if len(mp_pending) >= 256:
-                            mp_pending = [
-                                p_
-                                for p_ in mp_pending
-                                if p_.address_done > pipe_last_exit
-                            ]
-                            mempipe._pending = mp_pending
+                        mp_active.append(_PendingAccess(rs, re_, is_store, e_addr))
                     ttv = tag_tables[scls[0]]
                     if ttv is not None:
                         tag = col_tag[i]
@@ -714,7 +658,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                 ]
                                 for pid_ in victims:
                                     del tags_d[pid_]
-                                cand.invalidations += len(victims)
                             ttv._tags[v_pid] = tag
                     r_start = s
                     completion = e_addr
@@ -739,7 +682,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                             # find_exact: first value-equal tag wins
                             for pid_, tg_ in table._tags.items():
                                 if tg_ == tag:
-                                    table.matches += 1
                                     matched_id = pid_
                                     break
                     if matched_id is not None and is_vec:
@@ -778,7 +720,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         ident = next(iter(fr))
                         avail = fr[ident]
                         if avail > rename_at and not renamed_late:
-                            r_stalls[dc] += 1
                             r_stall_cycles[dc] += avail - rename_at
                         del fr[ident]
                         ph_d = r_regs[dc][ident]
@@ -836,7 +777,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                     trb_s = s
                                     trb_e = e_addr
                                 data_ready = s + mem_latency + vl_
-                                mem_vl_req += vl_
                                 ph_d.first_result = s + mem_latency
                                 ph_d.ready = data_ready
                                 ph_d.from_load = True
@@ -873,7 +813,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                     trb_s = s
                                     trb_e = e_addr
                                 data_ready = s + scalar_mem_lat
-                                mem_sc_req += 1
                                 ph_d.first_result = data_ready
                                 ph_d.ready = data_ready
                                 ph_d.from_load = True
@@ -881,18 +820,9 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                 if col_spill[i]:
                                     tf_sload_sp += 1
                             if rs is not None:
-                                entry_ = _PendingAccess(
-                                    col_seq[i], rs, re_, is_store, e_addr
+                                mp_active.append(
+                                    _PendingAccess(rs, re_, is_store, e_addr)
                                 )
-                                mp_pending.append(entry_)
-                                mp_active.append(entry_)
-                                if len(mp_pending) >= 256:
-                                    mp_pending = [
-                                        p_
-                                        for p_ in mp_pending
-                                        if p_.address_done > pipe_last_exit
-                                    ]
-                                    mempipe._pending = mp_pending
                             if table is not None:
                                 tag = col_tag[i]
                                 if tag is None:
@@ -914,7 +844,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         commit = bw
                 rob_recent.append(commit)
                 rob_last_commit = commit
-                rob_committed += 1
                 heappush(rob_occ, commit)
                 if rel_prev is not None:
                     ident = rel_prev.ident
@@ -933,40 +862,27 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     nxt = r_start + 1
                     if nxt > gate_ready:
                         gate_ready = nxt
-            q_adm[3] = adm
-            q_fstalls[3] = fst
             q_fcycles[3] = fcy
 
         elif kc == K_BRANCH:
             deps = q_deps[0]
             slots_q = q_slots_n[0]
-            adm = q_adm[0]
-            fst = q_fstalls[0]
             fcy = q_fcycles[0]
             for i in range(seg_start, seg_stop):
                 fetch = last_rename + 1
                 if fetch_resume > fetch:
                     fetch = fetch_resume
                 granted = fetch
-                stalled = False
                 while len(rob_occ) >= rob_entries:
                     oldest = heappop(rob_occ)
                     if oldest > granted:
-                        stalled = True
                         rob_stall_cycles += oldest - granted
                         granted = oldest
-                if stalled:
-                    rob_stalls += 1
-                stalled = False
                 while len(deps) >= slots_q:
                     nd = heappop(deps)
                     if nd > granted:
-                        stalled = True
                         fcy += nd - granted
                         granted = nd
-                if stalled:
-                    fst += 1
-                adm += 1
                 rt = granted
 
                 n_branch += 1
@@ -998,7 +914,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 while a_slots.get(cyc, 0) >= a_width:
                     cyc += 1
                 a_slots[cyc] = a_slots.get(cyc, 0) + 1
-                a_ops += 1
                 issue = cyc
                 resolve = issue + lat_scalar_alu
 
@@ -1025,7 +940,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         commit = bw
                 rob_recent.append(commit)
                 rob_last_commit = commit
-                rob_committed += 1
                 heappush(rob_occ, commit)
                 last_rename = rt
                 if completion > horizon:
@@ -1038,8 +952,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     nxt = r_start + 1
                     if nxt > gate_ready:
                         gate_ready = nxt
-            q_adm[0] = adm
-            q_fstalls[0] = fst
             q_fcycles[0] = fcy
 
         else:  # scalar ALU and vector control (the default handler)
@@ -1048,27 +960,18 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 if fetch_resume > fetch:
                     fetch = fetch_resume
                 granted = fetch
-                stalled = False
                 while len(rob_occ) >= rob_entries:
                     oldest = heappop(rob_occ)
                     if oldest > granted:
-                        stalled = True
                         rob_stall_cycles += oldest - granted
                         granted = oldest
-                if stalled:
-                    rob_stalls += 1
                 qc = col_queue[i]
                 deps = q_deps[qc]
-                stalled = False
                 while len(deps) >= q_slots_n[qc]:
                     nd = heappop(deps)
                     if nd > granted:
-                        stalled = True
                         q_fcycles[qc] += nd - granted
                         granted = nd
-                if stalled:
-                    q_fstalls[qc] += 1
-                q_adm[qc] += 1
                 rt = granted
 
                 n_scalar += 1
@@ -1113,7 +1016,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     ident = next(iter(fr))
                     avail = fr[ident]
                     if avail > rt:
-                        r_stalls[dc] += 1
                         r_stall_cycles[dc] += avail - rt
                     del fr[ident]
                     ph_d = r_regs[dc][ident]
@@ -1129,11 +1031,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     rel_prev = prev
                     tt = tag_tables[dc]
                     if tt is not None:
-                        tags = tt._tags
-                        pid = ph_d.ident
-                        if pid in tags:
-                            del tags[pid]
-                            tt.invalidations += 1
+                        tt._tags.pop(ph_d.ident, None)
 
                 ready = rename_done + 1
                 for k in range(ns):
@@ -1147,12 +1045,10 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     while a_slots.get(cyc, 0) >= a_width:
                         cyc += 1
                     a_slots[cyc] = a_slots.get(cyc, 0) + 1
-                    a_ops += 1
                 else:
                     while s_slots.get(cyc, 0) >= s_width:
                         cyc += 1
                     s_slots[cyc] = s_slots.get(cyc, 0) + 1
-                    s_ops += 1
                 issue = cyc
                 completion = issue + scalar_lat[col_lat[i]]
                 if dest_ph is not None:
@@ -1173,7 +1069,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         commit = bw
                 rob_recent.append(commit)
                 rob_last_commit = commit
-                rob_committed += 1
                 heappush(rob_occ, commit)
                 if rel_prev is not None:
                     ident = rel_prev.ident
@@ -1208,25 +1103,13 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     if inorder:
         machine.issue_ready = gate_ready
     rob.last_commit = rob_last_commit
-    rob.allocation_stalls = rob_stalls
     rob.allocation_stall_cycles = rob_stall_cycles
-    rob.committed = rob_committed
     for idx, q in enumerate(q_objs):
-        q.admissions = q_adm[idx]
-        q.full_stalls = q_fstalls[idx]
         q.full_stall_cycles = q_fcycles[idx]
     for idx, f in enumerate(r_files):
-        f.allocation_stalls = r_stalls[idx]
         f.allocation_stall_cycles = r_stall_cycles[idx]
     pipe_obj.last_exit = pipe_last_exit
-    mempipe._pending = mp_pending
     mempipe._active = mp_active
-    mempipe.dependence_stalls = mp_stalls
-    a_unit.operations = a_ops
-    s_unit.operations = s_ops
-    memory.vector_load_requests = mem_vl_req
-    memory.vector_store_requests = mem_vs_req
-    memory.scalar_requests = mem_sc_req
     st.scalar_instructions = n_scalar
     st.vector_instructions = n_vector
     st.vector_operations = n_vops

@@ -31,18 +31,16 @@ class BranchPredictor:
         self.btb_entries = btb_entries
         self.ras_depth = ras_depth
         self._btb: dict[int, _BTBEntry] = {}
-        #: shadow return stack: sequence numbers of the calls whose return
-        #: addresses would be on the hardware stack
-        self._ras: list[int] = []
-        self.predictions = 0
-        self.mispredictions = 0
+        #: return addresses on the hardware stack: a trace holds only the
+        #: path taken, so a return is predicted correctly whenever the
+        #: stack is not empty, and only its depth is kept
+        self._ras_count = 0
 
     def predict_and_update(self, branch: DynInstr) -> bool:
         """Return True when the branch is predicted correctly, updating state."""
-        self.predictions += 1
         if branch.is_call:
             correct = self._lookup_target(branch)
-            self._push_call(branch.seq)
+            self._push_call()
             self._update_counter(branch, taken=True)
         elif branch.is_return:
             correct = self._pop_return()
@@ -51,8 +49,6 @@ class BranchPredictor:
             self._update_counter(branch, taken=True)
         else:
             correct = self._predict_conditional(branch)
-        if not correct:
-            self.mispredictions += 1
         return correct
 
     # -- conditional branches -------------------------------------------------
@@ -92,19 +88,12 @@ class BranchPredictor:
 
     # -- call / return stack ------------------------------------------------------
 
-    def _push_call(self, seq: int) -> None:
-        self._ras.append(seq)
-        if len(self._ras) > self.ras_depth:
-            self._ras.pop(0)
+    def _push_call(self) -> None:
+        # a full stack drops its oldest entry, so the depth saturates
+        self._ras_count = min(self._ras_count + 1, self.ras_depth)
 
     def _pop_return(self) -> bool:
-        if not self._ras:
+        if not self._ras_count:
             return False
-        self._ras.pop()
+        self._ras_count -= 1
         return True
-
-    @property
-    def misprediction_rate(self) -> float:
-        if self.predictions == 0:
-            return 0.0
-        return self.mispredictions / self.predictions

@@ -69,8 +69,6 @@ class TagTable:
     def __init__(self, name: str) -> None:
         self.name = name
         self._tags: dict[int, MemoryTag] = {}
-        self.matches = 0
-        self.invalidations = 0
 
     def set_tag(self, phys_id: int, tag: MemoryTag | None) -> None:
         """Attach ``tag`` to a physical register (or clear it with ``None``)."""
@@ -81,16 +79,14 @@ class TagTable:
 
     def invalidate(self, phys_id: int) -> None:
         """Clear the tag of a physical register (it was overwritten)."""
-        if phys_id in self._tags:
-            del self._tags[phys_id]
-            self.invalidations += 1
+        self._tags.pop(phys_id, None)
 
     def invalidate_overlapping(self, region_start: int, region_end: int,
-                               keep: int | None = None) -> int:
+                               keep: int | None = None) -> None:
         """Invalidate every tag overlapping ``[region_start, region_end)``.
 
         ``keep`` identifies the register whose tag is being (re)created by the
-        store itself and must survive.  Returns the number of invalidations.
+        store itself and must survive.
         """
         victims = [
             phys_id
@@ -99,14 +95,11 @@ class TagTable:
         ]
         for phys_id in victims:
             del self._tags[phys_id]
-        self.invalidations += len(victims)
-        return len(victims)
 
     def find_exact(self, tag: MemoryTag) -> int | None:
         """Return the physical register whose tag matches ``tag`` exactly."""
         for phys_id, existing in self._tags.items():
             if existing.matches(tag):
-                self.matches += 1
                 return phys_id
         return None
 

@@ -21,14 +21,13 @@ from repro.trace.records import DynInstr
 
 
 class _PendingAccess(NamedTuple):
-    """A memory instruction that has issued (or will issue) its addresses.
+    """An older memory access a younger one may have to wait for.
 
     A ``NamedTuple``: the disambiguation window is scanned per memory
     instruction, so the field reads are hot (C tuple getters), and the rows
     are never mutated once recorded.
     """
 
-    seq: int
     region_start: int
     region_end: int
     is_store: bool
@@ -41,14 +40,13 @@ class MemoryPipeline:
 
     def __init__(self, depth: int = 3) -> None:
         self.pipe = InOrderPipe(depth=depth)
-        self._pending: list[_PendingAccess] = []
-        #: subset of ``_pending`` that may still delay a future instruction.
+        #: the disambiguation window: older accesses that may still delay a
+        #: future instruction, in program order.
         #: ``dependence_ready`` is always called with a monotonically
         #: increasing ``earliest`` (the in-order pipe exit), so a row whose
         #: ``address_done`` falls at or before one call's ``earliest`` can
         #: never constrain a later call and is dropped from the scan.
         self._active: list[_PendingAccess] = []
-        self.dependence_stalls = 0
 
     # -- in-order address pipeline ---------------------------------------------
 
@@ -87,7 +85,6 @@ class MemoryPipeline:
             if pending.region_start < end and start < pending.region_end:
                 if is_store or pending.is_store:
                     ready = done
-                    self.dependence_stalls += 1
         self._active = live
         return ready
 
@@ -95,26 +92,9 @@ class MemoryPipeline:
         """Record an access so that younger instructions can be checked against it."""
         if instr.region_start is None:
             return
-        entry = _PendingAccess(
-            seq=instr.seq,
+        self._active.append(_PendingAccess(
             region_start=instr.region_start,
             region_end=instr.region_end,
             is_store=instr.is_store,
             address_done=address_done,
-        )
-        self._pending.append(entry)
-        self._active.append(entry)
-        self._prune()
-
-    def _prune(self) -> None:
-        """Drop accesses that can no longer constrain anything new.
-
-        Every younger memory instruction leaves the in-order address pipeline
-        strictly after ``pipe.last_exit``, so accesses whose addresses were
-        fully sent by then can never delay it.  This keeps the pending list
-        short regardless of trace length.
-        """
-        if len(self._pending) < 256:
-            return
-        horizon = self.pipe.last_exit
-        self._pending = [entry for entry in self._pending if entry.address_done > horizon]
+        ))

@@ -64,9 +64,6 @@ class IssueQueue:
         self.slots = slots
         #: departure (issue) times of the instructions currently in the queue
         self._departures: list[int] = []
-        self.admissions = 0
-        #: number of admissions that found the queue full (stall events)
-        self.full_stalls = 0
         #: total cycles admissions spent waiting on a full queue
         self.full_stall_cycles = 0
 
@@ -75,28 +72,19 @@ class IssueQueue:
 
         Stall time is charged in cycles actually waited
         (``blocked_until - granted``), matching the ``queue_stall_cycles``
-        statistic, with the event count kept separately.
+        statistic.
         """
         granted = earliest
-        stalled = False
         while len(self._departures) >= self.slots:
             next_departure = heappop(self._departures)
             if next_departure > granted:
-                stalled = True
                 self.full_stall_cycles += next_departure - granted
                 granted = next_departure
-        if stalled:
-            self.full_stalls += 1
-        self.admissions += 1
         return granted
 
     def register_departure(self, time: int) -> None:
         """Record when the admitted instruction leaves the queue (issues)."""
         heappush(self._departures, time)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._departures)
 
 
 class QueueSet:
@@ -107,10 +95,6 @@ class QueueSet:
 
     def queue_for(self, instr: DynInstr) -> IssueQueue:
         return self.queues[route_queue(instr)]
-
-    @property
-    def total_full_stalls(self) -> int:
-        return sum(queue.full_stalls for queue in self.queues.values())
 
     @property
     def total_full_stall_cycles(self) -> int:

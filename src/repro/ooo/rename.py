@@ -60,8 +60,6 @@ class RegisterFileRenamer:
         self.mapping: dict[int, PhysReg] = {}
         #: physical id -> cycle at which it becomes allocatable
         self.free: dict[int, int] = {reg.ident: 0 for reg in self.registers}
-        #: number of renames that had to wait for a free register (events)
-        self.allocation_stalls = 0
         #: total cycles renames spent waiting on an empty free list
         self.allocation_stall_cycles = 0
 
@@ -124,7 +122,6 @@ class RegisterFileRenamer:
         if at_decode and available_at > earliest:
             # Charge the cycles actually spent waiting for the register,
             # not one unit per stall event (the stats report stall cycles).
-            self.allocation_stalls += 1
             self.allocation_stall_cycles += available_at - earliest
         del self.free[ident]
         phys = self.registers[ident]

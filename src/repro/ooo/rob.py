@@ -37,11 +37,8 @@ class ReorderBuffer:
         #: commit times of the most recent ``commit_width`` commits
         self._recent_commits: deque[int] = deque(maxlen=commit_width)
         self.last_commit = 0
-        #: number of allocations that found the buffer full (stall events)
-        self.allocation_stalls = 0
         #: total cycles allocations spent waiting on a full buffer
         self.allocation_stall_cycles = 0
-        self.committed = 0
 
     def allocate(self, earliest: int) -> int:
         """Allocate an entry at or after ``earliest``; stalls while full.
@@ -51,15 +48,11 @@ class ReorderBuffer:
         statistics report these counters as stall *cycles*.
         """
         granted = earliest
-        stalled = False
         while len(self._occupancy) >= self.entries:
             oldest_commit = heappop(self._occupancy)
             if oldest_commit > granted:
-                stalled = True
                 self.allocation_stall_cycles += oldest_commit - granted
                 granted = oldest_commit
-        if stalled:
-            self.allocation_stalls += 1
         return granted
 
     def commit(self, ready_to_commit: int) -> int:
@@ -75,10 +68,5 @@ class ReorderBuffer:
             commit_time = max(commit_time, self._recent_commits[0] + 1)
         self._recent_commits.append(commit_time)
         self.last_commit = commit_time
-        self.committed += 1
         heappush(self._occupancy, commit_time)
         return commit_time
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._occupancy)

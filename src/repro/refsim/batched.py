@@ -74,8 +74,7 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     fu1 = machine.fu1
     fu2 = machine.fu2
     mem_unit = machine.mem_unit
-    memory = machine.memory
-    bus = memory.address_bus
+    bus = machine.memory.address_bus
     bus_starts = bus._starts
     bus_ends = bus._ends
     bus_tr = bus.tracker._intervals
@@ -105,8 +104,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
         for _port in _bank:
             if _port[2]:
                 _port[3], _port[4] = _port[2].pop()
-    rf_read_delay = regfile.read_conflict_delay
-    rf_write_delay = regfile.write_conflict_delay
 
     stats = machine.stats
     traffic = stats.traffic
@@ -146,9 +143,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     t_sl_sp = traffic.scalar_load_spill_ops
     t_ss = traffic.scalar_store_ops
     t_ss_sp = traffic.scalar_store_spill_ops
-    m_vl = memory.vector_load_requests
-    m_vs = memory.vector_store_requests
-    m_s = memory.scalar_requests
 
     col_srcs = lowered.srcs
     col_src_cls = lowered.src_cls
@@ -315,7 +309,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                                 best[2].append(iv_new(Interval, (best[3], best[4])))
                             best[3] = bs
                             best[4] = be
-                        rf_read_delay += bs - start
                 if dc == 2:
                     wstart = start + eff
                     if converged:
@@ -358,7 +351,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                             best[2].append(iv_new(Interval, (best[3], best[4])))
                         best[3] = bs
                         best[4] = be
-                    rf_write_delay += bs - wstart
 
                 busy_until = start + vl + vector_startup
                 unit.free_at = busy_until
@@ -473,7 +465,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                         bus_tr_e = s + vl
                     address_done = s + vl
                     data_ready = s + mem_latency + vl
-                    m_vl += vl
 
                     wstart = s + mem_latency
                     best = None
@@ -505,7 +496,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                             best[2].append(iv_new(Interval, (best[3], best[4])))
                         best[3] = bs
                         best[4] = bs + vl
-                    rf_write_delay += bs - wstart
 
                     dst = reg_state[col_dest_id[i]]
                     dst.from_load = True
@@ -570,7 +560,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                         bus_tr_e = s + vl
                     address_done = s + vl
                     data_ready = address_done
-                    m_vs += vl
                     if vcls == 2:
                         best = None
                         bs = -1
@@ -601,7 +590,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                                 best[2].append(iv_new(Interval, (best[3], best[4])))
                             best[3] = bs
                             best[4] = bs + vl
-                        rf_read_delay += bs - s
                         if address_done > vst.read_until:
                             vst.read_until = address_done
                     t_vs += vl
@@ -679,7 +667,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                         bus_tr.append(iv_new(Interval, (bus_tr_s, bus_tr_e)))
                     bus_tr_s = s
                     bus_tr_e = s + 1
-                m_s += 1
                 if load:
                     data_ready = s + scalar_mem
                     d = col_dest[i]
@@ -757,8 +744,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                 _port[2].append(iv_new(Interval, (_port[3], _port[4])))
     machine.issue_ready = issue_ready
     machine.horizon = horizon
-    regfile.read_conflict_delay = rf_read_delay
-    regfile.write_conflict_delay = rf_write_delay
     stats.scalar_instructions = s_scalar
     stats.vector_instructions = s_vector
     stats.branch_instructions = s_branch
@@ -771,9 +756,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     traffic.scalar_load_spill_ops = t_sl_sp
     traffic.scalar_store_ops = t_ss
     traffic.scalar_store_spill_ops = t_ss_sp
-    memory.vector_load_requests = m_vl
-    memory.vector_store_requests = m_vs
-    memory.scalar_requests = m_s
 
 
 register_stepper(_ReferenceRun, _step_reference)

@@ -36,8 +36,6 @@ class BankedVectorRegisterFile:
             [GapResource(f"bank{b}-w{p}") for p in range(write_ports)]
             for b in range(self.num_banks)
         ]
-        self.read_conflict_delay = 0
-        self.write_conflict_delay = 0
 
     def bank_of(self, register: Register) -> int:
         if register.cls is not RegClass.V:
@@ -62,14 +60,10 @@ class BankedVectorRegisterFile:
         """Reserve a read port; returns the granted start time (>= start)."""
         ports = self._read_ports[self.bank_of(register)]
         best = min(ports, key=lambda port: port.next_free(start, duration))
-        granted = best.reserve(start, duration)
-        self.read_conflict_delay += granted - start
-        return granted
+        return best.reserve(start, duration)
 
     def reserve_write(self, register: Register, start: int, duration: int) -> int:
         """Reserve the write port; returns the granted start time (>= start)."""
         ports = self._write_ports[self.bank_of(register)]
         best = min(ports, key=lambda port: port.next_free(start, duration))
-        granted = best.reserve(start, duration)
-        self.write_conflict_delay += granted - start
-        return granted
+        return best.reserve(start, duration)

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from machine_state import mutable_parts, state
 
 from repro.common.params import CommitModel, LoadElimination
+from repro.common.stats import VECTOR_UNIT_ORDER
 from repro.core.config import (
     DEFAULT_LATENCY,
     LATENCY_SWEEP,
@@ -69,14 +70,41 @@ def _finalised(machine):
     return machine.finalise().to_dict()
 
 
+def _assert_invariants(stats):
+    """Bounds every finalised result keeps, on any machine and stream."""
+    cycles = stats.cycles
+    assert all(busy <= cycles for busy in stats.unit_busy.values())
+    assert sum(stats.unit_states.values()) == cycles
+    for position, unit in enumerate(VECTOR_UNIT_ORDER):
+        assert stats.unit_busy[unit] == sum(
+            count for busy, count in stats.unit_states.items() if busy[position]
+        ), unit
+    traffic = stats.traffic
+    assert traffic.total_ops <= stats.address_port_busy_cycles <= cycles
+    # decode waits for the ROB, then the queue, then the free list
+    stalls = stats.rob_stall_cycles + stats.queue_stall_cycles + stats.rename_stall_cycles
+    assert stalls <= cycles
+    assert (stats.branch_mispredictions <= stats.branches_predicted
+            <= stats.branch_instructions)
+    assert traffic.vector_load_spill_ops <= (
+        traffic.vector_load_ops + traffic.eliminated_vector_load_ops)
+    assert traffic.scalar_load_spill_ops <= (
+        traffic.scalar_load_ops + traffic.eliminated_scalar_load_ops)
+    assert traffic.vector_store_spill_ops <= traffic.vector_store_ops
+    assert traffic.scalar_store_spill_ops <= traffic.scalar_store_ops
+
+
 def _assert_kernels_agree(config, trace, instructions):
-    """Scalar ``run_slice`` and the batched stepper reach equal stats and state."""
+    """Scalar ``run_slice`` and the batched stepper reach equal stats and
+    state, and the stats keep the per-result invariants."""
     scalar = create_run(config.params, trace)
     scalar.run_slice(instructions)
     batched = create_run(config.params, trace)
     run_slice_batched(batched, instructions)
-    assert _finalised(batched) == _finalised(scalar)
+    stats = batched.finalise()
+    assert stats.to_dict() == _finalised(scalar)
     assert state(batched) == state(scalar)
+    _assert_invariants(stats)
 
 
 # -- the configurations of the exhibits ----------------------------------
@@ -358,6 +386,59 @@ class TestEveryRegisteredMachine:
         assert _finalised(mixed) == _finalised(scalar), name
 
 
+#: every ``SimStats`` field summed over the ten programs under the six
+#: standard configurations (``unit_states`` counts as its total)
+STANDARD_TOTALS = {
+    "address_port_busy_cycles": 350_344,
+    "branch_instructions": 756,
+    "branch_mispredictions": 280,
+    "branches_predicted": 630,
+    "cycles": 524_621,
+    "loads_eliminated": 166,
+    "queue_stall_cycles": 52_706,
+    "rename_stall_cycles": 267_452,
+    "rob_stall_cycles": 26_181,
+    "scalar_instructions": 23_256,
+    "scalar_loads_eliminated": 1_132,
+    "stores_executed_at_head": 2_340,
+    "traffic.eliminated_scalar_load_ops": 1_132,
+    "traffic.eliminated_vector_load_ops": 6_316,
+    "traffic.scalar_load_ops": 3_602,
+    "traffic.scalar_load_spill_ops": 1_578,
+    "traffic.scalar_store_ops": 3_114,
+    "traffic.scalar_store_spill_ops": 1_728,
+    "traffic.vector_load_ops": 246_488,
+    "traffic.vector_load_spill_ops": 16_476,
+    "traffic.vector_store_ops": 97_140,
+    "traffic.vector_store_spill_ops": 16_476,
+    "unit_busy.FU1": 185_157,
+    "unit_busy.FU2": 253_503,
+    "unit_busy.MEM": 343_628,
+    "unit_states": 524_621,
+    "vector_instructions": 11_130,
+    "vector_operations": 765_300,
+}
+
+
+def test_every_stats_field_keeps_its_total():
+    # kernel agreement cannot see a change made alike in both kernels, and
+    # the exhibits read only some fields: this pins every field the stepper
+    # reports, branch_mispredictions and stores_executed_at_head included
+    totals = collections.Counter()
+    for config in standard_configs().values():
+        for trace in ALL_TRACES.values():
+            machine = create_run(config.params, trace)
+            run_slice_batched(machine, trace)
+            for field, value in _finalised(machine).items():
+                if field == "unit_states":
+                    totals[field] += sum(count for _, count in value)
+                elif isinstance(value, dict):
+                    totals.update({f"{field}.{key}": count for key, count in value.items()})
+                else:
+                    totals[field] += value
+    assert dict(totals) == STANDARD_TOTALS
+
+
 class TestArbitrarySlices:
     """Hypothesis: any slice of a trace or generated stream, identical results."""
 
@@ -449,15 +530,18 @@ class TestUnregisteredMachineFallback:
     def test_custom_machine_example_runs_both_kernels(self):
         # the shipped example must keep working on the batched stepper —
         # its machine takes the fallback, the built-ins the fast path
+        import os
         import subprocess
         import sys
         from pathlib import Path
 
         repo = Path(__file__).resolve().parent.parent
-        env_src = str(repo / "src")
+        env = {"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"}
+        # a run that must leave no bytecode in the checkout passes that on
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         proc = subprocess.run(
             [sys.executable, str(repo / "examples" / "custom_machine.py")],
-            capture_output=True, text=True, timeout=600,
-            env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, timeout=600, env=env,
         )
         assert proc.returncode == 0, proc.stderr

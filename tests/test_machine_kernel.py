@@ -89,9 +89,9 @@ class TestDispatchTable:
         run = _fresh_run(name)
         if not isinstance(run, StagedMachine):
             pytest.skip("model is not built on the staged kernel")
-        handlers, default = type(run).dispatch_functions()
         for dyn in TRACE.instructions:
-            assert handlers.get(dyn.kind, default) is not None
+            handler = run.DISPATCH.get(dyn.kind, run.DEFAULT_HANDLER)
+            assert callable(getattr(run, handler, None)), dyn.kind
 
 
 class TestMachineConfigResolution:

@@ -66,7 +66,7 @@ class TestMemorySystem:
         mem.vector_load(0, 8)
         mem.vector_store(0, 4)
         mem.scalar_store(0)
-        assert mem.total_requests == 13
+        assert mem.busy_cycles == 13
 
 
 class TestBankedRegisterFile:

@@ -42,7 +42,6 @@ class TestRenamer:
         renamer.release(first.previous, at_cycle=500)
         second = renamer.rename_destination(vreg(1), earliest=0)
         assert second.available_at == 500
-        assert renamer.allocation_stalls == 1
         # The stall is charged in cycles actually waited, not per event.
         assert renamer.allocation_stall_cycles == 500
 
@@ -93,7 +92,6 @@ class TestReorderBuffer:
             rob.commit(100)
         granted = rob.allocate(0)
         assert granted >= 100
-        assert rob.allocation_stalls >= 1
         # Cycles waited: the entry was requested at 0 and granted at 100.
         assert rob.allocation_stall_cycles == granted - 0
 
@@ -111,7 +109,6 @@ class TestQueues:
         queue.register_departure(60)
         # Third admission must wait for the earliest departure.
         assert queue.admit(0) == 50
-        assert queue.full_stalls == 1
         # Cycles waited: requested at 0, granted at the departure time 50.
         assert queue.full_stall_cycles == 50
 
@@ -131,7 +128,7 @@ class TestQueues:
         queues = QueueSet(16)
         instr = DynInstr(seq=0, opcode=Opcode.VADD, pc=0, dest=vreg(0), srcs=(vreg(1),))
         assert queues.queue_for(instr).kind is QueueKind.V
-        assert queues.total_full_stalls == 0
+        assert queues.total_full_stall_cycles == 0
 
 
 class TestBranchPredictor:
@@ -161,11 +158,14 @@ class TestBranchPredictor:
         ret = DynInstr(seq=0, opcode=Opcode.RET, pc=9, taken=True, is_return=True)
         assert not predictor.predict_and_update(ret)
 
-    def test_misprediction_rate(self):
-        predictor = BranchPredictor()
-        assert predictor.misprediction_rate == 0.0
-        predictor.predict_and_update(self._branch(1, True))
-        assert 0.0 <= predictor.misprediction_rate <= 1.0
+    def test_return_stack_overflow_drops_the_oldest_call(self):
+        predictor = BranchPredictor(ras_depth=8)
+        for seq in range(10):
+            predictor.predict_and_update(
+                DynInstr(seq=seq, opcode=Opcode.CALL, pc=3, taken=True, is_call=True))
+        ret = DynInstr(seq=10, opcode=Opcode.RET, pc=9, taken=True, is_return=True)
+        outcomes = [predictor.predict_and_update(ret) for _ in range(9)]
+        assert outcomes == [True] * 8 + [False]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
@@ -173,7 +173,8 @@ class TestBranchPredictor:
         predictor = BranchPredictor()
         for seq, (pc, taken) in enumerate(stream):
             predictor.predict_and_update(self._branch(pc, taken, seq))
-        assert predictor.predictions == len(stream)
+        assert len(predictor._btb) <= predictor.btb_entries
+        assert all(0 <= entry.counter <= 3 for entry in predictor._btb.values())
 
 
 class TestMemoryPipeline:
@@ -232,8 +233,8 @@ class TestLoadElimination:
         table = TagTable("V")
         table.set_tag(1, tag_for(self._load(0x1000)))
         table.set_tag(2, tag_for(self._load(0x2000)))
-        count = table.invalidate_overlapping(0x1000, 0x1040)
-        assert count == 1
+        table.invalidate_overlapping(0x1000, 0x1040)
+        assert len(table) == 1
         assert table.find_exact(tag_for(self._load(0x1000))) is None
         assert table.find_exact(tag_for(self._load(0x2000))) == 2
 
@@ -261,4 +262,3 @@ class TestLoadElimination:
         table.set_tag(4, tag_for(self._load(0x1000)))
         table.invalidate(4)
         assert len(table) == 0
-        assert table.invalidations == 1

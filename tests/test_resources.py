@@ -131,7 +131,7 @@ class TestPipelinedResource:
         unit = PipelinedResource()
         for _ in range(5):
             unit.reserve(0)
-        assert unit.operations == 5
+        assert sum(unit._slots.values()) == 5
 
 
 class TestInOrderPipe:
