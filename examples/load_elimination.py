@@ -61,7 +61,7 @@ def main() -> int:
             vle.speedup_over(baseline),
             vle.traffic_reduction_over(baseline),
             vle.stats.loads_eliminated,
-            vle.stats.scalar_loads_eliminated,
+            vle.stats.traffic.eliminated_scalar_load_ops,
         ])
     print(format_table(
         ["program", "baseline cycles", "SLE speedup", "SLE+VLE speedup",

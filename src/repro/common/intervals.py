@@ -2,17 +2,22 @@
 
 The simulators avoid doing per-cycle accounting work for resources that are
 busy for long stretches (a vector unit processing 128 elements, a memory
-port streaming a vector load).  Instead each resource records half-open
-``[start, end)`` busy intervals in a :class:`BusyTracker` that lives on the
-running machine.  When the run ends, :func:`unit_activity` reduces the
-vector units' trackers, in one sweep, to the two aggregates the paper's
-exhibits read: each unit's busy cycles and the cycle count of every joint
-busy state.  The intervals themselves never leave the machine.
+port streaming a vector load).  Instead each resource keeps half-open
+``[start, end)`` busy intervals on the running machine.  A
+:class:`~repro.common.resources.GapResource` (the OOOVA's FU1 and FU2, the
+address bus, the reference machine's register-file ports) keeps them in
+its reservation calendar.  The resources that reserve no calendar keep a
+:class:`BusyTracker`: the OOOVA's vector memory unit (its share of the
+address bus) and the reference machine's three vector units.  When the run
+ends, :func:`unit_activity` reduces the vector units' intervals, in one
+sweep, to the two aggregates the paper's exhibits read: each unit's busy
+cycles and the cycle count of every joint busy state.  The intervals
+themselves never leave the machine.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 
 class Interval(NamedTuple):
@@ -48,19 +53,19 @@ def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     return merged
 
 
-def total_busy(intervals: Iterable[Interval]) -> int:
-    """Total number of cycles covered by the (possibly overlapping) intervals."""
-    return sum(iv.length for iv in merge_intervals(intervals))
+class BusyRecord(Protocol):
+    """A resource's busy intervals, read as a sorted, disjoint list."""
+
+    def merged(self) -> list[Interval]: ...
 
 
 class BusyTracker:
     """Records busy intervals for one resource.
 
-    The tracker accepts intervals in any order and offers cheap queries for
-    the total busy time and for merged interval lists.  Appending an interval
-    that extends the most recently appended one is the common fast path for
-    the simulators (resources tend to be reserved in roughly increasing
-    time order).
+    The tracker accepts intervals in any order and merges them when read.
+    Appending an interval that extends the most recently appended one is
+    the common fast path for the simulators (resources tend to be reserved
+    in roughly increasing time order).
     """
 
     def __init__(self, name: str = "") -> None:
@@ -84,15 +89,11 @@ class BusyTracker:
         """Return the busy intervals merged into a sorted, disjoint list."""
         return merge_intervals(self._intervals)
 
-    def busy_cycles(self) -> int:
-        """Total number of distinct cycles during which the resource was busy."""
-        return total_busy(self._intervals)
-
 
 def unit_activity(
-    trackers: Sequence[BusyTracker], total_cycles: int
+    trackers: Sequence[BusyRecord], total_cycles: int
 ) -> tuple[list[int], dict[tuple[bool, ...], int]]:
-    """Busy cycles per tracker and cycles per joint busy state, in one sweep.
+    """Busy cycles per unit and cycles per joint busy state, in one sweep.
 
     This is the computation behind Figures 3, 5, 7 and 8 of the paper.
     Returns ``(busy, states)``:
@@ -100,7 +101,7 @@ def unit_activity(
     * ``busy[i]`` counts the distinct cycles ``trackers[i]`` was busy, over
       all of its intervals (not clipped to ``total_cycles``); the busiest
       vector unit is the IDEAL bound of Figures 5 and 8;
-    * ``states`` maps each tuple of busy flags (one per tracker, in
+    * ``states`` maps each tuple of busy flags (one per unit, in
       ``trackers`` order) to the cycles spent in it during
       ``[0, total_cycles)``.  Only states with a positive count appear, in
       order of first occurrence, so the counts sum to ``total_cycles``.

@@ -6,6 +6,8 @@ out-of-order simulator needs *gap filling*: a younger instruction that is
 ready early may claim a slot on a unit before an older, still-waiting
 instruction uses it.  :class:`GapResource` provides exactly that — reserve
 the earliest interval of a given length starting at or after a given cycle.
+Its reservation calendar is also its busy record: :meth:`GapResource.merged`
+and :meth:`GapResource.busy_cycles` read the calendar itself.
 
 :class:`PipelinedResource` models fully pipelined units that accept one new
 operation per cycle (the scalar units): a reservation occupies a single
@@ -17,21 +19,22 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.common.intervals import BusyTracker
+from repro.common.intervals import Interval
 
 
 class GapResource:
     """A resource that can serve one operation at a time, with gap filling.
 
     Reservations are kept as a sorted list of disjoint ``[start, end)``
-    intervals.  :meth:`reserve` finds the earliest gap that fits.
+    intervals, merged where they touch, so the calendar is exactly the
+    merged union of the reservations.  :meth:`reserve` finds the earliest
+    gap that fits.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._starts: list[int] = []
         self._ends: list[int] = []
-        self.tracker = BusyTracker(name)
 
     def reserve(self, earliest: int, duration: int) -> int:
         """Reserve ``duration`` cycles starting no earlier than ``earliest``.
@@ -46,7 +49,6 @@ class GapResource:
 
         start = self._find_start(earliest, duration)
         self._insert(start, start + duration)
-        self.tracker.add(start, start + duration)
         return start
 
     def next_free(self, earliest: int, duration: int) -> int:
@@ -55,8 +57,12 @@ class GapResource:
             return earliest
         return self._find_start(earliest, duration)
 
+    def merged(self) -> list[Interval]:
+        """The busy intervals: the calendar, sorted and disjoint."""
+        return list(map(Interval, self._starts, self._ends))
+
     def busy_cycles(self) -> int:
-        return self.tracker.busy_cycles()
+        return sum(self._ends) - sum(self._starts)
 
     def _find_start(self, earliest: int, duration: int) -> int:
         starts, ends = self._starts, self._ends

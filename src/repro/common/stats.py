@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping
 
-from repro.common.intervals import BusyTracker, unit_activity
+from repro.common.intervals import BusyRecord, unit_activity
 
 #: The three vector units whose joint state is reported in Figures 3 and 7,
 #: in the order used by the paper's 3-tuples: (FU2, FU1, MEM).
@@ -102,13 +102,13 @@ class SimStats:
     rob_stall_cycles: int = 0
     queue_stall_cycles: int = 0
     loads_eliminated: int = 0
-    scalar_loads_eliminated: int = 0
     stores_executed_at_head: int = 0
 
     def record_unit_activity(
-        self, fu2: BusyTracker, fu1: BusyTracker, mem: BusyTracker
+        self, fu2: BusyRecord, fu1: BusyRecord, mem: BusyRecord
     ) -> None:
-        """Set :attr:`unit_busy` and :attr:`unit_states` from the units' trackers.
+        """Set :attr:`unit_busy` and :attr:`unit_states` from the units' busy
+        intervals (a tracker, or a gap resource's reservation calendar).
 
         Machines call this from ``finalise``, after setting :attr:`cycles`.
         """

@@ -50,8 +50,10 @@ from repro.core.results import SimulationResult
 
 #: on-disk store format version; bump when the result payload shape changes
 #: (2: busy totals and state counts replaced the busy-interval pairs;
-#: 3: a late rename under vector load elimination is no rename stall)
-STORE_VERSION = 3
+#: 3: a late rename under vector load elimination is no rename stall;
+#: 4: ``scalar_loads_eliminated`` dropped, it duplicated
+#: ``traffic.eliminated_scalar_load_ops``)
+STORE_VERSION = 4
 
 #: subdirectory of the experiment cache dir acting as the bucket root
 OBJECT_SUBDIR = "objects"

@@ -17,9 +17,6 @@ This module provides the kernel side of the batched stepper:
   outcome, spill flag and memory region.  The columns are plain lists:
   the interpreter loops index them one element at a time, which is
   faster on a list than on an array.
-* The lowering is segmented into **runs of same-kind instructions**
-  (:attr:`LoweredTrace.segments`), so a machine stepper dispatches once
-  per run instead of once per instruction.
 * A per-machine-class registry maps a :class:`StagedMachine` subclass to
   its hand-lowered stepper (:mod:`repro.refsim.batched`,
   :mod:`repro.ooo.batched`).  Registration is by **exact class**: a
@@ -30,6 +27,8 @@ This module provides the kernel side of the batched stepper:
   their own ``run_slice`` unchanged.  Both registered steppers lower
   every instruction kind; neither calls a scalar handler.
 
+Each stepper walks the lowered trace one instruction at a time, as the
+scalar kernel does, and dispatches on the kind code inside its one loop.
 The steppers mutate the very same component objects the scalar kernel
 mutates, in the same order, so every attribute reachable from the machine
 and its ``SimStats`` are bit-identical between the two kernels — the
@@ -60,6 +59,8 @@ K_VECTOR_ALU = KIND_INDEX[InstrKind.VECTOR_ALU]
 K_VECTOR_LOAD = KIND_INDEX[InstrKind.VECTOR_LOAD]
 K_VECTOR_STORE = KIND_INDEX[InstrKind.VECTOR_STORE]
 K_VECTOR_CONTROL = KIND_INDEX[InstrKind.VECTOR_CONTROL]
+#: the kind codes that reach the address bus
+MEMORY_KINDS = frozenset(KIND_INDEX[kind] for kind in KINDS if kind.is_memory)
 
 #: interned latency-class names, in a stable (sorted) order
 LAT_CLASSES: Tuple[str, ...] = tuple(sorted({op.value.latency_class for op in Opcode}))
@@ -128,8 +129,7 @@ class LoweredTrace:
     """Structure-of-arrays projection of an instruction sequence.
 
     Every column is a plain list (operand columns hold tuples) indexed by
-    instruction position; :attr:`segments` splits the sequence into runs
-    of same-kind instructions.  All columns are pure functions of the
+    instruction position.  All columns are pure functions of the
     instruction stream — no timing, no parameters — so a lowering is
     shared by every configuration and every kernel call.
     """
@@ -215,15 +215,8 @@ class LoweredTrace:
         self.region_end = [dyn.region_end for dyn in dyns]
         self.max_srcs = max((len(s) for s in srcs), default=0)
 
-        # vector lengths clamped to one element + same-kind run segmentation
+        #: vector lengths clamped to one element
         self.vl1 = [v if v > 1 else 1 for v in vl]
-        cuts = [i for i in range(1, n) if kind_code[i] != kind_code[i - 1]]
-        bounds = [0, *cuts, n] if n else [0, 0]
-        self.segments: List[Tuple[int, int, int]] = [
-            (bounds[j], bounds[j + 1], kind_code[bounds[j]])
-            for j in range(len(bounds) - 1)
-            if bounds[j + 1] > bounds[j]
-        ]
 
 
 #: id(trace) -> (weak ref keeping the entry honest, lowering); traces are
@@ -260,10 +253,11 @@ def lowered_for(trace: Trace) -> LoweredTrace:
 # ---------------------------------------------------------------------------
 #
 # The steppers manipulate each :class:`~repro.common.resources.GapResource`'s
-# ``_starts``/``_ends`` lists in place through these two helpers — the exact
-# ``_find_start``/``_insert`` algorithms, minus the per-call attribute and
-# method dispatch.  Identity of the list objects (and of the tracker) is
-# preserved, so both kernels leave the same component state.
+# ``_starts``/``_ends`` calendar in place through these two helpers — the
+# exact ``_find_start``/``_insert`` algorithms, minus the per-call attribute
+# and method dispatch.  Identity of the list objects is preserved, and the
+# calendar is the resource's only busy record, so both kernels leave the
+# same component state.
 
 
 def gap_find(starts: List[int], ends: List[int], earliest: int, duration: int) -> int:

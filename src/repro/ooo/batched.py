@@ -1,24 +1,30 @@
 """Hand-lowered batched stepper for the OOOVA and in-order machines.
 
 This is the out-of-order counterpart of :mod:`repro.refsim.batched`: one
-flat interpreter loop per same-kind instruction run, with every hot
-component operation inlined against the component's own backing storage —
-the reorder-buffer occupancy heap, the issue-queue departure heaps, the
-per-class rename mapping/free-list dicts, the ``GapResource`` interval
-lists of the vector units and the address bus, the scalar units' issue
-slots, the memory pipeline's exit cursor and disambiguation window, and
-the load-elimination tag dicts.  Branch prediction and the scalar
+flat interpreter loop over the lowered trace, with every hot component
+operation inlined against the component's own backing storage — the
+reorder-buffer occupancy heap, the issue-queue departure heaps, the
+per-class rename mapping/free-list dicts, the ``GapResource`` calendars
+of the vector units and the address bus, the scalar units' issue slots,
+the memory pipeline's exit cursor and disambiguation window, and the
+load-elimination tag dicts.  Branch prediction and the scalar
 load-elimination copy stay behind their method calls.  The components
 keep only state that decides timing or that ``finalise`` reads, so the
 stepper maintains nothing else.
 
-Every inlined sequence is a verbatim transliteration of the scalar
-handlers in :mod:`repro.ooo.machine` and the component methods they call,
-in the same program order, so every attribute reachable from the machine
-and the final :class:`~repro.common.stats.SimStats` are bit-identical with
-the scalar kernel.  The in-order machine shares the stepper: its single divergence —
-the program-order issue gate — is threaded through as a flag, mirroring
-how :class:`repro.machine.inorder._InOrderRun` overrides ``_issue_gate``.
+Every instruction passes through the stages of :class:`_OOORun` once, in
+program order: decode (the reorder buffer, then the issue queue the
+instruction routes to), the first-use mapping of its source registers,
+the arm of its kind — vector ALU, memory, branch, or scalar ALU and
+vector control, one per scalar handler — and retire (queue departure,
+in-order commit, register release).  Each inlined sequence is a verbatim
+transliteration of the scalar stages and the component methods they
+call, in the same program order, so every attribute reachable from the
+machine and the final :class:`~repro.common.stats.SimStats` are
+bit-identical with the scalar kernel.  The in-order machine shares the
+stepper: its single divergence — the program-order issue gate — is
+threaded through as a flag, mirroring how
+:class:`repro.machine.inorder._InOrderRun` overrides ``_issue_gate``.
 """
 
 from __future__ import annotations
@@ -33,11 +39,11 @@ from repro.isa.registers import RegClass
 from repro.machine.batched import (
     CLS_NAMES,
     K_BRANCH,
-    K_SCALAR_LOAD,
     K_SCALAR_STORE,
     K_VECTOR_ALU,
     K_VECTOR_LOAD,
     K_VECTOR_STORE,
+    MEMORY_KINDS,
     LoweredTrace,
     gap_find,
     gap_insert,
@@ -49,10 +55,6 @@ from repro.ooo.loadelim import tag_for
 from repro.ooo.machine import _OOORun
 from repro.ooo.mempipe import _PendingAccess
 from repro.ooo.queues import QueueKind
-
-_MEM_KINDS = frozenset(
-    (K_VECTOR_LOAD, K_VECTOR_STORE, K_SCALAR_LOAD, K_SCALAR_STORE)
-)
 
 
 def _memtags(lowered: LoweredTrace) -> List[Any]:
@@ -68,7 +70,7 @@ def _memtags(lowered: LoweredTrace) -> List[Any]:
     if tags is None:
         kinds = lowered.kind_code
         tags = [
-            tag_for(dyn) if kinds[i] in _MEM_KINDS else None
+            tag_for(dyn) if kinds[i] in MEMORY_KINDS else None
             for i, dyn in enumerate(lowered.dyns)
         ]
         lowered._memtags = tags
@@ -163,8 +165,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     fu2 = machine.fu2
     f1s, f1e = fu1._starts, fu1._ends
     f2s, f2e = fu2._starts, fu2._ends
-    tr1 = fu1.tracker._intervals
-    tr2 = fu2.tracker._intervals
     tr_mem = machine.mem_busy._intervals
     a_slots = machine.a_unit._slots
     s_slots = machine.s_unit._slots
@@ -172,7 +172,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     s_width = machine.s_unit.width
     bus = machine.memory.address_bus
     bs, be = bus._starts, bus._ends
-    trb = bus.tracker._intervals
 
     predict = machine.predictor.predict_and_update
 
@@ -197,23 +196,11 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     tf_evl = tf.eliminated_vector_load_ops
     tf_esl = tf.eliminated_scalar_load_ops
 
-    # deferred busy-tracker tails: the scalar fast path only ever merges into
-    # the *last* interval, so keep that row in locals and materialise it when
-    # a disjoint interval begins (and once at flush) instead of rebuilding an
-    # Interval per reservation.  ``-1`` marks "no open interval" (ends are
-    # always >= 1).
-    if tr1:
-        tr1_s, tr1_e = tr1.pop()
-    else:
-        tr1_s = tr1_e = -1
-    if tr2:
-        tr2_s, tr2_e = tr2.pop()
-    else:
-        tr2_s = tr2_e = -1
-    if trb:
-        trb_s, trb_e = trb.pop()
-    else:
-        trb_s = trb_e = -1
+    # the vector memory unit's busy tracker: the fast path only ever merges
+    # into the *last* interval, so keep that row in locals and materialise
+    # it when a disjoint interval begins (and once at flush) instead of
+    # rebuilding an Interval per reservation.  ``-1`` marks "no open
+    # interval" (ends are always >= 1).
     if tr_mem:
         tr_mem_s, tr_mem_e = tr_mem.pop()
     else:
@@ -226,6 +213,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     gate_ready = machine.issue_ready if inorder else 0
 
     # -- lowered columns -----------------------------------------------------
+    col_kind = lowered.kind_code
     col_lat = lowered.lat_code
     col_vl = lowered.vl
     vl1 = lowered.vl1
@@ -241,83 +229,278 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     dyns = lowered.dyns
     scratch: List[Any] = [None] * (lowered.max_srcs or 1)
 
-    for seg_start, seg_stop, kc in lowered.segments:
-        if kc == K_VECTOR_ALU:
-            deps = q_deps[2]
-            slots_q = q_slots_n[2]
-            fcy = q_fcycles[2]
-            for i in range(seg_start, seg_stop):
-                # decode: ROB allocation + queue admission, in program order
-                fetch = last_rename + 1
-                if fetch_resume > fetch:
-                    fetch = fetch_resume
-                granted = fetch
-                while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
-                    if oldest > granted:
-                        rob_stall_cycles += oldest - granted
-                        granted = oldest
-                while len(deps) >= slots_q:
-                    nd = heappop(deps)
-                    if nd > granted:
-                        fcy += nd - granted
-                        granted = nd
-                rt = granted
+    for i in range(lowered.n):
+        # decode: ROB allocation, then admission to the instruction's queue
+        fetch = last_rename + 1
+        if fetch_resume > fetch:
+            fetch = fetch_resume
+        granted = fetch
+        while len(rob_occ) >= rob_entries:
+            oldest = heappop(rob_occ)
+            if oldest > granted:
+                rob_stall_cycles += oldest - granted
+                granted = oldest
+        qc = col_queue[i]
+        deps = q_deps[qc]
+        slots_q = q_slots_n[qc]
+        while len(deps) >= slots_q:
+            nd = heappop(deps)
+            if nd > granted:
+                q_fcycles[qc] += nd - granted
+                granted = nd
+        rt = granted
 
+        # a source register read before any write maps to a free register
+        scls = col_src_cls[i]
+        sidx = col_src_idx[i]
+        ns = len(scls)
+        for k in range(ns):
+            c = scls[k]
+            idx = sidx[k]
+            ph = r_map[c].get(idx)
+            if ph is None:
+                fr = r_free[c]
+                if not fr:
+                    raise SimulationError(
+                        f"no physical {CLS_NAMES[c]} register "
+                        "available for initial mapping"
+                    )
+                ident = next(iter(fr))
+                del fr[ident]
+                ph = r_regs[c][ident]
+                r_map[c][idx] = ph
+                r_live[c][ident] += 1
+            scratch[k] = ph
+
+        # each arm sets r_start, completion and departure, and any
+        # destination mapping the commit releases (rel_cls, rel_prev)
+        rename_done = rt
+        rel_prev = None
+        rel_cls = 0
+
+        kc = col_kind[i]
+        if kc == K_VECTOR_ALU:  # -- _run_vector_compute -----------------
+            n_vector += 1
+            n_vops += col_vl[i]
+            # under VLE every vector-register instruction traverses the
+            # memory pipeline (single-point vector rename, Section 6.2)
+            if vle:
+                earliest = rt + 1 + pipe_depth
+                le1 = pipe_last_exit + 1
+                if le1 > earliest:
+                    earliest = le1
+                pipe_last_exit = earliest
+            else:
+                earliest = rt + 1
+
+            dest_ph = None
+            dest_vec = False
+            dc = col_dest_cls[i]
+            if dc >= 0:
+                didx = col_dest_idx[i]
+                dest_vec = dc >= 2
+                renamed_late = vle and dest_vec
+                rename_at = earliest if renamed_late else rt
+                m = r_map[dc]
+                prev = m.get(didx)
+                fr = r_free[dc]
+                if not fr:
+                    raise SimulationError(
+                        f"free list for {CLS_NAMES[dc]} registers is empty "
+                        "and nothing is pending release — increase the "
+                        "physical register count"
+                    )
+                ident = next(iter(fr))
+                avail = fr[ident]
+                if avail > rename_at and not renamed_late:
+                    r_stall_cycles[dc] += avail - rename_at
+                del fr[ident]
+                ph_d = r_regs[dc][ident]
+                m[didx] = ph_d
+                live = r_live[dc]
+                live[ident] += 1
+                if prev is not None:
+                    live[prev.ident] -= 1
+                avail_at = avail if avail > rename_at else rename_at
+                if not renamed_late and avail_at > rename_done:
+                    rename_done = avail_at
+                if avail_at > earliest:
+                    earliest = avail_at
+                dest_ph = ph_d
+                rel_cls = dc
+                rel_prev = prev
+                tt = tag_tables[dc]
+                if tt is not None:
+                    tt._tags.pop(ph_d.ident, None)
+
+            for k in range(ns):
+                ph = scratch[k]
+                if scls[k] >= 2 and not ph.from_load and chain_fu_to_fu:
+                    v = ph.first_result
+                else:
+                    v = ph.ready
+                if v > earliest:
+                    earliest = v
+            if inorder and gate_ready > earliest:
+                earliest = gate_ready
+
+            vl_ = vl1[i]
+            duration = vl_ + vector_startup
+            if col_fu2[i]:
+                if f2e and earliest < f2e[-1]:
+                    s = gap_find(f2s, f2e, earliest, duration)
+                else:
+                    s = earliest
+                us, ue = f2s, f2e
+            else:
+                if f1e and earliest < f1e[-1]:
+                    s1 = gap_find(f1s, f1e, earliest, duration)
+                else:
+                    s1 = earliest
+                if f2e and earliest < f2e[-1]:
+                    s2 = gap_find(f2s, f2e, earliest, duration)
+                else:
+                    s2 = earliest
+                if s1 <= s2:
+                    s = s1
+                    us, ue = f1s, f1e
+                else:
+                    s = s2
+                    us, ue = f2s, f2e
+            e = s + duration
+            if ue and s < ue[-1]:
+                gap_insert(us, ue, s, e)
+            elif ue and ue[-1] == s:
+                ue[-1] = e
+            else:
+                us.append(s)
+                ue.append(e)
+
+            first_result = s + vector_lat[col_lat[i]]
+            completion = first_result + vl_
+            if dest_ph is not None:
+                dest_ph.from_load = False
+                if dest_vec:
+                    dest_ph.first_result = first_result
+                else:
+                    # reductions deliver a scalar at the end of the operation
+                    dest_ph.first_result = completion
+                dest_ph.ready = completion
+            r_start = s
+            departure = s
+
+        elif kc in MEMORY_KINDS:  # -- _run_memory ------------------------
+            is_vec = kc == K_VECTOR_LOAD or kc == K_VECTOR_STORE
+            is_store = kc == K_VECTOR_STORE or kc == K_SCALAR_STORE
+            if is_vec:
                 n_vector += 1
                 n_vops += col_vl[i]
-                scls = col_src_cls[i]
-                sidx = col_src_idx[i]
-                ns = len(scls)
-                for k in range(ns):
-                    c = scls[k]
-                    idx = sidx[k]
-                    ph = r_map[c].get(idx)
-                    if ph is None:
-                        fr = r_free[c]
-                        if not fr:
-                            raise SimulationError(
-                                f"no physical {CLS_NAMES[c]} register "
-                                "available for initial mapping"
-                            )
-                        ident = next(iter(fr))
-                        del fr[ident]
-                        ph = r_regs[c][ident]
-                        r_map[c][idx] = ph
-                        live = r_live[c]
-                        live[ident] += 1
-                    scratch[k] = ph
+                vl_ = vl1[i]
+            else:
+                n_scalar += 1
+                vl_ = 1
+            a_ready = rt + 1
+            i_ready = rt + 1
+            for k in range(1 if is_store else 0, ns):
+                ph = scratch[k]
+                if scls[k] >= 2:
+                    if ph.ready > i_ready:
+                        i_ready = ph.ready
+                elif ph.ready > a_ready:
+                    a_ready = ph.ready
+            pe = a_ready + pipe_depth
+            le1 = pipe_last_exit + 1
+            if le1 > pe:
+                pe = le1
+            pipe_last_exit = pe
+            # run-time disambiguation against the pending-access window
+            dep_ready = pe
+            rs = col_rstart[i]
+            if rs is not None:
+                re_ = col_rend[i]
+                if mp_active:
+                    # scan only rows that could still matter; ``pe`` is
+                    # monotone across memory instructions, so anything
+                    # done by now is dead for every later scan too
+                    new_active: list[_PendingAccess] = []
+                    keep_ = new_active.append
+                    for p_ in mp_active:
+                        ad = p_.address_done
+                        if ad <= pe:
+                            continue
+                        keep_(p_)
+                        if ad <= dep_ready:
+                            continue
+                        if p_.region_start < re_ and rs < p_.region_end:
+                            if is_store or p_.is_store:
+                                dep_ready = ad
+                    mp_active = new_active
 
-                # under VLE every vector-register instruction traverses the
-                # memory pipeline (single-point vector rename, Section 6.2)
-                if vle:
-                    earliest = rt + 1 + pipe_depth
-                    le1 = pipe_last_exit + 1
-                    if le1 > earliest:
-                        earliest = le1
-                    pipe_last_exit = earliest
+            # the access reaches the bus unless a load is eliminated
+            to_bus = True
+            if is_store:
+                v_ph = scratch[0]
+                if scls[0] >= 2 and not v_ph.from_load and chain_fu_to_store:
+                    v_ready = v_ph.first_result
                 else:
-                    earliest = rt + 1
-
-                rename_done = rt
-                rel_prev = None
-                rel_cls = 0
-                dest_ph = None
-                dest_vec = False
+                    v_ready = v_ph.ready
+                earliest = dep_ready
+                if i_ready > earliest:
+                    earliest = i_ready
+                if v_ready > earliest:
+                    earliest = v_ready
+                if late_commit:
+                    # stores update memory only from the ROB head (§5)
+                    if rob_last_commit > earliest:
+                        earliest = rob_last_commit
+                    n_store_head += 1
+            else:
                 dc = col_dest_cls[i]
-                if dc >= 0:
-                    didx = col_dest_idx[i]
-                    dest_vec = dc >= 2
-                    renamed_late = vle and dest_vec
-                    rename_at = earliest if renamed_late else rt
+                if dc < 0:
+                    raise AttributeError("'NoneType' object has no attribute 'cls'")
+                didx = col_dest_idx[i]
+                table = tag_tables[dc]
+                matched_id: Optional[int] = None
+                if table is not None and (vle if is_vec else sle):
+                    tag = col_tag[i]
+                    if tag is not None:
+                        # find_exact: first value-equal tag wins
+                        for pid_, tg_ in table._tags.items():
+                            if tg_ == tag:
+                                matched_id = pid_
+                                break
+                if matched_id is not None and is_vec:
+                    # VLE: rename the destination straight to the match
+                    matched = r_regs[2][matched_id]
+                    m = r_map[2]
+                    prev = m.get(didx)
+                    r_free[2].pop(matched.ident, None)
+                    m[didx] = matched
+                    live = r_live[2]
+                    live[matched.ident] += 1
+                    if prev is not None:
+                        live[prev.ident] -= 1
+                    rel_cls = 2
+                    rel_prev = prev
+                    completion = pe + 1
+                    if matched.ready > completion:
+                        completion = matched.ready
+                    loadelim.vector_loads_eliminated += 1
+                    tf_evl += vl_
+                    r_start = pe
+                    departure = pe + 1
+                    to_bus = False
+                else:
+                    renamed_late = vle and is_vec
+                    rename_at = dep_ready if renamed_late else rt
                     m = r_map[dc]
                     prev = m.get(didx)
                     fr = r_free[dc]
                     if not fr:
                         raise SimulationError(
-                            f"free list for {CLS_NAMES[dc]} registers is empty "
-                            "and nothing is pending release — increase the "
-                            "physical register count"
+                            f"free list for {CLS_NAMES[dc]} registers is "
+                            "empty and nothing is pending release — "
+                            "increase the physical register count"
                         )
                     ident = next(iter(fr))
                     avail = fr[ident]
@@ -333,308 +516,66 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     avail_at = avail if avail > rename_at else rename_at
                     if not renamed_late and avail_at > rename_done:
                         rename_done = avail_at
-                    if avail_at > earliest:
-                        earliest = avail_at
-                    dest_ph = ph_d
                     rel_cls = dc
                     rel_prev = prev
-                    tt = tag_tables[dc]
-                    if tt is not None:
-                        tt._tags.pop(ph_d.ident, None)
-
-                for k in range(ns):
-                    ph = scratch[k]
-                    if scls[k] >= 2:
-                        if ph.from_load:
-                            v = ph.ready
-                        elif chain_fu_to_fu:
-                            v = ph.first_result
-                        else:
-                            v = ph.ready
+                    if matched_id is not None:
+                        # SLE: register-to-register copy, no memory access
+                        matched = r_regs[dc][matched_id]
+                        completion = pe + 1
+                        if matched.ready > completion:
+                            completion = matched.ready
+                        ph_d.ready = completion
+                        ph_d.first_result = completion
+                        ph_d.from_load = False
+                        table.set_tag(ph_d.ident, table.get(matched_id))
+                        tf_esl += 1
+                        r_start = pe
+                        departure = pe + 1
+                        to_bus = False
                     else:
-                        v = ph.ready
-                    if v > earliest:
-                        earliest = v
+                        earliest = dep_ready
+                        if i_ready > earliest:
+                            earliest = i_ready
+                        if avail_at > earliest:
+                            earliest = avail_at
+
+            if to_bus:
                 if inorder and gate_ready > earliest:
                     earliest = gate_ready
-
-                vl_ = vl1[i]
-                duration = vl_ + vector_startup
-                if col_fu2[i]:
-                    if f2e and earliest < f2e[-1]:
-                        s = gap_find(f2s, f2e, earliest, duration)
-                    else:
-                        s = earliest
-                    use2 = True
+                # the address bus carries one address per element
+                if be and earliest < be[-1]:
+                    s = gap_find(bs, be, earliest, vl_)
                 else:
-                    if f1e and earliest < f1e[-1]:
-                        s1 = gap_find(f1s, f1e, earliest, duration)
-                    else:
-                        s1 = earliest
-                    if f2e and earliest < f2e[-1]:
-                        s2 = gap_find(f2s, f2e, earliest, duration)
-                    else:
-                        s2 = earliest
-                    if s1 <= s2:
-                        s = s1
-                        use2 = False
-                    else:
-                        s = s2
-                        use2 = True
-                e = s + duration
-                if use2:
-                    if f2e and s < f2e[-1]:
-                        gap_insert(f2s, f2e, s, e)
-                    elif f2e and f2e[-1] == s:
-                        f2e[-1] = e
-                    else:
-                        f2s.append(s)
-                        f2e.append(e)
-                    if tr2_e >= s >= tr2_s:
-                        if e > tr2_e:
-                            tr2_e = e
-                    else:
-                        if tr2_e >= 0:
-                            tr2.append(iv_new(Interval, (tr2_s, tr2_e)))
-                        tr2_s = s
-                        tr2_e = e
+                    s = earliest
+                e_addr = s + vl_
+                if be and s < be[-1]:
+                    gap_insert(bs, be, s, e_addr)
+                elif be and be[-1] == s:
+                    be[-1] = e_addr
                 else:
-                    if f1e and s < f1e[-1]:
-                        gap_insert(f1s, f1e, s, e)
-                    elif f1e and f1e[-1] == s:
-                        f1e[-1] = e
-                    else:
-                        f1s.append(s)
-                        f1e.append(e)
-                    if tr1_e >= s >= tr1_s:
-                        if e > tr1_e:
-                            tr1_e = e
-                    else:
-                        if tr1_e >= 0:
-                            tr1.append(iv_new(Interval, (tr1_s, tr1_e)))
-                        tr1_s = s
-                        tr1_e = e
-
-                first_result = s + vector_lat[col_lat[i]]
-                completion = first_result + vl_
-                if dest_ph is not None:
-                    dest_ph.from_load = False
-                    if dest_vec:
-                        dest_ph.first_result = first_result
-                        dest_ph.ready = completion
-                    else:
-                        dest_ph.first_result = completion
-                        dest_ph.ready = completion
-                r_start = s
-                departure = s
-
-                # retire: queue departure, in-order commit, free-list release
-                heappush(deps, departure)
-                rtc = r_start if early_commit else completion
-                if rename_done > rtc:
-                    rtc = rename_done
-                commit = rtc if rtc > rob_last_commit else rob_last_commit
-                if len(rob_recent) == rob_width:
-                    bw = rob_recent[0] + 1
-                    if bw > commit:
-                        commit = bw
-                rob_recent.append(commit)
-                rob_last_commit = commit
-                heappush(rob_occ, commit)
-                if rel_prev is not None:
-                    ident = rel_prev.ident
-                    if r_live[rel_cls][ident] <= 0:
-                        fr = r_free[rel_cls]
-                        old = fr.get(ident, 0)
-                        fr[ident] = commit if commit > old else old
-                last_rename = rt if rt > rename_done else rename_done
-                if completion > horizon:
-                    horizon = completion
-                if commit > horizon:
-                    horizon = commit
-                if departure > horizon:
-                    horizon = departure
-                if inorder:
-                    nxt = r_start + 1
-                    if nxt > gate_ready:
-                        gate_ready = nxt
-            q_fcycles[2] = fcy
-
-        elif (
-            kc == K_VECTOR_LOAD
-            or kc == K_VECTOR_STORE
-            or kc == K_SCALAR_LOAD
-            or kc == K_SCALAR_STORE
-        ):
-            is_vec = kc == K_VECTOR_LOAD or kc == K_VECTOR_STORE
-            is_store = kc == K_VECTOR_STORE or kc == K_SCALAR_STORE
-            deps = q_deps[3]
-            slots_q = q_slots_n[3]
-            fcy = q_fcycles[3]
-            for i in range(seg_start, seg_stop):
-                fetch = last_rename + 1
-                if fetch_resume > fetch:
-                    fetch = fetch_resume
-                granted = fetch
-                while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
-                    if oldest > granted:
-                        rob_stall_cycles += oldest - granted
-                        granted = oldest
-                while len(deps) >= slots_q:
-                    nd = heappop(deps)
-                    if nd > granted:
-                        fcy += nd - granted
-                        granted = nd
-                rt = granted
-
+                    bs.append(s)
+                    be.append(e_addr)
                 if is_vec:
-                    n_vector += 1
-                    n_vops += col_vl[i]
-                else:
-                    n_scalar += 1
-                scls = col_src_cls[i]
-                sidx = col_src_idx[i]
-                ns = len(scls)
-                for k in range(ns):
-                    c = scls[k]
-                    idx = sidx[k]
-                    ph = r_map[c].get(idx)
-                    if ph is None:
-                        fr = r_free[c]
-                        if not fr:
-                            raise SimulationError(
-                                f"no physical {CLS_NAMES[c]} register "
-                                "available for initial mapping"
-                            )
-                        ident = next(iter(fr))
-                        del fr[ident]
-                        ph = r_regs[c][ident]
-                        r_map[c][idx] = ph
-                        live = r_live[c]
-                        live[ident] += 1
-                    scratch[k] = ph
-
-                a_ready = rt + 1
-                i_ready = rt + 1
-                for k in range(1 if is_store else 0, ns):
-                    ph = scratch[k]
-                    if scls[k] >= 2:
-                        if ph.ready > i_ready:
-                            i_ready = ph.ready
-                    else:
-                        if ph.ready > a_ready:
-                            a_ready = ph.ready
-                pe = a_ready + pipe_depth
-                le1 = pipe_last_exit + 1
-                if le1 > pe:
-                    pe = le1
-                pipe_last_exit = pe
-                # run-time disambiguation against the pending-access window
-                dep_ready = pe
-                rs = col_rstart[i]
-                if rs is not None:
-                    re_ = col_rend[i]
-                    if mp_active:
-                        # scan only rows that could still matter; ``pe`` is
-                        # monotone across memory instructions, so anything
-                        # done by now is dead for every later scan too
-                        new_active: list[_PendingAccess] = []
-                        keep_ = new_active.append
-                        for p_ in mp_active:
-                            ad = p_.address_done
-                            if ad <= pe:
-                                continue
-                            keep_(p_)
-                            if ad <= dep_ready:
-                                continue
-                            if p_.region_start < re_ and rs < p_.region_end:
-                                if is_store or p_.is_store:
-                                    dep_ready = ad
-                        mp_active = new_active
-
-                if is_store:
-                    v_ph = scratch[0]
-                    if scls[0] >= 2:
-                        if v_ph.from_load:
-                            v_ready = v_ph.ready
-                        elif chain_fu_to_store:
-                            v_ready = v_ph.first_result
-                        else:
-                            v_ready = v_ph.ready
-                    else:
-                        v_ready = v_ph.ready
-                    earliest = dep_ready
-                    if i_ready > earliest:
-                        earliest = i_ready
-                    if v_ready > earliest:
-                        earliest = v_ready
-                    if late_commit:
-                        # stores update memory only from the ROB head (§5)
-                        if rob_last_commit > earliest:
-                            earliest = rob_last_commit
-                        n_store_head += 1
-                    if inorder and gate_ready > earliest:
-                        earliest = gate_ready
-                    if is_vec:
-                        vl_ = vl1[i]
-                        if be and earliest < be[-1]:
-                            s = gap_find(bs, be, earliest, vl_)
-                        else:
-                            s = earliest
-                        e_addr = s + vl_
-                        if be and s < be[-1]:
-                            gap_insert(bs, be, s, e_addr)
-                        elif be and be[-1] == s:
-                            be[-1] = e_addr
-                        else:
-                            bs.append(s)
-                            be.append(e_addr)
-                        if trb_e >= s >= trb_s:
-                            if e_addr > trb_e:
-                                trb_e = e_addr
-                        else:
-                            if trb_e >= 0:
-                                trb.append(iv_new(Interval, (trb_s, trb_e)))
-                            trb_s = s
-                            trb_e = e_addr
-                        if tr_mem_e >= s >= tr_mem_s:
-                            if e_addr > tr_mem_e:
-                                tr_mem_e = e_addr
-                        else:
-                            if tr_mem_e >= 0:
-                                tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
-                            tr_mem_s = s
+                    if tr_mem_e >= s >= tr_mem_s:
+                        if e_addr > tr_mem_e:
                             tr_mem_e = e_addr
+                    else:
+                        if tr_mem_e >= 0:
+                            tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
+                        tr_mem_s = s
+                        tr_mem_e = e_addr
+                if rs is not None:
+                    mp_active.append(_PendingAccess(rs, re_, is_store, e_addr))
+                if is_store:
+                    completion = e_addr
+                    if is_vec:
                         tf_vstore += vl_
                         if col_spill[i]:
                             tf_vstore_sp += vl_
                     else:
-                        if be and earliest < be[-1]:
-                            s = gap_find(bs, be, earliest, 1)
-                        else:
-                            s = earliest
-                        e_addr = s + 1
-                        if be and s < be[-1]:
-                            gap_insert(bs, be, s, e_addr)
-                        elif be and be[-1] == s:
-                            be[-1] = e_addr
-                        else:
-                            bs.append(s)
-                            be.append(e_addr)
-                        if trb_e >= s >= trb_s:
-                            if e_addr > trb_e:
-                                trb_e = e_addr
-                        else:
-                            if trb_e >= 0:
-                                trb.append(iv_new(Interval, (trb_s, trb_e)))
-                            trb_s = s
-                            trb_e = e_addr
                         tf_sstore += 1
                         if col_spill[i]:
                             tf_sstore_sp += 1
-                    if rs is not None:
-                        mp_active.append(_PendingAccess(rs, re_, is_store, e_addr))
                     ttv = tag_tables[scls[0]]
                     if ttv is not None:
                         tag = col_tag[i]
@@ -659,442 +600,146 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                 for pid_ in victims:
                                     del tags_d[pid_]
                             ttv._tags[v_pid] = tag
-                    r_start = s
-                    completion = e_addr
-                    departure = s
-                    rename_done = rt
-                    rel_prev = None
-                    rel_cls = 0
                 else:
-                    rename_done = rt
-                    dc = col_dest_cls[i]
-                    if dc < 0:
-                        raise AttributeError(
-                            "'NoneType' object has no attribute 'cls'"
-                        )
-                    didx = col_dest_idx[i]
-                    vl_ = vl1[i] if is_vec else 1
-                    table = tag_tables[dc]
-                    matched_id: Optional[int] = None
-                    if table is not None and (vle if is_vec else sle):
-                        tag = col_tag[i]
-                        if tag is not None:
-                            # find_exact: first value-equal tag wins
-                            for pid_, tg_ in table._tags.items():
-                                if tg_ == tag:
-                                    matched_id = pid_
-                                    break
-                    if matched_id is not None and is_vec:
-                        # VLE: rename the destination straight to the match
-                        matched = r_regs[2][matched_id]
-                        m = r_map[2]
-                        prev = m.get(didx)
-                        r_free[2].pop(matched.ident, None)
-                        m[didx] = matched
-                        live = r_live[2]
-                        mident = matched.ident
-                        live[mident] += 1
-                        if prev is not None:
-                            live[prev.ident] -= 1
-                        rel_cls = 2
-                        rel_prev = prev
-                        completion = pe + 1
-                        if matched.ready > completion:
-                            completion = matched.ready
-                        loadelim.vector_loads_eliminated += 1
-                        tf_evl += vl_
-                        r_start = pe
-                        departure = pe + 1
+                    ph_d.from_load = True
+                    if is_vec:
+                        ph_d.first_result = s + mem_latency
+                        completion = s + mem_latency + vl_
+                        tf_vload += vl_
+                        if col_spill[i]:
+                            tf_vload_sp += vl_
                     else:
-                        renamed_late = vle and is_vec
-                        rename_at = dep_ready if renamed_late else rt
-                        m = r_map[dc]
-                        prev = m.get(didx)
-                        fr = r_free[dc]
-                        if not fr:
-                            raise SimulationError(
-                                f"free list for {CLS_NAMES[dc]} registers is "
-                                "empty and nothing is pending release — "
-                                "increase the physical register count"
-                            )
-                        ident = next(iter(fr))
-                        avail = fr[ident]
-                        if avail > rename_at and not renamed_late:
-                            r_stall_cycles[dc] += avail - rename_at
-                        del fr[ident]
-                        ph_d = r_regs[dc][ident]
-                        m[didx] = ph_d
-                        live = r_live[dc]
-                        live[ident] += 1
-                        if prev is not None:
-                            live[prev.ident] -= 1
-                        avail_at = avail if avail > rename_at else rename_at
-                        if not renamed_late and avail_at > rename_done:
-                            rename_done = avail_at
-                        rel_cls = dc
-                        rel_prev = prev
-                        if matched_id is not None:
-                            # SLE: register-to-register copy, no memory access
-                            matched = r_regs[dc][matched_id]
-                            completion = pe + 1
-                            if matched.ready > completion:
-                                completion = matched.ready
-                            ph_d.ready = completion
-                            ph_d.first_result = completion
-                            ph_d.from_load = False
-                            table.set_tag(ph_d.ident, table.get(matched_id))
-                            loadelim.scalar_loads_eliminated += 1
-                            tf_esl += 1
-                            r_start = pe
-                            departure = pe + 1
+                        completion = s + scalar_mem_lat
+                        ph_d.first_result = completion
+                        tf_sload += 1
+                        if col_spill[i]:
+                            tf_sload_sp += 1
+                    ph_d.ready = completion
+                    if table is not None:
+                        tag = col_tag[i]
+                        if tag is None:
+                            table._tags.pop(ph_d.ident, None)
                         else:
-                            earliest = dep_ready
-                            if i_ready > earliest:
-                                earliest = i_ready
-                            if avail_at > earliest:
-                                earliest = avail_at
-                            if inorder and gate_ready > earliest:
-                                earliest = gate_ready
-                            if is_vec:
-                                if be and earliest < be[-1]:
-                                    s = gap_find(bs, be, earliest, vl_)
-                                else:
-                                    s = earliest
-                                e_addr = s + vl_
-                                if be and s < be[-1]:
-                                    gap_insert(bs, be, s, e_addr)
-                                elif be and be[-1] == s:
-                                    be[-1] = e_addr
-                                else:
-                                    bs.append(s)
-                                    be.append(e_addr)
-                                if trb_e >= s >= trb_s:
-                                    if e_addr > trb_e:
-                                        trb_e = e_addr
-                                else:
-                                    if trb_e >= 0:
-                                        trb.append(iv_new(Interval, (trb_s, trb_e)))
-                                    trb_s = s
-                                    trb_e = e_addr
-                                data_ready = s + mem_latency + vl_
-                                ph_d.first_result = s + mem_latency
-                                ph_d.ready = data_ready
-                                ph_d.from_load = True
-                                if tr_mem_e >= s >= tr_mem_s:
-                                    if e_addr > tr_mem_e:
-                                        tr_mem_e = e_addr
-                                else:
-                                    if tr_mem_e >= 0:
-                                        tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
-                                    tr_mem_s = s
-                                    tr_mem_e = e_addr
-                                tf_vload += vl_
-                                if col_spill[i]:
-                                    tf_vload_sp += vl_
-                            else:
-                                if be and earliest < be[-1]:
-                                    s = gap_find(bs, be, earliest, 1)
-                                else:
-                                    s = earliest
-                                e_addr = s + 1
-                                if be and s < be[-1]:
-                                    gap_insert(bs, be, s, e_addr)
-                                elif be and be[-1] == s:
-                                    be[-1] = e_addr
-                                else:
-                                    bs.append(s)
-                                    be.append(e_addr)
-                                if trb_e >= s >= trb_s:
-                                    if e_addr > trb_e:
-                                        trb_e = e_addr
-                                else:
-                                    if trb_e >= 0:
-                                        trb.append(iv_new(Interval, (trb_s, trb_e)))
-                                    trb_s = s
-                                    trb_e = e_addr
-                                data_ready = s + scalar_mem_lat
-                                ph_d.first_result = data_ready
-                                ph_d.ready = data_ready
-                                ph_d.from_load = True
-                                tf_sload += 1
-                                if col_spill[i]:
-                                    tf_sload_sp += 1
-                            if rs is not None:
-                                mp_active.append(
-                                    _PendingAccess(rs, re_, is_store, e_addr)
-                                )
-                            if table is not None:
-                                tag = col_tag[i]
-                                if tag is None:
-                                    table._tags.pop(ph_d.ident, None)
-                                else:
-                                    table._tags[ph_d.ident] = tag
-                            r_start = s
-                            completion = data_ready
-                            departure = s
+                            table._tags[ph_d.ident] = tag
+                r_start = s
+                departure = s
 
-                heappush(deps, departure)
-                rtc = r_start if early_commit else completion
-                if rename_done > rtc:
-                    rtc = rename_done
-                commit = rtc if rtc > rob_last_commit else rob_last_commit
-                if len(rob_recent) == rob_width:
-                    bw = rob_recent[0] + 1
-                    if bw > commit:
-                        commit = bw
-                rob_recent.append(commit)
-                rob_last_commit = commit
-                heappush(rob_occ, commit)
-                if rel_prev is not None:
-                    ident = rel_prev.ident
-                    if r_live[rel_cls][ident] <= 0:
-                        fr = r_free[rel_cls]
-                        old = fr.get(ident, 0)
-                        fr[ident] = commit if commit > old else old
-                last_rename = rt if rt > rename_done else rename_done
-                if completion > horizon:
-                    horizon = completion
-                if commit > horizon:
-                    horizon = commit
-                if departure > horizon:
-                    horizon = departure
-                if inorder:
-                    nxt = r_start + 1
-                    if nxt > gate_ready:
-                        gate_ready = nxt
-            q_fcycles[3] = fcy
+        elif kc == K_BRANCH:  # -- _run_branch --------------------------
+            n_branch += 1
+            ready = rt + 1
+            for k in range(ns):
+                pr = scratch[k].ready
+                if pr > ready:
+                    ready = pr
+            if inorder and gate_ready > ready:
+                ready = gate_ready
+            cyc = ready
+            while a_slots.get(cyc, 0) >= a_width:
+                cyc += 1
+            a_slots[cyc] = a_slots.get(cyc, 0) + 1
+            completion = cyc + lat_scalar_alu
 
-        elif kc == K_BRANCH:
-            deps = q_deps[0]
-            slots_q = q_slots_n[0]
-            fcy = q_fcycles[0]
-            for i in range(seg_start, seg_stop):
-                fetch = last_rename + 1
-                if fetch_resume > fetch:
-                    fetch = fetch_resume
-                granted = fetch
-                while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
-                    if oldest > granted:
-                        rob_stall_cycles += oldest - granted
-                        granted = oldest
-                while len(deps) >= slots_q:
-                    nd = heappop(deps)
-                    if nd > granted:
-                        fcy += nd - granted
-                        granted = nd
-                rt = granted
+            correct = predict(dyns[i])
+            n_bpred += 1
+            if not correct:
+                n_bmiss += 1
+                resume = completion + mispredict_penalty
+                if resume > fetch_resume:
+                    fetch_resume = resume
+            r_start = cyc
+            departure = cyc
 
-                n_branch += 1
-                scls = col_src_cls[i]
-                sidx = col_src_idx[i]
-                ready = rt + 1
-                for k in range(len(scls)):
-                    c = scls[k]
-                    idx = sidx[k]
-                    ph = r_map[c].get(idx)
-                    if ph is None:
-                        fr = r_free[c]
-                        if not fr:
-                            raise SimulationError(
-                                f"no physical {CLS_NAMES[c]} register "
-                                "available for initial mapping"
-                            )
-                        ident = next(iter(fr))
-                        del fr[ident]
-                        ph = r_regs[c][ident]
-                        r_map[c][idx] = ph
-                        live = r_live[c]
-                        live[ident] += 1
-                    if ph.ready > ready:
-                        ready = ph.ready
-                if inorder and gate_ready > ready:
-                    ready = gate_ready
-                cyc = ready
+        else:  # -- _run_scalar: scalar ALU and vector control -----------
+            n_scalar += 1
+            dest_ph = None
+            dc = col_dest_cls[i]
+            if dc >= 0:
+                didx = col_dest_idx[i]
+                m = r_map[dc]
+                prev = m.get(didx)
+                fr = r_free[dc]
+                if not fr:
+                    raise SimulationError(
+                        f"free list for {CLS_NAMES[dc]} registers is empty "
+                        "and nothing is pending release — increase the "
+                        "physical register count"
+                    )
+                ident = next(iter(fr))
+                avail = fr[ident]
+                if avail > rt:
+                    r_stall_cycles[dc] += avail - rt
+                del fr[ident]
+                ph_d = r_regs[dc][ident]
+                m[didx] = ph_d
+                live = r_live[dc]
+                live[ident] += 1
+                if prev is not None:
+                    live[prev.ident] -= 1
+                if avail > rename_done:
+                    rename_done = avail
+                dest_ph = ph_d
+                rel_cls = dc
+                rel_prev = prev
+                tt = tag_tables[dc]
+                if tt is not None:
+                    tt._tags.pop(ph_d.ident, None)
+
+            ready = rename_done + 1
+            for k in range(ns):
+                pr = scratch[k].ready
+                if pr > ready:
+                    ready = pr
+            if inorder and gate_ready > ready:
+                ready = gate_ready
+            cyc = ready
+            if qc == 0:
                 while a_slots.get(cyc, 0) >= a_width:
                     cyc += 1
                 a_slots[cyc] = a_slots.get(cyc, 0) + 1
-                issue = cyc
-                resolve = issue + lat_scalar_alu
+            else:
+                while s_slots.get(cyc, 0) >= s_width:
+                    cyc += 1
+                s_slots[cyc] = s_slots.get(cyc, 0) + 1
+            completion = cyc + scalar_lat[col_lat[i]]
+            if dest_ph is not None:
+                dest_ph.ready = completion
+                dest_ph.first_result = completion
+                dest_ph.from_load = False
+            r_start = cyc
+            departure = cyc
 
-                correct = predict(dyns[i])
-                n_bpred += 1
-                if not correct:
-                    n_bmiss += 1
-                    resume = resolve + mispredict_penalty
-                    if resume > fetch_resume:
-                        fetch_resume = resume
-
-                r_start = issue
-                completion = resolve
-                departure = issue
-
-                heappush(deps, departure)
-                rtc = r_start if early_commit else completion
-                if rt > rtc:
-                    rtc = rt
-                commit = rtc if rtc > rob_last_commit else rob_last_commit
-                if len(rob_recent) == rob_width:
-                    bw = rob_recent[0] + 1
-                    if bw > commit:
-                        commit = bw
-                rob_recent.append(commit)
-                rob_last_commit = commit
-                heappush(rob_occ, commit)
-                last_rename = rt
-                if completion > horizon:
-                    horizon = completion
-                if commit > horizon:
-                    horizon = commit
-                if departure > horizon:
-                    horizon = departure
-                if inorder:
-                    nxt = r_start + 1
-                    if nxt > gate_ready:
-                        gate_ready = nxt
-            q_fcycles[0] = fcy
-
-        else:  # scalar ALU and vector control (the default handler)
-            for i in range(seg_start, seg_stop):
-                fetch = last_rename + 1
-                if fetch_resume > fetch:
-                    fetch = fetch_resume
-                granted = fetch
-                while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
-                    if oldest > granted:
-                        rob_stall_cycles += oldest - granted
-                        granted = oldest
-                qc = col_queue[i]
-                deps = q_deps[qc]
-                while len(deps) >= q_slots_n[qc]:
-                    nd = heappop(deps)
-                    if nd > granted:
-                        q_fcycles[qc] += nd - granted
-                        granted = nd
-                rt = granted
-
-                n_scalar += 1
-                scls = col_src_cls[i]
-                sidx = col_src_idx[i]
-                ns = len(scls)
-                for k in range(ns):
-                    c = scls[k]
-                    idx = sidx[k]
-                    ph = r_map[c].get(idx)
-                    if ph is None:
-                        fr = r_free[c]
-                        if not fr:
-                            raise SimulationError(
-                                f"no physical {CLS_NAMES[c]} register "
-                                "available for initial mapping"
-                            )
-                        ident = next(iter(fr))
-                        del fr[ident]
-                        ph = r_regs[c][ident]
-                        r_map[c][idx] = ph
-                        live = r_live[c]
-                        live[ident] += 1
-                    scratch[k] = ph
-
-                rename_done = rt
-                rel_prev = None
-                rel_cls = 0
-                dest_ph = None
-                dc = col_dest_cls[i]
-                if dc >= 0:
-                    didx = col_dest_idx[i]
-                    m = r_map[dc]
-                    prev = m.get(didx)
-                    fr = r_free[dc]
-                    if not fr:
-                        raise SimulationError(
-                            f"free list for {CLS_NAMES[dc]} registers is empty "
-                            "and nothing is pending release — increase the "
-                            "physical register count"
-                        )
-                    ident = next(iter(fr))
-                    avail = fr[ident]
-                    if avail > rt:
-                        r_stall_cycles[dc] += avail - rt
-                    del fr[ident]
-                    ph_d = r_regs[dc][ident]
-                    m[didx] = ph_d
-                    live = r_live[dc]
-                    live[ident] += 1
-                    if prev is not None:
-                        live[prev.ident] -= 1
-                    if avail > rename_done:
-                        rename_done = avail
-                    dest_ph = ph_d
-                    rel_cls = dc
-                    rel_prev = prev
-                    tt = tag_tables[dc]
-                    if tt is not None:
-                        tt._tags.pop(ph_d.ident, None)
-
-                ready = rename_done + 1
-                for k in range(ns):
-                    pr = scratch[k].ready
-                    if pr > ready:
-                        ready = pr
-                if inorder and gate_ready > ready:
-                    ready = gate_ready
-                cyc = ready
-                if qc == 0:
-                    while a_slots.get(cyc, 0) >= a_width:
-                        cyc += 1
-                    a_slots[cyc] = a_slots.get(cyc, 0) + 1
-                else:
-                    while s_slots.get(cyc, 0) >= s_width:
-                        cyc += 1
-                    s_slots[cyc] = s_slots.get(cyc, 0) + 1
-                issue = cyc
-                completion = issue + scalar_lat[col_lat[i]]
-                if dest_ph is not None:
-                    dest_ph.ready = completion
-                    dest_ph.first_result = completion
-                    dest_ph.from_load = False
-                r_start = issue
-                departure = issue
-
-                heappush(deps, departure)
-                rtc = r_start if early_commit else completion
-                if rename_done > rtc:
-                    rtc = rename_done
-                commit = rtc if rtc > rob_last_commit else rob_last_commit
-                if len(rob_recent) == rob_width:
-                    bw = rob_recent[0] + 1
-                    if bw > commit:
-                        commit = bw
-                rob_recent.append(commit)
-                rob_last_commit = commit
-                heappush(rob_occ, commit)
-                if rel_prev is not None:
-                    ident = rel_prev.ident
-                    if r_live[rel_cls][ident] <= 0:
-                        fr = r_free[rel_cls]
-                        old = fr.get(ident, 0)
-                        fr[ident] = commit if commit > old else old
-                last_rename = rt if rt > rename_done else rename_done
-                if completion > horizon:
-                    horizon = completion
-                if commit > horizon:
-                    horizon = commit
-                if departure > horizon:
-                    horizon = departure
-                if inorder:
-                    nxt = r_start + 1
-                    if nxt > gate_ready:
-                        gate_ready = nxt
+        # retire: queue departure, in-order commit, free-list release
+        heappush(deps, departure)
+        rtc = r_start if early_commit else completion
+        if rename_done > rtc:
+            rtc = rename_done
+        commit = rtc if rtc > rob_last_commit else rob_last_commit
+        if len(rob_recent) == rob_width:
+            bw = rob_recent[0] + 1
+            if bw > commit:
+                commit = bw
+        rob_recent.append(commit)
+        rob_last_commit = commit
+        heappush(rob_occ, commit)
+        if rel_prev is not None:
+            ident = rel_prev.ident
+            if r_live[rel_cls][ident] <= 0:
+                fr = r_free[rel_cls]
+                old = fr.get(ident, 0)
+                fr[ident] = commit if commit > old else old
+        last_rename = rt if rt > rename_done else rename_done
+        if completion > horizon:
+            horizon = completion
+        if commit > horizon:
+            horizon = commit
+        if departure > horizon:
+            horizon = departure
+        if inorder:
+            nxt = r_start + 1
+            if nxt > gate_ready:
+                gate_ready = nxt
 
     # -- flush the localized state back into the components ------------------
-    if tr1_e >= 0:
-        tr1.append(iv_new(Interval, (tr1_s, tr1_e)))
-    if tr2_e >= 0:
-        tr2.append(iv_new(Interval, (tr2_s, tr2_e)))
-    if trb_e >= 0:
-        trb.append(iv_new(Interval, (trb_s, trb_e)))
     if tr_mem_e >= 0:
         tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
     machine.last_rename = last_rename

@@ -118,7 +118,6 @@ class LoadEliminationUnit:
         self.a_tags = TagTable("A")
         self.s_tags = TagTable("S")
         self.vector_loads_eliminated = 0
-        self.scalar_loads_eliminated = 0
 
     def all_tables(self) -> tuple[TagTable, TagTable, TagTable]:
         return (self.vector_tags, self.a_tags, self.s_tags)

@@ -183,13 +183,12 @@ class _OOORun(StagedMachine):
         """Derive the final :class:`SimStats` from the accumulated state."""
         self.stats.cycles = max(self.horizon, self.rob.last_commit)
         self.stats.address_port_busy_cycles = self.memory.busy_cycles
-        self.stats.record_unit_activity(self.fu2.tracker, self.fu1.tracker, self.mem_busy)
+        self.stats.record_unit_activity(self.fu2, self.fu1, self.mem_busy)
         self.stats.rename_stall_cycles = self.rename.total_allocation_stall_cycles
         self.stats.rob_stall_cycles = self.rob.allocation_stall_cycles
         self.stats.queue_stall_cycles = self.queues.total_full_stall_cycles
         if self.loadelim is not None:
             self.stats.loads_eliminated = self.loadelim.vector_loads_eliminated
-            self.stats.scalar_loads_eliminated = self.loadelim.scalar_loads_eliminated
         return self.stats
 
     # ------------------------------------------------------------ scalar / branch
@@ -405,7 +404,6 @@ class _OOORun(StagedMachine):
             dest_phys.from_load = False
             if table is not None:
                 table.set_tag(dest_phys.ident, table.get(matched_phys_id))
-            self.loadelim.scalar_loads_eliminated += 1
             self.stats.traffic.eliminated_scalar_load_ops += 1
             return _ExecResult(pipe_exit, completion, pipe_exit + 1,
                                rename_done, released)

@@ -1,25 +1,26 @@
 """Hand-lowered batched stepper for the reference (in-order) machine.
 
 This is the :mod:`repro.machine.batched` lowering of
-:class:`repro.refsim.machine._ReferenceRun`: one flat function that
-replays the exact semantics of the scalar dispatch handlers
-(``_run_scalar``/``_run_branch``/``_run_scalar_memory``/
-``_run_vector_compute``/``_run_vector_memory``) over the pre-lowered
-structure-of-arrays columns, one same-kind run at a time.
+:class:`repro.refsim.machine._ReferenceRun`: one flat loop over the
+pre-lowered structure-of-arrays columns that replays the exact semantics
+of the scalar dispatch handlers, one instruction at a time.  Its arms
+follow the handlers: ``_run_vector_compute``, memory
+(``_run_vector_memory`` and ``_run_scalar_memory``, which share the
+address-bus reservation), ``_run_branch`` and ``_run_scalar``.
 
 The speed comes from hoisting everything that the scalar kernel
 recomputes per instruction: opcode property chains are interned codes,
-latencies are table lookups, dispatch is one branch per *run*, register
-timing states are reached through a flat id-indexed table instead of a
-``Register``-hashed dict, the banked register-file ports and the address
-bus are driven through the flattened :func:`~repro.machine.batched.gap_find`/
-:func:`~repro.machine.batched.gap_insert` primitives, and mutable machine
-scalars plus statistics counters live in true locals written back once at
-the end.  Component **objects** (the lazy register map, the port
-resources, the busy trackers) are mutated in place and in the same order
-as the scalar kernel, so the machine state is bit-identical — including
-the insertion order of the lazily created register-timing entries, which
-the kernel tests compare.
+latencies are table lookups, register timing states are reached through a
+flat id-indexed table instead of a ``Register``-hashed dict, the banked
+register-file ports and the address bus are driven through the flattened
+:func:`~repro.machine.batched.gap_find`/
+:func:`~repro.machine.batched.gap_insert` primitives on their calendars,
+and mutable machine scalars plus statistics counters live in true locals
+written back once at the end.  Component **objects** (the lazy register
+map, the port calendars, the vector units' busy trackers) are mutated in
+place and in the same order as the scalar kernel, so the machine state is
+bit-identical — including the insertion order of the lazily created
+register-timing entries, which the kernel tests compare.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from repro.machine.batched import (
     CLS_CODE,
     K_BRANCH,
     K_SCALAR_LOAD,
-    K_SCALAR_STORE,
     K_VECTOR_ALU,
     K_VECTOR_LOAD,
     K_VECTOR_STORE,
+    MEMORY_KINDS,
     REG_ID_STRIDE,
     LoweredTrace,
     gap_find,
@@ -77,34 +78,17 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     bus = machine.memory.address_bus
     bus_starts = bus._starts
     bus_ends = bus._ends
-    bus_tr = bus.tracker._intervals
 
-    # banked register-file ports, flattened to (starts, ends, tracker.add)
+    # banked register-file ports, flattened to their (starts, ends) calendars
     regfile = machine.regfile
     regs_per_bank = regfile.regs_per_bank
-    # each port row is mutable: [starts, ends, tracker, tail_start, tail_end]
-    # — the tail is the tracker's deferred last interval (see below)
-    read_banks = [
-        [[p._starts, p._ends, p.tracker._intervals, -1, -1] for p in bank]
-        for bank in regfile._read_ports
-    ]
-    write_banks = [
-        [[p._starts, p._ends, p.tracker._intervals, -1, -1] for p in bank]
-        for bank in regfile._write_ports
-    ]
-    # deferred busy-tracker tails: the scalar fast path only ever merges into
-    # the last interval, so hold that row in locals / port slots and emit it
-    # when a disjoint interval begins (plus once at the flush) instead of
-    # rebuilding an Interval per reservation (``-1`` = no open interval)
-    for _bank in read_banks:
-        for _port in _bank:
-            if _port[2]:
-                _port[3], _port[4] = _port[2].pop()
-    for _bank in write_banks:
-        for _port in _bank:
-            if _port[2]:
-                _port[3], _port[4] = _port[2].pop()
+    read_banks = [[(p._starts, p._ends) for p in bank] for bank in regfile._read_ports]
+    write_banks = [[(p._starts, p._ends) for p in bank] for bank in regfile._write_ports]
 
+    # the vector units' busy trackers: the fast path only ever merges into
+    # the last interval, so hold that row in locals and emit it when a
+    # disjoint interval begins (plus once at the flush) instead of
+    # rebuilding an Interval per reservation (``-1`` = no open interval)
     stats = machine.stats
     traffic = stats.traffic
     tr_fu1 = fu1.tracker._intervals
@@ -122,13 +106,9 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
         tr_mem_s, tr_mem_e = tr_mem.pop()
     else:
         tr_mem_s = tr_mem_e = -1
-    if bus_tr:
-        bus_tr_s, bus_tr_e = bus_tr.pop()
-    else:
-        bus_tr_s = bus_tr_e = -1
 
     # machine scalars and statistic counters, mirrored into locals for the
-    # hot loop and flushed back once after the last segment
+    # hot loop and flushed back once after the last instruction
     issue_ready = machine.issue_ready
     horizon = machine.horizon
     s_scalar = stats.scalar_instructions
@@ -144,6 +124,7 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     t_ss = traffic.scalar_store_ops
     t_ss_sp = traffic.scalar_store_spill_ops
 
+    col_kind = lowered.kind_code
     col_srcs = lowered.srcs
     col_src_cls = lowered.src_cls
     col_src_idx = lowered.src_idx
@@ -159,43 +140,268 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     col_taken = lowered.taken
     col_spill = lowered.is_spill
 
-    for a, b, kc in lowered.segments:
+    for i in range(lowered.n):
+        kc = col_kind[i]
         if kc == K_VECTOR_ALU:
             # -- _run_vector_compute ------------------------------------
-            for i in range(a, b):
+            s_vector += 1
+            s_vops += col_vl[i]
+            vl = col_vl1[i]
+            if col_fu2[i]:
+                unit = fu2
+            elif fu1.free_at <= fu2.free_at:
+                unit = fu1
+            else:
+                unit = fu2
+            eff = vec_eff[col_lat[i]]
+
+            start = issue_ready
+            if unit.free_at > start:
+                start = unit.free_at
+            row_srcs = col_srcs[i]
+            row_cls = col_src_cls[i]
+            row_idx = col_src_idx[i]
+            row_ids = col_src_ids[i]
+            nsrc = len(row_srcs)
+            for k in range(nsrc):
+                st = reg_state[row_ids[k]]
+                if st is None:
+                    st = _RegState()
+                    reg_state[row_ids[k]] = st
+                    regs_map[row_srcs[k]] = st
+                if row_cls[k] <= 1 or st.from_load or not chain_fu_to_fu:
+                    r = st.ready
+                else:
+                    r = st.first_result
+                if r > start:
+                    start = r
+            d = col_dest[i]
+            dc = col_dest_cls[i]
+            if d is not None:
+                dst = reg_state[col_dest_id[i]]
+                if dst is None:
+                    dst = _RegState()
+                    reg_state[col_dest_id[i]] = dst
+                    regs_map[d] = dst
+                c = dst.ready
+                if dst.read_until > c:
+                    c = dst.read_until
+                if c > start:
+                    start = c
+            else:
+                dst = None
+
+            # port negotiation fixed point (_negotiate_ports).  The
+            # per-port probe values from the *converged* iteration were
+            # computed at the final ``candidate``, so the reservation
+            # pass below can reuse them instead of probing again —
+            # unless an earlier reservation by this same instruction
+            # already mutated that bank.
+            candidate = start
+            converged = False
+            src_vals: List[list] = []
+            wvals: list = []
+            for _ in range(8):
+                adjusted = candidate
+                del src_vals[:]
+                for k in range(nsrc):
+                    if row_cls[k] == 2:
+                        er = -1
+                        vals: list[int] = []
+                        for ps, pe in read_banks[row_idx[k] // regs_per_bank]:
+                            if pe and candidate < pe[-1]:
+                                v = gap_find(ps, pe, candidate, vl)
+                            else:
+                                v = candidate
+                            vals.append(v)
+                            if er < 0 or v < er:
+                                er = v
+                        src_vals.append(vals)
+                        if er > adjusted:
+                            adjusted = er
+                if dc == 2:
+                    write_start = adjusted + eff
+                    ew = -1
+                    del wvals[:]
+                    for ps, pe in write_banks[col_dest_idx[i] // regs_per_bank]:
+                        if pe and write_start < pe[-1]:
+                            v = gap_find(ps, pe, write_start, vl)
+                        else:
+                            v = write_start
+                        wvals.append(v)
+                        if ew < 0 or v < ew:
+                            ew = v
+                    avail = ew - eff
+                    if avail > adjusted:
+                        adjusted = avail
+                if adjusted == candidate:
+                    converged = True
+                    break
+                candidate = adjusted
+            start = candidate
+
+            # port reservations (_reserve_ports); ties pick the first
+            # port, exactly like min(ports, key=...) does
+            touched: list = []
+            svi = 0
+            for k in range(nsrc):
+                if row_cls[k] == 2:
+                    bidx = row_idx[k] // regs_per_bank
+                    bank = read_banks[bidx]
+                    best = bank[0]
+                    bs = -1
+                    if converged and bidx not in touched:
+                        vals = src_vals[svi]
+                        for j in range(len(bank)):
+                            v = vals[j]
+                            if bs < 0 or v < bs:
+                                bs = v
+                                best = bank[j]
+                    else:
+                        for port in bank:
+                            ps, pe = port
+                            if pe and start < pe[-1]:
+                                v = gap_find(ps, pe, start, vl)
+                            else:
+                                v = start
+                            if bs < 0 or v < bs:
+                                bs = v
+                                best = port
+                    svi += 1
+                    touched.append(bidx)
+                    be = bs + vl
+                    ps, pe = best
+                    if pe and bs < pe[-1]:
+                        gap_insert(ps, pe, bs, be)
+                    elif pe and pe[-1] == bs:
+                        pe[-1] = be
+                    else:
+                        ps.append(bs)
+                        pe.append(be)
+            if dc == 2:
+                wstart = start + eff
+                bank = write_banks[col_dest_idx[i] // regs_per_bank]
+                best = bank[0]
+                bs = -1
+                if converged:
+                    for j in range(len(bank)):
+                        v = wvals[j]
+                        if bs < 0 or v < bs:
+                            bs = v
+                            best = bank[j]
+                else:
+                    for port in bank:
+                        ps, pe = port
+                        if pe and wstart < pe[-1]:
+                            v = gap_find(ps, pe, wstart, vl)
+                        else:
+                            v = wstart
+                        if bs < 0 or v < bs:
+                            bs = v
+                            best = port
+                be = bs + vl
+                ps, pe = best
+                if pe and bs < pe[-1]:
+                    gap_insert(ps, pe, bs, be)
+                elif pe and pe[-1] == bs:
+                    pe[-1] = be
+                else:
+                    ps.append(bs)
+                    pe.append(be)
+
+            busy_until = start + vl + vector_startup
+            unit.free_at = busy_until
+            if unit is fu1:
+                if f1_e >= start >= f1_s:
+                    if busy_until > f1_e:
+                        f1_e = busy_until
+                else:
+                    if f1_e >= 0:
+                        tr_fu1.append(iv_new(Interval, (f1_s, f1_e)))
+                    f1_s = start
+                    f1_e = busy_until
+            else:
+                if f2_e >= start >= f2_s:
+                    if busy_until > f2_e:
+                        f2_e = busy_until
+                else:
+                    if f2_e >= 0:
+                        tr_fu2.append(iv_new(Interval, (f2_s, f2_e)))
+                    f2_s = start
+                    f2_e = busy_until
+
+            first_result = start + eff
+            completion = first_result + vl
+            read_until = start + vl
+            for k in range(nsrc):
+                if row_cls[k] >= 2:
+                    st = reg_state[row_ids[k]]
+                    if read_until > st.read_until:
+                        st.read_until = read_until
+            if dst is not None:
+                dst.from_load = False
+                if dc >= 2:
+                    dst.first_result = first_result
+                else:
+                    # reductions deliver their scalar result at the end
+                    dst.first_result = completion
+                dst.ready = completion
+
+            issue_ready = start + 1
+            if completion > horizon:
+                horizon = completion
+            if busy_until > horizon:
+                horizon = busy_until
+            if issue_ready > horizon:
+                horizon = issue_ready
+
+        elif kc in MEMORY_KINDS:
+            # -- _run_vector_memory / _run_scalar_memory ----------------
+            is_vec = kc == K_VECTOR_LOAD or kc == K_VECTOR_STORE
+            start = issue_ready
+            if is_vec:
                 s_vector += 1
                 s_vops += col_vl[i]
                 vl = col_vl1[i]
-                if col_fu2[i]:
-                    unit = fu2
-                elif fu1.free_at <= fu2.free_at:
-                    unit = fu1
+                if mem_unit.free_at > start:
+                    start = mem_unit.free_at
+            else:
+                s_scalar += 1
+                vl = 1
+            row_srcs = col_srcs[i]
+            row_ids = col_src_ids[i]
+            first = 0
+            if kc == K_VECTOR_STORE:
+                # the stored value may chain from a functional unit
+                vcls = col_src_cls[i][0]
+                vst = reg_state[row_ids[0]]
+                if vst is None:
+                    vst = _RegState()
+                    reg_state[row_ids[0]] = vst
+                    regs_map[row_srcs[0]] = vst
+                if vcls <= 1 or vst.from_load or not chain_fu_to_store:
+                    r = vst.ready
                 else:
-                    unit = fu2
-                eff = vec_eff[col_lat[i]]
+                    r = vst.first_result
+                if r > start:
+                    start = r
+                first = 1
+            # base address, index vector, a scalar store's value
+            for k in range(first, len(row_srcs)):
+                st = reg_state[row_ids[k]]
+                if st is None:
+                    st = _RegState()
+                    reg_state[row_ids[k]] = st
+                    regs_map[row_srcs[k]] = st
+                if st.ready > start:
+                    start = st.ready
 
-                start = issue_ready
-                if unit.free_at > start:
-                    start = unit.free_at
-                row_srcs = col_srcs[i]
-                row_cls = col_src_cls[i]
-                row_idx = col_src_idx[i]
-                row_ids = col_src_ids[i]
-                nsrc = len(row_srcs)
-                for k in range(nsrc):
-                    st = reg_state[row_ids[k]]
-                    if st is None:
-                        st = _RegState()
-                        reg_state[row_ids[k]] = st
-                        regs_map[row_srcs[k]] = st
-                    if row_cls[k] <= 1 or st.from_load or not chain_fu_to_fu:
-                        r = st.ready
-                    else:
-                        r = st.first_result
-                    if r > start:
-                        start = r
+            # a vector load writes its bank ``mem_latency`` cycles after
+            # its first address; a vector store reads its bank at once
+            ports = None
+            lag = 0
+            if kc == K_VECTOR_LOAD:
                 d = col_dest[i]
-                dc = col_dest_cls[i]
                 if d is not None:
                     dst = reg_state[col_dest_id[i]]
                     if dst is None:
@@ -207,395 +413,98 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                         c = dst.read_until
                     if c > start:
                         start = c
+                ports = write_banks[col_dest_idx[i] // regs_per_bank]
+                lag = mem_latency
+            elif kc == K_VECTOR_STORE and vcls == 2:
+                ports = read_banks[col_src_idx[i][0] // regs_per_bank]
+            if ports is not None:
+                at = start + lag
+                ep = -1
+                for ps, pe in ports:
+                    if pe and at < pe[-1]:
+                        v = gap_find(ps, pe, at, vl)
+                    else:
+                        v = at
+                    if ep < 0 or v < ep:
+                        ep = v
+                if ep - lag > start:
+                    start = ep - lag
+
+            # the address bus carries one address per element
+            if bus_ends and start < bus_ends[-1]:
+                s = gap_find(bus_starts, bus_ends, start, vl)
+            else:
+                s = start
+            address_done = s + vl
+            if bus_ends and s < bus_ends[-1]:
+                gap_insert(bus_starts, bus_ends, s, address_done)
+            elif bus_ends and bus_ends[-1] == s:
+                bus_ends[-1] = address_done
+            else:
+                bus_starts.append(s)
+                bus_ends.append(address_done)
+
+            if ports is not None:
+                # reserve the bank's earliest port; ties pick the first
+                at = s + lag
+                best = ports[0]
+                bp = -1
+                for port in ports:
+                    ps, pe = port
+                    if pe and at < pe[-1]:
+                        v = gap_find(ps, pe, at, vl)
+                    else:
+                        v = at
+                    if bp < 0 or v < bp:
+                        bp = v
+                        best = port
+                ps, pe = best
+                if pe and bp < pe[-1]:
+                    gap_insert(ps, pe, bp, bp + vl)
+                elif pe and pe[-1] == bp:
+                    pe[-1] = bp + vl
                 else:
-                    dst = None
+                    ps.append(bp)
+                    pe.append(bp + vl)
 
-                # port negotiation fixed point (_negotiate_ports).  The
-                # per-port probe values from the *converged* iteration were
-                # computed at the final ``candidate``, so the reservation
-                # pass below can reuse them instead of probing again —
-                # unless an earlier reservation by this same instruction
-                # already mutated that bank.
-                candidate = start
-                converged = False
-                src_vals: List[list] = []
-                wvals: list = []
-                for _ in range(8):
-                    adjusted = candidate
-                    del src_vals[:]
-                    for k in range(nsrc):
-                        if row_cls[k] == 2:
-                            er = -1
-                            vals: list[int] = []
-                            for ps, pe, _tr, _ts, _te in read_banks[row_idx[k] // regs_per_bank]:
-                                if pe and candidate < pe[-1]:
-                                    v = gap_find(ps, pe, candidate, vl)
-                                else:
-                                    v = candidate
-                                vals.append(v)
-                                if er < 0 or v < er:
-                                    er = v
-                            src_vals.append(vals)
-                            if er > adjusted:
-                                adjusted = er
-                    if dc == 2:
-                        write_start = adjusted + eff
-                        ew = -1
-                        del wvals[:]
-                        for ps, pe, _tr, _ts, _te in write_banks[col_dest_idx[i] // regs_per_bank]:
-                            if pe and write_start < pe[-1]:
-                                v = gap_find(ps, pe, write_start, vl)
-                            else:
-                                v = write_start
-                            wvals.append(v)
-                            if ew < 0 or v < ew:
-                                ew = v
-                        avail = ew - eff
-                        if avail > adjusted:
-                            adjusted = avail
-                    if adjusted == candidate:
-                        converged = True
-                        break
-                    candidate = adjusted
-                start = candidate
-
-                # port reservations (_reserve_ports); ties pick the first
-                # port, exactly like min(ports, key=...) does
-                touched: list = []
-                svi = 0
-                for k in range(nsrc):
-                    if row_cls[k] == 2:
-                        bidx = row_idx[k] // regs_per_bank
-                        bank = read_banks[bidx]
-                        if converged and bidx not in touched:
-                            vals = src_vals[svi]
-                            best = None
-                            bs = -1
-                            for j in range(len(bank)):
-                                v = vals[j]
-                                if bs < 0 or v < bs:
-                                    bs = v
-                                    best = bank[j]
-                        else:
-                            best = None
-                            bs = -1
-                            for port in bank:
-                                ps = port[0]
-                                pe = port[1]
-                                if pe and start < pe[-1]:
-                                    v = gap_find(ps, pe, start, vl)
-                                else:
-                                    v = start
-                                if bs < 0 or v < bs:
-                                    bs = v
-                                    best = port
-                        svi += 1
-                        touched.append(bidx)
-                        be = bs + vl
-                        ps = best[0]
-                        pe = best[1]
-                        if pe and bs < pe[-1]:
-                            gap_insert(ps, pe, bs, be)
-                        elif pe and pe[-1] == bs:
-                            pe[-1] = be
-                        else:
-                            ps.append(bs)
-                            pe.append(be)
-                        if best[4] >= bs >= best[3]:
-                            if be > best[4]:
-                                best[4] = be
-                        else:
-                            if best[4] >= 0:
-                                best[2].append(iv_new(Interval, (best[3], best[4])))
-                            best[3] = bs
-                            best[4] = be
-                if dc == 2:
-                    wstart = start + eff
-                    if converged:
-                        bank = write_banks[col_dest_idx[i] // regs_per_bank]
-                        best = None
-                        bs = -1
-                        for j in range(len(bank)):
-                            v = wvals[j]
-                            if bs < 0 or v < bs:
-                                bs = v
-                                best = bank[j]
-                    else:
-                        best = None
-                        bs = -1
-                        for port in write_banks[col_dest_idx[i] // regs_per_bank]:
-                            ps = port[0]
-                            pe = port[1]
-                            if pe and wstart < pe[-1]:
-                                v = gap_find(ps, pe, wstart, vl)
-                            else:
-                                v = wstart
-                            if bs < 0 or v < bs:
-                                bs = v
-                                best = port
-                    be = bs + vl
-                    ps = best[0]
-                    pe = best[1]
-                    if pe and bs < pe[-1]:
-                        gap_insert(ps, pe, bs, be)
-                    elif pe and pe[-1] == bs:
-                        pe[-1] = be
-                    else:
-                        ps.append(bs)
-                        pe.append(be)
-                    if best[4] >= bs >= best[3]:
-                        if be > best[4]:
-                            best[4] = be
-                    else:
-                        if best[4] >= 0:
-                            best[2].append(iv_new(Interval, (best[3], best[4])))
-                        best[3] = bs
-                        best[4] = be
-
-                busy_until = start + vl + vector_startup
-                unit.free_at = busy_until
-                if unit is fu1:
-                    if f1_e >= start >= f1_s:
-                        if busy_until > f1_e:
-                            f1_e = busy_until
-                    else:
-                        if f1_e >= 0:
-                            tr_fu1.append(iv_new(Interval, (f1_s, f1_e)))
-                        f1_s = start
-                        f1_e = busy_until
-                else:
-                    if f2_e >= start >= f2_s:
-                        if busy_until > f2_e:
-                            f2_e = busy_until
-                    else:
-                        if f2_e >= 0:
-                            tr_fu2.append(iv_new(Interval, (f2_s, f2_e)))
-                        f2_s = start
-                        f2_e = busy_until
-
-                first_result = start + eff
-                completion = first_result + vl
-                read_until = start + vl
-                for k in range(nsrc):
-                    if row_cls[k] >= 2:
-                        st = reg_state[row_ids[k]]
-                        if read_until > st.read_until:
-                            st.read_until = read_until
-                if dst is not None:
-                    dst.from_load = False
-                    if dc >= 2:
-                        dst.first_result = first_result
-                    else:
-                        # reductions deliver their scalar result at the end
-                        dst.first_result = completion
-                    dst.ready = completion
-
-                issue_ready = start + 1
-                if completion > horizon:
-                    horizon = completion
-                if busy_until > horizon:
-                    horizon = busy_until
-                if issue_ready > horizon:
-                    horizon = issue_ready
-
-        elif kc == K_VECTOR_LOAD or kc == K_VECTOR_STORE:
-            # -- _run_vector_memory -------------------------------------
-            load = kc == K_VECTOR_LOAD
-            for i in range(a, b):
-                s_vector += 1
-                s_vops += col_vl[i]
-                vl = col_vl1[i]
-                start = issue_ready
-                if mem_unit.free_at > start:
-                    start = mem_unit.free_at
-                row_srcs = col_srcs[i]
-                row_ids = col_src_ids[i]
-                if load:
-                    for k in range(len(row_srcs)):
-                        st = reg_state[row_ids[k]]
-                        if st is None:
-                            st = _RegState()
-                            reg_state[row_ids[k]] = st
-                            regs_map[row_srcs[k]] = st
-                        if st.ready > start:
-                            start = st.ready
-                    d = col_dest[i]
-                    if d is not None:
-                        dst = reg_state[col_dest_id[i]]
-                        if dst is None:
-                            dst = _RegState()
-                            reg_state[col_dest_id[i]] = dst
-                            regs_map[d] = dst
-                        c = dst.ready
-                        if dst.read_until > c:
-                            c = dst.read_until
-                        if c > start:
-                            start = c
-                    wports = write_banks[col_dest_idx[i] // regs_per_bank]
-                    wstart = start + mem_latency
-                    ew = -1
-                    for ps, pe, _tr, _ts, _te in wports:
-                        if pe and wstart < pe[-1]:
-                            v = gap_find(ps, pe, wstart, vl)
-                        else:
-                            v = wstart
-                        if ew < 0 or v < ew:
-                            ew = v
-                    if ew - mem_latency > start:
-                        start = ew - mem_latency
-
-                    if bus_ends and start < bus_ends[-1]:
-                        s = gap_find(bus_starts, bus_ends, start, vl)
-                    else:
-                        s = start
-                    if bus_ends and s < bus_ends[-1]:
-                        gap_insert(bus_starts, bus_ends, s, s + vl)
-                    elif bus_ends and bus_ends[-1] == s:
-                        bus_ends[-1] = s + vl
-                    else:
-                        bus_starts.append(s)
-                        bus_ends.append(s + vl)
-                    if bus_tr_e >= s >= bus_tr_s:
-                        if s + vl > bus_tr_e:
-                            bus_tr_e = s + vl
-                    else:
-                        if bus_tr_e >= 0:
-                            bus_tr.append(iv_new(Interval, (bus_tr_s, bus_tr_e)))
-                        bus_tr_s = s
-                        bus_tr_e = s + vl
-                    address_done = s + vl
-                    data_ready = s + mem_latency + vl
-
-                    wstart = s + mem_latency
-                    best = None
-                    bs = -1
-                    for port in wports:
-                        ps = port[0]
-                        pe = port[1]
-                        if pe and wstart < pe[-1]:
-                            v = gap_find(ps, pe, wstart, vl)
-                        else:
-                            v = wstart
-                        if bs < 0 or v < bs:
-                            bs = v
-                            best = port
-                    ps = best[0]
-                    pe = best[1]
-                    if pe and bs < pe[-1]:
-                        gap_insert(ps, pe, bs, bs + vl)
-                    elif pe and pe[-1] == bs:
-                        pe[-1] = bs + vl
-                    else:
-                        ps.append(bs)
-                        pe.append(bs + vl)
-                    if best[4] >= bs >= best[3]:
-                        if bs + vl > best[4]:
-                            best[4] = bs + vl
-                    else:
-                        if best[4] >= 0:
-                            best[2].append(iv_new(Interval, (best[3], best[4])))
-                        best[3] = bs
-                        best[4] = bs + vl
-
+            if kc == K_VECTOR_LOAD:
+                data_ready = s + mem_latency + vl
+                dst = reg_state[col_dest_id[i]]
+                dst.from_load = True
+                dst.first_result = s + mem_latency
+                dst.ready = data_ready
+                t_vl += vl
+                if col_spill[i]:
+                    t_vl_sp += vl
+            elif kc == K_VECTOR_STORE:
+                data_ready = address_done
+                if vcls == 2 and address_done > vst.read_until:
+                    vst.read_until = address_done
+                t_vs += vl
+                if col_spill[i]:
+                    t_vs_sp += vl
+            elif kc == K_SCALAR_LOAD:
+                data_ready = s + scalar_mem
+                d = col_dest[i]
+                if d is not None:
                     dst = reg_state[col_dest_id[i]]
-                    dst.from_load = True
-                    dst.first_result = s + mem_latency
+                    if dst is None:
+                        dst = _RegState()
+                        reg_state[col_dest_id[i]] = dst
+                        regs_map[d] = dst
                     dst.ready = data_ready
-                    t_vl += vl
-                    if col_spill[i]:
-                        t_vl_sp += vl
-                else:
-                    row_cls = col_src_cls[i]
-                    vcls = row_cls[0]
-                    vst = reg_state[row_ids[0]]
-                    if vst is None:
-                        vst = _RegState()
-                        reg_state[row_ids[0]] = vst
-                        regs_map[row_srcs[0]] = vst
-                    if vcls <= 1 or vst.from_load or not chain_fu_to_store:
-                        r = vst.ready
-                    else:
-                        r = vst.first_result
-                    if r > start:
-                        start = r
-                    for k in range(1, len(row_srcs)):
-                        st = reg_state[row_ids[k]]
-                        if st is None:
-                            st = _RegState()
-                            reg_state[row_ids[k]] = st
-                            regs_map[row_srcs[k]] = st
-                        if st.ready > start:
-                            start = st.ready
-                    if vcls == 2:
-                        rports = read_banks[col_src_idx[i][0] // regs_per_bank]
-                        er = -1
-                        for ps, pe, _tr, _ts, _te in rports:
-                            if pe and start < pe[-1]:
-                                v = gap_find(ps, pe, start, vl)
-                            else:
-                                v = start
-                            if er < 0 or v < er:
-                                er = v
-                        if er > start:
-                            start = er
+                    dst.first_result = data_ready
+                    dst.from_load = True
+                t_sl += 1
+                if col_spill[i]:
+                    t_sl_sp += 1
+            else:
+                data_ready = address_done
+                t_ss += 1
+                if col_spill[i]:
+                    t_ss_sp += 1
 
-                    if bus_ends and start < bus_ends[-1]:
-                        s = gap_find(bus_starts, bus_ends, start, vl)
-                    else:
-                        s = start
-                    if bus_ends and s < bus_ends[-1]:
-                        gap_insert(bus_starts, bus_ends, s, s + vl)
-                    elif bus_ends and bus_ends[-1] == s:
-                        bus_ends[-1] = s + vl
-                    else:
-                        bus_starts.append(s)
-                        bus_ends.append(s + vl)
-                    if bus_tr_e >= s >= bus_tr_s:
-                        if s + vl > bus_tr_e:
-                            bus_tr_e = s + vl
-                    else:
-                        if bus_tr_e >= 0:
-                            bus_tr.append(iv_new(Interval, (bus_tr_s, bus_tr_e)))
-                        bus_tr_s = s
-                        bus_tr_e = s + vl
-                    address_done = s + vl
-                    data_ready = address_done
-                    if vcls == 2:
-                        best = None
-                        bs = -1
-                        for port in rports:
-                            ps = port[0]
-                            pe = port[1]
-                            if pe and s < pe[-1]:
-                                v = gap_find(ps, pe, s, vl)
-                            else:
-                                v = s
-                            if bs < 0 or v < bs:
-                                bs = v
-                                best = port
-                        ps = best[0]
-                        pe = best[1]
-                        if pe and bs < pe[-1]:
-                            gap_insert(ps, pe, bs, bs + vl)
-                        elif pe and pe[-1] == bs:
-                            pe[-1] = bs + vl
-                        else:
-                            ps.append(bs)
-                            pe.append(bs + vl)
-                        if best[4] >= bs >= best[3]:
-                            if bs + vl > best[4]:
-                                best[4] = bs + vl
-                        else:
-                            if best[4] >= 0:
-                                best[2].append(iv_new(Interval, (best[3], best[4])))
-                            best[3] = bs
-                            best[4] = bs + vl
-                        if address_done > vst.read_until:
-                            vst.read_until = address_done
-                    t_vs += vl
-                    if col_spill[i]:
-                        t_vs_sp += vl
-
+            if is_vec:
                 mem_unit.free_at = address_done
                 if tr_mem_e >= s >= tr_mem_s:
                     if address_done > tr_mem_e:
@@ -605,125 +514,62 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                         tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
                     tr_mem_s = s
                     tr_mem_e = address_done
-                issue_ready = s + 1
-                if data_ready > horizon:
-                    horizon = data_ready
-                if address_done > horizon:
-                    horizon = address_done
-                if issue_ready > horizon:
-                    horizon = issue_ready
+            issue_ready = s + 1
+            if data_ready > horizon:
+                horizon = data_ready
+            if address_done > horizon:
+                horizon = address_done
+            if issue_ready > horizon:
+                horizon = issue_ready
 
         elif kc == K_BRANCH:
             # -- _run_branch --------------------------------------------
-            for i in range(a, b):
-                s_branch += 1
-                start = issue_ready
-                row_srcs = col_srcs[i]
-                row_ids = col_src_ids[i]
-                for k in range(len(row_srcs)):
-                    st = reg_state[row_ids[k]]
-                    if st is None:
-                        st = _RegState()
-                        reg_state[row_ids[k]] = st
-                        regs_map[row_srcs[k]] = st
-                    if st.ready > start:
-                        start = st.ready
-                issue_ready = start + 1 + (taken_penalty if col_taken[i] else 0)
-                if issue_ready > horizon:
-                    horizon = issue_ready
-
-        elif kc == K_SCALAR_LOAD or kc == K_SCALAR_STORE:
-            # -- _run_scalar_memory -------------------------------------
-            load = kc == K_SCALAR_LOAD
-            for i in range(a, b):
-                s_scalar += 1
-                start = issue_ready
-                row_srcs = col_srcs[i]
-                row_ids = col_src_ids[i]
-                for k in range(len(row_srcs)):
-                    st = reg_state[row_ids[k]]
-                    if st is None:
-                        st = _RegState()
-                        reg_state[row_ids[k]] = st
-                        regs_map[row_srcs[k]] = st
-                    if st.ready > start:
-                        start = st.ready
-                if bus_ends and start < bus_ends[-1]:
-                    s = gap_find(bus_starts, bus_ends, start, 1)
-                else:
-                    s = start
-                if bus_ends and s < bus_ends[-1]:
-                    gap_insert(bus_starts, bus_ends, s, s + 1)
-                elif bus_ends and bus_ends[-1] == s:
-                    bus_ends[-1] = s + 1
-                else:
-                    bus_starts.append(s)
-                    bus_ends.append(s + 1)
-                if bus_tr_e >= s >= bus_tr_s:
-                    if s + 1 > bus_tr_e:
-                        bus_tr_e = s + 1
-                else:
-                    if bus_tr_e >= 0:
-                        bus_tr.append(iv_new(Interval, (bus_tr_s, bus_tr_e)))
-                    bus_tr_s = s
-                    bus_tr_e = s + 1
-                if load:
-                    data_ready = s + scalar_mem
-                    d = col_dest[i]
-                    if d is not None:
-                        dst = reg_state[col_dest_id[i]]
-                        if dst is None:
-                            dst = _RegState()
-                            reg_state[col_dest_id[i]] = dst
-                            regs_map[d] = dst
-                        dst.ready = data_ready
-                        dst.first_result = data_ready
-                        dst.from_load = True
-                    t_sl += 1
-                    if col_spill[i]:
-                        t_sl_sp += 1
-                else:
-                    data_ready = s + 1
-                    t_ss += 1
-                    if col_spill[i]:
-                        t_ss_sp += 1
-                issue_ready = s + 1
-                if data_ready > horizon:
-                    horizon = data_ready
-                if issue_ready > horizon:
-                    horizon = issue_ready
+            s_branch += 1
+            start = issue_ready
+            row_srcs = col_srcs[i]
+            row_ids = col_src_ids[i]
+            for k in range(len(row_srcs)):
+                st = reg_state[row_ids[k]]
+                if st is None:
+                    st = _RegState()
+                    reg_state[row_ids[k]] = st
+                    regs_map[row_srcs[k]] = st
+                if st.ready > start:
+                    start = st.ready
+            issue_ready = start + 1 + (taken_penalty if col_taken[i] else 0)
+            if issue_ready > horizon:
+                horizon = issue_ready
 
         else:
             # -- _run_scalar (SCALAR_ALU / VECTOR_CONTROL default) ------
-            for i in range(a, b):
-                s_scalar += 1
-                start = issue_ready
-                row_srcs = col_srcs[i]
-                row_ids = col_src_ids[i]
-                for k in range(len(row_srcs)):
-                    st = reg_state[row_ids[k]]
-                    if st is None:
-                        st = _RegState()
-                        reg_state[row_ids[k]] = st
-                        regs_map[row_srcs[k]] = st
-                    if st.ready > start:
-                        start = st.ready
-                done = start + scalar_lat[col_lat[i]]
-                d = col_dest[i]
-                if d is not None:
-                    dst = reg_state[col_dest_id[i]]
-                    if dst is None:
-                        dst = _RegState()
-                        reg_state[col_dest_id[i]] = dst
-                        regs_map[d] = dst
-                    dst.ready = done
-                    dst.first_result = done
-                    dst.from_load = False
-                issue_ready = start + 1
-                if done > horizon:
-                    horizon = done
-                if issue_ready > horizon:
-                    horizon = issue_ready
+            s_scalar += 1
+            start = issue_ready
+            row_srcs = col_srcs[i]
+            row_ids = col_src_ids[i]
+            for k in range(len(row_srcs)):
+                st = reg_state[row_ids[k]]
+                if st is None:
+                    st = _RegState()
+                    reg_state[row_ids[k]] = st
+                    regs_map[row_srcs[k]] = st
+                if st.ready > start:
+                    start = st.ready
+            done = start + scalar_lat[col_lat[i]]
+            d = col_dest[i]
+            if d is not None:
+                dst = reg_state[col_dest_id[i]]
+                if dst is None:
+                    dst = _RegState()
+                    reg_state[col_dest_id[i]] = dst
+                    regs_map[d] = dst
+                dst.ready = done
+                dst.first_result = done
+                dst.from_load = False
+            issue_ready = start + 1
+            if done > horizon:
+                horizon = done
+            if issue_ready > horizon:
+                horizon = issue_ready
 
     # materialise the deferred busy-tracker tails
     if f1_e >= 0:
@@ -732,16 +578,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
         tr_fu2.append(iv_new(Interval, (f2_s, f2_e)))
     if tr_mem_e >= 0:
         tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
-    if bus_tr_e >= 0:
-        bus_tr.append(iv_new(Interval, (bus_tr_s, bus_tr_e)))
-    for _bank in read_banks:
-        for _port in _bank:
-            if _port[4] >= 0:
-                _port[2].append(iv_new(Interval, (_port[3], _port[4])))
-    for _bank in write_banks:
-        for _port in _bank:
-            if _port[4] >= 0:
-                _port[2].append(iv_new(Interval, (_port[3], _port[4])))
     machine.issue_ready = issue_ready
     machine.horizon = horizon
     stats.scalar_instructions = s_scalar

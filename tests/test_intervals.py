@@ -8,7 +8,6 @@ from repro.common.intervals import (
     BusyTracker,
     Interval,
     merge_intervals,
-    total_busy,
     unit_activity,
 )
 
@@ -40,9 +39,6 @@ class TestMerge:
     def test_zero_length_dropped(self):
         assert merge_intervals([Interval(4, 4)]) == []
 
-    def test_total_busy_counts_overlap_once(self):
-        assert total_busy([Interval(0, 10), Interval(5, 15)]) == 15
-
     @given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 50)), max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_merge_properties(self, raw):
@@ -62,23 +58,27 @@ class TestMerge:
         assert covered == merged_covered
 
 
+def _busy_cycles(tracker):
+    return sum(iv.length for iv in tracker.merged())
+
+
 class TestBusyTracker:
     def test_busy_cycles(self):
         tracker = BusyTracker("fu")
         tracker.add(0, 10)
         tracker.add(20, 25)
-        assert tracker.busy_cycles() == 15
+        assert tracker.merged() == [Interval(0, 10), Interval(20, 25)]
+        assert _busy_cycles(tracker) == 15
 
     def test_extending_last_interval(self):
         tracker = BusyTracker()
         tracker.add(0, 10)
         tracker.add(5, 15)
-        assert tracker.busy_cycles() == 15
+        assert tracker.merged() == [Interval(0, 15)]
 
     def test_zero_length_ignored(self):
         tracker = BusyTracker()
         tracker.add(5, 5)
-        assert tracker.busy_cycles() == 0
         assert tracker.merged() == []
 
     def test_invalid_interval_rejected(self):
@@ -93,7 +93,7 @@ class TestBusyTracker:
         for start, length in raw:
             tracker.add(start, start + length)
             covered.update(range(start, start + length))
-        assert tracker.busy_cycles() == len(covered)
+        assert _busy_cycles(tracker) == len(covered)
 
 
 def _trackers(resources):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.intervals import Interval, merge_intervals
 from repro.common.resources import GapResource, InOrderPipe, PipelinedResource
 
 
@@ -61,6 +62,9 @@ class TestGapResource:
         for (_s1, e1), (s2, _e2) in zip(granted, granted[1:], strict=False):
             assert e1 <= s2
         assert res.busy_cycles() == sum(e - s for s, e in granted)
+        # the calendar is the resource's only busy record: it holds exactly
+        # the granted intervals, merged where they touch
+        assert res.merged() == merge_intervals(Interval(s, e) for s, e in granted)
 
     # -- adversarial gap-filling invariants --------------------------------
     # GapResource underpins every machine-timing model (functional units and

@@ -4,9 +4,11 @@
 cycles and to the cycle count of every joint (FU2, FU1, MEM) state, in one
 sweep (:func:`repro.common.intervals.unit_activity`).  Here the same
 numbers are counted the slow way — one cycle at a time, from the raw
-intervals the live trackers hold just before ``finalise`` — sharing no
-code with the sweep, for every registered machine on every program, on
-both kernels.
+intervals the machine holds just before ``finalise`` — sharing no code
+with the sweep, for every registered machine on every program, on both
+kernels.  On the OOOVA family those are the FU1/FU2 reservation
+calendars and the MEM unit's busy tracker; on the reference machine,
+the three units' busy trackers.
 """
 
 import pytest
@@ -22,13 +24,15 @@ TRACES = {name: get_workload(name, "tiny").trace() for name in WORKLOAD_NAMES}
 
 
 def _raw_intervals(machine):
-    """Copies of the (FU2, FU1, MEM) trackers' raw interval lists."""
-    if hasattr(machine, "mem_unit"):  # the reference machine's MEM unit
-        mem = machine.mem_unit.tracker
-    else:  # the OOOVA pipeline and the in-order machine built on it
-        mem = machine.mem_busy
-    return [list(tracker._intervals)
-            for tracker in (machine.fu2.tracker, machine.fu1.tracker, mem)]
+    """Copies of the (FU2, FU1, MEM) units' raw interval lists."""
+    if hasattr(machine, "mem_unit"):  # the reference machine's trackers
+        return [list(unit.tracker._intervals)
+                for unit in (machine.fu2, machine.fu1, machine.mem_unit)]
+    # the OOOVA pipeline and the in-order machine built on it: FU1 and FU2
+    # are gap resources, whose calendar is their busy record
+    return [list(zip(machine.fu2._starts, machine.fu2._ends)),
+            list(zip(machine.fu1._starts, machine.fu1._ends)),
+            list(machine.mem_busy._intervals)]
 
 
 def _per_cycle(units, cycles):
