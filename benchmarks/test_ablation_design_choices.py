@@ -4,9 +4,6 @@ These are not exhibits from the paper; they quantify how much each
 micro-architectural ingredient contributes, using a representative subset of
 the workload suite:
 
-* load→FU chaining (the C34 does not chain loads; how much of the OOOVA win
-  is simple load chaining versus genuine out-of-order slip?),
-* memory-queue depth (16 vs 128 slots),
 * commit bandwidth (1 vs 4 instructions per cycle),
 * static load hoisting by the compiler versus dynamic reordering.
 """
@@ -16,7 +13,7 @@ import dataclasses
 from _harness import emit, run_once
 
 from repro.analysis import format_table
-from repro.common.params import OOOParams, ReferenceParams
+from repro.common.params import OOOParams
 from repro.compiler.pipeline import compile_kernel
 from repro.core import ooo_config, reference_config, simulate_trace
 from repro.core.config import MachineConfig
@@ -24,31 +21,6 @@ from repro.trace.generator import generate_trace
 from repro.workloads import get_workload
 
 PROGRAMS = ("swm256", "flo52", "trfd")
-
-
-def _chaining_ablation(engine):
-    rows = []
-    for name in PROGRAMS:
-        ref = engine.result(name, reference_config())
-        chained_params = dataclasses.replace(ReferenceParams(), chain_load_to_fu=True)
-        chained = engine.result(
-            name, MachineConfig("reference-load-chaining", chained_params))
-        ooo = engine.result(name, ooo_config(phys_vregs=16))
-        rows.append([name, ref.cycles, chained.cycles, ooo.cycles,
-                     ref.cycles / chained.cycles, ref.cycles / ooo.cycles])
-    return rows
-
-
-def test_ablation_load_chaining(benchmark):
-    rows = run_once(benchmark, _chaining_ablation)
-    emit("Ablation: adding load chaining to the in-order machine vs going out of order",
-         format_table(["program", "REF", "REF+load-chain", "OOOVA-16",
-                       "chain speedup", "OOO speedup"], rows))
-    for row in rows:
-        # Load chaining helps the in-order machine, but out-of-order issue
-        # captures clearly more than chaining alone.
-        assert row[4] >= 0.99, row
-        assert row[5] > row[4], row
 
 
 def _commit_width_ablation(engine):

@@ -32,9 +32,5 @@ class SimulationError(ReproError):
     """The simulator reached an inconsistent state (internal invariant broken)."""
 
 
-class DeadlockError(SimulationError):
-    """The simulator made no forward progress for an implausible number of cycles."""
-
-
 class WorkloadError(ReproError):
     """A workload was requested with invalid parameters or an unknown name."""

@@ -2,126 +2,105 @@
 
 The simulators avoid doing per-cycle accounting work for resources that are
 busy for long stretches (a vector unit processing 128 elements, a memory
-port streaming a vector load).  Instead each resource keeps half-open
-``[start, end)`` busy intervals on the running machine.  A
-:class:`~repro.common.resources.GapResource` (the OOOVA's FU1 and FU2, the
-address bus, the reference machine's register-file ports) keeps them in
-its reservation calendar.  The resources that reserve no calendar keep a
-:class:`BusyTracker`: the OOOVA's vector memory unit (its share of the
-address bus) and the reference machine's three vector units.  When the run
-ends, :func:`unit_activity` reduces the vector units' intervals, in one
-sweep, to the two aggregates the paper's exhibits read: each unit's busy
-cycles and the cycle count of every joint busy state.  The intervals
-themselves never leave the machine.
+port streaming a vector load).  Instead each resource keeps its busy time
+as a :class:`BusyCalendar`: half-open ``[start, end)`` rows, sorted,
+disjoint and merged where they touch, so the calendar is the union of
+every interval the resource was busy.  It is the one form of busy record.
+A :class:`~repro.common.resources.GapResource` (the OOOVA's FU1 and FU2,
+the address bus, the reference machine's register-file ports) is a
+calendar on which gaps can also be reserved; the OOOVA's vector memory
+unit (its share of the address bus) and the reference machine's three
+vector units are plain calendars.  When the run ends, :func:`unit_activity`
+reduces the vector units' calendars, in one sweep, to the two aggregates
+the paper's exhibits read: each unit's busy cycles and the cycle count of
+every joint busy state.  The calendars themselves never leave the machine.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from bisect import bisect_left
+from typing import Sequence
 
 
-class Interval(NamedTuple):
-    """A half-open interval of cycles ``[start, end)``.
+class BusyCalendar:
+    """When one resource was busy: sorted, disjoint, merged ``[start, end)`` rows.
 
-    A ``NamedTuple`` rather than a dataclass: the simulators construct
-    intervals on resource-reservation hot paths, and tuple construction is an
-    order of magnitude cheaper than a frozen dataclass.  Callers that accept
-    untrusted endpoints (:meth:`BusyTracker.add`) validate before building.
-    """
-
-    start: int
-    end: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
-    """Merge overlapping or adjacent intervals into a sorted, disjoint list."""
-    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
-    merged: list[Interval] = []
-    for iv in ordered:
-        if iv.length == 0:
-            continue
-        if merged and iv.start <= merged[-1].end:
-            last = merged[-1]
-            if iv.end > last.end:
-                merged[-1] = Interval(last.start, iv.end)
-        else:
-            merged.append(iv)
-    return merged
-
-
-class BusyRecord(Protocol):
-    """A resource's busy intervals, read as a sorted, disjoint list."""
-
-    def merged(self) -> list[Interval]: ...
-
-
-class BusyTracker:
-    """Records busy intervals for one resource.
-
-    The tracker accepts intervals in any order and merges them when read.
-    Appending an interval that extends the most recently appended one is
-    the common fast path for the simulators (resources tend to be reserved
-    in roughly increasing time order).
+    The rows live in two parallel lists, ``_starts`` and ``_ends``.  The
+    batched steppers update them in place with the same merge rule as
+    :meth:`add`; the spec calls :meth:`add`, which also checks that the
+    new interval overlaps no row.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._intervals: list[Interval] = []
+        self._starts: list[int] = []
+        self._ends: list[int] = []
 
     def add(self, start: int, end: int) -> None:
-        """Record that the resource is busy during ``[start, end)``."""
+        """Record that the resource is busy during ``[start, end)``.
+
+        The interval is merged with any row it touches.  Raises
+        ``ValueError`` if ``end < start`` or if the interval overlaps a row
+        already recorded; an empty interval records nothing.
+        """
         if end < start:
             raise ValueError(f"busy interval end {end} precedes start {start}")
         if end == start:
             return
-        if self._intervals and self._intervals[-1].end >= start >= self._intervals[-1].start:
-            last = self._intervals[-1]
-            if end > last.end:
-                self._intervals[-1] = Interval(last.start, end)
+        starts, ends = self._starts, self._ends
+        idx = bisect_left(starts, start)
+        if (idx > 0 and ends[idx - 1] > start) or (idx < len(starts) and starts[idx] < end):
+            raise ValueError(f"busy interval [{start}, {end}) overlaps a recorded one")
+        if idx > 0 and ends[idx - 1] == start:
+            ends[idx - 1] = end
+            if idx < len(starts) and starts[idx] == end:
+                ends[idx - 1] = ends[idx]
+                del starts[idx]
+                del ends[idx]
             return
-        self._intervals.append(Interval(start, end))
+        if idx < len(starts) and starts[idx] == end:
+            starts[idx] = start
+            return
+        starts.insert(idx, start)
+        ends.insert(idx, end)
 
-    def merged(self) -> list[Interval]:
-        """Return the busy intervals merged into a sorted, disjoint list."""
-        return merge_intervals(self._intervals)
+    def busy_cycles(self) -> int:
+        """The cycles covered by the calendar."""
+        return sum(self._ends) - sum(self._starts)
 
 
 def unit_activity(
-    trackers: Sequence[BusyRecord], total_cycles: int
+    calendars: Sequence[BusyCalendar], total_cycles: int
 ) -> tuple[list[int], dict[tuple[bool, ...], int]]:
     """Busy cycles per unit and cycles per joint busy state, in one sweep.
 
     This is the computation behind Figures 3, 5, 7 and 8 of the paper.
     Returns ``(busy, states)``:
 
-    * ``busy[i]`` counts the distinct cycles ``trackers[i]`` was busy, over
-      all of its intervals (not clipped to ``total_cycles``); the busiest
-      vector unit is the IDEAL bound of Figures 5 and 8;
+    * ``busy[i]`` counts the cycles ``calendars[i]`` covers (not clipped
+      to ``total_cycles``); the busiest vector unit is the IDEAL bound of
+      Figures 5 and 8;
     * ``states`` maps each tuple of busy flags (one per unit, in
-      ``trackers`` order) to the cycles spent in it during
+      ``calendars`` order) to the cycles spent in it during
       ``[0, total_cycles)``.  Only states with a positive count appear, in
       order of first occurrence, so the counts sum to ``total_cycles``.
+
+    The sweep relies on each calendar's rows being disjoint.
     """
     if total_cycles < 0:
         raise ValueError("total_cycles must be non-negative")
-    width = len(trackers)
+    width = len(calendars)
     busy: list[int] = []
-    # (cycle, +bit / -bit) where a tracker turns busy / idle inside the window
+    # (cycle, +bit / -bit) where a unit turns busy / idle inside the window
     events: list[tuple[int, int]] = []
-    for position, tracker in enumerate(trackers):
+    for position, calendar in enumerate(calendars):
         bit = 1 << (width - 1 - position)
-        cycles = 0
-        for start, end in tracker.merged():
-            cycles += end - start
+        for start, end in zip(calendar._starts, calendar._ends, strict=True):
             if start < total_cycles and end > 0:
                 events.append((max(start, 0), bit))
                 if end < total_cycles:
                     events.append((end, -bit))
-        busy.append(cycles)
+        busy.append(calendar.busy_cycles())
     events.sort()
 
     by_mask: dict[int, int] = {}

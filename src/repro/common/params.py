@@ -124,14 +124,10 @@ class MemoryParams:
 
     #: main-memory latency in cycles (the paper varies this from 1 to 100)
     latency: int = 50
-    #: addresses issued on the address bus per cycle
-    addresses_per_cycle: int = 1
 
     def __post_init__(self) -> None:
         if self.latency < 0:
             raise ConfigurationError("memory latency must be non-negative")
-        if self.addresses_per_cycle < 1:
-            raise ConfigurationError("addresses_per_cycle must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -149,12 +145,9 @@ class ReferenceParams:
     #: write ports per register bank
     bank_write_ports: int = 1
     #: chaining from functional units to functional units and to stores
+    #: (the C34 never chains memory loads into functional units or stores)
     chain_fu_to_fu: bool = True
     chain_fu_to_store: bool = True
-    #: the C34 does *not* chain memory loads into functional units
-    chain_load_to_fu: bool = False
-    #: scalar unit issues at most this many instructions per cycle
-    scalar_issue_width: int = 1
     #: fetch bubble charged after a taken branch on the in-order machine
     taken_branch_penalty: int = 2
 
@@ -182,8 +175,6 @@ class OOOParams:
     rob_entries: int = 64
     #: slots in each of the four instruction queues (A, S, V, M)
     queue_slots: int = 16
-    #: instructions fetched / decoded / renamed per cycle
-    fetch_width: int = 1
     #: maximum instructions committed per cycle
     commit_width: int = 4
 
@@ -199,9 +190,9 @@ class OOOParams:
     load_elimination: LoadElimination = LoadElimination.NONE
 
     #: chaining rules carried over from the reference implementation
+    #: (loads never chain into functional units or stores)
     chain_fu_to_fu: bool = True
     chain_fu_to_store: bool = True
-    chain_load_to_fu: bool = False
 
     def __post_init__(self) -> None:
         if self.num_phys_vregs < NUM_ARCH_VREGS + 1:
@@ -220,8 +211,8 @@ class OOOParams:
             raise ConfigurationError("reorder buffer needs at least one entry")
         if self.queue_slots < 1:
             raise ConfigurationError("instruction queues need at least one slot")
-        if self.commit_width < 1 or self.fetch_width < 1:
-            raise ConfigurationError("fetch and commit widths must be positive")
+        if self.commit_width < 1:
+            raise ConfigurationError("commit width must be positive")
 
     def with_memory_latency(self, latency: int) -> "OOOParams":
         """Return a copy of these parameters with a different memory latency."""

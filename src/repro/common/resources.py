@@ -6,8 +6,9 @@ out-of-order simulator needs *gap filling*: a younger instruction that is
 ready early may claim a slot on a unit before an older, still-waiting
 instruction uses it.  :class:`GapResource` provides exactly that — reserve
 the earliest interval of a given length starting at or after a given cycle.
-Its reservation calendar is also its busy record: :meth:`GapResource.merged`
-and :meth:`GapResource.busy_cycles` read the calendar itself.
+A gap resource is a :class:`~repro.common.intervals.BusyCalendar` on
+which gaps can also be reserved, so its reservations are its busy record:
+:meth:`~repro.common.intervals.BusyCalendar.busy_cycles` reads them.
 
 :class:`PipelinedResource` models fully pipelined units that accept one new
 operation per cycle (the scalar units): a reservation occupies a single
@@ -19,22 +20,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.common.intervals import Interval
+from repro.common.intervals import BusyCalendar
 
 
-class GapResource:
+class GapResource(BusyCalendar):
     """A resource that can serve one operation at a time, with gap filling.
 
-    Reservations are kept as a sorted list of disjoint ``[start, end)``
-    intervals, merged where they touch, so the calendar is exactly the
-    merged union of the reservations.  :meth:`reserve` finds the earliest
-    gap that fits.
+    Reservations are rows of the calendar, so it holds exactly their
+    union.  :meth:`reserve` finds the earliest gap that fits.
     """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._starts: list[int] = []
-        self._ends: list[int] = []
 
     def reserve(self, earliest: int, duration: int) -> int:
         """Reserve ``duration`` cycles starting no earlier than ``earliest``.
@@ -48,7 +42,7 @@ class GapResource:
             return earliest
 
         start = self._find_start(earliest, duration)
-        self._insert(start, start + duration)
+        self.add(start, start + duration)
         return start
 
     def next_free(self, earliest: int, duration: int) -> int:
@@ -56,13 +50,6 @@ class GapResource:
         if duration <= 0:
             return earliest
         return self._find_start(earliest, duration)
-
-    def merged(self) -> list[Interval]:
-        """The busy intervals: the calendar, sorted and disjoint."""
-        return list(map(Interval, self._starts, self._ends))
-
-    def busy_cycles(self) -> int:
-        return sum(self._ends) - sum(self._starts)
 
     def _find_start(self, earliest: int, duration: int) -> int:
         starts, ends = self._starts, self._ends
@@ -75,23 +62,6 @@ class GapResource:
                 break
             candidate = max(candidate, ends[i])
         return candidate
-
-    def _insert(self, start: int, end: int) -> None:
-        starts, ends = self._starts, self._ends
-        idx = bisect_left(starts, start)
-        # merge with neighbours when adjacent to keep the lists compact
-        if idx > 0 and ends[idx - 1] == start:
-            ends[idx - 1] = end
-            if idx < len(starts) and starts[idx] == end:
-                ends[idx - 1] = ends[idx]
-                del starts[idx]
-                del ends[idx]
-            return
-        if idx < len(starts) and starts[idx] == end:
-            starts[idx] = start
-            return
-        starts.insert(idx, start)
-        ends.insert(idx, end)
 
 
 class PipelinedResource:

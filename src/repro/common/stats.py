@@ -2,8 +2,9 @@
 
 Every machine's ``finalise`` returns a :class:`SimStats`: plain integer
 counters, each vector unit's busy cycles and the cycle count of every joint
-(FU2, FU1, MEM) busy state.  The machines keep their busy intervals to
-themselves and reduce them to those two aggregates once, in ``finalise``
+(FU2, FU1, MEM) busy state.  The machines keep each unit's busy time to
+themselves, as a :class:`~repro.common.intervals.BusyCalendar`, and reduce
+the three calendars to those two aggregates once, in ``finalise``
 (:meth:`SimStats.record_unit_activity`), so a result is a few dozen
 integers however long the run: copying, serialising and validating one is a
 flat walk over its fields.  The analysis layer (`repro.analysis`) and the
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping
 
-from repro.common.intervals import BusyRecord, unit_activity
+from repro.common.intervals import BusyCalendar, unit_activity
 
 #: The three vector units whose joint state is reported in Figures 3 and 7,
 #: in the order used by the paper's 3-tuples: (FU2, FU1, MEM).
@@ -97,7 +98,6 @@ class SimStats:
 
     #: OOOVA-only counters (left at zero by the reference simulator)
     branch_mispredictions: int = 0
-    branches_predicted: int = 0
     rename_stall_cycles: int = 0
     rob_stall_cycles: int = 0
     queue_stall_cycles: int = 0
@@ -105,10 +105,10 @@ class SimStats:
     stores_executed_at_head: int = 0
 
     def record_unit_activity(
-        self, fu2: BusyRecord, fu1: BusyRecord, mem: BusyRecord
+        self, fu2: BusyCalendar, fu1: BusyCalendar, mem: BusyCalendar
     ) -> None:
         """Set :attr:`unit_busy` and :attr:`unit_states` from the units' busy
-        intervals (a tracker, or a gap resource's reservation calendar).
+        calendars (a gap resource is one too).
 
         Machines call this from ``finalise``, after setting :attr:`cycles`.
         """

@@ -113,10 +113,6 @@ class MemoryLayout:
         self._next_spill_offset += _align(size_bytes, ELEMENT_BYTES)
         return offset
 
-    @property
-    def spill_bytes_used(self) -> int:
-        return self._next_spill_offset
-
 
 def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment

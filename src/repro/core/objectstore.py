@@ -52,8 +52,11 @@ from repro.core.results import SimulationResult
 #: (2: busy totals and state counts replaced the busy-interval pairs;
 #: 3: a late rename under vector load elimination is no rename stall;
 #: 4: ``scalar_loads_eliminated`` dropped, it duplicated
-#: ``traffic.eliminated_scalar_load_ops``)
-STORE_VERSION = 4
+#: ``traffic.eliminated_scalar_load_ops``; 5: the count of predicted
+#: branches dropped, it equalled ``branch_instructions`` on the OOO family
+#: and read 0 on the reference machine, and five parameters no model read
+#: left the stored ``params`` block)
+STORE_VERSION = 5
 
 #: subdirectory of the experiment cache dir acting as the bucket root
 OBJECT_SUBDIR = "objects"

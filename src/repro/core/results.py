@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.common.params import OOOParams, ReferenceParams, params_from_dict, params_to_dict
@@ -71,15 +70,6 @@ class SimulationResult:
             params=params_from_dict(payload["params"]),
             stats=SimStats.from_dict(payload["stats"]),
         )
-
-    def to_json(self) -> str:
-        """Serialise to compact JSON text (used by the store backends)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationResult":
-        """Rebuild a result from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
     def __str__(self) -> str:
         return (

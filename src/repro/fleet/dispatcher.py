@@ -306,10 +306,6 @@ class FleetDispatcher:
             self._procs[slot] = self._spawn_worker(slot)
         return any(proc.poll() is None for proc in self._procs)
 
-    def workers_alive(self) -> int:
-        """Number of spawned worker processes currently running."""
-        return sum(1 for proc in self._procs if proc.poll() is None)
-
     def shutdown(self, timeout: float = 10.0) -> None:
         """Drain spawned workers: SIGTERM, wait, then SIGKILL stragglers."""
         for proc in self._procs:

@@ -12,11 +12,11 @@ This module provides the kernel side of the batched stepper:
 
 * :func:`lowered_for` lowers a compiled trace once (memoised per trace)
   into a :class:`LoweredTrace` — a structure of arrays holding, per
-  instruction, the kind code, interned latency-class code, operand
-  register classes/indices, vector lengths, queue routing, branch
-  outcome, spill flag and memory region.  The columns are plain lists:
-  the interpreter loops index them one element at a time, which is
-  faster on a list than on an array.
+  instruction, the kind code, interned latency-class code, the operand
+  registers as class codes, indices and packed ids, vector lengths,
+  queue routing, branch outcome, spill flag and memory region.  The
+  columns are plain lists: the interpreter loops index them one
+  element at a time, which is faster on a list than on an array.
 * A per-machine-class registry maps a :class:`StagedMachine` subclass to
   its hand-lowered stepper (:mod:`repro.refsim.batched`,
   :mod:`repro.ooo.batched`).  Registration is by **exact class**: a
@@ -44,7 +44,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.isa.opcodes import InstrKind, Opcode
-from repro.isa.registers import RegClass, Register
+from repro.isa.registers import RegClass
 from repro.trace.records import DynInstr, Trace
 
 #: stable instruction-kind codes (definition order of :class:`InstrKind`)
@@ -150,10 +150,8 @@ class LoweredTrace:
         lat_code = [0] * n
         fu2_only = [False] * n
         vl = [0] * n
-        dest: List[Optional[Register]] = [None] * n
         dest_cls = [-1] * n
         dest_idx = [-1] * n
-        srcs: List[Tuple[Register, ...]] = [()] * n
         src_cls: List[Tuple[int, ...]] = [()] * n
         src_idx: List[Tuple[int, ...]] = [()] * n
         src_ids: List[Tuple[int, ...]] = [()] * n
@@ -173,7 +171,6 @@ class LoweredTrace:
             d = dyn.dest
             dcls = -1
             if d is not None:
-                dest[i] = d
                 dcls = cls_code[d.cls]
                 dest_cls[i] = dcls
                 dest_idx[i] = d.index
@@ -181,7 +178,6 @@ class LoweredTrace:
             s = dyn.srcs
             scls: Tuple[int, ...] = ()
             if s:
-                srcs[i] = s
                 scls = tuple(cls_code[r.cls] for r in s)
                 src_cls[i] = scls
                 src_idx[i] = tuple(r.index for r in s)
@@ -198,10 +194,8 @@ class LoweredTrace:
         self.lat_code = lat_code
         self.fu2_only = fu2_only
         self.vl = vl
-        self.dest = dest
         self.dest_cls = dest_cls
         self.dest_idx = dest_idx
-        self.srcs = srcs
         self.src_cls = src_cls
         self.src_idx = src_idx
         self.src_ids = src_ids
@@ -213,7 +207,7 @@ class LoweredTrace:
         #: a range may start below address 0)
         self.region_start = [dyn.region_start for dyn in dyns]
         self.region_end = [dyn.region_end for dyn in dyns]
-        self.max_srcs = max((len(s) for s in srcs), default=0)
+        self.max_srcs = max((len(s) for s in src_cls), default=0)
 
         #: vector lengths clamped to one element
         self.vl1 = [v if v > 1 else 1 for v in vl]
@@ -249,15 +243,16 @@ def lowered_for(trace: Trace) -> LoweredTrace:
 
 
 # ---------------------------------------------------------------------------
-# flattened GapResource operations
+# flattened calendar operations
 # ---------------------------------------------------------------------------
 #
-# The steppers manipulate each :class:`~repro.common.resources.GapResource`'s
-# ``_starts``/``_ends`` calendar in place through these two helpers — the
-# exact ``_find_start``/``_insert`` algorithms, minus the per-call attribute
-# and method dispatch.  Identity of the list objects is preserved, and the
-# calendar is the resource's only busy record, so both kernels leave the
-# same component state.
+# The steppers manipulate each :class:`~repro.common.intervals.BusyCalendar`'s
+# ``_starts``/``_ends`` lists in place through these two helpers — the exact
+# ``GapResource._find_start`` and ``BusyCalendar.add`` algorithms (without
+# ``add``'s argument checks), minus the per-call attribute and method
+# dispatch.  Identity of the list objects is preserved, and the calendar is
+# the resource's only busy record, so both kernels leave the same
+# component state.
 
 
 def gap_find(starts: List[int], ends: List[int], earliest: int, duration: int) -> int:
@@ -278,7 +273,7 @@ def gap_find(starts: List[int], ends: List[int], earliest: int, duration: int) -
 
 
 def gap_insert(starts: List[int], ends: List[int], start: int, end: int) -> None:
-    """Insert ``[start, end)`` into the sorted disjoint interval lists."""
+    """Insert ``[start, end)`` into a calendar, merging rows it touches."""
     idx = bisect_left(starts, start)
     if idx > 0 and ends[idx - 1] == start:
         ends[idx - 1] = end

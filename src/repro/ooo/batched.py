@@ -4,10 +4,12 @@ This is the out-of-order counterpart of :mod:`repro.refsim.batched`: one
 flat interpreter loop over the lowered trace, with every hot component
 operation inlined against the component's own backing storage — the
 reorder-buffer occupancy heap, the issue-queue departure heaps, the
-per-class rename mapping/free-list dicts, the ``GapResource`` calendars
-of the vector units and the address bus, the scalar units' issue slots,
-the memory pipeline's exit cursor and disambiguation window, and the
-load-elimination tag dicts.  Branch prediction and the scalar
+per-class rename mapping/free-list dicts, the busy calendars of FU1,
+FU2, the address bus and the vector memory unit, the scalar units' issue
+slots, the memory pipeline's exit cursor and disambiguation window, and
+the load-elimination tag dicts.  Every calendar is updated in place; a
+vector access may fill a gap on the bus, so its memory-unit row is
+inserted like a bus row, not appended.  Branch prediction and the scalar
 load-elimination copy stay behind their method calls.  The components
 keep only state that decides timing or that ``finalise`` reads, so the
 stepper maintains nothing else.
@@ -33,7 +35,6 @@ from heapq import heappop, heappush
 from typing import Any, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.intervals import Interval
 from repro.common.params import CommitModel
 from repro.isa.registers import RegClass
 from repro.machine.batched import (
@@ -80,9 +81,6 @@ def _memtags(lowered: LoweredTrace) -> List[Any]:
 def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     """Advance ``machine`` over the whole lowered sequence (one slice)."""
     params = machine.params
-    # build Interval rows through ``tuple.__new__`` directly: same object,
-    # minus the generated named-tuple ``__new__`` frame on every tracker row
-    iv_new = tuple.__new__
     lat = machine.lat
     scalar_lat, vector_lat = latency_tables(lat)
     lat_scalar_alu = lat.scalar_alu
@@ -165,7 +163,9 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     fu2 = machine.fu2
     f1s, f1e = fu1._starts, fu1._ends
     f2s, f2e = fu2._starts, fu2._ends
-    tr_mem = machine.mem_busy._intervals
+    # the vector memory unit's share of the bus: a vector access may fill a
+    # gap on the bus, so its row may land before the calendar's last one
+    ms, me = machine.mem_busy._starts, machine.mem_busy._ends
     a_slots = machine.a_unit._slots
     s_slots = machine.s_unit._slots
     a_width = machine.a_unit.width
@@ -182,7 +182,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     n_vector = st.vector_instructions
     n_vops = st.vector_operations
     n_branch = st.branch_instructions
-    n_bpred = st.branches_predicted
     n_bmiss = st.branch_mispredictions
     n_store_head = st.stores_executed_at_head
     tf_vload = tf.vector_load_ops
@@ -195,16 +194,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     tf_sstore_sp = tf.scalar_store_spill_ops
     tf_evl = tf.eliminated_vector_load_ops
     tf_esl = tf.eliminated_scalar_load_ops
-
-    # the vector memory unit's busy tracker: the fast path only ever merges
-    # into the *last* interval, so keep that row in locals and materialise
-    # it when a disjoint interval begins (and once at flush) instead of
-    # rebuilding an Interval per reservation.  ``-1`` marks "no open
-    # interval" (ends are always >= 1).
-    if tr_mem:
-        tr_mem_s, tr_mem_e = tr_mem.pop()
-    else:
-        tr_mem_s = tr_mem_e = -1
 
     # -- machine scalars -----------------------------------------------------
     last_rename = machine.last_rename
@@ -556,14 +545,13 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     bs.append(s)
                     be.append(e_addr)
                 if is_vec:
-                    if tr_mem_e >= s >= tr_mem_s:
-                        if e_addr > tr_mem_e:
-                            tr_mem_e = e_addr
+                    if me and s < me[-1]:
+                        gap_insert(ms, me, s, e_addr)
+                    elif me and me[-1] == s:
+                        me[-1] = e_addr
                     else:
-                        if tr_mem_e >= 0:
-                            tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
-                        tr_mem_s = s
-                        tr_mem_e = e_addr
+                        ms.append(s)
+                        me.append(e_addr)
                 if rs is not None:
                     mp_active.append(_PendingAccess(rs, re_, is_store, e_addr))
                 if is_store:
@@ -639,9 +627,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             a_slots[cyc] = a_slots.get(cyc, 0) + 1
             completion = cyc + lat_scalar_alu
 
-            correct = predict(dyns[i])
-            n_bpred += 1
-            if not correct:
+            if not predict(dyns[i]):
                 n_bmiss += 1
                 resume = completion + mispredict_penalty
                 if resume > fetch_resume:
@@ -740,8 +726,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 gate_ready = nxt
 
     # -- flush the localized state back into the components ------------------
-    if tr_mem_e >= 0:
-        tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
     machine.last_rename = last_rename
     machine.fetch_resume = fetch_resume
     machine.horizon = horizon
@@ -759,7 +743,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     st.vector_instructions = n_vector
     st.vector_operations = n_vops
     st.branch_instructions = n_branch
-    st.branches_predicted = n_bpred
     st.branch_mispredictions = n_bmiss
     st.stores_executed_at_head = n_store_head
     tf.vector_load_ops = tf_vload

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import SimulationError
-from repro.common.intervals import BusyTracker
+from repro.common.intervals import BusyCalendar
 from repro.common.params import CommitModel, LoadElimination, OOOParams
 from repro.common.resources import GapResource, PipelinedResource
 from repro.common.stats import SimStats
@@ -111,7 +111,7 @@ class _OOORun(StagedMachine):
         self.fu1 = GapResource("FU1")
         self.fu2 = GapResource("FU2")
         #: when the vector memory unit (MEM) was busy issuing addresses
-        self.mem_busy = BusyTracker("MEM")
+        self.mem_busy = BusyCalendar("MEM")
         self.a_unit = PipelinedResource("A-unit")
         self.s_unit = PipelinedResource("S-unit")
 
@@ -233,9 +233,7 @@ class _OOORun(StagedMachine):
         issue = self.a_unit.reserve(ready)
         resolve = issue + self.lat.scalar_alu
 
-        correct = self.predictor.predict_and_update(dyn)
-        self.stats.branches_predicted += 1
-        if not correct:
+        if not self.predictor.predict_and_update(dyn):
             self.stats.branch_mispredictions += 1
             self.fetch_resume = max(
                 self.fetch_resume, resolve + self.params.branch_mispredict_penalty

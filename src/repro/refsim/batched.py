@@ -16,16 +16,17 @@ register-file ports and the address bus are driven through the flattened
 :func:`~repro.machine.batched.gap_find`/
 :func:`~repro.machine.batched.gap_insert` primitives on their calendars,
 and mutable machine scalars plus statistics counters live in true locals
-written back once at the end.  Component **objects** (the lazy register
-map, the port calendars, the vector units' busy trackers) are mutated in
-place and in the same order as the scalar kernel, so the machine state is
-bit-identical — including the insertion order of the lazily created
-register-timing entries, which the kernel tests compare.
+written back once at the end.  Component **objects** (the register timing
+states, which exist from the run's construction, the port calendars and
+the vector units' busy calendars) are mutated in place and in the same
+order as the scalar kernel, so the machine state is bit-identical.  A
+vector unit starts at or after its ``free_at``, the end of its calendar's
+last row, so its new row only ever extends that row or follows it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.machine.batched import (
     CLS_CODE,
@@ -42,8 +43,7 @@ from repro.machine.batched import (
     latency_tables,
     register_stepper,
 )
-from repro.common.intervals import Interval
-from repro.refsim.machine import _ReferenceRun, _RegState
+from repro.refsim.machine import _ReferenceRun
 
 #: flat register-state table size (4 classes × REG_ID_STRIDE id space)
 _REG_TABLE = 4 * REG_ID_STRIDE
@@ -51,9 +51,6 @@ _REG_TABLE = 4 * REG_ID_STRIDE
 
 def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     params = machine.params
-    # build Interval rows through ``tuple.__new__`` directly: same object,
-    # minus the generated named-tuple ``__new__`` frame on every tracker row
-    iv_new = tuple.__new__
     # parameter-independent latency tables, indexed by interned class code
     scalar_lat, vec_eff = latency_tables(machine.lat)
     vector_startup = machine.lat.vector_startup
@@ -63,18 +60,18 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     chain_fu_to_store = params.chain_fu_to_store
     taken_penalty = params.taken_branch_penalty
 
-    # architected register timings: flat id-indexed view over the lazily
-    # grown component dict (insertion order into the dict is part of the
-    # state and preserved: entries are created exactly where the scalar
-    # kernel would create them)
-    regs_map = machine.regs.map
-    reg_state: List[Optional[_RegState]] = [None] * _REG_TABLE
-    for reg, st in regs_map.items():
+    # architected register timings: flat id-indexed view over the
+    # component dict, which holds every architected register
+    reg_state: List[Any] = [None] * _REG_TABLE
+    for reg, st in machine.regs.items():
         reg_state[CLS_CODE[reg.cls] * REG_ID_STRIDE + reg.index] = st
 
     fu1 = machine.fu1
     fu2 = machine.fu2
     mem_unit = machine.mem_unit
+    f1s, f1e = fu1.busy._starts, fu1.busy._ends
+    f2s, f2e = fu2.busy._starts, fu2.busy._ends
+    ms, me = mem_unit.busy._starts, mem_unit.busy._ends
     bus = machine.memory.address_bus
     bus_starts = bus._starts
     bus_ends = bus._ends
@@ -85,27 +82,8 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     read_banks = [[(p._starts, p._ends) for p in bank] for bank in regfile._read_ports]
     write_banks = [[(p._starts, p._ends) for p in bank] for bank in regfile._write_ports]
 
-    # the vector units' busy trackers: the fast path only ever merges into
-    # the last interval, so hold that row in locals and emit it when a
-    # disjoint interval begins (plus once at the flush) instead of
-    # rebuilding an Interval per reservation (``-1`` = no open interval)
     stats = machine.stats
     traffic = stats.traffic
-    tr_fu1 = fu1.tracker._intervals
-    tr_fu2 = fu2.tracker._intervals
-    tr_mem = mem_unit.tracker._intervals
-    if tr_fu1:
-        f1_s, f1_e = tr_fu1.pop()
-    else:
-        f1_s = f1_e = -1
-    if tr_fu2:
-        f2_s, f2_e = tr_fu2.pop()
-    else:
-        f2_s = f2_e = -1
-    if tr_mem:
-        tr_mem_s, tr_mem_e = tr_mem.pop()
-    else:
-        tr_mem_s = tr_mem_e = -1
 
     # machine scalars and statistic counters, mirrored into locals for the
     # hot loop and flushed back once after the last instruction
@@ -125,11 +103,9 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     t_ss_sp = traffic.scalar_store_spill_ops
 
     col_kind = lowered.kind_code
-    col_srcs = lowered.srcs
     col_src_cls = lowered.src_cls
     col_src_idx = lowered.src_idx
     col_src_ids = lowered.src_ids
-    col_dest = lowered.dest
     col_dest_cls = lowered.dest_cls
     col_dest_idx = lowered.dest_idx
     col_dest_id = lowered.dest_id
@@ -147,42 +123,32 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             s_vector += 1
             s_vops += col_vl[i]
             vl = col_vl1[i]
-            if col_fu2[i]:
+            if col_fu2[i] or fu1.free_at > fu2.free_at:
                 unit = fu2
-            elif fu1.free_at <= fu2.free_at:
-                unit = fu1
+                us, ue = f2s, f2e
             else:
-                unit = fu2
+                unit = fu1
+                us, ue = f1s, f1e
             eff = vec_eff[col_lat[i]]
 
             start = issue_ready
             if unit.free_at > start:
                 start = unit.free_at
-            row_srcs = col_srcs[i]
             row_cls = col_src_cls[i]
             row_idx = col_src_idx[i]
             row_ids = col_src_ids[i]
-            nsrc = len(row_srcs)
+            nsrc = len(row_ids)
             for k in range(nsrc):
                 st = reg_state[row_ids[k]]
-                if st is None:
-                    st = _RegState()
-                    reg_state[row_ids[k]] = st
-                    regs_map[row_srcs[k]] = st
                 if row_cls[k] <= 1 or st.from_load or not chain_fu_to_fu:
                     r = st.ready
                 else:
                     r = st.first_result
                 if r > start:
                     start = r
-            d = col_dest[i]
             dc = col_dest_cls[i]
-            if d is not None:
+            if dc >= 0:
                 dst = reg_state[col_dest_id[i]]
-                if dst is None:
-                    dst = _RegState()
-                    reg_state[col_dest_id[i]] = dst
-                    regs_map[d] = dst
                 c = dst.ready
                 if dst.read_until > c:
                     c = dst.read_until
@@ -311,24 +277,11 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
 
             busy_until = start + vl + vector_startup
             unit.free_at = busy_until
-            if unit is fu1:
-                if f1_e >= start >= f1_s:
-                    if busy_until > f1_e:
-                        f1_e = busy_until
-                else:
-                    if f1_e >= 0:
-                        tr_fu1.append(iv_new(Interval, (f1_s, f1_e)))
-                    f1_s = start
-                    f1_e = busy_until
+            if ue and ue[-1] == start:
+                ue[-1] = busy_until
             else:
-                if f2_e >= start >= f2_s:
-                    if busy_until > f2_e:
-                        f2_e = busy_until
-                else:
-                    if f2_e >= 0:
-                        tr_fu2.append(iv_new(Interval, (f2_s, f2_e)))
-                    f2_s = start
-                    f2_e = busy_until
+                us.append(start)
+                ue.append(busy_until)
 
             first_result = start + eff
             completion = first_result + vl
@@ -368,17 +321,12 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             else:
                 s_scalar += 1
                 vl = 1
-            row_srcs = col_srcs[i]
             row_ids = col_src_ids[i]
             first = 0
             if kc == K_VECTOR_STORE:
                 # the stored value may chain from a functional unit
                 vcls = col_src_cls[i][0]
                 vst = reg_state[row_ids[0]]
-                if vst is None:
-                    vst = _RegState()
-                    reg_state[row_ids[0]] = vst
-                    regs_map[row_srcs[0]] = vst
                 if vcls <= 1 or vst.from_load or not chain_fu_to_store:
                     r = vst.ready
                 else:
@@ -387,12 +335,8 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                     start = r
                 first = 1
             # base address, index vector, a scalar store's value
-            for k in range(first, len(row_srcs)):
+            for k in range(first, len(row_ids)):
                 st = reg_state[row_ids[k]]
-                if st is None:
-                    st = _RegState()
-                    reg_state[row_ids[k]] = st
-                    regs_map[row_srcs[k]] = st
                 if st.ready > start:
                     start = st.ready
 
@@ -401,13 +345,8 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             ports = None
             lag = 0
             if kc == K_VECTOR_LOAD:
-                d = col_dest[i]
-                if d is not None:
+                if col_dest_cls[i] >= 0:
                     dst = reg_state[col_dest_id[i]]
-                    if dst is None:
-                        dst = _RegState()
-                        reg_state[col_dest_id[i]] = dst
-                        regs_map[d] = dst
                     c = dst.ready
                     if dst.read_until > c:
                         c = dst.read_until
@@ -485,13 +424,8 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                     t_vs_sp += vl
             elif kc == K_SCALAR_LOAD:
                 data_ready = s + scalar_mem
-                d = col_dest[i]
-                if d is not None:
+                if col_dest_cls[i] >= 0:
                     dst = reg_state[col_dest_id[i]]
-                    if dst is None:
-                        dst = _RegState()
-                        reg_state[col_dest_id[i]] = dst
-                        regs_map[d] = dst
                     dst.ready = data_ready
                     dst.first_result = data_ready
                     dst.from_load = True
@@ -506,14 +440,11 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
 
             if is_vec:
                 mem_unit.free_at = address_done
-                if tr_mem_e >= s >= tr_mem_s:
-                    if address_done > tr_mem_e:
-                        tr_mem_e = address_done
+                if me and me[-1] == s:
+                    me[-1] = address_done
                 else:
-                    if tr_mem_e >= 0:
-                        tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
-                    tr_mem_s = s
-                    tr_mem_e = address_done
+                    ms.append(s)
+                    me.append(address_done)
             issue_ready = s + 1
             if data_ready > horizon:
                 horizon = data_ready
@@ -526,16 +457,10 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             # -- _run_branch --------------------------------------------
             s_branch += 1
             start = issue_ready
-            row_srcs = col_srcs[i]
-            row_ids = col_src_ids[i]
-            for k in range(len(row_srcs)):
-                st = reg_state[row_ids[k]]
-                if st is None:
-                    st = _RegState()
-                    reg_state[row_ids[k]] = st
-                    regs_map[row_srcs[k]] = st
-                if st.ready > start:
-                    start = st.ready
+            for rid in col_src_ids[i]:
+                r = reg_state[rid].ready
+                if r > start:
+                    start = r
             issue_ready = start + 1 + (taken_penalty if col_taken[i] else 0)
             if issue_ready > horizon:
                 horizon = issue_ready
@@ -544,24 +469,13 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             # -- _run_scalar (SCALAR_ALU / VECTOR_CONTROL default) ------
             s_scalar += 1
             start = issue_ready
-            row_srcs = col_srcs[i]
-            row_ids = col_src_ids[i]
-            for k in range(len(row_srcs)):
-                st = reg_state[row_ids[k]]
-                if st is None:
-                    st = _RegState()
-                    reg_state[row_ids[k]] = st
-                    regs_map[row_srcs[k]] = st
-                if st.ready > start:
-                    start = st.ready
+            for rid in col_src_ids[i]:
+                r = reg_state[rid].ready
+                if r > start:
+                    start = r
             done = start + scalar_lat[col_lat[i]]
-            d = col_dest[i]
-            if d is not None:
+            if col_dest_cls[i] >= 0:
                 dst = reg_state[col_dest_id[i]]
-                if dst is None:
-                    dst = _RegState()
-                    reg_state[col_dest_id[i]] = dst
-                    regs_map[d] = dst
                 dst.ready = done
                 dst.first_result = done
                 dst.from_load = False
@@ -571,13 +485,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             if issue_ready > horizon:
                 horizon = issue_ready
 
-    # materialise the deferred busy-tracker tails
-    if f1_e >= 0:
-        tr_fu1.append(iv_new(Interval, (f1_s, f1_e)))
-    if f2_e >= 0:
-        tr_fu2.append(iv_new(Interval, (f2_s, f2_e)))
-    if tr_mem_e >= 0:
-        tr_mem.append(iv_new(Interval, (tr_mem_s, tr_mem_e)))
     machine.issue_ready = issue_ready
     machine.horizon = horizon
     stats.scalar_instructions = s_scalar

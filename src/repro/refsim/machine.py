@@ -19,9 +19,10 @@ behaviour — and the memory-port idle time it creates — is what Figures 3 and
 4 of the paper quantify and what the OOOVA is designed to remove.
 
 Like the OOOVA, the machine is declared on the staged kernel
-(:class:`repro.machine.core.StagedMachine`): the architected-register
-timing map, the three functional units, the memory system and the banked
-register file are plain attributes of the run.
+(:class:`repro.machine.core.StagedMachine`): the timings of the 32
+architected registers (all created with the run), the three vector units
+with their busy calendars, the memory system and the banked register file
+are plain attributes of the run.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import SimulationError
-from repro.common.intervals import BusyTracker
+from repro.common.intervals import BusyCalendar
 from repro.common.params import ReferenceParams
 from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind
-from repro.isa.registers import RegClass, Register
+from repro.isa.registers import RegClass, Register, all_registers
 from repro.machine.core import StagedMachine
 from repro.memory.system import MemorySystem
 from repro.refsim.regfile import BankedVectorRegisterFile
@@ -60,22 +61,9 @@ class _UnitState:
 
     name: str
     free_at: int = 0
-    #: when the unit was busy; reduced to the result's aggregates by finalise
-    tracker: BusyTracker = field(default_factory=BusyTracker)
-
-
-class _RegTimings:
-    """Timing states of the architected registers (grown lazily on first use)."""
-
-    def __init__(self) -> None:
-        self.map: dict[Register, _RegState] = {}
-
-    def get(self, register: Register) -> _RegState:
-        state = self.map.get(register)
-        if state is None:
-            state = _RegState()
-            self.map[register] = state
-        return state
+    #: when the unit was busy (its last row ends at ``free_at``); reduced
+    #: to the result's aggregates by finalise
+    busy: BusyCalendar = field(default_factory=BusyCalendar)
 
 
 class _ReferenceRun(StagedMachine):
@@ -96,7 +84,10 @@ class _ReferenceRun(StagedMachine):
         super().__init__(params, trace)
         #: cycle at which the next instruction may issue (in program order)
         self.issue_ready = 0
-        self.regs = _RegTimings()
+        #: timing state of every architected register, A, S, V then VM
+        self.regs: dict[Register, _RegState] = {
+            register: _RegState() for cls in RegClass for register in all_registers(cls)
+        }
         self.fu1 = _UnitState("FU1")
         self.fu2 = _UnitState("FU2")
         self.mem_unit = _UnitState("MEM")
@@ -110,12 +101,9 @@ class _ReferenceRun(StagedMachine):
 
     # -- helpers ------------------------------------------------------------
 
-    def _reg(self, register: Register) -> _RegState:
-        return self.regs.get(register)
-
     def _source_ready(self, register: Register, for_store: bool) -> int:
         """Earliest cycle a consumer may start reading ``register``."""
-        state = self._reg(register)
+        state = self.regs[register]
         if register.cls in (RegClass.A, RegClass.S):
             return state.ready
         if state.from_load:
@@ -126,7 +114,7 @@ class _ReferenceRun(StagedMachine):
 
     def _dest_constraint(self, register: Register) -> int:
         """WAW / WAR constraint: the old value's writer and readers must finish."""
-        state = self._reg(register)
+        state = self.regs[register]
         return max(state.ready, state.read_until)
 
     def finalise(self) -> SimStats:
@@ -134,7 +122,7 @@ class _ReferenceRun(StagedMachine):
         self.stats.cycles = self.horizon
         self.stats.address_port_busy_cycles = self.memory.busy_cycles
         self.stats.record_unit_activity(
-            self.fu2.tracker, self.fu1.tracker, self.mem_unit.tracker)
+            self.fu2.busy, self.fu1.busy, self.mem_unit.busy)
         return self.stats
 
     # -- instruction classes ----------------------------------------------------
@@ -143,13 +131,13 @@ class _ReferenceRun(StagedMachine):
         self.stats.scalar_instructions += 1
         start = self.issue_ready
         for src in dyn.srcs:
-            start = max(start, self._reg(src).ready)
+            start = max(start, self.regs[src].ready)
         latency = self.lat.vector_op_latency(dyn.opcode.info.latency_class) \
             if dyn.opcode.info.latency_class in ("scalar_alu", "scalar_mul", "scalar_div") \
             else self.lat.scalar_alu
         done = start + latency
         if dyn.dest is not None:
-            dest = self._reg(dyn.dest)
+            dest = self.regs[dyn.dest]
             dest.ready = done
             dest.first_result = done
             dest.from_load = False
@@ -160,7 +148,7 @@ class _ReferenceRun(StagedMachine):
         self.stats.branch_instructions += 1
         start = self.issue_ready
         for src in dyn.srcs:
-            start = max(start, self._reg(src).ready)
+            start = max(start, self.regs[src].ready)
         penalty = self.params.taken_branch_penalty if dyn.taken else 0
         self.issue_ready = start + 1 + penalty
         self._advance_horizon(self.issue_ready)
@@ -169,11 +157,11 @@ class _ReferenceRun(StagedMachine):
         self.stats.scalar_instructions += 1
         start = self.issue_ready
         for src in dyn.srcs:
-            start = max(start, self._reg(src).ready)
+            start = max(start, self.regs[src].ready)
         if dyn.is_load:
             timing = self.memory.scalar_load(start)
             if dyn.dest is not None:
-                dest = self._reg(dyn.dest)
+                dest = self.regs[dyn.dest]
                 dest.ready = timing.data_ready
                 dest.first_result = timing.data_ready
                 dest.from_load = True
@@ -213,16 +201,16 @@ class _ReferenceRun(StagedMachine):
 
         busy_until = start + vl + self.lat.vector_startup
         unit.free_at = busy_until
-        unit.tracker.add(start, busy_until)
+        unit.busy.add(start, busy_until)
 
         first_result = start + effective_latency
         completion = first_result + vl
         for src in dyn.srcs:
             if src.cls in (RegClass.V, RegClass.VM):
-                state = self._reg(src)
+                state = self.regs[src]
                 state.read_until = max(state.read_until, start + vl)
         if dyn.dest is not None:
-            dest = self._reg(dyn.dest)
+            dest = self.regs[dyn.dest]
             dest.from_load = False
             if dyn.dest.cls in (RegClass.V, RegClass.VM):
                 dest.first_result = first_result
@@ -269,7 +257,7 @@ class _ReferenceRun(StagedMachine):
             for src in dyn.srcs:
                 # base address (A) and, for gathers, the index vector, which
                 # must be completely available before addresses can be formed
-                start = max(start, self._reg(src).ready)
+                start = max(start, self.regs[src].ready)
             if dyn.dest is not None:
                 start = max(start, self._dest_constraint(dyn.dest))
             start = max(start, self.regfile.earliest_write(
@@ -277,7 +265,7 @@ class _ReferenceRun(StagedMachine):
 
             timing = self.memory.vector_load(start, vl)
             self.regfile.reserve_write(dyn.dest, timing.start + self.params.memory.latency, vl)
-            dest = self._reg(dyn.dest)
+            dest = self.regs[dyn.dest]
             dest.from_load = True
             dest.first_result = timing.start + self.params.memory.latency
             dest.ready = timing.data_ready
@@ -288,21 +276,21 @@ class _ReferenceRun(StagedMachine):
             value_reg = dyn.srcs[0]
             start = max(start, self._source_ready(value_reg, for_store=True))
             for src in dyn.srcs[1:]:
-                start = max(start, self._reg(src).ready)
+                start = max(start, self.regs[src].ready)
             if value_reg.cls is RegClass.V:
                 start = max(start, self.regfile.earliest_read(value_reg, start, vl))
 
             timing = self.memory.vector_store(start, vl)
             if value_reg.cls is RegClass.V:
                 self.regfile.reserve_read(value_reg, timing.start, vl)
-                state = self._reg(value_reg)
+                state = self.regs[value_reg]
                 state.read_until = max(state.read_until, timing.address_done)
             self.stats.traffic.vector_store_ops += vl
             if dyn.is_spill:
                 self.stats.traffic.vector_store_spill_ops += vl
 
         self.mem_unit.free_at = timing.address_done
-        self.mem_unit.tracker.add(timing.start, timing.address_done)
+        self.mem_unit.busy.add(timing.start, timing.address_done)
         self.issue_ready = timing.start + 1
         self._advance_horizon(timing.data_ready, timing.address_done, timing.start + 1)
 

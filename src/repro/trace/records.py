@@ -78,15 +78,6 @@ class DynInstr:
         return self.opcode.info.access
 
     @property
-    def element_count(self) -> int:
-        """Number of data elements moved or computed by this instruction."""
-        if self.is_vector:
-            return self.vl
-        if self.is_memory:
-            return 1
-        return 0
-
-    @property
     def memory_ops(self) -> int:
         """Number of memory requests this instruction sends on the address bus."""
         if not self.is_memory:

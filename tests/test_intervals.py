@@ -1,115 +1,109 @@
-"""Unit and property tests for interval bookkeeping."""
+"""Unit and property tests for busy calendars and the unit-activity sweep."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.intervals import (
-    BusyTracker,
-    Interval,
-    merge_intervals,
-    unit_activity,
-)
+from repro.common.intervals import BusyCalendar, unit_activity
 
 
-class TestInterval:
-    def test_length(self):
-        assert Interval(3, 10).length == 7
+def _rows(calendar):
+    return list(zip(calendar._starts, calendar._ends, strict=True))
 
-    def test_invalid_order_rejected_at_tracker(self):
-        # Interval itself is an unvalidated NamedTuple (hot-path construction);
-        # the boundary that accepts untrusted endpoints is BusyTracker.add.
+
+def _runs(cycles):
+    """The maximal ``(start, end)`` runs of consecutive cycles in ``cycles``."""
+    runs = []
+    for cycle in sorted(cycles):
+        if runs and runs[-1][1] == cycle:
+            runs[-1] = (runs[-1][0], cycle + 1)
+        else:
+            runs.append((cycle, cycle + 1))
+    return runs
+
+
+class TestBusyCalendar:
+    def test_touching_rows_merge_on_either_side_in_any_order(self):
+        # the middle row touches both neighbours; added last it joins them
+        for order in itertools.permutations([(0, 10), (10, 25), (25, 30)]):
+            calendar = BusyCalendar()
+            for start, end in order:
+                calendar.add(start, end)
+            assert _rows(calendar) == [(0, 30)], order
+            assert calendar.busy_cycles() == 30
+
+    def test_separate_rows_stay_apart_in_order(self):
+        calendar = BusyCalendar("fu")
+        calendar.add(20, 25)
+        calendar.add(0, 10)
+        calendar.add(11, 12)
+        assert _rows(calendar) == [(0, 10), (11, 12), (20, 25)]
+        assert calendar.busy_cycles() == 16
+
+    def test_empty_interval_records_nothing(self):
+        calendar = BusyCalendar()
+        calendar.add(5, 5)
+        assert _rows(calendar) == []
+
+    def test_end_before_start_rejected(self):
         with pytest.raises(ValueError):
-            BusyTracker("fu").add(5, 2)
+            BusyCalendar().add(10, 4)
 
-
-class TestMerge:
-    def test_merge_disjoint(self):
-        merged = merge_intervals([Interval(0, 2), Interval(5, 7)])
-        assert merged == [Interval(0, 2), Interval(5, 7)]
-
-    def test_merge_overlapping(self):
-        merged = merge_intervals([Interval(0, 5), Interval(3, 9)])
-        assert merged == [Interval(0, 9)]
-
-    def test_merge_adjacent(self):
-        merged = merge_intervals([Interval(0, 5), Interval(5, 9)])
-        assert merged == [Interval(0, 9)]
-
-    def test_zero_length_dropped(self):
-        assert merge_intervals([Interval(4, 4)]) == []
-
-    @given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 50)), max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_properties(self, raw):
-        intervals = [Interval(start, start + length) for start, length in raw]
-        merged = merge_intervals(intervals)
-        # merged intervals are sorted, disjoint and non-empty
-        for earlier, later in zip(merged, merged[1:], strict=False):
-            assert earlier.end < later.start
-        assert all(iv.length > 0 for iv in merged)
-        # coverage is preserved
-        covered = set()
-        for iv in intervals:
-            covered.update(range(iv.start, iv.end))
-        merged_covered = set()
-        for iv in merged:
-            merged_covered.update(range(iv.start, iv.end))
-        assert covered == merged_covered
-
-
-def _busy_cycles(tracker):
-    return sum(iv.length for iv in tracker.merged())
-
-
-class TestBusyTracker:
-    def test_busy_cycles(self):
-        tracker = BusyTracker("fu")
-        tracker.add(0, 10)
-        tracker.add(20, 25)
-        assert tracker.merged() == [Interval(0, 10), Interval(20, 25)]
-        assert _busy_cycles(tracker) == 15
-
-    def test_extending_last_interval(self):
-        tracker = BusyTracker()
-        tracker.add(0, 10)
-        tracker.add(5, 15)
-        assert tracker.merged() == [Interval(0, 15)]
-
-    def test_zero_length_ignored(self):
-        tracker = BusyTracker()
-        tracker.add(5, 5)
-        assert tracker.merged() == []
-
-    def test_invalid_interval_rejected(self):
+    @pytest.mark.parametrize("start,end", [
+        (10, 20),  # the same row
+        (5, 11),   # over its start
+        (19, 30),  # over its end
+        (12, 15),  # inside it
+        (0, 40),   # around it
+        (15, 35),  # across the gap into the next row
+    ])
+    def test_overlap_rejected(self, start, end):
+        calendar = BusyCalendar()
+        calendar.add(10, 20)
+        calendar.add(30, 40)
         with pytest.raises(ValueError):
-            BusyTracker().add(10, 4)
+            calendar.add(start, end)
+        assert _rows(calendar) == [(10, 20), (30, 40)]
 
-    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_busy_cycles_matches_set_cover(self, raw):
-        tracker = BusyTracker()
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 20)), max_size=30),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_disjoint_intervals_give_their_merged_union(self, layout, rng):
+        # (gap, length) pairs laid end to end: a zero gap makes rows touch
+        intervals = []
+        at = 0
+        for gap, length in layout:
+            intervals.append((at + gap, at + gap + length))
+            at += gap + length
+        rng.shuffle(intervals)
+        calendar = BusyCalendar()
         covered = set()
-        for start, length in raw:
-            tracker.add(start, start + length)
-            covered.update(range(start, start + length))
-        assert _busy_cycles(tracker) == len(covered)
+        for start, end in intervals:
+            calendar.add(start, end)
+            covered.update(range(start, end))
+        assert _rows(calendar) == _runs(covered)
+        assert calendar.busy_cycles() == len(covered)
 
 
-def _trackers(resources):
-    trackers = []
+def _calendars(resources):
+    """One calendar per resource, holding the union of its reservations."""
+    calendars = []
     for spec in resources:
-        tracker = BusyTracker()
-        for start, length in spec:
-            tracker.add(start, start + length)
-        trackers.append(tracker)
-    return trackers
+        calendar = BusyCalendar()
+        for start, end in _runs({c for s, n in spec for c in range(s, s + n)}):
+            calendar.add(start, end)
+        calendars.append(calendar)
+    return calendars
 
 
 def _per_cycle(resources, total):
     """Brute force: the busy flags of every cycle in ``[0, total)``, counted."""
     covered = [set() for _ in resources]
-    for cells, spec in zip(covered, resources):
+    for cells, spec in zip(covered, resources, strict=True):
         for start, length in spec:
             cells.update(range(start, start + length))
     counts = {}
@@ -129,8 +123,8 @@ RESOURCES = st.lists(
 
 class TestUnitActivity:
     def test_two_resources(self):
-        a = BusyTracker("a")
-        b = BusyTracker("b")
+        a = BusyCalendar("a")
+        b = BusyCalendar("b")
         a.add(0, 10)
         b.add(5, 15)
         busy, counts = unit_activity([a, b], 20)
@@ -143,32 +137,32 @@ class TestUnitActivity:
         ]
 
     def test_total_always_matches_cycles(self):
-        a = BusyTracker()
+        a = BusyCalendar()
         a.add(3, 7)
         _, counts = unit_activity([a], 50)
         assert sum(counts.values()) == 50
 
     def test_busy_cycles_are_not_clipped_to_the_window(self):
-        a = BusyTracker()
+        a = BusyCalendar()
         a.add(5, 30)
         busy, counts = unit_activity([a], 10)
         assert busy == [25]
         assert counts == {(False,): 5, (True,): 5}
 
     def test_zero_cycles_have_no_states(self):
-        a = BusyTracker()
+        a = BusyCalendar()
         a.add(0, 4)
         assert unit_activity([a], 0) == ([4], {})
 
     def test_negative_cycles_rejected(self):
         with pytest.raises(ValueError):
-            unit_activity([BusyTracker()], -1)
+            unit_activity([BusyCalendar()], -1)
 
     @given(RESOURCES, st.integers(0, 150))
     @settings(max_examples=80, deadline=None)
     def test_matches_a_per_cycle_count(self, resources, total):
         # keys, values and first-occurrence order all match the brute force
-        busy, counts = unit_activity(_trackers(resources), total)
+        busy, counts = unit_activity(_calendars(resources), total)
         expected_busy, expected_counts = _per_cycle(resources, total)
         assert busy == expected_busy
         assert list(counts.items()) == list(expected_counts.items())

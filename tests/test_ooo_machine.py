@@ -146,8 +146,8 @@ class TestPaperClaims:
 
     def test_branch_prediction_counters(self, streaming_trace):
         stats = simulate_ooo(streaming_trace, OOOParams(num_phys_vregs=16))
-        assert stats.branches_predicted > 0
-        assert 0 <= stats.branch_mispredictions <= stats.branches_predicted
+        assert stats.branch_instructions > 0
+        assert 0 <= stats.branch_mispredictions <= stats.branch_instructions
 
     def test_few_physical_registers_cause_rename_stalls(self, streaming_trace):
         tight = simulate_ooo(streaming_trace, OOOParams(num_phys_vregs=9))

@@ -50,10 +50,6 @@ class TestMemoryParams:
         with pytest.raises(ConfigurationError):
             MemoryParams(latency=-1)
 
-    def test_zero_addresses_per_cycle_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MemoryParams(addresses_per_cycle=0)
-
 
 class TestReferenceParams:
     def test_defaults_match_paper(self):
@@ -63,7 +59,6 @@ class TestReferenceParams:
         assert params.bank_read_ports == 2
         assert params.bank_write_ports == 1
         assert params.chain_fu_to_fu and params.chain_fu_to_store
-        assert not params.chain_load_to_fu
 
     def test_with_memory_latency_returns_copy(self):
         params = ReferenceParams()
@@ -84,7 +79,6 @@ class TestOOOParams:
         assert params.rob_entries == 64
         assert params.queue_slots == 16
         assert params.commit_width == 4
-        assert params.fetch_width == 1
         assert params.btb_entries == 64
         assert params.ras_depth == 8
         assert params.commit_model is CommitModel.EARLY

@@ -4,11 +4,11 @@
 cycles and to the cycle count of every joint (FU2, FU1, MEM) state, in one
 sweep (:func:`repro.common.intervals.unit_activity`).  Here the same
 numbers are counted the slow way — one cycle at a time, from the raw
-intervals the machine holds just before ``finalise`` — sharing no code
-with the sweep, for every registered machine on every program, on both
-kernels.  On the OOOVA family those are the FU1/FU2 reservation
-calendars and the MEM unit's busy tracker; on the reference machine,
-the three units' busy trackers.
+rows of the busy calendars the machine holds just before ``finalise`` —
+sharing no code with the sweep, for every registered machine on every
+program, on both kernels.  On the OOOVA family those are the FU1/FU2 gap
+resources and the MEM unit's calendar; on the reference machine, the
+three units' calendars.
 """
 
 import pytest
@@ -23,16 +23,16 @@ MACHINES = machine_names()
 TRACES = {name: get_workload(name, "tiny").trace() for name in WORKLOAD_NAMES}
 
 
-def _raw_intervals(machine):
-    """Copies of the (FU2, FU1, MEM) units' raw interval lists."""
-    if hasattr(machine, "mem_unit"):  # the reference machine's trackers
-        return [list(unit.tracker._intervals)
-                for unit in (machine.fu2, machine.fu1, machine.mem_unit)]
-    # the OOOVA pipeline and the in-order machine built on it: FU1 and FU2
-    # are gap resources, whose calendar is their busy record
-    return [list(zip(machine.fu2._starts, machine.fu2._ends)),
-            list(zip(machine.fu1._starts, machine.fu1._ends)),
-            list(machine.mem_busy._intervals)]
+def _calendar_rows(machine):
+    """Copies of the (FU2, FU1, MEM) units' calendar rows."""
+    if hasattr(machine, "mem_unit"):  # the reference machine's units
+        calendars = (machine.fu2.busy, machine.fu1.busy, machine.mem_unit.busy)
+    else:
+        # the OOOVA pipeline and the in-order machine built on it: FU1 and
+        # FU2 are gap resources, which are calendars themselves
+        calendars = (machine.fu2, machine.fu1, machine.mem_busy)
+    return [list(zip(calendar._starts, calendar._ends, strict=True))
+            for calendar in calendars]
 
 
 def _per_cycle(units, cycles):
@@ -63,7 +63,7 @@ def test_aggregates_match_a_per_cycle_count(name, workload, kernel):
         run_slice_batched(machine, trace)
     else:
         machine.run_slice(trace)
-    units = _raw_intervals(machine)
+    units = _calendar_rows(machine)
     stats = machine.finalise()
     busy, states = _per_cycle(units, stats.cycles)
     # keys, values and first-occurrence order

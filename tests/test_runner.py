@@ -13,7 +13,7 @@ from multiprocessing.connection import wait
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.intervals import BusyTracker
+from repro.common.intervals import BusyCalendar
 from repro.common.params import (
     CommitModel,
     LoadElimination,
@@ -73,9 +73,9 @@ class TestSerialization:
 
     def test_stats_round_trip_counters(self):
         stats = SimStats(cycles=100, rename_stall_cycles=7, rob_stall_cycles=3)
-        fu1 = BusyTracker()
+        fu1 = BusyCalendar()
         fu1.add(0, 40)
-        stats.record_unit_activity(BusyTracker(), fu1, BusyTracker())
+        stats.record_unit_activity(BusyCalendar(), fu1, BusyCalendar())
         rebuilt = SimStats.from_dict(json.loads(json.dumps(stats.to_dict())))
         assert rebuilt == stats
         assert rebuilt.rename_stall_cycles == 7

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.intervals import BusyTracker
+from repro.common.intervals import BusyCalendar
 from repro.common.stats import (
     MemoryTraffic,
     SimStats,
@@ -14,11 +14,11 @@ from repro.common.stats import (
 )
 
 
-def _tracker(*intervals):
-    tracker = BusyTracker()
+def _calendar(*intervals):
+    calendar = BusyCalendar()
     for start, end in intervals:
-        tracker.add(start, end)
-    return tracker
+        calendar.add(start, end)
+    return calendar
 
 
 class TestMemoryTraffic:
@@ -49,8 +49,8 @@ class TestSimStats:
 
     def test_record_and_query_unit_busy(self):
         stats = SimStats()
-        fu1 = _tracker((0, 100), (50, 150))
-        stats.record_unit_activity(BusyTracker(), fu1, BusyTracker())
+        fu1 = _calendar((0, 100), (100, 150))
+        stats.record_unit_activity(BusyCalendar(), fu1, BusyCalendar())
         assert stats.unit_busy_cycles("FU1") == 150
         assert stats.unit_busy == {"FU2": 0, "FU1": 150, "MEM": 0}
 
@@ -65,7 +65,7 @@ class TestSimStats:
 
     def test_state_breakdown_partitions_cycles(self):
         stats = SimStats(cycles=100)
-        stats.record_unit_activity(_tracker((0, 30)), BusyTracker(), _tracker((20, 80)))
+        stats.record_unit_activity(_calendar((0, 30)), BusyCalendar(), _calendar((20, 80)))
         breakdown = stats.state_breakdown()
         assert sum(breakdown.values()) == 100
         # keyed (FU2, FU1, MEM), in order of first occurrence
@@ -78,13 +78,13 @@ class TestSimStats:
 
     def test_state_breakdown_is_a_copy(self):
         stats = SimStats(cycles=10)
-        stats.record_unit_activity(BusyTracker(), BusyTracker(), BusyTracker())
+        stats.record_unit_activity(BusyCalendar(), BusyCalendar(), BusyCalendar())
         stats.state_breakdown()[(True, True, True)] = 5
         assert stats.state_breakdown() == {(False, False, False): 10}
 
     def test_ideal_cycles_is_busiest_unit(self):
         stats = SimStats(cycles=500)
-        stats.record_unit_activity(_tracker((0, 150)), _tracker((0, 100)), _tracker((0, 400)))
+        stats.record_unit_activity(_calendar((0, 150)), _calendar((0, 100)), _calendar((0, 400)))
         assert stats.ideal_cycles() == 400
 
     def test_vectorization_percent(self):

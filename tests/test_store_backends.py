@@ -527,7 +527,6 @@ def simulation_results(draw):
         vector_operations=draw(counters),
         address_port_busy_cycles=draw(counters),
         branch_mispredictions=draw(counters),
-        branches_predicted=draw(counters),
         rename_stall_cycles=draw(counters),
         rob_stall_cycles=draw(counters),
         queue_stall_cycles=draw(counters),
