@@ -42,6 +42,24 @@ class TestBusyCalendar:
         assert _rows(calendar) == [(0, 10), (11, 12), (20, 25)]
         assert calendar.busy_cycles() == 16
 
+    def test_busy_cycles(self):
+        calendar = BusyCalendar("fu")
+        calendar.add(0, 10)
+        calendar.add(20, 25)
+        assert _rows(calendar) == [(0, 10), (20, 25)]
+        assert calendar.busy_cycles() == 15
+
+    def test_extending_the_last_row(self):
+        # an in-order unit starts at or after its last end: a row that
+        # starts there extends the last row, a later one follows it
+        calendar = BusyCalendar()
+        calendar.add(0, 10)
+        calendar.add(10, 15)
+        assert _rows(calendar) == [(0, 15)]
+        calendar.add(17, 20)
+        assert _rows(calendar) == [(0, 15), (17, 20)]
+        assert calendar.busy_cycles() == 18
+
     def test_empty_interval_records_nothing(self):
         calendar = BusyCalendar()
         calendar.add(5, 5)

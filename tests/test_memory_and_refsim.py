@@ -7,9 +7,10 @@ from repro.common.errors import SimulationError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.isa.registers import areg, sreg, vreg
+from repro.isa.registers import RegClass, all_registers, areg, sreg, vreg
+from repro.machine.batched import run_slice_batched
 from repro.memory.system import MemorySystem
-from repro.refsim.machine import simulate_reference
+from repro.refsim.machine import _ReferenceRun, _RegState, simulate_reference
 from repro.refsim.regfile import BankedVectorRegisterFile
 from repro.trace.generator import generate_trace
 from repro.trace.records import Trace
@@ -156,6 +157,20 @@ class TestReferenceSimulator:
         stats = simulate_reference(trace)
         assert stats.vector_instructions == 3  # load, add, store
         assert stats.scalar_instructions == len(trace) - 3
+
+    def test_every_register_has_timing_state_from_construction(self):
+        trace = _vector_loop_trace()
+        architected = {reg for cls in RegClass for reg in all_registers(cls)}
+        # the spec and the stepper update those states in place and add none
+        for step in (_ReferenceRun.run_slice, run_slice_batched):
+            run = _ReferenceRun(ReferenceParams(), trace)
+            assert set(run.regs) == architected
+            assert all(state == _RegState() for state in run.regs.values())
+            states = dict(run.regs)
+            step(run, trace.instructions)
+            assert run.regs.keys() == states.keys()
+            assert all(run.regs[reg] is state for reg, state in states.items())
+            assert run.regs[vreg(6)].ready > 0
 
     def test_chaining_beats_no_chaining(self):
         import dataclasses

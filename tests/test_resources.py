@@ -27,6 +27,14 @@ class TestGapResource:
         # A later request that fits between the two reservations gets the gap.
         assert res.reserve(5, 10) == 5
 
+    def test_filling_a_gap_exactly_joins_both_neighbours(self):
+        res = GapResource()
+        res.reserve(0, 5)
+        res.reserve(10, 5)
+        assert res.reserve(0, 5) == 5
+        assert list(zip(res._starts, res._ends, strict=True)) == [(0, 15)]
+        assert res.busy_cycles() == 15
+
     def test_gap_too_small_is_skipped(self):
         res = GapResource()
         res.reserve(0, 5)
