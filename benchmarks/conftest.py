@@ -8,11 +8,10 @@ one :class:`repro.api.Session` (``_harness.session()``), opened at the
 first benchmark and closed at the end of the pytest session.  The session
 resolves its settings from these environment variables:
 
-* ``REPRO_CACHE_DIR`` — persistent on-disk result store (the object store
-  under ``$REPRO_CACHE_DIR/objects/``) shared with
-  ``python -m repro.cli run-all``; a warmed cache makes the whole benchmark
-  suite skip simulation entirely (compiled traces are memoised under
-  ``$REPRO_CACHE_DIR/traces/`` too);
+* ``REPRO_CACHE_DIR`` — persistent on-disk store (the object-store bucket
+  under ``$REPRO_CACHE_DIR/objects/``, holding the results and the
+  compiled traces) shared with ``python -m repro.cli run-all``; a warmed
+  cache makes the whole benchmark suite skip simulation entirely;
 * ``REPRO_JOBS``      — worker processes used for missing grid points
   (one pool, started at the first miss and reused for every grid);
 * ``REPRO_FLEET``     — local fleet workers to delegate missing points to

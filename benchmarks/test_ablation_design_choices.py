@@ -1,11 +1,16 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for two modelling choices of this reproduction.
 
 These are not exhibits from the paper; they quantify how much each
 micro-architectural ingredient contributes, using a representative subset of
 the workload suite:
 
-* commit bandwidth (1 vs 4 instructions per cycle),
-* static load hoisting by the compiler versus dynamic reordering.
+* commit bandwidth: the OOOVA model commits up to 4 instructions per cycle
+  (``OOOParams.commit_width``), and committing 1 must never be faster;
+* static load hoisting by the compiler (the ``loads_first`` schedule) on the
+  in-order machine versus dynamic reordering: the static schedule must not
+  recover what out-of-order issue recovers.
+
+Nothing in the repository records why these two ablations were chosen.
 """
 
 import dataclasses

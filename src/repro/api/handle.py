@@ -104,11 +104,7 @@ class RunHandle:
             if not self._engine.store.contains(point)
         ]
         if missing:
-            self._batch = self._engine.fleet_dispatcher().submit(missing)
-            # the eager path delegates here, not via the engine's own
-            # _execute_fleet (which will see cache hits by compute time) —
-            # keep the "dispatched" counter meaningful for summaries
-            self._engine.fleet_points += len(missing)
+            self._batch = self._engine.submit_fleet(missing)
 
     # -- inspection ----------------------------------------------------------
 

@@ -28,7 +28,6 @@ raises on further use.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.api.handle import RunHandle
@@ -45,17 +44,16 @@ from repro.common.errors import ReproError
 from repro.core.config import MachineConfig, get_config
 from repro.core.results import SimulationResult
 from repro.core.runner import (
-    TRACE_SUBDIR,
     ExperimentEngine,
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
 )
-from repro.trace.store import TraceStore
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 if TYPE_CHECKING:
     from repro.trace.records import Trace
+    from repro.trace.store import TraceStore
 
 
 def engine_summary_dict(engine: ExperimentEngine) -> dict[str, Any]:
@@ -265,19 +263,16 @@ class Session:
     # -- maintenance ---------------------------------------------------------
 
     def gc(self) -> Mapping[str, tuple[int, int]]:
-        """Evict stale/corrupt cache entries from every namespace.
+        """Evict stale/corrupt entries from the bucket's stored namespaces.
 
         Returns ``{"results": (kept, evicted), "traces": (kept, evicted)}``.
-        Requires a cache directory.
+        Requires a cache directory.  The fleet's ``queue/`` namespace is
+        not collected.
         """
         self._check_open()
-        if self.settings.cache_dir is None:
+        if self.trace_store is None:
             raise ReproError("gc requires a cache directory")
-        cache_dir = Path(self.settings.cache_dir)
-        return {
-            "results": self._store.gc(),
-            "traces": TraceStore(cache_dir / TRACE_SUBDIR).gc(),
-        }
+        return {"results": self._store.gc(), "traces": self.trace_store.gc()}
 
     def engine_summary(self) -> dict[str, Any]:
         """The engine counters as a JSON-compatible mapping."""

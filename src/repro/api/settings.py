@@ -15,9 +15,9 @@ settings as constructor arguments.
 Environment variables (all optional):
 
 ============================  =============================================
-``REPRO_CACHE_DIR``           persistent cache directory: results in the
-                              object store under ``objects/``, compiled
-                              traces under ``traces/`` (empty: disabled)
+``REPRO_CACHE_DIR``           persistent cache directory: one object-store
+                              bucket under ``objects/`` holding results
+                              and compiled traces (empty: disabled)
 ``REPRO_JOBS``                worker processes per sweep (clamped to ≥ 1;
                               unparsable values fall back to the default)
 ``REPRO_FLEET``               distributed execution: number of local

@@ -9,10 +9,10 @@ paper's evaluation in one command, batched through the experiment engine::
   largest built-in scale, aliased to the workload scale ``medium``);
 * ``--jobs``      — fan the missing simulation points of each exhibit's grid
   out across that many worker processes (one pool for the whole run);
-* ``--cache-dir`` — persistent on-disk result store (an S3-style
-  filesystem bucket under ``<cache-dir>/objects/``): a second run of the
-  same command performs **zero** simulations and only re-renders reports.
-  Compiled workload traces are memoised under ``<cache-dir>/traces/`` too;
+* ``--cache-dir`` — persistent on-disk store (an S3-style filesystem
+  bucket under ``<cache-dir>/objects/``, holding the results and the
+  compiled workload traces): a second run of the same command performs
+  **zero** simulations and only re-renders reports;
 * ``--format``    — ``text`` (ASCII reports, the default), ``json`` (one
   machine-readable document) or ``csv`` (flat ``exhibit,path,value`` rows);
 * ``--exhibits``  — comma-separated subset (e.g. ``figure5,figure8``);
@@ -28,9 +28,10 @@ against the bucket under ``D`` — the claim → simulate → publish loop of
 :mod:`repro.fleet.worker`.  Start any number, on any host that can see
 ``D``; SIGTERM drains gracefully.  See the README's FLEET section.
 
-``python -m repro.cli gc --cache-dir D`` evicts cache entries that are
-corrupt, version-stale or no longer validate; ``python -m repro.cli list``
-prints the available exhibits and programs.
+``python -m repro.cli gc --cache-dir D`` evicts the result and trace
+objects that are corrupt, version-stale or no longer validate, one line
+per namespace (the fleet's ``queue/`` is not collected);
+``python -m repro.cli list`` prints the available exhibits and programs.
 
 Every flag is an *explicit* setting in the sense of
 :meth:`repro.api.Settings.resolve`: a flag the user passes always wins, an

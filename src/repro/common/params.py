@@ -2,9 +2,9 @@
 
 The numbers follow Section 2 and Table 1 of the paper.  Table 1 in the
 scanned text is partially garbled; where a value is unreadable we use the
-closest value consistent with the prose (these choices are documented in
-EXPERIMENTS.md and do not affect the qualitative results, which depend on
-the *relative* cost of memory versus computation).
+closest value consistent with the prose.  Nothing in the repository records
+which values were read and which were inferred; the qualitative results
+depend on the *relative* cost of memory versus computation.
 
 Two architectures are parameterised here:
 

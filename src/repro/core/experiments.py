@@ -3,8 +3,9 @@
 Each function runs the simulations behind one exhibit of the paper and
 returns plain data structures (dictionaries keyed by program name).  The
 benchmark harness under ``benchmarks/`` and the ``python -m repro.cli``
-entry point call these functions and print the resulting tables;
-EXPERIMENTS.md records the measured values next to the paper's.  All
+entry point call these functions and print the resulting tables.  No
+document records the measured values next to the paper's; some benchmarks
+assert the paper's trends and quote its numbers in comments.  All
 functions accept a ``programs`` subset and a ``scale`` so the test suite can
 exercise them cheaply.
 

@@ -1,7 +1,6 @@
-"""The result-store format and the S3-style object store that holds it.
+"""The cache directory's object-store bucket and its result namespace.
 
-This module owns everything :class:`~repro.core.runner.ResultStore` keeps
-on disk, in two layers:
+Everything a cache directory holds is one bucket, in two layers:
 
 * :class:`ObjectStore` — a minimal S3-flavoured key/value store
   (``put``/``get``/``list``/``delete`` over opaque ``prefix/…`` keys)
@@ -13,28 +12,34 @@ on disk, in two layers:
   gives cross-machine sharing without any new dependency; a networked
   implementation only has to mimic these four methods.
 
-* :class:`ObjectStoreBackend` — the persistent layer of the result store:
-  one object per result under the ``results/`` prefix, keyed by
-  :meth:`~repro.core.runner.ExperimentPoint.fingerprint`.  The fleet's
-  lease queue (:mod:`repro.fleet.queue`) shares the same root under
-  ``queue/``, and fleet workers publish results here directly.
+* One class per namespace reads and writes it:
 
-Every result object is the JSON payload ``{"version", "key", "result"}``
-(:func:`~repro.core.runner.result_payload`).  A result holds plain
-counters: each vector unit's busy cycles and the cycle count of each joint
-unit state, never the busy intervals behind them (store version 2; a
-full-scale ``run-all`` stores about 0.65 MB).  Corrupt or undecodable
-entries — a counter that is not a non-negative integer included — are
-dropped (and re-simulated by the engine) rather than raised; entries whose
-version or parameters no longer validate are evicted by
-:meth:`ObjectStoreBackend.gc`.  An entry written at an older version is
-never read: its point has a new fingerprint, so the first run re-simulates
-it and ``gc`` evicts the old object.
+  - ``results/`` — :class:`ObjectStoreBackend`, the persistent layer of
+    :class:`~repro.core.runner.ResultStore` and the only code that builds
+    or decodes a result object;
+  - ``traces/`` — :class:`~repro.trace.store.TraceStore`, the compiled
+    traces;
+  - ``queue/`` — the fleet's :class:`~repro.fleet.queue.LeaseQueue`.
+
+Every result object is the JSON payload ``{"version", "key", "result"}``,
+keyed by :meth:`~repro.core.runner.ExperimentPoint.fingerprint`, so it is
+byte-identical whichever process wrote it (the engine's store or a fleet
+worker).  A result holds plain counters: each vector unit's busy cycles
+and the cycle count of each joint unit state, never the busy intervals
+behind them (store version 2; a full-scale ``run-all`` stores about
+0.65 MB).  Corrupt or undecodable entries — a counter that is not a
+non-negative integer included — are dropped (and re-simulated by the
+engine) rather than raised, and :meth:`ObjectStoreBackend.gc` evicts
+them.  An entry written at an older version is never read: its point has
+a new fingerprint, so the first run re-simulates it and ``gc`` evicts the
+old object.
 
 Layout::
 
     <cache_dir>/objects/
-        results/<fp[:2]>/<fp>.json       # simulation results
+        results/<fp[:2]>/<fp>.json   # simulation results
+        traces/…                     # compiled traces (repro.trace.store)
+        queue/…                      # the fleet's lease queue (repro.fleet.queue)
 """
 
 from __future__ import annotations
@@ -43,10 +48,14 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.common.errors import ReproError
+from repro.common.params import params_to_dict
 from repro.core.results import SimulationResult
+
+if TYPE_CHECKING:
+    from repro.core.runner import ExperimentPoint
 
 #: on-disk store format version; bump when the result payload shape changes
 #: (2: busy totals and state counts replaced the busy-interval pairs;
@@ -65,14 +74,17 @@ OBJECT_SUBDIR = "objects"
 RESULT_PREFIX = "results"
 
 
-def decode_payload(payload: object) -> SimulationResult | None:
-    """The :class:`SimulationResult` of a valid current-version entry, or None.
+def _decode(data: bytes) -> SimulationResult | None:
+    """The result in a current-version result object, or None.
 
-    The single source of truth for entry validation: the result store's
-    read path, the fleet's collector and :meth:`ObjectStoreBackend.gc` all
-    go through it, so what ``gc`` keeps and what ``get`` serves can never
-    drift apart.
+    The single source of truth for entry validation: ``get`` and ``gc``
+    both go through it, so what ``gc`` keeps and what ``get`` serves can
+    never drift apart.
     """
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
     if not isinstance(payload, dict) or payload.get("version") != STORE_VERSION:
         return None
     try:
@@ -80,14 +92,6 @@ def decode_payload(payload: object) -> SimulationResult | None:
     except (ValueError, KeyError, TypeError, AttributeError, ReproError):
         # TypeError/AttributeError: a block of the wrong JSON type
         # (``"result": []``, ``"params": 5``)
-        return None
-
-
-def _parse(data: bytes) -> object:
-    """The JSON value in ``data``, or ``None`` when it does not decode."""
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
         return None
 
 
@@ -199,11 +203,9 @@ class ObjectStoreBackend:
     """The result store's persistent layer: one ``results/`` object per entry.
 
     Keys are full :meth:`~repro.core.runner.ExperimentPoint.fingerprint`
-    hex digests; payloads are the JSON-compatible ``{"version", "key",
-    "result"}`` dictionaries the store builds.  ``get`` returns the parsed
-    payload or ``None``: an entry that does not decode to a JSON object is
-    dropped, so a corrupt cache degrades to a cache miss, never an
-    exception.
+    hex digests.  ``get`` returns the decoded result or ``None``: an entry
+    that does not decode to a current-version result is dropped, so a
+    corrupt cache degrades to a cache miss, never an exception.
     """
 
     def __init__(self, cache_dir: str | os.PathLike) -> None:
@@ -212,52 +214,60 @@ class ObjectStoreBackend:
     def _object_key(self, key: str) -> str:
         return f"{RESULT_PREFIX}/{key[:2]}/{key}.json"
 
-    def get(self, key: str) -> dict | None:
-        """Return the stored payload for ``key``, or ``None``."""
+    def get(self, key: str) -> SimulationResult | None:
+        """Return the stored result for fingerprint ``key``, or ``None``."""
         object_key = self._object_key(key)
         data = self.objects.get(object_key)
         if data is None:
             return None
-        payload = _parse(data)
-        if not isinstance(payload, dict):
-            # Truncated, corrupt or not an entry at all (``null``, ``[]``):
-            # drop it, so contains() agrees that this is a miss.
+        result = _decode(data)
+        if result is None:
+            # Truncated, corrupt, stale or not an entry at all: drop it,
+            # so contains() agrees that this is a miss.
             self.objects.delete(object_key)
-            return None
-        return payload
+        return result
 
-    def put(self, key: str, payload: dict) -> None:
-        """Persist ``payload`` under ``key`` (atomically)."""
-        self.objects.put(
-            self._object_key(key), json.dumps(payload).encode("utf-8")
-        )
+    def put(self, point: ExperimentPoint, result: SimulationResult) -> None:
+        """Persist ``result`` as ``point``'s object (atomically).
+
+        The bytes depend only on the point and the result, so two workers
+        racing on the same point overwrite each other with the same object.
+        """
+        key = point.fingerprint()
+        payload = {
+            "version": STORE_VERSION,
+            "key": {
+                "workload": point.workload,
+                "scale": point.scale,
+                "config_name": point.config.name,
+                "fingerprint": key,
+                "params": params_to_dict(point.config.params),
+            },
+            "result": result.to_dict(),
+        }
+        self.objects.put(self._object_key(key), json.dumps(payload).encode("utf-8"))
 
     def contains(self, key: str) -> bool:
         """True when an entry for ``key`` exists on disk."""
         return self.objects.exists(self._object_key(key))
 
-    def delete(self, key: str) -> None:
-        """Remove the entry for ``key`` if present."""
-        self.objects.delete(self._object_key(key))
-
     def gc(self) -> tuple[int, int]:
         """Drop undecodable/stale result objects; returns ``(kept, evicted)``.
 
-        An entry is evicted when its payload cannot be decoded, its
-        ``version`` is not the current :data:`STORE_VERSION`, or its
-        parameters fail validation (e.g. the schema moved underneath an old
-        cache).  Deletes by the *listed* object key rather than a key
-        reconstructed from the fingerprint, so misplaced or foreign objects
-        (a partial bucket sync, another writer's debris) are actually
-        removed instead of being re-counted on every run.  Also sweeps
-        crashed-writer temp files in the ``results/`` namespace.
+        An entry is evicted when it does not decode, its ``version`` is not
+        the current :data:`STORE_VERSION`, or its parameters fail
+        validation (e.g. the schema moved underneath an old cache).
+        Deletes by the *listed* object key rather than a key reconstructed
+        from the fingerprint, so misplaced or foreign objects (a partial
+        bucket sync, another writer's debris) are actually removed instead
+        of being re-counted on every run.  Also sweeps crashed-writer temp
+        files in the ``results/`` namespace.
         """
         kept = 0
         evicted = 0
         for object_key in list(self.objects.list(RESULT_PREFIX)):
             data = self.objects.get(object_key)
-            payload = _parse(data) if data is not None else None
-            if decode_payload(payload) is not None:
+            if data is not None and _decode(data) is not None:
                 kept += 1
             else:
                 self.objects.delete(object_key)

@@ -17,9 +17,9 @@ hundreds of them.  This module turns that grid into a first-class object:
   :meth:`ExperimentEngine.close`; they rebuild the simulators from the
   picklable points and ship results back as JSON-compatible dictionaries.
   With a cache directory configured the engine also memoises compiled
-  traces on disk (:class:`repro.trace.store.TraceStore`) and pre-warms them
-  before fanning out, so each workload trace is compiled at most once per
-  grid and each worker loads it at most once.
+  traces in the same bucket (:class:`repro.trace.store.TraceStore`) and
+  pre-warms them before fanning out, so each workload trace is compiled at
+  most once per grid and each worker loads it at most once.
 
 Every ``table*``/``figure*`` function in :mod:`repro.core.experiments`
 declares its grid and resolves it through the engine it is passed; single
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.common.errors import ReproError
 from repro.common.params import params_to_dict
 from repro.core.config import MachineConfig
-from repro.core.objectstore import STORE_VERSION, ObjectStoreBackend, decode_payload
+from repro.core.objectstore import STORE_VERSION, ObjectStore, ObjectStoreBackend
 from repro.core.results import SimulationResult
 from repro.core.simulator import simulate_point
 from repro.trace.store import TraceStore
@@ -53,10 +53,7 @@ from repro.trace.store import TraceStore
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.fleet.dispatcher import FleetDispatcher
-
-#: subdirectory of the cache dir holding memoised compiled traces
-TRACE_SUBDIR = "traces"
+    from repro.fleet.dispatcher import FleetBatch, FleetDispatcher
 
 
 @dataclass(frozen=True)
@@ -116,39 +113,19 @@ class ExperimentSpec:
         return len(self.points)
 
 
-def _simulate_point(point: ExperimentPoint, trace_dir: str | None = None) -> dict:
+def _simulate_point(point: ExperimentPoint, bucket_root: str | None = None) -> dict:
     """Execute one point and return the serialised result.
 
     Top-level function so :class:`ProcessPoolExecutor` can pickle it.
-    With a ``trace_dir`` the workload trace is loaded from the
+    With a ``bucket_root`` the workload trace is loaded from that bucket's
     :class:`TraceStore` instead of being recompiled.
     """
-    trace_store = TraceStore(trace_dir) if trace_dir is not None else None
+    trace_store = (
+        TraceStore(ObjectStore(bucket_root)) if bucket_root is not None else None
+    )
     return simulate_point(
         point.workload, point.scale, point.config, trace_store=trace_store,
     ).to_dict()
-
-
-def result_payload(point: ExperimentPoint, result: SimulationResult) -> dict:
-    """The canonical persisted entry for ``(point, result)``.
-
-    Every publisher of results — :class:`ResultStore` locally, fleet
-    workers remotely — builds its payload here, so a result object is
-    byte-identical no matter which process wrote it.  That identity is
-    what makes fleet publication idempotent: two workers racing on the
-    same task overwrite each other with the same bytes.
-    """
-    return {
-        "version": STORE_VERSION,
-        "key": {
-            "workload": point.workload,
-            "scale": point.scale,
-            "config_name": point.config.name,
-            "fingerprint": point.fingerprint(),
-            "params": params_to_dict(point.config.params),
-        },
-        "result": result.to_dict(),
-    }
 
 
 class ResultStore:
@@ -181,15 +158,8 @@ class ResultStore:
             self.memory_hits += 1
             return cached.copy()
         if self.backend is not None:
-            payload = self.backend.get(key)
-            if payload is not None:
-                result = decode_payload(payload)
-                if result is None:
-                    # Stale entry (wrong version, missing fields, or params
-                    # that no longer validate — exactly what gc would
-                    # evict): drop and re-simulate.
-                    self.backend.delete(key)
-                    return None
+            result = self.backend.get(key)
+            if result is not None:
                 self._memory[key] = result
                 self.disk_hits += 1
                 return result.copy()
@@ -205,14 +175,9 @@ class ResultStore:
 
     def put(self, point: ExperimentPoint, result: SimulationResult) -> None:
         """Store ``result`` for ``point`` (memory, and disk when configured)."""
-        key = point.fingerprint()
-        self._memory[key] = result
+        self._memory[point.fingerprint()] = result
         if self.backend is not None:
-            self.backend.put(key, result_payload(point, result))
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries survive)."""
-        self._memory.clear()
+            self.backend.put(point, result)
 
     # -- maintenance --------------------------------------------------------
 
@@ -259,7 +224,6 @@ class ExperimentEngine:
         store: ResultStore | None = None,
         jobs: int = 1,
         fleet: int = 0,
-        trace_store: TraceStore | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -273,16 +237,19 @@ class ExperimentEngine:
         self._dispatcher: "FleetDispatcher | None" = None
         #: the ``jobs``-wide worker pool, created by the first parallel batch
         self._pool: "ProcessPoolExecutor | None" = None
-        if trace_store is None and self.store.cache_dir is not None:
-            trace_store = TraceStore(self.store.cache_dir / TRACE_SUBDIR)
-        self.trace_store = trace_store
+        #: compiled traces, kept in the result store's bucket
+        self.trace_store = (
+            TraceStore(self.store.backend.objects)
+            if self.store.backend is not None else None
+        )
         #: (workload, scale) pairs already ensured on disk — without this
         #: memo every exhibit batch would re-validate (fully unpickle) each
         #: trace in the parent, the very cost the store exists to avoid
         self._ensured: set[tuple[str, str]] = set()
         #: points actually simulated (cache misses) over this engine's life
         self.simulated = 0
-        #: points delegated to the fleet (subset of ``simulated``)
+        #: points handed to the fleet; not a subset of ``simulated``, since
+        #: a submitted handle's points come back as disk hits
         self.fleet_points = 0
 
     # -- execution ----------------------------------------------------------
@@ -339,9 +306,9 @@ class ExperimentEngine:
     def _execute(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
         if not points:
             return []
-        self._prewarm_traces(points)
         if self.fleet:
             return self._execute_fleet(points)
+        self._prewarm_traces(points)
         if self.jobs > 1 and len(points) > 1:
             from concurrent.futures.process import BrokenProcessPool
 
@@ -353,11 +320,8 @@ class ExperimentEngine:
                 # builds a fresh one) and run this batch in-process rather
                 # than failing the whole sweep.
                 self._shutdown_pool()
-        trace_dir = (
-            str(self.trace_store.cache_dir) if self.trace_store is not None else None
-        )
         return [
-            SimulationResult.from_dict(_simulate_point(p, trace_dir))
+            SimulationResult.from_dict(_simulate_point(p, self._bucket_root()))
             for p in points
         ]
 
@@ -380,6 +344,19 @@ class ExperimentEngine:
             self._dispatcher = FleetDispatcher(self.store.cache_dir, spawn=self.fleet)
         return self._dispatcher
 
+    def submit_fleet(self, points: Sequence[ExperimentPoint]) -> "FleetBatch":
+        """Enqueue ``points`` on the fleet, their traces compiled first.
+
+        The traces are pre-warmed here, in the parent, so fleet workers
+        only load them.  Both fleet paths submit through this method: a
+        batch of :meth:`run_spec` and a :class:`~repro.api.RunHandle`'s
+        eager submission.
+        """
+        self._prewarm_traces(points)
+        batch = self.fleet_dispatcher().submit(points)
+        self.fleet_points += len(points)
+        return batch
+
     def _execute_fleet(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
         """Delegate the batch to the fleet: submit, watch, collect.
 
@@ -390,10 +367,9 @@ class ExperimentEngine:
         results in batch order.  Results re-enter :meth:`run_spec` exactly
         as locally computed ones would.
         """
+        batch = self.submit_fleet(points)
         dispatcher = self.fleet_dispatcher()
-        batch = dispatcher.submit(points)
         dispatcher.watch(batch)
-        self.fleet_points += len(points)
         return dispatcher.collect(batch)
 
     def _execute_parallel(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
@@ -406,11 +382,13 @@ class ExperimentEngine:
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context("spawn"),
             )
-        trace_dir = (
-            str(self.trace_store.cache_dir) if self.trace_store is not None else None
-        )
-        payloads = self._pool.map(_simulate_point, points, itertools.repeat(trace_dir))
+        payloads = self._pool.map(
+            _simulate_point, points, itertools.repeat(self._bucket_root()))
         return [SimulationResult.from_dict(payload) for payload in payloads]
+
+    def _bucket_root(self) -> str | None:
+        """The bucket root a worker loads traces from (None: compile)."""
+        return str(self.trace_store.objects.root) if self.trace_store is not None else None
 
     # -- lifecycle ----------------------------------------------------------
 

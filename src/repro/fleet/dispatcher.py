@@ -13,9 +13,10 @@ the producer and supervisor:
   :class:`~repro.common.errors.ReproError` when a task is dead-lettered
   or the timeout elapses — a poisoned task fails the run loudly instead of
   wedging it;
-* :meth:`FleetDispatcher.collect` reads every result object back and
-  decodes it with the same validator the local result store uses, so a
-  fleet-computed result is indistinguishable from a locally computed one.
+* :meth:`FleetDispatcher.collect` reads every result object back through
+  the same :class:`~repro.core.objectstore.ObjectStoreBackend` the local
+  result store uses, so a fleet-computed result is indistinguishable from
+  a locally computed one.
 
 With ``spawn > 0`` the dispatcher launches that many local ``repro worker``
 subprocesses against the same store root (their stdout/stderr go to log
@@ -38,10 +39,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.common.errors import ReproError
-from repro.core.objectstore import ObjectStoreBackend, decode_payload
+from repro.core.objectstore import ObjectStoreBackend
 from repro.core.results import SimulationResult
 from repro.core.runner import ExperimentPoint
-from repro.fleet.queue import DEFAULT_LEASE_TTL, LeaseQueue, TaskState
+from repro.fleet.queue import LeaseQueue, TaskState
 from repro.fleet.tasks import FleetTask
 
 #: default seconds between dispatcher polls of the queue
@@ -96,25 +97,15 @@ class FleetStatus:
 class FleetDispatcher:
     """Produce, supervise and harvest fleet work for one store root."""
 
-    def __init__(
-        self,
-        store_root: str | os.PathLike[str],
-        spawn: int = 0,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        poll_s: float = DEFAULT_WATCH_POLL_S,
-        max_restarts: int | None = None,
-        queue: LeaseQueue | None = None,
-    ) -> None:
+    def __init__(self, store_root: str | os.PathLike[str], spawn: int = 0) -> None:
         if spawn < 0:
             raise ReproError("spawn must be non-negative")
         self.store_root = Path(store_root)
         self.backend = ObjectStoreBackend(self.store_root)
-        self.queue = queue if queue is not None else LeaseQueue(
-            self.backend.objects, lease_ttl=lease_ttl)
+        self.queue = LeaseQueue(self.backend.objects)
         self.spawn = spawn
-        self.poll_s = poll_s
-        #: spawned-worker restarts allowed before giving up (default: 3/slot)
-        self.max_restarts = max_restarts if max_restarts is not None else 3 * spawn
+        #: spawned-worker restarts allowed before giving up (3 per slot)
+        self.max_restarts = 3 * spawn
         self.restarts = 0
         self._procs: list[subprocess.Popen[bytes]] = []
         self._logs: list[Any] = []
@@ -138,7 +129,7 @@ class FleetDispatcher:
             task_ids.append(task_id)
             if (
                 self.queue.state(task_id) & TaskState.DONE
-                and self._read_result(task_id) is not None
+                and self.backend.get(task_id) is not None
             ):
                 already.add(task_id)
                 continue
@@ -196,7 +187,7 @@ class FleetDispatcher:
         task is dead-lettered, when unfinished work remains but no worker
         can make progress, or when ``timeout`` seconds elapse.
         """
-        poll = self.poll_s if poll_s is None else poll_s
+        poll = DEFAULT_WATCH_POLL_S if poll_s is None else poll_s
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             self.queue.reap()
@@ -239,7 +230,7 @@ class FleetDispatcher:
         """
         results: list[SimulationResult] = []
         for point, task_id in zip(batch.points, batch.task_ids, strict=True):
-            result = self._read_result(task_id)
+            result = self.backend.get(task_id)
             if result is None:
                 raise ReproError(
                     f"fleet task {task_id[:12]} ({point}) has no readable "
@@ -247,9 +238,6 @@ class FleetDispatcher:
                 )
             results.append(result)
         return results
-
-    def _read_result(self, task_id: str) -> SimulationResult | None:
-        return decode_payload(self.backend.get(task_id))
 
     # -- spawned workers -----------------------------------------------------
 
@@ -264,7 +252,7 @@ class FleetDispatcher:
             "--lease-ttl",
             f"{self.queue.lease_ttl:g}",
             "--poll",
-            f"{max(0.05, self.poll_s):g}",
+            f"{DEFAULT_WATCH_POLL_S:g}",
         ]
 
     def _spawn_worker(self, slot: int) -> subprocess.Popen[bytes]:
@@ -329,16 +317,3 @@ class FleetDispatcher:
             except OSError:
                 pass
         self._logs.clear()
-
-    def __enter__(self) -> "FleetDispatcher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    def describe(self) -> str:
-        """One-line summary for engine trailers."""
-        line = f"fleet at {self.store_root}"
-        if self.spawn:
-            line += f" ({self.spawn} spawned worker(s))"
-        return line

@@ -11,11 +11,13 @@ connection, no RPC, no shared memory:
   crashed workers are reclaimed on the way — see the queue module);
 * **simulate**: rebuild the point from the task payload and run it through
   the exact same :func:`~repro.core.simulator.simulate_point` the
-  in-process engine uses — results are bit-identical to local execution
-  by construction;
+  in-process engine uses, loading the trace from the bucket's ``traces/``
+  namespace — results are bit-identical to local execution by
+  construction;
 * **publish**: write the result object under the point's fingerprint in the
-  bucket's ``results/`` namespace (the identical payload the engine's own
-  result store would write), then mark the task done;
+  bucket's ``results/`` namespace (through the same
+  :class:`~repro.core.objectstore.ObjectStoreBackend` the engine's own
+  result store writes with), then mark the task done;
 * **heartbeat**: a daemon thread renews the lease at a third of its TTL
   while the simulation runs, so long points never expire under a live
   worker.  If the lease is lost anyway (e.g. the host stalled past the
@@ -44,7 +46,6 @@ from typing import Callable
 from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStoreBackend
 from repro.core.results import SimulationResult
-from repro.core.runner import TRACE_SUBDIR, result_payload
 from repro.fleet.queue import (
     DEFAULT_LEASE_TTL,
     Lease,
@@ -108,7 +109,7 @@ class Worker:
         self.backend = ObjectStoreBackend(self.store_root)
         self.queue = queue if queue is not None else LeaseQueue(
             self.backend.objects, lease_ttl=lease_ttl)
-        self.trace_store = TraceStore(self.store_root / TRACE_SUBDIR)
+        self.trace_store = TraceStore(self.backend.objects)
         self.worker_id = worker_id or (
             f"{platform.node() or 'host'}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         )
@@ -196,7 +197,7 @@ class Worker:
         wall = time.perf_counter() - started
         heartbeat.stop()
         point = task.point()
-        self.backend.put(task.task_id(), result_payload(point, result))
+        self.backend.put(point, result)
         self.queue.complete(
             heartbeat.lease,
             {

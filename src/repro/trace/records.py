@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.instructions import ELEMENT_BYTES
-from repro.isa.opcodes import InstrKind, MemAccess, Opcode
+from repro.isa.opcodes import InstrKind, Opcode
 from repro.isa.registers import Register
 
 
@@ -45,7 +45,6 @@ class DynInstr:
 
     #: branch outcome information
     taken: bool = False
-    target_pc: Optional[int] = None
     is_call: bool = False
     is_return: bool = False
 
@@ -72,28 +71,6 @@ class DynInstr:
     @property
     def is_branch(self) -> bool:
         return self.kind is InstrKind.BRANCH
-
-    @property
-    def access(self) -> MemAccess:
-        return self.opcode.info.access
-
-    @property
-    def memory_ops(self) -> int:
-        """Number of memory requests this instruction sends on the address bus."""
-        if not self.is_memory:
-            return 0
-        return self.vl if self.is_vector else 1
-
-    def overlaps(self, other: "DynInstr") -> bool:
-        """True when the two memory instructions may touch a common byte.
-
-        Both regions are the conservative [start, end) ranges computed at
-        trace-generation time, exactly what the OOOVA's Range stage computes
-        from base address, vector length and stride.
-        """
-        if self.region_start is None or other.region_start is None:
-            return False
-        return self.region_start < other.region_end and other.region_start < self.region_end
 
     def __str__(self) -> str:
         pieces = [f"#{self.seq}", str(self.opcode)]

@@ -1,4 +1,4 @@
-"""On-disk compiled-trace memoisation.
+"""Compiled-trace memoisation in the cache directory's object-store bucket.
 
 Generating a workload trace means building the IR kernel, running the whole
 compiler pipeline and expanding the dynamic instruction stream — by far the
@@ -7,53 +7,52 @@ most expensive part of setting up a simulation point.  The in-process
 *within* a process, but every worker process of a parallel sweep (and every
 fresh ``run-all`` invocation) used to redo it from scratch.
 
-:class:`TraceStore` memoises compiled traces on disk, keyed by
-``(workload, scale)`` plus a format version.  The experiment engine
-pre-warms the store in the parent process before fanning a batch out, so a
-cold ``run-all --jobs N`` compiles each workload trace exactly once; the
+:class:`TraceStore` memoises compiled traces in the ``traces/`` namespace
+of the bucket the result store opened
+(:class:`~repro.core.objectstore.ObjectStore`), one object per
+``(workload, scale)`` plus a format version:
+``traces/<workload>-<scale>-v<TRACE_STORE_VERSION>.pkl``.  It is the only
+code that names a trace object.  The experiment engine pre-warms the store
+in the parent process before fanning a batch out, so a cold
+``run-all --jobs N`` compiles each workload trace exactly once; the
 workers (and any later process) just deserialise.
 
-Entries are pickled :class:`~repro.trace.records.Trace` objects wrapped in
-a small self-describing header.  The store only ever reads files it wrote
-itself inside the experiment cache directory; anything undecodable or
+Objects are pickled :class:`~repro.trace.records.Trace` objects wrapped in
+a small self-describing header.  The store only ever reads objects it wrote
+itself inside the experiment cache's bucket; anything undecodable or
 version-mismatched is dropped and regenerated, never raised.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import pickle
-import uuid
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    # not imported at run time: repro.core.runner imports this module
+    from repro.core.objectstore import ObjectStore
     from repro.trace.records import Trace
 
 #: serialised-trace format version; bump when Trace/DynInstr fields change
-TRACE_STORE_VERSION = 1
+#: (2: ``DynInstr`` lost a branch-target field nothing set)
+TRACE_STORE_VERSION = 2
 
-
-def _discard(path: Path) -> None:
-    """Best-effort unlink (readers without write permission get a miss)."""
-    try:
-        path.unlink(missing_ok=True)
-    except OSError:
-        pass
+#: key prefix of the compiled-trace namespace
+TRACE_PREFIX = "traces"
 
 
 class TraceStore:
-    """Disk cache of compiled workload traces, keyed by (workload, scale)."""
+    """Compiled workload traces in a bucket, keyed by (workload, scale)."""
 
-    def __init__(self, cache_dir: str | os.PathLike) -> None:
-        self.cache_dir = Path(cache_dir)
-        #: traces served from disk / compiled (and persisted) by this store
+    def __init__(self, objects: ObjectStore) -> None:
+        self.objects = objects
+        #: traces served from the bucket / compiled (and persisted) by this store
         self.disk_hits = 0
         self.generated = 0
 
-    def _path(self, workload: str, scale: str) -> Path:
-        return self.cache_dir / f"{workload}-{scale}-v{TRACE_STORE_VERSION}.trace.pkl"
+    def _key(self, workload: str, scale: str) -> str:
+        return f"{TRACE_PREFIX}/{workload}-{scale}-v{TRACE_STORE_VERSION}.pkl"
 
     # -- lookup -------------------------------------------------------------
 
@@ -61,19 +60,17 @@ class TraceStore:
         """Return the memoised trace, or ``None`` (dropping bad entries)."""
         from repro.trace.records import Trace
 
-        path = self._path(workload, scale)
+        key = self._key(workload, scale)
+        data = self.objects.get(key)
+        if data is None:
+            # Missing, or a transient read failure: a miss, never grounds
+            # for deletion.
+            return None
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except OSError:
-            # Transient read failure: a miss, never grounds for deletion.
-            return None
+            payload = pickle.loads(data)
         except Exception:
             # Truncated/corrupt/incompatible pickle: regenerate instead.
-            _discard(path)
-            return None
+            payload = None
         if (
             not isinstance(payload, dict)
             or payload.get("version") != TRACE_STORE_VERSION
@@ -81,35 +78,30 @@ class TraceStore:
             or payload.get("scale") != scale
             or not isinstance(payload.get("trace"), Trace)
         ):
-            _discard(path)
+            self.objects.delete(key)
             return None
         self.disk_hits += 1
         return payload["trace"]
 
-    def contains(self, workload: str, scale: str) -> bool:
-        return self._path(workload, scale).is_file()
-
     # -- insertion ----------------------------------------------------------
 
     def put(self, workload: str, scale: str, trace: Trace) -> None:
-        """Persist ``trace`` atomically (unique temp name, then replace)."""
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._path(workload, scale)
+        """Persist ``trace`` atomically (the bucket's put)."""
         payload = {
             "version": TRACE_STORE_VERSION,
             "workload": workload,
             "scale": scale,
             "trace": trace,
         }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-        with tmp.open("wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        self.objects.put(
+            self._key(workload, scale),
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     # -- the memoisation entry points ---------------------------------------
 
     def load_or_generate(self, workload: str, scale: str) -> Trace:
-        """Return the trace from disk, compiling (and persisting) on a miss."""
+        """Return the trace from the bucket, compiling (and persisting) on a miss."""
         cached = self.get(workload, scale)
         if cached is not None:
             return cached
@@ -125,14 +117,14 @@ class TraceStore:
 
         A sweep grid has hundreds of points but only a handful of unique
         (workload, scale) traces; this front caches the deserialised trace
-        in-process (traces are treated as immutable once generated) so each
-        process unpickles it once, not once per point.  Hits bypass this
-        instance's counters.
+        in-process, keyed by the bucket root (traces are treated as
+        immutable once generated), so each process unpickles it once, not
+        once per point.  Hits bypass this instance's counters.
         """
-        return _load_or_generate_cached(str(self.cache_dir), workload, scale)
+        return _load_or_generate_cached(str(self.objects.root), workload, scale)
 
     def ensure(self, workload: str, scale: str) -> bool:
-        """Make sure a *loadable* trace is on disk; True when it was compiled.
+        """Make sure a *loadable* trace is stored; True when it was compiled.
 
         The engine calls this in the parent process for every unique
         (workload, scale) of a batch before fanning out, so worker processes
@@ -153,20 +145,16 @@ class TraceStore:
         Returns ``(kept, evicted)``.  Current-version entries are kept
         without being loaded (corrupt ones already self-heal on read).
         """
-        if not self.cache_dir.is_dir():
-            return (0, 0)
-        current = f"-v{TRACE_STORE_VERSION}.trace.pkl"
+        current = f"-v{TRACE_STORE_VERSION}.pkl"
         kept = 0
         evicted = 0
-        for path in self.cache_dir.glob("*.trace.pkl"):
-            if path.name.endswith(current):
+        for key in list(self.objects.list(TRACE_PREFIX)):
+            if key.endswith(current):
                 kept += 1
             else:
-                _discard(path)
+                self.objects.delete(key)
                 evicted += 1
-        for path in self.cache_dir.glob(".*.tmp"):
-            _discard(path)
-            evicted += 1
+        evicted += self.objects.sweep_temp(TRACE_PREFIX)
         return kept, evicted
 
     def summary(self) -> str:
@@ -174,5 +162,7 @@ class TraceStore:
 
 
 @functools.lru_cache(maxsize=None)
-def _load_or_generate_cached(cache_dir: str, workload: str, scale: str) -> Trace:
-    return TraceStore(cache_dir).load_or_generate(workload, scale)
+def _load_or_generate_cached(root: str, workload: str, scale: str) -> Trace:
+    from repro.core.objectstore import ObjectStore
+
+    return TraceStore(ObjectStore(root)).load_or_generate(workload, scale)

@@ -7,8 +7,11 @@ workload in this package is a *synthetic re-creation*: a kernel written in
 the compiler IR whose trace-level characteristics — vectorisation
 percentage, average vector length, spill-traffic fraction, loop-carried
 memory dependences, basic-block size and scalar/vector mix — are modelled on
-what the paper reports for the original program.  DESIGN.md discusses why
-these properties are the ones the paper's results depend on.
+what the paper reports for the original program.  Each program's module
+docstring names the published results its kernel is built to show (trfd's
+short vectors and loop-carried store→load dependence, for instance, behind
+Figures 5, 9 and 12).  Nothing in the repository argues why these
+properties, and not others, are the ones the paper's results depend on.
 
 Each workload exposes a ``scale`` knob so the full experiment suite stays
 tractable under a pure-Python cycle-level simulator:

@@ -139,6 +139,8 @@ class TestFleetParity:
             assert session.engine.fleet_points == 2
             summary = session.engine_summary()
             assert summary["fleet"] == {"workers": 1, "dispatched": 2}
+            # the parent compiled the grid's one trace before enqueueing
+            assert session.trace_store.generated == 1
 
         assert json.dumps(actual, sort_keys=True) == json.dumps(
             expected, sort_keys=True)

@@ -22,11 +22,11 @@ import time
 from pathlib import Path
 
 import pytest
+from test_store_backends import result_object
 
 from repro.common.errors import ReproError
 from repro.core.config import get_config
 from repro.core.objectstore import ObjectStoreBackend
-from repro.core.runner import result_payload
 from repro.core.simulator import simulate_point
 from repro.fleet.queue import LeaseQueue, TaskState
 from repro.fleet.tasks import FleetTask
@@ -101,7 +101,7 @@ class TestTaskPayloads:
         assert worker.completed == 1
         assert queue.state(task.task_id()) & TaskState.DONE
         reference = simulate_point(task.workload, task.scale, task.config)
-        expected = json.dumps(result_payload(task.point(), reference)).encode("utf-8")
+        expected = result_object(task.point(), reference)
         assert backend.objects.get(backend._object_key(task.task_id())) == expected
 
     def test_wrong_fingerprint_is_refused(self):
@@ -153,7 +153,7 @@ class TestSigkillRecovery:
         # ... to the byte-identical result object the engine's own result
         # store would have written locally
         reference = simulate_point(task.workload, task.scale, task.config)
-        expected = json.dumps(result_payload(task.point(), reference)).encode("utf-8")
+        expected = result_object(task.point(), reference)
         backend = ObjectStoreBackend(tmp_path)
         stored = backend.objects.get(backend._object_key(task_id))
         assert stored == expected

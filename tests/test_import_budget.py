@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.objectstore import ObjectStore
 from repro.trace.store import TraceStore
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -86,7 +87,7 @@ def test_warm_run_all_loads_no_simulator(warm_cache):
 
 
 def test_pool_worker_point_loads_no_compiler(tmp_path):
-    TraceStore(tmp_path).ensure("trfd", "tiny")
+    TraceStore(ObjectStore(tmp_path)).ensure("trfd", "tiny")
     modules, _ = run_fresh(
         "from repro.core.config import get_config\n"
         "from repro.core.runner import ExperimentPoint, _simulate_point\n"

@@ -148,7 +148,7 @@ class TestBranchPredictor:
 
     def test_call_return_well_nested(self):
         predictor = BranchPredictor(ras_depth=8)
-        call = DynInstr(seq=0, opcode=Opcode.CALL, pc=3, taken=True, is_call=True, target_pc=9)
+        call = DynInstr(seq=0, opcode=Opcode.CALL, pc=3, taken=True, is_call=True)
         ret = DynInstr(seq=1, opcode=Opcode.RET, pc=9, taken=True, is_return=True)
         predictor.predict_and_update(call)
         assert predictor.predict_and_update(ret)

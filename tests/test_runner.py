@@ -160,14 +160,6 @@ class TestResultStore:
         assert fresh.get(point) is None
         assert not path.exists()
 
-    def test_clear_memory_keeps_disk(self, tmp_path):
-        store = ResultStore(tmp_path)
-        point = _point()
-        store.put(point, run("trfd", point.config, scale="tiny"))
-        store.clear_memory()
-        assert store.get(point) is not None
-        assert store.disk_hits == 1
-
     def test_put_uses_unique_temp_names(self, tmp_path, monkeypatch):
         # Two workers storing the same point concurrently must never share
         # a temp file (the old path.with_suffix(".tmp") did).

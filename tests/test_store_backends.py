@@ -5,10 +5,12 @@ cache directory — round-trips, process-restart simulation, corruption
 tolerance, garbage collection, sharing one directory with other stores and
 fleet workers, caches left by retired store layouts — plus
 hypothesis-generated results to probe the serialisation path with
-adversarial statistics.
+adversarial statistics.  A fresh ``ResultStore`` on the same directory
+stands for a process restart.
 """
 
 import json
+import pickle
 import sqlite3
 import uuid
 from contextlib import closing
@@ -18,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
+from repro.common.params import params_to_dict
 from repro.common.stats import VECTOR_UNIT_ORDER, MemoryTraffic, SimStats
 from repro.core.config import ooo_config, reference_config
 from repro.core.objectstore import (
@@ -25,7 +29,6 @@ from repro.core.objectstore import (
     RESULT_PREFIX,
     STORE_VERSION,
     ObjectStoreBackend,
-    decode_payload,
 )
 from repro.core.results import SimulationResult
 from repro.core.runner import (
@@ -33,8 +36,8 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    result_payload,
 )
+from repro.workloads.registry import get_workload
 
 
 def _point(regs=16, latency=50, workload="trfd", scale="tiny"):
@@ -52,6 +55,25 @@ def _result(point, cycles=1000, **stat_kwargs):
         params=point.config.params,
         stats=stats,
     )
+
+
+def result_object(point, result):
+    """The bytes of ``point``'s result object, built from the documented layout.
+
+    Whoever writes the object — the engine's store or a fleet worker —
+    must write exactly these bytes.
+    """
+    return json.dumps({
+        "version": STORE_VERSION,
+        "key": {
+            "workload": point.workload,
+            "scale": point.scale,
+            "config_name": point.config.name,
+            "fingerprint": point.fingerprint(),
+            "params": params_to_dict(point.config.params),
+        },
+        "result": result.to_dict(),
+    }).encode("utf-8")
 
 
 def _entry_file(cache_dir, point):
@@ -213,12 +235,10 @@ class TestBackendContract:
         assert fetched.to_dict() == result.to_dict()
         assert fresh.disk_hits == 1
 
-    def test_entries_survive_restart_and_clear_memory(self, tmp_path):
+    def test_entries_survive_restart(self, tmp_path):
         store = ResultStore(tmp_path)
         point = _point()
         store.put(point, _result(point))
-        store.clear_memory()
-        assert store.get(point) is not None
         fresh = ResultStore(tmp_path)
         assert fresh.contains(point)
         assert fresh.get(point) is not None
@@ -234,8 +254,7 @@ class TestBackendContract:
         # the broken entry is gone: contains() agrees and a re-put heals it
         assert not fresh.contains(point)
         fresh.put(point, _result(point))
-        fresh.clear_memory()
-        assert fresh.get(point) is not None
+        assert ResultStore(tmp_path).get(point) is not None
 
     def test_stale_params_are_dropped_on_get(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -255,10 +274,9 @@ class TestBackendContract:
     def test_transient_read_error_is_a_miss_not_a_delete(self, tmp_path, monkeypatch):
         # An EIO/NFS hiccup while reading must degrade to a miss without
         # deleting a perfectly valid entry (only *decode* failures may).
-        store = ResultStore(tmp_path)
         point = _point()
-        store.put(point, _result(point))
-        store.clear_memory()
+        ResultStore(tmp_path).put(point, _result(point))
+        store = ResultStore(tmp_path)
         entry = _entry_file(tmp_path, point)
         real_read_bytes = Path.read_bytes
 
@@ -326,9 +344,8 @@ class TestBackendContract:
         store = ResultStore(tmp_path)
         point = _point()
         store.put(point, _result(point))
-        store.backend.delete(point.fingerprint())
-        store.clear_memory()
-        assert store.get(point) is None
+        _entry_file(tmp_path, point).unlink()
+        assert ResultStore(tmp_path).get(point) is None
 
     def test_engine_warm_start_simulates_nothing(self, tmp_path):
         spec = ExperimentSpec.grid(
@@ -348,7 +365,7 @@ class TestBackendContract:
 
 
 class TestEntryValidation:
-    """``get`` and ``gc`` judge every entry with :func:`decode_payload`.
+    """``get`` and ``gc`` judge every entry with the backend's one decoder.
 
     A rejected entry is a miss that leaves the disk, so ``contains()``
     agrees and the engine re-simulates it; a served entry survives ``gc``.
@@ -415,19 +432,17 @@ class TestSharedCacheDir:
         assert fetched is not None and fetched.cycles == 2
         assert not list(tmp_path.rglob("*.tmp"))
 
-    def test_stored_object_is_the_result_payload(self, tmp_path):
+    def test_stored_object_has_the_documented_bytes(self, tmp_path):
         # the engine writes the bytes a fleet worker publishes for the point
         point = _point()
         result = _result(point, cycles=99)
         ResultStore(tmp_path).put(point, result)
-        expected = json.dumps(result_payload(point, result)).encode("utf-8")
-        assert _entry_file(tmp_path, point).read_bytes() == expected
+        assert _entry_file(tmp_path, point).read_bytes() == result_object(point, result)
 
     def test_published_object_is_a_disk_hit(self, tmp_path):
         point = _point()
         result = _result(point, cycles=4321)
-        ObjectStoreBackend(tmp_path).put(
-            point.fingerprint(), result_payload(point, result))
+        ObjectStoreBackend(tmp_path).put(point, result)
         store = ResultStore(tmp_path)
         fetched = store.get(point)
         assert fetched is not None
@@ -438,14 +453,13 @@ class TestSharedCacheDir:
         point = _point()
         result = _result(point)
         ResultStore(tmp_path).put(point, result)
-        payload = ObjectStoreBackend(tmp_path).get(point.fingerprint())
-        collected = decode_payload(payload)
+        collected = ObjectStoreBackend(tmp_path).get(point.fingerprint())
         assert collected is not None
         assert collected.to_dict() == result.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# Caches left by the retired sharded-JSON and SQLite layouts
+# Caches left by the retired sharded-JSON, SQLite and trace-directory layouts
 # ---------------------------------------------------------------------------
 
 
@@ -454,9 +468,11 @@ def _write_retired_entries(cache_dir, point):
 
     Sharded JSON kept ``<fp[:2]>/<workload>-<scale>-<config>-<fp[:16]>.json``
     plus an ``_index.json`` manifest; SQLite kept one ``results.db``.
+    Compiled traces sat beside them in ``traces/``, as
+    ``<workload>-<scale>-v1.trace.pkl``.
     """
     key = point.fingerprint()
-    text = json.dumps(result_payload(point, _result(point)))
+    text = result_object(point, _result(point)).decode("utf-8")
     shard = (cache_dir / key[:2]
              / f"{point.workload}-{point.scale}-{point.config.name}-{key[:16]}.json")
     shard.parent.mkdir(parents=True)
@@ -476,7 +492,12 @@ def _write_retired_entries(cache_dir, point):
             (key, STORE_VERSION, point.workload, point.scale,
              point.config.name, text))
         conn.commit()
-    return [shard, index, database]
+    trace = cache_dir / "traces" / f"{point.workload}-{point.scale}-v1.trace.pkl"
+    trace.parent.mkdir()
+    trace.write_bytes(pickle.dumps({
+        "version": 1, "workload": point.workload, "scale": point.scale,
+        "trace": get_workload(point.workload, point.scale).trace()}))
+    return [shard, index, database, trace]
 
 
 class TestRetiredLayouts:
@@ -495,6 +516,7 @@ class TestRetiredLayouts:
         engine = ExperimentEngine(ResultStore(tmp_path))
         engine.run_point(point)
         assert engine.simulated == 1
+        assert engine.trace_store.generated == 1  # the retired trace is not read
         assert _entry_file(tmp_path, point).is_file()
         assert all(path.is_file() for path in retired)
 
@@ -502,7 +524,8 @@ class TestRetiredLayouts:
         point = _point()
         retired = _write_retired_entries(tmp_path, point)
         before = {path: path.read_bytes() for path in retired}
-        assert ResultStore(tmp_path).gc() == (0, 0)
+        with Session(cache_dir=tmp_path, env={}) as session:
+            assert session.gc() == {"results": (0, 0), "traces": (0, 0)}
         assert {path: path.read_bytes() for path in retired} == before
 
 
@@ -560,11 +583,10 @@ class TestBackendProperties:
         root = tmp_path / uuid.uuid4().hex
         store = ResultStore(root)
         store.put(point, result)
-        # survives a simulated process restart (fresh store instance)
-        store.clear_memory()
         fetched = store.get(point)
         assert fetched is not None
         assert fetched.to_dict() == result.to_dict()
+        # survives a simulated process restart (fresh store instance)
         fresh = ResultStore(root)
         refetched = fresh.get(point)
         assert refetched is not None
@@ -590,5 +612,4 @@ class TestBackendProperties:
         healed = engine.run_point(point)
         assert engine.simulated == 1
         assert healed.cycles > 0
-        fresh.clear_memory()
-        assert fresh.get(point) is not None
+        assert ResultStore(root).get(point) is not None

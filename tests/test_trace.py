@@ -121,7 +121,6 @@ class TestVectorSemantics:
         assert record.address == 0x2000
         assert record.region_start == 0x2000
         assert record.region_end == 0x2000 + 16 * 8
-        assert record.memory_ops == 16
 
     def test_strided_store_region_uses_vs(self):
         program = _program([
@@ -144,13 +143,6 @@ class TestVectorSemantics:
         record = generate_trace(program)[-1]
         assert record.region_start == 0x4000
         assert record.region_end == 0x4000 + 4096
-
-    def test_overlap_detection(self):
-        a = DynInstr(seq=0, opcode=Opcode.VSTORE, pc=0, region_start=100, region_end=200)
-        b = DynInstr(seq=1, opcode=Opcode.VLOAD, pc=1, region_start=150, region_end=160)
-        c = DynInstr(seq=2, opcode=Opcode.VLOAD, pc=2, region_start=200, region_end=210)
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(c)
 
     def test_setvl_without_operands_rejected(self):
         program = _program([Instruction(Opcode.SETVL)])
