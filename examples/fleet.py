@@ -4,8 +4,9 @@
 One :class:`~repro.api.Session` with ``fleet=2`` dispatches a workload ×
 configuration grid through the object-store lease queue: submission
 enqueues the grid's cache misses, two spawned ``repro worker`` processes
-claim, simulate and publish, and ``result()`` assembles the grid from
-the published objects.  The same grid is then run entirely in-process
+claim, simulate and publish (their progress goes to stderr), and
+``result()`` reads the published objects back through the session's
+store, as disk hits.  The same grid is then run entirely in-process
 and the two results are asserted **identical** — the fleet changes where
 the work happens, never what comes back.
 

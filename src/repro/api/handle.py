@@ -28,7 +28,8 @@ The modes differ only in *when* work happens, never in what comes back:
   start pulling before ``watch()`` is ever called, and ``status()``
   reflects live queue progress.  ``watch()`` supervises the queue
   (reaping crashed workers' leases, respawning local workers) and
-  ``result()`` assembles the grid from the published results.
+  ``result()`` reads the published results through the session's
+  store, as disk hits.
 
 Either way the :class:`~repro.api.request.RunResult` — and every byte of
 every exhibit derived from it — is identical.
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.api.request import RunRequest, RunResult
-from repro.common.errors import ReproError
 from repro.core.runner import ExperimentEngine, ExperimentPoint, ExperimentSpec
 
 if TYPE_CHECKING:
@@ -55,8 +55,9 @@ class RunStatus:
     known to be executing), ``"running"`` (fleet workers hold leases on
     the run's tasks), ``"done"`` and ``"failed"``.  ``completed`` counts
     resolved points (cached or computed) out of ``total``; ``failed``
-    counts points with at least one recorded failure (fleet only —
-    in-process failures raise instead).
+    counts unfinished points with at least one recorded failure (fleet
+    only: a finished task keeps no failure record, and in-process
+    failures raise instead).
     """
 
     state: str
@@ -99,12 +100,7 @@ class RunHandle:
 
     def _enqueue(self) -> None:
         """Eagerly enqueue the grid's cache misses on the fleet queue."""
-        missing = [
-            point for point in self._points
-            if not self._engine.store.contains(point)
-        ]
-        if missing:
-            self._batch = self._engine.submit_fleet(missing)
+        self._batch = self._engine.submit_fleet(self._points)
 
     # -- inspection ----------------------------------------------------------
 

@@ -266,8 +266,8 @@ class Session:
         """Evict stale/corrupt entries from the bucket's stored namespaces.
 
         Returns ``{"results": (kept, evicted), "traces": (kept, evicted)}``.
-        Requires a cache directory.  The fleet's ``queue/`` namespace is
-        not collected.
+        Requires a cache directory.  The fleet's ``queue/`` namespace needs
+        no collection: completing a task deletes its queue objects.
         """
         self._check_open()
         if self.trace_store is None:

@@ -21,7 +21,9 @@ paper's evaluation in one command, batched through the experiment engine::
 * ``--fleet``     — delegate missing simulation points to ``N`` fleet
   worker processes coordinating through the object-store bucket under the
   cache directory (requires ``--cache-dir``; ``REPRO_FLEET`` sets the
-  default).  External workers sharing the bucket join in.
+  default).  External workers sharing the bucket join in; spawned ones
+  write their progress to stderr.  The points they publish count as disk
+  hits.
 
 ``python -m repro.cli worker --store-root D`` runs one fleet worker
 against the bucket under ``D`` — the claim → simulate → publish loop of
@@ -30,7 +32,7 @@ against the bucket under ``D`` — the claim → simulate → publish loop of
 
 ``python -m repro.cli gc --cache-dir D`` evicts the result and trace
 objects that are corrupt, version-stale or no longer validate, one line
-per namespace (the fleet's ``queue/`` is not collected);
+per namespace (a finished fleet task leaves nothing under ``queue/``);
 ``python -m repro.cli list`` prints the available exhibits and programs.
 
 Every flag is an *explicit* setting in the sense of
@@ -103,7 +105,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     simulate.add_argument("--format", choices=("text", "json"), default="text",
                           help="output format (default: text)")
 
-    gc = sub.add_parser("gc", help="evict stale/corrupt result-store entries")
+    gc = sub.add_parser("gc", help="evict stale/corrupt result and trace objects")
     gc.add_argument("--cache-dir", required=True, metavar="D",
                     help="result store directory to collect")
 

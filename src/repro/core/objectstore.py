@@ -19,15 +19,18 @@ Everything a cache directory holds is one bucket, in two layers:
     or decodes a result object;
   - ``traces/`` — :class:`~repro.trace.store.TraceStore`, the compiled
     traces;
-  - ``queue/`` — the fleet's :class:`~repro.fleet.queue.LeaseQueue`.
+  - ``queue/`` — the fleet's :class:`~repro.fleet.queue.LeaseQueue`,
+    which holds unfinished tasks only: a finished task's record is its
+    result object.
 
 Every result object is the JSON payload ``{"version", "key", "result"}``,
-keyed by :meth:`~repro.core.runner.ExperimentPoint.fingerprint`, so it is
-byte-identical whichever process wrote it (the engine's store or a fleet
-worker).  A result holds plain counters: each vector unit's busy cycles
-and the cycle count of each joint unit state, never the busy intervals
-behind them (store version 2; a full-scale ``run-all`` stores about
-0.65 MB).  Corrupt or undecodable entries — a counter that is not a
+keyed by :meth:`~repro.core.runner.ExperimentPoint.fingerprint`; its
+``key`` block is :meth:`~repro.core.runner.ExperimentPoint.to_dict`.  It
+is byte-identical whichever process wrote it (the engine's store or a
+fleet worker).  A result holds plain counters: each vector unit's busy
+cycles and the cycle count of each joint unit state, never the busy
+intervals behind them (store version 2; a full-scale ``run-all`` stores
+about 0.65 MB).  Corrupt or undecodable entries — a counter that is not a
 non-negative integer included — are dropped (and re-simulated by the
 engine) rather than raised, and :meth:`ObjectStoreBackend.gc` evicts
 them.  An entry written at an older version is never read: its point has
@@ -39,7 +42,7 @@ Layout::
     <cache_dir>/objects/
         results/<fp[:2]>/<fp>.json   # simulation results
         traces/…                     # compiled traces (repro.trace.store)
-        queue/…                      # the fleet's lease queue (repro.fleet.queue)
+        queue/…                      # unfinished fleet tasks (repro.fleet.queue)
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.common.errors import ReproError
-from repro.common.params import params_to_dict
 from repro.core.results import SimulationResult
 
 if TYPE_CHECKING:
@@ -233,19 +235,10 @@ class ObjectStoreBackend:
         The bytes depend only on the point and the result, so two workers
         racing on the same point overwrite each other with the same object.
         """
-        key = point.fingerprint()
-        payload = {
-            "version": STORE_VERSION,
-            "key": {
-                "workload": point.workload,
-                "scale": point.scale,
-                "config_name": point.config.name,
-                "fingerprint": key,
-                "params": params_to_dict(point.config.params),
-            },
-            "result": result.to_dict(),
-        }
-        self.objects.put(self._object_key(key), json.dumps(payload).encode("utf-8"))
+        key = point.to_dict()
+        payload = {"version": STORE_VERSION, "key": key, "result": result.to_dict()}
+        self.objects.put(
+            self._object_key(key["fingerprint"]), json.dumps(payload).encode("utf-8"))
 
     def contains(self, key: str) -> bool:
         """True when an entry for ``key`` exists on disk."""

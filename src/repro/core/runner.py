@@ -4,7 +4,8 @@ The paper's evaluation is a large grid of (workload, scale, machine
 configuration) simulation points — Figures 5, 8, 9 and 11-13 alone revisit
 hundreds of them.  This module turns that grid into a first-class object:
 
-* :class:`ExperimentPoint` — one picklable simulation point;
+* :class:`ExperimentPoint` — one picklable simulation point, whose
+  :meth:`~ExperimentPoint.to_dict` is its one stored encoding;
 * :class:`ExperimentSpec` — a named collection of points (the grid behind
   one table or figure);
 * :class:`ResultStore` — a two-level result cache: an in-memory map plus,
@@ -40,10 +41,10 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.common.errors import ReproError
-from repro.common.params import params_to_dict
+from repro.common.params import params_from_dict, params_to_dict
 from repro.core.config import MachineConfig
 from repro.core.objectstore import STORE_VERSION, ObjectStore, ObjectStoreBackend
 from repro.core.results import SimulationResult
@@ -71,15 +72,40 @@ class ExperimentPoint:
 
     def fingerprint(self) -> str:
         """Stable hex digest identifying this point's full configuration."""
-        payload = {
-            "workload": self.workload,
-            "scale": self.scale,
-            "config_name": self.config.name,
-            "params": params_to_dict(self.config.params),
-            "version": STORE_VERSION,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return self.to_dict()["fingerprint"]
+
+    def to_dict(self) -> dict[str, Any]:
+        """The point's one encoding: its result object's ``key`` block.
+
+        A fleet task payload carries the same block.
+        """
+        key = {"workload": self.workload, "scale": self.scale,
+               "config_name": self.config.name}
+        params = params_to_dict(self.config.params)
+        blob = json.dumps({**key, "params": params, "version": STORE_VERSION},
+                          sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return {**key, "fingerprint": digest, "params": params}
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentPoint":
+        """Rebuild a point from :meth:`to_dict` output; extra keys are ignored.
+
+        Raises :class:`~repro.common.errors.ReproError` on a malformed
+        payload or on a ``fingerprint`` its content does not hash to.
+        """
+        try:
+            config = MachineConfig(
+                payload["config_name"], params_from_dict(payload["params"]))
+            point = cls(payload["workload"], payload["scale"], config)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReproError(f"malformed experiment point: {exc!r}") from exc
+        if payload.get("fingerprint") != point.fingerprint():
+            raise ReproError(
+                f"experiment point fingerprint mismatch: payload says "
+                f"{payload.get('fingerprint')!r}, content hashes to "
+                f"{point.fingerprint()!r}")
+        return point
 
     def __str__(self) -> str:
         return f"{self.workload}/{self.scale}/{self.config.name}"
@@ -208,11 +234,12 @@ class ExperimentEngine:
     import, so a third-party machine model reaches them only if importing
     its parameter type's module registers it.
 
-    With ``fleet > 0`` the engine stops executing points itself and
-    delegates every cache miss to a :class:`~repro.fleet.dispatcher.
-    FleetDispatcher` — submit the batch to the shared object-store queue,
-    watch it drain (spawning ``fleet`` local workers), collect the
-    published results.  Exhibits are byte-identical either way.
+    With ``fleet > 0`` the engine hands every cache miss to a
+    :class:`~repro.fleet.dispatcher.FleetDispatcher` — it enqueues the
+    points on the shared object-store queue and watches it drain
+    (spawning ``fleet`` local workers) — and then reads the results the
+    workers published through its own store, as disk hits.  Exhibits are
+    byte-identical either way.
 
     The engine reads no environment variable:
     :class:`repro.api.Settings` resolves ``jobs`` and ``fleet`` and a
@@ -248,8 +275,7 @@ class ExperimentEngine:
         self._ensured: set[tuple[str, str]] = set()
         #: points actually simulated (cache misses) over this engine's life
         self.simulated = 0
-        #: points handed to the fleet; not a subset of ``simulated``, since
-        #: a submitted handle's points come back as disk hits
+        #: points handed to the fleet (they come back as disk hits)
         self.fleet_points = 0
 
     # -- execution ----------------------------------------------------------
@@ -257,10 +283,17 @@ class ExperimentEngine:
     def run_spec(self, spec: ExperimentSpec) -> dict[ExperimentPoint, SimulationResult]:
         """Resolve every point of ``spec``, simulating only the missing ones.
 
-        Missing points are executed in one batch — across the engine's
-        process pool when it was configured with ``jobs > 1`` — and the
-        full mapping of point to (defensively copied) result is returned.
+        With ``fleet > 0`` the points the store lacks are first computed
+        by the fleet and read back from the store.  Points still missing
+        (every point without a fleet; a published object that does not
+        decode) are executed in one batch — across the engine's process
+        pool when it was configured with ``jobs > 1`` — and the full
+        mapping of point to (defensively copied) result is returned.
         """
+        if self.fleet:
+            batch = self.submit_fleet(spec.points)
+            if batch is not None:
+                self.fleet_dispatcher().watch(batch)
         results: dict[ExperimentPoint, SimulationResult] = {}
         missing: list[ExperimentPoint] = []
         seen: set[ExperimentPoint] = set()
@@ -306,8 +339,6 @@ class ExperimentEngine:
     def _execute(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
         if not points:
             return []
-        if self.fleet:
-            return self._execute_fleet(points)
         self._prewarm_traces(points)
         if self.jobs > 1 and len(points) > 1:
             from concurrent.futures.process import BrokenProcessPool
@@ -344,33 +375,25 @@ class ExperimentEngine:
             self._dispatcher = FleetDispatcher(self.store.cache_dir, spawn=self.fleet)
         return self._dispatcher
 
-    def submit_fleet(self, points: Sequence[ExperimentPoint]) -> "FleetBatch":
-        """Enqueue ``points`` on the fleet, their traces compiled first.
+    def submit_fleet(self, points: Iterable[ExperimentPoint]) -> "FleetBatch | None":
+        """Enqueue the points the store lacks on the fleet; ``None`` if none.
 
-        The traces are pre-warmed here, in the parent, so fleet workers
-        only load them.  Both fleet paths submit through this method: a
-        batch of :meth:`run_spec` and a :class:`~repro.api.RunHandle`'s
-        eager submission.
+        Their traces are pre-warmed here, in the parent, so fleet workers
+        only load them.  Both fleet paths submit through this method:
+        :meth:`run_spec` and a :class:`~repro.api.RunHandle`'s eager
+        submission.  Workers publish into the store's bucket, so a later
+        :meth:`run_spec` reads every submitted point as a disk hit.
         """
-        self._prewarm_traces(points)
-        batch = self.fleet_dispatcher().submit(points)
-        self.fleet_points += len(points)
+        missing = [
+            point for point in dict.fromkeys(points)
+            if not self.store.contains(point)
+        ]
+        if not missing:
+            return None
+        self._prewarm_traces(missing)
+        batch = self.fleet_dispatcher().submit(missing)
+        self.fleet_points += len(missing)
         return batch
-
-    def _execute_fleet(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
-        """Delegate the batch to the fleet: submit, watch, collect.
-
-        The engine reduces to a producer here — every point is enqueued on
-        the shared :class:`~repro.fleet.queue.LeaseQueue`, workers (the
-        ``fleet`` spawned locally, plus any others sharing the bucket)
-        simulate and publish, and the dispatcher hands back the published
-        results in batch order.  Results re-enter :meth:`run_spec` exactly
-        as locally computed ones would.
-        """
-        batch = self.submit_fleet(points)
-        dispatcher = self.fleet_dispatcher()
-        dispatcher.watch(batch)
-        return dispatcher.collect(batch)
 
     def _execute_parallel(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
         """Run ``points`` on the engine's pool; results come back in order."""

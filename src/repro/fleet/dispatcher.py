@@ -1,30 +1,33 @@
-"""The fleet dispatcher: submit points, watch the queue, collect results.
+"""The fleet dispatcher: submit points, then watch the queue drain.
 
 This is the engine-side half of the fleet.  Where a worker is a pure
 consumer of the :class:`~repro.fleet.queue.LeaseQueue`, the dispatcher is
 the producer and supervisor:
 
 * :meth:`FleetDispatcher.submit` turns experiment points into queue tasks
-  (skipping points whose fingerprint-keyed result object already exists —
-  the fleet's cache hit), returning a :class:`FleetBatch`;
-* :meth:`FleetDispatcher.watch` polls until the batch completes, reaping
-  expired leases so crashed workers cannot stall the run, restarting
-  spawned worker processes that died (bounded), and raising
+  (the engine submits only the points its store lacks), returning a
+  :class:`FleetBatch`;
+* :meth:`FleetDispatcher.watch` polls until every task of the batch is
+  finished — absent from the queue, its result object published —
+  reaping expired leases so crashed workers cannot stall the run,
+  restarting spawned worker processes that died (bounded), and raising
   :class:`~repro.common.errors.ReproError` when a task is dead-lettered
   or the timeout elapses — a poisoned task fails the run loudly instead of
-  wedging it;
-* :meth:`FleetDispatcher.collect` reads every result object back through
-  the same :class:`~repro.core.objectstore.ObjectStoreBackend` the local
-  result store uses, so a fleet-computed result is indistinguishable from
-  a locally computed one.
+  wedging it.
+
+The dispatcher reads no result: the engine reads the published objects
+through its own result store, so a fleet-computed result is a disk hit
+like any other.
 
 With ``spawn > 0`` the dispatcher launches that many local ``repro worker``
-subprocesses against the same store root (their stdout/stderr go to log
-files under ``<store-root>/fleet/``).  With ``spawn == 0`` it only
-produces and watches — workers are expected to be running elsewhere
-(other processes, other hosts sharing the bucket), which is the
-multi-host deployment shape.  The two compose: externally started workers
-and spawned ones drain the same queue cooperatively.
+subprocesses against the same store root; they write their progress to
+the driving process's stderr (their stdout is discarded, so a ``--format
+json`` document stays clean).  With ``spawn == 0`` it only produces and
+watches — workers are expected to be running elsewhere (other processes,
+other hosts sharing the bucket), which is the multi-host deployment
+shape.  The two compose: externally started workers and spawned ones
+drain the same queue cooperatively.  Drivers and workers that share a
+bucket must run the same version of this package.
 """
 
 from __future__ import annotations
@@ -36,33 +39,26 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStoreBackend
-from repro.core.results import SimulationResult
 from repro.core.runner import ExperimentPoint
 from repro.fleet.queue import LeaseQueue, TaskState
-from repro.fleet.tasks import FleetTask
+from repro.fleet.worker import TASK_VERSION
 
 #: default seconds between dispatcher polls of the queue
 DEFAULT_WATCH_POLL_S = 0.2
 
-#: subdirectory of the store root collecting spawned-worker log files
-FLEET_LOG_SUBDIR = "fleet"
-
 
 @dataclass(frozen=True)
 class FleetBatch:
-    """One submitted batch: the points and their task ids, in submit order."""
+    """One submitted batch: its points' task ids, in submit order."""
 
-    points: tuple[ExperimentPoint, ...]
     task_ids: tuple[str, ...]
-    #: ids that were already DONE with a readable result at submit time
-    already_done: frozenset[str]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.task_ids)
 
 
 @dataclass(frozen=True)
@@ -95,72 +91,59 @@ class FleetStatus:
 
 
 class FleetDispatcher:
-    """Produce, supervise and harvest fleet work for one store root."""
+    """Produce and supervise fleet work for one store root."""
 
     def __init__(self, store_root: str | os.PathLike[str], spawn: int = 0) -> None:
         if spawn < 0:
             raise ReproError("spawn must be non-negative")
         self.store_root = Path(store_root)
-        self.backend = ObjectStoreBackend(self.store_root)
-        self.queue = LeaseQueue(self.backend.objects)
+        self.queue = LeaseQueue(ObjectStoreBackend(self.store_root).objects)
         self.spawn = spawn
         #: spawned-worker restarts allowed before giving up (3 per slot)
         self.max_restarts = 3 * spawn
         self.restarts = 0
         self._procs: list[subprocess.Popen[bytes]] = []
-        self._logs: list[Any] = []
 
     # -- submission ----------------------------------------------------------
 
     def submit(self, points: Sequence[ExperimentPoint]) -> FleetBatch:
-        """Enqueue tasks for ``points``; workers may start pulling immediately.
+        """Enqueue one task per point; workers may start pulling immediately.
 
-        Points whose result object already exists under their fingerprint
-        (with a ``DONE`` marker) are not re-enqueued — they are recorded in
-        :attr:`FleetBatch.already_done` and satisfied straight from the
-        bucket at :meth:`collect` time.  Submission is idempotent: the same
+        A task's id is its point's fingerprint and its payload is the
+        point's :meth:`~repro.core.runner.ExperimentPoint.to_dict` block,
+        stamped with the task version.  Submission is idempotent: the same
         point twice lands on the same task.
         """
         task_ids: list[str] = []
-        already: set[str] = set()
         for point in points:
-            task = FleetTask(point.workload, point.scale, point.config)
-            task_id = task.task_id()
-            task_ids.append(task_id)
-            if (
-                self.queue.state(task_id) & TaskState.DONE
-                and self.backend.get(task_id) is not None
-            ):
-                already.add(task_id)
-                continue
-            self.queue.submit(task_id, task.to_payload())
-        batch = FleetBatch(
-            points=tuple(points),
-            task_ids=tuple(task_ids),
-            already_done=frozenset(already),
-        )
-        if self.spawn and len(already) < len(set(task_ids)):
+            key = point.to_dict()
+            task_ids.append(key["fingerprint"])
+            self.queue.submit(
+                key["fingerprint"], {"version": TASK_VERSION, "kind": "point", **key})
+        if self.spawn and task_ids:
             self._ensure_workers()
-        return batch
+        return FleetBatch(task_ids=tuple(task_ids))
 
     # -- supervision ---------------------------------------------------------
 
     def status(self, batch: FleetBatch) -> FleetStatus:
-        """The batch's current progress (one queue scan, no side effects)."""
+        """The batch's current progress (one queue scan, no side effects).
+
+        A task of the batch that is absent from the queue is done: a
+        worker deletes a task's queue objects only after publishing its
+        result object.
+        """
         done = claimed = pending = failed = dead = 0
         for task_id in dict.fromkeys(batch.task_ids):
-            if task_id in batch.already_done:
-                done += 1
-                continue
             state = self.queue.state(task_id)
-            if state & TaskState.DONE:
-                done += 1
-            elif state & TaskState.DEAD:
+            if state & TaskState.DEAD:
                 dead += 1
             elif state & TaskState.CLAIMED:
                 claimed += 1
-            else:
+            elif state & TaskState.PENDING:
                 pending += 1
+            else:
+                done += 1
             if state & TaskState.FAILED:
                 failed += 1
         return FleetStatus(
@@ -218,27 +201,6 @@ class FleetDispatcher:
                 )
             time.sleep(poll)
 
-    # -- harvest -------------------------------------------------------------
-
-    def collect(self, batch: FleetBatch) -> list[SimulationResult]:
-        """The batch's results, in submit order.
-
-        Every task must be ``DONE`` (call :meth:`watch` first); a done
-        marker whose result object is missing or undecodable raises —
-        that would mean the bucket lost data, which must never be papered
-        over silently.
-        """
-        results: list[SimulationResult] = []
-        for point, task_id in zip(batch.points, batch.task_ids, strict=True):
-            result = self.backend.get(task_id)
-            if result is None:
-                raise ReproError(
-                    f"fleet task {task_id[:12]} ({point}) has no readable "
-                    "result object — bucket corrupted or task incomplete"
-                )
-            results.append(result)
-        return results
-
     # -- spawned workers -----------------------------------------------------
 
     def _worker_command(self) -> list[str]:
@@ -249,18 +211,11 @@ class FleetDispatcher:
             "worker",
             "--store-root",
             str(self.store_root),
-            "--lease-ttl",
-            f"{self.queue.lease_ttl:g}",
             "--poll",
             f"{DEFAULT_WATCH_POLL_S:g}",
         ]
 
-    def _spawn_worker(self, slot: int) -> subprocess.Popen[bytes]:
-        log_dir = self.store_root / FLEET_LOG_SUBDIR
-        log_dir.mkdir(parents=True, exist_ok=True)
-        log = open(  # noqa: SIM115 - lifetime managed by shutdown()
-            log_dir / f"worker-{slot}-{os.getpid()}.log", "ab")
-        self._logs.append(log)
+    def _spawn_worker(self) -> subprocess.Popen[bytes]:
         env = dict(os.environ)
         # make the repro package importable from a source checkout: workers
         # must resolve the same code the dispatcher runs
@@ -270,13 +225,13 @@ class FleetDispatcher:
             package_root if not existing
             else os.pathsep.join((package_root, existing))
         )
+        # stderr is inherited: worker progress lines join the driver's
         return subprocess.Popen(
-            self._worker_command(), stdout=log, stderr=subprocess.STDOUT, env=env,
-        )
+            self._worker_command(), stdout=subprocess.DEVNULL, env=env)
 
     def _ensure_workers(self) -> None:
         while len(self._procs) < self.spawn:
-            self._procs.append(self._spawn_worker(len(self._procs)))
+            self._procs.append(self._spawn_worker())
 
     def _maintain_workers(self) -> bool:
         """Restart dead spawned workers; False when no worker is running and
@@ -291,7 +246,7 @@ class FleetDispatcher:
             if self.restarts >= self.max_restarts:
                 continue
             self.restarts += 1
-            self._procs[slot] = self._spawn_worker(slot)
+            self._procs[slot] = self._spawn_worker()
         return any(proc.poll() is None for proc in self._procs)
 
     def shutdown(self, timeout: float = 10.0) -> None:
@@ -311,9 +266,3 @@ class FleetDispatcher:
                 proc.kill()
                 proc.wait(timeout=5.0)
         self._procs.clear()
-        for log in self._logs:
-            try:
-                log.close()
-            except OSError:
-                pass
-        self._logs.clear()

@@ -7,9 +7,14 @@ S3 quartet (``put``/``get``/``list``/``delete``) hosts the whole fleet::
     queue/tasks/<task_id>.json                      the work item (immutable)
     queue/claims/<task_id>/<attempt>/<claim>.json   claim-race entrants
     queue/leases/<task_id>.json                     the active lease (heartbeats re-put)
-    queue/done/<task_id>.json                       completion marker
     queue/failed/<task_id>/<claim>.json             one failure record per attempt
     queue/dead/<task_id>.json                       dead-letter marker
+
+**Completion** leaves nothing behind: :meth:`LeaseQueue.complete` deletes
+every queue object of the task, whose result object (published first) is
+the only record that it is finished — a finished task reads ``ABSENT``.
+The completion markers of a retired ``queue/done/`` prefix are neither
+read nor deleted.
 
 **Claiming** is an atomic-put claim race: every contender writes a claim
 object with a unique, *timestamp-ordered* name (each write is itself atomic
@@ -56,7 +61,7 @@ from typing import Any, Callable, Iterator, Mapping
 from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStore
 
-#: default key prefix of the queue namespace inside the bucket
+#: key prefix of the queue namespace inside the bucket
 QUEUE_PREFIX = "queue"
 
 #: default seconds a lease lives without renewal before it may be reclaimed
@@ -72,19 +77,17 @@ DEFAULT_CLAIM_GRACE = 0.01
 class TaskState(enum.IntFlag):
     """Bitwise task state: lifecycle phase, OR'd with failure history.
 
-    Exactly one of ``PENDING``/``CLAIMED``/``DONE``/``DEAD`` is set for a
-    known task (``ABSENT`` — the empty flag — for an unknown one); ``FAILED``
-    is OR'd in whenever the task has recorded failures, so ``PENDING |
-    FAILED`` reads as "awaiting retry" and ``DONE | FAILED`` as "succeeded
-    after retries".
+    Exactly one of ``PENDING``/``CLAIMED``/``DEAD`` is set for a queued
+    task (``ABSENT`` — the empty flag — for a finished or unknown one);
+    ``FAILED`` is OR'd in whenever the task has recorded failures, so
+    ``PENDING | FAILED`` reads as "awaiting retry".
     """
 
     ABSENT = 0
     PENDING = 1
     CLAIMED = 2
-    DONE = 4
-    FAILED = 8
-    DEAD = 16
+    FAILED = 4
+    DEAD = 8
 
 
 class LeaseLostError(ReproError):
@@ -111,7 +114,7 @@ class Lease:
     attempt: int
     #: wall-clock deadline after which the lease may be reclaimed
     expires_at: float
-    #: the task payload (see :mod:`repro.fleet.tasks`)
+    #: the task payload (see :mod:`repro.fleet.worker`)
     payload: Mapping[str, Any]
 
 
@@ -121,7 +124,6 @@ class LeaseQueue:
     def __init__(
         self,
         objects: ObjectStore,
-        prefix: str = QUEUE_PREFIX,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
         clock: Callable[[], float] = time.time,
@@ -132,7 +134,6 @@ class LeaseQueue:
         if retry_budget < 1:
             raise ReproError("retry_budget must be at least 1")
         self.objects = objects
-        self.prefix = prefix.rstrip("/")
         self.lease_ttl = lease_ttl
         self.retry_budget = retry_budget
         self.clock = clock
@@ -141,25 +142,22 @@ class LeaseQueue:
     # -- keys ----------------------------------------------------------------
 
     def _tasks_prefix(self) -> str:
-        return f"{self.prefix}/tasks"
+        return f"{QUEUE_PREFIX}/tasks"
 
     def _task_key(self, task_id: str) -> str:
         return f"{self._tasks_prefix()}/{task_id}.json"
 
     def _lease_key(self, task_id: str) -> str:
-        return f"{self.prefix}/leases/{task_id}.json"
-
-    def _done_key(self, task_id: str) -> str:
-        return f"{self.prefix}/done/{task_id}.json"
+        return f"{QUEUE_PREFIX}/leases/{task_id}.json"
 
     def _dead_prefix(self) -> str:
-        return f"{self.prefix}/dead"
+        return f"{QUEUE_PREFIX}/dead"
 
     def _dead_key(self, task_id: str) -> str:
         return f"{self._dead_prefix()}/{task_id}.json"
 
     def _claims_root(self, task_id: str) -> str:
-        return f"{self.prefix}/claims/{task_id}"
+        return f"{QUEUE_PREFIX}/claims/{task_id}"
 
     def _claims_prefix(self, task_id: str, attempt: int) -> str:
         return f"{self._claims_root(task_id)}/{attempt:04d}"
@@ -173,7 +171,7 @@ class LeaseQueue:
         )
 
     def _failed_prefix(self, task_id: str) -> str:
-        return f"{self.prefix}/failed/{task_id}"
+        return f"{QUEUE_PREFIX}/failed/{task_id}"
 
     def _failure_key(self, task_id: str, claim: str) -> str:
         # keyed by the failing attempt's claim name: reaping the same dead
@@ -200,16 +198,15 @@ class LeaseQueue:
     def submit(self, task_id: str, payload: Mapping[str, Any]) -> bool:
         """Enqueue a task; returns whether new work was actually added.
 
-        Idempotent by id: a task that is already pending, claimed or done
-        is left untouched (``False``).  A *dead-lettered* task is revived —
-        its failure history and dead marker are cleared and it re-enters
-        ``PENDING`` with a fresh retry budget (``True``): a new submission
-        is an explicit statement that the work is wanted again.
+        Idempotent by id: a task that is already pending or claimed is
+        left untouched (``False``).  A finished task left no queue object,
+        so submitting it again enqueues it anew.  A *dead-lettered* task is
+        revived — its failure history and dead marker are cleared and it
+        re-enters ``PENDING`` with a fresh retry budget (``True``): a new
+        submission is an explicit statement that the work is wanted again.
         """
         if not task_id or "/" in task_id:
             raise ReproError(f"invalid task id {task_id!r}")
-        if self.objects.exists(self._done_key(task_id)):
-            return False
         if self.objects.exists(self._dead_key(task_id)):
             self._clear_history(task_id)
             self._write(self._task_key(task_id), dict(payload))
@@ -230,7 +227,7 @@ class LeaseQueue:
     # -- inspection ----------------------------------------------------------
 
     def task_ids(self) -> Iterator[str]:
-        """All known task ids (any state), in sorted order."""
+        """The ids of every queued (unfinished) task, in sorted order."""
         for key in self.objects.list(self._tasks_prefix()):
             name = key.rsplit("/", 1)[-1]
             if name.endswith(".json"):
@@ -248,11 +245,9 @@ class LeaseQueue:
         return self._read(self._lease_key(task_id))
 
     def state(self, task_id: str) -> TaskState:
-        """The task's bitwise :class:`TaskState` (``ABSENT`` if unknown)."""
+        """The task's bitwise :class:`TaskState` (``ABSENT``: finished or unknown)."""
         state = TaskState.ABSENT
-        if self.objects.exists(self._done_key(task_id)):
-            state |= TaskState.DONE
-        elif self.objects.exists(self._dead_key(task_id)):
+        if self.objects.exists(self._dead_key(task_id)):
             state |= TaskState.DEAD
         elif self.objects.exists(self._task_key(task_id)):
             lease = self._active_lease(task_id)
@@ -265,13 +260,11 @@ class LeaseQueue:
         return state
 
     def counts(self) -> dict[str, int]:
-        """``{state name: task count}`` over every known task (lower-case keys)."""
-        tally = {"pending": 0, "claimed": 0, "done": 0, "dead": 0, "failed": 0}
+        """``{state name: task count}`` over every queued task (lower-case keys)."""
+        tally = {"pending": 0, "claimed": 0, "dead": 0, "failed": 0}
         for task_id in self.task_ids():
             state = self.state(task_id)
-            if state & TaskState.DONE:
-                tally["done"] += 1
-            elif state & TaskState.DEAD:
+            if state & TaskState.DEAD:
                 tally["dead"] += 1
             elif state & TaskState.CLAIMED:
                 tally["claimed"] += 1
@@ -303,8 +296,6 @@ class LeaseQueue:
         return None
 
     def _try_claim(self, task_id: str, worker: str) -> Lease | None:
-        if self.objects.exists(self._done_key(task_id)):
-            return None
         if self.objects.exists(self._dead_key(task_id)):
             return None
         now = self.clock()
@@ -384,24 +375,17 @@ class LeaseQueue:
         )
         return replace(lease, expires_at=expires_at)
 
-    def complete(self, lease: Lease, meta: Mapping[str, Any] | None = None) -> None:
-        """Mark the lease's task ``DONE`` and release the lease.
+    def complete(self, lease: Lease) -> None:
+        """Finish the lease's task: delete every queue object it has.
 
-        Safe (and a no-op beyond marker rewrites) if the task was already
-        completed by a racing worker: completion markers, like results, are
-        idempotent.
+        Call it once the task's result object is published: that object is
+        the record that the task is done, and the task reads ``ABSENT``
+        from now on.  The task object goes first, so a racing claim finds
+        no payload and backs off.  Safe if a racing worker already
+        completed the task.
         """
-        document = {
-            "task": lease.task_id,
-            "worker": lease.worker,
-            "claim": lease.claim,
-            "attempt": lease.attempt,
-            "completed_at": self.clock(),
-        }
-        if meta:
-            document.update(meta)
-        self._write(self._done_key(lease.task_id), document)
-        self._release(lease)
+        self.objects.delete(self._task_key(lease.task_id))
+        self._clear_history(lease.task_id)
 
     def fail(self, lease: Lease, reason: str) -> TaskState:
         """Record a failed attempt; returns the task's resulting state.
@@ -476,8 +460,6 @@ class LeaseQueue:
         buried = 0
         now = self.clock()
         for task_id in self.task_ids():
-            if self.objects.exists(self._done_key(task_id)):
-                continue
             if self.objects.exists(self._dead_key(task_id)):
                 continue
             lease = self._active_lease(task_id)
@@ -504,6 +486,6 @@ class LeaseQueue:
     def describe(self) -> str:
         """One-line summary of the queue's location and parameters."""
         return (
-            f"lease queue at {self.objects.describe()}/{self.prefix} "
+            f"lease queue at {self.objects.describe()}/{QUEUE_PREFIX} "
             f"(ttl={self.lease_ttl:g}s, retries={self.retry_budget})"
         )

@@ -9,15 +9,19 @@ connection, no RPC, no shared memory:
 
 * **claim**: take a lease on the first available task (expired leases from
   crashed workers are reclaimed on the way — see the queue module);
-* **simulate**: rebuild the point from the task payload and run it through
-  the exact same :func:`~repro.core.simulator.simulate_point` the
-  in-process engine uses, loading the trace from the bucket's ``traces/``
-  namespace — results are bit-identical to local execution by
-  construction;
+* **simulate**: rebuild the point from the task payload
+  (:meth:`~repro.core.runner.ExperimentPoint.from_dict`, after checking
+  the payload's ``version`` and ``kind``) and run it through the exact
+  same :func:`~repro.core.simulator.simulate_point` the in-process engine
+  uses, loading the trace from the bucket's ``traces/`` namespace —
+  results are bit-identical to local execution by construction.  A task
+  whose result object is already readable (a bucket shared with an
+  earlier run) is not simulated again;
 * **publish**: write the result object under the point's fingerprint in the
   bucket's ``results/`` namespace (through the same
   :class:`~repro.core.objectstore.ObjectStoreBackend` the engine's own
-  result store writes with), then mark the task done;
+  result store writes with), then complete the task, which deletes its
+  queue objects: the result object is the record that it is done;
 * **heartbeat**: a daemon thread renews the lease at a third of its TTL
   while the simulation runs, so long points never expire under a live
   worker.  If the lease is lost anyway (e.g. the host stalled past the
@@ -25,7 +29,7 @@ connection, no RPC, no shared memory:
   byte-identical across workers, so a racing re-run cannot conflict.
 
 **Graceful drain**: SIGTERM (and SIGINT) set a stop flag; the worker
-finishes the task it holds, publishes, releases the lease and exits 0 —
+finishes the task it holds, publishes, completes it and exits 0 —
 a fleet can be scaled down mid-run without losing or duplicating work.
 A worker killed outright (SIGKILL, OOM, power) loses its lease to expiry
 and the task is re-run elsewhere; the fault-injection tests pin both paths.
@@ -41,11 +45,12 @@ import time
 import uuid
 from pathlib import Path
 from types import FrameType
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStoreBackend
 from repro.core.results import SimulationResult
+from repro.core.runner import ExperimentPoint
 from repro.fleet.queue import (
     DEFAULT_LEASE_TTL,
     Lease,
@@ -53,11 +58,15 @@ from repro.fleet.queue import (
     LeaseQueue,
     TaskState,
 )
-from repro.fleet.tasks import FleetTask
 from repro.trace.store import TraceStore
 
 #: default seconds between polls of an empty queue
 DEFAULT_POLL_S = 0.5
+
+#: version stamp of every task payload (``{"version", "kind": "point",
+#: **point.to_dict()}``); a worker fails a task of another version instead
+#: of guessing what it means
+TASK_VERSION = 1
 
 
 class _Heartbeat(threading.Thread):
@@ -174,17 +183,23 @@ class Worker:
     def execute(self, lease: Lease) -> bool:
         """Run one leased task to completion or failure; returns success."""
         try:
-            task = FleetTask.from_payload(lease.payload)
+            point = _task_point(lease.payload)
         except ReproError as exc:
             self.log(f"worker {self.worker_id}: bad task {lease.task_id[:12]}: {exc}")
             self.queue.fail(lease, f"undecodable task: {exc}")
             self.failed += 1
             return False
+        if self.backend.get(point.fingerprint()) is not None:
+            self.queue.complete(lease)
+            self.completed += 1
+            self.log(f"worker {self.worker_id}: {point} already published "
+                     f"[{lease.task_id[:12]}]")
+            return True
         heartbeat = _Heartbeat(self.queue, lease)
         heartbeat.start()
         started = time.perf_counter()
         try:
-            result = self._simulate(task)
+            result = self._simulate(point)
         except Exception as exc:  # noqa: BLE001 - a task failure, not a crash
             heartbeat.stop()
             state = self.queue.fail(heartbeat.lease, repr(exc))
@@ -196,16 +211,8 @@ class Worker:
             return False
         wall = time.perf_counter() - started
         heartbeat.stop()
-        point = task.point()
         self.backend.put(point, result)
-        self.queue.complete(
-            heartbeat.lease,
-            {
-                "fingerprint": task.task_id(),
-                "wall_s": round(wall, 4),
-                "lease_lost": heartbeat.lost,
-            },
-        )
+        self.queue.complete(heartbeat.lease)
         self.completed += 1
         self.log(
             f"worker {self.worker_id}: {point} done in {wall:.2f}s "
@@ -213,15 +220,11 @@ class Worker:
         )
         return True
 
-    def _simulate(self, task: FleetTask) -> SimulationResult:
+    def _simulate(self, point: ExperimentPoint) -> SimulationResult:
         from repro.core.simulator import simulate_point
 
-        return simulate_point(
-            task.workload,
-            task.scale,
-            task.config,
-            trace_store=self.trace_store,
-        )
+        return simulate_point(point.workload, point.scale, point.config,
+                              trace_store=self.trace_store)
 
     def summary(self) -> str:
         """One-line counters summary (printed by the CLI on exit)."""
@@ -231,4 +234,20 @@ class Worker:
         )
 
 
-__all__ = ["Worker", "DEFAULT_POLL_S", "TaskState"]
+def _task_point(payload: Mapping[str, Any]) -> ExperimentPoint:
+    """The point a task payload names; :class:`ReproError` if it names none.
+
+    Extra fields (older dispatchers stamped a ``kernel``) are ignored:
+    every execution strategy is bit-identical by contract.
+    """
+    if payload.get("version") != TASK_VERSION:
+        raise ReproError(
+            f"unsupported fleet task version {payload.get('version')!r} "
+            f"(this worker speaks version {TASK_VERSION})"
+        )
+    if payload.get("kind") != "point":
+        raise ReproError(f"unknown fleet task kind {payload.get('kind')!r}")
+    return ExperimentPoint.from_dict(payload)
+
+
+__all__ = ["Worker", "DEFAULT_POLL_S", "TASK_VERSION", "TaskState"]

@@ -10,8 +10,8 @@ Three disciplines of the queue are checked as it runs:
 
 * it reads time only through the injected clock: in every test here,
   the module's ``time`` reads raise (:func:`no_real_clock`);
-* every key it touches follows the bucket layout in the module docstring,
-  under whatever prefix it was given (:class:`TestBucketLayout`);
+* every key it touches follows the bucket layout in the module docstring
+  (:class:`TestBucketLayout`);
 * the heartbeat thread's ``run`` loop assigns only attributes its
   ``__init__`` set (:class:`TestHeartbeatThreadState`).
 """
@@ -89,12 +89,15 @@ class TestSubmit:
         assert queue.submit("t1", payload_for("t1")) is False
         assert list(queue.task_ids()) == ["t1"]
 
-    def test_submit_does_not_disturb_done_tasks(self, queue):
+    def test_a_finished_task_is_enqueued_anew(self, queue):
+        # a finished task leaves no queue object: its result object is the
+        # record, so the queue treats a resubmission as new work
         queue.submit("t1", payload_for("t1"))
-        lease = queue.claim("w1")
-        queue.complete(lease)
-        assert queue.submit("t1", payload_for("t1")) is False
-        assert queue.state("t1") == TaskState.DONE
+        queue.complete(queue.claim("w1"))
+        assert queue.state("t1") == TaskState.ABSENT
+        assert queue.submit("t1", payload_for("t1")) is True
+        assert queue.state("t1") == TaskState.PENDING
+        assert queue.claim("w1").attempt == 0
 
     def test_invalid_task_ids_rejected(self, queue):
         with pytest.raises(ReproError, match="invalid task id"):
@@ -133,7 +136,7 @@ class TestClaim:
         assert queue.claim("w1").task_id == "a"
         assert queue.claim("w1").task_id == "b"
 
-    def test_done_and_dead_tasks_are_not_claimable(self, queue):
+    def test_finished_tasks_are_not_claimable(self, queue):
         queue.submit("t1", payload_for("t1"))
         queue.complete(queue.claim("w1"))
         assert queue.claim("w2") is None
@@ -157,12 +160,17 @@ class TestLeaseLifecycle:
         with pytest.raises(LeaseLostError):
             queue.renew(lease)
 
-    def test_complete_marks_done_and_releases(self, queue):
+    def test_complete_deletes_every_queue_object_of_the_task(self, queue, clock):
         queue.submit("t1", payload_for("t1"))
+        queue.submit("t2", payload_for("t2"))
+        queue.fail(queue.claim("w1"), "boom")  # a failure record and a claim
         lease = queue.claim("w1")
-        queue.complete(lease, {"wall_s": 1.5})
-        assert queue.state("t1") == TaskState.DONE
-        assert queue.counts()["done"] == 1
+        assert lease.task_id == "t1" and lease.attempt == 1
+        queue.complete(lease)
+        assert queue.state("t1") == TaskState.ABSENT
+        assert list(queue.task_ids()) == ["t2"]
+        assert [key for key in queue.objects.list("queue")
+                if "/t1" in key] == []
 
     def test_fail_returns_task_to_pending_with_failure_bit(self, queue):
         queue.submit("t1", payload_for("t1"))
@@ -238,7 +246,8 @@ class TestDeadLetters:
         lease = queue.claim("w1")
         assert lease.attempt == 0  # fresh budget
         queue.complete(lease)
-        assert queue.state("t1") == TaskState.DONE
+        assert queue.state("t1") == TaskState.ABSENT
+        assert list(queue.objects.list("queue")) == []
 
     def test_counts_tallies_every_state(self, queue):
         queue.submit("pending", payload_for("pending"))
@@ -249,9 +258,9 @@ class TestDeadLetters:
         assert queue.claim("w1").task_id == "claimed"
         done_lease = queue.claim("w1")
         assert done_lease.task_id == "done"
-        queue.complete(done_lease)
+        queue.complete(done_lease)  # a finished task is not queued
         assert queue.counts() == {
-            "pending": 1, "claimed": 1, "done": 1, "dead": 1, "failed": 1}
+            "pending": 1, "claimed": 1, "dead": 1, "failed": 1}
 
 
 class TestClaimRace:
@@ -367,28 +376,25 @@ class RecordingStore(ObjectStore):
         return super().list(prefix)
 
 
-def documented_layout(prefix):
-    """The module docstring's key patterns, moved under ``prefix``."""
-    paths = re.findall(r"^ +queue/(\S+)", queue_module.__doc__, re.MULTILINE)
-    assert len(paths) == 6, paths
+def documented_layout():
+    """The module docstring's key patterns."""
+    paths = re.findall(r"^ +(queue/\S+)", queue_module.__doc__, re.MULTILINE)
+    assert len(paths) == 5, paths
     return [
-        re.compile(re.escape(prefix + "/")
-                   + "[^/]+".join(re.escape(part) for part in re.split(r"<\w+>", path))
+        re.compile("[^/]+".join(re.escape(part) for part in re.split(r"<\w+>", path))
                    + "$")
         for path in paths
     ]
 
 
 class TestBucketLayout:
-    PREFIX = "bucket-ns/work"
-
     def test_every_key_follows_the_documented_layout(self, tmp_path, clock):
         objects = RecordingStore(tmp_path)
-        queue = LeaseQueue(objects, prefix=self.PREFIX, lease_ttl=30.0,
-                           retry_budget=2, clock=clock, claim_grace=0.0)
+        queue = LeaseQueue(objects, lease_ttl=30.0, retry_budget=2, clock=clock,
+                           claim_grace=0.0)
         for task_id in ("done", "failed", "expired", "dead"):
             queue.submit(task_id, payload_for(task_id))
-        queue.complete(queue.renew(queue._try_claim("done", "w1")), {"wall_s": 0.1})
+        queue.complete(queue.renew(queue._try_claim("done", "w1")))
         queue.fail(queue._try_claim("failed", "w1"), "boom")
         queue._try_claim("expired", "w1")  # and its worker dies
         clock.advance(31.0)
@@ -396,18 +402,21 @@ class TestBucketLayout:
         for _ in range(2):
             queue.fail(queue._try_claim("dead", "w1"), "poisoned")
         assert queue.counts() == {
-            "pending": 2, "claimed": 0, "done": 1, "dead": 1, "failed": 3}
+            "pending": 2, "claimed": 0, "dead": 1, "failed": 3}
         assert queue.dead_letters().keys() == {"dead"}
         assert queue.submit("dead", payload_for("dead"))  # revive: clear its history
+        # the finished task left nothing behind
+        assert [key for key in ObjectStore(tmp_path).list("queue")
+                if "/done" in key] == []
 
-        layout = documented_layout(self.PREFIX)
+        layout = documented_layout()
         stray = sorted(key for key in objects.keys
                        if not any(pattern.match(key) for pattern in layout))
         assert stray == []
         unused = [pattern.pattern for pattern in layout
                   if not any(pattern.match(key) for key in objects.keys)]
         assert unused == []
-        assert all(prefix.startswith(self.PREFIX + "/") for prefix in objects.prefixes)
+        assert all(prefix.startswith("queue/") for prefix in objects.prefixes)
 
 
 class TestHeartbeatThreadState:

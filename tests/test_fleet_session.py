@@ -22,6 +22,7 @@ from repro.api import (
     Session,
     Settings,
 )
+from repro.core.objectstore import ObjectStore
 from repro.core.runner import ExperimentEngine, ResultStore
 
 
@@ -139,17 +140,22 @@ class TestFleetParity:
             assert session.engine.fleet_points == 2
             summary = session.engine_summary()
             assert summary["fleet"] == {"workers": 1, "dispatched": 2}
+            # fleet-computed points are read back from the store
+            assert (summary["simulated"], summary["disk_hits"]) == (0, 2)
             # the parent compiled the grid's one trace before enqueueing
             assert session.trace_store.generated == 1
 
         assert json.dumps(actual, sort_keys=True) == json.dumps(
             expected, sort_keys=True)
-        # each result is kept once: the object the worker published
+        # the cache dir is the bucket alone, and each result is kept once:
+        # the object the worker published.  The finished tasks left no
+        # queue object behind.
         root = tmp_path / "fleet"
+        assert [path.name for path in root.iterdir()] == ["objects"]
         stored = [path.relative_to(root).parts[:2]
                   for path in root.rglob("*.json")]
-        assert [where for where in stored if where != ("objects", "queue")] == [
-            ("objects", "results")] * 2
+        assert stored == [("objects", "results")] * 2
+        assert list(ObjectStore(root / "objects").list("queue")) == []
 
     def test_fleet_session_serves_cache_hits_without_workers(self, tmp_path):
         root = tmp_path / "shared"
@@ -163,3 +169,36 @@ class TestFleetParity:
             assert session.engine.fleet_points == 0
             assert session.engine.disk_hits == 2
             assert grid.get("nasa7", "ooo") is not None
+
+    def test_corrupt_published_result_is_resimulated(self, tmp_path):
+        root = tmp_path / "fleet"
+        with Session(cache_dir=root, fleet=1, env={}) as first:
+            expected = first.run(GRID).to_dict()
+        results = sorted((root / "objects" / "results").rglob("*.json"))
+        assert len(results) == 2
+        results[0].write_text("{truncat")
+        with Session(cache_dir=root, fleet=1, env={}) as second:
+            actual = second.run(GRID).to_dict()
+            # the unreadable point is simulated by the driving process and
+            # written back, as without a fleet; the other is a disk hit
+            assert (second.engine.simulated, second.engine.disk_hits) == (1, 1)
+            assert second.engine.fleet_points == 0
+        assert json.dumps(actual, sort_keys=True) == json.dumps(
+            expected, sort_keys=True)
+        assert ResultStore(root).gc() == (2, 0)
+
+    def test_driving_process_writes_no_result_object(self, tmp_path, monkeypatch):
+        # the workers publish every result; the driver only reads them
+        written = []
+        put = ObjectStore.put
+
+        def counting_put(self, key, data):
+            written.append(key)
+            put(self, key, data)
+
+        monkeypatch.setattr(ObjectStore, "put", counting_put)
+        with Session(cache_dir=tmp_path, fleet=1, env={}) as session:
+            session.exhibits(names=("figure6",), programs=("trfd",))
+            assert session.engine.fleet_points == 2
+        assert [key for key in written if key.startswith("results/")] == []
+        assert ResultStore(tmp_path).gc() == (2, 0)

@@ -4,9 +4,12 @@ These tests pin the crash-recovery contract with *real* process faults:
 
 * a worker SIGKILLed mid-lease loses the lease to expiry; the task is
   reclaimed and a second worker re-runs it to a byte-identical result;
-* SIGTERM drains gracefully — the worker finishes, releases and exits 0;
+* SIGTERM drains gracefully — the worker finishes, completes and exits 0;
 * a poisoned task (undecodable / unsimulatable) burns its retry budget and
-  lands in the dead-letter prefix instead of wedging the queue.
+  lands in the dead-letter prefix instead of wedging the queue;
+* a finished task leaves no queue object (it reads ``ABSENT``): its result
+  object is the record, and a task whose result object already exists is
+  completed without being simulated again.
 
 Subprocess tests use a medium-scale point (~1 s of simulation) so the
 "mid-lease" window is wide enough to hit deterministically; in-process
@@ -25,12 +28,14 @@ import pytest
 from test_store_backends import result_object
 
 from repro.common.errors import ReproError
+from repro.core import simulator
 from repro.core.config import get_config
 from repro.core.objectstore import ObjectStoreBackend
+from repro.core.runner import ExperimentPoint
 from repro.core.simulator import simulate_point
+from repro.fleet.dispatcher import FleetDispatcher
 from repro.fleet.queue import LeaseQueue, TaskState
-from repro.fleet.tasks import FleetTask
-from repro.fleet.worker import Worker
+from repro.fleet.worker import TASK_VERSION, Worker
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,48 +72,102 @@ def wait_until(predicate, what: str, deadline_s: float = DEADLINE_S) -> None:
     raise AssertionError(f"timed out waiting for {what}")
 
 
-def submit_point(store_root: Path, workload: str, scale: str) -> tuple[LeaseQueue, FleetTask]:
+def task_payload(point: ExperimentPoint) -> dict:
+    """A task payload, built from the documented layout."""
+    return {"version": TASK_VERSION, "kind": "point", **point.to_dict()}
+
+
+def submit_point(store_root: Path, workload: str, scale: str) -> tuple[LeaseQueue, ExperimentPoint]:
     backend = ObjectStoreBackend(store_root)
     queue = LeaseQueue(backend.objects)
-    task = FleetTask(workload=workload, scale=scale, config=get_config("reference"))
-    assert queue.submit(task.task_id(), task.to_payload()) is True
-    return queue, task
+    point = ExperimentPoint(workload, scale, get_config("reference"))
+    assert queue.submit(point.fingerprint(), task_payload(point)) is True
+    return queue, point
+
+
+def assert_finished(store_root: Path, queue: LeaseQueue, point: ExperimentPoint) -> None:
+    """The task is gone from the queue and its result object decodes."""
+    assert queue.state(point.fingerprint()) == TaskState.ABSENT
+    assert ObjectStoreBackend(store_root).get(point.fingerprint()) is not None
 
 
 class TestTaskPayloads:
-    """Queue payloads decode across versions of the dispatcher."""
+    """A task payload is the point's key block, stamped with a version."""
 
     def test_payload_round_trips(self):
-        task = FleetTask(workload="trfd", scale="tiny", config=get_config("ooo-late-sle"))
-        payload = json.loads(json.dumps(task.to_payload()))
-        decoded = FleetTask.from_payload(payload)
-        assert decoded == task
-        assert decoded.task_id() == payload["fingerprint"] == task.task_id()
+        point = ExperimentPoint("trfd", "tiny", get_config("ooo-late-sle"))
+        payload = json.loads(json.dumps(task_payload(point)))
+        assert list(point.to_dict()) == [
+            "workload", "scale", "config_name", "fingerprint", "params"]
+        decoded = ExperimentPoint.from_dict(payload)
+        assert decoded == point
+        assert decoded.fingerprint() == payload["fingerprint"]
+
+    def test_dispatcher_writes_the_documented_payload_bytes(self, tmp_path):
+        point = ExperimentPoint("trfd", "tiny", get_config("ooo"))
+        batch = FleetDispatcher(tmp_path).submit([point])
+        assert batch.task_ids == (point.fingerprint(),)
+        stored = ObjectStoreBackend(tmp_path).objects.get(
+            f"queue/tasks/{point.fingerprint()}.json")
+        assert stored == json.dumps(task_payload(point), sort_keys=True).encode()
 
     def test_payload_naming_a_kernel_is_the_same_task(self, tmp_path):
         # dispatchers that had a kernel setting stamped it into every
         # payload; a worker now ignores it and publishes the same result
-        task = FleetTask(workload="trfd", scale="tiny", config=get_config("ooo"))
-        payload = {**task.to_payload(), "kernel": "scalar"}
-        assert FleetTask.from_payload(payload).task_id() == task.task_id()
+        point = ExperimentPoint("trfd", "tiny", get_config("ooo"))
+        payload = {**task_payload(point), "kernel": "scalar"}
+        assert ExperimentPoint.from_dict(payload) == point
 
         backend = ObjectStoreBackend(tmp_path)
         queue = LeaseQueue(backend.objects)
-        assert queue.submit(task.task_id(), payload) is True
+        assert queue.submit(point.fingerprint(), payload) is True
         worker = Worker(tmp_path, worker_id="parent-payload", max_tasks=1,
                         poll_s=0.05)
         assert worker.run() == 1
         assert worker.completed == 1
-        assert queue.state(task.task_id()) & TaskState.DONE
-        reference = simulate_point(task.workload, task.scale, task.config)
-        expected = result_object(task.point(), reference)
-        assert backend.objects.get(backend._object_key(task.task_id())) == expected
+        assert_finished(tmp_path, queue, point)
+        reference = simulate_point(point.workload, point.scale, point.config)
+        expected = result_object(point, reference)
+        assert backend.objects.get(backend._object_key(point.fingerprint())) == expected
 
     def test_wrong_fingerprint_is_refused(self):
-        task = FleetTask(workload="trfd", scale="tiny", config=get_config("reference"))
-        payload = {**task.to_payload(), "fingerprint": "0" * 64}
+        point = ExperimentPoint("trfd", "tiny", get_config("reference"))
+        payload = {**task_payload(point), "fingerprint": "0" * 64}
         with pytest.raises(ReproError, match="fingerprint mismatch"):
-            FleetTask.from_payload(payload)
+            ExperimentPoint.from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"version": TASK_VERSION, "kind": "point"},
+        {"workload": "trfd", "scale": "tiny", "config_name": "ooo",
+         "fingerprint": "0" * 64, "params": 5},
+        ["not", "a", "mapping"],
+    ])
+    def test_malformed_point_is_refused(self, payload):
+        with pytest.raises(ReproError, match="malformed experiment point"):
+            ExperimentPoint.from_dict(payload)
+
+
+class TestPublishedTasks:
+    def test_task_with_a_published_result_is_completed_unsimulated(
+        self, tmp_path, monkeypatch
+    ):
+        # a bucket filled by an earlier fleet still holds a task for each
+        # point it ran: a worker completes it from the published object
+        queue, point = submit_point(tmp_path, "trfd", "tiny")
+        backend = ObjectStoreBackend(tmp_path)
+        backend.put(point, simulate_point(point.workload, point.scale, point.config))
+        published = backend.objects.get(backend._object_key(point.fingerprint()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a published point was simulated again")
+
+        monkeypatch.setattr(simulator, "simulate_point", refuse)
+        worker = Worker(tmp_path, worker_id="late", max_tasks=1, poll_s=0.05)
+        assert worker.run() == 1
+        assert (worker.completed, worker.failed) == (1, 0)
+        assert_finished(tmp_path, queue, point)
+        assert backend.objects.get(backend._object_key(point.fingerprint())) == published
+        assert list(backend.objects.list("queue")) == []
 
 
 class TestSigkillRecovery:
@@ -117,8 +176,8 @@ class TestSigkillRecovery:
     ):
         # a ~1 s point: the worker is guaranteed to be mid-simulation (and
         # therefore mid-lease) when we observe the CLAIMED state
-        queue, task = submit_point(tmp_path, "tomcatv", "medium")
-        task_id = task.task_id()
+        queue, point = submit_point(tmp_path, "tomcatv", "medium")
+        task_id = point.fingerprint()
 
         process = spawn_worker(tmp_path, "--lease-ttl", "0.75")
         try:
@@ -126,7 +185,6 @@ class TestSigkillRecovery:
                 lambda: queue.state(task_id) & TaskState.CLAIMED,
                 "the worker to claim the task",
             )
-            assert not queue.state(task_id) & TaskState.DONE
             process.send_signal(signal.SIGKILL)  # no drain, no release
             process.wait(timeout=30)
         finally:
@@ -148,12 +206,12 @@ class TestSigkillRecovery:
         second = Worker(tmp_path, worker_id="second", max_tasks=1, poll_s=0.05)
         assert second.run() == 1
         assert second.completed == 1
-        assert queue.state(task_id) & TaskState.DONE
+        assert_finished(tmp_path, queue, point)
 
         # ... to the byte-identical result object the engine's own result
         # store would have written locally
-        reference = simulate_point(task.workload, task.scale, task.config)
-        expected = result_object(task.point(), reference)
+        reference = simulate_point(point.workload, point.scale, point.config)
+        expected = result_object(point, reference)
         backend = ObjectStoreBackend(tmp_path)
         stored = backend.objects.get(backend._object_key(task_id))
         assert stored == expected
@@ -161,16 +219,15 @@ class TestSigkillRecovery:
 
 class TestGracefulDrain:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        queue, task = submit_point(tmp_path, "nasa7", "small")
-        task_id = task.task_id()
+        queue, point = submit_point(tmp_path, "nasa7", "small")
+        task_id = point.fingerprint()
 
         process = spawn_worker(tmp_path, "--lease-ttl", "30")
         try:
-            # claimed or already done — either way the worker holds no
+            # claimed or already finished — either way the worker holds no
             # un-drainable state when the signal lands
             wait_until(
-                lambda: queue.state(task_id)
-                & (TaskState.CLAIMED | TaskState.DONE),
+                lambda: queue.state(task_id) != TaskState.PENDING,
                 "the worker to pick up the task",
             )
             process.send_signal(signal.SIGTERM)
@@ -181,15 +238,15 @@ class TestGracefulDrain:
                 process.communicate()
         assert process.returncode == 0, stderr
         # the in-flight task was finished, not abandoned
-        assert queue.state(task_id) & TaskState.DONE
+        assert_finished(tmp_path, queue, point)
         assert queue.counts()["claimed"] == 0
 
     def test_max_tasks_worker_exits_on_its_own(self, tmp_path):
-        queue, task = submit_point(tmp_path, "nasa7", "small")
+        queue, point = submit_point(tmp_path, "nasa7", "small")
         process = spawn_worker(tmp_path, "--max-tasks", "1", "--lease-ttl", "30")
         _stdout, stderr = process.communicate(timeout=DEADLINE_S)
         assert process.returncode == 0, stderr
-        assert queue.state(task.task_id()) & TaskState.DONE
+        assert_finished(tmp_path, queue, point)
         assert "1 completed" in stderr
 
 
@@ -201,12 +258,9 @@ class TestPoisonedTasks:
 
     def test_unsimulatable_task_dead_letters_after_retry_budget(self, tmp_path):
         queue = self.poisoned_queue(tmp_path)
-        task = FleetTask(
-            workload="no-such-workload", scale="small",
-            config=get_config("reference"),
-        )
-        task_id = task.task_id()
-        queue.submit(task_id, task.to_payload())
+        point = ExperimentPoint("no-such-workload", "small", get_config("reference"))
+        task_id = point.fingerprint()
+        queue.submit(task_id, task_payload(point))
 
         worker = Worker(
             tmp_path, worker_id="poison-eater", queue=queue,
@@ -221,9 +275,16 @@ class TestPoisonedTasks:
         assert task_id in letters
         assert letters[task_id]["failures"] == 2
 
-    def test_undecodable_payload_is_failed_not_crashed(self, tmp_path):
+    @pytest.mark.parametrize("stamp", [
+        {"version": 999, "kind": "mystery"},
+        {"version": None},
+        {"kind": "sweep"},
+        {"params": 5},
+    ])
+    def test_undecodable_payload_is_failed_not_crashed(self, tmp_path, stamp):
         queue = self.poisoned_queue(tmp_path, retry_budget=1)
-        queue.submit("nonsense", {"version": 999, "kind": "mystery"})
+        point = ExperimentPoint("trfd", "tiny", get_config("reference"))
+        queue.submit("nonsense", {**task_payload(point), **stamp})
         worker = Worker(
             tmp_path, worker_id="confused", queue=queue,
             poll_s=0.05, idle_timeout=0.2,
