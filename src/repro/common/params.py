@@ -144,10 +144,6 @@ class ReferenceParams:
     bank_read_ports: int = 2
     #: write ports per register bank
     bank_write_ports: int = 1
-    #: chaining from functional units to functional units and to stores
-    #: (the C34 never chains memory loads into functional units or stores)
-    chain_fu_to_fu: bool = True
-    chain_fu_to_store: bool = True
     #: fetch bubble charged after a taken branch on the in-order machine
     taken_branch_penalty: int = 2
 
@@ -188,11 +184,6 @@ class OOOParams:
 
     commit_model: CommitModel = CommitModel.EARLY
     load_elimination: LoadElimination = LoadElimination.NONE
-
-    #: chaining rules carried over from the reference implementation
-    #: (loads never chain into functional units or stores)
-    chain_fu_to_fu: bool = True
-    chain_fu_to_store: bool = True
 
     def __post_init__(self) -> None:
         if self.num_phys_vregs < NUM_ARCH_VREGS + 1:

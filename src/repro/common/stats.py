@@ -58,6 +58,22 @@ class MemoryTraffic:
             + self.scalar_store_ops
         )
 
+    def eliminate_load(self, vector: bool, ops: int, spill: bool) -> None:
+        """Move an eliminated load's ``ops``, spill share included, off the bus.
+
+        A run counts every load of its trace as bus traffic before it
+        steps (:meth:`SimStats.add_counts`); a load it eliminates never
+        reaches memory.
+        """
+        if vector:
+            self.vector_load_ops -= ops
+            self.vector_load_spill_ops -= ops if spill else 0
+            self.eliminated_vector_load_ops += ops
+        else:
+            self.scalar_load_ops -= ops
+            self.scalar_load_spill_ops -= ops if spill else 0
+            self.eliminated_scalar_load_ops += ops
+
     @property
     def total_eliminated_ops(self) -> int:
         return self.eliminated_vector_load_ops + self.eliminated_scalar_load_ops
@@ -102,7 +118,19 @@ class SimStats:
     rob_stall_cycles: int = 0
     queue_stall_cycles: int = 0
     loads_eliminated: int = 0
-    stores_executed_at_head: int = 0
+
+    def add_counts(self, counts: SimStats) -> None:
+        """Add a slice's counts, which its instructions alone decide.
+
+        ``counts`` holds the slice's instruction classes, vector operations
+        and bus traffic (:func:`repro.trace.stats.count_instructions` or
+        :attr:`repro.machine.batched.LoweredTrace.counts`); a machine adds
+        them before it steps the slice and counts none of them itself.
+        """
+        for name in _COUNTED_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(counts, name))
+        for name in _TRAFFIC_FIELDS:
+            setattr(self.traffic, name, getattr(self.traffic, name) + getattr(counts.traffic, name))
 
     def record_unit_activity(
         self, fu2: BusyCalendar, fu1: BusyCalendar, mem: BusyCalendar
@@ -234,6 +262,9 @@ class SimStats:
 
 _STATS_FIELDS = tuple(f.name for f in fields(SimStats))
 _TRAFFIC_FIELDS = tuple(f.name for f in fields(MemoryTraffic))
+#: the counters besides the traffic that a slice's instructions alone decide
+_COUNTED_FIELDS = (
+    "scalar_instructions", "vector_instructions", "branch_instructions", "vector_operations")
 
 
 def _require_keys(mapping: object, expected: tuple[str, ...], what: str) -> None:

@@ -84,35 +84,16 @@ def _program_statistics(
 ) -> dict[str, TraceStatistics]:
     """Tables 2 and 3's counts, read off the reference machine at latency 50.
 
-    The reference machine has no load elimination, so its instruction,
-    operation and traffic counters equal the trace's own
-    (:func:`~repro.trace.stats.compute_trace_statistics`; the test suite
-    checks this on every program).  Figures 5-8 and Table 4 simulate the
-    same point, so the tables cost a warm run no trace at all.
+    Every run counts its trace's instructions, operations and traffic
+    through one rule (:mod:`repro.trace.stats`), and the reference machine
+    eliminates no load, so its counts are the trace's own.  Figures 5-8
+    and Table 4 simulate the same point, so the tables cost a warm run no
+    trace at all.
     """
     names = _programs(programs)
     ref = reference_config(DEFAULT_LATENCY)
     grid = _Grid("tables2-3", names, (ref,), scale, engine)
-    rows: dict[str, TraceStatistics] = {}
-    for name in names:
-        result = grid(name, ref)
-        stats = result.stats
-        rows[name] = TraceStatistics(
-            name=result.workload,
-            scalar_instructions=stats.scalar_instructions,
-            vector_instructions=stats.vector_instructions,
-            branch_instructions=stats.branch_instructions,
-            vector_operations=stats.vector_operations,
-            vector_load_ops=stats.traffic.vector_load_ops,
-            vector_load_spill_ops=stats.traffic.vector_load_spill_ops,
-            vector_store_ops=stats.traffic.vector_store_ops,
-            vector_store_spill_ops=stats.traffic.vector_store_spill_ops,
-            scalar_load_ops=stats.traffic.scalar_load_ops,
-            scalar_load_spill_ops=stats.traffic.scalar_load_spill_ops,
-            scalar_store_ops=stats.traffic.scalar_store_ops,
-            scalar_store_spill_ops=stats.traffic.scalar_store_spill_ops,
-        )
-    return rows
+    return {name: TraceStatistics.from_stats(name, grid(name, ref).stats) for name in names}
 
 
 def table2_program_statistics(

@@ -8,8 +8,11 @@ Everything a cache directory holds is one bucket, in two layers:
   subdirectories, exactly like object keys map to bucket prefixes.  Writes
   are atomic (unique temp name + ``os.replace``) and reads degrade to
   ``None`` on any I/O problem, so a shared store never wedges a reader.
-  Pointing the root at a mounted bucket (s3fs, NFS, a synced directory)
-  gives cross-machine sharing without any new dependency; a networked
+  A delete also removes the directories it leaves empty, so a bucket
+  holds a directory only where it holds an object; a writer whose
+  directory a concurrent delete removed makes it again.  Pointing the
+  root at a mounted bucket (s3fs, NFS, a synced directory) gives
+  cross-machine sharing without any new dependency; a networked
   implementation only has to mimic these four methods.
 
 * One class per namespace reads and writes it:
@@ -66,14 +69,20 @@ if TYPE_CHECKING:
 #: ``traffic.eliminated_scalar_load_ops``; 5: the count of predicted
 #: branches dropped, it equalled ``branch_instructions`` on the OOO family
 #: and read 0 on the reference machine, and five parameters no model read
-#: left the stored ``params`` block)
-STORE_VERSION = 5
+#: left the stored ``params`` block; 6: ``stores_executed_at_head`` dropped,
+#: the trace and the commit model decide it, and the chaining switches left
+#: the ``params`` block, chaining is always on)
+STORE_VERSION = 6
 
 #: subdirectory of the experiment cache dir acting as the bucket root
 OBJECT_SUBDIR = "objects"
 
 #: key prefix of the simulation-result namespace
 RESULT_PREFIX = "results"
+
+#: times ``ObjectStore.put`` makes its directory and writes before giving
+#: up (a concurrent delete may remove an empty directory in between)
+_PUT_ATTEMPTS = 5
 
 
 def _decode(data: bytes) -> SimulationResult | None:
@@ -125,9 +134,16 @@ class ObjectStore:
     def put(self, key: str, data: bytes) -> None:
         """Store ``data`` under ``key`` atomically (last writer wins)."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-        tmp.write_bytes(data)
+        for attempt in range(_PUT_ATTEMPTS):
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_bytes(data)
+                break
+            except FileNotFoundError:
+                # another process's delete removed the (empty) directory
+                if attempt + 1 == _PUT_ATTEMPTS:
+                    raise
         os.replace(tmp, path)
 
     def get(self, key: str) -> bytes | None:
@@ -150,25 +166,25 @@ class ObjectStore:
         *not* the same as sorting ``Path`` objects, which compares
         per-component and would order ``a/c`` before ``a-b``.)
 
-        Temp files from in-flight (or crashed) writers are never listed.
+        Temp files from in-flight (or crashed) writers are never listed,
+        and a directory that a concurrent delete removes is skipped.
         """
         base = self.root if not prefix else self._path(prefix)
-        if not base.is_dir():
-            return
         keys = [
-            self._key(path)
-            for path in base.rglob("*")
-            if path.is_file() and not (
-                path.name.startswith(".") and path.name.endswith(".tmp")
-            )
+            self._key(Path(directory, name))
+            for directory, _, names in os.walk(base)
+            for name in names
+            if not (name.startswith(".") and name.endswith(".tmp"))
         ]
         yield from sorted(keys)
 
     def delete(self, key: str) -> bool:
         """Remove the object if present; returns whether it existed.
 
-        Best-effort: a reader without write permission (a shared cache
-        dir) degrades to ``False`` instead of crashing.
+        The directories it leaves empty go too, up to but not including
+        the root.  Best-effort: a reader without write permission (a
+        shared cache dir) degrades to ``False`` instead of crashing, and a
+        directory that is not empty, or already gone, stays as it is.
         """
         path = self._path(key)
         existed = path.is_file()
@@ -176,6 +192,13 @@ class ObjectStore:
             path.unlink(missing_ok=True)
         except OSError:
             return False
+        directory = path.parent
+        while directory != self.root:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+            directory = directory.parent
         return existed
 
     def exists(self, key: str) -> bool:
@@ -186,15 +209,15 @@ class ObjectStore:
     def sweep_temp(self, prefix: str = "") -> int:
         """Drop crashed-writer temp files under ``prefix``; returns the count."""
         base = self.root if not prefix else self._path(prefix)
-        if not base.is_dir():
-            return 0
         dropped = 0
-        for path in base.rglob(".*.tmp"):
-            try:
-                path.unlink(missing_ok=True)
-                dropped += 1
-            except OSError:
-                pass
+        for directory, _, names in os.walk(base):
+            for name in names:
+                if name.startswith(".") and name.endswith(".tmp"):
+                    try:
+                        os.unlink(os.path.join(directory, name))
+                        dropped += 1
+                    except OSError:
+                        pass
         return dropped
 
     def describe(self) -> str:

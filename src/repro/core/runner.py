@@ -294,23 +294,15 @@ class ExperimentEngine:
             batch = self.submit_fleet(spec.points)
             if batch is not None:
                 self.fleet_dispatcher().watch(batch)
-        results: dict[ExperimentPoint, SimulationResult] = {}
-        missing: list[ExperimentPoint] = []
-        seen: set[ExperimentPoint] = set()
-        for point in spec.points:
-            if point in seen:
-                continue
-            seen.add(point)
-            cached = self.store.get(point)
-            if cached is None:
-                missing.append(point)
-            else:
-                results[point] = cached
-        for point, result in zip(missing, self._execute(missing), strict=True):
+        points = list(dict.fromkeys(spec.points))
+        found = {point: self.store.get(point) for point in points}
+        missing = [point for point in points if found[point] is None]
+        simulated = dict(zip(missing, self._execute(missing), strict=True))
+        for point, result in simulated.items():
             self.store.put(point, result)
-            results[point] = result.copy()
         self.simulated += len(missing)
-        return results
+        # the unique points in spec order, whichever of them were cached
+        return {point: found[point] or simulated[point].copy() for point in points}
 
     def run_point(self, point: ExperimentPoint) -> SimulationResult:
         """Resolve a single point through the store."""

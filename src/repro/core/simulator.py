@@ -1,10 +1,10 @@
 """Top-level simulation API.
 
-``run(workload, config)`` is the single entry point the examples, tests and
-benchmark harness use: it produces (and caches) the workload's trace, picks
-the right simulator for the configuration, and returns a
-:class:`~repro.core.results.SimulationResult` that bundles the configuration,
-the workload identity and the collected statistics.
+:func:`simulate_point` is what engine and fleet workers run for one grid
+point; :func:`simulate_trace` steps an existing trace, and ``run(workload,
+config)``, which only tests call, simulates a workload by name.  Each
+returns a :class:`~repro.core.results.SimulationResult` that bundles the
+configuration, the workload identity and the collected statistics.
 
 Memoised results come from an experiment engine's result store instead
 (``engine.result(workload, config, scale)``, see

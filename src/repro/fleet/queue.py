@@ -12,7 +12,8 @@ S3 quartet (``put``/``get``/``list``/``delete``) hosts the whole fleet::
 
 **Completion** leaves nothing behind: :meth:`LeaseQueue.complete` deletes
 every queue object of the task, whose result object (published first) is
-the only record that it is finished — a finished task reads ``ABSENT``.
+the only record that it is finished — a finished task reads ``ABSENT`` —
+and each delete removes the directories it empties.
 The completion markers of a retired ``queue/done/`` prefix are neither
 read nor deleted.
 

@@ -22,9 +22,15 @@ This module provides the kernel side of the batched stepper:
   :mod:`repro.ooo.batched`).  Registration is by **exact class**: a
   subclass that overrides any handler falls back to the scalar kernel
   automatically rather than silently running its parent's lowering.
-* :func:`run_slice_batched` is the entry point: machines without a
-  registered lowering (e.g. ``examples/custom_machine.py``) run through
-  their own ``run_slice`` unchanged.  Both registered steppers lower
+* The lowering also counts what its slice alone decides — instruction
+  classes, vector operations and bus traffic — from the columns it builds
+  (:attr:`LoweredTrace.counts`), independently of the spec's
+  :func:`repro.trace.stats.count_instructions`.
+* :func:`run_slice_batched` is the entry point: it adds the slice's
+  counts to the machine's stats and steps it, so no stepper counts them.
+  Machines without a registered lowering (e.g.
+  ``examples/custom_machine.py``) run through their own ``run_slice``
+  unchanged, and count for themselves.  Both registered steppers lower
   every instruction kind; neither calls a scalar handler.
 
 Each stepper walks the lowered trace one instruction at a time, as the
@@ -43,6 +49,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.stats import MemoryTraffic, SimStats
 from repro.isa.opcodes import InstrKind, Opcode
 from repro.isa.registers import RegClass
 from repro.trace.records import DynInstr, Trace
@@ -61,6 +68,8 @@ K_VECTOR_STORE = KIND_INDEX[InstrKind.VECTOR_STORE]
 K_VECTOR_CONTROL = KIND_INDEX[InstrKind.VECTOR_CONTROL]
 #: the kind codes that reach the address bus
 MEMORY_KINDS = frozenset(KIND_INDEX[kind] for kind in KINDS if kind.is_memory)
+#: the kind codes of vector instructions (ALU and memory)
+VECTOR_KINDS = frozenset(KIND_INDEX[kind] for kind in KINDS if kind.is_vector)
 
 #: interned latency-class names, in a stable (sorted) order
 LAT_CLASSES: Tuple[str, ...] = tuple(sorted({op.value.latency_class for op in Opcode}))
@@ -211,6 +220,44 @@ class LoweredTrace:
 
         #: vector lengths clamped to one element
         self.vl1 = [v if v > 1 else 1 for v in vl]
+        #: what the slice alone decides, added to a run's stats before it steps
+        self.counts = _column_counts(kind_code, vl, self.vl1, is_spill)
+
+
+def _column_counts(
+    kind_code: List[int], vl: List[int], vl1: List[int], is_spill: List[bool]
+) -> SimStats:
+    """Count a lowered slice's instructions, operations and bus traffic.
+
+    Per kind code: instructions and, for vector kinds, vector lengths and
+    ``max(vl, 1)`` bus operations (a scalar access puts one on the bus);
+    a spill access counts its bus operations in the spill share too.
+    """
+    size = len(KINDS)
+    n, elements, ops, spill_ops = [0] * size, [0] * size, [0] * size, [0] * size
+    vector = VECTOR_KINDS
+    for k, v, v1, spill in zip(kind_code, vl, vl1, is_spill, strict=True):
+        n[k] += 1
+        if k in vector:
+            elements[k] += v
+            ops[k] += v1
+            if spill:
+                spill_ops[k] += v1
+        elif spill:
+            spill_ops[k] += 1
+    traffic = MemoryTraffic()
+    for k in MEMORY_KINDS:
+        name = KINDS[k].value  # "vector_load", ...: the counters' prefix
+        setattr(traffic, f"{name}_ops", ops[k] if k in vector else n[k])
+        setattr(traffic, f"{name}_spill_ops", spill_ops[k])
+    vector_instructions = sum(n[k] for k in vector)
+    return SimStats(
+        scalar_instructions=len(kind_code) - n[K_BRANCH] - vector_instructions,
+        vector_instructions=vector_instructions,
+        branch_instructions=n[K_BRANCH],
+        vector_operations=sum(elements[k] for k in vector),
+        traffic=traffic,
+    )
 
 
 #: id(trace) -> (weak ref keeping the entry honest, lowering); traces are
@@ -353,4 +400,5 @@ def run_slice_batched(machine: Any, instructions: Iterable[DynInstr]) -> None:
         lowered = LoweredTrace(instrs)
     if lowered.n == 0:
         return
+    machine.stats.add_counts(lowered.counts)
     stepper(machine, lowered)

@@ -13,6 +13,12 @@ dispatch shape is *declared*:
   method run for that instruction class (``DEFAULT_HANDLER`` catches the
   rest).
 
+What the instructions alone decide — their classes, vector operations
+and bus traffic — no handler counts: :meth:`StagedMachine.run_slice` adds
+each slice's counts through :func:`repro.trace.stats.count_instructions`
+before it dispatches, and a machine only moves the traffic of a load it
+eliminates (:meth:`~repro.common.stats.MemoryTraffic.eliminate_load`).
+
 The batched-vs-scalar tests (``tests/test_batched_kernel.py``) compare
 every attribute reachable from the machine object, so no state needs a
 hand-written serialisation to be checked.  It follows that a component
@@ -28,6 +34,7 @@ from repro.common.errors import ReproError
 from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind, Opcode
 from repro.trace.records import DynInstr, Trace
+from repro.trace.stats import count_instructions
 
 
 class StagedMachine:
@@ -68,12 +75,14 @@ class StagedMachine:
 
         State carries over between calls, so a simulation can be split into
         resumable segments: ``run_slice`` each segment in order, then
-        :meth:`finalise` once.  The :attr:`DISPATCH` table is resolved to
-        bound handlers once per call.
+        :meth:`finalise` once.  The slice's counts are added first, and the
+        :attr:`DISPATCH` table is resolved to bound handlers once per call.
         """
+        dyns = list(instructions)
+        self.stats.add_counts(count_instructions(dyns))
         handlers = {kind: getattr(self, name) for kind, name in self.DISPATCH.items()}
         default = getattr(self, self.DEFAULT_HANDLER) if self.DEFAULT_HANDLER else None
-        for dyn in instructions:
+        for dyn in dyns:
             ctx = self.decode(dyn)
             handler = handlers.get(dyn.kind, default)
             if handler is None:

@@ -12,7 +12,12 @@ vector access may fill a gap on the bus, so its memory-unit row is
 inserted like a bus row, not appended.  Branch prediction and the scalar
 load-elimination copy stay behind their method calls.  The components
 keep only state that decides timing or that ``finalise`` reads, so the
-stepper maintains nothing else.
+stepper maintains nothing else, and it mirrors no statistics counter
+into a local: :func:`~repro.machine.batched.run_slice_batched` adds the
+slice's instruction, operation and traffic counts before it steps, the
+branch arm counts a misprediction on the stats themselves, and a
+load-elimination arm moves the load's traffic
+(:meth:`~repro.common.stats.MemoryTraffic.eliminate_load`).
 
 Every instruction passes through the stages of :class:`_OOORun` once, in
 program order: decode (the reorder buffer, then the issue queue the
@@ -90,8 +95,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     mispredict_penalty = params.branch_mispredict_penalty
     early_commit = params.commit_model is CommitModel.EARLY
     late_commit = not early_commit
-    chain_fu_to_fu = params.chain_fu_to_fu
-    chain_fu_to_store = params.chain_fu_to_store
     sle = machine.sle
     vle = machine.vle
     loadelim = machine.loadelim
@@ -174,26 +177,8 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     bs, be = bus._starts, bus._ends
 
     predict = machine.predictor.predict_and_update
-
-    # -- statistics ----------------------------------------------------------
-    st = machine.stats
-    tf = st.traffic
-    n_scalar = st.scalar_instructions
-    n_vector = st.vector_instructions
-    n_vops = st.vector_operations
-    n_branch = st.branch_instructions
-    n_bmiss = st.branch_mispredictions
-    n_store_head = st.stores_executed_at_head
-    tf_vload = tf.vector_load_ops
-    tf_vload_sp = tf.vector_load_spill_ops
-    tf_vstore = tf.vector_store_ops
-    tf_vstore_sp = tf.vector_store_spill_ops
-    tf_sload = tf.scalar_load_ops
-    tf_sload_sp = tf.scalar_load_spill_ops
-    tf_sstore = tf.scalar_store_ops
-    tf_sstore_sp = tf.scalar_store_spill_ops
-    tf_evl = tf.eliminated_vector_load_ops
-    tf_esl = tf.eliminated_scalar_load_ops
+    stats = machine.stats
+    traffic = stats.traffic
 
     # -- machine scalars -----------------------------------------------------
     last_rename = machine.last_rename
@@ -204,7 +189,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     # -- lowered columns -----------------------------------------------------
     col_kind = lowered.kind_code
     col_lat = lowered.lat_code
-    col_vl = lowered.vl
     vl1 = lowered.vl1
     col_dest_cls = lowered.dest_cls
     col_dest_idx = lowered.dest_idx
@@ -269,8 +253,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
 
         kc = col_kind[i]
         if kc == K_VECTOR_ALU:  # -- _run_vector_compute -----------------
-            n_vector += 1
-            n_vops += col_vl[i]
             # under VLE every vector-register instruction traverses the
             # memory pipeline (single-point vector rename, Section 6.2)
             if vle:
@@ -324,7 +306,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
 
             for k in range(ns):
                 ph = scratch[k]
-                if scls[k] >= 2 and not ph.from_load and chain_fu_to_fu:
+                if scls[k] >= 2 and not ph.from_load:
                     v = ph.first_result
                 else:
                     v = ph.ready
@@ -381,13 +363,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
         elif kc in MEMORY_KINDS:  # -- _run_memory ------------------------
             is_vec = kc == K_VECTOR_LOAD or kc == K_VECTOR_STORE
             is_store = kc == K_VECTOR_STORE or kc == K_SCALAR_STORE
-            if is_vec:
-                n_vector += 1
-                n_vops += col_vl[i]
-                vl_ = vl1[i]
-            else:
-                n_scalar += 1
-                vl_ = 1
+            vl_ = vl1[i] if is_vec else 1
             a_ready = rt + 1
             i_ready = rt + 1
             for k in range(1 if is_store else 0, ns):
@@ -429,7 +405,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             to_bus = True
             if is_store:
                 v_ph = scratch[0]
-                if scls[0] >= 2 and not v_ph.from_load and chain_fu_to_store:
+                if scls[0] >= 2 and not v_ph.from_load:
                     v_ready = v_ph.first_result
                 else:
                     v_ready = v_ph.ready
@@ -442,7 +418,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     # stores update memory only from the ROB head (§5)
                     if rob_last_commit > earliest:
                         earliest = rob_last_commit
-                    n_store_head += 1
             else:
                 dc = col_dest_cls[i]
                 if dc < 0:
@@ -475,7 +450,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     if matched.ready > completion:
                         completion = matched.ready
                     loadelim.vector_loads_eliminated += 1
-                    tf_evl += vl_
+                    traffic.eliminate_load(True, vl_, col_spill[i])
                     r_start = pe
                     departure = pe + 1
                     to_bus = False
@@ -517,7 +492,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         ph_d.first_result = completion
                         ph_d.from_load = False
                         table.set_tag(ph_d.ident, table.get(matched_id))
-                        tf_esl += 1
+                        traffic.eliminate_load(False, 1, col_spill[i])
                         r_start = pe
                         departure = pe + 1
                         to_bus = False
@@ -556,14 +531,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     mp_active.append(_PendingAccess(rs, re_, is_store, e_addr))
                 if is_store:
                     completion = e_addr
-                    if is_vec:
-                        tf_vstore += vl_
-                        if col_spill[i]:
-                            tf_vstore_sp += vl_
-                    else:
-                        tf_sstore += 1
-                        if col_spill[i]:
-                            tf_sstore_sp += 1
                     ttv = tag_tables[scls[0]]
                     if ttv is not None:
                         tag = col_tag[i]
@@ -593,15 +560,9 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     if is_vec:
                         ph_d.first_result = s + mem_latency
                         completion = s + mem_latency + vl_
-                        tf_vload += vl_
-                        if col_spill[i]:
-                            tf_vload_sp += vl_
                     else:
                         completion = s + scalar_mem_lat
                         ph_d.first_result = completion
-                        tf_sload += 1
-                        if col_spill[i]:
-                            tf_sload_sp += 1
                     ph_d.ready = completion
                     if table is not None:
                         tag = col_tag[i]
@@ -613,7 +574,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 departure = s
 
         elif kc == K_BRANCH:  # -- _run_branch --------------------------
-            n_branch += 1
             ready = rt + 1
             for k in range(ns):
                 pr = scratch[k].ready
@@ -628,7 +588,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             completion = cyc + lat_scalar_alu
 
             if not predict(dyns[i]):
-                n_bmiss += 1
+                stats.branch_mispredictions += 1
                 resume = completion + mispredict_penalty
                 if resume > fetch_resume:
                     fetch_resume = resume
@@ -636,7 +596,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             departure = cyc
 
         else:  # -- _run_scalar: scalar ALU and vector control -----------
-            n_scalar += 1
             dest_ph = None
             dc = col_dest_cls[i]
             if dc >= 0:
@@ -739,22 +698,6 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
         f.allocation_stall_cycles = r_stall_cycles[idx]
     pipe_obj.last_exit = pipe_last_exit
     mempipe._active = mp_active
-    st.scalar_instructions = n_scalar
-    st.vector_instructions = n_vector
-    st.vector_operations = n_vops
-    st.branch_instructions = n_branch
-    st.branch_mispredictions = n_bmiss
-    st.stores_executed_at_head = n_store_head
-    tf.vector_load_ops = tf_vload
-    tf.vector_load_spill_ops = tf_vload_sp
-    tf.vector_store_ops = tf_vstore
-    tf.vector_store_spill_ops = tf_vstore_sp
-    tf.scalar_load_ops = tf_sload
-    tf.scalar_load_spill_ops = tf_sload_sp
-    tf.scalar_store_ops = tf_sstore
-    tf.scalar_store_spill_ops = tf_sstore_sp
-    tf.eliminated_vector_load_ops = tf_evl
-    tf.eliminated_scalar_load_ops = tf_esl
 
 
 def _step_ooo(machine: Any, lowered: LoweredTrace) -> None:

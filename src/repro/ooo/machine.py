@@ -121,11 +121,9 @@ class _OOORun(StagedMachine):
 
     # ------------------------------------------------------------------ utils
 
-    def _vector_source_ready(self, phys: PhysReg, for_store: bool) -> int:
-        if phys.from_load:
-            return phys.ready
-        chain = self.params.chain_fu_to_store if for_store else self.params.chain_fu_to_fu
-        return phys.first_result if chain else phys.ready
+    def _vector_source_ready(self, phys: PhysReg) -> int:
+        # functional units chain into functional units and stores; loads never chain
+        return phys.ready if phys.from_load else phys.first_result
 
     def _tag_table_for(self, cls: RegClass) -> TagTable | None:
         if self.loadelim is None:
@@ -194,7 +192,6 @@ class _OOORun(StagedMachine):
     # ------------------------------------------------------------ scalar / branch
 
     def _run_scalar(self, dyn: DynInstr, ctx: _StepContext) -> _ExecResult:
-        self.stats.scalar_instructions += 1
         rename_time = ctx.rename_time
         sources = [self.rename.source(src) for src in dyn.srcs]
         released: list[tuple[RegClass, PhysReg | None]] = []
@@ -223,7 +220,6 @@ class _OOORun(StagedMachine):
         return _ExecResult(issue, completion, issue, rename_done, released)
 
     def _run_branch(self, dyn: DynInstr, ctx: _StepContext) -> _ExecResult:
-        self.stats.branch_instructions += 1
         rename_time = ctx.rename_time
         sources = [self.rename.source(src) for src in dyn.srcs]
         ready = rename_time + 1
@@ -244,8 +240,6 @@ class _OOORun(StagedMachine):
     # ------------------------------------------------------------------ vector
 
     def _run_vector_compute(self, dyn: DynInstr, ctx: _StepContext) -> _ExecResult:
-        self.stats.vector_instructions += 1
-        self.stats.vector_operations += dyn.vl
         rename_time = ctx.rename_time
         sources = [self.rename.source(src) for src in dyn.srcs]
         released: list[tuple[RegClass, PhysReg | None]] = []
@@ -277,7 +271,7 @@ class _OOORun(StagedMachine):
 
         for src, phys in zip(dyn.srcs, sources, strict=True):
             if src.cls in (RegClass.V, RegClass.VM):
-                earliest = max(earliest, self._vector_source_ready(phys, for_store=False))
+                earliest = max(earliest, self._vector_source_ready(phys))
             else:
                 earliest = max(earliest, phys.ready)
         earliest = self._issue_gate(earliest)
@@ -310,11 +304,6 @@ class _OOORun(StagedMachine):
     # ------------------------------------------------------------------ memory
 
     def _run_memory(self, dyn: DynInstr, ctx: _StepContext) -> _ExecResult:
-        if dyn.is_vector:
-            self.stats.vector_instructions += 1
-            self.stats.vector_operations += dyn.vl
-        else:
-            self.stats.scalar_instructions += 1
         rename_time = ctx.rename_time
         sources = {src: self.rename.source(src) for src in dyn.srcs}
 
@@ -374,7 +363,7 @@ class _OOORun(StagedMachine):
             released.append((RegClass.V, previous))
             completion = max(pipe_exit + 1, matched.ready)
             self.loadelim.vector_loads_eliminated += 1
-            self.stats.traffic.eliminated_vector_load_ops += vl
+            self.stats.traffic.eliminate_load(True, vl, dyn.is_spill)
             departure = pipe_exit + 1
             return _ExecResult(pipe_exit, completion, departure, rename_done, released)
 
@@ -402,7 +391,7 @@ class _OOORun(StagedMachine):
             dest_phys.from_load = False
             if table is not None:
                 table.set_tag(dest_phys.ident, table.get(matched_phys_id))
-            self.stats.traffic.eliminated_scalar_load_ops += 1
+            self.stats.traffic.eliminate_load(False, 1, dyn.is_spill)
             return _ExecResult(pipe_exit, completion, pipe_exit + 1,
                                rename_done, released)
 
@@ -414,17 +403,11 @@ class _OOORun(StagedMachine):
             dest_phys.ready = timing.data_ready
             dest_phys.from_load = True
             self.mem_busy.add(timing.start, timing.address_done)
-            self.stats.traffic.vector_load_ops += vl
-            if dyn.is_spill:
-                self.stats.traffic.vector_load_spill_ops += vl
         else:
             timing = self.memory.scalar_load(earliest)
             dest_phys.first_result = timing.data_ready
             dest_phys.ready = timing.data_ready
             dest_phys.from_load = True
-            self.stats.traffic.scalar_load_ops += 1
-            if dyn.is_spill:
-                self.stats.traffic.scalar_load_spill_ops += 1
 
         self.mempipe.register_access(dyn, timing.address_done)
         if table is not None:
@@ -445,7 +428,7 @@ class _OOORun(StagedMachine):
         vl = max(dyn.vl, 1) if dyn.is_vector else 1
 
         if value_src.cls in (RegClass.V, RegClass.VM):
-            value_ready = self._vector_source_ready(value_phys, for_store=True)
+            value_ready = self._vector_source_ready(value_phys)
         else:
             value_ready = value_phys.ready
 
@@ -454,20 +437,13 @@ class _OOORun(StagedMachine):
             # Stores update memory only from the head of the reorder buffer,
             # i.e. once every older instruction has committed (Section 5).
             earliest = max(earliest, self.rob.last_commit)
-            self.stats.stores_executed_at_head += 1
         earliest = self._issue_gate(earliest)
 
         if dyn.is_vector:
             timing = self.memory.vector_store(earliest, vl)
             self.mem_busy.add(timing.start, timing.address_done)
-            self.stats.traffic.vector_store_ops += vl
-            if dyn.is_spill:
-                self.stats.traffic.vector_store_spill_ops += vl
         else:
             timing = self.memory.scalar_store(earliest)
-            self.stats.traffic.scalar_store_ops += 1
-            if dyn.is_spill:
-                self.stats.traffic.scalar_store_spill_ops += 1
 
         self.mempipe.register_access(dyn, timing.address_done)
         table = self._tag_table_for(value_src.cls)

@@ -15,8 +15,11 @@ flat id-indexed table instead of a ``Register``-hashed dict, the banked
 register-file ports and the address bus are driven through the flattened
 :func:`~repro.machine.batched.gap_find`/
 :func:`~repro.machine.batched.gap_insert` primitives on their calendars,
-and mutable machine scalars plus statistics counters live in true locals
-written back once at the end.  Component **objects** (the register timing
+and the mutable machine scalars (the issue cycle and the horizon) live
+in true locals written back once at the end.  The stepper counts no
+statistic: :func:`~repro.machine.batched.run_slice_batched` adds the
+slice's instruction, operation and traffic counts before it steps.
+Component **objects** (the register timing
 states, which exist from the run's construction, the port calendars and
 the vector units' busy calendars) are mutated in place and in the same
 order as the scalar kernel, so the machine state is bit-identical.  A
@@ -56,8 +59,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     vector_startup = machine.lat.vector_startup
     scalar_mem = machine.lat.scalar_mem
     mem_latency = params.memory.latency
-    chain_fu_to_fu = params.chain_fu_to_fu
-    chain_fu_to_store = params.chain_fu_to_store
     taken_penalty = params.taken_branch_penalty
 
     # architected register timings: flat id-indexed view over the
@@ -82,25 +83,10 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     read_banks = [[(p._starts, p._ends) for p in bank] for bank in regfile._read_ports]
     write_banks = [[(p._starts, p._ends) for p in bank] for bank in regfile._write_ports]
 
-    stats = machine.stats
-    traffic = stats.traffic
-
-    # machine scalars and statistic counters, mirrored into locals for the
-    # hot loop and flushed back once after the last instruction
+    # machine scalars, mirrored into locals for the hot loop and flushed
+    # back once after the last instruction
     issue_ready = machine.issue_ready
     horizon = machine.horizon
-    s_scalar = stats.scalar_instructions
-    s_vector = stats.vector_instructions
-    s_branch = stats.branch_instructions
-    s_vops = stats.vector_operations
-    t_vl = traffic.vector_load_ops
-    t_vl_sp = traffic.vector_load_spill_ops
-    t_vs = traffic.vector_store_ops
-    t_vs_sp = traffic.vector_store_spill_ops
-    t_sl = traffic.scalar_load_ops
-    t_sl_sp = traffic.scalar_load_spill_ops
-    t_ss = traffic.scalar_store_ops
-    t_ss_sp = traffic.scalar_store_spill_ops
 
     col_kind = lowered.kind_code
     col_src_cls = lowered.src_cls
@@ -111,17 +97,13 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
     col_dest_id = lowered.dest_id
     col_lat = lowered.lat_code
     col_fu2 = lowered.fu2_only
-    col_vl = lowered.vl
     col_vl1 = lowered.vl1
     col_taken = lowered.taken
-    col_spill = lowered.is_spill
 
     for i in range(lowered.n):
         kc = col_kind[i]
         if kc == K_VECTOR_ALU:
             # -- _run_vector_compute ------------------------------------
-            s_vector += 1
-            s_vops += col_vl[i]
             vl = col_vl1[i]
             if col_fu2[i] or fu1.free_at > fu2.free_at:
                 unit = fu2
@@ -140,7 +122,7 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             nsrc = len(row_ids)
             for k in range(nsrc):
                 st = reg_state[row_ids[k]]
-                if row_cls[k] <= 1 or st.from_load or not chain_fu_to_fu:
+                if row_cls[k] <= 1 or st.from_load:
                     r = st.ready
                 else:
                     r = st.first_result
@@ -313,13 +295,10 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
             is_vec = kc == K_VECTOR_LOAD or kc == K_VECTOR_STORE
             start = issue_ready
             if is_vec:
-                s_vector += 1
-                s_vops += col_vl[i]
                 vl = col_vl1[i]
                 if mem_unit.free_at > start:
                     start = mem_unit.free_at
             else:
-                s_scalar += 1
                 vl = 1
             row_ids = col_src_ids[i]
             first = 0
@@ -327,7 +306,7 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                 # the stored value may chain from a functional unit
                 vcls = col_src_cls[i][0]
                 vst = reg_state[row_ids[0]]
-                if vcls <= 1 or vst.from_load or not chain_fu_to_store:
+                if vcls <= 1 or vst.from_load:
                     r = vst.ready
                 else:
                     r = vst.first_result
@@ -412,16 +391,10 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                 dst.from_load = True
                 dst.first_result = s + mem_latency
                 dst.ready = data_ready
-                t_vl += vl
-                if col_spill[i]:
-                    t_vl_sp += vl
             elif kc == K_VECTOR_STORE:
                 data_ready = address_done
                 if vcls == 2 and address_done > vst.read_until:
                     vst.read_until = address_done
-                t_vs += vl
-                if col_spill[i]:
-                    t_vs_sp += vl
             elif kc == K_SCALAR_LOAD:
                 data_ready = s + scalar_mem
                 if col_dest_cls[i] >= 0:
@@ -429,14 +402,8 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
                     dst.ready = data_ready
                     dst.first_result = data_ready
                     dst.from_load = True
-                t_sl += 1
-                if col_spill[i]:
-                    t_sl_sp += 1
             else:
                 data_ready = address_done
-                t_ss += 1
-                if col_spill[i]:
-                    t_ss_sp += 1
 
             if is_vec:
                 mem_unit.free_at = address_done
@@ -455,7 +422,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
 
         elif kc == K_BRANCH:
             # -- _run_branch --------------------------------------------
-            s_branch += 1
             start = issue_ready
             for rid in col_src_ids[i]:
                 r = reg_state[rid].ready
@@ -467,7 +433,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
 
         else:
             # -- _run_scalar (SCALAR_ALU / VECTOR_CONTROL default) ------
-            s_scalar += 1
             start = issue_ready
             for rid in col_src_ids[i]:
                 r = reg_state[rid].ready
@@ -487,18 +452,6 @@ def _step_reference(machine: Any, lowered: LoweredTrace) -> None:
 
     machine.issue_ready = issue_ready
     machine.horizon = horizon
-    stats.scalar_instructions = s_scalar
-    stats.vector_instructions = s_vector
-    stats.branch_instructions = s_branch
-    stats.vector_operations = s_vops
-    traffic.vector_load_ops = t_vl
-    traffic.vector_load_spill_ops = t_vl_sp
-    traffic.vector_store_ops = t_vs
-    traffic.vector_store_spill_ops = t_vs_sp
-    traffic.scalar_load_ops = t_sl
-    traffic.scalar_load_spill_ops = t_sl_sp
-    traffic.scalar_store_ops = t_ss
-    traffic.scalar_store_spill_ops = t_ss_sp
 
 
 register_stepper(_ReferenceRun, _step_reference)

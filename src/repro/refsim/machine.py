@@ -101,16 +101,13 @@ class _ReferenceRun(StagedMachine):
 
     # -- helpers ------------------------------------------------------------
 
-    def _source_ready(self, register: Register, for_store: bool) -> int:
+    def _source_ready(self, register: Register) -> int:
         """Earliest cycle a consumer may start reading ``register``."""
         state = self.regs[register]
-        if register.cls in (RegClass.A, RegClass.S):
-            return state.ready
-        if state.from_load:
+        if register.cls in (RegClass.A, RegClass.S) or state.from_load:
             # Loads do not chain into functional units (or into stores).
             return state.ready
-        chain = self.params.chain_fu_to_store if for_store else self.params.chain_fu_to_fu
-        return state.first_result if chain else state.ready
+        return state.first_result
 
     def _dest_constraint(self, register: Register) -> int:
         """WAW / WAR constraint: the old value's writer and readers must finish."""
@@ -128,7 +125,6 @@ class _ReferenceRun(StagedMachine):
     # -- instruction classes ----------------------------------------------------
 
     def _run_scalar(self, dyn: DynInstr, ctx: object) -> None:
-        self.stats.scalar_instructions += 1
         start = self.issue_ready
         for src in dyn.srcs:
             start = max(start, self.regs[src].ready)
@@ -145,7 +141,6 @@ class _ReferenceRun(StagedMachine):
         self._advance_horizon(done, start + 1)
 
     def _run_branch(self, dyn: DynInstr, ctx: object) -> None:
-        self.stats.branch_instructions += 1
         start = self.issue_ready
         for src in dyn.srcs:
             start = max(start, self.regs[src].ready)
@@ -154,7 +149,6 @@ class _ReferenceRun(StagedMachine):
         self._advance_horizon(self.issue_ready)
 
     def _run_scalar_memory(self, dyn: DynInstr, ctx: object) -> None:
-        self.stats.scalar_instructions += 1
         start = self.issue_ready
         for src in dyn.srcs:
             start = max(start, self.regs[src].ready)
@@ -165,14 +159,8 @@ class _ReferenceRun(StagedMachine):
                 dest.ready = timing.data_ready
                 dest.first_result = timing.data_ready
                 dest.from_load = True
-            self.stats.traffic.scalar_load_ops += 1
-            if dyn.is_spill:
-                self.stats.traffic.scalar_load_spill_ops += 1
         else:
             timing = self.memory.scalar_store(start)
-            self.stats.traffic.scalar_store_ops += 1
-            if dyn.is_spill:
-                self.stats.traffic.scalar_store_spill_ops += 1
         self.issue_ready = timing.start + 1
         self._advance_horizon(timing.data_ready, timing.start + 1)
 
@@ -184,15 +172,13 @@ class _ReferenceRun(StagedMachine):
         return self.fu2
 
     def _run_vector_compute(self, dyn: DynInstr, ctx: object) -> None:
-        self.stats.vector_instructions += 1
-        self.stats.vector_operations += dyn.vl
         vl = max(dyn.vl, 1)
         unit = self._select_compute_unit(dyn)
         effective_latency = self._vector_effective_latency(dyn.opcode)
 
         start = max(self.issue_ready, unit.free_at)
         for src in dyn.srcs:
-            start = max(start, self._source_ready(src, for_store=False))
+            start = max(start, self._source_ready(src))
         if dyn.dest is not None:
             start = max(start, self._dest_constraint(dyn.dest))
 
@@ -248,8 +234,6 @@ class _ReferenceRun(StagedMachine):
             self.regfile.reserve_write(dyn.dest, start + latency, vl)
 
     def _run_vector_memory(self, dyn: DynInstr, ctx: object) -> None:
-        self.stats.vector_instructions += 1
-        self.stats.vector_operations += dyn.vl
         vl = max(dyn.vl, 1)
 
         start = max(self.issue_ready, self.mem_unit.free_at)
@@ -269,12 +253,9 @@ class _ReferenceRun(StagedMachine):
             dest.from_load = True
             dest.first_result = timing.start + self.params.memory.latency
             dest.ready = timing.data_ready
-            self.stats.traffic.vector_load_ops += vl
-            if dyn.is_spill:
-                self.stats.traffic.vector_load_spill_ops += vl
         else:
             value_reg = dyn.srcs[0]
-            start = max(start, self._source_ready(value_reg, for_store=True))
+            start = max(start, self._source_ready(value_reg))
             for src in dyn.srcs[1:]:
                 start = max(start, self.regs[src].ready)
             if value_reg.cls is RegClass.V:
@@ -285,9 +266,6 @@ class _ReferenceRun(StagedMachine):
                 self.regfile.reserve_read(value_reg, timing.start, vl)
                 state = self.regs[value_reg]
                 state.read_until = max(state.read_until, timing.address_done)
-            self.stats.traffic.vector_store_ops += vl
-            if dyn.is_spill:
-                self.stats.traffic.vector_store_spill_ops += vl
 
         self.mem_unit.free_at = timing.address_done
         self.mem_unit.busy.add(timing.start, timing.address_done)

@@ -1,21 +1,30 @@
 """Trace-level statistics: the quantities Tables 2 and 3 report.
 
-These statistics depend only on the trace, not on any micro-architecture.
-The exhibits do not scan traces for them: the reference machine counts the
-same instructions, operations and memory traffic while it simulates, so
-:mod:`repro.core.experiments` reads Tables 2 and 3 off its stored result
-and a warm run builds no trace.  :func:`compute_trace_statistics` stays the
-trace-level API (``Workload.statistics()``, the examples) and the oracle
-the test suite checks those counters against.
+Both machines see the same dynamic stream (Section 3), so a run's
+instruction, element-operation and memory-traffic counts are the trace's
+own, and only load elimination (Section 6) takes traffic off the bus.
+:func:`count_instructions` is the one rule that counts them: the spec's
+``StagedMachine.run_slice`` adds each slice's counts through it, and
+:func:`compute_trace_statistics` runs it over a whole trace.  The batched
+stepper's lowering counts the same quantities from its columns
+(:attr:`repro.machine.batched.LoweredTrace.counts`), and the kernel tests
+hold the two to each other.  No machine handler counts them.
+
+The exhibits do not scan traces: :mod:`repro.core.experiments` reads
+Tables 2 and 3 off the reference machine's stored result
+(:meth:`TraceStatistics.from_stats`), so a warm run builds no trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import Counter
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Iterable
+
+from repro.common.stats import MemoryTraffic, SimStats
 
 if TYPE_CHECKING:
-    from repro.trace.records import Trace
+    from repro.trace.records import DynInstr, Trace
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,12 @@ class TraceStatistics:
     scalar_load_spill_ops: int
     scalar_store_ops: int
     scalar_store_spill_ops: int
+
+    @classmethod
+    def from_stats(cls, name: str, stats: SimStats) -> TraceStatistics:
+        """The counts of a run that eliminated no load, as the tables print them."""
+        counts = {**vars(stats.traffic), **vars(stats)}
+        return cls(name, **{f.name: counts[f.name] for f in fields(cls)[1:]})
 
     @property
     def total_instructions(self) -> int:
@@ -83,53 +98,38 @@ class TraceStatistics:
         return spill / total
 
 
-def compute_trace_statistics(trace: Trace) -> TraceStatistics:
-    """Scan a trace once and compute its :class:`TraceStatistics`."""
+def count_instructions(instructions: Iterable[DynInstr]) -> SimStats:
+    """What ``instructions`` alone decide, as a :class:`SimStats` of counts.
+
+    Each instruction is a branch, a vector instruction (ALU or memory) or a
+    scalar one (vector control included).  A vector instruction adds its
+    ``vl`` to ``vector_operations``.  A memory access puts ``max(vl, 1)``
+    operations on the bus if it is a vector access and one if it is a
+    scalar access, and a spill access counts them in the spill share too.
+    """
     from repro.isa.opcodes import InstrKind
 
-    scalar = vector = branches = vector_ops = 0
-    vload = vload_spill = vstore = vstore_spill = 0
-    sload = sload_spill = sstore = sstore_spill = 0
-
-    for instr in trace:
+    stats = SimStats()
+    bus: Counter[str] = Counter()
+    for instr in instructions:
         kind = instr.kind
         if kind is InstrKind.BRANCH:
-            branches += 1
-        elif instr.is_vector:
-            vector += 1
-            vector_ops += instr.vl
+            stats.branch_instructions += 1
+        elif kind.is_vector:
+            stats.vector_instructions += 1
+            stats.vector_operations += instr.vl
         else:
-            scalar += 1
+            stats.scalar_instructions += 1
+        if kind.is_memory:
+            # the kind's value ("vector_load", ...) prefixes its counters
+            ops = max(instr.vl, 1) if kind.is_vector else 1
+            bus[f"{kind.value}_ops"] += ops
+            if instr.is_spill:
+                bus[f"{kind.value}_spill_ops"] += ops
+    stats.traffic = MemoryTraffic(**bus)
+    return stats
 
-        if kind is InstrKind.VECTOR_LOAD:
-            vload += instr.vl
-            if instr.is_spill:
-                vload_spill += instr.vl
-        elif kind is InstrKind.VECTOR_STORE:
-            vstore += instr.vl
-            if instr.is_spill:
-                vstore_spill += instr.vl
-        elif kind is InstrKind.SCALAR_LOAD:
-            sload += 1
-            if instr.is_spill:
-                sload_spill += 1
-        elif kind is InstrKind.SCALAR_STORE:
-            sstore += 1
-            if instr.is_spill:
-                sstore_spill += 1
 
-    return TraceStatistics(
-        name=trace.name,
-        scalar_instructions=scalar,
-        vector_instructions=vector,
-        branch_instructions=branches,
-        vector_operations=vector_ops,
-        vector_load_ops=vload,
-        vector_load_spill_ops=vload_spill,
-        vector_store_ops=vstore,
-        vector_store_spill_ops=vstore_spill,
-        scalar_load_ops=sload,
-        scalar_load_spill_ops=sload_spill,
-        scalar_store_ops=sstore,
-        scalar_store_spill_ops=sstore_spill,
-    )
+def compute_trace_statistics(trace: Trace) -> TraceStatistics:
+    """Count a trace once and return its :class:`TraceStatistics`."""
+    return TraceStatistics.from_stats(trace.name, count_instructions(trace))

@@ -106,6 +106,15 @@ class TestRunRequestGrids:
         assert grid.speedup("nasa7", "ooo") == pytest.approx(
             direct.speedup_over(run_simulation("nasa7", get_config("reference"))))
 
+    def test_grid_comes_back_in_request_order_whatever_was_cached(self):
+        request = RunRequest(workloads=("nasa7",), configs=("reference", "ooo"))
+        with Session() as session:
+            session.result("nasa7", "ooo")  # the second point is cached first
+            grid = session.run(request)
+        assert [config.name for (_, config), _ in grid] == ["reference", "ooo"]
+        assert [row["config_name"] for row in grid.to_dict()["nasa7"]] == [
+            "reference", "ooo"]
+
     def test_duplicate_config_names_stay_addressable(self):
         small = ooo_config(phys_vregs=9)
         large = ooo_config(phys_vregs=64)

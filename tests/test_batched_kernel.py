@@ -45,12 +45,14 @@ from repro.isa.instructions import ELEMENT_BYTES
 from repro.isa.opcodes import InstrKind, MemAccess, Opcode
 from repro.isa.registers import RegClass, Register
 from repro.machine.batched import (
+    LoweredTrace,
     has_lowering,
     lowered_for,
     run_slice_batched,
     stepper_for,
 )
-from repro.trace.records import DynInstr
+from repro.trace.records import DynInstr, Trace
+from repro.trace.stats import TraceStatistics, compute_trace_statistics
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 MACHINES = machine_names()
@@ -415,7 +417,6 @@ STANDARD_TOTALS = {
     "rename_stall_cycles": 267_452,
     "rob_stall_cycles": 26_181,
     "scalar_instructions": 23_256,
-    "stores_executed_at_head": 2_340,
     "traffic.eliminated_scalar_load_ops": 1_132,
     "traffic.eliminated_vector_load_ops": 6_316,
     "traffic.scalar_load_ops": 3_602,
@@ -437,8 +438,8 @@ STANDARD_TOTALS = {
 
 def test_every_stats_field_keeps_its_total():
     # kernel agreement cannot see a change made alike in both kernels, and
-    # the exhibits read only some fields: this pins every field the stepper
-    # reports, branch_mispredictions and stores_executed_at_head included
+    # the exhibits read only some fields: this pins every field a run
+    # reports, branch_mispredictions included
     totals = collections.Counter()
     for config in standard_configs().values():
         for trace in ALL_TRACES.values():
@@ -475,6 +476,9 @@ class TestArbitrarySlices:
     def test_generated_stream(self, config, stream):
         # the trace only builds the machine; the stream is what it steps
         _assert_kernels_agree(config, TRACES["trfd"], stream)
+        # the lowering counts its columns as the spec's rule counts records
+        assert TraceStatistics.from_stats("stream", LoweredTrace(stream).counts) == \
+            compute_trace_statistics(Trace("stream", stream))
 
     @given(config=sweep_configs(), data=st.data())
     @settings(max_examples=10, deadline=None)
@@ -502,14 +506,44 @@ def test_access_below_address_zero_is_disambiguated(commit):
     _assert_kernels_agree(ooo_config(commit_model=commit), TRACES["trfd"], stream)
 
 
+def test_zero_length_vector_access_puts_one_operation_on_the_bus():
+    # no compiled trace has a vector instruction with vl 0, but the one
+    # counting rule covers it: max(vl, 1) operations reach the bus (spill
+    # share included), while vector_operations adds the raw vl
+    v0 = V_REGS[0]
+    stream = [
+        _access(DynInstr(0, Opcode.VLOAD, 1000, dest=v0, srcs=(A_REGS[0],),
+                         is_spill=True), 65536, ELEMENT_BYTES),
+        _access(DynInstr(1, Opcode.VSTORE, 1001, srcs=(v0, A_REGS[1]),
+                         is_spill=True), 66560, ELEMENT_BYTES),
+    ]
+    assert all(dyn.vl == 0 for dyn in stream)
+    expected = TraceStatistics(
+        "zero",
+        0, 2, 0, 0,  # scalar, vector and branch instructions, vector operations
+        1, 1, 1, 1,  # vector load and store operations, each with its spill share
+        0, 0, 0, 0,  # scalar load and store operations
+    )
+    assert compute_trace_statistics(Trace("zero", stream)) == expected
+    for config in standard_configs().values():
+        _assert_kernels_agree(config, TRACES["trfd"], stream)
+        machine = create_run(config.params, TRACES["trfd"])
+        run_slice_batched(machine, stream)
+        assert TraceStatistics.from_stats("zero", machine.finalise()) == expected
+
+
 class TestLoweringCache:
     def test_lowered_for_memoises_per_trace(self):
         trace = TRACES["trfd"]
         assert lowered_for(trace) is lowered_for(trace)
 
-    def test_lowering_covers_the_whole_trace(self):
-        trace = TRACES["swm256"]
-        assert lowered_for(trace).n == len(trace.instructions)
+    @pytest.mark.parametrize("workload", sorted(ALL_TRACES))
+    def test_lowering_covers_and_counts_the_whole_trace(self, workload):
+        trace = ALL_TRACES[workload]
+        lowered = lowered_for(trace)
+        assert lowered.n == len(trace.instructions)
+        assert TraceStatistics.from_stats(workload, lowered.counts) == \
+            compute_trace_statistics(trace)
 
 
 class TestUnregisteredMachineFallback:

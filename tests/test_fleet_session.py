@@ -149,13 +149,15 @@ class TestFleetParity:
             expected, sort_keys=True)
         # the cache dir is the bucket alone, and each result is kept once:
         # the object the worker published.  The finished tasks left no
-        # queue object behind.
+        # queue object behind, nor a directory
         root = tmp_path / "fleet"
         assert [path.name for path in root.iterdir()] == ["objects"]
         stored = [path.relative_to(root).parts[:2]
                   for path in root.rglob("*.json")]
         assert stored == [("objects", "results")] * 2
         assert list(ObjectStore(root / "objects").list("queue")) == []
+        queue = root / "objects" / "queue"
+        assert [path for path in queue.rglob("*") if path.is_dir()] == []
 
     def test_fleet_session_serves_cache_hits_without_workers(self, tmp_path):
         root = tmp_path / "shared"

@@ -172,16 +172,21 @@ class TestReferenceSimulator:
             assert all(run.regs[reg] is state for reg, state in states.items())
             assert run.regs[vreg(6)].ready > 0
 
-    def test_chaining_beats_no_chaining(self):
-        import dataclasses
-        instrs = [
+    def test_functional_units_chain_into_functional_units_and_stores(self):
+        # a dependent instruction starts at its producer's first result, not
+        # at its completion, on the spec and on the stepper alike
+        trace = _trace_of([
+            Instruction(Opcode.LI, dest=areg(0), imm=0x1000),
             Instruction(Opcode.SETVL, imm=128),
             Instruction(Opcode.VADD, dest=vreg(2), srcs=(vreg(0), vreg(1))),
-            Instruction(Opcode.VMUL, dest=vreg(3), srcs=(vreg(2), vreg(1))),
-            Instruction(Opcode.VSUB, dest=vreg(4), srcs=(vreg(3), vreg(0))),
-        ]
-        trace = _trace_of(instrs)
-        chained = simulate_reference(trace, ReferenceParams())
-        unchained = simulate_reference(
-            trace, dataclasses.replace(ReferenceParams(), chain_fu_to_fu=False))
-        assert chained.cycles < unchained.cycles
+            Instruction(Opcode.VMUL, dest=vreg(4), srcs=(vreg(2), vreg(2))),
+            Instruction(Opcode.VSTORE, srcs=(vreg(4), areg(0))),
+        ])
+        for step in (_ReferenceRun.run_slice, run_slice_batched):
+            run = _ReferenceRun(ReferenceParams(), trace)
+            step(run, trace.instructions)
+            add, mul = run.regs[vreg(2)], run.regs[vreg(4)]
+            mul_start = mul.first_result - run._vector_effective_latency(Opcode.VMUL)
+            assert mul_start == add.first_result < add.ready
+            store_start = run.mem_unit.free_at - 128
+            assert store_start == mul.first_result < mul.ready

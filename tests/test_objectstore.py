@@ -6,6 +6,10 @@ result store's backend built on it (also covered through
 :class:`~repro.core.runner.ResultStore` in ``test_store_backends``).
 """
 
+import os
+import shutil
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,6 +68,50 @@ class TestObjectStoreQuartet:
         assert store.delete("a/b") is True
         assert store.delete("a/b") is False
         assert store.get("a/b") is None
+
+    def test_delete_removes_the_directories_it_empties(self, tmp_path):
+        store = ObjectStore(tmp_path / "bucket")
+        store.put("a/b/c", b"x")
+        store.put("a/d", b"y")
+        store.delete("a/b/c")
+        assert [path.name for path in (tmp_path / "bucket").rglob("*")] == ["a", "d"]
+        store.delete("a/d")
+        # the root stays, empty
+        assert list((tmp_path / "bucket").iterdir()) == []
+
+    def test_put_remakes_a_directory_removed_before_its_write(self, tmp_path, monkeypatch):
+        # a concurrent delete may remove the empty directory between the
+        # put's mkdir and its write
+        store = ObjectStore(tmp_path)
+        write_bytes = Path.write_bytes
+        writes = []
+
+        def racing_write(path, data):
+            if not writes:
+                path.parent.rmdir()
+            writes.append(path)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", racing_write)
+        store.put("a/b/c", b"x")
+        assert len(writes) == 2
+        assert store.get("a/b/c") == b"x"
+
+    def test_list_skips_a_directory_removed_mid_walk(self, tmp_path, monkeypatch):
+        store = ObjectStore(tmp_path)
+        store.put("q/a/1", b"1")
+        store.put("q/b/2", b"2")
+        scandir = os.scandir
+
+        def racing_scandir(path):
+            # q/a was listed in q, then removed before its own scan (rmtree
+            # scans by file descriptor)
+            if isinstance(path, str) and os.path.basename(path) == "a":
+                shutil.rmtree(path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", racing_scandir)
+        assert list(store.list("q")) == ["q/b/2"]
 
     @pytest.mark.parametrize("bad", ["", "../escape", "a//b", "a/./b", "a/../b"])
     def test_traversal_keys_rejected(self, tmp_path, bad):

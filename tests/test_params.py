@@ -58,7 +58,6 @@ class TestReferenceParams:
         assert params.vregs_per_bank == 2
         assert params.bank_read_ports == 2
         assert params.bank_write_ports == 1
-        assert params.chain_fu_to_fu and params.chain_fu_to_store
 
     def test_with_memory_latency_returns_copy(self):
         params = ReferenceParams()

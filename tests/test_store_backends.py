@@ -554,7 +554,6 @@ def simulation_results(draw):
         rob_stall_cycles=draw(counters),
         queue_stall_cycles=draw(counters),
         loads_eliminated=draw(counters),
-        stores_executed_at_head=draw(counters),
         traffic=MemoryTraffic(
             vector_load_ops=draw(counters),
             vector_store_ops=draw(counters),
