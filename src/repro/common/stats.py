@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping
 
+from repro.common.errors import SimulationError
 from repro.common.intervals import BusyCalendar, unit_activity
 
 #: The three vector units whose joint state is reported in Figures 3 and 7,
@@ -258,6 +259,59 @@ class SimStats:
             **{name: _counter(traffic[name], f"traffic.{name}") for name in _TRAFFIC_FIELDS}
         )
         return cls(**data)
+
+
+def check_invariants(stats: SimStats) -> None:
+    """Raise :class:`SimulationError` naming the first bound ``stats`` breaks.
+
+    Every result of a built-in machine keeps these bounds, on any stream:
+    a unit is busy at most every cycle, and its busy cycles are those of
+    the joint states in which it is busy, which sum to ``cycles``; the bus
+    is busy at least once per operation it carried and at most every
+    cycle; decode waits for the ROB, then the queue, then the free list,
+    one after another, so the three waits sum to at most ``cycles``; no
+    more branches are mispredicted than run; and a spill share is part
+    of its traffic (an eliminated load's included).  A third-party model
+    is not held to them: one that reports no unit activity has no joint
+    states to sum.
+    """
+    cycles = stats.cycles
+    traffic = stats.traffic
+    states = stats.unit_states
+    busy = stats.unit_busy
+    stalls = stats.rob_stall_cycles + stats.queue_stall_cycles + stats.rename_stall_cycles
+    at_most = [
+        *((f"unit_busy[{unit}] <= cycles", busy[unit], cycles) for unit in VECTOR_UNIT_ORDER),
+        ("traffic.total_ops <= address_port_busy_cycles",
+         traffic.total_ops, stats.address_port_busy_cycles),
+        ("address_port_busy_cycles <= cycles", stats.address_port_busy_cycles, cycles),
+        ("rob_stall_cycles + queue_stall_cycles + rename_stall_cycles <= cycles",
+         stalls, cycles),
+        ("branch_mispredictions <= branch_instructions",
+         stats.branch_mispredictions, stats.branch_instructions),
+        ("traffic.vector_load_spill_ops <= vector load ops, eliminated ones included",
+         traffic.vector_load_spill_ops,
+         traffic.vector_load_ops + traffic.eliminated_vector_load_ops),
+        ("traffic.scalar_load_spill_ops <= scalar load ops, eliminated ones included",
+         traffic.scalar_load_spill_ops,
+         traffic.scalar_load_ops + traffic.eliminated_scalar_load_ops),
+        ("traffic.vector_store_spill_ops <= traffic.vector_store_ops",
+         traffic.vector_store_spill_ops, traffic.vector_store_ops),
+        ("traffic.scalar_store_spill_ops <= traffic.scalar_store_ops",
+         traffic.scalar_store_spill_ops, traffic.scalar_store_ops),
+    ]
+    equal = [
+        ("sum(unit_states) == cycles", sum(states.values()), cycles),
+        *((f"unit_busy[{unit}] == cycles of the states with {unit} busy", busy[unit],
+           sum(count for state, count in states.items() if state[position]))
+          for position, unit in enumerate(VECTOR_UNIT_ORDER)),
+    ]
+    for bound, value, limit in at_most:
+        if value > limit:
+            raise SimulationError(f"simulated result breaks {bound}: {value} > {limit}")
+    for bound, value, limit in equal:
+        if value != limit:
+            raise SimulationError(f"simulated result breaks {bound}: {value} != {limit}")
 
 
 _STATS_FIELDS = tuple(f.name for f in fields(SimStats))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.common.errors import SimulationError
+from repro.common.stats import check_invariants
 from repro.core.config import MachineConfig
 from repro.core.machines import create_run
 from repro.core.results import SimulationResult
@@ -40,17 +41,26 @@ def simulate_trace(trace: Trace, config: MachineConfig) -> SimulationResult:
     (:func:`repro.machine.batched.run_slice_batched`); a machine without a
     registered stepper runs its own ``run_slice``.  The per-instruction
     ``run_slice`` of the built-in machines is the executable spec the
-    stepper is tested against (``tests/test_batched_kernel.py``).
+    stepper is tested against (``tests/test_batched_kernel.py``), and
+    every result of a built-in machine — the ones with a registered
+    stepper — must keep the bounds of
+    :func:`~repro.common.stats.check_invariants`, or the point raises
+    :class:`SimulationError`.
     """
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
     # machine-model registry dispatch (repro.core.machines): any registered
     # model — including ones added by downstream code — simulates here
     machine = create_run(config.params, trace)
-    from repro.machine.batched import run_slice_batched
+    from repro.machine.batched import has_lowering, run_slice_batched
 
     run_slice_batched(machine, trace)
     stats = machine.finalise()
+    if has_lowering(machine):
+        try:
+            check_invariants(stats)
+        except SimulationError as err:
+            raise SimulationError(f"{trace.name} on {config.name}: {err}") from None
     return SimulationResult(
         workload=trace.name,
         config_name=config.name,

@@ -26,20 +26,23 @@ This module provides the kernel side of the batched stepper:
   classes, vector operations and bus traffic — from the columns it builds
   (:attr:`LoweredTrace.counts`), independently of the spec's
   :func:`repro.trace.stats.count_instructions`.
-* :func:`run_slice_batched` is the entry point: it adds the slice's
-  counts to the machine's stats and steps it, so no stepper counts them.
-  Machines without a registered lowering (e.g.
-  ``examples/custom_machine.py``) run through their own ``run_slice``
-  unchanged, and count for themselves.  Both registered steppers lower
-  every instruction kind; neither calls a scalar handler.
+* :func:`run_slice_batched` is the entry point: it refuses a machine
+  either kernel has already advanced, adds the slice's counts to the
+  machine's stats and steps it, so no stepper counts them.  Machines
+  without a registered lowering (e.g. ``examples/custom_machine.py``) run
+  through their own ``run_slice`` unchanged, and count for themselves.
+  Both registered steppers lower every instruction kind; neither calls a
+  scalar handler.
 
 Each stepper walks the lowered trace one instruction at a time, as the
 scalar kernel does, and dispatches on the kind code inside its one loop.
-The steppers mutate the very same component objects the scalar kernel
-mutates, in the same order, so every attribute reachable from the machine
-and its ``SimStats`` are bit-identical between the two kernels — the
-equivalence battery in ``tests/test_batched_kernel.py`` pins this for
-every registered machine.
+The contract is the spec's statistics, not its state: after one stepper
+call on a fresh machine, ``finalise`` returns a
+:class:`~repro.common.stats.SimStats` bit-identical with what the spec's
+``run_slice`` reaches on the same slice.  A stepper may keep state of
+its own and write back only what ``finalise`` reads, so only the spec
+resumes.  The equivalence battery in ``tests/test_batched_kernel.py``
+pins the contract for every registered machine.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.errors import SimulationError
 from repro.common.stats import MemoryTraffic, SimStats
 from repro.isa.opcodes import InstrKind, Opcode
 from repro.isa.registers import RegClass
@@ -216,7 +220,6 @@ class LoweredTrace:
         #: a range may start below address 0)
         self.region_start = [dyn.region_start for dyn in dyns]
         self.region_end = [dyn.region_end for dyn in dyns]
-        self.max_srcs = max((len(s) for s in src_cls), default=0)
 
         #: vector lengths clamped to one element
         self.vl1 = [v if v > 1 else 1 for v in vl]
@@ -379,18 +382,31 @@ def has_lowering(machine: Any) -> bool:
 
 
 def run_slice_batched(machine: Any, instructions: Iterable[DynInstr]) -> None:
-    """Batched counterpart of :meth:`StagedMachine.run_slice`.
+    """Step ``instructions`` as one whole slice on a fresh ``machine``.
 
+    Afterwards ``machine.finalise()`` returns exactly the
+    :class:`~repro.common.stats.SimStats` the spec's
+    :meth:`StagedMachine.run_slice` reaches on the same slice; the rest of
+    the machine's state is the stepper's business.  A machine either
+    kernel has already advanced is refused with
+    :class:`~repro.common.errors.SimulationError`: only the spec resumes.
     Machines without a registered lowering run through their own
     ``run_slice`` unchanged (the pure fallback, exercised by
     ``examples/custom_machine.py``); :class:`Trace` inputs reuse the
-    memoised lowering, any other iterable is lowered on the fly.  State
-    carries over between calls exactly as with the scalar kernel.
+    memoised lowering, any other iterable is lowered on the fly.
     """
     stepper = stepper_for(type(machine))
     if stepper is None:
         machine.run_slice(instructions)
         return
+    stats = machine.stats
+    # both kernels count a slice before they step it, so an advanced
+    # machine has counted at least one instruction
+    if stats.scalar_instructions or stats.vector_instructions or stats.branch_instructions:
+        raise SimulationError(
+            f"the {machine.KIND!r} stepper runs one slice on a fresh machine; "
+            "this one has already stepped (resume on the spec's run_slice)"
+        )
     if isinstance(instructions, Trace):
         lowered = lowered_for(instructions)
     else:
@@ -400,5 +416,5 @@ def run_slice_batched(machine: Any, instructions: Iterable[DynInstr]) -> None:
         lowered = LoweredTrace(instrs)
     if lowered.n == 0:
         return
-    machine.stats.add_counts(lowered.counts)
+    stats.add_counts(lowered.counts)
     stepper(machine, lowered)

@@ -19,11 +19,15 @@ each slice's counts through :func:`repro.trace.stats.count_instructions`
 before it dispatches, and a machine only moves the traffic of a load it
 eliminates (:meth:`~repro.common.stats.MemoryTraffic.eliminate_load`).
 
-The batched-vs-scalar tests (``tests/test_batched_kernel.py``) compare
-every attribute reachable from the machine object, so no state needs a
-hand-written serialisation to be checked.  It follows that a component
-keeps only state that decides timing or that ``finalise`` reads: any
-other counter is one more field every stepper must maintain for nothing.
+``run_slice`` is the executable spec, and it is resumable: the
+whole-state tests (``tests/test_machine_kernel.py``) compare every
+attribute reachable from the machine object, so no state needs a
+hand-written serialisation to be checked.  A component keeps only state
+that decides timing or that ``finalise`` reads.  The batched stepper
+(:mod:`repro.machine.batched`) is held to the spec's
+:class:`~repro.common.stats.SimStats` only: it steps one whole slice on a
+fresh machine on state of its own, and writes back what ``finalise``
+reads.
 """
 
 from __future__ import annotations

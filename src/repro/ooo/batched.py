@@ -1,43 +1,58 @@
 """Hand-lowered batched stepper for the OOOVA and in-order machines.
 
 This is the out-of-order counterpart of :mod:`repro.refsim.batched`: one
-flat interpreter loop over the lowered trace, with every hot component
-operation inlined against the component's own backing storage — the
-reorder-buffer occupancy heap, the issue-queue departure heaps, the
-per-class rename mapping/free-list dicts, the busy calendars of FU1,
-FU2, the address bus and the vector memory unit, the scalar units' issue
-slots, the memory pipeline's exit cursor and disambiguation window, and
-the load-elimination tag dicts.  Every calendar is updated in place; a
-vector access may fill a gap on the bus, so its memory-unit row is
-inserted like a bus row, not appended.  Branch prediction and the scalar
-load-elimination copy stay behind their method calls.  The components
-keep only state that decides timing or that ``finalise`` reads, so the
-stepper maintains nothing else, and it mirrors no statistics counter
-into a local: :func:`~repro.machine.batched.run_slice_batched` adds the
-slice's instruction, operation and traffic counts before it steps, the
-branch arm counts a misprediction on the stats themselves, and a
-load-elimination arm moves the load's traffic
-(:meth:`~repro.common.stats.MemoryTraffic.eliminate_load`).
+flat interpreter loop over the lowered trace that steps one whole slice
+on a fresh machine (:func:`~repro.machine.batched.run_slice_batched`
+refuses any other) and leaves ``finalise`` exactly the spec's
+:class:`~repro.common.stats.SimStats`.  It keeps its own state, shaped
+for the loop rather than after the spec's components:
+
+* the reorder buffer is the list of commit times: commits are monotone,
+  so decode waits for ``commits[i - rob_entries]`` and the commit-width
+  bound is ``commits[i - commit_width] + 1``;
+* register timing is flat lists indexed by a global physical-register id
+  (``ready``; ``chain``, a value's first result unless a load produced
+  it; live-mapping counts) behind an architected-to-physical list indexed
+  by the lowered ``src_ids``/``dest_id``.  Each class keeps its
+  insertion-ordered free dict, so allocation is the spec's FIFO;
+* the disambiguation window is two min-heaps of ``(address_done, start,
+  end)`` rows, pending stores and pending loads.  A row done at or before
+  the (monotone) pipe exit can delay no later access and is popped; a
+  load scans the stores, a store scans both;
+* the load-elimination tags are dicts keyed by the global id;
+* the horizon is the latest completion: in every arm the queue departure
+  is at or before the completion (latencies are non-negative), and the
+  commits end at ``rob.last_commit``, so ``cycles`` is unchanged.
+
+The issue queues stay departure heaps and the scalar units their slot
+dicts; branch prediction stays behind the predictor's method.  The FU1,
+FU2, MEM and address-bus calendars are updated in place (a vector access
+may fill a gap on the bus, so its MEM row is inserted like a bus row).
+After the loop the stepper writes back only what ``finalise`` reads: the
+horizon, ``rob.last_commit``, the ROB, queue and rename stall counters
+and the count of eliminated vector loads.  It counts no instruction,
+operation or traffic: :func:`~repro.machine.batched.run_slice_batched`
+adds the slice's counts before it steps, the branch arm counts a
+misprediction on the stats themselves, and a load-elimination arm moves
+the load's traffic (:meth:`~repro.common.stats.MemoryTraffic.eliminate_load`).
 
 Every instruction passes through the stages of :class:`_OOORun` once, in
 program order: decode (the reorder buffer, then the issue queue the
 instruction routes to), the first-use mapping of its source registers,
 the arm of its kind — vector ALU, memory, branch, or scalar ALU and
 vector control, one per scalar handler — and retire (queue departure,
-in-order commit, register release).  Each inlined sequence is a verbatim
-transliteration of the scalar stages and the component methods they
-call, in the same program order, so every attribute reachable from the
-machine and the final :class:`~repro.common.stats.SimStats` are
-bit-identical with the scalar kernel.  The in-order machine shares the
-stepper: its single divergence — the program-order issue gate — is
-threaded through as a flag, mirroring how
-:class:`repro.machine.inorder._InOrderRun` overrides ``_issue_gate``.
+in-order commit, register release).  Inside each arm the steps keep the
+spec's order.  The in-order machine shares the stepper: its single
+divergence — the program-order issue gate — is threaded through as a
+flag, mirroring how :class:`repro.machine.inorder._InOrderRun` overrides
+``_issue_gate``.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Any, List, Optional
+import weakref
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.params import CommitModel
@@ -50,6 +65,7 @@ from repro.machine.batched import (
     K_VECTOR_LOAD,
     K_VECTOR_STORE,
     MEMORY_KINDS,
+    REG_ID_STRIDE,
     LoweredTrace,
     gap_find,
     gap_insert,
@@ -57,34 +73,58 @@ from repro.machine.batched import (
     register_stepper,
 )
 from repro.machine.inorder import _InOrderRun
-from repro.ooo.loadelim import tag_for
+from repro.ooo.loadelim import MemoryTag, tag_for
 from repro.ooo.machine import _OOORun
-from repro.ooo.mempipe import _PendingAccess
 from repro.ooo.queues import QueueKind
 
+#: architected register ids of the V and VM classes start here
+_VECTOR_ID = 2 * REG_ID_STRIDE
 
-def _memtags(lowered: LoweredTrace) -> List[Any]:
-    """Per-instruction memory tags, computed once per lowered trace.
 
-    A tag depends only on the static access description (region, vl,
-    stride), so the :func:`~repro.ooo.loadelim.tag_for` result can be
-    shared across every run and configuration that replays the trace —
-    :class:`~repro.ooo.loadelim.MemoryTag` is frozen and compared by
-    value, so sharing one instance is indistinguishable from rebuilding.
+#: what the stepper derives from a lowering once, however many runs replay
+#: it: per instruction, whether it reads an architected register for the
+#: first time, and its memory tag
+_Derived = Tuple[List[bool], List[Optional[MemoryTag]]]
+_DERIVED: "weakref.WeakKeyDictionary[LoweredTrace, _Derived]" = weakref.WeakKeyDictionary()
+
+
+def _derived(lowered: LoweredTrace) -> _Derived:
+    """The first-read flags and memory tags of ``lowered``, computed once.
+
+    Only an instruction that reads a register no older instruction read
+    can find it unmapped (a mapping is replaced, never dropped), so the
+    loop maps sources only there.  A tag depends only on the static access
+    description (region, vl, stride), so one
+    :func:`~repro.ooo.loadelim.tag_for` result serves every run —
+    :class:`~repro.ooo.loadelim.MemoryTag` is frozen and compared by value.
     """
-    tags = getattr(lowered, "_memtags", None)
-    if tags is None:
+    hit = _DERIVED.get(lowered)
+    if hit is None:
+        seen: set[int] = set()
+        first_read: List[bool] = []
+        for sids in lowered.src_ids:
+            new = not seen.issuperset(sids)
+            if new:
+                seen.update(sids)
+            first_read.append(new)
         kinds = lowered.kind_code
         tags = [
             tag_for(dyn) if kinds[i] in MEMORY_KINDS else None
             for i, dyn in enumerate(lowered.dyns)
         ]
-        lowered._memtags = tags
-    return tags
+        hit = _DERIVED[lowered] = (first_read, tags)
+    return hit
+
+
+def _no_free_register(cls: int) -> SimulationError:
+    return SimulationError(
+        f"free list for {CLS_NAMES[cls]} registers is empty and nothing is "
+        "pending release — increase the physical register count"
+    )
 
 
 def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
-    """Advance ``machine`` over the whole lowered sequence (one slice)."""
+    """Step ``machine``, fresh, over the whole lowered sequence (one slice)."""
     params = machine.params
     lat = machine.lat
     scalar_lat, vector_lat = latency_tables(lat)
@@ -98,158 +138,137 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     sle = machine.sle
     vle = machine.vle
     loadelim = machine.loadelim
+    n = lowered.n
 
-    # tag tables indexed by register-class code (A, S, V, VM); mirrors
-    # ``_tag_table_for`` with the loadelim-is-None guard folded in
+    # -- physical registers: one global id space, class after class ----------
+    r_files = tuple(machine.rename.files[cls] for cls in RegClass)
+    # per class, its free dict (id -> cycle it is allocatable, FIFO order);
+    # per global id, the free dict of its class
+    free: List[Dict[int, int]] = []
+    owner: List[Dict[int, int]] = []
+    for f in r_files:
+        base = len(owner)
+        fr = dict.fromkeys(range(base, base + f.num_physical), 0)
+        free.append(fr)
+        owner.extend([fr] * f.num_physical)
+    ready = [0] * len(owner)
+    # a vector source chains from its producer's first result unless a
+    # load produced it; for every other register ``chain == ready``
+    chain = [0] * len(owner)
+    # live mappings per register: a release waits until none is left
+    live = [0] * len(owner)
+    # architected id -> global physical id (-1: not mapped yet)
+    amap = [-1] * (4 * REG_ID_STRIDE)
+    r_stall = [0, 0, 0, 0]
+
+    # load-elimination tags per class code (A, S, V, VM), by global id;
+    # None where no load is eliminated
+    tag_tables: Tuple[Any, ...] = (None, None, None, None)
+    le_tables: Tuple[Dict[int, MemoryTag], ...] = ()
+    vle_count = 0
     if loadelim is not None:
-        tag_tables = (loadelim.a_tags, loadelim.s_tags, loadelim.vector_tags, None)
-        le_tables = loadelim.all_tables()
-        col_tag = _memtags(lowered)
-    else:
-        tag_tables = (None, None, None, None)
-        le_tables = ()
-        col_tag = ()
+        a_tags: Dict[int, MemoryTag] = {}
+        s_tags: Dict[int, MemoryTag] = {}
+        v_tags: Dict[int, MemoryTag] = {}
+        tag_tables = (a_tags, s_tags, v_tags, None)
+        le_tables = (v_tags, a_tags, s_tags)
 
-    # -- rename unit: per-class mapping / free-list / register backing ------
-    files = machine.rename.files
-    r_files = (
-        files[RegClass.A],
-        files[RegClass.S],
-        files[RegClass.V],
-        files[RegClass.VM],
-    )
-    r_map = tuple(f.mapping for f in r_files)
-    r_free = tuple(f.free for f in r_files)
-    r_regs = tuple(f.registers for f in r_files)
-    r_stall_cycles = [f.allocation_stall_cycles for f in r_files]
-    # refcount of live mappings per physical register: ``count > 0`` is
-    # exactly ``phys in mapping.values()`` (idents are unique per file), so
-    # the release check avoids scanning the mapping per retire
-    r_live_lists: list[list[int]] = []
-    for regs_, m_ in zip(r_regs, r_map):
-        counts = [0] * len(regs_)
-        for ph_ in m_.values():
-            counts[ph_.ident] += 1
-        r_live_lists.append(counts)
-    r_live = tuple(r_live_lists)
-
-    # -- reorder buffer ------------------------------------------------------
+    # -- reorder buffer: commit time per instruction --------------------------
     rob = machine.rob
-    rob_occ = rob._occupancy
     rob_entries = rob.entries
-    rob_recent = rob._recent_commits
     rob_width = rob.commit_width
-    rob_last_commit = rob.last_commit
-    rob_stall_cycles = rob.allocation_stall_cycles
+    # instruction i < rob_entries (or < commit_width) reads a negative
+    # index, which lands in this tail of -1s: no cycle is before 0, so
+    # neither bound holds it back, as on the spec's part-full buffer
+    commits = [0] * n + [-1] * max(rob_entries, rob_width)
+    last_commit = 0
+    rob_stall = 0
 
     # -- issue queues, indexed by the lowered queue code (A, S, V, M) --------
-    qs = machine.queues.queues
-    q_objs = (
-        qs[QueueKind.A],
-        qs[QueueKind.S],
-        qs[QueueKind.V],
-        qs[QueueKind.M],
-    )
-    q_deps = tuple(q._departures for q in q_objs)
-    q_slots_n = tuple(q.slots for q in q_objs)
-    q_fcycles = [q.full_stall_cycles for q in q_objs]
+    q_objs = tuple(machine.queues.queues[kind] for kind in QueueKind)
+    # departure heaps, full from the start: a -1 stands for a free slot, so
+    # decode waits on the earliest departure and retire replaces it, as the
+    # spec's admission pops and its departure pushes
+    q_deps: Tuple[List[int], ...] = tuple([-1] * params.queue_slots for _ in q_objs)
+    q_stall = [0, 0, 0, 0]
 
-    # -- memory pipeline (disambiguation window inlined, flushed at the end) --
-    mempipe = machine.mempipe
-    pipe_obj = mempipe.pipe
-    pipe_depth = pipe_obj.depth
-    pipe_last_exit = pipe_obj.last_exit
-    mp_active = mempipe._active
+    # -- memory pipeline: exit cursor and disambiguation window ---------------
+    pipe_depth = machine.mempipe.pipe.depth
+    pipe_last_exit = -1
+    pending_stores: List[Tuple[int, int, int]] = []
+    pending_loads: List[Tuple[int, int, int]] = []
 
-    # -- functional units, scalar units and the address bus ------------------
-    fu1 = machine.fu1
-    fu2 = machine.fu2
-    f1s, f1e = fu1._starts, fu1._ends
-    f2s, f2e = fu2._starts, fu2._ends
-    # the vector memory unit's share of the bus: a vector access may fill a
-    # gap on the bus, so its row may land before the calendar's last one
+    # -- busy calendars (in place), scalar issue slots ------------------------
+    f1s, f1e = machine.fu1._starts, machine.fu1._ends
+    f2s, f2e = machine.fu2._starts, machine.fu2._ends
     ms, me = machine.mem_busy._starts, machine.mem_busy._ends
-    a_slots = machine.a_unit._slots
-    s_slots = machine.s_unit._slots
-    a_width = machine.a_unit.width
-    s_width = machine.s_unit.width
     bus = machine.memory.address_bus
     bs, be = bus._starts, bus._ends
+    a_slots: Dict[int, int] = {}
+    s_slots: Dict[int, int] = {}
+    a_width = machine.a_unit.width
+    s_width = machine.s_unit.width
 
     predict = machine.predictor.predict_and_update
     stats = machine.stats
     traffic = stats.traffic
 
-    # -- machine scalars -----------------------------------------------------
-    last_rename = machine.last_rename
-    fetch_resume = machine.fetch_resume
-    horizon = machine.horizon
-    gate_ready = machine.issue_ready if inorder else 0
+    last_rename = -1
+    fetch_resume = 0
+    horizon = 0
+    gate_ready = 0
 
     # -- lowered columns -----------------------------------------------------
     col_kind = lowered.kind_code
     col_lat = lowered.lat_code
     vl1 = lowered.vl1
     col_dest_cls = lowered.dest_cls
-    col_dest_idx = lowered.dest_idx
-    col_src_idx = lowered.src_idx
-    col_src_cls = lowered.src_cls
+    col_dest_id = lowered.dest_id
+    col_src_ids = lowered.src_ids
     col_queue = lowered.queue_code
     col_spill = lowered.is_spill
     col_fu2 = lowered.fu2_only
     col_rstart = lowered.region_start
     col_rend = lowered.region_end
+    first_read, col_tag = _derived(lowered)
     dyns = lowered.dyns
-    scratch: List[Any] = [None] * (lowered.max_srcs or 1)
 
-    for i in range(lowered.n):
+    for i in range(n):
         # decode: ROB allocation, then admission to the instruction's queue
-        fetch = last_rename + 1
-        if fetch_resume > fetch:
-            fetch = fetch_resume
-        granted = fetch
-        while len(rob_occ) >= rob_entries:
-            oldest = heappop(rob_occ)
-            if oldest > granted:
-                rob_stall_cycles += oldest - granted
-                granted = oldest
+        rt = last_rename + 1
+        if fetch_resume > rt:
+            rt = fetch_resume
+        oldest = commits[i - rob_entries]
+        if oldest > rt:
+            rob_stall += oldest - rt
+            rt = oldest
         qc = col_queue[i]
         deps = q_deps[qc]
-        slots_q = q_slots_n[qc]
-        while len(deps) >= slots_q:
-            nd = heappop(deps)
-            if nd > granted:
-                q_fcycles[qc] += nd - granted
-                granted = nd
-        rt = granted
+        if deps[0] > rt:
+            q_stall[qc] += deps[0] - rt
+            rt = deps[0]
 
         # a source register read before any write maps to a free register
-        scls = col_src_cls[i]
-        sidx = col_src_idx[i]
-        ns = len(scls)
-        for k in range(ns):
-            c = scls[k]
-            idx = sidx[k]
-            ph = r_map[c].get(idx)
-            if ph is None:
-                fr = r_free[c]
-                if not fr:
-                    raise SimulationError(
-                        f"no physical {CLS_NAMES[c]} register "
-                        "available for initial mapping"
-                    )
-                ident = next(iter(fr))
-                del fr[ident]
-                ph = r_regs[c][ident]
-                r_map[c][idx] = ph
-                r_live[c][ident] += 1
-            scratch[k] = ph
+        sids = col_src_ids[i]
+        if first_read[i]:
+            for sid in sids:
+                if amap[sid] < 0:
+                    c = sid // REG_ID_STRIDE
+                    fr = free[c]
+                    if not fr:
+                        raise SimulationError(
+                            f"no physical {CLS_NAMES[c]} register "
+                            "available for initial mapping"
+                        )
+                    g = next(iter(fr))
+                    del fr[g]
+                    amap[sid] = g
+                    live[g] += 1
 
-        # each arm sets r_start, completion and departure, and any
-        # destination mapping the commit releases (rel_cls, rel_prev)
+        # each arm sets r_start, completion and departure, and the previous
+        # mapping of its destination, which the commit releases (rel_prev)
         rename_done = rt
-        rel_prev = None
-        rel_cls = 0
+        rel_prev = -1
 
         kc = col_kind[i]
         if kc == K_VECTOR_ALU:  # -- _run_vector_compute -----------------
@@ -263,55 +282,41 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 pipe_last_exit = earliest
             else:
                 earliest = rt + 1
+            # the sources as mapped before the destination is renamed
+            src_ready = 0
+            for sid in sids:
+                v = chain[amap[sid]]
+                if v > src_ready:
+                    src_ready = v
 
-            dest_ph = None
-            dest_vec = False
             dc = col_dest_cls[i]
             if dc >= 0:
-                didx = col_dest_idx[i]
-                dest_vec = dc >= 2
-                renamed_late = vle and dest_vec
+                renamed_late = vle and dc >= 2
                 rename_at = earliest if renamed_late else rt
-                m = r_map[dc]
-                prev = m.get(didx)
-                fr = r_free[dc]
+                fr = free[dc]
                 if not fr:
-                    raise SimulationError(
-                        f"free list for {CLS_NAMES[dc]} registers is empty "
-                        "and nothing is pending release — increase the "
-                        "physical register count"
-                    )
-                ident = next(iter(fr))
-                avail = fr[ident]
+                    raise _no_free_register(dc)
+                g = next(iter(fr))
+                avail = fr.pop(g)
                 if avail > rename_at and not renamed_late:
-                    r_stall_cycles[dc] += avail - rename_at
-                del fr[ident]
-                ph_d = r_regs[dc][ident]
-                m[didx] = ph_d
-                live = r_live[dc]
-                live[ident] += 1
-                if prev is not None:
-                    live[prev.ident] -= 1
+                    r_stall[dc] += avail - rename_at
+                did = col_dest_id[i]
+                rel_prev = amap[did]
+                amap[did] = g
+                live[g] += 1
+                if rel_prev >= 0:
+                    live[rel_prev] -= 1
                 avail_at = avail if avail > rename_at else rename_at
                 if not renamed_late and avail_at > rename_done:
                     rename_done = avail_at
                 if avail_at > earliest:
                     earliest = avail_at
-                dest_ph = ph_d
-                rel_cls = dc
-                rel_prev = prev
                 tt = tag_tables[dc]
                 if tt is not None:
-                    tt._tags.pop(ph_d.ident, None)
+                    tt.pop(g, None)
 
-            for k in range(ns):
-                ph = scratch[k]
-                if scls[k] >= 2 and not ph.from_load:
-                    v = ph.first_result
-                else:
-                    v = ph.ready
-                if v > earliest:
-                    earliest = v
+            if src_ready > earliest:
+                earliest = src_ready
             if inorder and gate_ready > earliest:
                 earliest = gate_ready
 
@@ -349,14 +354,10 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
 
             first_result = s + vector_lat[col_lat[i]]
             completion = first_result + vl_
-            if dest_ph is not None:
-                dest_ph.from_load = False
-                if dest_vec:
-                    dest_ph.first_result = first_result
-                else:
-                    # reductions deliver a scalar at the end of the operation
-                    dest_ph.first_result = completion
-                dest_ph.ready = completion
+            if dc >= 0:
+                ready[g] = completion
+                # reductions deliver a scalar at the end of the operation
+                chain[g] = first_result if dc >= 2 else completion
             r_start = s
             departure = s
 
@@ -366,90 +367,78 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             vl_ = vl1[i] if is_vec else 1
             a_ready = rt + 1
             i_ready = rt + 1
-            for k in range(1 if is_store else 0, ns):
-                ph = scratch[k]
-                if scls[k] >= 2:
-                    if ph.ready > i_ready:
-                        i_ready = ph.ready
-                elif ph.ready > a_ready:
-                    a_ready = ph.ready
+            for k in range(1 if is_store else 0, len(sids)):
+                sid = sids[k]
+                v = ready[amap[sid]]
+                if sid >= _VECTOR_ID:
+                    if v > i_ready:
+                        i_ready = v
+                elif v > a_ready:
+                    a_ready = v
             pe = a_ready + pipe_depth
             le1 = pipe_last_exit + 1
             if le1 > pe:
                 pe = le1
             pipe_last_exit = pe
-            # run-time disambiguation against the pending-access window
+            # run-time disambiguation: the pipe exit is monotone, so a row
+            # done by now can delay no later access either
             dep_ready = pe
             rs = col_rstart[i]
             if rs is not None:
                 re_ = col_rend[i]
-                if mp_active:
-                    # scan only rows that could still matter; ``pe`` is
-                    # monotone across memory instructions, so anything
-                    # done by now is dead for every later scan too
-                    new_active: list[_PendingAccess] = []
-                    keep_ = new_active.append
-                    for p_ in mp_active:
-                        ad = p_.address_done
-                        if ad <= pe:
-                            continue
-                        keep_(p_)
-                        if ad <= dep_ready:
-                            continue
-                        if p_.region_start < re_ and rs < p_.region_end:
-                            if is_store or p_.is_store:
-                                dep_ready = ad
-                    mp_active = new_active
+                while pending_stores and pending_stores[0][0] <= pe:
+                    heappop(pending_stores)
+                for ad, p_s, p_e in pending_stores:
+                    if ad > dep_ready and p_s < re_ and rs < p_e:
+                        dep_ready = ad
+                while pending_loads and pending_loads[0][0] <= pe:
+                    heappop(pending_loads)
+                if is_store:
+                    for ad, p_s, p_e in pending_loads:
+                        if ad > dep_ready and p_s < re_ and rs < p_e:
+                            dep_ready = ad
 
             # the access reaches the bus unless a load is eliminated
             to_bus = True
             if is_store:
-                v_ph = scratch[0]
-                if scls[0] >= 2 and not v_ph.from_load:
-                    v_ready = v_ph.first_result
-                else:
-                    v_ready = v_ph.ready
+                v_g = amap[sids[0]]
                 earliest = dep_ready
                 if i_ready > earliest:
                     earliest = i_ready
-                if v_ready > earliest:
-                    earliest = v_ready
+                v = chain[v_g]
+                if v > earliest:
+                    earliest = v
                 if late_commit:
                     # stores update memory only from the ROB head (§5)
-                    if rob_last_commit > earliest:
-                        earliest = rob_last_commit
+                    if last_commit > earliest:
+                        earliest = last_commit
             else:
                 dc = col_dest_cls[i]
                 if dc < 0:
                     raise AttributeError("'NoneType' object has no attribute 'cls'")
-                didx = col_dest_idx[i]
+                did = col_dest_id[i]
                 table = tag_tables[dc]
-                matched_id: Optional[int] = None
+                matched = -1
                 if table is not None and (vle if is_vec else sle):
                     tag = col_tag[i]
                     if tag is not None:
                         # find_exact: first value-equal tag wins
-                        for pid_, tg_ in table._tags.items():
+                        for pid_, tg_ in table.items():
                             if tg_ == tag:
-                                matched_id = pid_
+                                matched = pid_
                                 break
-                if matched_id is not None and is_vec:
+                if matched >= 0 and is_vec:
                     # VLE: rename the destination straight to the match
-                    matched = r_regs[2][matched_id]
-                    m = r_map[2]
-                    prev = m.get(didx)
-                    r_free[2].pop(matched.ident, None)
-                    m[didx] = matched
-                    live = r_live[2]
-                    live[matched.ident] += 1
-                    if prev is not None:
-                        live[prev.ident] -= 1
-                    rel_cls = 2
-                    rel_prev = prev
+                    rel_prev = amap[did]
+                    owner[matched].pop(matched, None)
+                    amap[did] = matched
+                    live[matched] += 1
+                    if rel_prev >= 0:
+                        live[rel_prev] -= 1
                     completion = pe + 1
-                    if matched.ready > completion:
-                        completion = matched.ready
-                    loadelim.vector_loads_eliminated += 1
+                    if ready[matched] > completion:
+                        completion = ready[matched]
+                    vle_count += 1
                     traffic.eliminate_load(True, vl_, col_spill[i])
                     r_start = pe
                     departure = pe + 1
@@ -457,41 +446,29 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 else:
                     renamed_late = vle and is_vec
                     rename_at = dep_ready if renamed_late else rt
-                    m = r_map[dc]
-                    prev = m.get(didx)
-                    fr = r_free[dc]
+                    fr = free[dc]
                     if not fr:
-                        raise SimulationError(
-                            f"free list for {CLS_NAMES[dc]} registers is "
-                            "empty and nothing is pending release — "
-                            "increase the physical register count"
-                        )
-                    ident = next(iter(fr))
-                    avail = fr[ident]
+                        raise _no_free_register(dc)
+                    g = next(iter(fr))
+                    avail = fr.pop(g)
                     if avail > rename_at and not renamed_late:
-                        r_stall_cycles[dc] += avail - rename_at
-                    del fr[ident]
-                    ph_d = r_regs[dc][ident]
-                    m[didx] = ph_d
-                    live = r_live[dc]
-                    live[ident] += 1
-                    if prev is not None:
-                        live[prev.ident] -= 1
+                        r_stall[dc] += avail - rename_at
+                    rel_prev = amap[did]
+                    amap[did] = g
+                    live[g] += 1
+                    if rel_prev >= 0:
+                        live[rel_prev] -= 1
                     avail_at = avail if avail > rename_at else rename_at
                     if not renamed_late and avail_at > rename_done:
                         rename_done = avail_at
-                    rel_cls = dc
-                    rel_prev = prev
-                    if matched_id is not None:
+                    if matched >= 0:
                         # SLE: register-to-register copy, no memory access
-                        matched = r_regs[dc][matched_id]
                         completion = pe + 1
-                        if matched.ready > completion:
-                            completion = matched.ready
-                        ph_d.ready = completion
-                        ph_d.first_result = completion
-                        ph_d.from_load = False
-                        table.set_tag(ph_d.ident, table.get(matched_id))
+                        if ready[matched] > completion:
+                            completion = ready[matched]
+                        ready[g] = completion
+                        chain[g] = completion
+                        table[g] = table[matched]
                         traffic.eliminate_load(False, 1, col_spill[i])
                         r_start = pe
                         departure = pe + 1
@@ -527,11 +504,11 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     else:
                         ms.append(s)
                         me.append(e_addr)
-                if rs is not None:
-                    mp_active.append(_PendingAccess(rs, re_, is_store, e_addr))
                 if is_store:
+                    if rs is not None:
+                        heappush(pending_stores, (e_addr, rs, re_))
                     completion = e_addr
-                    ttv = tag_tables[scls[0]]
+                    ttv = tag_tables[sids[0] // REG_ID_STRIDE]
                     if ttv is not None:
                         tag = col_tag[i]
                         if tag is not None:
@@ -539,49 +516,48 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                             # in all three tables, then tag the stored value
                             t_rs = tag.region_start
                             t_re = tag.region_end
-                            v_pid = v_ph.ident
                             for cand in le_tables:
-                                tags_d = cand._tags
-                                if not tags_d:
+                                if not cand:
                                     continue
-                                keep = v_pid if cand is ttv else None
+                                keep = v_g if cand is ttv else -1
                                 victims = [
                                     pid_
-                                    for pid_, tg_ in tags_d.items()
+                                    for pid_, tg_ in cand.items()
                                     if pid_ != keep
                                     and tg_.region_start < t_re
                                     and t_rs < tg_.region_end
                                 ]
                                 for pid_ in victims:
-                                    del tags_d[pid_]
-                            ttv._tags[v_pid] = tag
+                                    del cand[pid_]
+                            ttv[v_g] = tag
                 else:
-                    ph_d.from_load = True
+                    if rs is not None:
+                        heappush(pending_loads, (e_addr, rs, re_))
                     if is_vec:
-                        ph_d.first_result = s + mem_latency
                         completion = s + mem_latency + vl_
                     else:
                         completion = s + scalar_mem_lat
-                        ph_d.first_result = completion
-                    ph_d.ready = completion
+                    # loads never chain
+                    ready[g] = completion
+                    chain[g] = completion
                     if table is not None:
                         tag = col_tag[i]
                         if tag is None:
-                            table._tags.pop(ph_d.ident, None)
+                            table.pop(g, None)
                         else:
-                            table._tags[ph_d.ident] = tag
+                            table[g] = tag
                 r_start = s
                 departure = s
 
         elif kc == K_BRANCH:  # -- _run_branch --------------------------
-            ready = rt + 1
-            for k in range(ns):
-                pr = scratch[k].ready
-                if pr > ready:
-                    ready = pr
-            if inorder and gate_ready > ready:
-                ready = gate_ready
-            cyc = ready
+            earliest = rt + 1
+            for sid in sids:
+                v = ready[amap[sid]]
+                if v > earliest:
+                    earliest = v
+            if inorder and gate_ready > earliest:
+                earliest = gate_ready
+            cyc = earliest
             while a_slots.get(cyc, 0) >= a_width:
                 cyc += 1
             a_slots[cyc] = a_slots.get(cyc, 0) + 1
@@ -596,47 +572,38 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             departure = cyc
 
         else:  # -- _run_scalar: scalar ALU and vector control -----------
-            dest_ph = None
+            # the sources as mapped before the destination is renamed
+            src_ready = 0
+            for sid in sids:
+                v = ready[amap[sid]]
+                if v > src_ready:
+                    src_ready = v
             dc = col_dest_cls[i]
             if dc >= 0:
-                didx = col_dest_idx[i]
-                m = r_map[dc]
-                prev = m.get(didx)
-                fr = r_free[dc]
+                fr = free[dc]
                 if not fr:
-                    raise SimulationError(
-                        f"free list for {CLS_NAMES[dc]} registers is empty "
-                        "and nothing is pending release — increase the "
-                        "physical register count"
-                    )
-                ident = next(iter(fr))
-                avail = fr[ident]
+                    raise _no_free_register(dc)
+                g = next(iter(fr))
+                avail = fr.pop(g)
                 if avail > rt:
-                    r_stall_cycles[dc] += avail - rt
-                del fr[ident]
-                ph_d = r_regs[dc][ident]
-                m[didx] = ph_d
-                live = r_live[dc]
-                live[ident] += 1
-                if prev is not None:
-                    live[prev.ident] -= 1
-                if avail > rename_done:
+                    r_stall[dc] += avail - rt
                     rename_done = avail
-                dest_ph = ph_d
-                rel_cls = dc
-                rel_prev = prev
+                did = col_dest_id[i]
+                rel_prev = amap[did]
+                amap[did] = g
+                live[g] += 1
+                if rel_prev >= 0:
+                    live[rel_prev] -= 1
                 tt = tag_tables[dc]
                 if tt is not None:
-                    tt._tags.pop(ph_d.ident, None)
+                    tt.pop(g, None)
 
-            ready = rename_done + 1
-            for k in range(ns):
-                pr = scratch[k].ready
-                if pr > ready:
-                    ready = pr
-            if inorder and gate_ready > ready:
-                ready = gate_ready
-            cyc = ready
+            earliest = rename_done + 1
+            if src_ready > earliest:
+                earliest = src_ready
+            if inorder and gate_ready > earliest:
+                earliest = gate_ready
+            cyc = earliest
             if qc == 0:
                 while a_slots.get(cyc, 0) >= a_width:
                     cyc += 1
@@ -646,58 +613,45 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                     cyc += 1
                 s_slots[cyc] = s_slots.get(cyc, 0) + 1
             completion = cyc + scalar_lat[col_lat[i]]
-            if dest_ph is not None:
-                dest_ph.ready = completion
-                dest_ph.first_result = completion
-                dest_ph.from_load = False
+            if dc >= 0:
+                ready[g] = completion
+                chain[g] = completion
             r_start = cyc
             departure = cyc
 
         # retire: queue departure, in-order commit, free-list release
-        heappush(deps, departure)
+        heapreplace(deps, departure)
         rtc = r_start if early_commit else completion
         if rename_done > rtc:
             rtc = rename_done
-        commit = rtc if rtc > rob_last_commit else rob_last_commit
-        if len(rob_recent) == rob_width:
-            bw = rob_recent[0] + 1
-            if bw > commit:
-                commit = bw
-        rob_recent.append(commit)
-        rob_last_commit = commit
-        heappush(rob_occ, commit)
-        if rel_prev is not None:
-            ident = rel_prev.ident
-            if r_live[rel_cls][ident] <= 0:
-                fr = r_free[rel_cls]
-                old = fr.get(ident, 0)
-                fr[ident] = commit if commit > old else old
-        last_rename = rt if rt > rename_done else rename_done
+        commit = rtc if rtc > last_commit else last_commit
+        bw = commits[i - rob_width] + 1
+        if bw > commit:
+            commit = bw
+        commits[i] = commit
+        last_commit = commit
+        # a mapped register is on no free list, so the previous mapping,
+        # once no mapping is left, rejoins its list at the commit
+        if rel_prev >= 0 and live[rel_prev] <= 0:
+            owner[rel_prev][rel_prev] = commit
+        last_rename = rename_done
         if completion > horizon:
             horizon = completion
-        if commit > horizon:
-            horizon = commit
-        if departure > horizon:
-            horizon = departure
         if inorder:
             nxt = r_start + 1
             if nxt > gate_ready:
                 gate_ready = nxt
 
-    # -- flush the localized state back into the components ------------------
-    machine.last_rename = last_rename
-    machine.fetch_resume = fetch_resume
+    # -- write back what finalise reads ---------------------------------------
     machine.horizon = horizon
-    if inorder:
-        machine.issue_ready = gate_ready
-    rob.last_commit = rob_last_commit
-    rob.allocation_stall_cycles = rob_stall_cycles
-    for idx, q in enumerate(q_objs):
-        q.full_stall_cycles = q_fcycles[idx]
-    for idx, f in enumerate(r_files):
-        f.allocation_stall_cycles = r_stall_cycles[idx]
-    pipe_obj.last_exit = pipe_last_exit
-    mempipe._active = mp_active
+    rob.last_commit = last_commit
+    rob.allocation_stall_cycles = rob_stall
+    for q, stall in zip(q_objs, q_stall):
+        q.full_stall_cycles = stall
+    for f, stall in zip(r_files, r_stall):
+        f.allocation_stall_cycles = stall
+    if loadelim is not None:
+        loadelim.vector_loads_eliminated = vle_count
 
 
 def _step_ooo(machine: Any, lowered: LoweredTrace) -> None:

@@ -18,13 +18,15 @@ register-file ports and the address bus are driven through the flattened
 and the mutable machine scalars (the issue cycle and the horizon) live
 in true locals written back once at the end.  The stepper counts no
 statistic: :func:`~repro.machine.batched.run_slice_batched` adds the
-slice's instruction, operation and traffic counts before it steps.
-Component **objects** (the register timing
-states, which exist from the run's construction, the port calendars and
-the vector units' busy calendars) are mutated in place and in the same
-order as the scalar kernel, so the machine state is bit-identical.  A
-vector unit starts at or after its ``free_at``, the end of its calendar's
-last row, so its new row only ever extends that row or follows it.
+slice's instruction, operation and traffic counts before it steps, and
+runs it on a fresh machine only.  The contract holds the stepper to the
+spec's ``SimStats`` alone; this one happens to keep the spec's state
+too, mutating the component **objects** (the register timing states,
+which exist from the run's construction, the port calendars and the
+vector units' busy calendars) in place and in the same order as the
+scalar kernel.  A vector unit starts at or after its ``free_at``, the end
+of its calendar's last row, so its new row only ever extends that row or
+follows it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@
 two machines compare equal only if nothing anywhere inside them differs.
 :func:`mutable_parts` follows the same walk and yields the objects that
 can change, so tests can check two runs share none of them.
-``tests/test_batched_kernel.py`` compares the batched kernel against the
-scalar one with them; ``tests/test_machine_kernel.py`` checks each
-registered machine's resumability and determinism.
+``tests/test_machine_kernel.py`` checks each registered machine's
+resumability and determinism with them, on the spec's ``run_slice``;
+``tests/test_batched_kernel.py`` tests the oracle itself.
 """
 
 import collections

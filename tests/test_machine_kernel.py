@@ -4,8 +4,9 @@ Everything here is auto-parameterised over *all* registered machines via
 :func:`repro.core.machines.machine_names`, so a newly registered model is
 covered by the resumability and determinism battery without touching this
 file.  Machine state is every attribute reachable from the machine
-(:func:`machine_state.state`); batched-vs-scalar state equality lives in
-``tests/test_batched_kernel.py``.
+(:func:`machine_state.state`), and these tests hold the spec's
+``run_slice`` to it; the batched stepper is held to the spec's
+``SimStats`` in ``tests/test_batched_kernel.py``.
 """
 
 import json

@@ -1,12 +1,16 @@
 """Unit tests for simulation statistics containers."""
 
+import re
+
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.common.intervals import BusyCalendar
 from repro.common.stats import (
     MemoryTraffic,
     SimStats,
     VECTOR_UNIT_ORDER,
+    check_invariants,
     format_state,
     speedup,
     state_histogram_table,
@@ -96,6 +100,91 @@ class TestSimStats:
         stats = SimStats(vector_instructions=4, vector_operations=500)
         assert stats.average_vector_length() == pytest.approx(125.0)
         assert SimStats().average_vector_length() == 0.0
+
+
+def _bounded():
+    """A result that keeps every bound of ``check_invariants``, none by much."""
+    stats = SimStats(cycles=10, branch_instructions=4, branch_mispredictions=1,
+                     rob_stall_cycles=2, queue_stall_cycles=3, rename_stall_cycles=4,
+                     address_port_busy_cycles=7)
+    stats.record_unit_activity(_calendar((0, 4)), _calendar((2, 6)), _calendar((4, 10)))
+    stats.traffic = MemoryTraffic(
+        vector_load_ops=3, vector_store_ops=2, scalar_load_ops=1, scalar_store_ops=1,
+        vector_load_spill_ops=3, vector_store_spill_ops=2, scalar_load_spill_ops=2,
+        scalar_store_spill_ops=1, eliminated_scalar_load_ops=1)
+    return stats
+
+
+def _set(name, value):
+    def breaks(stats):
+        owner, _, field = name.rpartition(".")
+        setattr(stats.traffic if owner else stats, field, value)
+    return breaks
+
+
+def _add_state(stats):
+    stats.unit_states[(False, False, False)] = 1  # an idle cycle too many
+
+
+def _set_busy(unit, busy):
+    def breaks(stats):
+        stats.unit_busy[unit] = busy(stats.unit_busy[unit])
+    return breaks
+
+
+#: each bound, as check_invariants names it, and a change that breaks it
+#: (an at-most bound is checked first, so it is named even where the
+#: change breaks an equality too)
+BROKEN_BOUNDS = {
+    **{f"unit_busy[{unit}] <= cycles": _set_busy(unit, lambda _: 11)
+       for unit in VECTOR_UNIT_ORDER},
+    "sum(unit_states) == cycles": _add_state,
+    **{f"unit_busy[{unit}] == cycles of the states with {unit} busy":
+       _set_busy(unit, lambda busy: busy - 1) for unit in VECTOR_UNIT_ORDER},
+    "traffic.total_ops <= address_port_busy_cycles": _set("address_port_busy_cycles", 6),
+    "address_port_busy_cycles <= cycles": _set("address_port_busy_cycles", 11),
+    "rob_stall_cycles + queue_stall_cycles + rename_stall_cycles <= cycles":
+        _set("rename_stall_cycles", 6),
+    "branch_mispredictions <= branch_instructions": _set("branch_mispredictions", 5),
+    "traffic.vector_load_spill_ops <= vector load ops, eliminated ones included":
+        _set("traffic.vector_load_spill_ops", 4),
+    "traffic.scalar_load_spill_ops <= scalar load ops, eliminated ones included":
+        _set("traffic.scalar_load_spill_ops", 3),
+    "traffic.vector_store_spill_ops <= traffic.vector_store_ops":
+        _set("traffic.vector_store_spill_ops", 3),
+    "traffic.scalar_store_spill_ops <= traffic.scalar_store_ops":
+        _set("traffic.scalar_store_spill_ops", 2),
+}
+
+
+class TestCheckInvariants:
+    def test_a_bounded_result_passes(self):
+        check_invariants(_bounded())
+
+    @pytest.mark.parametrize("bound", BROKEN_BOUNDS)
+    def test_each_broken_bound_raises_and_is_named(self, bound):
+        stats = _bounded()
+        BROKEN_BOUNDS[bound](stats)
+        with pytest.raises(SimulationError, match=re.escape(bound)):
+            check_invariants(stats)
+
+    def test_simulate_trace_checks_every_builtin_point(self, monkeypatch):
+        # a built-in machine whose result breaks a bound fails its point
+        from repro.core.config import machine_config
+        from repro.core.simulator import simulate_trace
+        from repro.ooo.machine import _OOORun
+        from repro.workloads.registry import get_workload
+
+        finalise = _OOORun.finalise
+
+        def overcounted(machine):
+            stats = finalise(machine)
+            stats.rename_stall_cycles = stats.cycles + 1
+            return stats
+
+        monkeypatch.setattr(_OOORun, "finalise", overcounted)
+        with pytest.raises(SimulationError, match="rename_stall_cycles <= cycles"):
+            simulate_trace(get_workload("trfd", "tiny").trace(), machine_config("ooo"))
 
 
 class TestRatios:
