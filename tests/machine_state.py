@@ -6,7 +6,8 @@ two machines compare equal only if nothing anywhere inside them differs.
 can change, so tests can check two runs share none of them.
 ``tests/test_machine_kernel.py`` checks each registered machine's
 resumability and determinism with them, on the spec's ``run_slice``;
-``tests/test_batched_kernel.py`` tests the oracle itself.
+``tests/test_batched_kernel.py`` resumes the spec at every instruction
+boundary with them and tests the oracle itself.
 """
 
 import collections

@@ -15,7 +15,8 @@ total, which agreement between the kernels cannot see.  Machines without a
 registered stepper must fall back to their own ``run_slice`` untouched
 (the bring-your-own-machine path).  The whole-state oracle
 (:func:`machine_state.state`) holds the spec to its resumability in
-``tests/test_machine_kernel.py``; its own tests stay here.
+``tests/test_machine_kernel.py`` and, at every instruction boundary of
+the full traces, here, where its own tests stay too.
 
 Every simulated point runs on the batched stepper, so these tests are
 what holds it to the scalar spec: on all ten programs under the six
@@ -382,6 +383,27 @@ class TestEveryRegisteredMachine:
             machine.run_slice(trace.instructions[:1])
         with pytest.raises(SimulationError, match="already stepped"):
             run_slice_batched(machine, trace.instructions[1:])
+
+
+@pytest.mark.parametrize("name", FULL_TRACE_CONFIGS)
+@pytest.mark.parametrize("workload", sorted(ALL_TRACES))
+def test_spec_resumes_at_every_instruction_boundary(name, workload):
+    # only the spec resumes: one instruction per call lands on the state
+    # of one whole call, and at every boundary the stepper refuses the
+    # advanced machine without touching it
+    trace = ALL_TRACES[workload]
+    params = FULL_TRACE_CONFIGS[name].params
+    whole = create_run(params, trace)
+    whole.run_slice(trace)
+    stepped = create_run(params, trace)
+    for dyn in trace.instructions:
+        stepped.run_slice([dyn])
+        with pytest.raises(SimulationError, match="already stepped"):
+            run_slice_batched(stepped, [dyn])
+    assert state(stepped) == state(whole)
+    batched = create_run(params, trace)
+    run_slice_batched(batched, trace)
+    assert _finalised(stepped) == _finalised(whole) == _finalised(batched)
 
 
 #: every ``SimStats`` field summed over the ten programs under the six
