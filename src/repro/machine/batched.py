@@ -13,10 +13,10 @@ This module provides the kernel side of the batched stepper:
 * :func:`lowered_for` lowers a compiled trace once (memoised per trace)
   into a :class:`LoweredTrace` — a structure of arrays holding, per
   instruction, the kind code, interned latency-class code, the operand
-  registers as class codes, indices and packed ids, vector lengths,
-  queue routing, branch outcome, spill flag and memory region.  The
-  columns are plain lists: the interpreter loops index them one
-  element at a time, which is faster on a list than on an array.
+  registers as packed ids, vector lengths, queue routing, branch
+  outcome, spill flag and memory region.  The columns are plain lists:
+  the interpreter loops index them one element at a time, which is
+  faster on a list than on an array.
 * A per-machine-class registry maps a :class:`StagedMachine` subclass to
   its hand-lowered stepper (:mod:`repro.refsim.batched`,
   :mod:`repro.ooo.batched`).  Registration is by **exact class**: a
@@ -39,8 +39,8 @@ scalar kernel does, and dispatches on the kind code inside its one loop.
 The contract is the spec's statistics, not its state: after one stepper
 call on a fresh machine, ``finalise`` returns a
 :class:`~repro.common.stats.SimStats` bit-identical with what the spec's
-``run_slice`` reaches on the same slice.  A stepper may keep state of
-its own and write back only what ``finalise`` reads, so only the spec
+``run_slice`` reaches on the same slice.  Each stepper keeps state of
+its own and writes back only what ``finalise`` reads, so only the spec
 resumes.  The equivalence battery in ``tests/test_batched_kernel.py``
 pins the contract for every registered machine.
 """
@@ -90,6 +90,10 @@ CLS_NAMES: Tuple[str, ...] = ("A", "S", "V", "VM")
 
 #: register ids pack (class code, index) into one int: ``code * STRIDE + index``
 REG_ID_STRIDE = 256
+#: the size of a table indexed by register id
+NUM_REG_IDS = len(CLS_CODE) * REG_ID_STRIDE
+#: the first V register id; the VM ids follow the V ids
+V_ID = CLS_CODE[RegClass.V] * REG_ID_STRIDE
 
 _SCALAR_LAT_CLASSES = ("scalar_alu", "scalar_mul", "scalar_div")
 
@@ -164,9 +168,6 @@ class LoweredTrace:
         fu2_only = [False] * n
         vl = [0] * n
         dest_cls = [-1] * n
-        dest_idx = [-1] * n
-        src_cls: List[Tuple[int, ...]] = [()] * n
-        src_idx: List[Tuple[int, ...]] = [()] * n
         src_ids: List[Tuple[int, ...]] = [()] * n
         dest_id = [-1] * n
         taken = [False] * n
@@ -186,14 +187,11 @@ class LoweredTrace:
             if d is not None:
                 dcls = cls_code[d.cls]
                 dest_cls[i] = dcls
-                dest_idx[i] = d.index
                 dest_id[i] = dcls * REG_ID_STRIDE + d.index
             s = dyn.srcs
             scls: Tuple[int, ...] = ()
             if s:
                 scls = tuple(cls_code[r.cls] for r in s)
-                src_cls[i] = scls
-                src_idx[i] = tuple(r.index for r in s)
                 src_ids[i] = tuple(
                     c * REG_ID_STRIDE + r.index for c, r in zip(scls, s)
                 )
@@ -206,11 +204,7 @@ class LoweredTrace:
         self.kind_code = kind_code
         self.lat_code = lat_code
         self.fu2_only = fu2_only
-        self.vl = vl
         self.dest_cls = dest_cls
-        self.dest_idx = dest_idx
-        self.src_cls = src_cls
-        self.src_idx = src_idx
         self.src_ids = src_ids
         self.dest_id = dest_id
         self.taken = taken
@@ -284,10 +278,7 @@ def lowered_for(trace: Trace) -> LoweredTrace:
         if ref() is trace and lowered.n == len(trace.instructions):
             return lowered
     lowered = LoweredTrace(trace.instructions)
-    try:
-        ref = weakref.ref(trace, lambda _r, _k=key: _LOWERED_CACHE.pop(_k, None))
-    except TypeError:  # pragma: no cover - Trace always supports weakrefs
-        return lowered
+    ref = weakref.ref(trace, lambda _r, _k=key: _LOWERED_CACHE.pop(_k, None))
     _LOWERED_CACHE[key] = (ref, lowered)
     return lowered
 
@@ -301,8 +292,8 @@ def lowered_for(trace: Trace) -> LoweredTrace:
 # ``GapResource._find_start`` and ``BusyCalendar.add`` algorithms (without
 # ``add``'s argument checks), minus the per-call attribute and method
 # dispatch.  Identity of the list objects is preserved, and the calendar is
-# the resource's only busy record, so both kernels leave the same
-# component state.
+# the resource's only busy record, so ``finalise`` reads the same calendar
+# rows whichever kernel stepped.
 
 
 def gap_find(starts: List[int], ends: List[int], earliest: int, duration: int) -> int:

@@ -65,7 +65,9 @@ from repro.machine.batched import (
     K_VECTOR_LOAD,
     K_VECTOR_STORE,
     MEMORY_KINDS,
+    NUM_REG_IDS,
     REG_ID_STRIDE,
+    V_ID,
     LoweredTrace,
     gap_find,
     gap_insert,
@@ -76,9 +78,6 @@ from repro.machine.inorder import _InOrderRun
 from repro.ooo.loadelim import MemoryTag, tag_for
 from repro.ooo.machine import _OOORun
 from repro.ooo.queues import QueueKind
-
-#: architected register ids of the V and VM classes start here
-_VECTOR_ID = 2 * REG_ID_STRIDE
 
 
 #: what the stepper derives from a lowering once, however many runs replay
@@ -158,7 +157,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     # live mappings per register: a release waits until none is left
     live = [0] * len(owner)
     # architected id -> global physical id (-1: not mapped yet)
-    amap = [-1] * (4 * REG_ID_STRIDE)
+    amap = [-1] * NUM_REG_IDS
     r_stall = [0, 0, 0, 0]
 
     # load-elimination tags per class code (A, S, V, VM), by global id;
@@ -370,7 +369,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
             for k in range(1 if is_store else 0, len(sids)):
                 sid = sids[k]
                 v = ready[amap[sid]]
-                if sid >= _VECTOR_ID:
+                if sid >= V_ID:
                     if v > i_ready:
                         i_ready = v
                 elif v > a_ready:

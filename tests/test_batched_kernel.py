@@ -33,13 +33,14 @@ from hypothesis import strategies as st
 from machine_state import mutable_parts, state
 
 from repro.common.errors import SimulationError
-from repro.common.params import CommitModel, LoadElimination
+from repro.common.params import CommitModel, LoadElimination, ReferenceParams
 from repro.common.stats import check_invariants
 from repro.core.config import (
     DEFAULT_LATENCY,
     LATENCY_SWEEP,
     REFERENCE_LATENCY_SWEEP,
     REGISTER_SWEEP,
+    MachineConfig,
     inorder_config,
     machine_config,
     ooo_config,
@@ -102,10 +103,17 @@ FULL_TRACE_CONFIGS = {
 
 #: the extremes of the exhibits' sweeps: memory latency (Figures 3, 4, 8),
 #: physical vector registers (Figures 5, 9), queue slots and late commit
-#: (Section 5), and the in-order design point
+#: (Section 5), and the in-order design point; and two bankings of the
+#: reference register file (Section 2.1), which no exhibit sweeps: one
+#: register per bank with one port each way, and all eight registers in
+#: one bank with one read port
 SWEEP_EXTREMES = {
     "reference-lat1": reference_config(1),
     "reference-lat100": reference_config(100),
+    "reference-bank-per-vreg": MachineConfig("reference", ReferenceParams(
+        vregs_per_bank=1, bank_read_ports=1, bank_write_ports=1)),
+    "reference-one-bank": MachineConfig("reference", ReferenceParams(
+        vregs_per_bank=8, bank_read_ports=1)),
     "ooo-regs9-lat1": ooo_config(9, 1),
     "ooo-regs9-lat100": ooo_config(9, 100),
     "ooo-regs64-lat1": ooo_config(64, 1),
