@@ -2,9 +2,11 @@
 
 A session is the programmatic equivalent of one ``python -m repro.cli``
 invocation, minus the printing: it resolves a :class:`~repro.api.Settings`
-object (or accepts one), builds the result store, trace store and
+object (or accepts one), builds the result store and
 :class:`~repro.core.runner.ExperimentEngine` exactly as the CLI wires
-them, and exposes every capability of the evaluation as typed calls —
+them, plus the trace store that serves :meth:`Session.trace`,
+:meth:`Session.simulate` and :meth:`Session.gc`, and exposes every
+capability of the evaluation as typed calls —
 
     from repro.api import RunRequest, Session
 
@@ -49,11 +51,11 @@ from repro.core.runner import (
     ExperimentSpec,
     ResultStore,
 )
+from repro.trace.store import TraceStore
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 if TYPE_CHECKING:
     from repro.trace.records import Trace
-    from repro.trace.store import TraceStore
 
 
 def engine_summary_dict(engine: ExperimentEngine) -> dict[str, Any]:
@@ -95,6 +97,12 @@ class Session:
         self._store = ResultStore(settings.cache_dir)
         self.engine = ExperimentEngine(
             self._store, jobs=settings.jobs, fleet=settings.fleet)
+        #: the compiled-trace store in the result store's bucket (``None``
+        #: without a cache directory)
+        self.trace_store = (
+            TraceStore(self._store.backend.objects)
+            if self._store.backend is not None else None
+        )
         self._closed = False
 
     # -- owned components ----------------------------------------------------
@@ -103,11 +111,6 @@ class Session:
     def store(self) -> ResultStore:
         """The two-level simulation-result store this session resolves through."""
         return self._store
-
-    @property
-    def trace_store(self) -> TraceStore | None:
-        """The compiled-trace store (``None`` without a cache directory)."""
-        return self.engine.trace_store
 
     def _check_open(self) -> None:
         if self._closed:

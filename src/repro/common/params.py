@@ -132,12 +132,11 @@ class MemoryParams:
 
 @dataclass(frozen=True)
 class ReferenceParams:
-    """Parameters of the in-order reference architecture (Convex C3400)."""
+    """Parameters of the in-order reference architecture (Convex C3400),
+    whose banked register file holds the :data:`NUM_ARCH_VREGS` V registers."""
 
     latencies: FunctionalUnitLatencies = field(default_factory=FunctionalUnitLatencies)
     memory: MemoryParams = field(default_factory=MemoryParams)
-    #: number of architected vector registers
-    num_vregs: int = NUM_ARCH_VREGS
     #: vector registers per register-file bank (banks share 2R + 1W ports)
     vregs_per_bank: int = 2
     #: read ports per register bank
@@ -146,6 +145,15 @@ class ReferenceParams:
     bank_write_ports: int = 1
     #: fetch bubble charged after a taken branch on the in-order machine
     taken_branch_penalty: int = 2
+
+    def __post_init__(self) -> None:
+        if self.vregs_per_bank < 1:
+            raise ConfigurationError("a register bank needs at least one register")
+        if self.bank_read_ports < 1 or self.bank_write_ports < 1:
+            raise ConfigurationError(
+                "a register bank needs at least one read and one write port")
+        if self.taken_branch_penalty < 0:
+            raise ConfigurationError("taken-branch penalty must be non-negative")
 
     def with_memory_latency(self, latency: int) -> "ReferenceParams":
         """Return a copy of these parameters with a different memory latency."""
@@ -204,6 +212,12 @@ class OOOParams:
             raise ConfigurationError("instruction queues need at least one slot")
         if self.commit_width < 1:
             raise ConfigurationError("commit width must be positive")
+        if self.btb_entries < 1 or self.ras_depth < 1:
+            raise ConfigurationError(
+                "the branch target buffer and return-address stack need "
+                "at least one entry")
+        if self.branch_mispredict_penalty < 0:
+            raise ConfigurationError("misprediction penalty must be non-negative")
 
     def with_memory_latency(self, latency: int) -> "OOOParams":
         """Return a copy of these parameters with a different memory latency."""

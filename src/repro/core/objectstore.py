@@ -71,8 +71,9 @@ if TYPE_CHECKING:
 #: and read 0 on the reference machine, and five parameters no model read
 #: left the stored ``params`` block; 6: ``stores_executed_at_head`` dropped,
 #: the trace and the commit model decide it, and the chaining switches left
-#: the ``params`` block, chaining is always on)
-STORE_VERSION = 6
+#: the ``params`` block, chaining is always on; 7: the reference machine's
+#: ``num_vregs`` left the ``params`` block, a trace names only V0-V7)
+STORE_VERSION = 7
 
 #: subdirectory of the experiment cache dir acting as the bucket root
 OBJECT_SUBDIR = "objects"

@@ -17,10 +17,11 @@ hundreds of them.  This module turns that grid into a first-class object:
   batch with cache misses, serve every later spec and are released by
   :meth:`ExperimentEngine.close`; they rebuild the simulators from the
   picklable points and ship results back as JSON-compatible dictionaries.
-  With a cache directory configured the engine also memoises compiled
-  traces in the same bucket (:class:`repro.trace.store.TraceStore`) and
-  pre-warms them before fanning out, so each workload trace is compiled at
-  most once per grid and each worker loads it at most once.
+  The engine itself never compiles a trace: the process that simulates a
+  point gets its trace through
+  :meth:`repro.trace.store.TraceStore.load_memoised`, which, with a cache
+  directory, loads it from the result store's bucket or compiles it and
+  puts it there, so each process compiles or loads a trace at most once.
 
 Every ``table*``/``figure*`` function in :mod:`repro.core.experiments`
 declares its grid and resolves it through the engine it is passed; single
@@ -143,8 +144,8 @@ def _simulate_point(point: ExperimentPoint, bucket_root: str | None = None) -> d
     """Execute one point and return the serialised result.
 
     Top-level function so :class:`ProcessPoolExecutor` can pickle it.
-    With a ``bucket_root`` the workload trace is loaded from that bucket's
-    :class:`TraceStore` instead of being recompiled.
+    With a ``bucket_root`` the workload trace comes from that bucket's
+    :class:`TraceStore`, which compiles and stores it on a miss.
     """
     trace_store = (
         TraceStore(ObjectStore(bucket_root)) if bucket_root is not None else None
@@ -232,7 +233,9 @@ class ExperimentEngine:
     every later spec, and shut down by :meth:`close` — an engine that ran
     a parallel batch must be closed.  Pool workers start from a fresh
     import, so a third-party machine model reaches them only if importing
-    its parameter type's module registers it.
+    its parameter type's module registers it.  The engine compiles no
+    trace: it hands each worker the result store's bucket root, and the
+    worker loads a point's trace from it or compiles it and puts it there.
 
     With ``fleet > 0`` the engine hands every cache miss to a
     :class:`~repro.fleet.dispatcher.FleetDispatcher` — it enqueues the
@@ -264,15 +267,6 @@ class ExperimentEngine:
         self._dispatcher: "FleetDispatcher | None" = None
         #: the ``jobs``-wide worker pool, created by the first parallel batch
         self._pool: "ProcessPoolExecutor | None" = None
-        #: compiled traces, kept in the result store's bucket
-        self.trace_store = (
-            TraceStore(self.store.backend.objects)
-            if self.store.backend is not None else None
-        )
-        #: (workload, scale) pairs already ensured on disk — without this
-        #: memo every exhibit batch would re-validate (fully unpickle) each
-        #: trace in the parent, the very cost the store exists to avoid
-        self._ensured: set[tuple[str, str]] = set()
         #: points actually simulated (cache misses) over this engine's life
         self.simulated = 0
         #: points handed to the fleet (they come back as disk hits)
@@ -314,24 +308,9 @@ class ExperimentEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _prewarm_traces(self, points: Sequence[ExperimentPoint]) -> None:
-        """Compile (at most once) and persist every trace the batch needs.
-
-        Running this in the parent before fanning out guarantees worker
-        processes only deserialise traces — a cold parallel sweep compiles
-        each (workload, scale) exactly once instead of once per worker.
-        """
-        if self.trace_store is None:
-            return
-        for key in dict.fromkeys((p.workload, p.scale) for p in points):
-            if key not in self._ensured:
-                self.trace_store.ensure(*key)
-                self._ensured.add(key)
-
     def _execute(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
         if not points:
             return []
-        self._prewarm_traces(points)
         if self.jobs > 1 and len(points) > 1:
             from concurrent.futures.process import BrokenProcessPool
 
@@ -370,8 +349,7 @@ class ExperimentEngine:
     def submit_fleet(self, points: Iterable[ExperimentPoint]) -> "FleetBatch | None":
         """Enqueue the points the store lacks on the fleet; ``None`` if none.
 
-        Their traces are pre-warmed here, in the parent, so fleet workers
-        only load them.  Both fleet paths submit through this method:
+        Both fleet paths submit through this method:
         :meth:`run_spec` and a :class:`~repro.api.RunHandle`'s eager
         submission.  Workers publish into the store's bucket, so a later
         :meth:`run_spec` reads every submitted point as a disk hit.
@@ -382,7 +360,6 @@ class ExperimentEngine:
         ]
         if not missing:
             return None
-        self._prewarm_traces(missing)
         batch = self.fleet_dispatcher().submit(missing)
         self.fleet_points += len(missing)
         return batch
@@ -402,8 +379,9 @@ class ExperimentEngine:
         return [SimulationResult.from_dict(payload) for payload in payloads]
 
     def _bucket_root(self) -> str | None:
-        """The bucket root a worker loads traces from (None: compile)."""
-        return str(self.trace_store.objects.root) if self.trace_store is not None else None
+        """The bucket root a worker memoises traces in (None: no cache dir)."""
+        backend = self.store.backend
+        return str(backend.objects.root) if backend is not None else None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -446,6 +424,4 @@ class ExperimentEngine:
         )
         if self.fleet:
             line += f", fleet={self.fleet} ({self.fleet_points} dispatched)"
-        if self.trace_store is not None:
-            line += f", {self.trace_store.summary()}"
         return line

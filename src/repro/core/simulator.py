@@ -84,10 +84,10 @@ def simulate_point(
 ) -> SimulationResult:
     """Simulate one (workload, scale, configuration) point.
 
-    This is the entry point the experiment engine's worker processes call:
-    with a :class:`TraceStore` the compiled trace is deserialised from disk
-    (the engine pre-warms the store in the parent process) instead of being
-    recompiled per worker.
+    This is the entry point the experiment engine's worker processes and
+    fleet workers call: with a :class:`TraceStore` the compiled trace comes
+    from :meth:`TraceStore.load_memoised`, which loads it from the bucket,
+    or compiles it and puts it there, once per process.
     """
     if trace_store is not None:
         trace = trace_store.load_memoised(workload_name, scale)

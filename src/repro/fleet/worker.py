@@ -13,10 +13,11 @@ connection, no RPC, no shared memory:
   (:meth:`~repro.core.runner.ExperimentPoint.from_dict`, after checking
   the payload's ``version`` and ``kind``) and run it through the exact
   same :func:`~repro.core.simulator.simulate_point` the in-process engine
-  uses, loading the trace from the bucket's ``traces/`` namespace —
-  results are bit-identical to local execution by construction.  A task
-  whose result object is already readable (a bucket shared with an
-  earlier run) is not simulated again;
+  uses.  The worker gets the trace from the bucket's ``traces/``
+  namespace, or compiles it and puts it there for the other workers, once
+  per worker process — results are bit-identical to local execution by
+  construction.  A task whose result object is already readable (a
+  bucket shared with an earlier run) is not simulated again;
 * **publish**: write the result object under the point's fingerprint in the
   bucket's ``results/`` namespace (through the same
   :class:`~repro.core.objectstore.ObjectStoreBackend` the engine's own

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.isa.opcodes import InstrKind, MemAccess, Opcode
-from repro.isa.registers import RegClass, Register
+from repro.isa.registers import Register
 
 #: size in bytes of every vector element and scalar datum (64-bit machine)
 ELEMENT_BYTES = 8
@@ -101,10 +101,6 @@ class Instruction:
     def registers(self) -> tuple[Register, ...]:
         """All registers referenced by this instruction."""
         return self.defined_registers() + self.used_registers()
-
-    def vector_register_operands(self) -> tuple[Register, ...]:
-        """All V-class registers referenced (used for rename-stage routing)."""
-        return tuple(r for r in self.registers() if r.cls is RegClass.V)
 
     # -- rendering ----------------------------------------------------------
 

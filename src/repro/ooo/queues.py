@@ -93,9 +93,6 @@ class QueueSet:
     def __init__(self, slots: int) -> None:
         self.queues = {kind: IssueQueue(kind, slots) for kind in QueueKind}
 
-    def queue_for(self, instr: DynInstr) -> IssueQueue:
-        return self.queues[route_queue(instr)]
-
     @property
     def total_full_stall_cycles(self) -> int:
         return sum(queue.full_stall_cycles for queue in self.queues.values())

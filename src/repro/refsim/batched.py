@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.common.params import NUM_ARCH_VREGS
 from repro.machine.batched import (
     K_BRANCH,
     K_SCALAR_LOAD,
@@ -48,7 +49,6 @@ from repro.machine.batched import (
     K_VECTOR_STORE,
     MEMORY_KINDS,
     NUM_REG_IDS,
-    REG_ID_STRIDE,
     V_ID,
     LoweredTrace,
     gap_find,
@@ -63,18 +63,16 @@ Port = Tuple[List[int], List[int]]
 
 
 def _port_table(params: Any, ports: int) -> List[Optional[List[Port]]]:
-    """Per register id, the ``ports`` ports of its bank; ``None`` for A, S and VM."""
+    """Per register id, the ``ports`` ports of a V register's bank; ``None``
+    for every other id."""
     per_bank = params.vregs_per_bank
-    num_banks = -(-params.num_vregs // per_bank)
+    num_banks = -(-NUM_ARCH_VREGS // per_bank)
     banks: List[List[Port]] = [
         [([], []) for _ in range(ports)] for _ in range(num_banks)
     ]
     table: List[Optional[List[Port]]] = [None] * NUM_REG_IDS
-    for index in range(REG_ID_STRIDE):
-        bank = index // per_bank
-        # a V register past the last bank has no port, so reserving one
-        # raises, as the spec's bank lookup does
-        table[V_ID + index] = banks[bank] if bank < num_banks else []
+    for index in range(NUM_ARCH_VREGS):
+        table[V_ID + index] = banks[index // per_bank]
     return table
 
 

@@ -12,10 +12,12 @@ of the bucket the result store opened
 (:class:`~repro.core.objectstore.ObjectStore`), one object per
 ``(workload, scale)`` plus a format version:
 ``traces/<workload>-<scale>-v<TRACE_STORE_VERSION>.pkl``.  It is the only
-code that names a trace object.  The experiment engine pre-warms the store
-in the parent process before fanning a batch out, so a cold
-``run-all --jobs N`` compiles each workload trace exactly once; the
-workers (and any later process) just deserialise.
+code that names a trace object.  The process that simulates a point — a
+pool worker, a fleet worker or the driving process itself — gets its trace
+through :meth:`TraceStore.load_memoised`: it loads the trace from the
+bucket, or compiles it and puts it there, at most once per process.  Two
+workers that miss the same trace at the same moment both compile it; the
+later put replaces the earlier one with the same trace.
 
 Objects are pickled :class:`~repro.trace.records.Trace` objects wrapped in
 a small self-describing header.  The store only ever reads objects it wrote
@@ -47,9 +49,6 @@ class TraceStore:
 
     def __init__(self, objects: ObjectStore) -> None:
         self.objects = objects
-        #: traces served from the bucket / compiled (and persisted) by this store
-        self.disk_hits = 0
-        self.generated = 0
 
     def _key(self, workload: str, scale: str) -> str:
         return f"{TRACE_PREFIX}/{workload}-{scale}-v{TRACE_STORE_VERSION}.pkl"
@@ -80,7 +79,6 @@ class TraceStore:
         ):
             self.objects.delete(key)
             return None
-        self.disk_hits += 1
         return payload["trace"]
 
     # -- insertion ----------------------------------------------------------
@@ -109,33 +107,18 @@ class TraceStore:
 
         trace = get_workload(workload, scale).trace()
         self.put(workload, scale, trace)
-        self.generated += 1
         return trace
 
     def load_memoised(self, workload: str, scale: str) -> Trace:
         """Per-process memoised :meth:`load_or_generate`.
 
         A sweep grid has hundreds of points but only a handful of unique
-        (workload, scale) traces; this front caches the deserialised trace
-        in-process, keyed by the bucket root (traces are treated as
-        immutable once generated), so each process unpickles it once, not
-        once per point.  Hits bypass this instance's counters.
+        (workload, scale) traces; this front caches the trace in-process,
+        keyed by the bucket root (traces are treated as
+        immutable once generated), so each process compiles or unpickles
+        it once, not once per point.
         """
         return _load_or_generate_cached(str(self.objects.root), workload, scale)
-
-    def ensure(self, workload: str, scale: str) -> bool:
-        """Make sure a *loadable* trace is stored; True when it was compiled.
-
-        The engine calls this in the parent process for every unique
-        (workload, scale) of a batch before fanning out, so worker processes
-        only ever deserialise.  Validates by actually loading: a corrupt
-        leftover entry is dropped and recompiled here, in the parent, rather
-        than once per worker.
-        """
-        if self.get(workload, scale) is not None:
-            return False
-        self.load_or_generate(workload, scale)
-        return True
 
     # -- maintenance --------------------------------------------------------
 
@@ -156,9 +139,6 @@ class TraceStore:
                 evicted += 1
         evicted += self.objects.sweep_temp(TRACE_PREFIX)
         return kept, evicted
-
-    def summary(self) -> str:
-        return f"traces: {self.generated} compiled, {self.disk_hits} loaded"
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,6 +24,8 @@ from repro.api import (
 )
 from repro.core.objectstore import ObjectStore
 from repro.core.runner import ExperimentEngine, ResultStore
+from repro.trace.store import TRACE_PREFIX, TRACE_STORE_VERSION
+from repro.workloads.base import Workload
 
 
 class TestEngineConstruction:
@@ -121,13 +123,17 @@ class TestRunHandleInProcess:
 
 
 class TestFleetParity:
-    def test_fleet_grid_is_byte_identical_to_in_process(self, tmp_path):
+    def test_fleet_grid_is_byte_identical_to_in_process(self, tmp_path, monkeypatch):
         reference = Session(env={})
         try:
             expected = reference.run(GRID).to_dict()
         finally:
             reference.close()
 
+        def no_compile(*_args):
+            raise AssertionError("the fleet driver compiled a trace")
+
+        monkeypatch.setattr(Workload, "trace", no_compile)
         with Session(
             cache_dir=tmp_path / "fleet", fleet=1, env={},
         ) as session:
@@ -142,8 +148,9 @@ class TestFleetParity:
             assert summary["fleet"] == {"workers": 1, "dispatched": 2}
             # fleet-computed points are read back from the store
             assert (summary["simulated"], summary["disk_hits"]) == (0, 2)
-            # the parent compiled the grid's one trace before enqueueing
-            assert session.trace_store.generated == 1
+            # a worker compiled the grid's one trace into the bucket
+            assert session.trace_store.objects.exists(
+                f"{TRACE_PREFIX}/nasa7-small-v{TRACE_STORE_VERSION}.pkl")
 
         assert json.dumps(actual, sort_keys=True) == json.dumps(
             expected, sort_keys=True)

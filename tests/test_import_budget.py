@@ -2,10 +2,11 @@
 
 A warm ``run-all`` re-renders stored results and a pool worker steps a
 stored trace, so neither needs the vectorising compiler or the ten
-workload programs.  A process that only lists names or reads stored
-results needs no ISA, machine model or process pool either.  Each case
-runs in a fresh interpreter and checks ``sys.modules`` afterwards; no
-timing is involved.
+workload programs.  Nor does the parent of a cold pooled ``run-all``:
+its pool workers compile the traces.  A process that only lists names or
+reads stored results needs no ISA, machine model or process pool either.
+Each case runs in a fresh interpreter and checks ``sys.modules``
+afterwards; no timing is involved.
 """
 
 import json
@@ -86,8 +87,16 @@ def test_warm_run_all_loads_no_simulator(warm_cache):
     assert loaded(modules, NOT_WHEN_WARM) == []
 
 
+def test_cold_pooled_run_all_parent_loads_no_compiler(tmp_path):
+    modules, out = run_fresh(cli(
+        "run-all", "--scale", "small", "--exhibits", "table2",
+        "--programs", "trfd,nasa7", "--jobs", "2", "--cache-dir", str(tmp_path)))
+    assert "engine: 2 simulated" in out
+    assert loaded(modules, NEVER) == []
+
+
 def test_pool_worker_point_loads_no_compiler(tmp_path):
-    TraceStore(ObjectStore(tmp_path)).ensure("trfd", "tiny")
+    TraceStore(ObjectStore(tmp_path)).load_or_generate("trfd", "tiny")
     modules, _ = run_fresh(
         "from repro.core.config import get_config\n"
         "from repro.core.runner import ExperimentPoint, _simulate_point\n"

@@ -117,10 +117,6 @@ class TestInstruction:
         assert instr.used_registers() == (vreg(1), vreg(2))
         assert set(instr.registers()) == {vreg(0), vreg(1), vreg(2)}
 
-    def test_vector_register_operands(self):
-        instr = Instruction(Opcode.VSADD, dest=vreg(0), srcs=(vreg(1), sreg(2)))
-        assert instr.vector_register_operands() == (vreg(0), vreg(1))
-
     def test_branch_requires_target(self):
         with pytest.raises(ValueError):
             Instruction(Opcode.BR, srcs=(areg(0),))

@@ -126,8 +126,6 @@ class TestQueues:
 
     def test_queue_set(self):
         queues = QueueSet(16)
-        instr = DynInstr(seq=0, opcode=Opcode.VADD, pc=0, dest=vreg(0), srcs=(vreg(1),))
-        assert queues.queue_for(instr).kind is QueueKind.V
         assert queues.total_full_stall_cycles == 0
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.params import (
     MAX_VECTOR_LENGTH,
-    NUM_ARCH_VREGS,
     CommitModel,
     FunctionalUnitLatencies,
     LoadElimination,
@@ -54,7 +53,6 @@ class TestMemoryParams:
 class TestReferenceParams:
     def test_defaults_match_paper(self):
         params = ReferenceParams()
-        assert params.num_vregs == NUM_ARCH_VREGS == 8
         assert params.vregs_per_bank == 2
         assert params.bank_read_ports == 2
         assert params.bank_write_ports == 1
@@ -67,6 +65,23 @@ class TestReferenceParams:
 
     def test_max_vector_length(self):
         assert MAX_VECTOR_LENGTH == 128
+
+
+@pytest.mark.parametrize(("params_type", "name", "value"), [
+    (ReferenceParams, "vregs_per_bank", 0),
+    (ReferenceParams, "bank_read_ports", 0),
+    (ReferenceParams, "bank_write_ports", 0),
+    (ReferenceParams, "taken_branch_penalty", -1),
+    (OOOParams, "btb_entries", 0),
+    (OOOParams, "ras_depth", 0),
+    (OOOParams, "branch_mispredict_penalty", -1),
+])
+def test_unusable_machine_parameters_are_rejected(params_type, name, value):
+    # a machine that cannot run is refused when its parameters are built,
+    # not deep in a run; the next value up is the smallest one accepted
+    with pytest.raises(ConfigurationError):
+        params_type(**{name: value})
+    assert getattr(params_type(**{name: value + 1}), name) == value + 1
 
 
 class TestOOOParams:

@@ -37,6 +37,7 @@ from repro.core.runner import (
     ExperimentSpec,
     ResultStore,
 )
+from repro.trace.store import TRACE_PREFIX, TRACE_STORE_VERSION
 from repro.workloads.registry import get_workload
 
 
@@ -513,12 +514,16 @@ class TestRetiredLayouts:
     def test_first_run_resimulates_into_the_object_store(self, tmp_path):
         point = _point()
         retired = _write_retired_entries(tmp_path, point)
+        before = {path: path.read_bytes() for path in retired}
         engine = ExperimentEngine(ResultStore(tmp_path))
         engine.run_point(point)
         assert engine.simulated == 1
-        assert engine.trace_store.generated == 1  # the retired trace is not read
         assert _entry_file(tmp_path, point).is_file()
-        assert all(path.is_file() for path in retired)
+        # the trace went into the bucket; the retired trace is left as it was
+        trace = (tmp_path / OBJECT_SUBDIR / TRACE_PREFIX
+                 / f"{point.workload}-{point.scale}-v{TRACE_STORE_VERSION}.pkl")
+        assert trace.is_file()
+        assert {path: path.read_bytes() for path in retired} == before
 
     def test_gc_leaves_retired_files_alone(self, tmp_path):
         point = _point()

@@ -76,7 +76,6 @@ def test_warm_run_builds_no_trace(tmp_path, monkeypatch):
     monkeypatch.setattr(Workload, "trace", _no_traces)
     monkeypatch.setattr(TraceGenerator, "run", _no_traces)
     monkeypatch.setattr(TraceStore, "get", _no_traces)
-    monkeypatch.setattr(TraceStore, "ensure", _no_traces)
     # the guard bites: scanning a trace for Table 2 the old way would fail
     with pytest.raises(AssertionError, match="warm run"):
         get_workload("trfd", "tiny").statistics()

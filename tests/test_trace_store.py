@@ -1,7 +1,9 @@
 """Tests for the compiled-trace memoisation (repro.trace.store).
 
 Traces live in the ``traces/`` namespace of the cache directory's one
-object-store bucket, beside the results.
+object-store bucket, beside the results.  The engine compiles none: the
+process that simulates a point loads the trace from the bucket, or
+compiles it and puts it there.
 """
 
 import pickle
@@ -20,7 +22,9 @@ from repro.core.runner import (
     _simulate_point,
 )
 from repro.fleet.worker import Worker
+from repro.trace import store as store_mod
 from repro.trace.store import TRACE_PREFIX, TRACE_STORE_VERSION, TraceStore
+from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
 #: the object name and key of trfd's ``tiny`` trace
@@ -45,6 +49,19 @@ def _poison_compilation(monkeypatch):
     monkeypatch.setattr(simulator_mod, "get_workload", boom)
 
 
+def _count_compiles(monkeypatch):
+    """Record every trace compilation in this process as (workload, scale)."""
+    compiled = []
+    real_trace = Workload.trace
+
+    def counting_trace(self):
+        compiled.append((self.name, self.scale))
+        return real_trace(self)
+
+    monkeypatch.setattr(Workload, "trace", counting_trace)
+    return compiled
+
+
 class TestTraceStoreBasics:
     def test_round_trip_preserves_trace(self, tmp_path):
         store = _store(tmp_path)
@@ -54,7 +71,6 @@ class TestTraceStoreBasics:
         fresh = _store(tmp_path)
         loaded = fresh.get("trfd", "tiny")
         assert loaded is not None
-        assert fresh.disk_hits == 1
         assert len(loaded) == len(trace)
         assert [i.opcode for i in loaded] == [i.opcode for i in trace]
         assert [i.address for i in loaded] == [i.address for i in trace]
@@ -62,15 +78,16 @@ class TestTraceStoreBasics:
     def test_miss_returns_none(self, tmp_path):
         assert _store(tmp_path).get("trfd", "tiny") is None
 
-    def test_load_or_generate_compiles_once_then_loads(self, tmp_path):
+    def test_load_or_generate_compiles_once_then_loads(self, tmp_path, monkeypatch):
+        compiled = _count_compiles(monkeypatch)
         store = _store(tmp_path)
         first = store.load_or_generate("trfd", "tiny")
-        assert store.generated == 1
+        assert compiled == [("trfd", "tiny")]
         assert len(first) > 0
         fresh = _store(tmp_path)
         second = fresh.load_or_generate("trfd", "tiny")
-        assert fresh.generated == 0
-        assert fresh.disk_hits == 1
+        assert compiled == [("trfd", "tiny")]
+        assert second is not first  # unpickled from the bucket
         assert len(second) == len(first)
 
     def test_warm_store_never_recompiles(self, tmp_path, monkeypatch):
@@ -80,7 +97,7 @@ class TestTraceStoreBasics:
         fresh = _store(tmp_path)
         assert fresh.load_or_generate("trfd", "tiny") is not None
 
-    def test_corrupt_entry_is_dropped_and_regenerated(self, tmp_path):
+    def test_corrupt_entry_is_dropped_and_regenerated(self, tmp_path, monkeypatch):
         store = _store(tmp_path)
         store.load_or_generate("trfd", "tiny")
         bucket = store.objects
@@ -88,9 +105,11 @@ class TestTraceStoreBasics:
         fresh = _store(tmp_path)
         assert fresh.get("trfd", "tiny") is None
         assert not bucket.exists(TRFD_KEY)
+        compiled = _count_compiles(monkeypatch)
         regenerated = fresh.load_or_generate("trfd", "tiny")
-        assert fresh.generated == 1
+        assert compiled == [("trfd", "tiny")]
         assert len(regenerated) > 0
+        assert _store(tmp_path).get("trfd", "tiny") is not None
 
     def test_version_mismatch_is_dropped(self, tmp_path):
         store = _store(tmp_path)
@@ -115,7 +134,7 @@ class TestTraceStoreBasics:
 
     def test_transient_read_error_is_a_miss_not_a_delete(self, tmp_path, monkeypatch):
         # an EIO while reading must not delete a valid trace object
-        _store(tmp_path).ensure("trfd", "tiny")
+        _store(tmp_path).load_or_generate("trfd", "tiny")
         entry = tmp_path / TRFD_KEY
         real_read_bytes = Path.read_bytes
 
@@ -130,16 +149,10 @@ class TestTraceStoreBasics:
         assert entry.exists()
         assert _store(tmp_path).get("trfd", "tiny") is not None
 
-    def test_ensure_reports_compilation(self, tmp_path):
-        store = _store(tmp_path)
-        assert store.ensure("trfd", "tiny") is True
-        assert store.ensure("trfd", "tiny") is False
-        assert store.generated == 1
-
     def test_gc_drops_stale_versions_and_temp_files(self, tmp_path):
         # Session.gc collects the traces namespace of the session's bucket
         with Session(cache_dir=tmp_path, env={}) as session:
-            session.trace_store.ensure("trfd", "tiny")
+            session.trace_store.load_or_generate("trfd", "tiny")
             traces = tmp_path / OBJECT_SUBDIR / TRACE_PREFIX
             (traces / f"bdna-tiny-v{TRACE_STORE_VERSION - 1}.pkl").write_bytes(b"x")
             (traces / f".{TRFD_OBJECT}.1234.deadbeef.tmp").write_bytes(b"x")
@@ -150,22 +163,9 @@ class TestTraceStoreBasics:
         # a bucket that was never written reports nothing to do
         assert _store(tmp_path / "missing").gc() == (0, 0)
 
-    def test_ensure_repairs_corrupt_entries(self, tmp_path):
-        # ensure() must validate by loading: a corrupt leftover object would
-        # otherwise pass a bare existence check and defeat the prewarm,
-        # making every worker recompile the trace.
-        store = _store(tmp_path)
-        store.ensure("trfd", "tiny")
-        store.objects.put(TRFD_KEY, b"\x80corrupt")
-        fresh = _store(tmp_path)
-        assert fresh.ensure("trfd", "tiny") is True  # recompiled in parent
-        assert fresh.get("trfd", "tiny") is not None
-
     def test_load_memoised_unpickles_once_per_process(self, tmp_path, monkeypatch):
         store = _store(tmp_path)
-        store.ensure("trfd", "tiny")
-
-        import repro.trace.store as store_mod
+        store.load_or_generate("trfd", "tiny")
 
         real_get = store_mod.TraceStore.get
         loads = {"count": 0}
@@ -185,17 +185,25 @@ class TestEngineTraceMemoisation:
     def test_engine_keeps_traces_in_the_result_stores_bucket(self, tmp_path):
         store = ResultStore(tmp_path)
         engine = ExperimentEngine(store)
-        assert engine.trace_store is not None
-        assert engine.trace_store.objects is store.backend.objects
+        engine.result("trfd", ooo_config(), scale="tiny")
+        assert store.backend.objects.exists(TRFD_KEY)
+        with Session(cache_dir=tmp_path, env={}) as session:
+            assert session.trace_store.objects is session.store.backend.objects
 
     def test_memory_only_engine_has_no_trace_store(self):
-        assert ExperimentEngine().trace_store is None
+        assert ExperimentEngine()._bucket_root() is None
+        with Session(env={}) as session:
+            assert session.trace_store is None
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_cold_run_compiles_each_workload_trace_at_most_once(self, tmp_path, jobs):
-        # The acceptance criterion: a cold parallel sweep pre-warms the
-        # trace store in the parent, so each (workload, scale) is compiled
-        # at most once no matter how many workers or grid points need it.
+    def test_cold_run_compiles_each_workload_trace_at_most_once(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        # The engine compiles no trace itself: the process that simulates
+        # a point compiles or loads its trace once.  In-process (jobs=1)
+        # that is each (workload, scale) exactly once, however many grid
+        # points need it.
+        compiled = _count_compiles(monkeypatch)
         engine = ExperimentEngine(ResultStore(tmp_path), jobs=jobs)
         spec = ExperimentSpec.grid(
             "cold", ["trfd", "bdna"],
@@ -206,7 +214,8 @@ class TestEngineTraceMemoisation:
             engine.close()  # the jobs=2 pool must not outlive the test
         assert len(results) == 6
         assert engine.simulated == 6
-        assert engine.trace_store.generated <= 2  # at most once per workload
+        if jobs == 1:
+            assert sorted(compiled) == [("bdna", "tiny"), ("trfd", "tiny")]
         # one bucket: results and traces, nothing beside it
         assert [path.name for path in tmp_path.iterdir()] == [OBJECT_SUBDIR]
         bucket = tmp_path / OBJECT_SUBDIR
@@ -214,15 +223,22 @@ class TestEngineTraceMemoisation:
         assert sorted(path.name for path in (bucket / "traces").iterdir()) == [
             f"bdna-tiny-v{TRACE_STORE_VERSION}.pkl", TRFD_OBJECT]
         assert len(list((bucket / "results").rglob("*.json"))) == 6
-        # a second engine (fresh process, in spirit) loads, never compiles
+        # a second engine (fresh process, in spirit) simulates two new
+        # points from the stored traces and compiles nothing
+        store_mod._load_or_generate_cached.cache_clear()
+        _poison_compilation(monkeypatch)
         warm = ExperimentEngine(ResultStore(tmp_path), jobs=jobs)
-        warm.run_spec(spec)
-        assert warm.trace_store.generated == 0
+        try:
+            warm.run_spec(ExperimentSpec.grid(
+                "warm", ["trfd", "bdna"], [ooo_config(phys_vregs=64)], "tiny"))
+        finally:
+            warm.close()
+        assert warm.simulated == 2
 
     def test_worker_entry_point_loads_from_store(self, tmp_path, monkeypatch):
         # _simulate_point with a bucket root must use the memoised trace,
         # not the compiler: poison compilation and check the point still runs.
-        _store(tmp_path).ensure("trfd", "tiny")
+        _store(tmp_path).load_or_generate("trfd", "tiny")
         _poison_compilation(monkeypatch)
         point = ExperimentPoint("trfd", "tiny", ooo_config())
         payload = _simulate_point(point, str(tmp_path))
@@ -231,20 +247,30 @@ class TestEngineTraceMemoisation:
         with pytest.raises(AssertionError):
             _simulate_point(point, None)
 
-    def test_fleet_worker_loads_the_trace_the_engine_prewarmed(
-        self, tmp_path, monkeypatch
-    ):
-        # the engine compiles the trace in the parent when it submits to
-        # the fleet; a worker on the same cache dir then only loads it
+    def test_fleet_workers_compile_or_load_the_trace(self, tmp_path, monkeypatch):
+        # the driver enqueues without compiling; the first worker compiles
+        # the trace and puts it in the bucket, and a second worker on the
+        # same cache dir only loads it
         engine = ExperimentEngine(ResultStore(tmp_path))
-        point = ExperimentPoint("trfd", "tiny", ooo_config())
-        engine.submit_fleet([point])
-        assert engine.trace_store.generated == 1
+        points = [ExperimentPoint("trfd", "tiny", config)
+                  for config in (ooo_config(), reference_config())]
+        with monkeypatch.context() as driver:
+            _poison_compilation(driver)
+            assert len(engine.submit_fleet(points)) == 2
+        compiled = _count_compiles(monkeypatch)
+        first = Worker(tmp_path, worker_id="compiles", max_tasks=1, poll_s=0.05)
+        assert first.run() == 1
+        assert (first.completed, first.failed) == (1, 0)
+        assert compiled == [("trfd", "tiny")]
+        assert (tmp_path / OBJECT_SUBDIR / TRFD_KEY).is_file()
+        assert sum(ResultStore(tmp_path).contains(point) for point in points) == 1
+        # the second worker is a fresh process, in spirit
+        store_mod._load_or_generate_cached.cache_clear()
         _poison_compilation(monkeypatch)
-        worker = Worker(tmp_path, worker_id="prewarmed", max_tasks=1, poll_s=0.05)
-        assert worker.run() == 1
-        assert (worker.completed, worker.failed) == (1, 0)
-        assert ResultStore(tmp_path).get(point) is not None
+        second = Worker(tmp_path, worker_id="loads", max_tasks=1, poll_s=0.05)
+        assert second.run() == 1
+        assert (second.completed, second.failed) == (1, 0)
+        assert all(ResultStore(tmp_path).get(point) is not None for point in points)
 
     def test_parallel_results_match_serial_with_trace_store(self, tmp_path):
         spec = ExperimentSpec.grid(
@@ -259,25 +285,3 @@ class TestEngineTraceMemoisation:
         assert set(serial) == set(parallel)
         for point in serial:
             assert serial[point].stats.to_dict() == parallel[point].stats.to_dict()
-
-    def test_summary_mentions_traces(self, tmp_path):
-        engine = ExperimentEngine(ResultStore(tmp_path))
-        engine.result("trfd", ooo_config(), scale="tiny")
-        assert "traces:" in engine.summary()
-
-    def test_prewarm_validates_each_trace_once_per_engine(self, tmp_path, monkeypatch):
-        # Successive exhibit batches on one engine must not re-ensure (and
-        # re-unpickle) traces the engine already validated.
-        engine = ExperimentEngine(ResultStore(tmp_path))
-        calls = []
-        real_ensure = engine.trace_store.ensure
-
-        def counting_ensure(workload, scale):
-            calls.append((workload, scale))
-            return real_ensure(workload, scale)
-
-        monkeypatch.setattr(engine.trace_store, "ensure", counting_ensure)
-        engine.result("trfd", ooo_config(), scale="tiny")
-        engine.result("trfd", ooo_config(phys_vregs=32), scale="tiny")
-        engine.result("trfd", reference_config(), scale="tiny")
-        assert calls == [("trfd", "tiny")]
