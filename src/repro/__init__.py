@@ -14,19 +14,20 @@ on a laptop:
   including precise-trap commit and dynamic load elimination;
 * ``repro.workloads``  — synthetic re-creations of the ten benchmark
   programs of Table 2;
-* ``repro.core``       — named configurations, the ``run()`` entry point and
-  one function per table/figure of the paper;
-* ``repro.analysis``   — report formatting.
+* ``repro.core``       — named configurations, the experiment engine, the
+  ``simulate_point()`` entry point and one function per table/figure of
+  the paper;
+* ``repro.analysis``   — report formatting;
+* ``repro.api``        — the supported programmatic entry point.
 
 Quick start::
 
-    from repro.core import run, reference_config, ooo_config
-    from repro.workloads import get_workload
+    from repro.api import RunRequest, Session
 
-    workload = get_workload("trfd")
-    baseline = run(workload, reference_config())
-    improved = run(workload, ooo_config(phys_vregs=16))
-    print(improved.speedup_over(baseline))
+    with Session() as session:
+        grid = session.run(RunRequest(workloads=("trfd",),
+                                      configs=("reference", "ooo")))
+        print(grid.speedup("trfd", "ooo"))
 """
 
 __version__ = "1.0.0"

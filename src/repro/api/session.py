@@ -4,9 +4,8 @@ A session is the programmatic equivalent of one ``python -m repro.cli``
 invocation, minus the printing: it resolves a :class:`~repro.api.Settings`
 object (or accepts one), builds the result store and
 :class:`~repro.core.runner.ExperimentEngine` exactly as the CLI wires
-them, plus the trace store that serves :meth:`Session.trace`,
-:meth:`Session.simulate` and :meth:`Session.gc`, and exposes every
-capability of the evaluation as typed calls —
+them, plus the trace store that :meth:`Session.gc` collects, and exposes
+every capability of the evaluation as typed calls —
 
     from repro.api import RunRequest, Session
 
@@ -51,8 +50,8 @@ from repro.core.runner import (
     ExperimentSpec,
     ResultStore,
 )
-from repro.trace.store import TraceStore
-from repro.workloads.registry import WORKLOAD_NAMES, get_workload
+from repro.trace.store import TraceStore, load_trace
+from repro.workloads.registry import WORKLOAD_NAMES
 
 if TYPE_CHECKING:
     from repro.trace.records import Trace
@@ -97,8 +96,8 @@ class Session:
         self._store = ResultStore(settings.cache_dir)
         self.engine = ExperimentEngine(
             self._store, jobs=settings.jobs, fleet=settings.fleet)
-        #: the compiled-trace store in the result store's bucket (``None``
-        #: without a cache directory)
+        #: the compiled-trace store in the result store's bucket, for
+        #: :meth:`gc` (``None`` without a cache directory)
         self.trace_store = (
             TraceStore(self._store.backend.objects)
             if self._store.backend is not None else None
@@ -167,7 +166,11 @@ class Session:
         config: str | MachineConfig = "ooo",
         scale: str = "small",
     ) -> SimulationResult:
-        """Simulate one point directly (no result-store memoisation)."""
+        """Simulate one point directly (no result-store memoisation).
+
+        The trace comes from the session's bucket when it has a cache
+        directory, as it does in the engine's workers.
+        """
         self._check_open()
         from repro.core.simulator import simulate_point
 
@@ -178,9 +181,8 @@ class Session:
             )
         if isinstance(config, str):
             config = get_config(config)
-        return simulate_point(
-            program, resolve_scale(scale), config, trace_store=self.trace_store,
-        )
+        point = ExperimentPoint(program, resolve_scale(scale), config)
+        return simulate_point(point, self._store.bucket_root)
 
     def simulate_trace(self, trace: Trace, config: str | MachineConfig) -> SimulationResult:
         """Simulate an already-built trace (e.g. a custom compiled kernel).
@@ -198,12 +200,9 @@ class Session:
         return simulate_trace(trace, config)
 
     def trace(self, workload: str, scale: str = "small") -> Trace:
-        """The compiled trace of one workload (memoised when possible)."""
+        """The compiled trace of one workload (memoised in the bucket when possible)."""
         self._check_open()
-        resolved = resolve_scale(scale)
-        if self.trace_store is not None:
-            return self.trace_store.load_memoised(workload, resolved)
-        return get_workload(workload, resolved).trace()
+        return load_trace(workload, resolve_scale(scale), self._store.bucket_root)
 
     # -- exhibits ------------------------------------------------------------
 

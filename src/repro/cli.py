@@ -202,27 +202,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.fleet.worker import DEFAULT_POLL_S, Worker
-    from repro.fleet.queue import DEFAULT_LEASE_TTL
+    from repro.fleet.worker import Worker
 
-    if args.max_tasks is not None and args.max_tasks < 1:
-        return _error("--max-tasks must be at least 1")
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        return _error("--lease-ttl must be positive")
-    if args.poll is not None and args.poll <= 0:
-        return _error("--poll must be positive")
-    if args.idle_timeout is not None and args.idle_timeout < 0:
-        return _error("--idle-timeout must be non-negative")
+    # only the flags the user gave: the worker and its queue check them
+    given: dict[str, Any] = {
+        "worker_id": args.worker_id, "lease_ttl": args.lease_ttl,
+        "poll_s": args.poll, "max_tasks": args.max_tasks,
+        "idle_timeout": args.idle_timeout}
     try:
         worker = Worker(
             args.store_root,
-            worker_id=args.worker_id,
-            lease_ttl=(args.lease_ttl if args.lease_ttl is not None
-                       else DEFAULT_LEASE_TTL),
-            poll_s=args.poll if args.poll is not None else DEFAULT_POLL_S,
-            max_tasks=args.max_tasks,
-            idle_timeout=args.idle_timeout,
             log=lambda message: print(message, file=sys.stderr, flush=True),
+            **{name: value for name, value in given.items() if value is not None},
         )
     except ReproError as exc:
         return _error(exc)
@@ -238,10 +229,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        return _error("--jobs must be at least 1")
-    if args.fleet is not None and args.fleet < 0:
-        return _error("--fleet must be non-negative")
     # Empty subsets get flag-specific messages here; unknown names are
     # rejected by the session with the same error text the CLI always used.
     exhibit_names = split_names(args.exhibits)

@@ -16,15 +16,15 @@ Two architectures are parameterised here:
 
 :class:`InOrderParams` — the same knobs for the registered ``inorder``
 intermediate machine — lives here too, so building or decoding a
-configuration never imports a machine implementation.
+configuration never imports a machine implementation.  The dataclasses
+carry no serialisation code: :func:`repro.core.machines.params_to_dict`
+stamps them with the name of the machine model registered for their type.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
 
@@ -223,10 +223,6 @@ class OOOParams:
         """Return a copy of these parameters with a different memory latency."""
         return replace(self, memory=replace(self.memory, latency=latency))
 
-    def with_phys_vregs(self, count: int) -> "OOOParams":
-        """Return a copy with a different physical vector register count."""
-        return replace(self, num_phys_vregs=count)
-
 
 @dataclass(frozen=True)
 class InOrderParams(OOOParams):
@@ -236,111 +232,3 @@ class InOrderParams(OOOParams):
     policy, not in resources — but a distinct type, which is what the
     machine-model registry dispatches on (see :mod:`repro.machine.inorder`).
     """
-
-
-# ---------------------------------------------------------------------------
-# Serialisation (used by the persistent result store in repro.core.runner)
-# ---------------------------------------------------------------------------
-
-#: serialisation kind -> parameter dataclass, extended by the machine-model
-#: registry (repro.core.machines) as models register
-_PARAMS_KINDS: dict[str, type] = {}
-
-
-def register_params_kind(kind: str, params_type: type) -> None:
-    """Register a machine-parameter dataclass under a serialisation ``kind``.
-
-    Called by :func:`repro.core.machines.register_machine` for every
-    registered model, so any machine's dataclass parameters round-trip
-    through :func:`params_to_dict`/:func:`params_from_dict` (and therefore
-    through the persistent result store) without bespoke code.
-    """
-    existing = _PARAMS_KINDS.get(kind)
-    if existing is not None and existing is not params_type:
-        raise ConfigurationError(
-            f"parameter kind {kind!r} is already registered for "
-            f"{existing.__name__}"
-        )
-    _PARAMS_KINDS[kind] = params_type
-
-
-def _kind_of(params: object) -> str:
-    """The serialisation kind of ``params`` (exact type match only).
-
-    Exactness matters: a subclassed parameter type (e.g. the ``inorder``
-    machine's) is a different design point and must not serialise under
-    its parent's kind.
-    """
-    for kind, cls in _PARAMS_KINDS.items():
-        if type(params) is cls:
-            return kind
-    raise ConfigurationError(
-        f"cannot serialise parameters of type {type(params)!r}; "
-        "register the machine model first"
-    )
-
-
-def params_to_dict(params: typing.Any) -> dict:
-    """Serialise machine parameters to a JSON-compatible dictionary.
-
-    Accepts any *registered* parameter dataclass (see
-    :func:`register_params_kind`), not just the built-in three.
-
-    The dictionary carries a ``kind`` discriminator so the matching dataclass
-    can be rebuilt by :func:`params_from_dict`; enum members are stored by
-    value.
-    """
-    payload: dict = {"kind": _kind_of(params)}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, enum.Enum):
-            value = value.value
-        elif isinstance(value, (FunctionalUnitLatencies, MemoryParams)):
-            value = {sub.name: getattr(value, sub.name) for sub in fields(value)}
-        payload[f.name] = value
-    return payload
-
-
-@functools.lru_cache(maxsize=None)
-def _field_hints(cls: type) -> dict:
-    """Resolved annotations of a parameter dataclass (cached per class).
-
-    Every stored-result load deserialises parameters; re-evaluating the
-    string annotations each time would dominate warm store scans.
-    """
-    return typing.get_type_hints(cls)
-
-
-def params_from_dict(payload: dict) -> typing.Any:
-    """Rebuild machine parameters (of any registered kind) from :func:`params_to_dict` output.
-
-    Works for any registered parameter kind: nested latency/memory blocks
-    (when the dataclass has them — third-party parameter types need not)
-    rebuild their dataclasses, and enum-typed fields (discovered from the
-    dataclass annotations) are coerced from their stored values.
-    """
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    cls = _PARAMS_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigurationError(f"unknown machine-parameter kind {kind!r}")
-    if "latencies" in data:
-        data["latencies"] = FunctionalUnitLatencies(**data["latencies"])
-    if "memory" in data:
-        data["memory"] = MemoryParams(**data["memory"])
-    hints = _field_hints(cls)
-    for name, value in list(data.items()):
-        target = hints.get(name)
-        if isinstance(target, type) and issubclass(target, enum.Enum):
-            data[name] = target(value)
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"cannot rebuild {kind!r} parameters from stored payload: {exc}"
-        ) from exc
-
-
-register_params_kind("reference", ReferenceParams)
-register_params_kind("ooo", OOOParams)
-register_params_kind("inorder", InOrderParams)

@@ -1,4 +1,4 @@
-"""Public API: configurations, the run() entry point and the experiments."""
+"""Public API: configurations, the engine and the simulate_point() entry point."""
 
 from repro.core.config import (
     DEFAULT_LATENCY,
@@ -18,7 +18,7 @@ from repro.core.runner import (
     ExperimentSpec,
     ResultStore,
 )
-from repro.core.simulator import run, simulate_trace
+from repro.core.simulator import simulate_point, simulate_trace
 
 __all__ = [
     "ExperimentEngine",
@@ -35,6 +35,6 @@ __all__ = [
     "reference_config",
     "standard_configs",
     "SimulationResult",
-    "run",
+    "simulate_point",
     "simulate_trace",
 ]

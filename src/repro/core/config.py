@@ -18,7 +18,7 @@ and examples all talk about the same machines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from repro.common.errors import ConfigurationError
@@ -51,25 +51,6 @@ class MachineConfig:
 
     name: str
     params: MachineParams
-
-    @property
-    def is_reference(self) -> bool:
-        return isinstance(self.params, ReferenceParams)
-
-    def with_memory_latency(self, latency: int) -> "MachineConfig":
-        return MachineConfig(self.name, self.params.with_memory_latency(latency))
-
-    def with_phys_vregs(self, count: int) -> "MachineConfig":
-        if self.is_reference:
-            raise ConfigurationError(
-                "the reference architecture has a fixed set of 8 vector registers"
-            )
-        return MachineConfig(self.name, self.params.with_phys_vregs(count))
-
-    def with_queue_slots(self, slots: int) -> "MachineConfig":
-        if self.is_reference:
-            raise ConfigurationError("the reference architecture has no issue queues")
-        return MachineConfig(self.name, replace(self.params, queue_slots=slots))
 
 
 def reference_config(latency: int = DEFAULT_LATENCY) -> MachineConfig:

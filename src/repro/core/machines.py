@@ -16,6 +16,13 @@ the experiment engine without touching either:
         factory=lambda params, trace: _MyRun(params, trace),
     ))
 
+The registry's names are also the serialisation kinds of machine
+parameters: :func:`params_to_dict` stamps a parameter dataclass with the
+name of the model registered for its exact type, and
+:func:`params_from_dict` looks that name up here, so any registered
+model's parameters round-trip through result objects and fleet tasks
+without serialisation code of their own.
+
 The built-in models register on first lookup, and each factory imports its
 machine implementation on its first call, so listing the machines or
 decoding a stored result loads none of them.
@@ -23,7 +30,10 @@ decoding a stored result loads none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
+import functools
+import typing
+from dataclasses import dataclass, fields
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -34,7 +44,14 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigurationError, ReproError
+from repro.common.params import (
+    FunctionalUnitLatencies,
+    InOrderParams,
+    MemoryParams,
+    OOOParams,
+    ReferenceParams,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.common.stats import SimStats
@@ -90,10 +107,8 @@ def register_machine(model: MachineModel) -> MachineModel:
     across different parameter types is an error, as is a second model
     claiming an already-registered parameter type under a new name.
 
-    The model's parameter type is also registered as a serialisation kind
-    (:func:`repro.common.params.register_params_kind`) so dataclass
-    parameters of registered machines round-trip through the result store
-    without any per-machine serialisation code.
+    The name is also the serialisation kind of the model's parameters
+    (:func:`params_to_dict`).
     """
     _ensure_builtin()
     existing = _REGISTRY.get(model.name)
@@ -108,9 +123,6 @@ def register_machine(model: MachineModel) -> MachineModel:
                 f"machine parameters {model.params_type.__name__} are already "
                 f"registered as {other.name!r}"
             )
-    from repro.common.params import register_params_kind
-
-    register_params_kind(model.name, model.params_type)
     _REGISTRY[model.name] = model
     return model
 
@@ -157,6 +169,78 @@ def create_run(params: Any, trace: Optional[Trace] = None, name: str = "") -> Ma
     return model_for_params(params).factory(params, trace)
 
 
+def params_to_dict(params: Any) -> dict[str, Any]:
+    """Serialise machine parameters to a JSON-compatible dictionary.
+
+    Its ``kind`` is the name of the model registered for exactly
+    ``type(params)``: a subclassed parameter type (e.g. the ``inorder``
+    machine's) is a different design point and must not serialise under
+    its parent's kind, so it raises like an unregistered type.  Enum
+    members are stored by value, and the nested latency/memory blocks as
+    dictionaries.
+    """
+    _ensure_builtin()
+    for model in _REGISTRY.values():
+        if type(params) is model.params_type:
+            break
+    else:
+        raise ConfigurationError(
+            f"cannot serialise parameters of type {type(params)!r}; "
+            "register the machine model first"
+        )
+    payload: dict[str, Any] = {"kind": model.name}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, (FunctionalUnitLatencies, MemoryParams)):
+            value = {sub.name: getattr(value, sub.name) for sub in fields(value)}
+        payload[f.name] = value
+    return payload
+
+
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls: type) -> dict[str, Any]:
+    """Resolved annotations of a parameter dataclass (cached per class).
+
+    Every stored-result load deserialises parameters; re-evaluating the
+    string annotations each time would dominate warm store scans.
+    """
+    return typing.get_type_hints(cls)
+
+
+def params_from_dict(payload: dict[str, Any]) -> Any:
+    """Rebuild machine parameters from :func:`params_to_dict` output.
+
+    The ``kind`` names the registered model whose parameter type is
+    rebuilt.  Nested latency/memory blocks (when the dataclass has them —
+    third-party parameter types need not) rebuild their dataclasses, and
+    enum-typed fields (discovered from the dataclass annotations) are
+    coerced from their stored values.
+    """
+    _ensure_builtin()
+    data = dict(payload)
+    kind = data.pop("kind", None)
+    model = _REGISTRY.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise ConfigurationError(f"unknown machine-parameter kind {kind!r}")
+    if "latencies" in data:
+        data["latencies"] = FunctionalUnitLatencies(**data["latencies"])
+    if "memory" in data:
+        data["memory"] = MemoryParams(**data["memory"])
+    hints = _field_hints(model.params_type)
+    for name, value in list(data.items()):
+        target = hints.get(name)
+        if isinstance(target, type) and issubclass(target, enum.Enum):
+            data[name] = target(value)
+    try:
+        return model.params_type(**data)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"cannot rebuild {kind!r} parameters from stored payload: {exc}"
+        ) from exc
+
+
 def _reference_run(params: Any, trace: Trace) -> Machine:
     from repro.refsim.machine import _ReferenceRun
 
@@ -189,9 +273,6 @@ def _ensure_builtin() -> None:
     if _BUILTIN_REGISTERED:
         return
     _BUILTIN_REGISTERED = True
-
-    from repro.common.params import InOrderParams, OOOParams, ReferenceParams
-
     _REGISTRY["reference"] = MachineModel(
         name="reference", params_type=ReferenceParams, factory=_reference_run)
     _REGISTRY["ooo"] = MachineModel(

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.params import OOOParams, ReferenceParams, params_from_dict, params_to_dict
+from repro.common.params import OOOParams, ReferenceParams
 from repro.common.stats import SimStats
+from repro.core.machines import params_from_dict, params_to_dict
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,15 @@ hundreds of them.  This module turns that grid into a first-class object:
   across the engine's one :class:`concurrent.futures.ProcessPoolExecutor`
   when ``jobs > 1``.  The pool's ``spawn`` workers are started at the first
   batch with cache misses, serve every later spec and are released by
-  :meth:`ExperimentEngine.close`; they rebuild the simulators from the
-  picklable points and ship results back as JSON-compatible dictionaries.
-  The engine itself never compiles a trace: the process that simulates a
-  point gets its trace through
-  :meth:`repro.trace.store.TraceStore.load_memoised`, which, with a cache
-  directory, loads it from the result store's bucket or compiles it and
-  puts it there, so each process compiles or loads a trace at most once.
+  :meth:`ExperimentEngine.close`.  In-process and in the pool, every point
+  runs through :func:`repro.core.simulator.simulate_point` with the result
+  store's :attr:`~ResultStore.bucket_root`; pool workers pickle the
+  :class:`~repro.core.results.SimulationResult` back, and the store
+  serialises it once, when it writes the result object.  The engine itself
+  never compiles a trace: the process that simulates a point gets it from
+  :func:`repro.trace.store.load_trace`, which, with a cache directory,
+  loads it from the bucket or compiles it and puts it there, so each
+  process compiles or loads a trace at most once.
 
 Every ``table*``/``figure*`` function in :mod:`repro.core.experiments`
 declares its grid and resolves it through the engine it is passed; single
@@ -45,12 +47,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.common.errors import ReproError
-from repro.common.params import params_from_dict, params_to_dict
 from repro.core.config import MachineConfig
-from repro.core.objectstore import STORE_VERSION, ObjectStore, ObjectStoreBackend
+from repro.core.machines import params_from_dict, params_to_dict
+from repro.core.objectstore import STORE_VERSION, ObjectStoreBackend
 from repro.core.results import SimulationResult
 from repro.core.simulator import simulate_point
-from repro.trace.store import TraceStore
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -140,21 +141,6 @@ class ExperimentSpec:
         return len(self.points)
 
 
-def _simulate_point(point: ExperimentPoint, bucket_root: str | None = None) -> dict:
-    """Execute one point and return the serialised result.
-
-    Top-level function so :class:`ProcessPoolExecutor` can pickle it.
-    With a ``bucket_root`` the workload trace comes from that bucket's
-    :class:`TraceStore`, which compiles and stores it on a miss.
-    """
-    trace_store = (
-        TraceStore(ObjectStore(bucket_root)) if bucket_root is not None else None
-    )
-    return simulate_point(
-        point.workload, point.scale, point.config, trace_store=trace_store,
-    ).to_dict()
-
-
 class ResultStore:
     """Two-level simulation-result cache: in-memory dict plus the object store.
 
@@ -174,6 +160,14 @@ class ResultStore:
         self._memory: dict[str, SimulationResult] = {}
         self.memory_hits = 0
         self.disk_hits = 0
+
+    @property
+    def bucket_root(self) -> str | None:
+        """The root of the cache dir's bucket (``None`` without a cache dir).
+
+        The process that simulates a point loads or puts its trace there.
+        """
+        return str(self.backend.objects.root) if self.backend is not None else None
 
     # -- lookup -------------------------------------------------------------
 
@@ -236,6 +230,7 @@ class ExperimentEngine:
     its parameter type's module registers it.  The engine compiles no
     trace: it hands each worker the result store's bucket root, and the
     worker loads a point's trace from it or compiles it and puts it there.
+    A worker returns the :class:`SimulationResult` object itself.
 
     With ``fleet > 0`` the engine hands every cache miss to a
     :class:`~repro.fleet.dispatcher.FleetDispatcher` — it enqueues the
@@ -322,10 +317,8 @@ class ExperimentEngine:
                 # builds a fresh one) and run this batch in-process rather
                 # than failing the whole sweep.
                 self._shutdown_pool()
-        return [
-            SimulationResult.from_dict(_simulate_point(p, self._bucket_root()))
-            for p in points
-        ]
+        bucket_root = self.store.bucket_root
+        return [simulate_point(point, bucket_root) for point in points]
 
     def fleet_dispatcher(self) -> "FleetDispatcher":
         """The engine's fleet dispatcher, created on first use.
@@ -374,14 +367,8 @@ class ExperimentEngine:
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context("spawn"),
             )
-        payloads = self._pool.map(
-            _simulate_point, points, itertools.repeat(self._bucket_root()))
-        return [SimulationResult.from_dict(payload) for payload in payloads]
-
-    def _bucket_root(self) -> str | None:
-        """The bucket root a worker memoises traces in (None: no cache dir)."""
-        backend = self.store.backend
-        return str(backend.objects.root) if backend is not None else None
+        return list(self._pool.map(
+            simulate_point, points, itertools.repeat(self.store.bucket_root)))
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Top-level simulation API.
 
-:func:`simulate_point` is what engine and fleet workers run for one grid
-point; :func:`simulate_trace` steps an existing trace, and ``run(workload,
-config)``, which only tests call, simulates a workload by name.  Each
-returns a :class:`~repro.core.results.SimulationResult` that bundles the
-configuration, the workload identity and the collected statistics.
+:func:`simulate_point` is the only way any process simulates a grid
+point: the engine in-process and in its pool workers, a fleet worker and
+:meth:`repro.api.Session.simulate` all call it.  It gets the point's trace
+from :func:`repro.trace.store.load_trace` and steps it through
+:func:`simulate_trace`, which runs an existing trace (a custom kernel's
+too).  Each returns a :class:`~repro.core.results.SimulationResult` that
+bundles the configuration, the workload identity and the collected
+statistics.
 
 Memoised results come from an experiment engine's result store instead
 (``engine.result(workload, config, scale)``, see
@@ -22,12 +25,11 @@ from repro.common.stats import check_invariants
 from repro.core.config import MachineConfig
 from repro.core.machines import create_run
 from repro.core.results import SimulationResult
-from repro.trace.store import TraceStore
-from repro.workloads.registry import get_workload
+from repro.trace.store import load_trace
 
 if TYPE_CHECKING:
+    from repro.core.runner import ExperimentPoint
     from repro.trace.records import Trace
-    from repro.workloads.base import Workload
 
 
 def simulate_trace(trace: Trace, config: MachineConfig) -> SimulationResult:
@@ -69,29 +71,13 @@ def simulate_trace(trace: Trace, config: MachineConfig) -> SimulationResult:
     )
 
 
-def run(workload: Workload | str, config: MachineConfig, scale: str = "small") -> SimulationResult:
-    """Simulate ``workload`` (an object or a registry name) on ``config``."""
-    if isinstance(workload, str):
-        workload = get_workload(workload, scale)
-    return simulate_trace(workload.trace(), config)
+def simulate_point(point: ExperimentPoint, bucket_root: str | None = None) -> SimulationResult:
+    """Simulate one grid point; the only way any process simulates one.
 
-
-def simulate_point(
-    workload_name: str,
-    scale: str,
-    config: MachineConfig,
-    trace_store: TraceStore | None = None,
-) -> SimulationResult:
-    """Simulate one (workload, scale, configuration) point.
-
-    This is the entry point the experiment engine's worker processes and
-    fleet workers call: with a :class:`TraceStore` the compiled trace comes
-    from :meth:`TraceStore.load_memoised`, which loads it from the bucket,
-    or compiles it and puts it there, once per process.
+    The trace comes from :func:`~repro.trace.store.load_trace`: with a
+    ``bucket_root`` it is loaded from that bucket, or compiled and put
+    there, once per process; without one it is the workload's own
+    in-process memo.  A top-level function, so a process pool can pickle
+    it and pickle the returned result back.
     """
-    if trace_store is not None:
-        trace = trace_store.load_memoised(workload_name, scale)
-    else:
-        trace = get_workload(workload_name, scale).trace()
-    return simulate_trace(trace, config)
-
+    return simulate_trace(load_trace(point.workload, point.scale, bucket_root), point.config)

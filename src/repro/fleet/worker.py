@@ -12,9 +12,9 @@ connection, no RPC, no shared memory:
 * **simulate**: rebuild the point from the task payload
   (:meth:`~repro.core.runner.ExperimentPoint.from_dict`, after checking
   the payload's ``version`` and ``kind``) and run it through the exact
-  same :func:`~repro.core.simulator.simulate_point` the in-process engine
-  uses.  The worker gets the trace from the bucket's ``traces/``
-  namespace, or compiles it and puts it there for the other workers, once
+  same :func:`~repro.core.simulator.simulate_point` the engine uses, with
+  the bucket's root: the trace comes from the bucket's ``traces/``
+  namespace, or is compiled and put there for the other workers, once
   per worker process — results are bit-identical to local execution by
   construction.  A task whose result object is already readable (a
   bucket shared with an earlier run) is not simulated again;
@@ -50,7 +50,6 @@ from typing import Any, Callable, Mapping
 
 from repro.common.errors import ReproError
 from repro.core.objectstore import ObjectStoreBackend
-from repro.core.results import SimulationResult
 from repro.core.runner import ExperimentPoint
 from repro.fleet.queue import (
     DEFAULT_LEASE_TTL,
@@ -59,7 +58,6 @@ from repro.fleet.queue import (
     LeaseQueue,
     TaskState,
 )
-from repro.trace.store import TraceStore
 
 #: default seconds between polls of an empty queue
 DEFAULT_POLL_S = 0.5
@@ -119,7 +117,6 @@ class Worker:
         self.backend = ObjectStoreBackend(self.store_root)
         self.queue = queue if queue is not None else LeaseQueue(
             self.backend.objects, lease_ttl=lease_ttl)
-        self.trace_store = TraceStore(self.backend.objects)
         self.worker_id = worker_id or (
             f"{platform.node() or 'host'}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         )
@@ -196,11 +193,13 @@ class Worker:
             self.log(f"worker {self.worker_id}: {point} already published "
                      f"[{lease.task_id[:12]}]")
             return True
+        from repro.core.simulator import simulate_point
+
         heartbeat = _Heartbeat(self.queue, lease)
         heartbeat.start()
         started = time.perf_counter()
         try:
-            result = self._simulate(point)
+            result = simulate_point(point, str(self.backend.objects.root))
         except Exception as exc:  # noqa: BLE001 - a task failure, not a crash
             heartbeat.stop()
             state = self.queue.fail(heartbeat.lease, repr(exc))
@@ -220,12 +219,6 @@ class Worker:
             f"[{lease.task_id[:12]}]"
         )
         return True
-
-    def _simulate(self, point: ExperimentPoint) -> SimulationResult:
-        from repro.core.simulator import simulate_point
-
-        return simulate_point(point.workload, point.scale, point.config,
-                              trace_store=self.trace_store)
 
     def summary(self) -> str:
         """One-line counters summary (printed by the CLI on exit)."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import BusyCalendar
-from repro.common.params import NUM_ARCH_VREGS, ReferenceParams
+from repro.common.params import ReferenceParams
 from repro.common.stats import SimStats
 from repro.isa.opcodes import InstrKind
 from repro.isa.registers import RegClass, Register, all_registers
@@ -93,11 +93,7 @@ class _ReferenceRun(StagedMachine):
         self.mem_unit = _UnitState("MEM")
         self.memory = MemorySystem(params.memory, params.latencies)
         self.regfile = BankedVectorRegisterFile(
-            NUM_ARCH_VREGS,
-            params.vregs_per_bank,
-            params.bank_read_ports,
-            params.bank_write_ports,
-        )
+            params.vregs_per_bank, params.bank_read_ports, params.bank_write_ports)
 
     # -- helpers ------------------------------------------------------------
 

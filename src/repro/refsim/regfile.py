@@ -15,6 +15,7 @@ reference simulator.
 
 from __future__ import annotations
 
+from repro.common.params import NUM_ARCH_VREGS
 from repro.common.resources import GapResource
 from repro.isa.registers import RegClass, Register
 
@@ -22,12 +23,9 @@ from repro.isa.registers import RegClass, Register
 class BankedVectorRegisterFile:
     """Tracks read/write port occupancy of the banked register file."""
 
-    def __init__(self, num_vregs: int, regs_per_bank: int, read_ports: int, write_ports: int) -> None:
-        if regs_per_bank < 1:
-            raise ValueError("regs_per_bank must be at least 1")
-        self.num_vregs = num_vregs
+    def __init__(self, regs_per_bank: int, read_ports: int, write_ports: int) -> None:
         self.regs_per_bank = regs_per_bank
-        self.num_banks = (num_vregs + regs_per_bank - 1) // regs_per_bank
+        self.num_banks = -(-NUM_ARCH_VREGS // regs_per_bank)
         self._read_ports = [
             [GapResource(f"bank{b}-r{p}") for p in range(read_ports)]
             for b in range(self.num_banks)

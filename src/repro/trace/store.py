@@ -12,12 +12,15 @@ of the bucket the result store opened
 (:class:`~repro.core.objectstore.ObjectStore`), one object per
 ``(workload, scale)`` plus a format version:
 ``traces/<workload>-<scale>-v<TRACE_STORE_VERSION>.pkl``.  It is the only
-code that names a trace object.  The process that simulates a point — a
-pool worker, a fleet worker or the driving process itself — gets its trace
-through :meth:`TraceStore.load_memoised`: it loads the trace from the
-bucket, or compiles it and puts it there, at most once per process.  Two
+code that names a trace object.
+
+:func:`load_trace` is the only way a process gets a workload's trace.  The
+process that simulates a point — a pool worker, a fleet worker or the
+driving process itself — passes the bucket root: the trace is loaded from
+the bucket, or compiled and put there, at most once per process.  Two
 workers that miss the same trace at the same moment both compile it; the
-later put replaces the earlier one with the same trace.
+later put replaces the earlier one with the same trace.  Without a bucket
+root the trace is the workload's own in-process memo.
 
 Objects are pickled :class:`~repro.trace.records.Trace` objects wrapped in
 a small self-describing header.  The store only ever reads objects it wrote
@@ -96,7 +99,7 @@ class TraceStore:
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
         )
 
-    # -- the memoisation entry points ---------------------------------------
+    # -- the memoisation entry point ----------------------------------------
 
     def load_or_generate(self, workload: str, scale: str) -> Trace:
         """Return the trace from the bucket, compiling (and persisting) on a miss."""
@@ -108,17 +111,6 @@ class TraceStore:
         trace = get_workload(workload, scale).trace()
         self.put(workload, scale, trace)
         return trace
-
-    def load_memoised(self, workload: str, scale: str) -> Trace:
-        """Per-process memoised :meth:`load_or_generate`.
-
-        A sweep grid has hundreds of points but only a handful of unique
-        (workload, scale) traces; this front caches the trace in-process,
-        keyed by the bucket root (traces are treated as
-        immutable once generated), so each process compiles or unpickles
-        it once, not once per point.
-        """
-        return _load_or_generate_cached(str(self.objects.root), workload, scale)
 
     # -- maintenance --------------------------------------------------------
 
@@ -139,6 +131,22 @@ class TraceStore:
                 evicted += 1
         evicted += self.objects.sweep_temp(TRACE_PREFIX)
         return kept, evicted
+
+
+def load_trace(workload: str, scale: str, bucket_root: str | None = None) -> Trace:
+    """The compiled trace of ``workload`` at ``scale``.
+
+    With a ``bucket_root`` the trace comes from that bucket's
+    :class:`TraceStore`, which compiles and puts it on a miss, memoised
+    per process by root: a sweep grid has hundreds of points but only a
+    handful of traces, and traces are immutable once generated.  Without
+    one it is the workload's own in-process memo.
+    """
+    if bucket_root is None:
+        from repro.workloads.registry import get_workload
+
+        return get_workload(workload, scale).trace()
+    return _load_or_generate_cached(bucket_root, workload, scale)
 
 
 @functools.lru_cache(maxsize=None)

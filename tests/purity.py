@@ -41,7 +41,6 @@ from unittest import mock
 
 from machine_state import state
 
-from repro.common import params as params_module
 from repro.core import machines as machines_module
 from repro.core.config import machine_config
 from repro.core.machines import create_run, machine_names
@@ -140,7 +139,7 @@ def no_ambient_effects():
 def example_machine():
     """Register the example's machine by loading the file; drop it afterwards.
 
-    Both registries are process-global, so the name must not outlive the
+    The registry is process-global, so the name must not outlive the
     caller: registry-driven tests elsewhere expect only the built-ins.
     """
     spec = importlib.util.spec_from_file_location("custom_machine", EXAMPLE)
@@ -150,7 +149,6 @@ def example_machine():
         yield EXAMPLE_MACHINE
     finally:
         machines_module._REGISTRY.pop(EXAMPLE_MACHINE, None)
-        params_module._PARAMS_KINDS.pop(EXAMPLE_MACHINE, None)
 
 
 def tiny_traces():

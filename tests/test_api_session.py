@@ -25,8 +25,8 @@ from repro.common.errors import ReproError
 from repro.common.params import OOOParams, ReferenceParams
 from repro.core import experiments
 from repro.core.config import get_config, ooo_config
-from repro.core.runner import ExperimentEngine, ResultStore
-from repro.core.simulator import run as run_simulation
+from repro.core.runner import ExperimentEngine, ExperimentPoint, ResultStore
+from repro.core.simulator import simulate_point
 
 
 class TestSessionLifecycle:
@@ -101,10 +101,10 @@ class TestRunRequestGrids:
         with Session() as session:
             grid = session.run(request)
         assert len(grid) == 2
-        direct = run_simulation("nasa7", get_config("ooo"))
+        direct = simulate_point(ExperimentPoint("nasa7", "small", get_config("ooo")))
         assert grid.get("nasa7", "ooo").to_dict() == direct.to_dict()
         assert grid.speedup("nasa7", "ooo") == pytest.approx(
-            direct.speedup_over(run_simulation("nasa7", get_config("reference"))))
+            direct.speedup_over(simulate_point(ExperimentPoint("nasa7", "small", get_config("reference")))))
 
     def test_grid_comes_back_in_request_order_whatever_was_cached(self):
         request = RunRequest(workloads=("nasa7",), configs=("reference", "ooo"))
@@ -212,7 +212,7 @@ class TestSimulateAndGc:
     def test_simulate_returns_the_point_result(self):
         with Session() as session:
             result = session.simulate("nasa7", "ooo")
-        assert result.to_dict() == run_simulation("nasa7", get_config("ooo")).to_dict()
+        assert result.to_dict() == simulate_point(ExperimentPoint("nasa7", "small", get_config("ooo"))).to_dict()
 
     def test_simulate_unknown_program(self):
         with Session() as session:

@@ -1,4 +1,4 @@
-"""Tests for the public API layer: configurations, run(), experiments, reports."""
+"""Tests for the public API layer: configurations, simulate_point(), experiments, reports."""
 
 import pytest
 
@@ -18,11 +18,12 @@ from repro.common.params import CommitModel, LoadElimination, OOOParams, Referen
 from repro.trace.records import Trace
 from repro.core import (
     ExperimentEngine,
+    ExperimentPoint,
     MachineConfig,
     get_config,
     ooo_config,
     reference_config,
-    run,
+    simulate_point,
     simulate_trace,
     standard_configs,
 )
@@ -52,7 +53,6 @@ ENGINE = ExperimentEngine()
 class TestConfigs:
     def test_reference_config(self):
         config = reference_config(latency=70)
-        assert config.is_reference
         assert isinstance(config.params, ReferenceParams)
         assert config.params.memory.latency == 70
 
@@ -74,23 +74,11 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             get_config("warp-drive")
 
-    def test_with_helpers(self):
-        config = ooo_config(phys_vregs=16)
-        assert config.with_phys_vregs(64).params.num_phys_vregs == 64
-        assert config.with_memory_latency(5).params.memory.latency == 5
-        assert config.with_queue_slots(128).params.queue_slots == 128
-
-    def test_reference_has_no_vreg_knob(self):
-        with pytest.raises(ConfigurationError):
-            reference_config().with_phys_vregs(32)
-        with pytest.raises(ConfigurationError):
-            reference_config().with_queue_slots(32)
-
 
 class TestRunAPI:
     def test_run_by_name_and_by_object(self):
-        by_name = run("trfd", ooo_config(), scale="tiny")
-        by_object = run(get_workload("trfd", "tiny"), ooo_config())
+        by_name = simulate_point(ExperimentPoint("trfd", "tiny", ooo_config()))
+        by_object = simulate_trace(get_workload("trfd", "tiny").trace(), ooo_config())
         assert by_name.cycles == by_object.cycles
         assert by_name.workload == "trfd"
         assert by_name.config_name == "ooo"
@@ -98,7 +86,7 @@ class TestRunAPI:
     def test_simulate_trace_matches_run(self):
         workload = get_workload("trfd", "tiny")
         direct = simulate_trace(workload.trace(), reference_config())
-        wrapped = run(workload, reference_config())
+        wrapped = simulate_point(ExperimentPoint("trfd", "tiny", reference_config()))
         assert direct.cycles == wrapped.cycles
 
     def test_empty_trace_rejected_on_both_simulator_paths(self):
@@ -130,8 +118,8 @@ class TestRunAPI:
 
     def test_result_helpers(self):
         workload = get_workload("trfd", "tiny")
-        baseline = run(workload, reference_config())
-        improved = run(workload, ooo_config(phys_vregs=16))
+        baseline = simulate_trace(workload.trace(), reference_config())
+        improved = simulate_trace(workload.trace(), ooo_config(phys_vregs=16))
         assert improved.speedup_over(baseline) > 1.0
         assert improved.traffic_reduction_over(baseline) == pytest.approx(1.0, abs=0.05)
         assert "trfd" in str(improved)

@@ -16,7 +16,8 @@ import functools
 import pytest
 
 from repro.core.config import get_config, standard_configs
-from repro.core.simulator import run
+from repro.core.runner import ExperimentPoint
+from repro.core.simulator import simulate_point
 from repro.workloads.registry import WORKLOAD_NAMES
 
 SCALE = "small"
@@ -28,7 +29,7 @@ OOO_FAMILY = tuple(config for config in standard_configs() if config != "referen
 @functools.lru_cache(maxsize=None)
 def _standard(name, config):
     """Simulate ``name`` on one standard configuration once per session."""
-    return run(name, get_config(config), scale=SCALE)
+    return simulate_point(ExperimentPoint(name, SCALE, get_config(config)))
 
 
 def _pair(name):

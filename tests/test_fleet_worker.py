@@ -126,7 +126,7 @@ class TestTaskPayloads:
         assert worker.run() == 1
         assert worker.completed == 1
         assert_finished(tmp_path, queue, point)
-        reference = simulate_point(point.workload, point.scale, point.config)
+        reference = simulate_point(point)
         expected = result_object(point, reference)
         assert backend.objects.get(backend._object_key(point.fingerprint())) == expected
 
@@ -155,7 +155,7 @@ class TestPublishedTasks:
         # point it ran: a worker completes it from the published object
         queue, point = submit_point(tmp_path, "trfd", "tiny")
         backend = ObjectStoreBackend(tmp_path)
-        backend.put(point, simulate_point(point.workload, point.scale, point.config))
+        backend.put(point, simulate_point(point))
         published = backend.objects.get(backend._object_key(point.fingerprint()))
 
         def refuse(*args, **kwargs):
@@ -210,7 +210,7 @@ class TestSigkillRecovery:
 
         # ... to the byte-identical result object the engine's own result
         # store would have written locally
-        reference = simulate_point(point.workload, point.scale, point.config)
+        reference = simulate_point(point)
         expected = result_object(point, reference)
         backend = ObjectStoreBackend(tmp_path)
         stored = backend.objects.get(backend._object_key(task_id))
@@ -318,7 +318,7 @@ class TestWorkerConstruction:
 
         argv = ["worker", "--store-root", str(tmp_path), "--idle-timeout", "-5"]
         assert main(argv) == 2
-        assert "--idle-timeout must be non-negative" in capsys.readouterr().err
+        assert "idle_timeout must be non-negative" in capsys.readouterr().err
 
     def test_summary_counts(self, tmp_path):
         worker = Worker(tmp_path, worker_id="w-test")

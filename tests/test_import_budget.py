@@ -99,9 +99,10 @@ def test_pool_worker_point_loads_no_compiler(tmp_path):
     TraceStore(ObjectStore(tmp_path)).load_or_generate("trfd", "tiny")
     modules, _ = run_fresh(
         "from repro.core.config import get_config\n"
-        "from repro.core.runner import ExperimentPoint, _simulate_point\n"
+        "from repro.core.runner import ExperimentPoint\n"
+        "from repro.core.simulator import simulate_point\n"
         "point = ExperimentPoint('trfd', 'tiny', get_config('inorder'))\n"
-        f"assert _simulate_point(point, {str(tmp_path)!r})['stats']['cycles'] > 0\n"
+        f"assert simulate_point(point, {str(tmp_path)!r}).cycles > 0\n"
     )
     assert "repro.machine.inorder" in modules  # the point really simulated
     assert loaded(modules, NEVER) == []

@@ -115,7 +115,7 @@ class TestInOrderIntermediate:
     """The registered third machine: in-order issue + renaming."""
 
     def test_params_round_trip_under_their_own_kind(self):
-        from repro.common.params import params_from_dict, params_to_dict
+        from repro.core.machines import params_from_dict, params_to_dict
         from repro.machine.inorder import InOrderParams
 
         params = InOrderParams(num_phys_vregs=32).with_memory_latency(7)
@@ -178,16 +178,14 @@ class TestMinimalRegisteredMachine:
             factory=lambda params, trace: FlatRun(params, trace),
         ))
         yield model
-        # both registries are process-global; drop the stub so registry-
+        # the registry is process-global; drop the stub so registry-
         # driven tests elsewhere keep seeing only the real machines
-        from repro.common import params as params_module
         from repro.core import machines as machines_module
 
         machines_module._REGISTRY.pop("kernel-test-flat", None)
-        params_module._PARAMS_KINDS.pop("kernel-test-flat", None)
 
     def test_params_round_trip_without_latency_blocks(self, registered):
-        from repro.common.params import params_from_dict, params_to_dict
+        from repro.core.machines import params_from_dict, params_to_dict
 
         params = registered.params_type(cost_per_instruction=3)
         payload = json.loads(json.dumps(params_to_dict(params)))
@@ -210,7 +208,7 @@ class TestMinimalRegisteredMachine:
 
     def test_corrupt_payload_raises_configuration_error(self, registered):
         from repro.common.errors import ConfigurationError
-        from repro.common.params import params_from_dict
+        from repro.core.machines import params_from_dict
 
         with pytest.raises(ConfigurationError):
             params_from_dict({"kind": "kernel-test-flat", "no_such_field": 1})

@@ -72,17 +72,17 @@ class TestMemorySystem:
 
 class TestBankedRegisterFile:
     def test_bank_mapping(self):
-        rf = BankedVectorRegisterFile(8, 2, 2, 1)
+        rf = BankedVectorRegisterFile(2, 2, 1)
         assert rf.bank_of(vreg(0)) == rf.bank_of(vreg(1)) == 0
         assert rf.bank_of(vreg(6)) == 3
 
     def test_non_vector_register_rejected(self):
-        rf = BankedVectorRegisterFile(8, 2, 2, 1)
+        rf = BankedVectorRegisterFile(2, 2, 1)
         with pytest.raises(ValueError):
             rf.bank_of(areg(0))
 
     def test_write_port_conflict_delays_second_writer(self):
-        rf = BankedVectorRegisterFile(8, 2, 2, 1)
+        rf = BankedVectorRegisterFile(2, 2, 1)
         assert rf.reserve_write(vreg(0), 0, 100) == 0
         # v1 shares v0's bank and there is a single write port per bank.
         assert rf.reserve_write(vreg(1), 0, 100) == 100
@@ -90,7 +90,7 @@ class TestBankedRegisterFile:
         assert rf.reserve_write(vreg(2), 0, 100) == 0
 
     def test_two_read_ports_per_bank(self):
-        rf = BankedVectorRegisterFile(8, 2, 2, 1)
+        rf = BankedVectorRegisterFile(2, 2, 1)
         assert rf.reserve_read(vreg(0), 0, 50) == 0
         assert rf.reserve_read(vreg(1), 0, 50) == 0
         assert rf.reserve_read(vreg(0), 0, 50) == 50

@@ -106,11 +106,6 @@ class TestOOOParams:
     def test_paper_register_sweep_accepted(self, count):
         assert OOOParams(num_phys_vregs=count).num_phys_vregs == count
 
-    def test_with_phys_vregs(self):
-        params = OOOParams(num_phys_vregs=16)
-        assert params.with_phys_vregs(32).num_phys_vregs == 32
-        assert params.num_phys_vregs == 16
-
     def test_with_memory_latency(self):
         assert OOOParams().with_memory_latency(1).memory.latency == 1
 

@@ -19,11 +19,10 @@ from repro.common.params import (
     LoadElimination,
     OOOParams,
     ReferenceParams,
-    params_from_dict,
-    params_to_dict,
 )
 from repro.common.stats import SimStats
 from repro.core.config import MachineConfig, ooo_config, reference_config
+from repro.core.machines import params_from_dict, params_to_dict
 from repro.core.results import SimulationResult
 from repro.core.runner import (
     ExperimentEngine,
@@ -31,7 +30,7 @@ from repro.core.runner import (
     ExperimentSpec,
     ResultStore,
 )
-from repro.core.simulator import run
+from repro.core.simulator import simulate_point
 
 
 def _point(regs=16, scale="tiny", workload="trfd"):
@@ -57,8 +56,38 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             params_from_dict({"kind": "quantum"})
 
+    def test_only_a_registered_model_serialises(self):
+        # the kind is the registry's name for exactly type(params)
+        from dataclasses import dataclass
+
+        from repro.core import machines as machines_module
+        from repro.core.machines import MachineModel, register_machine
+
+        @dataclass(frozen=True)
+        class DroppedParams:
+            cost: int = 1
+
+        class SubclassedParams(OOOParams):
+            pass
+
+        with pytest.raises(ConfigurationError):
+            params_to_dict(SubclassedParams())
+        register_machine(MachineModel(
+            name="dropped-test", params_type=DroppedParams,
+            factory=lambda params, trace: None))
+        try:
+            payload = params_to_dict(DroppedParams())
+            assert payload == {"kind": "dropped-test", "cost": 1}
+            assert params_from_dict(payload) == DroppedParams()
+        finally:
+            machines_module._REGISTRY.pop("dropped-test", None)
+        with pytest.raises(ConfigurationError):
+            params_to_dict(DroppedParams())
+        with pytest.raises(ConfigurationError):
+            params_from_dict(payload)
+
     def test_result_round_trip_preserves_statistics(self):
-        result = run("trfd", ooo_config(), scale="tiny")
+        result = simulate_point(ExperimentPoint("trfd", "tiny", ooo_config()))
         rebuilt = SimulationResult.from_dict(
             json.loads(json.dumps(result.to_dict())))
         assert rebuilt.workload == result.workload
@@ -113,7 +142,7 @@ class TestResultStore:
     def test_disk_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
         point = _point()
-        result = run("trfd", point.config, scale="tiny")
+        result = simulate_point(point)
         store.put(point, result)
         files = _entries(tmp_path)
         assert len(files) == 1
@@ -130,7 +159,7 @@ class TestResultStore:
     def test_get_returns_independent_copies(self, tmp_path):
         store = ResultStore(tmp_path)
         point = _point()
-        store.put(point, run("trfd", point.config, scale="tiny"))
+        store.put(point, simulate_point(point))
         first = store.get(point)
         first.stats.cycles = -1
         second = store.get(point)
@@ -139,7 +168,7 @@ class TestResultStore:
     def test_corrupt_disk_entry_is_dropped(self, tmp_path):
         store = ResultStore(tmp_path)
         point = _point()
-        store.put(point, run("trfd", point.config, scale="tiny"))
+        store.put(point, simulate_point(point))
         path = _entries(tmp_path)[0]
         path.write_text("{not json", encoding="utf-8")
         fresh = ResultStore(tmp_path)
@@ -151,7 +180,7 @@ class TestResultStore:
         # older schema) must self-heal too, not crash with a ReproError.
         store = ResultStore(tmp_path)
         point = _point()
-        store.put(point, run("trfd", point.config, scale="tiny"))
+        store.put(point, simulate_point(point))
         path = _entries(tmp_path)[0]
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["result"]["params"]["num_phys_vregs"] = 4  # out of range
@@ -175,7 +204,7 @@ class TestResultStore:
         monkeypatch.setattr(store_mod.os, "replace", recording_replace)
         store = ResultStore(tmp_path)
         point = _point()
-        result = run("trfd", point.config, scale="tiny")
+        result = simulate_point(point)
         store.put(point, result)
         store.put(point, result)
         tmp_names = [name for name in seen if name.endswith(".tmp")]
@@ -198,7 +227,7 @@ class TestEngine:
 
     def test_engine_results_match_direct_simulation(self):
         engine = ExperimentEngine()
-        direct = run("trfd", ooo_config(), scale="tiny")
+        direct = simulate_point(ExperimentPoint("trfd", "tiny", ooo_config()))
         via_engine = engine.result("trfd", ooo_config(), scale="tiny")
         assert via_engine.cycles == direct.cycles
         assert via_engine.stats.to_dict() == direct.stats.to_dict()
@@ -217,6 +246,40 @@ class TestEngine:
         for point in serial:
             assert serial[point].cycles == parallel[point].cycles
             assert serial[point].stats.to_dict() == parallel[point].stats.to_dict()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_run_serialises_each_result_once(self, tmp_path, monkeypatch, jobs):
+        # in-process and from the pool, the parent gets result objects: it
+        # serialises each simulated point once, to write its result object,
+        # and decodes none; a memory-only engine does neither
+        calls = {"to_dict": 0, "from_dict": 0}
+        real_to_dict = SimulationResult.to_dict
+        real_from_dict = vars(SimulationResult)["from_dict"].__func__
+
+        def to_dict(self):
+            calls["to_dict"] += 1
+            return real_to_dict(self)
+
+        def from_dict(cls, payload):
+            calls["from_dict"] += 1
+            return real_from_dict(cls, payload)
+
+        monkeypatch.setattr(SimulationResult, "to_dict", to_dict)
+        monkeypatch.setattr(SimulationResult, "from_dict", classmethod(from_dict))
+        spec = ExperimentSpec.grid(
+            "cold", ["trfd", "bdna"],
+            [reference_config(), ooo_config(), ooo_config(phys_vregs=32)], "tiny")
+        engine = ExperimentEngine(ResultStore(tmp_path), jobs=jobs)
+        try:
+            engine.run_spec(spec)
+        finally:
+            engine.close()
+        assert engine.simulated == 6
+        assert calls == {"to_dict": 6, "from_dict": 0}
+        if jobs == 1:
+            calls.update(to_dict=0)
+            ExperimentEngine().run_spec(spec)
+            assert calls == {"to_dict": 0, "from_dict": 0}
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -281,6 +344,29 @@ class TestCLI:
         assert main(["run-all", "--programs", ","]) == 2
         assert "selected nothing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run-all", "--jobs", "0"], "jobs must be at least 1"),
+        (["run-all", "--fleet", "-1"], "fleet must be at least 0"),
+        (["run-all", "--fleet", "1"], "--fleet requires --cache-dir"),
+        (["worker", "--max-tasks", "0"], "max_tasks must be at least 1"),
+        (["worker", "--lease-ttl", "0"], "lease_ttl must be positive"),
+        (["worker", "--poll", "0"], "poll_s must be positive"),
+        (["worker", "--idle-timeout", "-5"], "idle_timeout must be non-negative"),
+    ])
+    def test_rejected_flag_exits_2(self, argv, message, tmp_path, capsys, monkeypatch):
+        # the API makes each check; the CLI reports it and prints nothing else
+        from repro.cli import main
+
+        for name in ("REPRO_CACHE_DIR", "REPRO_JOBS", "REPRO_FLEET"):
+            monkeypatch.delenv(name, raising=False)
+        if argv[0] == "worker":
+            argv = [*argv, "--store-root", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
     def test_broken_pool_falls_back_to_serial(self, monkeypatch):
         import repro.core.runner as runner_mod
 
@@ -330,17 +416,15 @@ def _same_results(got, expected):
 def pool_model():
     """The toy model of ``tests/pool_machine.py``, registered by its import.
 
-    Both registries are process-global: the model is dropped again on
+    The registry is process-global: the model is dropped again on
     teardown so registry-driven tests elsewhere see only the real machines.
     """
-    from repro.common import params as params_module
     from repro.core import machines as machines_module
 
     sys.modules.pop("pool_machine", None)
     module = importlib.import_module("pool_machine")
     yield module
     machines_module._REGISTRY.pop(module.NAME, None)
-    params_module._PARAMS_KINDS.pop(module.NAME, None)
     sys.modules.pop("pool_machine", None)
 
 

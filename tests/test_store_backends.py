@@ -21,9 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.common.params import params_to_dict
 from repro.common.stats import VECTOR_UNIT_ORDER, MemoryTraffic, SimStats
 from repro.core.config import ooo_config, reference_config
+from repro.core.machines import params_to_dict
 from repro.core.objectstore import (
     OBJECT_SUBDIR,
     RESULT_PREFIX,

@@ -19,11 +19,11 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    _simulate_point,
 )
+from repro.core.simulator import simulate_point
 from repro.fleet.worker import Worker
 from repro.trace import store as store_mod
-from repro.trace.store import TRACE_PREFIX, TRACE_STORE_VERSION, TraceStore
+from repro.trace.store import TRACE_PREFIX, TRACE_STORE_VERSION, TraceStore, load_trace
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
@@ -39,14 +39,12 @@ def _store(root):
 
 def _poison_compilation(monkeypatch):
     """Make every trace compilation in this process fail."""
-    import repro.core.simulator as simulator_mod
     import repro.workloads.registry as registry
 
     def boom(*args, **kwargs):
         raise AssertionError("the trace was recompiled")
 
     monkeypatch.setattr(registry, "get_workload", boom)
-    monkeypatch.setattr(simulator_mod, "get_workload", boom)
 
 
 def _count_compiles(monkeypatch):
@@ -163,7 +161,7 @@ class TestTraceStoreBasics:
         # a bucket that was never written reports nothing to do
         assert _store(tmp_path / "missing").gc() == (0, 0)
 
-    def test_load_memoised_unpickles_once_per_process(self, tmp_path, monkeypatch):
+    def test_load_trace_unpickles_once_per_process(self, tmp_path, monkeypatch):
         store = _store(tmp_path)
         store.load_or_generate("trfd", "tiny")
 
@@ -175,10 +173,13 @@ class TestTraceStoreBasics:
             return real_get(self, workload, scale)
 
         monkeypatch.setattr(store_mod.TraceStore, "get", counting_get)
-        first = _store(tmp_path).load_memoised("trfd", "tiny")
-        second = _store(tmp_path).load_memoised("trfd", "tiny")
+        first = load_trace("trfd", "tiny", str(tmp_path))
+        second = load_trace("trfd", "tiny", str(tmp_path))
         assert first is second  # served from the per-process memo
         assert loads["count"] <= 1
+
+    def test_load_trace_without_a_bucket_is_the_workloads_memo(self):
+        assert load_trace("trfd", "tiny") is get_workload("trfd", "tiny").trace()
 
 
 class TestEngineTraceMemoisation:
@@ -191,7 +192,7 @@ class TestEngineTraceMemoisation:
             assert session.trace_store.objects is session.store.backend.objects
 
     def test_memory_only_engine_has_no_trace_store(self):
-        assert ExperimentEngine()._bucket_root() is None
+        assert ResultStore().bucket_root is None
         with Session(env={}) as session:
             assert session.trace_store is None
 
@@ -236,16 +237,15 @@ class TestEngineTraceMemoisation:
         assert warm.simulated == 2
 
     def test_worker_entry_point_loads_from_store(self, tmp_path, monkeypatch):
-        # _simulate_point with a bucket root must use the memoised trace,
+        # simulate_point with a bucket root must use the memoised trace,
         # not the compiler: poison compilation and check the point still runs.
         _store(tmp_path).load_or_generate("trfd", "tiny")
         _poison_compilation(monkeypatch)
         point = ExperimentPoint("trfd", "tiny", ooo_config())
-        payload = _simulate_point(point, str(tmp_path))
-        assert payload["stats"]["cycles"] > 0
+        assert simulate_point(point, str(tmp_path)).cycles > 0
         # sanity: without the trace store the poison does fire
         with pytest.raises(AssertionError):
-            _simulate_point(point, None)
+            simulate_point(point, None)
 
     def test_fleet_workers_compile_or_load_the_trace(self, tmp_path, monkeypatch):
         # the driver enqueues without compiling; the first worker compiles
@@ -285,3 +285,11 @@ class TestEngineTraceMemoisation:
         assert set(serial) == set(parallel)
         for point in serial:
             assert serial[point].stats.to_dict() == parallel[point].stats.to_dict()
+        # pool workers return result objects; the stored bytes are the same
+        objects = {
+            side: {path.name: path.read_bytes() for path in
+                   (tmp_path / side / OBJECT_SUBDIR / "results").rglob("*.json")}
+            for side in ("a", "b")
+        }
+        assert len(objects["a"]) == 2
+        assert objects["a"] == objects["b"]
